@@ -23,7 +23,7 @@ from .graph import (
     enumerate_cycles,
     enumerate_theta_subgraphs,
 )
-from .limits import Caps, DEFAULT_CAPS
+from .limits import Caps, DEFAULT_CAPS, ResourceLimitError
 
 
 class BiasError(ValueError):
@@ -83,6 +83,8 @@ class BiasedGraph:
         if cached is None:
             cached = enumerate_cycles(self.graph, caps=caps)
             object.__setattr__(self, "_cycles", cached)
+        elif len(cached) > caps.max_cycles:
+            raise ResourceLimitError("enumerate_cycles", caps.max_cycles)
         return cached
 
     def balanced_cycles(self, caps: Caps = DEFAULT_CAPS) -> tuple[Cycle, ...]:
@@ -303,7 +305,8 @@ def complete_bias(
         return None
     balanced = frozenset(c for c, i in index.items() if value[i])
     out = BiasedGraph(g, ExplicitSet(balanced))
-    assert not validate_biased_graph(out, caps), "completion violated theta"
+    if validate_biased_graph(out, caps):
+        raise BiasError("completion violated the theta property")
     return out
 
 

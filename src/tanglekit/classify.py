@@ -24,6 +24,7 @@ from .bias import (
     BiasedGraph,
     BiasError,
     cycles_inside,
+    cycles_with,
     is_simple,
     make_explicit,
 )
@@ -922,11 +923,25 @@ def _detect_tricoloured(o: BiasedGraph, caps: Caps, msets: tuple[frozenset[int],
     picks three vertices, a target set with one chord edge per target
     at each, and then fits the remaining edges into a ring of parts.
     Chords ending on another chosen source are not considered.
+
+    The target sets must be pairwise disjoint.  ``verify_family``
+    flattens the attachment order (x0, x1, x2, Y0, Y1, Y2), or
+    (x0, Y4, x2, Y0, x4, Y2) for the alternating colours, and rejects
+    every candidate in which a vertex repeats there, whatever the ring.
+    The sources are distinct and no target is a source, so a repeat can
+    only come from two target sets that meet.
+
+    Each chord triple is met in every orientation, and all of them leave
+    the same ring edges: ``cores`` and ``layouts`` keep, for this call,
+    the 2-connected ring of each ring edge set and its layout at each
+    hinge set, so every ring is cut into parts once.
     """
     g = o.graph
     if g.n < 4 or any(g.is_loop(e) for e in g.edge_ids):
         return None
     counter = _Counter(caps, "tricoloured search")
+    cores: dict[frozenset[int], MultiGraph | None] = {}
+    layouts: dict[tuple[frozenset[int], tuple[int, ...]], _RingLayout | None] = {}
     for trip in combinations(sorted(g.vertex_set), 3):
         tset = set(trip)
         stars: list[dict[int, list[int]]] = []
@@ -944,19 +959,21 @@ def _detect_tricoloured(o: BiasedGraph, caps: Caps, msets: tuple[frozenset[int],
             continue
         for choice in product(*(_star_choices(s) for s in stars)):
             counter.bump()
-            # Target sets land in pairwise distinct ring parts, which
-            # overlap in at most a hinge.
-            if any(
-                len(set(a[0]) & set(b[0])) > 1
-                for a, b in combinations(choice, 2)
-            ):
+            if any(set(a[0]) & set(b[0]) for a, b in combinations(choice, 2)):
                 continue
             chords = {e for _, es in choice for e in es}
             ring_edges = g.edge_id_set - chords
-            core = g.subgraph(ring_edges, g.vertex_set)
-            if not is_two_connected(core):
+            if ring_edges not in cores:
+                core = g.subgraph(ring_edges, g.vertex_set)
+                cores[ring_edges] = core if is_two_connected(core) else None
+            core = cores[ring_edges]
+            if core is None:
                 continue
-            hit = _fit_tricoloured(o, trip, choice, ring_edges, caps, counter)
+            pairs = [
+                (x, frozenset(targets), tuple(edges))
+                for x, (targets, edges) in zip(trip, choice)
+            ]
+            hit = _fit_tricoloured(o, pairs, core, layouts, caps, counter)
             if hit:
                 return hit
     return None
@@ -973,50 +990,76 @@ def _star_choices(by_target: dict[int, list[int]]) -> list[tuple[tuple[int, ...]
     return out
 
 
+# A six-part ring: part vertex sets, part edge sets, and the hinge where
+# part i meets part i + 1.
+_Ring = tuple[tuple[frozenset[int], ...], tuple[frozenset[int], ...], tuple[int, ...]]
+
+
+@dataclass(frozen=True)
+class _RingLayout:
+    """A ring cut into base parts at one hinge set, with every six-part
+    ring the base parts make once single-hinge parts pad them out."""
+
+    base_pvs: tuple[frozenset[int], ...]
+    hinges: frozenset[int]
+    rings: tuple[_Ring, ...]
+
+    def fits(self, yset: frozenset[int]) -> bool:
+        # Parts are the base parts or single hinges.
+        return any(yset <= pv for pv in self.base_pvs) or (
+            len(yset) == 1 and yset <= self.hinges
+        )
+
+
+def _ring_layout(core: MultiGraph, hinge_set: tuple[int, ...]) -> _RingLayout | None:
+    """The ring of parts between consecutive hinges, or None when the
+    hinges do not cut the core into a single cycle of parts."""
+    groups = _pair_components(core, frozenset(hinge_set))
+    if not groups:
+        return None
+    order = _hamiltonian_support(set(groups), hinge_set)
+    if order is None:
+        return None
+    k = len(order)
+    base_parts = [groups[frozenset({order[i], order[(i + 1) % k]})] for i in range(k)]
+    base_pvs = [core.subgraph(pe).vertex_set for pe in base_parts]
+    singles = [frozenset({order[(i + 1) % k]}) for i in range(k)]
+    no_edges: frozenset[int] = frozenset()
+    rings: list[_Ring] = []
+    for slots in _weak_compositions(6 - k, k):
+        pvs: list[frozenset[int]] = []
+        pes: list[frozenset[int]] = []
+        for i in range(k):
+            pvs.append(base_pvs[i])
+            pes.append(base_parts[i])
+            pvs.extend([singles[i]] * slots[i])
+            pes.extend([no_edges] * slots[i])
+        meets = [pvs[i] & pvs[(i + 1) % 6] for i in range(6)]
+        if all(len(m) == 1 for m in meets):
+            rings.append((tuple(pvs), tuple(pes), tuple(min(m) for m in meets)))
+    return _RingLayout(tuple(base_pvs), frozenset(order), tuple(rings))
+
+
 def _fit_tricoloured(
     o: BiasedGraph,
-    trip: tuple[int, int, int],
-    choice: tuple[tuple[tuple[int, ...], tuple[int, ...]], ...],
-    ring_edges: frozenset[int],
+    pairs: list[tuple[int, frozenset[int], tuple[int, ...]]],
+    core: MultiGraph,
+    layouts: dict[tuple[frozenset[int], tuple[int, ...]], _RingLayout | None],
     caps: Caps,
     counter: _Counter,
 ) -> _Hit | None:
-    g = o.graph
-    sub = g.subgraph(ring_edges)
-    verts = sorted(sub.vertex_set)
-    pairs = [
-        (x, frozenset(targets), tuple(edges))
-        for x, (targets, edges) in zip(trip, choice)
-    ]
+    verts = sorted(core.vertex_set)
     for k in range(3, min(len(verts), 6) + 1):
         for hinge_set in combinations(verts, k):
             counter.bump()
-            groups = _pair_components(sub, frozenset(hinge_set))
-            if not groups:
+            key = (core.edge_id_set, hinge_set)
+            if key not in layouts:
+                layouts[key] = _ring_layout(core, hinge_set)
+            layout = layouts[key]
+            # Every target set must land inside one ring part.
+            if layout is None or not all(layout.fits(yset) for _, yset, _ in pairs):
                 continue
-            order = _hamiltonian_support(set(groups), hinge_set)
-            if order is None:
-                continue
-            base_parts = [
-                groups[frozenset({order[i], order[(i + 1) % k]})] for i in range(k)
-            ]
-            base_pvs = [g.subgraph(pe).vertex_set for pe in base_parts]
-            # Every target set must land inside one ring part; parts are
-            # the base parts or single support hinges, so rule the ring
-            # out wholesale when some target set fits neither.
-            hinge_singles = {frozenset({h}) for h in order}
-            if not all(
-                any(yset <= pv for pv in base_pvs) or yset in hinge_singles
-                for _, yset, _ in pairs
-            ):
-                continue
-            for slots in _weak_compositions(6 - k, k):
-                ring: list[tuple[frozenset[int], frozenset[int]]] = []
-                for i in range(k):
-                    ring.append((base_pvs[i], base_parts[i]))
-                    hinge = order[(i + 1) % k]
-                    for _ in range(slots[i]):
-                        ring.append((frozenset({hinge}), frozenset()))
+            for ring in layout.rings:
                 hit = _tricoloured_arrangements(o, pairs, ring, caps, counter)
                 if hit:
                     return hit
@@ -1026,79 +1069,109 @@ def _fit_tricoloured(
 _COLOUR_PATTERNS = (frozenset({0, 1, 2}), frozenset({0, 2, 4}))
 
 
+def _ring_placements() -> dict[tuple[int, int, int], list[tuple]]:
+    """Every way to lay the three chord classes onto a six-part ring.
+
+    A placement is a rotation or reflection of the ring (the ring index
+    of the part at each position, and of the hinge after it), a colour
+    pattern, and the chord class at each coloured position.  Placements
+    are keyed by the ring index each chord class lands on, and rank in
+    search order.
+    """
+    views = [(tuple((s + p) % 6 for p in range(6)),) * 2 for s in range(6)]
+    views += [
+        (tuple(5 - (s + p) % 6 for p in range(6)), tuple((4 - (s + p) % 6) % 6 for p in range(6)))
+        for s in range(6)
+    ]
+    table: dict[tuple[int, int, int], list[tuple]] = {}
+    rank = 0
+    for part_at, hinge_at in views:
+        for colours in _COLOUR_PATTERNS:
+            positions = sorted(colours)
+            for perm in permutations(range(3)):
+                at = [0, 0, 0]
+                for slot, k in enumerate(perm):
+                    at[k] = part_at[positions[slot]]
+                table.setdefault(tuple(at), []).append((rank, part_at, hinge_at, colours, perm))
+                rank += 1
+    return table
+
+
+_PLACEMENTS = _ring_placements()
+
+
 def _tricoloured_arrangements(
     o: BiasedGraph,
     pairs: list[tuple[int, frozenset[int], tuple[int, ...]]],
-    ring: list[tuple[frozenset[int], frozenset[int]]],
+    ring: _Ring,
     caps: Caps,
     counter: _Counter,
 ) -> _Hit | None:
     g = o.graph
-    seen: set[tuple[frozenset[int], ...]] = set()
-    for cycle in (ring, ring[::-1]):
-        for shift in range(6):
-            arrangement = cycle[shift:] + cycle[:shift]
-            pv6 = tuple(pv for pv, _ in arrangement)
-            if pv6 in seen:
-                continue
-            seen.add(pv6)
-            admissible: list[tuple[int, ...]] = []
-            for x, yset, _ in pairs:
-                spots = tuple(
-                    i
-                    for i in range(6)
-                    if x in pv6[i] and yset <= pv6[(i + 3) % 6]
-                )
-                if not spots:
-                    break
-                admissible.append(spots)
-            if len(admissible) != 3:
-                continue
-            hinges6: list[int] = []
-            ok = True
-            for i in range(6):
-                meet = pv6[i] & pv6[(i + 1) % 6]
-                if len(meet) != 1:
-                    ok = False
-                    break
-                hinges6.append(next(iter(meet)))
-            if not ok:
-                continue
-            pe6 = tuple(pe for _, pe in arrangement)
-            for colours in _COLOUR_PATTERNS:
-                positions = sorted(colours)
-                for perm in permutations(range(3)):
-                    if any(
-                        positions[slot] not in admissible[perm[slot]]
-                        for slot in range(3)
-                    ):
-                        continue
-                    xs6: list[int | None] = [None] * 6
-                    ys6: list[frozenset[int] | None] = [None] * 6
-                    es6: list[tuple[int, ...] | None] = [None] * 6
-                    for slot, i in enumerate(positions):
-                        x, yset, edges = pairs[perm[slot]]
-                        xs6[i] = x
-                        ys6[i] = yset
-                        es6[i] = edges
-                    counter.bump()
-                    d = FamilyDescriptor(
-                        "Tricoloured",
-                        g,
-                        {
-                            "part_vertices": pv6,
-                            "part_edges": pe6,
-                            "hinges": tuple(hinges6),
-                            "I": colours,
-                            "xs": tuple(xs6),
-                            "ysets": tuple(ys6),
-                            "esets": tuple(es6),
-                        },
-                    )
-                    cert = verify_family(o, d, caps)
-                    if cert.passed:
-                        return d, cert, None
+    pvs, pes, hinges = ring
+    # Ring indices where each chord class may sit: x in the part, its
+    # targets in the antipodal one.
+    spots: list[list[int]] = []
+    for x, yset, _ in pairs:
+        spots.append([i for i in range(6) if x in pvs[i] and yset <= pvs[(i + 3) % 6]])
+        if not spots[-1]:
+            return None
+    found = sorted(p for at in product(*spots) for p in _PLACEMENTS.get(at, ()))
+    for _, part_at, hinge_at, colours, perm in found:
+        positions = sorted(colours)
+        pe6 = tuple(pes[i] for i in part_at)
+        xs6: list[int | None] = [None] * 6
+        ys6: list[frozenset[int] | None] = [None] * 6
+        es6: list[tuple[int, ...] | None] = [None] * 6
+        for slot, i in enumerate(positions):
+            x, yset, edges = pairs[perm[slot]]
+            xs6[i] = x
+            ys6[i] = yset
+            es6[i] = edges
+        counter.bump()
+        if not _tricoloured_bias_holds(o, pe6, es6, positions, caps):
+            continue
+        d = FamilyDescriptor(
+            "Tricoloured",
+            g,
+            {
+                "part_vertices": tuple(pvs[i] for i in part_at),
+                "part_edges": pe6,
+                "hinges": tuple(hinges[i] for i in hinge_at),
+                "I": colours,
+                "xs": tuple(xs6),
+                "ysets": tuple(ys6),
+                "esets": tuple(es6),
+            },
+        )
+        cert = verify_family(o, d, caps)
+        if cert.passed:
+            return d, cert, None
     return None
+
+
+def _tricoloured_bias_holds(
+    o: BiasedGraph,
+    pe6: tuple[frozenset[int], ...],
+    es6: list[tuple[int, ...] | None],
+    positions: list[int],
+    caps: Caps,
+) -> bool:
+    """The bias clauses ``verify_family`` checks on a Tricoloured
+    candidate, read off the input's own cycles: a chord pair of one
+    colour closes only balanced cycles through the antipodal part, a
+    pair of two colours only unbalanced ones through their four parts."""
+    for i in positions:
+        for a, b in combinations(es6[i], 2):
+            if not all(o.balance(c) for c in cycles_with(o, {a, b}, pe6[(i + 3) % 6], caps)):
+                return False
+    for i, j in combinations(positions, 2):
+        within = pe6[i] | pe6[j] | pe6[(i + 3) % 6] | pe6[(j + 3) % 6]
+        for a in es6[i]:
+            for b in es6[j]:
+                if any(o.balance(c) for c in cycles_with(o, {a, b}, within, caps)):
+                    return False
+    return True
 
 
 # Detector battery in case-label order.

@@ -354,8 +354,13 @@ def _plan_criss_cross(d: FamilyDescriptor, caps: Caps) -> _Plan:
         return _Plan(tuple(checks), ())
 
     core = g.subgraph(h)
-    checks.append(_check("core two-connected", is_two_connected(core)))
-    checks.append(_check("boundary order planar", ordered_planarity(core, us, caps=caps) is not None))
+    two_connected = is_two_connected(core)
+    checks.append(_check("core two-connected", two_connected))
+    if two_connected:
+        checks.append(_check("boundary order planar", ordered_planarity(core, us, caps=caps) is not None))
+    else:
+        # ordered_planarity needs a connected core
+        checks.append(_check("boundary order planar", False, "not evaluated: core not two-connected"))
 
     temp = _temp(g)
     constraints: list[Constraint] = []

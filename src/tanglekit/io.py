@@ -429,7 +429,7 @@ def _vertex_roles(report: ClassificationReport) -> dict[int, list[str]]:
             continue
         desc = label.descriptor
         for attr, tag in fields:
-            for v in _role_vertices(getattr(desc, attr, None)):
+            for v in _role_vertices(desc.roles.get(attr)):
                 roles.setdefault(v, []).append(tag)
         break
     return roles
@@ -463,7 +463,7 @@ def export_dot(
     dashed = _dashed_edges(o, caps)
     lines = ["graph biasedgraph {"]
     if report is not None:
-        title = report.verdict
+        title = verdict_text(report.verdict)
         if report.codes():
             title += ": " + " ".join(report.codes())
         lines.append(f'  label="{title}";')

@@ -87,12 +87,15 @@ def _vertex_masks(o: BiasedGraph, cycles: tuple[Cycle, ...]) -> list[int]:
 def find_disjoint_unbalanced_pair(
     o: BiasedGraph, caps: Caps = DEFAULT_CAPS
 ) -> tuple[Cycle, Cycle] | None:
-    """First vertex-disjoint pair of unbalanced cycles, or None."""
+    """First vertex-disjoint pair of unbalanced cycles, or None.
+
+    At most ``caps.max_theta_pairs`` pairs are scanned.
+    """
     unb = o.unbalanced_cycles(caps)
-    if len(unb) * len(unb) > caps.max_theta_pairs:
-        raise ResourceLimitError("disjoint-pair scan", caps.max_theta_pairs)
     masks = _vertex_masks(o, unb)
-    for i, j in combinations(range(len(unb)), 2):
+    for scanned, (i, j) in enumerate(combinations(range(len(unb)), 2), 1):
+        if scanned > caps.max_theta_pairs:
+            raise ResourceLimitError("disjoint-pair scan", caps.max_theta_pairs)
         if not masks[i] & masks[j]:
             return unb[i], unb[j]
     return None

@@ -3,16 +3,28 @@
 Everything here works by exhaustive subset or path enumeration and shares no
 search logic with the library: cycles come from 2-regularity checks over all
 edge subsets, thetas from internally disjoint path triples, linkages from
-all simple path pairs.
+all simple path pairs.  The one exception is the Tricoloured search at the
+end, an earlier version of the library's own detector.
 """
 
 from __future__ import annotations
 
 import itertools
 import random
+from itertools import combinations, permutations, product
 from typing import Iterable, Sequence
 
-from tanglekit.graph import Cycle, MultiGraph
+from tanglekit.bias import BiasedGraph
+from tanglekit.classify import (
+    _Counter,
+    _Hit,
+    _hamiltonian_support,
+    _pair_components,
+    _weak_compositions,
+)
+from tanglekit.families import FamilyDescriptor, verify_family
+from tanglekit.graph import Cycle, MultiGraph, is_two_connected
+from tanglekit.limits import Caps
 
 
 def subset_cycles(g: MultiGraph, max_len: int | None = None) -> list[frozenset[int]]:
@@ -218,3 +230,202 @@ def connected_graph_census(n: int) -> list[MultiGraph]:
         seen.add(key)
         out.append(g)
     return out
+
+
+# ---------------------------------------------------------------------------
+# Tricoloured search before ring memoisation
+#
+# The detector as it stood before the ring edge sets were memoised and
+# before target sets had to be pairwise disjoint, copied unchanged.  It
+# rebuilds every ring for each chord orientation and hands
+# verify_family every candidate whose target sets share at most one
+# vertex, so it is slow but shares no pruning with the library's search.
+# ---------------------------------------------------------------------------
+
+def _detect_tricoloured(o: BiasedGraph, caps: Caps, msets: tuple[frozenset[int], ...]) -> _Hit | None:
+    """Six-part ring with three antipodal chord classes.
+
+    Candidates are anchored on the three chord sources: the search
+    picks three vertices, a target set with one chord edge per target
+    at each, and then fits the remaining edges into a ring of parts.
+    Chords ending on another chosen source are not considered.
+    """
+    g = o.graph
+    if g.n < 4 or any(g.is_loop(e) for e in g.edge_ids):
+        return None
+    counter = _Counter(caps, "tricoloured search")
+    for trip in combinations(sorted(g.vertex_set), 3):
+        tset = set(trip)
+        stars: list[dict[int, list[int]]] = []
+        for x in trip:
+            by_target: dict[int, list[int]] = {}
+            for e in sorted(g.incident_edges(x)):
+                far = g.other_end(e, x)
+                if far not in tset:
+                    by_target.setdefault(far, []).append(e)
+            if not by_target:
+                stars = []
+                break
+            stars.append(by_target)
+        if not stars:
+            continue
+        for choice in product(*(_star_choices(s) for s in stars)):
+            counter.bump()
+            # Target sets land in pairwise distinct ring parts, which
+            # overlap in at most a hinge.
+            if any(
+                len(set(a[0]) & set(b[0])) > 1
+                for a, b in combinations(choice, 2)
+            ):
+                continue
+            chords = {e for _, es in choice for e in es}
+            ring_edges = g.edge_id_set - chords
+            core = g.subgraph(ring_edges, g.vertex_set)
+            if not is_two_connected(core):
+                continue
+            hit = _fit_tricoloured(o, trip, choice, ring_edges, caps, counter)
+            if hit:
+                return hit
+    return None
+
+
+def _star_choices(by_target: dict[int, list[int]]) -> list[tuple[tuple[int, ...], tuple[int, ...]]]:
+    """Every (targets, one edge per target) choice for one chord source."""
+    targets = sorted(by_target)
+    out: list[tuple[tuple[int, ...], tuple[int, ...]]] = []
+    for r in range(1, len(targets) + 1):
+        for ts in combinations(targets, r):
+            for es in product(*(sorted(by_target[t]) for t in ts)):
+                out.append((ts, es))
+    return out
+
+
+def _fit_tricoloured(
+    o: BiasedGraph,
+    trip: tuple[int, int, int],
+    choice: tuple[tuple[tuple[int, ...], tuple[int, ...]], ...],
+    ring_edges: frozenset[int],
+    caps: Caps,
+    counter: _Counter,
+) -> _Hit | None:
+    g = o.graph
+    sub = g.subgraph(ring_edges)
+    verts = sorted(sub.vertex_set)
+    pairs = [
+        (x, frozenset(targets), tuple(edges))
+        for x, (targets, edges) in zip(trip, choice)
+    ]
+    for k in range(3, min(len(verts), 6) + 1):
+        for hinge_set in combinations(verts, k):
+            counter.bump()
+            groups = _pair_components(sub, frozenset(hinge_set))
+            if not groups:
+                continue
+            order = _hamiltonian_support(set(groups), hinge_set)
+            if order is None:
+                continue
+            base_parts = [
+                groups[frozenset({order[i], order[(i + 1) % k]})] for i in range(k)
+            ]
+            base_pvs = [g.subgraph(pe).vertex_set for pe in base_parts]
+            # Every target set must land inside one ring part; parts are
+            # the base parts or single support hinges, so rule the ring
+            # out wholesale when some target set fits neither.
+            hinge_singles = {frozenset({h}) for h in order}
+            if not all(
+                any(yset <= pv for pv in base_pvs) or yset in hinge_singles
+                for _, yset, _ in pairs
+            ):
+                continue
+            for slots in _weak_compositions(6 - k, k):
+                ring: list[tuple[frozenset[int], frozenset[int]]] = []
+                for i in range(k):
+                    ring.append((base_pvs[i], base_parts[i]))
+                    hinge = order[(i + 1) % k]
+                    for _ in range(slots[i]):
+                        ring.append((frozenset({hinge}), frozenset()))
+                hit = _tricoloured_arrangements(o, pairs, ring, caps, counter)
+                if hit:
+                    return hit
+    return None
+
+
+_COLOUR_PATTERNS = (frozenset({0, 1, 2}), frozenset({0, 2, 4}))
+
+
+def _tricoloured_arrangements(
+    o: BiasedGraph,
+    pairs: list[tuple[int, frozenset[int], tuple[int, ...]]],
+    ring: list[tuple[frozenset[int], frozenset[int]]],
+    caps: Caps,
+    counter: _Counter,
+) -> _Hit | None:
+    g = o.graph
+    seen: set[tuple[frozenset[int], ...]] = set()
+    for cycle in (ring, ring[::-1]):
+        for shift in range(6):
+            arrangement = cycle[shift:] + cycle[:shift]
+            pv6 = tuple(pv for pv, _ in arrangement)
+            if pv6 in seen:
+                continue
+            seen.add(pv6)
+            admissible: list[tuple[int, ...]] = []
+            for x, yset, _ in pairs:
+                spots = tuple(
+                    i
+                    for i in range(6)
+                    if x in pv6[i] and yset <= pv6[(i + 3) % 6]
+                )
+                if not spots:
+                    break
+                admissible.append(spots)
+            if len(admissible) != 3:
+                continue
+            hinges6: list[int] = []
+            ok = True
+            for i in range(6):
+                meet = pv6[i] & pv6[(i + 1) % 6]
+                if len(meet) != 1:
+                    ok = False
+                    break
+                hinges6.append(next(iter(meet)))
+            if not ok:
+                continue
+            pe6 = tuple(pe for _, pe in arrangement)
+            for colours in _COLOUR_PATTERNS:
+                positions = sorted(colours)
+                for perm in permutations(range(3)):
+                    if any(
+                        positions[slot] not in admissible[perm[slot]]
+                        for slot in range(3)
+                    ):
+                        continue
+                    xs6: list[int | None] = [None] * 6
+                    ys6: list[frozenset[int] | None] = [None] * 6
+                    es6: list[tuple[int, ...] | None] = [None] * 6
+                    for slot, i in enumerate(positions):
+                        x, yset, edges = pairs[perm[slot]]
+                        xs6[i] = x
+                        ys6[i] = yset
+                        es6[i] = edges
+                    counter.bump()
+                    d = FamilyDescriptor(
+                        "Tricoloured",
+                        g,
+                        {
+                            "part_vertices": pv6,
+                            "part_edges": pe6,
+                            "hinges": tuple(hinges6),
+                            "I": colours,
+                            "xs": tuple(xs6),
+                            "ysets": tuple(ys6),
+                            "esets": tuple(es6),
+                        },
+                    )
+                    cert = verify_family(o, d, caps)
+                    if cert.passed:
+                        return d, cert, None
+    return None
+
+
+oracle_detect_tricoloured = _detect_tricoloured

@@ -2,12 +2,15 @@
 
 from __future__ import annotations
 
+import itertools
 import random
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from tanglekit.graph import Cycle, GraphError, MultiGraph, enumerate_cycles
+import tanglekit.bias as bias_module
+from tanglekit.graph import Cycle, GraphError, MultiGraph, enumerate_cycles, enumerate_theta_subgraphs
+from tanglekit.limits import Caps, ResourceLimitError
 from tanglekit.bias import (
     AllBalanced,
     AllUnbalanced,
@@ -228,6 +231,25 @@ def test_complete_rejects_unknown_cycle():
     tri = enumerate_cycles(other)[0]
     with pytest.raises(BiasError):
         complete_bias(k4(), {tri: True})
+
+
+def test_complete_reports_theta_violation_as_error(monkeypatch):
+    # the final theta check is a typed error, so it also runs under -O
+    g = theta_graph()
+    monkeypatch.setattr(bias_module, "validate_biased_graph", lambda o, caps: enumerate_theta_subgraphs(g))
+    with pytest.raises(BiasError, match="theta"):
+        complete_bias(g, {})
+
+
+# -- cycle cache ------------------------------------------------------------------
+
+
+def test_cached_cycles_respect_a_tighter_cap():
+    o = make_signed(MultiGraph.from_pairs(list(itertools.combinations(range(5), 2))), ())
+    assert len(o.cycles()) == 37
+    with pytest.raises(ResourceLimitError):
+        o.cycles(Caps(max_cycles=5))
+    assert len(o.cycles(Caps(max_cycles=37))) == 37
 
 
 # -- simplify ---------------------------------------------------------------------

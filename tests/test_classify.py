@@ -1,0 +1,205 @@
+"""Classifier: family round trips, the Tricoloured search against its oracle, caps."""
+
+from __future__ import annotations
+
+import itertools
+import random
+
+import pytest
+
+from tanglekit.bias import BiasedGraph, make_explicit, make_signed
+import tanglekit.classify as classify_module
+from tanglekit.classify import _PLACEMENTS, _detect_tricoloured, classify
+from tanglekit.families import (
+    FamilyDescriptor,
+    build_family,
+    describe_k5_family,
+    describe_pp_signed,
+    verify_family,
+)
+from tanglekit.graph import MultiGraph
+from tanglekit.limits import DEFAULT_CAPS, Caps, ResourceLimitError
+from tanglekit.tangles import Tangled, is_tangled
+
+from oracles import oracle_detect_tricoloured
+from test_families import (
+    alternating_tricoloured,
+    c4_criss_cross,
+    c4_part_wheel,
+    consecutive_tricoloured,
+    degenerate_tricoloured,
+    digon_rim_wheel,
+    k4_fat_triangle,
+    lemma_style_special_triple,
+    minimal_fat_triangle,
+    minimal_special_pair,
+    minimal_special_vertex,
+    triangle_rim_wheel,
+)
+
+_CODES = {
+    "PPSigned": "T1a",
+    "GeneralizedWheel": "T1b",
+    "CrissCross": "T1c",
+    "FatTriangle": "T1d",
+    "PPSpecialVertex": "T1e",
+    "PPSpecialPair": "T1f",
+    "PPSpecialTriple": "T1g",
+    "Tricoloured": "T1h",
+    "K5Parallel": "T2",
+}
+
+
+def pp_signed(k: int) -> FamilyDescriptor:
+    base = MultiGraph.from_pairs([(i, (i + 1) % k) for i in range(k)])
+    return describe_pp_signed(base, tuple(range(k // 2)), tuple(range(k // 2, k)))
+
+
+def relabelled(o: BiasedGraph, rng: random.Random) -> BiasedGraph:
+    """An isomorphic copy with shuffled vertex ids and edge ids."""
+    g = o.graph
+    vs = sorted(g.vertex_set)
+    vmap = dict(zip(vs, rng.sample(vs, len(vs))))
+    ids = sorted(g.edge_id_set)
+    emap = dict(zip(ids, rng.sample(range(3 * len(ids)), len(ids))))
+    h = MultiGraph.build(
+        [vmap[v] for v in vs],
+        [(emap[e], vmap[g.endpoints(e)[0]], vmap[g.endpoints(e)[1]]) for e in ids],
+    )
+    balanced = [{emap[e] for e in c.edge_set} for c in o.balanced_cycles()]
+    return make_explicit(h, balanced)
+
+
+def reverifies(o: BiasedGraph, report) -> bool:
+    return all(
+        verify_family(label.witness or o, label.descriptor).passed
+        for label in report.labels
+        if label.descriptor is not None
+    )
+
+
+# -- family round trip -----------------------------------------------------------
+
+
+ROUND_TRIP = {
+    "wheel-c4-part": c4_part_wheel,
+    "wheel-triangle-rim": triangle_rim_wheel,
+    "criss-cross-c4": c4_criss_cross,
+    "fat-triangle": minimal_fat_triangle,
+    "fat-triangle-k4": k4_fat_triangle,
+    "special-vertex": minimal_special_vertex,
+    "special-pair": minimal_special_pair,
+    "special-triple": lemma_style_special_triple,
+    "tricoloured-consecutive": consecutive_tricoloured,
+    "tricoloured-alternating": alternating_tricoloured,
+    "tricoloured-degenerate": degenerate_tricoloured,
+    "k5": describe_k5_family,
+    "pp-signed-c4": lambda: pp_signed(4),
+    "pp-signed-c6": lambda: pp_signed(6),
+}
+
+
+@pytest.mark.parametrize("name", sorted(ROUND_TRIP))
+def test_member_classifies_with_its_own_code(name):
+    d = ROUND_TRIP[name]()
+    o = build_family(d)
+    report = classify(o)
+    assert isinstance(report.verdict, Tangled)
+    assert _CODES[d.kind] in report.codes()
+    assert reverifies(o, report)
+
+
+# -- Tricoloured search against the earlier search ---------------------------------
+
+
+def fuzz_graphs(count: int) -> list[BiasedGraph]:
+    """The first tangled draws of a fixed seed: simple connected signed
+    graphs on six vertices with nine edges, as many as the smallest
+    Tricoloured graphs have.  Denser ones take the oracle seconds each."""
+    rng = random.Random(1)
+    out = []
+    while len(out) < count:
+        pairs = sorted(rng.sample(list(itertools.combinations(range(6), 2)), 9))
+        g = MultiGraph.from_pairs(pairs)
+        if not g.is_connected():
+            continue
+        o = make_signed(g, [e for e in g.edge_ids if rng.random() < 0.5])
+        if isinstance(is_tangled(o), Tangled):
+            out.append(o)
+    return out
+
+
+DIFFERENTIAL = [
+    consecutive_tricoloured,
+    alternating_tricoloured,
+    degenerate_tricoloured,
+    lambda: pp_signed(4),
+    lambda: pp_signed(6),
+    minimal_fat_triangle,
+    k4_fat_triangle,
+    digon_rim_wheel,
+    c4_part_wheel,
+    triangle_rim_wheel,
+]
+
+
+def differential_inputs() -> list[BiasedGraph]:
+    rng = random.Random(7)
+    members = [build_family(d()) for d in DIFFERENTIAL]
+    tricoloured = [relabelled(o, rng) for o in members[:3]]
+    return members + tricoloured + fuzz_graphs(5)
+
+
+def test_tricoloured_search_agrees_with_oracle():
+    hits = 0
+    for o in differential_inputs():
+        hit = _detect_tricoloured(o, DEFAULT_CAPS, ())
+        expected = oracle_detect_tricoloured(o, DEFAULT_CAPS, ())
+        assert (hit is None) == (expected is None)
+        if hit is not None:
+            hits += 1
+            d, cert, witness = hit
+            assert witness is None and cert.passed
+            assert verify_family(o, d).passed
+    # three members, three relabelled copies and PPSigned C6
+    assert hits == 7
+
+
+@pytest.mark.parametrize("d", [describe_k5_family, c4_criss_cross, lemma_style_special_triple])
+def test_tricoloured_search_builds_no_doomed_candidate(d, monkeypatch):
+    # on these non-members every candidate with overlapping target sets
+    # used to reach verify_family, which rejects them all
+    o = build_family(d())
+    calls = []
+    monkeypatch.setattr(classify_module, "verify_family", lambda *args: calls.append(args))
+    assert _detect_tricoloured(o, DEFAULT_CAPS, ()) is None
+    assert calls == []
+
+
+def test_ring_placements_name_the_hinge_between_neighbours():
+    placements = [p for places in _PLACEMENTS.values() for p in places]
+    assert sorted(p[0] for p in placements) == list(range(12 * 2 * 6))
+    for _, part_at, hinge_at, _, _ in placements:
+        # ring hinge j joins ring parts j and j + 1
+        for i in range(6):
+            j = hinge_at[i]
+            assert {part_at[i], part_at[(i + 1) % 6]} == {j, (j + 1) % 6}
+
+
+def test_tricoloured_search_stops_at_its_cap():
+    o = build_family(pp_signed(6))
+    with pytest.raises(ResourceLimitError) as err:
+        _detect_tricoloured(o, Caps(max_assignments=50), ())
+    assert err.value.stage == "tricoloured search"
+
+
+# -- inputs that used to fail ------------------------------------------------------
+
+
+def test_roadmap_n9_classifies():
+    # the criss-cross planner used to let a GraphError escape on this input
+    pairs = [(0, 7), (1, 2), (1, 4), (1, 5), (2, 4), (2, 5), (3, 4), (4, 6), (5, 6), (5, 7), (6, 7), (6, 8)]
+    o = make_signed(MultiGraph.from_pairs(pairs), {0, 2, 5, 11})
+    report = classify(o)
+    assert report.codes() == ("T1d", "T1f", "T1g", "T3")
+    assert reverifies(o, report)

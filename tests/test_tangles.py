@@ -26,6 +26,8 @@ from tanglekit.tangles import (
     standard_partition,
 )
 
+from tanglekit.limits import DEFAULT_CAPS, Caps, ResourceLimitError
+
 from oracles import random_multigraph
 
 
@@ -96,6 +98,28 @@ def test_minimal_fat_triangle_is_tangled():
 def test_single_unbalanced_loop():
     g = MultiGraph.build([0], [(0, 0, 0)])
     assert is_tangled(make_signed(g, {0})) == HasBlockingVertex(0)
+
+
+def test_dense_graph_gets_a_disjoint_pair_at_default_caps():
+    # K9 less the edges {i, i+2}: more unbalanced cycles than the square
+    # root of the pair cap, but a disjoint pair turns up early in the scan
+    pairs = [p for p in itertools.combinations(range(9), 2) if p[1] - p[0] != 2]
+    g = MultiGraph.from_pairs(pairs)
+    o = make_signed(g, [e for e in g.edge_ids if e % 3 == 0])
+    assert len(o.unbalanced_cycles()) ** 2 > DEFAULT_CAPS.max_theta_pairs
+    pair = find_disjoint_unbalanced_pair(o)
+    assert pair is not None and not pair[0].vertex_set & pair[1].vertex_set
+    assert isinstance(is_tangled(o), TwoDisjointUnbalanced)
+
+
+def test_pair_scan_cap_counts_scanned_pairs():
+    # K5 has no two disjoint cycles, so the scan runs through every pair
+    o = BiasedGraph(k5(), AllUnbalanced())
+    total = len(o.unbalanced_cycles()) * (len(o.unbalanced_cycles()) - 1) // 2
+    assert find_disjoint_unbalanced_pair(o, Caps(max_theta_pairs=total)) is None
+    with pytest.raises(ResourceLimitError) as err:
+        find_disjoint_unbalanced_pair(o, Caps(max_theta_pairs=total - 1))
+    assert err.value.stage == "disjoint-pair scan"
 
 
 @settings(max_examples=60, deadline=None)
