@@ -9,9 +9,11 @@ family, attaching a re-verifiable certificate to each label it reports.
 
 Recognition is search-based: candidate role assignments are enumerated
 within the configured resource ceilings and ``verify_family`` is the
-sole authority on whether a candidate counts.  ``oracle_is_tangled`` is
-an independent brute-force tangledness check used to validate the
-faster search elsewhere.
+sole authority on whether a candidate counts.  Before a candidate
+reaches it, the searches drop those that fail a necessary condition
+read off balance alone, such as a part that lies inside no maximal
+balanced set.  The brute-force oracles that check these searches live
+with the tests, in ``tests/oracles.py``.
 """
 
 from __future__ import annotations
@@ -42,12 +44,9 @@ from .graph import (
 )
 from .limits import DEFAULT_CAPS, Caps, ResourceLimitError
 from .tangles import (
-    Balanced,
-    HasBlockingVertex,
     TangleError,
     Tangled,
     TangleVerdict,
-    TwoDisjointUnbalanced,
     blocking_pairs,
     is_tangled,
     standard_partition,
@@ -230,71 +229,6 @@ class ClassificationReport:
 
 
 # ---------------------------------------------------------------------------
-# Brute-force oracle
-# ---------------------------------------------------------------------------
-
-
-def _scan_cycles(g: MultiGraph, caps: Caps) -> tuple[frozenset[int], ...]:
-    """Every cycle edge set, by plain path extension from each start vertex."""
-    found: set[frozenset[int]] = set()
-
-    def push(edges: frozenset[int]) -> None:
-        found.add(edges)
-        if len(found) > caps.max_cycles:
-            raise ResourceLimitError("oracle cycle scan", caps.max_cycles)
-
-    for e in g.edge_ids:
-        u, v = g.endpoints(e)
-        if u == v:
-            push(frozenset({e}))
-    rank = {v: i for i, v in enumerate(sorted(g.vertex_set))}
-    for start in sorted(g.vertex_set):
-        stack: list[tuple[int, tuple[int, ...], frozenset[int]]] = [
-            (start, (), frozenset({start}))
-        ]
-        while stack:
-            at, path, seen = stack.pop()
-            for e in g.incident_edges(at):
-                if g.is_loop(e) or e in path:
-                    continue
-                w = g.other_end(e, at)
-                if w == start:
-                    if path:
-                        push(frozenset((*path, e)))
-                elif w not in seen and rank[w] > rank[start]:
-                    stack.append((w, (*path, e), seen | {w}))
-    return tuple(found)
-
-
-def oracle_is_tangled(o: BiasedGraph, caps: Caps = DEFAULT_CAPS) -> TangleVerdict:
-    """Tangledness verdict by definitional scan over every cycle.
-
-    Independent of the main search: cycles come from a plain path
-    enumeration here, disjointness and covers are checked pairwise and
-    per vertex.  Only usable up to ``caps.oracle_vertices`` vertices.
-    """
-    if o.graph.n > caps.oracle_vertices:
-        raise ResourceLimitError("brute-force tangle oracle", caps.oracle_vertices)
-    unbalanced: list[Cycle] = []
-    for edges in _scan_cycles(o.graph, caps):
-        c = Cycle.from_edge_set(o.graph, edges)
-        if not o.balance(c):
-            unbalanced.append(c)
-    if not unbalanced:
-        return Balanced()
-    unbalanced.sort(key=lambda c: c.sort_key())
-    for c1, c2 in combinations(unbalanced, 2):
-        if not c1.vertex_set & c2.vertex_set:
-            return TwoDisjointUnbalanced(c1, c2)
-    common = frozenset(o.graph.vertex_set)
-    for c in unbalanced:
-        common &= c.vertex_set
-    if common:
-        return HasBlockingVertex(min(common))
-    return Tangled()
-
-
-# ---------------------------------------------------------------------------
 # Balanced-subgraph search
 # ---------------------------------------------------------------------------
 
@@ -303,33 +237,48 @@ def _maximal_balanced_sets(o: BiasedGraph, caps: Caps = DEFAULT_CAPS) -> tuple[f
     """Inclusion-maximal balanced edge sets, largest first.
 
     An edge set is balanced iff its complement meets every unbalanced
-    cycle, so the search enumerates minimal transversals of the
-    unbalanced cycles by branching on the first unhit cycle.
+    cycle, so the maximal balanced sets are the complements of the
+    minimal transversals of the unbalanced cycles.  They are enumerated
+    as in MMCS (Murakami and Uno 2014): branch i on the first unhit
+    cycle removes its i-th edge and rules out its earlier ones, so each
+    minimal transversal is reached once, and a branch dies as soon as a
+    removed edge is the only removed edge on no unbalanced cycle, since
+    no extension of it is then minimal.
     """
     unb = sorted(
         {c.edge_set for c in o.unbalanced_cycles(caps)},
         key=lambda s: (len(s), sorted(s)),
     )
     all_edges = o.graph.edge_id_set
-    removed_sets: set[frozenset[int]] = set()
-    seen: set[frozenset[int]] = set()
+    # Bit i of through[e] is set when unbalanced cycle i uses edge e.
+    through = dict.fromkeys(all_edges, 0)
+    for i, cyc in enumerate(unb):
+        for e in cyc:
+            through[e] |= 1 << i
+    transversals: list[frozenset[int]] = []
+    visited = 0
 
-    def walk(removed: frozenset[int]) -> None:
-        if removed in seen:
-            return
-        if len(seen) >= caps.max_subsets:
+    def walk(private: dict[int, int], free: frozenset[int], unhit: int) -> None:
+        # private maps each removed edge to the cycles no other removed
+        # edge meets; free holds the edges this branch may still remove.
+        nonlocal visited
+        visited += 1
+        if visited > caps.max_subsets:
             raise ResourceLimitError("balanced subgraph search", caps.max_subsets)
-        seen.add(removed)
-        for cyc in unb:
-            if not cyc & removed:
-                for e in sorted(cyc):
-                    walk(removed | {e})
-                return
-        removed_sets.add(removed)
+        if not unhit:
+            transversals.append(frozenset(private))
+            return
+        cyc = unb[(unhit & -unhit).bit_length() - 1]
+        for e in sorted(cyc & free):
+            free = free - {e}
+            hit = through[e]
+            kept = {f: mask & ~hit for f, mask in private.items()}
+            if all(kept.values()):
+                kept[e] = hit & unhit
+                walk(kept, free, unhit & ~hit)
 
-    walk(frozenset())
-    sets = {all_edges - r for r in removed_sets}
-    maximal = [s for s in sets if not any(s < t for t in sets)]
+    walk({}, all_edges, (1 << len(unb)) - 1)
+    maximal = [all_edges - t for t in transversals]
     maximal.sort(key=lambda s: (-len(s), sorted(s)))
     return tuple(maximal)
 
@@ -608,6 +557,27 @@ def _detect_special_vertex(o: BiasedGraph, caps: Caps, msets: tuple[frozenset[in
     return None
 
 
+def _star_bias_holds(
+    o: BiasedGraph,
+    base: frozenset[int],
+    stars: tuple[frozenset[int], ...],
+    singles: tuple[int, ...],
+    caps: Caps,
+) -> bool:
+    """The bias clauses ``verify_family`` puts on the residual edges of
+    a PP special pair or triple, read off the input's own cycles: two
+    edges of one star close only balanced cycles through the base, and
+    each single edge (junction, leg or cross edge) only unbalanced ones."""
+    for star in stars:
+        for a, b in combinations(sorted(star), 2):
+            if not all(o.balance(c) for c in cycles_with(o, {a, b}, base, caps)):
+                return False
+    for e in singles:
+        if any(o.balance(c) for c in cycles_with(o, {e}, base, caps)):
+            return False
+    return True
+
+
 def _detect_special_pair(o: BiasedGraph, caps: Caps, msets: tuple[frozenset[int], ...]) -> _Hit | None:
     """Two junction vertices carrying every residual edge as stars or links."""
     g = o.graph
@@ -645,6 +615,10 @@ def _detect_special_pair(o: BiasedGraph, caps: Caps, msets: tuple[frozenset[int]
                 continue
             xset, yset = frozenset(xv), frozenset(yv)
             if {x, y} & (xset | yset) or len(xset & yset) > 1:
+                continue
+            # The residual edges are exactly fx, fy and links, so the
+            # planner's base is m.
+            if not _star_bias_holds(o, m, (fx, fy), links, caps):
                 continue
             d = FamilyDescriptor(
                 "PPSpecialPair",
@@ -695,6 +669,9 @@ def _detect_special_triple(o: BiasedGraph, caps: Caps, msets: tuple[frozenset[in
                         continue
                     xset = frozenset(ends)
                     if xset & {x, y1, y2}:
+                        continue
+                    # F, e, g and f are the residual edges: the base is m.
+                    if not _star_bias_holds(o, m, (star,), (*es, *gs, f), caps):
                         continue
                     d = FamilyDescriptor(
                         "PPSpecialTriple",
@@ -808,7 +785,7 @@ def _detect_generalized_wheel(o: BiasedGraph, caps: Caps, msets: tuple[frozenset
                         if not part_a or not part_b:
                             continue
                         hit = _wheel_candidate(
-                            o, hub, hinge_set, (part_a, part_b), spokes, caps, counter
+                            o, hub, hinge_set, (part_a, part_b), spokes, msets, caps, counter
                         )
                         if hit:
                             return hit
@@ -821,7 +798,7 @@ def _detect_generalized_wheel(o: BiasedGraph, caps: Caps, msets: tuple[frozenset
                         for i in range(k)
                     )
                     hinges = tuple(order[(i + 1) % k] for i in range(k))
-                    hit = _wheel_candidate(o, hub, hinges, parts, spokes, caps, counter)
+                    hit = _wheel_candidate(o, hub, hinges, parts, spokes, msets, caps, counter)
                     if hit:
                         return hit
     return None
@@ -846,14 +823,20 @@ def _wheel_candidate(
     hinges: tuple[int, ...],
     parts: tuple[frozenset[int], ...],
     spokes: frozenset[int],
+    msets: tuple[frozenset[int], ...],
     caps: Caps,
     counter: _Counter,
 ) -> _Hit | None:
     """Try every attachment split of the given ring against the planner.
 
-    Splits are filtered per part first: only those whose part subgraph
-    orders planarly with the part hinges survive into the full check.
+    The parts of a generalized wheel are balanced, so each must lie
+    inside a maximal balanced set; rings that fail this are dropped
+    before any planarity test.  Splits are then filtered per part: only
+    those whose part subgraph orders planarly with the part hinges
+    survive into the full check.
     """
+    if not all(any(pe <= m for m in msets) for pe in parts):
+        return None
     g = o.graph
     k = len(parts)
     options: list[list[tuple[frozenset[int], frozenset[int]] | None]] = []

@@ -110,10 +110,6 @@ class _Plan:
     structure: tuple[CheckResult, ...]
     constraints: tuple[Constraint, ...]
 
-    @property
-    def sound(self) -> bool:
-        return all(c.ok for c in self.structure)
-
 
 # ---------------------------------------------------------------------------
 # Role extraction helpers

@@ -141,12 +141,6 @@ class MultiGraph:
         except KeyError:
             raise GraphError(f"unknown vertex id {v}") from None
 
-    def degree(self, v: int) -> int:
-        d = 0
-        for e in self.incident_edges(v):
-            d += 2 if self.is_loop(e) else 1
-        return d
-
     def loops_at(self, v: int) -> tuple[int, ...]:
         return tuple(e for e in self.incident_edges(v) if self.is_loop(e))
 
@@ -765,11 +759,4 @@ def is_two_connected(g: MultiGraph) -> bool:
         return g.m >= 2
     if g.n < 2:
         return False
-    return not find_vertex_cuts(g, 1)
-
-
-def is_two_connected_or_edge(g: MultiGraph) -> bool:
-    """2-connected, or a single edge (the degenerate ring part)."""
-    if g.m == 1 and g.n == 2 and not g.is_loop(g.edge_ids[0]):
-        return True
-    return is_two_connected(g)
+    return not block_tree(g).cut_vertices

@@ -2,9 +2,11 @@
 
 Everything here works by exhaustive subset or path enumeration and shares no
 search logic with the library: cycles come from 2-regularity checks over all
-edge subsets, thetas from internally disjoint path triples, linkages from
-all simple path pairs.  The one exception is the Tricoloured search at the
-end, an earlier version of the library's own detector.
+edge subsets or from plain path extension, thetas from internally disjoint
+path triples, linkages from all simple path pairs, 2-connectivity from the
+vertex-subset cut scan.  Two exceptions are earlier versions of the
+library's own searches, kept unpruned: the maximal balanced sets and the
+Tricoloured detector at the end.
 """
 
 from __future__ import annotations
@@ -23,8 +25,15 @@ from tanglekit.classify import (
     _weak_compositions,
 )
 from tanglekit.families import FamilyDescriptor, verify_family
-from tanglekit.graph import Cycle, MultiGraph, is_two_connected
-from tanglekit.limits import Caps
+from tanglekit.graph import Cycle, MultiGraph, find_vertex_cuts, is_two_connected
+from tanglekit.limits import DEFAULT_CAPS, Caps, ResourceLimitError
+from tanglekit.tangles import (
+    Balanced,
+    HasBlockingVertex,
+    Tangled,
+    TangleVerdict,
+    TwoDisjointUnbalanced,
+)
 
 
 def subset_cycles(g: MultiGraph, max_len: int | None = None) -> list[frozenset[int]]:
@@ -230,6 +239,128 @@ def connected_graph_census(n: int) -> list[MultiGraph]:
         seen.add(key)
         out.append(g)
     return out
+
+
+def scan_is_two_connected(g: MultiGraph) -> bool:
+    """2-connectivity by trying each vertex as a cut, with the library's
+    guards: no loops, connected, and a single edge does not count."""
+    if not g.is_connected():
+        return False
+    if any(g.is_loop(e) for e in g.edge_ids):
+        return False
+    if g.n == 2:
+        return g.m >= 2
+    if g.n < 2:
+        return False
+    return not find_vertex_cuts(g, 1)
+
+
+def _scan_cycles(g: MultiGraph, caps: Caps) -> tuple[frozenset[int], ...]:
+    """Every cycle edge set, by plain path extension from each start vertex."""
+    found: set[frozenset[int]] = set()
+
+    def push(edges: frozenset[int]) -> None:
+        found.add(edges)
+        if len(found) > caps.max_cycles:
+            raise ResourceLimitError("oracle cycle scan", caps.max_cycles)
+
+    for e in g.edge_ids:
+        u, v = g.endpoints(e)
+        if u == v:
+            push(frozenset({e}))
+    rank = {v: i for i, v in enumerate(sorted(g.vertex_set))}
+    for start in sorted(g.vertex_set):
+        stack: list[tuple[int, tuple[int, ...], frozenset[int]]] = [
+            (start, (), frozenset({start}))
+        ]
+        while stack:
+            at, path, seen = stack.pop()
+            for e in g.incident_edges(at):
+                if g.is_loop(e) or e in path:
+                    continue
+                w = g.other_end(e, at)
+                if w == start:
+                    if path:
+                        push(frozenset((*path, e)))
+                elif w not in seen and rank[w] > rank[start]:
+                    stack.append((w, (*path, e), seen | {w}))
+    return tuple(found)
+
+
+def oracle_is_tangled(o: BiasedGraph, caps: Caps = DEFAULT_CAPS) -> TangleVerdict:
+    """Tangledness verdict by definitional scan over every cycle.
+
+    Independent of the main search: cycles come from a plain path
+    enumeration here, disjointness and covers are checked pairwise and
+    per vertex.  Only usable up to ``caps.oracle_vertices`` vertices.
+    """
+    if o.graph.n > caps.oracle_vertices:
+        raise ResourceLimitError("brute-force tangle oracle", caps.oracle_vertices)
+    unbalanced: list[Cycle] = []
+    for edges in _scan_cycles(o.graph, caps):
+        c = Cycle.from_edge_set(o.graph, edges)
+        if not o.balance(c):
+            unbalanced.append(c)
+    if not unbalanced:
+        return Balanced()
+    unbalanced.sort(key=lambda c: c.sort_key())
+    for c1, c2 in combinations(unbalanced, 2):
+        if not c1.vertex_set & c2.vertex_set:
+            return TwoDisjointUnbalanced(c1, c2)
+    common = frozenset(o.graph.vertex_set)
+    for c in unbalanced:
+        common &= c.vertex_set
+    if common:
+        return HasBlockingVertex(min(common))
+    return Tangled()
+
+
+# ---------------------------------------------------------------------------
+# Maximal balanced sets before transversal pruning
+#
+# The search as it stood before it pruned branches by private cycles,
+# copied unchanged.  It walks every partial removal set, remembers each
+# one, and filters the transversals it reaches down to the minimal ones
+# afterwards, so it shares no pruning with the library's search.
+# ---------------------------------------------------------------------------
+
+
+def _maximal_balanced_sets(o: BiasedGraph, caps: Caps = DEFAULT_CAPS) -> tuple[frozenset[int], ...]:
+    """Inclusion-maximal balanced edge sets, largest first.
+
+    An edge set is balanced iff its complement meets every unbalanced
+    cycle, so the search enumerates minimal transversals of the
+    unbalanced cycles by branching on the first unhit cycle.
+    """
+    unb = sorted(
+        {c.edge_set for c in o.unbalanced_cycles(caps)},
+        key=lambda s: (len(s), sorted(s)),
+    )
+    all_edges = o.graph.edge_id_set
+    removed_sets: set[frozenset[int]] = set()
+    seen: set[frozenset[int]] = set()
+
+    def walk(removed: frozenset[int]) -> None:
+        if removed in seen:
+            return
+        if len(seen) >= caps.max_subsets:
+            raise ResourceLimitError("balanced subgraph search", caps.max_subsets)
+        seen.add(removed)
+        for cyc in unb:
+            if not cyc & removed:
+                for e in sorted(cyc):
+                    walk(removed | {e})
+                return
+        removed_sets.add(removed)
+
+    walk(frozenset())
+    sets = {all_edges - r for r in removed_sets}
+    maximal = [s for s in sets if not any(s < t for t in sets)]
+    maximal.sort(key=lambda s: (-len(s), sorted(s)))
+    return tuple(maximal)
+
+
+oracle_maximal_balanced_sets = _maximal_balanced_sets
 
 
 # ---------------------------------------------------------------------------

@@ -1,4 +1,4 @@
-"""Classifier: family round trips, the Tricoloured search against its oracle, caps."""
+"""Classifier: family round trips, its searches against their oracles, caps."""
 
 from __future__ import annotations
 
@@ -9,21 +9,31 @@ import pytest
 
 from tanglekit.bias import BiasedGraph, make_explicit, make_signed
 import tanglekit.classify as classify_module
-from tanglekit.classify import _PLACEMENTS, _detect_tricoloured, classify
+from tanglekit.classify import (
+    _PLACEMENTS,
+    _detect_generalized_wheel,
+    _detect_special_pair,
+    _detect_special_vertex,
+    _detect_tricoloured,
+    _maximal_balanced_sets,
+    classify,
+)
 from tanglekit.families import (
     FamilyDescriptor,
     build_family,
     describe_k5_family,
     describe_pp_signed,
+    t_sum,
     verify_family,
 )
 from tanglekit.graph import MultiGraph
 from tanglekit.limits import DEFAULT_CAPS, Caps, ResourceLimitError
 from tanglekit.tangles import Tangled, is_tangled
 
-from oracles import oracle_detect_tricoloured
+from oracles import oracle_detect_tricoloured, oracle_maximal_balanced_sets, random_multigraph
 from test_families import (
     alternating_tricoloured,
+    balanced_complete,
     c4_criss_cross,
     c4_part_wheel,
     consecutive_tricoloured,
@@ -191,6 +201,73 @@ def test_tricoloured_search_stops_at_its_cap():
     with pytest.raises(ResourceLimitError) as err:
         _detect_tricoloured(o, Caps(max_assignments=50), ())
     assert err.value.stage == "tricoloured search"
+
+
+# -- balance filters in front of verify_family ------------------------------------
+
+
+def t_sums() -> list[BiasedGraph]:
+    fat = build_family(minimal_fat_triangle())
+    fatk = build_family(k4_fat_triangle())
+    return [
+        t_sum(fat, balanced_complete(3), 1, [(0, 0)]),
+        t_sum(fat, balanced_complete(3), 2, [(0, 0), (1, 1)]),
+        t_sum(fatk, balanced_complete(4), 3, [(0, 0), (1, 1), (2, 2)]),
+    ]
+
+
+def random_signed(count: int) -> list[BiasedGraph]:
+    rng = random.Random(29)
+    out = []
+    for _ in range(count):
+        g = random_multigraph(rng, max_n=7, max_extra=6, allow_loops=True)
+        out.append(make_signed(g, [e for e in g.edge_ids if rng.random() < 0.5]))
+    return out
+
+
+def test_maximal_balanced_sets_agree_with_unpruned_search():
+    inputs = [build_family(d()) for d in ROUND_TRIP.values()] + t_sums() + random_signed(200)
+    for o in inputs:
+        assert _maximal_balanced_sets(o) == oracle_maximal_balanced_sets(o)
+
+
+@pytest.mark.parametrize("detector", [_detect_generalized_wheel, _detect_special_pair])
+@pytest.mark.parametrize("d", [c4_criss_cross, consecutive_tricoloured, alternating_tricoloured])
+def test_wheel_and_special_pair_searches_build_no_doomed_candidate(detector, d, monkeypatch):
+    # every candidate these searches built on these non-members failed a
+    # balance clause: a wheel part outside every maximal balanced set, or
+    # a special-pair star or junction edge of the wrong balance
+    o = build_family(d())
+    msets = _maximal_balanced_sets(o)
+    calls = []
+    monkeypatch.setattr(classify_module, "verify_family", lambda *args: calls.append(args))
+    assert detector(o, DEFAULT_CAPS, msets) is None
+    assert calls == []
+
+
+def test_balanced_subgraph_search_stops_at_its_cap():
+    o = build_family(pp_signed(6))
+    with pytest.raises(ResourceLimitError) as err:
+        _maximal_balanced_sets(o, Caps(max_subsets=5))
+    assert err.value.stage == "balanced subgraph search"
+
+
+def test_wheel_search_stops_at_its_cap():
+    o = build_family(describe_k5_family())
+    msets = _maximal_balanced_sets(o)
+    with pytest.raises(ResourceLimitError) as err:
+        _detect_generalized_wheel(o, Caps(max_assignments=10), msets)
+    assert err.value.stage == "generalized-wheel search"
+
+
+def test_special_vertex_search_stops_at_its_cap():
+    # the member's first candidate verifies, so one assignment is enough
+    o = build_family(minimal_special_vertex())
+    msets = _maximal_balanced_sets(o)
+    with pytest.raises(ResourceLimitError) as err:
+        _detect_special_vertex(o, Caps(max_assignments=0), msets)
+    assert err.value.stage == "special-vertex search"
+    assert _detect_special_vertex(o, Caps(max_assignments=1), msets) is not None
 
 
 # -- inputs that used to fail ------------------------------------------------------

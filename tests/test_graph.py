@@ -20,7 +20,13 @@ from tanglekit.graph import (
     is_two_connected,
 )
 
-from oracles import path_triple_thetas, random_multigraph, subset_cycles
+from oracles import (
+    connected_graph_census,
+    path_triple_thetas,
+    random_multigraph,
+    scan_is_two_connected,
+    subset_cycles,
+)
 
 
 def k4() -> MultiGraph:
@@ -190,6 +196,19 @@ def test_blocks_partition_edges():
     bt = block_tree(g)
     all_edges = [e for b in bt.blocks for e in b.edges]
     assert sorted(all_edges) == list(g.edge_ids)
+
+
+def test_two_connected_agrees_with_vertex_cut_scan():
+    # from three vertices on no single-edge convention applies
+    for n in range(3, 6):
+        for g in connected_graph_census(n):
+            assert is_two_connected(g) == (not find_vertex_cuts(g, 1))
+    rng = random.Random(23)
+    for _ in range(300):
+        g = random_multigraph(rng, max_n=6, max_extra=6, allow_loops=True)
+        loopless = g.subgraph([e for e in g.edge_ids if not g.is_loop(e)], g.vertex_set)
+        for h in (g, loopless):
+            assert is_two_connected(h) == scan_is_two_connected(h)
 
 
 def test_two_connected_conventions():

@@ -28,7 +28,7 @@ from tanglekit.tangles import (
 
 from tanglekit.limits import DEFAULT_CAPS, Caps, ResourceLimitError
 
-from oracles import random_multigraph
+from oracles import connected_graph_census, oracle_is_tangled, random_multigraph
 
 
 def k4() -> MultiGraph:
@@ -338,3 +338,25 @@ def test_recovered_signature_obeys_parity_law(seed):
     assert recover_signature(o, base, sig) == frozenset(sig)
     for c in o.cycles():
         assert o.balance(c) == (len(c.edge_set & sig) % 2 == 0)
+
+
+def test_is_tangled_agrees_with_definitional_scan():
+    # census graphs with seeded signatures, and multigraphs with loops and
+    # digons (no simple graph on five vertices has two disjoint cycles),
+    # against the oracle that finds cycles by plain path extension
+    rng = random.Random(17)
+    graphs = [g for n in range(3, 6) for g in connected_graph_census(n) for _ in range(4)]
+    graphs += [random_multigraph(rng, max_n=7, max_extra=5, allow_loops=True) for _ in range(100)]
+    seen = set()
+    for g in graphs:
+        o = make_signed(g, [e for e in g.edge_ids if rng.random() < 0.5])
+        fast, slow = is_tangled(o), oracle_is_tangled(o)
+        assert type(fast) is type(slow)
+        seen.add(type(fast))
+        unbalanced = [c for c in o.cycles() if not o.balance(c)]
+        if isinstance(fast, HasBlockingVertex):
+            assert all(fast.vertex in c.vertex_set for c in unbalanced)
+        if isinstance(fast, TwoDisjointUnbalanced):
+            assert not fast.first.vertex_set & fast.second.vertex_set
+            assert not o.balance(fast.first) and not o.balance(fast.second)
+    assert seen == {Balanced, HasBlockingVertex, TwoDisjointUnbalanced, Tangled}
