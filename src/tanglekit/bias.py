@@ -2,7 +2,11 @@
 
 A bias is theta-consistent when no theta subgraph has exactly two balanced
 cycles.  Signed graphs (balanced = even intersection with a signature) are
-theta-consistent for free; explicit cycle sets are validated.  A partial
+theta-consistent for free (Zaslavsky 1989), and whether one is balanced is
+a switching (2-colouring) test with no cycle enumeration (Harary 1953).
+Explicit cycle sets are validated by scanning pairs of balanced cycles
+only, since a theta that breaks the rule is the union of its two balanced
+cycles; those pairs count against ``max_theta_pairs``.  A partial
 assignment can be completed by backtracking search, preferring a default
 value on unconstrained cycles.
 """
@@ -94,6 +98,8 @@ class BiasedGraph:
         return tuple(c for c in self.cycles(caps) if not self.balance(c))
 
     def is_balanced(self, caps: Caps = DEFAULT_CAPS) -> bool:
+        if isinstance(self.bias, Signed):
+            return switching_balanced(self.graph, self.bias.signature)
         return not self.unbalanced_cycles(caps)
 
     # -- inherited sub-biased-graphs ---------------------------------------
@@ -162,19 +168,50 @@ def validate_theta(
     for c in bal:
         if not c.edge_set <= g.edge_id_set:
             raise BiasError("balanced set mentions a cycle outside the graph")
-    out = []
-    for t in enumerate_theta_subgraphs(g, caps=caps):
-        if sum(1 for c in t.cycles if c in bal) == 2:
-            out.append(t)
-    return tuple(out)
+    return _violating_thetas(g, bal, caps)
 
 
 def validate_biased_graph(o: BiasedGraph, caps: Caps = DEFAULT_CAPS) -> tuple[ThetaSubgraph, ...]:
-    """Theta check for any bias spec (signed ones pass by construction)."""
+    """Theta check for any bias spec (signed ones pass by construction).
+
+    An explicit set is checked as stored, with no cycle enumeration.
+    """
+    b = o.bias
+    balanced = b.balanced if isinstance(b, ExplicitSet) else o.balanced_cycles(caps)
+    return _violating_thetas(o.graph, balanced, caps)
+
+
+def _violating_thetas(
+    g: MultiGraph, balanced: Iterable[Cycle], caps: Caps
+) -> tuple[ThetaSubgraph, ...]:
+    """Thetas of g with exactly two cycles in `balanced`, in the order of
+    :func:`enumerate_theta_subgraphs`.
+
+    Such a theta is the union of its two balanced cycles, so only pairs of
+    balanced cycles are scanned: a pair that forms a theta whose third
+    cycle (the symmetric difference) is not balanced is a violation, found
+    exactly once.  More than ``caps.max_theta_pairs`` pairs are refused.
+    """
+    bal = sorted(set(balanced), key=Cycle.sort_key)
+    if len(bal) * (len(bal) - 1) // 2 > caps.max_theta_pairs:
+        raise ResourceLimitError("theta check", caps.max_theta_pairs)
+    bal_sets = {c.edge_set for c in bal}
     out = []
-    for t in enumerate_theta_subgraphs(o.graph, o.cycles(caps), caps=caps):
-        if sum(1 for c in t.cycles if o.balance(c)) == 2:
-            out.append(t)
+    for i, c1 in enumerate(bal):
+        for c2 in bal[i + 1:]:
+            inter = c1.edge_set & c2.edge_set
+            if not inter:
+                continue
+            diff = c1.edge_set ^ c2.edge_set
+            if diff in bal_sets:
+                continue
+            pv = edge_path_vertices(g, inter)
+            if pv is None or (c1.vertex_set & c2.vertex_set) != pv:
+                continue
+            c3 = Cycle.from_edge_set(g, diff)
+            trio = tuple(sorted((c1, c2, c3), key=Cycle.sort_key))
+            out.append(ThetaSubgraph(trio, c1.edge_set | c2.edge_set))  # type: ignore[arg-type]
+    out.sort(key=lambda t: sorted(t.edge_set))
     return tuple(out)
 
 
@@ -362,6 +399,37 @@ def is_simple(o: BiasedGraph) -> bool:
         for e, f in itertools.combinations(cls, 2):
             if o.balance(Cycle.from_walk((e, f), (u, v))):
                 return False
+    return True
+
+
+def switching_balanced(
+    g: MultiGraph, signature: frozenset[int], removed: Iterable[int] = ()
+) -> bool:
+    """True when g - removed has no cycle meeting the signature oddly.
+
+    That holds exactly when the vertices can be put on two sides so that
+    the signature edges are the ones crossing (Harary 1953): one pass of
+    2-colouring, with no cycle enumeration.
+    """
+    gone = set(removed)
+    side: dict[int, bool] = {}
+    for root in g.vertices:
+        if root in gone or root in side:
+            continue
+        side[root] = False
+        stack = [root]
+        while stack:
+            x = stack.pop()
+            for e in g.incident_edges(x):
+                y = g.other_end(e, x)
+                if y in gone:
+                    continue
+                want = side[x] != (e in signature)
+                if y not in side:
+                    side[y] = want
+                    stack.append(y)
+                elif side[y] != want:
+                    return False
     return True
 
 

@@ -304,18 +304,18 @@ class Cycle:
         L = len(edge_seq)
         if L == 0 or L != len(vertex_seq):
             raise GraphError("cycle walk must pair one vertex with each edge")
-        best: tuple[tuple[int, ...], tuple[int, ...]] | None = None
-        seqs = [(tuple(edge_seq), tuple(vertex_seq))]
-        rev_e = tuple(edge_seq[L - 1 - i] for i in range(L))
-        rev_v = tuple(vertex_seq[(L - i) % L] for i in range(L))
-        seqs.append((rev_e, rev_v))
-        for es, vs in seqs:
-            for r in range(L):
-                cand = (es[r:] + es[:r], vs[r:] + vs[:r])
-                if best is None or cand < best:
-                    best = cand
-        assert best is not None
-        return Cycle(best[0], best[1])
+        # The edges of a cycle are distinct, so the least rotation starts at
+        # the least edge id; only the orientation is left to choose.
+        es = tuple(edge_seq)
+        vs = tuple(vertex_seq)
+        p = es.index(min(es))
+        forward = (es[p:] + es[:p], vs[p:] + vs[:p])
+        # reversed walk: edge es[L-1-i] joins vs[(L-i) % L] to vs[L-1-i]
+        rev_e = es[::-1]
+        rev_v = vs[:1] + vs[:0:-1]
+        q = L - 1 - p
+        backward = (rev_e[q:] + rev_e[:q], rev_v[q:] + rev_v[:q])
+        return Cycle(*min(forward, backward))
 
     @staticmethod
     def from_edge_set(g: MultiGraph, edges: Iterable[int]) -> "Cycle":
@@ -371,34 +371,19 @@ class Cycle:
         return (len(self.key), self.key)
 
 
-def enumerate_cycles(
-    g: MultiGraph,
-    max_len: int | None = None,
-    caps: Caps = DEFAULT_CAPS,
-) -> tuple[Cycle, ...]:
-    """All cycles of g with at most max_len edges (all of them if None).
-
-    Raises ResourceLimitError beyond ``caps.max_cycles`` cycles.
-    """
-    limit = g.m if max_len is None else min(max_len, g.m)
-    out: list[Cycle] = []
-
-    def push(c: Cycle) -> None:
-        out.append(c)
-        if len(out) > caps.max_cycles:
-            raise ResourceLimitError("enumerate_cycles", caps.max_cycles)
-
-    if limit >= 1:
+def _cycles_in_window(g: MultiGraph, lo: int, hi: int) -> Iterator[Cycle]:
+    """Cycles of g with lo..hi edges, loops first, then digons, then longer."""
+    if lo <= 1 <= hi:
         for e in g.edge_ids:
             u, v = g.endpoints(e)
             if u == v:
-                push(Cycle((e,), (u,)))
-    if limit >= 2:
+                yield Cycle((e,), (u,))
+    if lo <= 2 <= hi:
         for (u, v) in g.simple_pairs():
             cls = g.edges_between(u, v)
             for e, f in itertools.combinations(cls, 2):
-                push(Cycle.from_walk((e, f), (u, v)))
-    if limit >= 3:
+                yield Cycle.from_walk((e, f), (u, v))
+    if hi >= 3:
         # Rooted DFS: root s = least vertex on the cycle, interior vertices
         # all exceed s, and walk[1] < walk[-1] kills the reflected copy.
         order = {v: i for i, v in enumerate(g.vertices)}
@@ -415,16 +400,50 @@ def enumerate_cycles(
                 cur, epath, vpath, onpath = stack.pop()
                 for (y, e) in reversed(steps[cur]):
                     if y == s and len(epath) >= 2:
-                        if vpath[1] < vpath[-1]:
-                            push(Cycle.from_walk(epath + [e], vpath))
+                        if len(epath) + 1 >= lo and vpath[1] < vpath[-1]:
+                            yield Cycle.from_walk(epath + [e], vpath)
                         continue
                     if order[y] <= order[s] or y in onpath:
                         continue
-                    if len(epath) + 2 > limit:
+                    if len(epath) + 2 > hi:
                         continue
                     stack.append((y, epath + [e], vpath + [y], onpath | {y}))
+
+
+def enumerate_cycles(
+    g: MultiGraph,
+    max_len: int | None = None,
+    caps: Caps = DEFAULT_CAPS,
+) -> tuple[Cycle, ...]:
+    """All cycles of g with at most max_len edges (all of them if None).
+
+    Raises ResourceLimitError beyond ``caps.max_cycles`` cycles.
+    """
+    limit = g.m if max_len is None else min(max_len, g.m)
+    out: list[Cycle] = []
+    for c in _cycles_in_window(g, 1, limit):
+        out.append(c)
+        if len(out) > caps.max_cycles:
+            raise ResourceLimitError("enumerate_cycles", caps.max_cycles)
     out.sort(key=Cycle.sort_key)
     return tuple(out)
+
+
+def cycles_by_length(g: MultiGraph, caps: Caps = DEFAULT_CAPS) -> Iterator[Cycle]:
+    """All cycles of g in ``Cycle.sort_key`` order, built one length at a time.
+
+    A caller that stops early never builds the longer layers.  Raises
+    ResourceLimitError("enumerate_cycles") once the layers built so far
+    hold more than ``caps.max_cycles`` cycles.
+    """
+    built = 0
+    # a cycle with three or more edges visits as many distinct vertices
+    for length in range(1, min(g.m, max(g.n, 2)) + 1):
+        layer = sorted(_cycles_in_window(g, length, length), key=Cycle.sort_key)
+        built += len(layer)
+        if built > caps.max_cycles:
+            raise ResourceLimitError("enumerate_cycles", caps.max_cycles)
+        yield from layer
 
 
 # ---------------------------------------------------------------------------

@@ -276,7 +276,7 @@ def _check_bias(doc: InstanceDocument, graph: MultiGraph, caps: Caps, line: int)
         bad = validate_theta(graph, cycles, caps)
         if bad:
             triple = ", ".join(
-                "(" + " ".join(map(str, c.key)) + ")" for c in sorted(bad[0].cycles)
+                "(" + " ".join(map(str, c.key)) + ")" for c in bad[0].cycles
             )
             raise ParseError(
                 f"theta violation: exactly two of the cycles {triple} are balanced",
@@ -391,6 +391,14 @@ def verdict_text(verdict: TangleVerdict) -> str:
     return "two disjoint unbalanced cycles"
 
 
+def report_text(report: ClassificationReport) -> str:
+    """The verdict, then the label codes after a colon when there are any."""
+    text = verdict_text(report.verdict)
+    if report.codes():
+        text += ": " + " ".join(report.codes())
+    return text
+
+
 # ---------------------------------------------------------------------------
 # DOT export
 # ---------------------------------------------------------------------------
@@ -463,10 +471,7 @@ def export_dot(
     dashed = _dashed_edges(o, caps)
     lines = ["graph biasedgraph {"]
     if report is not None:
-        title = verdict_text(report.verdict)
-        if report.codes():
-            title += ": " + " ".join(report.codes())
-        lines.append(f'  label="{title}";')
+        lines.append(f'  label="{report_text(report)}";')
     lines.append("  node [shape=circle];")
     roles = _vertex_roles(report) if report is not None else {}
     for v in sorted(o.graph.vertices):

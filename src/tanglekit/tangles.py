@@ -6,6 +6,14 @@ module decides which, and recovers the finer blocking structure used by
 the classifier: blocking pairs, the standard partition of the edges at a
 blocking vertex, 2-balanced residues, and signatures certified by the
 even-intersection law.
+
+For signed bias the verdict uses switching (2-colouring) tests instead of
+the cycle list: the graph is balanced when it passes one, a vertex v
+blocks when o - v passes one, and the disjoint-pair search tests o - V(C)
+for unbalanced cycles C taken shortest first.  Its generated cycles count
+against ``max_cycles`` and its switching tests against ``max_theta_pairs``.
+Other bias kinds enumerate every cycle (``max_cycles``) and scan pairs of
+unbalanced cycles (``max_theta_pairs``).
 """
 
 from __future__ import annotations
@@ -13,8 +21,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 from itertools import combinations
 
-from .bias import BiasedGraph, cycles_inside, cycles_with
-from .graph import Cycle
+from .bias import BiasedGraph, Signed, cycles_inside, cycles_with, switching_balanced
+from .graph import Cycle, cycles_by_length
 from .limits import DEFAULT_CAPS, Caps, ResourceLimitError
 
 
@@ -73,15 +81,11 @@ class StandardPartition:
         raise KeyError(edge_id)
 
 
-def _vertex_masks(o: BiasedGraph, cycles: tuple[Cycle, ...]) -> list[int]:
-    index = {v: i for i, v in enumerate(o.graph.vertices)}
-    masks = []
-    for c in cycles:
-        m = 0
-        for v in c.vertex_set:
-            m |= 1 << index[v]
-        masks.append(m)
-    return masks
+def _vertex_mask(index: dict[int, int], c: Cycle) -> int:
+    m = 0
+    for v in c.vertex_set:
+        m |= 1 << index[v]
+    return m
 
 
 def find_disjoint_unbalanced_pair(
@@ -89,10 +93,40 @@ def find_disjoint_unbalanced_pair(
 ) -> tuple[Cycle, Cycle] | None:
     """First vertex-disjoint pair of unbalanced cycles, or None.
 
-    At most ``caps.max_theta_pairs`` pairs are scanned.
+    "First" is in the order of the pairs (i, j), i < j, of the unbalanced
+    cycles sorted by ``Cycle.sort_key``.  For signed bias that pair is read
+    off switching tests: its first cycle is the first unbalanced C for which
+    o - V(C) is unbalanced (an earlier partner of a later cycle would come
+    first), and its second is the first unbalanced cycle of o - V(C).
+    Cycles are generated one length at a time, counting against
+    ``caps.max_cycles`` per graph searched; each switching test counts
+    against ``caps.max_theta_pairs``.  A cycle whose vertex set contains
+    that of a rejected one is skipped, as its remainder lies inside a
+    balanced graph.  Other bias kinds scan the pairs of the full list of
+    unbalanced cycles, at most ``caps.max_theta_pairs`` of them.
     """
+    g = o.graph
+    index = {v: i for i, v in enumerate(g.vertices)}
+    if isinstance(o.bias, Signed):
+        rejected: list[int] = []
+        tests = 0
+        for c in cycles_by_length(g, caps):
+            if o.balance(c):
+                continue
+            mask = _vertex_mask(index, c)
+            if any(r & mask == r for r in rejected):
+                continue
+            tests += 1
+            if tests > caps.max_theta_pairs:
+                raise ResourceLimitError("disjoint-pair scan", caps.max_theta_pairs)
+            if switching_balanced(g, o.bias.signature, c.vertex_set):
+                rejected.append(mask)
+                continue
+            rest = g.delete_vertices(c.vertex_set)
+            return c, next(d for d in cycles_by_length(rest, caps) if not o.balance(d))
+        return None
     unb = o.unbalanced_cycles(caps)
-    masks = _vertex_masks(o, unb)
+    masks = [_vertex_mask(index, c) for c in unb]
     for scanned, (i, j) in enumerate(combinations(range(len(unb)), 2), 1):
         if scanned > caps.max_theta_pairs:
             raise ResourceLimitError("disjoint-pair scan", caps.max_theta_pairs)
@@ -102,7 +136,13 @@ def find_disjoint_unbalanced_pair(
 
 
 def blocking_vertices(o: BiasedGraph, caps: Caps = DEFAULT_CAPS) -> frozenset[int]:
-    """Vertices meeting every unbalanced cycle; all of V if balanced."""
+    """Vertices meeting every unbalanced cycle; all of V if balanced.
+
+    For signed bias, v qualifies when o - v passes the switching test.
+    """
+    if isinstance(o.bias, Signed):
+        g, sig = o.graph, o.bias.signature
+        return frozenset(v for v in g.vertices if switching_balanced(g, sig, (v,)))
     unb = o.unbalanced_cycles(caps)
     if not unb:
         return frozenset(o.graph.vertices)
@@ -137,7 +177,7 @@ def is_tangled(o: BiasedGraph, caps: Caps = DEFAULT_CAPS) -> TangleVerdict:
     A blocking vertex rules out a disjoint pair (both cycles would need
     it), so the verdicts are mutually exclusive.
     """
-    if not o.unbalanced_cycles(caps):
+    if o.is_balanced(caps):
         return Balanced()
     blockers = blocking_vertices(o, caps)
     if blockers:

@@ -4,9 +4,10 @@ Everything here works by exhaustive subset or path enumeration and shares no
 search logic with the library: cycles come from 2-regularity checks over all
 edge subsets or from plain path extension, thetas from internally disjoint
 path triples, linkages from all simple path pairs, 2-connectivity from the
-vertex-subset cut scan.  Two exceptions are earlier versions of the
-library's own searches, kept unpruned: the maximal balanced sets and the
-Tricoloured detector at the end.
+vertex-subset cut scan.  The exceptions are earlier versions of the
+library's own code, kept without their fast paths: the maximal balanced
+sets, the Tricoloured detector, the canonical cycle key and the theta
+check at the end.
 """
 
 from __future__ import annotations
@@ -16,7 +17,7 @@ import random
 from itertools import combinations, permutations, product
 from typing import Iterable, Sequence
 
-from tanglekit.bias import BiasedGraph
+from tanglekit.bias import BiasedGraph, BiasError
 from tanglekit.classify import (
     _Counter,
     _Hit,
@@ -25,7 +26,15 @@ from tanglekit.classify import (
     _weak_compositions,
 )
 from tanglekit.families import FamilyDescriptor, verify_family
-from tanglekit.graph import Cycle, MultiGraph, find_vertex_cuts, is_two_connected
+from tanglekit.graph import (
+    Cycle,
+    GraphError,
+    MultiGraph,
+    ThetaSubgraph,
+    enumerate_theta_subgraphs,
+    find_vertex_cuts,
+    is_two_connected,
+)
 from tanglekit.limits import DEFAULT_CAPS, Caps, ResourceLimitError
 from tanglekit.tangles import (
     Balanced,
@@ -560,3 +569,46 @@ def _tricoloured_arrangements(
 
 
 oracle_detect_tricoloured = _detect_tricoloured
+
+
+# ---------------------------------------------------------------------------
+# Canonical cycle keys and the theta check before their fast paths
+#
+# Both copied unchanged: from_walk tried all 2L rotations and orientations
+# of a walk, and validate_theta scanned every theta of the graph.
+# ---------------------------------------------------------------------------
+
+
+def oracle_cycle_from_walk(edge_seq: Sequence[int], vertex_seq: Sequence[int]) -> Cycle:
+    L = len(edge_seq)
+    if L == 0 or L != len(vertex_seq):
+        raise GraphError("cycle walk must pair one vertex with each edge")
+    best: tuple[tuple[int, ...], tuple[int, ...]] | None = None
+    seqs = [(tuple(edge_seq), tuple(vertex_seq))]
+    rev_e = tuple(edge_seq[L - 1 - i] for i in range(L))
+    rev_v = tuple(vertex_seq[(L - i) % L] for i in range(L))
+    seqs.append((rev_e, rev_v))
+    for es, vs in seqs:
+        for r in range(L):
+            cand = (es[r:] + es[:r], vs[r:] + vs[:r])
+            if best is None or cand < best:
+                best = cand
+    assert best is not None
+    return Cycle(best[0], best[1])
+
+
+def oracle_validate_theta(
+    g: MultiGraph,
+    balanced: Iterable[Cycle],
+    caps: Caps = DEFAULT_CAPS,
+) -> tuple[ThetaSubgraph, ...]:
+    """Violating thetas (those with exactly 2 balanced cycles); empty = ok."""
+    bal = set(balanced)
+    for c in bal:
+        if not c.edge_set <= g.edge_id_set:
+            raise BiasError("balanced set mentions a cycle outside the graph")
+    out = []
+    for t in enumerate_theta_subgraphs(g, caps=caps):
+        if sum(1 for c in t.cycles if c in bal) == 2:
+            out.append(t)
+    return tuple(out)

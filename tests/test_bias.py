@@ -27,7 +27,7 @@ from tanglekit.bias import (
     validate_theta,
 )
 
-from oracles import random_multigraph
+from oracles import oracle_validate_theta, random_multigraph
 
 
 def k4() -> MultiGraph:
@@ -124,6 +124,37 @@ def test_two_of_three_theta_cycles_is_violation():
 def test_all_balanced_k4_is_valid():
     g = k4()
     assert validate_theta(g, set(enumerate_cycles(g))) == ()
+
+
+def test_validate_theta_matches_the_all_theta_scan():
+    # balanced sets of random signatures (valid), and those sets with one
+    # cycle added or dropped or a random subset instead (mostly violating)
+    rng = random.Random(37)
+    valid = violating = 0
+    for _ in range(200):
+        g = random_multigraph(rng, max_n=6, max_extra=7, allow_loops=True)
+        cycles = enumerate_cycles(g)
+        if not cycles:
+            continue
+        o = make_signed(g, [e for e in g.edge_ids if rng.random() < 0.5])
+        bal = set(o.balanced_cycles())
+        flipped = bal ^ {rng.choice(cycles)}
+        subset = {c for c in cycles if rng.random() < 0.5}
+        for chosen in (bal, flipped, subset):
+            bad = validate_theta(g, chosen)
+            assert bad == oracle_validate_theta(g, chosen)
+            valid += not bad
+            violating += bool(bad)
+    assert valid >= 200 and violating >= 150
+
+
+def test_theta_check_counts_balanced_pairs():
+    # K4 has 7 cycles, so all of them balanced make 21 pairs
+    cycles = enumerate_cycles(k4())
+    assert validate_theta(k4(), cycles, Caps(max_theta_pairs=21)) == ()
+    with pytest.raises(ResourceLimitError) as err:
+        validate_theta(k4(), cycles, Caps(max_theta_pairs=20))
+    assert err.value.stage == "theta check"
 
 
 def test_foreign_cycle_rejected():

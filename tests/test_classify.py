@@ -17,6 +17,7 @@ from tanglekit.classify import (
     _detect_tricoloured,
     _maximal_balanced_sets,
     classify,
+    decompose,
 )
 from tanglekit.families import (
     FamilyDescriptor,
@@ -214,6 +215,25 @@ def t_sums() -> list[BiasedGraph]:
         t_sum(fat, balanced_complete(3), 2, [(0, 0), (1, 1)]),
         t_sum(fatk, balanced_complete(4), 3, [(0, 0), (1, 1), (2, 2)]),
     ]
+
+
+def corpus_t_sums() -> list[BiasedGraph]:
+    """The six t-sums of the benchmark corpus."""
+    return t_sums() + [
+        t_sum(build_family(pp_signed(6)), balanced_complete(4), 2, [(0, 0), (1, 1)]),
+        t_sum(build_family(describe_k5_family()), balanced_complete(3), 2, [(0, 0), (1, 1)]),
+        t_sum(build_family(c4_criss_cross()), balanced_complete(3), 1, [(1, 0)]),
+    ]
+
+
+@pytest.mark.parametrize("index", range(6))
+def test_decomposition_of_a_t_sum_recomposes(index):
+    # each core is rebuilt through make_explicit(check=True), which runs
+    # the balanced-pair theta check
+    o = corpus_t_sums()[index]
+    dec = decompose(o)
+    assert dec.nodes  # something peels off
+    assert dec.verify(o) == ()
 
 
 def random_signed(count: int) -> list[BiasedGraph]:

@@ -13,15 +13,18 @@ from tanglekit.graph import (
     MultiGraph,
     block_tree,
     bridges_of_cut,
+    cycles_by_length,
     enumerate_cycles,
     enumerate_theta_subgraphs,
     find_vertex_cuts,
     is_k_connected,
     is_two_connected,
 )
+from tanglekit.limits import Caps, ResourceLimitError
 
 from oracles import (
     connected_graph_census,
+    oracle_cycle_from_walk,
     path_triple_thetas,
     random_multigraph,
     scan_is_two_connected,
@@ -56,6 +59,43 @@ def test_triple_edge_has_three_digons():
     g = MultiGraph.from_pairs([(0, 1), (0, 1), (0, 1)])
     cycles = enumerate_cycles(g)
     assert [c.key for c in cycles] == [(0, 1), (0, 2), (1, 2)]
+
+
+def test_cycle_key_matches_the_all_rotations_scan():
+    # every rotation of both orientations of every cycle walk, on random
+    # multigraphs with loops and digons
+    rng = random.Random(23)
+    walks = 0
+    for _ in range(100):
+        g = random_multigraph(rng, max_n=8, max_extra=8, allow_loops=True)
+        for c in enumerate_cycles(g):
+            n = len(c)
+            es, vs = c.key, c.walk
+            rev_e = es[::-1]
+            rev_v = tuple(vs[(n - i) % n] for i in range(n))
+            for e_seq, v_seq in ((es, vs), (rev_e, rev_v)):
+                for r in range(n):
+                    walk = (e_seq[r:] + e_seq[:r], v_seq[r:] + v_seq[:r])
+                    assert Cycle.from_walk(*walk) == oracle_cycle_from_walk(*walk)
+                    walks += 1
+    assert walks > 5000
+
+
+def test_cycles_by_length_lists_every_cycle_in_order():
+    rng = random.Random(31)
+    for _ in range(40):
+        g = random_multigraph(rng, max_n=7, max_extra=6, allow_loops=True)
+        assert tuple(cycles_by_length(g)) == enumerate_cycles(g)
+
+
+def test_cycles_by_length_counts_only_the_layers_it_built():
+    g = MultiGraph.from_pairs([(0, 1), (0, 2), (0, 3), (0, 4), (1, 2), (1, 3), (1, 4), (2, 3), (2, 4), (3, 4)])
+    # K5: 10 triangles, 15 four-cycles, 12 five-cycles
+    layers = cycles_by_length(g, Caps(max_cycles=10))
+    assert [len(next(layers)) for _ in range(10)] == [3] * 10
+    with pytest.raises(ResourceLimitError) as err:
+        next(layers)
+    assert err.value.stage == "enumerate_cycles"
 
 
 def test_max_len_prunes():

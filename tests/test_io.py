@@ -1,12 +1,52 @@
-"""DOT export of classified inputs."""
+"""Instance documents: round trips and errors; DOT export of classified inputs."""
 
 from __future__ import annotations
 
+import pytest
+
+from tanglekit.bias import AllBalanced, ExplicitSet, Signed
 from tanglekit.classify import classify
 from tanglekit.families import build_family
-from tanglekit.io import export_dot
+from tanglekit.io import ParseError, document_from, export_dot, load, parse, realize, serialize
 
 from test_families import c4_part_wheel, k4_fat_triangle
+
+K4_EDGES = "e 0 0 1\ne 1 0 2\ne 2 0 3\ne 3 1 2\ne 4 1 3\ne 5 2 3\n"
+
+BIAS_BLOCKS = {
+    "signed": "bias signed 0 4\n",
+    "explicit": "bias explicit\nbal 0 1 3\nbal 0 2 4\nbal 1 2 4 3\n",
+    "partial": "bias explicit\nbal 0 1 3\ndefault unbalanced\n",
+    "all-balanced": "bias all-balanced\n",
+    "all-unbalanced": "bias all-unbalanced\n",
+}
+
+
+@pytest.mark.parametrize("kind", sorted(BIAS_BLOCKS))
+def test_document_round_trip(kind):
+    text = "biasedgraph 1\nv 4\n" + K4_EDGES + BIAS_BLOCKS[kind] + 'family FatTriangle\nrole v [0, 1, 2]\n'
+    doc = parse(text)
+    assert serialize(doc) == text
+    assert parse(serialize(doc)) == doc
+    o = realize(doc)
+    # the realised graph written back keeps the bias of every cycle
+    again = load(serialize(document_from(o)))
+    assert again.graph == o.graph
+    assert [again.balance(c) for c in o.cycles()] == [o.balance(c) for c in o.cycles()]
+    expected = {"signed": Signed, "all-balanced": AllBalanced}.get(kind, ExplicitSet)
+    assert isinstance(o.bias, expected)
+
+
+def test_theta_violation_names_the_first_violating_theta():
+    # three triangles of K4 balanced: each pair closes a theta whose quad
+    # is unbalanced; the first by edge set is the one over edges 0-4
+    text = "biasedgraph 1\n# K4\nv 4\n" + K4_EDGES + "bias explicit\nbal 2 1 5\nbal 4 2 0\nbal 3 1 0\n"
+    with pytest.raises(ParseError) as err:
+        parse(text)
+    assert err.value.line == 10
+    assert err.value.reason == (
+        "theta violation: exactly two of the cycles (0 1 3), (0 2 4), (1 2 4 3) are balanced"
+    )
 
 
 def test_export_dot_titles_with_verdict_and_codes():

@@ -9,7 +9,8 @@ import pytest
 from hypothesis import assume, given, settings, strategies as st
 
 from tanglekit.graph import MultiGraph, enumerate_cycles
-from tanglekit.bias import AllUnbalanced, BiasedGraph, make_explicit, make_signed, simplify
+from tanglekit.bias import AllUnbalanced, BiasedGraph, Signed, make_explicit, make_signed, simplify
+from tanglekit.families import build_family, describe_pp_signed
 from tanglekit.tangles import (
     Balanced,
     HasBlockingVertex,
@@ -360,3 +361,71 @@ def test_is_tangled_agrees_with_definitional_scan():
             assert not fast.first.vertex_set & fast.second.vertex_set
             assert not o.balance(fast.first) and not o.balance(fast.second)
     assert seen == {Balanced, HasBlockingVertex, TwoDisjointUnbalanced, Tangled}
+
+
+# -- signed verdicts by switching tests -------------------------------------------
+
+
+def signed_inputs() -> list[BiasedGraph]:
+    rng = random.Random(43)
+    out = [
+        make_signed(g, [e for e in g.edge_ids if rng.random() < 0.5])
+        for n in range(3, 6)
+        for g in connected_graph_census(n)
+        for _ in range(3)
+    ]
+    for k in (4, 6, 8):
+        base = MultiGraph.from_pairs([(i, (i + 1) % k) for i in range(k)])
+        out.append(build_family(describe_pp_signed(base, tuple(range(k // 2)), tuple(range(k // 2, k)))))
+    for _ in range(300):
+        g = random_multigraph(rng, max_n=9, max_extra=7, allow_loops=True)
+        out.append(make_signed(g, [e for e in g.edge_ids if rng.random() < 0.5]))
+    return out
+
+
+def test_signed_verdict_equals_the_explicit_copy():
+    # the explicit copy takes the cycle-list path, pair scan included
+    seen = set()
+    for o in signed_inputs():
+        assert isinstance(o.bias, Signed)
+        copy = make_explicit(o.graph, o.balanced_cycles())
+        verdict = is_tangled(o)
+        assert verdict == is_tangled(copy)
+        assert blocking_vertices(o) == blocking_vertices(copy)
+        assert o.is_balanced() == copy.is_balanced()
+        seen.add(type(verdict))
+    assert seen == {Balanced, HasBlockingVertex, TwoDisjointUnbalanced, Tangled}
+
+
+def test_signed_verdicts_need_no_cycle_list():
+    none = Caps(max_cycles=0)
+    assert is_tangled(make_signed(k5(), ()), none) == Balanced()
+    assert is_tangled(make_signed(wheel4(), {4}), none) == HasBlockingVertex(0)
+
+
+def test_signed_pair_search_counts_switching_tests():
+    # two odd triangles joined by an edge: one test finds the pair
+    g = MultiGraph.from_pairs([(0, 1), (1, 2), (2, 0), (3, 4), (4, 5), (5, 3), (2, 3)])
+    o = make_signed(g, {0, 3})
+    with pytest.raises(ResourceLimitError) as err:
+        find_disjoint_unbalanced_pair(o, Caps(max_theta_pairs=0))
+    assert err.value.stage == "disjoint-pair scan"
+    first, second = find_disjoint_unbalanced_pair(o, Caps(max_theta_pairs=1, max_cycles=2))
+    assert (first.key, second.key) == ((0, 1, 2), (3, 4, 5))
+    # K5 with every edge odd: each of the 10 odd triangles leaves one edge,
+    # and the 12 odd 5-cycles contain a rejected triangle, so 10 tests
+    o = make_signed(k5(), k5().edge_ids)
+    assert find_disjoint_unbalanced_pair(o, Caps(max_theta_pairs=10)) is None
+    with pytest.raises(ResourceLimitError) as err:
+        find_disjoint_unbalanced_pair(o, Caps(max_theta_pairs=9))
+    assert err.value.stage == "disjoint-pair scan"
+
+
+def test_signed_pair_search_counts_generated_cycles():
+    # K5 with every edge odd is tangled, so the search builds every layer:
+    # 10 triangles, 15 four-cycles and 12 five-cycles
+    o = make_signed(k5(), k5().edge_ids)
+    assert is_tangled(o, Caps(max_cycles=37)) == Tangled()
+    with pytest.raises(ResourceLimitError) as err:
+        is_tangled(o, Caps(max_cycles=36))
+    assert err.value.stage == "enumerate_cycles"
