@@ -5,11 +5,16 @@ document (see :mod:`tanglekit.io`) and its certificate: the blocking
 vertex, or the edge ids of two vertex-disjoint unbalanced cycles, one
 ``cycle`` line each.  ``tanglekit classify FILE`` prints the verdict and the
 label codes of every structure case the input matches.
+``tanglekit linkage FILE S1 T1 S2 T2`` prints two vertex-disjoint paths
+joining S1 to T1 and S2 to T2, one ``path <vertices>`` line each, or, when
+none exist, ``witness`` and one ``set <vertices>`` line per vertex set the
+three-planar witness deletes (see :func:`tanglekit.linkage.find_linkage`).
 
 Caps come from the ``TANGLEKIT_CAP`` environment variable
 (:func:`tanglekit.limits.caps_from_env`).  A document defect, an exceeded
-cap or an input the classifier does not take ends the run with a one-line
-message that names the stage, and exit status 1.
+cap, an input the classifier does not take or terminals the linkage search
+does not take end the run with a one-line message that names the stage,
+and exit status 1.
 """
 
 from __future__ import annotations
@@ -21,6 +26,7 @@ from typing import Sequence
 from .classify import ClassifyError, classify
 from .io import ParseError, load, report_text, verdict_text
 from .limits import ResourceLimitError, caps_from_env
+from .linkage import Linkage, LinkageError, find_linkage
 from .tangles import TwoDisjointUnbalanced, is_tangled
 
 
@@ -34,6 +40,10 @@ def _parser() -> argparse.ArgumentParser:
         ("classify", "print the verdict and the label codes"),
     ):
         commands.add_parser(name, help=text).add_argument("file", help="instance document")
+    linkage = commands.add_parser("linkage", help="print two disjoint paths or a three-planar witness")
+    linkage.add_argument("file", help="instance document")
+    for terminal in ("s1", "t1", "s2", "t2"):
+        linkage.add_argument(terminal, type=int, help="terminal vertex")
     return parser
 
 
@@ -42,6 +52,12 @@ def _verdict_lines(verdict) -> list[str]:
     if isinstance(verdict, TwoDisjointUnbalanced):
         lines += ["cycle " + " ".join(map(str, c.key)) for c in (verdict.first, verdict.second)]
     return lines
+
+
+def _linkage_lines(found) -> list[str]:
+    if isinstance(found, Linkage):
+        return ["path " + " ".join(map(str, p.vertices)) for p in (found.first, found.second)]
+    return ["witness"] + ["set " + " ".join(map(str, sorted(a))) for a in found.sets]
 
 
 def main(argv: Sequence[str] | None = None) -> int:
@@ -61,8 +77,10 @@ def main(argv: Sequence[str] | None = None) -> int:
         o = load(text, caps)
         if args.command == "verdict":
             lines = _verdict_lines(is_tangled(o, caps))
-        else:
+        elif args.command == "classify":
             lines = [report_text(classify(o, caps))]
+        else:
+            lines = _linkage_lines(find_linkage(o.graph, args.s1, args.t1, args.s2, args.t2, caps))
     except ParseError as err:
         print(f"tanglekit: parse: {err}", file=sys.stderr)
         return 1
@@ -71,6 +89,9 @@ def main(argv: Sequence[str] | None = None) -> int:
         return 1
     except ClassifyError as err:
         print(f"tanglekit: classify: {err}", file=sys.stderr)
+        return 1
+    except LinkageError as err:
+        print(f"tanglekit: linkage: {err}", file=sys.stderr)
         return 1
     print("\n".join(lines))
     return 0

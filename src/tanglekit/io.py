@@ -129,6 +129,11 @@ def parse(text: str, caps: Caps = DEFAULT_CAPS) -> InstanceDocument:
     (dangling edge ids, endpoints outside the vertex range, bias lists that
     violate the theta property).
     """
+    return _parse(text, caps)[0]
+
+
+def _parse(text: str, caps: Caps) -> tuple[InstanceDocument, BiasedGraph | None]:
+    """The document, and for an explicit bias the biased graph its check built."""
     rd = _Reader(text)
 
     no, toks = rd.take()
@@ -255,8 +260,8 @@ def parse(text: str, caps: Caps = DEFAULT_CAPS) -> InstanceDocument:
         default=default,
         version=version,
     )
-    _check_bias(doc, graph, caps, bias_line)
-    return InstanceDocument(
+    checked = _check_bias(doc, graph, caps, bias_line)
+    doc = InstanceDocument(
         vertex_count=doc.vertex_count,
         edges=doc.edges,
         bias_kind=doc.bias_kind,
@@ -266,11 +271,15 @@ def parse(text: str, caps: Caps = DEFAULT_CAPS) -> InstanceDocument:
         family=family,
         version=version,
     )
+    return doc, checked
 
 
-def _check_bias(doc: InstanceDocument, graph: MultiGraph, caps: Caps, line: int) -> None:
+def _check_bias(
+    doc: InstanceDocument, graph: MultiGraph, caps: Caps, line: int
+) -> BiasedGraph | None:
+    """Check an explicit bias and return the biased graph it describes."""
     if doc.bias_kind != "explicit":
-        return
+        return None
     cycles = [Cycle.from_edge_set(graph, key) for key in doc.balanced]
     if doc.default is None:
         bad = validate_theta(graph, cycles, caps)
@@ -282,18 +291,23 @@ def _check_bias(doc: InstanceDocument, graph: MultiGraph, caps: Caps, line: int)
                 f"theta violation: exactly two of the cycles {triple} are balanced",
                 line,
             )
-    else:
-        partial = {c: True for c in cycles}
-        if complete_bias(graph, partial, default=doc.default, caps=caps) is None:
-            raise ParseError(
-                "partial bias has no theta-consistent completion with "
-                f"default {'balanced' if doc.default else 'unbalanced'}",
-                line,
-            )
+        return make_explicit(graph, cycles, check=False)
+    out = complete_bias(graph, {c: True for c in cycles}, default=doc.default, caps=caps)
+    if out is None:
+        raise ParseError(
+            "partial bias has no theta-consistent completion with "
+            f"default {'balanced' if doc.default else 'unbalanced'}",
+            line,
+        )
+    return out
 
 
 def realize(doc: InstanceDocument, caps: Caps = DEFAULT_CAPS) -> BiasedGraph:
-    """Build the biased graph a document describes."""
+    """Build the biased graph a document describes.
+
+    An explicit bias is checked here as in :func:`parse`, since the document
+    may not come from it; :func:`load` builds it once, in the parse check.
+    """
     graph = doc.graph()
     if doc.bias_kind == "signed":
         return make_signed(graph, doc.signature)
@@ -311,7 +325,9 @@ def realize(doc: InstanceDocument, caps: Caps = DEFAULT_CAPS) -> BiasedGraph:
 
 
 def load(text: str, caps: Caps = DEFAULT_CAPS) -> BiasedGraph:
-    return realize(parse(text, caps), caps)
+    """Parse a document and build its biased graph, checking the bias once."""
+    doc, checked = _parse(text, caps)
+    return checked if checked is not None else realize(doc, caps)
 
 
 # ---------------------------------------------------------------------------

@@ -1,18 +1,41 @@
 """Two-disjoint-paths machinery.
 
-Either two terminal pairs can be joined by vertex-disjoint paths, or the
-graph certifies the failure: after contracting away a collection of
-vertex sets with at most three attachments each, the rest embeds in the
-plane with the terminals around one face.  This module searches for the
-linkage, builds and verifies the certificate, refines it to a minimal
-one, and derives the consequences the classifier needs: cycles through
-prescribed vertices, lifting linkages back through the contraction, hub
-cuts, and pairwise-crossing terminal orders.
+Either two terminal pairs s1-t1 and s2-t2 are joined by vertex-disjoint
+paths (a linkage), or a three-planar witness certifies that they are not:
+after deleting vertex sets with at most three attachments each and joining
+each set's attachments into a clique, the rest embeds in the plane with
+s1, s2, t1, t2 around one face in that order.  By the 2-linkage theorem
+(Seymour 1980; Thomassen 1980) exactly one of the two exists, and the
+deleted sets can be taken to be the terminal-free parts that a
+(<= 3)-reduction removes.
+
+`find_linkage` decides which in four stages:
+
+1. the witness with no deleted set: one planarity test of the graph with
+   a wheel pinned to the terminals;
+2. one descent of the pruned path search, without backtracking;
+3. the reduction witness: every terminal-free part cut off by at most three
+   vertices is replaced by a clique on them, found with at most four
+   augmenting-path searches per vertex, then one more planarity test;
+4. the pruned path search with backtracking, which by the theorem finds a
+   linkage.
+
+Stages 1-3 take polynomial time, so every input without a linkage is
+decided in polynomial time; only stage 4, on a linked input that the first
+descent misses, can take exponential time.  Every prefix the path search
+builds counts against `Caps.max_subsets`.
+
+The module also verifies both outcomes, searches witnesses for arbitrary
+face orders (`find_three_planar`), refines them to minimal ones, and
+derives the consequences the classifier needs: cycles through prescribed
+vertices, lifting linkages back through the contraction, hub cuts, and
+pairwise-crossing terminal orders.
 """
 
 from __future__ import annotations
 
 import itertools
+from collections import deque
 from dataclasses import dataclass
 from typing import Iterator, Sequence
 
@@ -137,18 +160,72 @@ def _vertex_paths(
     yield from step()
 
 
+def _reaches(adj: dict[int, tuple[int, ...]], a: int, b: int, banned: set[int]) -> bool:
+    """Is b reachable from a through vertices outside `banned`?"""
+    if a == b:
+        return True
+    seen = {a}
+    stack = [a]
+    while stack:
+        for y in adj[stack.pop()]:
+            if y == b:
+                return True
+            if y not in seen and y not in banned:
+                seen.add(y)
+                stack.append(y)
+    return False
+
+
 def _search_linkage(
-    g: MultiGraph, s1: int, t1: int, s2: int, t2: int
+    g: MultiGraph,
+    s1: int,
+    t1: int,
+    s2: int,
+    t2: int,
+    caps: Caps = DEFAULT_CAPS,
+    backtrack: bool = True,
 ) -> Linkage | None:
-    for p1 in _vertex_paths(g, s1, t1, banned=frozenset({s2, t2})):
-        edges2 = g.path_between(s2, t2, avoid=set(p1))
-        if edges2 is None:
-            continue
-        verts2 = _walk_vertices(g, s2, edges2)
-        return Linkage(
-            VertexPath.from_vertices(g, p1), VertexPath(verts2, tuple(edges2))
-        )
-    return None
+    """The linkage whose s1-t1 path comes first in depth-first order, or None.
+
+    Neighbours are tried in id order.  A prefix of the s1-t1 path is
+    extended by a vertex only while s2 and t2 stay connected off the prefix
+    and the new end still reaches t1 avoiding s2, t2 and the prefix.  A
+    prefix failing either test lies on no linkage, so the pruning loses no
+    linkage and keeps the order in which they are met.  Without
+    backtracking the search makes one descent and gives up where it would
+    have to turn back.  Every extension counts against `caps.max_subsets`.
+    """
+    adj = {v: g.neighbors(v) for v in g.vertices}
+    ends = {s2, t2}
+    path = [s1]
+    on = {s1}
+    if not (_reaches(adj, s2, t2, on) and _reaches(adj, s1, t1, on | ends)):
+        return None
+    trials = [iter(adj[s1])]
+    built = 0
+    while path[-1] != t1:
+        for nxt in trials[-1]:
+            if nxt in on or nxt in ends:
+                continue
+            on.add(nxt)
+            if _reaches(adj, s2, t2, on) and _reaches(adj, nxt, t1, on | ends):
+                built += 1
+                if built > caps.max_subsets:
+                    raise ResourceLimitError("linkage path search", caps.max_subsets)
+                path.append(nxt)
+                trials.append(iter(adj[nxt]))
+                break
+            on.remove(nxt)
+        else:
+            if not backtrack or len(path) == 1:
+                return None
+            trials.pop()
+            on.remove(path.pop())
+    edges2 = g.path_between(s2, t2, avoid=on)
+    return Linkage(
+        VertexPath.from_vertices(g, path),
+        VertexPath(_walk_vertices(g, s2, edges2), tuple(edges2)),
+    )
 
 
 def _walk_vertices(g: MultiGraph, start: int, edges: Sequence[int]) -> tuple[int, ...]:
@@ -340,6 +417,99 @@ def verify_witness(
     return tuple(out)
 
 
+def _fan_cut_part(
+    adj: dict[int, set[int]], v: int, terminals: frozenset[int]
+) -> frozenset[int] | None:
+    """The terminal-free part around v that at most three vertices cut off.
+
+    None when four paths from v end at distinct terminals and share only
+    v.  Augmenting paths run on the vertex-split graph (unit capacity from
+    each vertex's in-node to its out-node; terminals end paths), so a fourth
+    search that fails leaves a minimum cut of size at most three; the part
+    is the component of v among the vertices whose out-node that search
+    reaches, and its neighbours lie in the cut.
+    """
+    used: set[int] = set()  # vertices carrying a path
+    arcs: set[tuple[int, int]] = set()  # u -> w: a path steps from u to w
+    ended: set[int] = set()  # terminals a path ends at
+    for _ in range(4):
+        parent: dict[tuple[int, int], tuple[int, int] | None] = {(v, 1): None}
+        queue = deque([(v, 1)])
+        end = None
+        while queue:
+            node = queue.popleft()
+            u, out = node
+            if out:
+                steps = [(w, 0) for w in adj[u] if w != v]
+                if u in used:
+                    steps.append((u, 0))
+            elif u in terminals and u not in ended:
+                end = node
+                break
+            else:
+                steps = [(x, 1) for x in adj[u] if (x, u) in arcs]
+                if u not in used and u not in terminals:
+                    steps.append((u, 1))
+            for nxt in steps:
+                if nxt not in parent:
+                    parent[nxt] = node
+                    queue.append(nxt)
+        if end is None:
+            reach = {u for u, out in parent if out}
+            part = {v}
+            stack = [v]
+            while stack:
+                for w in adj[stack.pop()]:
+                    if w in reach and w not in part:
+                        part.add(w)
+                        stack.append(w)
+            return frozenset(part)
+        ended.add(end[0])
+        node = end
+        while (prev := parent[node]) is not None:
+            (a, a_out), (b, _) = prev, node
+            if a == b:
+                (used.remove if a_out else used.add)(a)
+            elif a_out:
+                arcs.add((a, b))
+            else:
+                arcs.remove((b, a))
+            node = prev
+    return None
+
+
+def _reduction_sets(g: MultiGraph, terminals: frozenset[int]) -> tuple[frozenset[int], ...]:
+    """Witness sets of a full (<= 3)-reduction of g towards the terminals.
+
+    One pass over the non-terminals in id order: a vertex with fewer than
+    four fan paths to the terminals lies in a terminal-free part X with at
+    most three neighbours; X is deleted, its neighbours joined into a
+    clique, and X merged with every earlier set whose attachments it
+    meets, so sets stay disjoint and pairwise non-adjacent.  A reduction
+    never lowers another vertex's fan count, so after the pass no vertex
+    left has fewer than four: the reduced graph has no such part.
+    """
+    adj = {v: set(g.neighbors(v)) for v in g.vertices}
+    sets: list[tuple[frozenset[int], frozenset[int]]] = []  # (set, attachments)
+    for v in sorted(g.vertex_set - terminals):
+        if v not in adj:
+            continue
+        part = _fan_cut_part(adj, v, terminals)
+        if part is None:
+            continue
+        attachments = frozenset(w for u in part for w in adj[u]) - part
+        merged = part.union(*(a for a, att in sets if att & part))
+        sets = [(a, att) for a, att in sets if not att & part] + [(merged, attachments)]
+        for u in part:
+            for w in adj.pop(u):
+                if w not in part:
+                    adj[w].discard(u)
+        for a, b in itertools.combinations(attachments, 2):
+            adj[a].add(b)
+            adj[b].add(a)
+    return tuple(sorted((a for a, _ in sets), key=min))
+
+
 def find_linkage(
     g: MultiGraph, s1: int, t1: int, s2: int, t2: int, caps: Caps = DEFAULT_CAPS
 ) -> Linkage | ThreePlanarWitness:
@@ -347,6 +517,13 @@ def find_linkage(
 
     Exactly one of the two outcomes exists.  The graph must be connected
     (on a disconnected graph the face-order certificate loses meaning).
+    The stages, in order: the witness with no deleted set; one descent of
+    the pruned path search; the witness of the full (<= 3)-reduction;
+    the pruned path search with backtracking.  The first three take
+    polynomial time, so an input without a linkage never reaches the
+    fourth.  The path search counts every prefix it builds against
+    `caps.max_subsets` and raises ResourceLimitError("linkage path search")
+    past it.
     """
     terms = (s1, t1, s2, t2)
     unknown = set(terms) - g.vertex_set
@@ -356,19 +533,36 @@ def find_linkage(
         raise LinkageError("terminals must be four distinct vertices")
     if not g.is_connected():
         raise LinkageError("graph must be connected")
-    link = _search_linkage(g, s1, t1, s2, t2)
-    if link is not None:
-        bad = verify_linkage(g, link, s1, t1, s2, t2)
+    found = _decide_linkage(g, s1, t1, s2, t2, caps)
+    if found is None:
+        raise LinkageError("internal: the reduction embeds no witness and no linkage found")
+    if isinstance(found, Linkage):
+        bad = verify_linkage(g, found, s1, t1, s2, t2)
         if bad:
             raise LinkageError(f"internal: found linkage fails checks {bad}")
-        return link
-    w = find_three_planar(g, (s1, s2, t1, t2), caps)
-    if w is None:
-        raise LinkageError("internal: neither linkage nor witness found")
-    bad = verify_witness(g, w, (s1, s2, t1, t2))
+        return found
+    bad = verify_witness(g, found, (s1, s2, t1, t2))
     if bad:
         raise LinkageError(f"internal: witness fails checks {bad}")
-    return w
+    return found
+
+
+def _decide_linkage(
+    g: MultiGraph, s1: int, t1: int, s2: int, t2: int, caps: Caps
+) -> Linkage | ThreePlanarWitness | None:
+    """The outcome of the first of the four stages that finds one, unchecked."""
+    order = (s1, s2, t1, t2)
+    w = _attempt_witness(g, (), order, caps)
+    if w is not None:
+        return w
+    link = _search_linkage(g, s1, t1, s2, t2, caps, backtrack=False)
+    if link is not None:
+        return link
+    sets = _reduction_sets(g, frozenset(order))
+    w = _attempt_witness(g, sets, order, caps) if sets else None
+    if w is not None:
+        return w
+    return _search_linkage(g, s1, t1, s2, t2, caps)
 
 
 # ---------------------------------------------------------------------------
@@ -646,7 +840,7 @@ def hub_cut_analysis(
     if not is_two_connected(g):
         raise LinkageError("graph must be 2-connected")
     for vi, vj in itertools.combinations(vs, 2):
-        link = _search_linkage(g, x, y, vi, vj)
+        link = _search_linkage(g, x, y, vi, vj, caps)
         if link is not None:
             raise LinkageFoundError(
                 f"a ({x}-{y}, {vi}-{vj}) linkage exists", link, (vi, vj)
@@ -722,7 +916,7 @@ def planar_or_2sep(
         raise LinkageError("graph must be 2-connected")
     for x in sorted(xset):
         for y in sorted(yset):
-            link = _search_linkage(g, v1, v2, x, y)
+            link = _search_linkage(g, v1, v2, x, y, caps)
             if link is not None:
                 raise LinkageFoundError(
                     f"a ({v1}-{v2}, {x}-{y}) linkage exists", link, (x, y)
@@ -781,7 +975,7 @@ def multi_pair_order(
     if not is_two_connected(g):
         raise LinkageError("graph must be 2-connected")
     for i, j in itertools.combinations(range(n), 2):
-        link = _search_linkage(g, pairs[i][0], pairs[i][1], pairs[j][0], pairs[j][1])
+        link = _search_linkage(g, pairs[i][0], pairs[i][1], pairs[j][0], pairs[j][1], caps)
         if link is not None:
             raise LinkageFoundError(
                 f"a ({pairs[i][0]}-{pairs[i][1]}, {pairs[j][0]}-{pairs[j][1]}) "

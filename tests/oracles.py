@@ -6,8 +6,8 @@ edge subsets or from plain path extension, thetas from internally disjoint
 path triples, linkages from all simple path pairs, 2-connectivity from the
 vertex-subset cut scan.  The exceptions are earlier versions of the
 library's own code, kept without their fast paths: the maximal balanced
-sets, the Tricoloured detector, the canonical cycle key and the theta
-check at the end.
+sets, the Tricoloured detector, the canonical cycle key, the theta check
+and the linkage search at the end.
 """
 
 from __future__ import annotations
@@ -36,6 +36,17 @@ from tanglekit.graph import (
     is_two_connected,
 )
 from tanglekit.limits import DEFAULT_CAPS, Caps, ResourceLimitError
+from tanglekit.linkage import (
+    Linkage,
+    LinkageError,
+    ThreePlanarWitness,
+    VertexPath,
+    _vertex_paths,
+    _walk_vertices,
+    find_three_planar,
+    verify_linkage,
+    verify_witness,
+)
 from tanglekit.tangles import (
     Balanced,
     HasBlockingVertex,
@@ -612,3 +623,56 @@ def oracle_validate_theta(
         if sum(1 for c in t.cycles if c in bal) == 2:
             out.append(t)
     return tuple(out)
+
+
+# ---------------------------------------------------------------------------
+# The linkage search before the 2-linkage stages
+#
+# Copied unchanged: every s1-t1 path in depth-first order until an s2-t2
+# path avoids one, then the witness search over all deleted sets.
+# ---------------------------------------------------------------------------
+
+
+def _search_linkage(
+    g: MultiGraph, s1: int, t1: int, s2: int, t2: int
+) -> Linkage | None:
+    for p1 in _vertex_paths(g, s1, t1, banned=frozenset({s2, t2})):
+        edges2 = g.path_between(s2, t2, avoid=set(p1))
+        if edges2 is None:
+            continue
+        verts2 = _walk_vertices(g, s2, edges2)
+        return Linkage(
+            VertexPath.from_vertices(g, p1), VertexPath(verts2, tuple(edges2))
+        )
+    return None
+
+
+def oracle_find_linkage(
+    g: MultiGraph, s1: int, t1: int, s2: int, t2: int, caps: Caps = DEFAULT_CAPS
+) -> Linkage | ThreePlanarWitness:
+    """A verified linkage, or a verified witness for order (s1, s2, t1, t2).
+
+    Exactly one of the two outcomes exists.  The graph must be connected
+    (on a disconnected graph the face-order certificate loses meaning).
+    """
+    terms = (s1, t1, s2, t2)
+    unknown = set(terms) - g.vertex_set
+    if unknown:
+        raise LinkageError(f"unknown vertices {sorted(unknown)}")
+    if len(set(terms)) != 4:
+        raise LinkageError("terminals must be four distinct vertices")
+    if not g.is_connected():
+        raise LinkageError("graph must be connected")
+    link = _search_linkage(g, s1, t1, s2, t2)
+    if link is not None:
+        bad = verify_linkage(g, link, s1, t1, s2, t2)
+        if bad:
+            raise LinkageError(f"internal: found linkage fails checks {bad}")
+        return link
+    w = find_three_planar(g, (s1, s2, t1, t2), caps)
+    if w is None:
+        raise LinkageError("internal: neither linkage nor witness found")
+    bad = verify_witness(g, w, (s1, s2, t1, t2))
+    if bad:
+        raise LinkageError(f"internal: witness fails checks {bad}")
+    return w

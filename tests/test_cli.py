@@ -70,3 +70,41 @@ def test_usage_errors_exit_through_argparse(capsys):
     with pytest.raises(SystemExit) as exc:
         main(["linkage", "x.bg"])
     assert exc.value.code == 2
+
+
+# C4 on 0-3 and a triangle 4, 5, 6 joined to all of 0, 1, 2
+C4_WITH_K33 = (
+    "biasedgraph 1\nv 7\n"
+    "e 0 0 1\ne 1 1 2\ne 2 2 3\ne 3 3 0\ne 4 4 5\ne 5 5 6\ne 6 6 4\n"
+    "e 7 4 0\ne 8 4 1\ne 9 4 2\ne 10 5 0\ne 11 5 1\ne 12 5 2\ne 13 6 0\ne 14 6 1\ne 15 6 2\n"
+    "bias all-balanced\n"
+)
+
+
+def test_linkage_prints_two_paths(tmp_path, capsys):
+    path = tmp_path / "input.bg"
+    path.write_text(C4_WITH_K33)
+    assert main(["linkage", str(path), "0", "1", "2", "3"]) == 0
+    assert capsys.readouterr() == ("path 0 1\npath 2 3\n", "")
+
+
+def test_linkage_prints_the_witness_sets(tmp_path, capsys):
+    path = tmp_path / "input.bg"
+    path.write_text(C4_WITH_K33)
+    assert main(["linkage", str(path), "0", "2", "1", "3"]) == 0
+    assert capsys.readouterr() == ("witness\nset 4 5 6\n", "")
+    path.write_text("biasedgraph 1\nv 4\ne 0 0 1\ne 1 1 2\ne 2 2 3\ne 3 3 0\nbias all-balanced\n")
+    assert main(["linkage", str(path), "0", "2", "1", "3"]) == 0
+    assert capsys.readouterr() == ("witness\n", "")
+
+
+def test_linkage_errors_are_one_line(tmp_path, capsys, monkeypatch):
+    path = tmp_path / "input.bg"
+    path.write_text(C4_WITH_K33)
+    assert main(["linkage", str(path), "0", "1", "1", "3"]) == 1
+    assert capsys.readouterr() == ("", "tanglekit: linkage: terminals must be four distinct vertices\n")
+    assert main(["linkage", str(path), "0", "1", "2", "9"]) == 1
+    assert capsys.readouterr() == ("", "tanglekit: linkage: unknown vertices [9]\n")
+    monkeypatch.setenv(ENV_CAP, "1")
+    assert main(["linkage", str(path), "0", "2", "1", "4"]) == 1
+    assert capsys.readouterr() == ("", "tanglekit: resource limit exceeded in linkage path search (cap 1)\n")

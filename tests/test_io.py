@@ -4,10 +4,21 @@ from __future__ import annotations
 
 import pytest
 
-from tanglekit.bias import AllBalanced, ExplicitSet, Signed
+import tanglekit.bias
+import tanglekit.io
+from tanglekit.bias import AllBalanced, BiasError, ExplicitSet, Signed
 from tanglekit.classify import classify
 from tanglekit.families import build_family
-from tanglekit.io import ParseError, document_from, export_dot, load, parse, realize, serialize
+from tanglekit.io import (
+    InstanceDocument,
+    ParseError,
+    document_from,
+    export_dot,
+    load,
+    parse,
+    realize,
+    serialize,
+)
 
 from test_families import c4_part_wheel, k4_fat_triangle
 
@@ -41,12 +52,36 @@ def test_theta_violation_names_the_first_violating_theta():
     # three triangles of K4 balanced: each pair closes a theta whose quad
     # is unbalanced; the first by edge set is the one over edges 0-4
     text = "biasedgraph 1\n# K4\nv 4\n" + K4_EDGES + "bias explicit\nbal 2 1 5\nbal 4 2 0\nbal 3 1 0\n"
-    with pytest.raises(ParseError) as err:
-        parse(text)
-    assert err.value.line == 10
-    assert err.value.reason == (
-        "theta violation: exactly two of the cycles (0 1 3), (0 2 4), (1 2 4 3) are balanced"
+    for read in (parse, load):
+        with pytest.raises(ParseError) as err:
+            read(text)
+        assert err.value.line == 10
+        assert err.value.reason == (
+            "theta violation: exactly two of the cycles (0 1 3), (0 2 4), (1 2 4 3) are balanced"
+        )
+
+
+@pytest.mark.parametrize("kind, check", [("explicit", "validate_theta"), ("partial", "complete_bias")])
+def test_load_checks_the_bias_once(kind, check, monkeypatch):
+    calls = []
+    for module in (tanglekit.bias, tanglekit.io):
+        real = getattr(module, check)
+        monkeypatch.setattr(module, check, lambda *a, real=real, **k: calls.append(1) or real(*a, **k))
+    text = "biasedgraph 1\nv 4\n" + K4_EDGES + BIAS_BLOCKS[kind]
+    o = load(text)
+    assert len(calls) == 1
+    assert o == realize(parse(text))
+
+
+def test_realize_still_checks_a_document_it_is_handed():
+    doc = InstanceDocument(
+        vertex_count=4,
+        edges=((0, 0, 1), (1, 0, 2), (2, 0, 3), (3, 1, 2), (4, 1, 3), (5, 2, 3)),
+        bias_kind="explicit",
+        balanced=((0, 1, 3), (0, 2, 4), (1, 2, 5)),
     )
+    with pytest.raises(BiasError, match="theta property"):
+        realize(doc)
 
 
 def test_export_dot_titles_with_verdict_and_codes():

@@ -5,11 +5,13 @@ from __future__ import annotations
 import itertools
 import random
 
+import networkx as nx
 import pytest
 from hypothesis import assume, given, settings, strategies as st
 
+import tanglekit.linkage
 from tanglekit.graph import MultiGraph
-from tanglekit.limits import DEFAULT_CAPS
+from tanglekit.limits import DEFAULT_CAPS, Caps, ResourceLimitError
 from tanglekit.linkage import (
     Linkage,
     LinkageError,
@@ -18,6 +20,7 @@ from tanglekit.linkage import (
     TwoSeparation,
     VertexPath,
     _attempt_witness,
+    _fan_cut_part,
     cycle_through,
     find_linkage,
     find_three_planar,
@@ -33,7 +36,7 @@ from tanglekit.linkage import (
     verify_witness,
 )
 
-from oracles import disjoint_path_pair, random_multigraph
+from oracles import disjoint_path_pair, oracle_find_linkage, random_multigraph
 
 
 def k4() -> MultiGraph:
@@ -163,6 +166,139 @@ def test_dichotomy_matches_exhaustive_oracle(seed):
     else:
         assert isinstance(got, ThreePlanarWitness)
         assert verify_witness(g, got, (s1, s2, t1, t2)) == ()
+
+
+def k33_part_on_c4() -> MultiGraph:
+    """C4 on 0,1,2,3; a triangle 4,5,6 joined to all of 0, 1, 2 (so K3,3)."""
+    return MultiGraph.from_pairs(
+        [(0, 1), (1, 2), (2, 3), (3, 0), (4, 5), (5, 6), (6, 4)]
+        + [(x, a) for x in (4, 5, 6) for a in (0, 1, 2)]
+    )
+
+
+def grid(k: int) -> MultiGraph:
+    return MultiGraph.from_pairs(
+        [(i * k + j, i * k + j + 1) for i in range(k) for j in range(k - 1)]
+        + [(i * k + j, i * k + j + k) for i in range(k - 1) for j in range(k)]
+    )
+
+
+def test_reduction_witness_replaces_a_nonplanar_part():
+    g = k33_part_on_c4()
+    got = find_linkage(g, 0, 2, 1, 3)
+    assert isinstance(got, ThreePlanarWitness)
+    assert got.sets == (frozenset({4, 5, 6}),)
+    assert got.facial_triangles == (frozenset({0, 1, 2}),)
+    assert verify_witness(g, got, (0, 1, 2, 3)) == ()
+
+
+def test_grid_corners_decided_without_path_enumeration():
+    """Crossing corners embed at once; linked corners fall to one descent."""
+    g = grid(8)
+    tl, tr, bl, br = 0, 7, 56, 63
+    crossing = find_linkage(g, tl, br, tr, bl, Caps(max_subsets=0))
+    assert isinstance(crossing, ThreePlanarWitness) and crossing.sets == ()
+    linked = find_linkage(g, tl, tr, bl, br, Caps(max_subsets=7))
+    assert linked.first.vertices == tuple(range(8))
+    assert linked.second.vertices == tuple(range(56, 64))
+
+
+def test_fan_cut_part_against_networkx_connectivity():
+    """A part exactly when v has fewer than four fan paths to the terminals;
+    the part holds v and no terminal, is connected and has at most three
+    neighbours."""
+    rng = random.Random("fan cut")
+    parts = 0
+    for _ in range(300):
+        g = random_multigraph(rng, max_n=9, max_extra=12, allow_loops=True)
+        if g.n < 5:
+            continue
+        terminals = frozenset(rng.sample(sorted(g.vertex_set), 4))
+        adj = {v: set(g.neighbors(v)) for v in g.vertices}
+        nxg = nx.Graph(g.simple_pairs())
+        nxg.add_nodes_from(g.vertices)
+        nxg.add_edges_from(("sink", t) for t in terminals)
+        for v in sorted(g.vertex_set - terminals):
+            part = _fan_cut_part(adj, v, terminals)
+            fans = nx.algorithms.connectivity.local_node_connectivity(nxg, v, "sink")
+            assert (part is None) == (fans >= 4)
+            if part is None:
+                continue
+            parts += 1
+            assert v in part and not part & terminals
+            assert g.induced(part).is_connected()
+            assert len(neighborhood(g, part)) <= 3
+    assert parts > 100
+    g = k33_part_on_c4()
+    adj = {v: set(g.neighbors(v)) for v in g.vertices}
+    assert _fan_cut_part(adj, 4, frozenset({0, 1, 2, 3})) == {4, 5, 6}
+
+
+def test_linkage_path_search_is_capped():
+    """Stage 2 takes one extension and misses; stage 4 backtracks once."""
+    g = MultiGraph.from_pairs([(0, 3), (0, 4), (1, 3), (1, 4), (2, 3), (2, 4), (3, 4)])
+    for cap in (0, 1):
+        with pytest.raises(ResourceLimitError) as err:
+            find_linkage(g, 0, 4, 1, 2, Caps(max_subsets=cap))
+        assert err.value.stage == "linkage path search"
+    got = find_linkage(g, 0, 4, 1, 2, Caps(max_subsets=2))
+    assert got.first.vertices == (0, 4)
+    assert got.second.vertices == (1, 3, 2)
+
+
+def test_witness_search_is_capped():
+    """The empty set, three singletons, three pairs, then {4, 5, 6}."""
+    g = k33_part_on_c4()
+    with pytest.raises(ResourceLimitError) as err:
+        find_three_planar(g, (0, 1, 2, 3), Caps(max_subsets=7))
+    assert err.value.stage == "witness search"
+    w = find_three_planar(g, (0, 1, 2, 3), Caps(max_subsets=8))
+    assert w.sets == (frozenset({4, 5, 6}),)
+
+
+def _atlas_cases():
+    for i, nxg in enumerate(nx.graph_atlas_g()):
+        if not 4 <= nxg.number_of_nodes() <= 6 or not nx.is_connected(nxg):
+            continue
+        g = MultiGraph.from_pairs(sorted(nxg.edges()), vertices=nxg.nodes())
+        rng = random.Random(f"atlas/{i}")
+        for _ in range(6):
+            yield g, tuple(rng.sample(sorted(g.vertex_set), 4))
+
+
+def _random_cases(count: int):
+    rng = random.Random("linkage/random")
+    while count:
+        g = random_multigraph(rng, max_n=9, allow_loops=True)
+        if g.n >= 4:
+            count -= 1
+            yield g, tuple(rng.sample(sorted(g.vertex_set), 4))
+
+
+@pytest.mark.parametrize(
+    "cases, size", [(_atlas_cases, 834), (lambda: _random_cases(400), 400)], ids=["atlas", "random"]
+)
+def test_find_linkage_matches_the_path_enumeration_oracle(cases, size, monkeypatch):
+    """Linkages and empty-set witnesses equal the old route's; no old witness search."""
+    planar_calls = []
+    monkeypatch.setattr(
+        tanglekit.linkage, "find_three_planar", lambda *a, **k: planar_calls.append(a)
+    )
+    reduced = seen = 0
+    for g, (s1, t1, s2, t2) in cases():
+        seen += 1
+        got = find_linkage(g, s1, t1, s2, t2)
+        want = oracle_find_linkage(g, s1, t1, s2, t2)
+        assert isinstance(got, Linkage) == (disjoint_path_pair(g, s1, t1, s2, t2) is not None)
+        assert type(got) is type(want)
+        if isinstance(got, Linkage) or want.sets == ():
+            assert got == want
+        else:
+            assert got.sets and verify_witness(g, got, (s1, s2, t1, t2)) == ()
+            reduced += 1
+    assert seen == size
+    assert reduced > 0
+    assert planar_calls == []
 
 
 # ---------------------------------------------------------------------------
