@@ -15,12 +15,10 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
-from functools import cached_property
-from typing import Iterable, Mapping, Sequence
+from typing import Iterable, Mapping
 
 from .graph import (
     Cycle,
-    GraphError,
     MultiGraph,
     ThetaSubgraph,
     edge_path_vertices,
@@ -213,15 +211,6 @@ def _violating_thetas(
             out.append(ThetaSubgraph(trio, c1.edge_set | c2.edge_set))  # type: ignore[arg-type]
     out.sort(key=lambda t: sorted(t.edge_set))
     return tuple(out)
-
-
-def reroute(g: MultiGraph, c1: Cycle, c2: Cycle) -> Cycle:
-    """The third cycle of the theta subgraph c1 ∪ c2."""
-    inter = c1.edge_set & c2.edge_set
-    pv = edge_path_vertices(g, inter) if inter else None
-    if pv is None or (c1.vertex_set & c2.vertex_set) != pv:
-        raise GraphError("cycle union is not a theta subgraph")
-    return Cycle.from_edge_set(g, c1.edge_set ^ c2.edge_set)
 
 
 # ---------------------------------------------------------------------------

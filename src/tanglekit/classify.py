@@ -2,10 +2,9 @@
 
 This module turns the structural trichotomy into executable searches:
 ``decompose`` peels balanced summands at 1-, 2- and 3-vertex cuts until a
-4-connected core or a generalized-wheel shape remains, the balanced-base
-searches recover spanning balanced subgraphs with planar boundary
-pairings, and ``classify`` matches the input against every concrete
-family, attaching a re-verifiable certificate to each label it reports.
+4-connected core or a generalized-wheel shape remains, and ``classify``
+matches the input against every concrete family, attaching a
+re-verifiable certificate to each label it reports.
 
 Recognition is search-based: candidate role assignments are enumerated
 within the configured resource ceilings and ``verify_family`` is the
@@ -57,41 +56,10 @@ class ClassifyError(ValueError):
     """Precondition violated, or the structure bookkeeping broke down."""
 
 
-class StructureFound(Exception):
-    """A base search ran into one of the exceptional concrete shapes.
-
-    Carries the verified descriptor so the caller can turn the exception
-    into a classification label directly.
-    """
-
-    def __init__(self, descriptor: FamilyDescriptor, certificate: Certificate):
-        super().__init__(descriptor.kind)
-        self.descriptor = descriptor
-        self.certificate = certificate
-
-    @property
-    def kind(self) -> str:
-        return self.descriptor.kind
-
-
 # Edge provenance tags used while peeling: real input edges keep their
 # id, virtual edges remember which sum node introduced them and which
 # cut pair (in sorted-pair order) they stand for.
 _Tag = tuple
-
-
-@dataclass(frozen=True)
-class BalancedBase:
-    """A spanning 2-connected balanced subgraph with its residual edges.
-
-    ``pairing`` is present when the residual edges admit a planar
-    boundary order: one ``(edge, x, y)`` triple per residual edge with
-    all x's followed by all y's on a common face of the base.
-    """
-
-    base_edges: frozenset[int]
-    residual_edges: frozenset[int]
-    pairing: tuple[tuple[int, int, int], ...] | None = None
 
 
 @dataclass(frozen=True)
@@ -1172,71 +1140,6 @@ _DETECTORS: tuple[tuple[str, str, object], ...] = (
 
 
 # ---------------------------------------------------------------------------
-# Balanced-base searches
-# ---------------------------------------------------------------------------
-
-
-def find_balanced_base(o: BiasedGraph, caps: Caps = DEFAULT_CAPS) -> BalancedBase:
-    """Best spanning 2-connected balanced subgraph, largest edge set first.
-
-    When none spans 2-connectedly, a 4-connected input must contain one
-    of the two exceptional shapes; the matching verified structure is
-    raised as ``StructureFound``.  4-connectivity is the regime in
-    which that alternative is guaranteed, not a checked precondition.
-    """
-    g = o.graph
-    if not is_simple(o):
-        raise ClassifyError("balanced-base search needs a simple input")
-    if g.n < 6:
-        raise ClassifyError("balanced-base search needs at least six vertices")
-    verdict = is_tangled(o, caps)
-    if not isinstance(verdict, Tangled):
-        raise ClassifyError(
-            f"balanced-base search needs a tangled input, verdict is {type(verdict).__name__}"
-        )
-    msets = _maximal_balanced_sets(o, caps)
-    for m in msets:
-        sub = g.subgraph(m)
-        if sub.vertex_set == g.vertex_set and is_two_connected(sub):
-            return BalancedBase(m, g.edge_id_set - m, None)
-    hit = _detect_criss_cross(o, caps, msets) or _detect_special_triple(o, caps, msets)
-    if hit:
-        raise StructureFound(hit[0], hit[1])
-    raise ClassifyError(
-        "no spanning 2-connected balanced subgraph, and neither exceptional shape matched"
-    )
-
-
-def find_planar_balanced_base(
-    o: BiasedGraph, caps: Caps = DEFAULT_CAPS, base: BalancedBase | None = None
-) -> BalancedBase:
-    """Balanced base whose residual edges order onto one face.
-
-    When the residual edges concentrate on at most three vertices the
-    input is a fat triangle instead; that shape (and a fat triangle
-    found after a failed pairing search) is raised as ``StructureFound``.
-    """
-    if base is None:
-        base = find_balanced_base(o, caps)
-    g = o.graph
-    span = frozenset(v for e in base.residual_edges for v in g.endpoints(e))
-    if len(span) <= 3:
-        hit = _detect_fat_triangle(o, caps, _maximal_balanced_sets(o, caps))
-        if hit:
-            raise StructureFound(hit[0], hit[1])
-        raise ClassifyError(
-            "residual edges sit on at most three vertices but no fat triangle verified"
-        )
-    pairing = _pairing_search(o, base.base_edges, caps)
-    if pairing is not None:
-        return BalancedBase(base.base_edges, base.residual_edges, pairing)
-    hit = _detect_fat_triangle(o, caps, _maximal_balanced_sets(o, caps))
-    if hit:
-        raise StructureFound(hit[0], hit[1])
-    raise ClassifyError("no planar boundary pairing and no fat triangle matched")
-
-
-# ---------------------------------------------------------------------------
 # Decomposition at small vertex cuts
 # ---------------------------------------------------------------------------
 
@@ -1639,22 +1542,6 @@ def _tangled_report(
             raise capped[0]
         raise ClassifyError("tangled input did not match any structure case")
     return ClassificationReport(verdict, tuple(labels), dec, tuple(trace))
-
-
-def small_classify(
-    o: BiasedGraph, caps: Caps = DEFAULT_CAPS, *, first: bool = False
-) -> ClassificationReport:
-    """Classification restricted to inputs with at most five vertices."""
-    if o.graph.n > 5:
-        raise ClassifyError("small_classify handles at most five vertices")
-    if not is_simple(o):
-        raise ClassifyError("small_classify needs a simple input")
-    verdict = is_tangled(o, caps)
-    if not isinstance(verdict, Tangled):
-        raise ClassifyError(
-            f"small_classify needs a tangled input, verdict is {type(verdict).__name__}"
-        )
-    return _tangled_report(o, verdict, caps, first)
 
 
 def classify(

@@ -30,7 +30,7 @@ from .bias import (
     make_explicit,
     make_signed,
 )
-from .embedding import ordered_planarity
+from .embedding import collapse_cyclic, ordered_planarity
 from .graph import Cycle, MultiGraph, enumerate_cycles, is_two_connected
 from .limits import DEFAULT_CAPS, Caps
 from .linkage import find_three_planar
@@ -797,11 +797,6 @@ def _plan_k5_family(d: FamilyDescriptor, caps: Caps) -> _Plan:
 # ---------------------------------------------------------------------------
 
 
-def _collapse_circular(seq: Sequence[int]) -> tuple[int, ...]:
-    out = [v for i, v in enumerate(seq) if v != seq[i - 1]] if len(seq) > 1 else list(seq)
-    return tuple(out) if out else tuple(seq[:1])
-
-
 def _plan_pp_signed(d: FamilyDescriptor, caps: Caps) -> _Plan:
     g = d.graph
     xs = _role_ints(d, "xs")
@@ -825,7 +820,7 @@ def _plan_pp_signed(d: FamilyDescriptor, caps: Caps) -> _Plan:
 
     base = g.subgraph(base_edges, g.vertex_set)
     checks.append(_check("base spans all vertices", _vertices_of(g, base_edges) == g.vertex_set))
-    seq = _collapse_circular((*xs, *ys))
+    seq = collapse_cyclic((*xs, *ys))
     planar_ok = len(set(seq)) == len(seq) and ordered_planarity(base, seq, caps=caps) is not None
     checks.append(_check("boundary pairing planar", planar_ok))
 

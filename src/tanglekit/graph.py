@@ -152,11 +152,16 @@ class MultiGraph:
         out = {self.other_end(e, v) for e in self.delta(v)}
         return tuple(sorted(out))
 
+    @cached_property
+    def _between(self) -> dict[tuple[int, int], tuple[int, ...]]:
+        joined: dict[tuple[int, int], list[int]] = {}
+        for e, u, v in self._edges:
+            joined.setdefault((u, v) if u <= v else (v, u), []).append(e)
+        return {pair: tuple(es) for pair, es in joined.items()}
+
     def edges_between(self, u: int, v: int) -> tuple[int, ...]:
-        uu, vv = (u, v) if u <= v else (v, u)
-        return tuple(
-            e for e, a, b in self._edges if (min(a, b), max(a, b)) == (uu, vv)
-        )
+        """Edges joining u and v in id order; loops at u when u == v."""
+        return self._between.get((u, v) if u <= v else (v, u), ())
 
     # -- derived graphs ----------------------------------------------------
 
@@ -641,15 +646,6 @@ def find_vertex_cuts(g: MultiGraph, k: int, caps: Caps = DEFAULT_CAPS) -> tuple[
             cuts.append(VertexCut(X, bridges_of_cut(g, X)))
     cuts.sort(key=lambda c: (c.size, sorted(c.cut)))
     return tuple(cuts)
-
-
-def is_k_connected(g: MultiGraph, k: int) -> bool:
-    """No vertex cut of size < k; complete graphs count as (n-1)-connected."""
-    if g.n <= k:
-        return False
-    if not g.is_connected():
-        return k == 0
-    return not find_vertex_cuts(g, k - 1)
 
 
 # ---------------------------------------------------------------------------

@@ -31,7 +31,6 @@ class Caps:
     max_subsets: int = 2_000_000       # edge/vertex subset candidates
     max_embeddings: int = 2_000_000    # rotation systems tried
     max_assignments: int = 2_000_000   # role assignments / orderings tried
-    oracle_vertices: int = 9           # brute-force tangle oracle size cap
 
     @staticmethod
     def uniform(n: int) -> "Caps":
@@ -42,7 +41,6 @@ class Caps:
             max_subsets=n,
             max_embeddings=n,
             max_assignments=n,
-            oracle_vertices=DEFAULT_CAPS.oracle_vertices,
         )
 
 

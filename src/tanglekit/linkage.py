@@ -25,11 +25,8 @@ decided in polynomial time; only stage 4, on a linked input that the first
 descent misses, can take exponential time.  Every prefix the path search
 builds counts against `Caps.max_subsets`.
 
-The module also verifies both outcomes, searches witnesses for arbitrary
-face orders (`find_three_planar`), refines them to minimal ones, and
-derives the consequences the classifier needs: cycles through prescribed
-vertices, lifting linkages back through the contraction, hub cuts, and
-pairwise-crossing terminal orders.
+The module also verifies both outcomes and searches witnesses for
+arbitrary face orders (`find_three_planar`).
 """
 
 from __future__ import annotations
@@ -45,23 +42,13 @@ from .embedding import (
     find_embedding,
     resolve_orders,
     verify_ordered_embedding,
-    walk_contains_order,
 )
-from .graph import GraphError, MultiGraph, Cycle, bridges_of_cut, is_two_connected
+from .graph import GraphError, MultiGraph
 from .limits import DEFAULT_CAPS, Caps, ResourceLimitError
 
 
 class LinkageError(ValueError):
     """A linkage-engine precondition failed."""
-
-
-class LinkageFoundError(LinkageError):
-    """A caller asserted no linkage exists, but one was found."""
-
-    def __init__(self, message: str, linkage: "Linkage", pair: tuple[int, int]):
-        super().__init__(message)
-        self.linkage = linkage
-        self.pair = pair
 
 
 # ---------------------------------------------------------------------------
@@ -127,37 +114,6 @@ def verify_linkage(
     if set(link.first.vertices) & set(link.second.vertices):
         out.append("paths share a vertex")
     return tuple(out)
-
-
-def _vertex_paths(
-    g: MultiGraph,
-    s: int,
-    t: int,
-    allowed: frozenset[int] | None = None,
-    banned: frozenset[int] = frozenset(),
-) -> Iterator[tuple[int, ...]]:
-    """All simple (s, t) vertex paths inside `allowed`, avoiding `banned`."""
-    live = (g.vertex_set if allowed is None else frozenset(allowed)) - banned
-    if s not in live or t not in live:
-        return
-    path = [s]
-    on_path = {s}
-
-    def step() -> Iterator[tuple[int, ...]]:
-        here = path[-1]
-        if here == t:
-            yield tuple(path)
-            return
-        for nxt in sorted(g.neighbors(here)):
-            if nxt in on_path or nxt not in live:
-                continue
-            path.append(nxt)
-            on_path.add(nxt)
-            yield from step()
-            path.pop()
-            on_path.remove(nxt)
-
-    yield from step()
 
 
 def _reaches(adj: dict[int, tuple[int, ...]], a: int, b: int, banned: set[int]) -> bool:
@@ -563,433 +519,3 @@ def _decide_linkage(
     if w is not None:
         return w
     return _search_linkage(g, s1, t1, s2, t2, caps)
-
-
-# ---------------------------------------------------------------------------
-# Minimal witnesses
-# ---------------------------------------------------------------------------
-
-
-def _find_refinement(
-    g: MultiGraph,
-    sets: tuple[frozenset[int], ...],
-    idx: int,
-    order: OrderSpec,
-    caps: Caps,
-) -> ThreePlanarWitness | None:
-    """Replace sets[idx] by two or more smaller disjoint parts, if possible."""
-    a = sets[idx]
-    if len(a) < 2:
-        return None
-    others = sets[:idx] + sets[idx + 1 :]
-    for size in range(len(a), 1, -1):
-        for chosen in itertools.combinations(sorted(a), size):
-            comps = [set(c) for c in g.induced(frozenset(chosen)).components()]
-            if any(len(neighborhood(g, c)) > 3 for c in comps):
-                continue
-            for groups in _set_partitions(comps):
-                if len(groups) < 2:
-                    continue
-                parts = tuple(frozenset().union(*grp) for grp in groups)
-                if any(len(neighborhood(g, p)) > 3 for p in parts):
-                    continue
-                candidate = tuple(sorted(others + parts, key=min))
-                found = _attempt_witness(g, candidate, order, caps)
-                if found is not None:
-                    return found
-    return None
-
-
-def minimalize(
-    g: MultiGraph,
-    w: ThreePlanarWitness,
-    order: OrderSpec | None = None,
-    caps: Caps = DEFAULT_CAPS,
-) -> ThreePlanarWitness:
-    """Refine sets until none splits into two or more smaller parts.
-
-    Each replacement swaps one set for strictly smaller ones, so the
-    multiset of set sizes decreases and the loop terminates.  The order
-    defaults to the one the witness embedding realizes.
-    """
-    if order is None:
-        order = w.embedding.order
-    current = w
-    changed = True
-    while changed:
-        changed = False
-        for idx in range(len(current.sets)):
-            refined = _find_refinement(g, current.sets, idx, order, caps)
-            if refined is not None:
-                current = refined
-                changed = True
-                break
-    return current
-
-
-# ---------------------------------------------------------------------------
-# Cycles through ordered vertices
-# ---------------------------------------------------------------------------
-
-
-def _route_through_sets(
-    g: MultiGraph,
-    sets: tuple[frozenset[int], ...],
-    jobs: list[tuple[int, int, tuple[int, ...]]],
-) -> list[tuple[int, ...]] | None:
-    """Disjoint paths, one per (u, v, candidate set indices) job.
-
-    Each path runs from u to v with every interior vertex inside the
-    chosen set; paths through the same set must not share interior
-    vertices.  Backtracking over set choices and path choices.
-    """
-    taken: set[int] = set()
-    picked: list[tuple[int, ...]] = []
-
-    def solve(i: int) -> bool:
-        if i == len(jobs):
-            return True
-        u, v, candidates = jobs[i]
-        for si in candidates:
-            a = sets[si]
-            allowed = frozenset((a - taken) | {u, v})
-            for path in _vertex_paths(g, u, v, allowed=allowed):
-                interior = set(path[1:-1])
-                if not interior <= a:
-                    continue
-                taken.update(interior)
-                picked.append(path)
-                if solve(i + 1):
-                    return True
-                picked.pop()
-                taken.difference_update(interior)
-        return False
-
-    if solve(0):
-        return picked
-    return None
-
-
-def cycle_through(
-    g: MultiGraph,
-    w: ThreePlanarWitness,
-    order: OrderSpec,
-    caps: Caps = DEFAULT_CAPS,
-) -> Cycle:
-    """A cycle visiting the ordered vertices in the stated circular order.
-
-    Walks the witness face and substitutes every projection-only edge by
-    a path through a contributing set.  Requires a 2-connected graph and
-    a verified witness; minimality makes the substitutions routable.
-    """
-    if not is_two_connected(g):
-        raise LinkageError("graph must be 2-connected")
-    bad = verify_witness(g, w, order)
-    if bad:
-        raise LinkageError(f"witness fails checks: {bad}")
-    proj = w.projection
-    rot = w.embedding.rotation
-    added = dict(w.added_edges)
-    seqs = list(resolve_orders(order))
-    faces = [w.embedding.face] + [f for f in rot.faces() if f != w.embedding.face]
-    for face in faces:
-        walk = rot.face_walk(proj, face)
-        if len(set(walk)) != len(walk):
-            continue
-        if not any(walk_contains_order(walk, seq) for seq in seqs):
-            continue
-        edge_ids = [e for e, _ in face]
-        jobs = []
-        keep: list[int] = []
-        ok = True
-        for pos, e in enumerate(edge_ids):
-            u, v = walk[pos], walk[(pos + 1) % len(walk)]
-            if e in added:
-                jobs.append((u, v, added[e]))
-            elif e in g.edge_id_set:
-                keep.append(e)
-            else:
-                ok = False
-                break
-        if not ok:
-            continue
-        routed = _route_through_sets(g, w.sets, jobs)
-        if routed is None:
-            continue
-        edges = set(keep)
-        for path in routed:
-            edges.update(VertexPath.from_vertices(g, path).edges)
-        cycle = Cycle.from_edge_set(g, frozenset(edges))
-        flat = [x for x in cycle.walk]
-        if any(walk_contains_order(tuple(flat), seq) for seq in seqs):
-            return cycle
-    raise LinkageError("no face of the witness yields a cycle in the graph")
-
-
-# ---------------------------------------------------------------------------
-# Lifting linkages through a projection
-# ---------------------------------------------------------------------------
-
-
-def lift_linkage(
-    g: MultiGraph,
-    w: ThreePlanarWitness,
-    projected: Linkage,
-    u1: int,
-    u2: int,
-    caps: Caps = DEFAULT_CAPS,
-) -> Linkage:
-    """Lift a projection linkage to the graph, same projection vertices.
-
-    The projected paths run v1 -> u1* and v2 -> u2*.  When u1 lies inside
-    a witness set, u1* must be one of that set's attachments and the
-    lifted path dives into the set; likewise for u2.  The lifted linkage
-    meets the projection exactly in the projected linkage's vertices.
-    """
-    proj = w.projection
-    v1, u1s = projected.first.ends
-    v2, u2s = projected.second.ends
-    bad = verify_linkage(proj, projected, v1, u1s, v2, u2s)
-    if bad:
-        raise LinkageError(f"projected linkage fails checks: {bad}")
-
-    def locate(u: int, target: int) -> int | None:
-        if u in proj.vertex_set:
-            if u != target:
-                raise LinkageError(
-                    f"vertex {u} is in the projection but the path ends at {target}"
-                )
-            return None
-        homes = [i for i, a in enumerate(w.sets) if u in a]
-        if not homes:
-            raise LinkageError(f"vertex {u} is in no witness set")
-        if target not in neighborhood(g, w.sets[homes[0]]):
-            raise LinkageError(
-                f"path end {target} is not an attachment of the set holding {u}"
-            )
-        return homes[0]
-
-    a1 = locate(u1, u1s)
-    a2 = locate(u2, u2s)
-    if a1 is not None and a1 == a2:
-        raise LinkageError("both endpoints lie in the same witness set")
-    if len({v1, v2, u1s, u2s}) != 4:
-        raise LinkageError("terminals must be four distinct vertices")
-    hit = projected.vertex_set()
-    allowed = set(hit)
-    for a in w.sets:
-        allowed |= a
-    proj_vertices = proj.vertex_set
-
-    def search(exact: bool) -> Linkage | None:
-        for p1 in _vertex_paths(g, v1, u1, allowed=frozenset(allowed - {v2, u2})):
-            if (set(p1) & proj_vertices) - hit:
-                continue
-            rest = frozenset(allowed - set(p1))
-            for p2 in _vertex_paths(g, v2, u2, allowed=rest):
-                if (set(p2) & proj_vertices) - hit:
-                    continue
-                if exact and (set(p1) | set(p2)) & proj_vertices != hit:
-                    continue
-                lifted = Linkage(
-                    VertexPath.from_vertices(g, p1), VertexPath.from_vertices(g, p2)
-                )
-                if not verify_linkage(g, lifted, v1, u1, v2, u2):
-                    return lifted
-        return None
-
-    # Prefer a lift meeting the projection in exactly the projected
-    # linkage's vertices.  When the projected path rides the added edge
-    # of the very set it must dive into, only the containment half
-    # (lift stays within the projected vertices) is achievable.
-    found = search(exact=True) or search(exact=False)
-    if found is None:
-        raise LinkageError("no lift exists; the witness is likely not minimal")
-    return found
-
-
-# ---------------------------------------------------------------------------
-# Hub cuts, separations, and pairwise-crossing orders
-# ---------------------------------------------------------------------------
-
-
-@dataclass(frozen=True)
-class HubCutCertificate:
-    """A 2-cut whose bridges isolate the given vertices pairwise."""
-
-    cut: tuple[int, int]
-    assignment: tuple[tuple[int, int], ...]  # (vertex, bridge index)
-    bridge_interiors: tuple[frozenset[int], ...]
-
-
-def hub_cut_analysis(
-    g: MultiGraph, x: int, y: int, vs: Sequence[int], caps: Caps = DEFAULT_CAPS
-) -> HubCutCertificate:
-    """Certify {x, y} as a 2-cut with each of vs in its own bridge.
-
-    Requires a 2-connected graph, at least three vs, and no (x-y, vi-vj)
-    linkage for any pair; the pair assertion is re-verified and a found
-    linkage is reported back.
-    """
-    vs = tuple(vs)
-    names = (x, y) + vs
-    if len(set(names)) != len(names):
-        raise LinkageError("hub vertices must be distinct")
-    if set(names) - g.vertex_set:
-        raise LinkageError("unknown vertices")
-    if not is_two_connected(g):
-        raise LinkageError("graph must be 2-connected")
-    for vi, vj in itertools.combinations(vs, 2):
-        link = _search_linkage(g, x, y, vi, vj, caps)
-        if link is not None:
-            raise LinkageFoundError(
-                f"a ({x}-{y}, {vi}-{vj}) linkage exists", link, (vi, vj)
-            )
-    if len(vs) < 3:
-        raise LinkageError("need at least three vertices besides the cut pair")
-    bridges = bridges_of_cut(g, {x, y})
-    if len(bridges) < 2:
-        raise LinkageError("internal: cut pair does not separate the graph")
-    assignment = []
-    used: dict[int, int] = {}
-    for v in vs:
-        home = next(i for i, b in enumerate(bridges) if v in b.interior)
-        if home in used.values():
-            raise LinkageError("internal: two vertices share a bridge")
-        used[v] = home
-        assignment.append((v, home))
-    return HubCutCertificate(
-        (x, y), tuple(assignment), tuple(b.interior for b in bridges)
-    )
-
-
-@dataclass(frozen=True)
-class TwoSeparation:
-    """Edge bipartition with a 2-vertex boundary and nonempty interiors."""
-
-    side1: frozenset[int]
-    side2: frozenset[int]
-    boundary: tuple[int, int]
-
-
-def verify_two_separation(g: MultiGraph, sep: TwoSeparation) -> tuple[str, ...]:
-    out = []
-    if sep.side1 | sep.side2 != g.edge_id_set or sep.side1 & sep.side2:
-        out.append("sides do not partition the edges")
-        return tuple(out)
-    for name, side in (("side1", sep.side1), ("side2", sep.side2)):
-        sub = g.subgraph(side)
-        if not sub.is_connected():
-            out.append(f"{name} is not connected")
-        other = g.subgraph(g.edge_id_set - side)
-        shared = sub.vertex_set & other.vertex_set
-        if shared != set(sep.boundary):
-            out.append(f"boundary of {name} is {sorted(shared)}")
-        if not sub.vertex_set - shared:
-            out.append(f"{name} has empty interior")
-    return tuple(out)
-
-
-def planar_or_2sep(
-    g: MultiGraph,
-    v1: int,
-    v2: int,
-    xs: Sequence[int],
-    ys: Sequence[int],
-    caps: Caps = DEFAULT_CAPS,
-) -> TwoSeparation | ThreePlanarWitness:
-    """Witness for order (v1, X, v2, Y), else a 2-separation.
-
-    When no (v1-v2, x-y) linkage exists for any x in X, y in Y, either
-    the four groups sit around one face of a projection, or a 2-cut
-    shelters some of X or Y away from everything else.  The witness is
-    preferred; the no-linkage assertion is re-verified first.
-    """
-    xset, yset = frozenset(xs), frozenset(ys)
-    if not xset or not yset:
-        raise LinkageError("X and Y must be nonempty")
-    if xset & yset or {v1, v2} & (xset | yset) or v1 == v2:
-        raise LinkageError("v1, v2, X, Y must be pairwise disjoint")
-    if (xset | yset | {v1, v2}) - g.vertex_set:
-        raise LinkageError("unknown vertices")
-    if not is_two_connected(g):
-        raise LinkageError("graph must be 2-connected")
-    for x in sorted(xset):
-        for y in sorted(yset):
-            link = _search_linkage(g, v1, v2, x, y, caps)
-            if link is not None:
-                raise LinkageFoundError(
-                    f"a ({v1}-{v2}, {x}-{y}) linkage exists", link, (x, y)
-                )
-    w = find_three_planar(g, (v1, xset, v2, yset), caps)
-    if w is not None:
-        return w
-    for a, b in itertools.combinations(sorted(g.vertex_set), 2):
-        bridges = bridges_of_cut(g, {a, b})
-        if len(bridges) < 2:
-            continue
-        for i, br in enumerate(bridges):
-            if {v1, v2} & br.interior:
-                continue
-            x_in = xset & br.interior
-            y_in = yset & br.interior
-            if (not x_in and y_in) or (not y_in and x_in):
-                side2 = frozenset(br.edges)
-                sep = TwoSeparation(g.edge_id_set - side2, side2, (a, b))
-                if not verify_two_separation(g, sep):
-                    return sep
-    raise LinkageError("internal: neither witness nor separation found")
-
-
-@dataclass(frozen=True)
-class PairOrderWitness:
-    """Pairs arranged in pairwise-crossing position around one face."""
-
-    permutation: tuple[int, ...]
-    swapped: tuple[bool, ...]
-    order: tuple[int, ...]
-    witness: ThreePlanarWitness
-
-
-def multi_pair_order(
-    g: MultiGraph,
-    pairs: Sequence[tuple[int, int]],
-    caps: Caps = DEFAULT_CAPS,
-) -> PairOrderWitness:
-    """Order mutually non-linkable pairs as crossing chords of one face.
-
-    Searches permutations and end swaps for an order listing all the
-    first ends then all the second ends; the first pair leads, which is
-    enough because rotating such an order is the same as moving one pair
-    to the front with its ends swapped.
-    """
-    pairs = [tuple(p) for p in pairs]
-    n = len(pairs)
-    flat = [v for p in pairs for v in p]
-    if len(set(flat)) != 2 * n:
-        raise LinkageError("pair vertices must be distinct")
-    if set(flat) - g.vertex_set:
-        raise LinkageError("unknown vertices")
-    if n < 2:
-        raise LinkageError("need at least two pairs")
-    if not is_two_connected(g):
-        raise LinkageError("graph must be 2-connected")
-    for i, j in itertools.combinations(range(n), 2):
-        link = _search_linkage(g, pairs[i][0], pairs[i][1], pairs[j][0], pairs[j][1], caps)
-        if link is not None:
-            raise LinkageFoundError(
-                f"a ({pairs[i][0]}-{pairs[i][1]}, {pairs[j][0]}-{pairs[j][1]}) "
-                "linkage exists",
-                link,
-                (i, j),
-            )
-    for tail in itertools.permutations(range(1, n)):
-        perm = (0,) + tail
-        for swaps in itertools.product((False, True), repeat=n):
-            xs = [pairs[p][1 if swaps[k] else 0] for k, p in enumerate(perm)]
-            ys = [pairs[p][0 if swaps[k] else 1] for k, p in enumerate(perm)]
-            order = tuple(xs + ys)
-            w = find_three_planar(g, order, caps)
-            if w is not None:
-                return PairOrderWitness(perm, tuple(swaps), order, w)
-    raise LinkageError("internal: no crossing order admits a witness")

@@ -3,9 +3,8 @@
 An unbalanced biased graph with no two vertex-disjoint unbalanced cycles
 either has a vertex meeting every unbalanced cycle or is tangled.  This
 module decides which, and recovers the finer blocking structure used by
-the classifier: blocking pairs, the standard partition of the edges at a
-blocking vertex, 2-balanced residues, and signatures certified by the
-even-intersection law.
+the classifier: blocking pairs and the standard partition of the edges at
+a blocking vertex.
 
 For signed bias the verdict uses switching (2-colouring) tests instead of
 the cycle list: the graph is balanced when it passes one, a vertex v
@@ -21,17 +20,13 @@ from __future__ import annotations
 from dataclasses import dataclass
 from itertools import combinations
 
-from .bias import BiasedGraph, Signed, cycles_inside, cycles_with, switching_balanced
+from .bias import BiasedGraph, Signed, switching_balanced
 from .graph import Cycle, cycles_by_length
 from .limits import DEFAULT_CAPS, Caps, ResourceLimitError
 
 
 class TangleError(ValueError):
     """A blocking-structure precondition or certified law failed."""
-
-    def __init__(self, message: str, cycle: Cycle | None = None):
-        super().__init__(message)
-        self.cycle = cycle
 
 
 @dataclass(frozen=True)
@@ -235,71 +230,3 @@ def standard_partition(
                 )
     parts.sort(key=min)
     return StandardPartition(v, tuple(frozenset(p) for p in parts))
-
-
-def is_2_balanced(
-    o: BiasedGraph,
-    base_edges: frozenset[int] | set[int],
-    f_set: frozenset[int] | set[int],
-    caps: Caps = DEFAULT_CAPS,
-) -> Cycle | None:
-    """None if every {e, f}-cycle for the base is balanced, else a witness.
-
-    An {e, f}-cycle uses both of e, f in f_set and otherwise only base
-    edges.  Singleton f_set is vacuously fine.
-    """
-    base = frozenset(base_edges)
-    fs = frozenset(f_set)
-    if base & fs:
-        raise TangleError("f_set overlaps the base subgraph")
-    for a, b in combinations(sorted(fs), 2):
-        for c in cycles_with(o, {a, b}, base, caps):
-            if not o.balance(c):
-                return c
-    return None
-
-
-def recover_signature(
-    o: BiasedGraph,
-    base_edges: frozenset[int] | set[int],
-    f_set: frozenset[int] | set[int],
-    caps: Caps = DEFAULT_CAPS,
-) -> frozenset[int]:
-    """Certify f_set as a signature over base + f_set and return it.
-
-    Requires: the base is a maximal balanced edge set, the graph has no
-    two vertex-disjoint unbalanced cycles, and f_set is 2-balanced for
-    the base.  Under those hypotheses every cycle inside base + f_set is
-    balanced exactly when it meets f_set in an even number of edges; the
-    law is verified cycle by cycle and any counterexample (only possible
-    when a precondition was violated) is reported.
-    """
-    g = o.graph
-    base = frozenset(base_edges)
-    fs = frozenset(f_set)
-    unknown = (base | fs) - g.edge_id_set
-    if unknown:
-        raise TangleError(f"unknown edges {sorted(unknown)}")
-    if base & fs:
-        raise TangleError("f_set overlaps the base subgraph")
-    for c in cycles_inside(o, base, caps):
-        if not o.balance(c):
-            raise TangleError(f"base is not balanced: cycle {c.key}", c)
-    for e in sorted(g.edge_id_set - base):
-        if all(o.balance(c) for c in cycles_with(o, {e}, base, caps)):
-            raise TangleError(f"base is not maximal: edge {e} extends it")
-    pair = find_disjoint_unbalanced_pair(o, caps)
-    if pair is not None:
-        raise TangleError(
-            f"two disjoint unbalanced cycles {pair[0].key} and {pair[1].key}"
-        )
-    bad = is_2_balanced(o, base, fs, caps)
-    if bad is not None:
-        raise TangleError(f"f_set is not 2-balanced: cycle {bad.key}", bad)
-    for c in cycles_inside(o, base | fs, caps):
-        even = len(c.edge_set & fs) % 2 == 0
-        if o.balance(c) != even:
-            raise TangleError(
-                f"even-intersection law fails on cycle {c.key}", c
-            )
-    return fs

@@ -15,7 +15,7 @@ from __future__ import annotations
 import itertools
 import random
 from itertools import combinations, permutations, product
-from typing import Iterable, Sequence
+from typing import Iterable, Iterator, Sequence
 
 from tanglekit.bias import BiasedGraph, BiasError
 from tanglekit.classify import (
@@ -41,7 +41,6 @@ from tanglekit.linkage import (
     LinkageError,
     ThreePlanarWitness,
     VertexPath,
-    _vertex_paths,
     _walk_vertices,
     find_three_planar,
     verify_linkage,
@@ -307,15 +306,18 @@ def _scan_cycles(g: MultiGraph, caps: Caps) -> tuple[frozenset[int], ...]:
     return tuple(found)
 
 
+ORACLE_VERTICES = 9  # the definitional scan enumerates every cycle
+
+
 def oracle_is_tangled(o: BiasedGraph, caps: Caps = DEFAULT_CAPS) -> TangleVerdict:
     """Tangledness verdict by definitional scan over every cycle.
 
     Independent of the main search: cycles come from a plain path
     enumeration here, disjointness and covers are checked pairwise and
-    per vertex.  Only usable up to ``caps.oracle_vertices`` vertices.
+    per vertex.  Only usable up to ``ORACLE_VERTICES`` vertices.
     """
-    if o.graph.n > caps.oracle_vertices:
-        raise ResourceLimitError("brute-force tangle oracle", caps.oracle_vertices)
+    if o.graph.n > ORACLE_VERTICES:
+        raise ResourceLimitError("brute-force tangle oracle", ORACLE_VERTICES)
     unbalanced: list[Cycle] = []
     for edges in _scan_cycles(o.graph, caps):
         c = Cycle.from_edge_set(o.graph, edges)
@@ -631,6 +633,33 @@ def oracle_validate_theta(
 # Copied unchanged: every s1-t1 path in depth-first order until an s2-t2
 # path avoids one, then the witness search over all deleted sets.
 # ---------------------------------------------------------------------------
+
+
+def _vertex_paths(
+    g: MultiGraph, s: int, t: int, banned: frozenset[int] = frozenset()
+) -> Iterator[tuple[int, ...]]:
+    """All simple (s, t) vertex paths avoiding `banned`, in depth-first order."""
+    live = g.vertex_set - banned
+    if s not in live or t not in live:
+        return
+    path = [s]
+    on_path = {s}
+
+    def step() -> Iterator[tuple[int, ...]]:
+        here = path[-1]
+        if here == t:
+            yield tuple(path)
+            return
+        for nxt in sorted(g.neighbors(here)):
+            if nxt in on_path or nxt not in live:
+                continue
+            path.append(nxt)
+            on_path.add(nxt)
+            yield from step()
+            path.pop()
+            on_path.remove(nxt)
+
+    yield from step()
 
 
 def _search_linkage(

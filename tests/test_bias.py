@@ -1,4 +1,4 @@
-"""Bias semantics: signing, theta validation, rerouting, completion, simplify."""
+"""Bias semantics: signing, theta validation, completion, simplify."""
 
 from __future__ import annotations
 
@@ -17,10 +17,11 @@ from tanglekit.bias import (
     BiasedGraph,
     BiasError,
     complete_bias,
+    cycles_inside,
+    cycles_with,
     is_simple,
     make_explicit,
     make_signed,
-    reroute,
     simplify,
     switch_signature,
     validate_biased_graph,
@@ -165,44 +166,6 @@ def test_foreign_cycle_rejected():
         make_explicit(g, [c5])
 
 
-# -- reroute ---------------------------------------------------------------------
-
-
-def test_reroute_in_k4():
-    g = k4()
-    t1 = Cycle.from_edge_set(g, {0, 1, 3})  # triangle 0-1-2
-    t2 = Cycle.from_edge_set(g, {0, 2, 4})  # triangle 0-1-3
-    r = reroute(g, t1, t2)
-    assert r.edge_set == frozenset({1, 2, 3, 4})  # 4-cycle avoiding edge 01
-    assert reroute(g, t2, t1) == r
-
-
-def test_reroute_theta_paths():
-    g = theta_graph()
-    cyc = enumerate_cycles(g)
-    a, b, c = cyc
-    assert reroute(g, a, b) == c
-    assert reroute(g, a, c) == b
-
-
-def test_reroute_rejects_disjoint_cycles():
-    g = MultiGraph.from_pairs([(0, 1), (1, 2), (2, 0), (3, 4), (4, 5), (5, 3)])
-    cyc = enumerate_cycles(g)
-    with pytest.raises(GraphError):
-        reroute(g, cyc[0], cyc[1])
-
-
-def test_reroute_rejects_double_crossing():
-    # two 4-cycles meeting in two opposite edges: union is not a theta
-    g = MultiGraph.build(
-        range(4), [(0, 0, 1), (1, 1, 2), (2, 2, 3), (3, 3, 0), (4, 1, 2), (5, 3, 0)]
-    )
-    c1 = Cycle.from_edge_set(g, {0, 1, 2, 3})
-    c2 = Cycle.from_edge_set(g, {0, 4, 2, 5})
-    with pytest.raises(GraphError):
-        reroute(g, c1, c2)
-
-
 @settings(max_examples=30, deadline=None)
 @given(st.integers(0, 10 ** 9))
 def test_rerouting_along_balanced_preserves_bias(seed):
@@ -210,19 +173,29 @@ def test_rerouting_along_balanced_preserves_bias(seed):
     g = random_multigraph(rng, max_n=6, max_extra=4)
     sig = {e for e in g.edge_ids if rng.random() < 0.4}
     o = make_signed(g, sig)
-    from tanglekit.graph import enumerate_theta_subgraphs
-
     for t in enumerate_theta_subgraphs(g):
         flags = sorted(o.balance(c) for c in t.cycles)
         # theta property: never exactly two balanced; with one balanced the
         # other two share a bias
         assert flags != [False, True, True]
-        if flags == [False, False, True]:
-            bal = next(c for c in t.cycles if o.balance(c))
-            unb = [c for c in t.cycles if not o.balance(c)]
-            # rerouting along the balanced cycle swaps the unbalanced pair
-            assert reroute(g, unb[0], bal) == unb[1]
-            assert reroute(g, unb[1], bal) == unb[0]
+
+
+def test_cycles_with_and_inside_filter_by_edges():
+    # K4 with the quad 0-1-2-3 and one diagonal quad balanced: the two
+    # quads through both diagonals over the base disagree in bias
+    g = k4()
+    quads = {c.edge_set: c for c in enumerate_cycles(g) if len(c) == 4}
+    base = frozenset({0, 2, 3, 5})
+    o = make_explicit(g, [quads[base], quads[frozenset({1, 2, 3, 4})]])
+    assert cycles_inside(o, base) == (quads[base],)
+    both = cycles_with(o, {1, 4}, base)
+    assert {c.edge_set for c in both} == {frozenset({0, 1, 4, 5}), frozenset({1, 2, 3, 4})}
+    assert [c.edge_set for c in both if not o.balance(c)] == [frozenset({0, 1, 4, 5})]
+    # one diagonal over the base closes its two triangles
+    assert {c.edge_set for c in cycles_with(o, {1}, base)} == {frozenset({0, 1, 3}), frozenset({1, 2, 5})}
+    assert len(cycles_with(o, {1})) == 4
+    for c in enumerate_cycles(g):
+        assert (c in cycles_with(o, {0, 5})) == ({0, 5} <= c.edge_set)
 
 
 # -- complete_bias ----------------------------------------------------------------

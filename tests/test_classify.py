@@ -12,6 +12,7 @@ import tanglekit.classify as classify_module
 from tanglekit.classify import (
     _PLACEMENTS,
     _detect_generalized_wheel,
+    _detect_pp_signed,
     _detect_special_pair,
     _detect_special_vertex,
     _detect_tricoloured,
@@ -288,6 +289,27 @@ def test_special_vertex_search_stops_at_its_cap():
         _detect_special_vertex(o, Caps(max_assignments=0), msets)
     assert err.value.stage == "special-vertex search"
     assert _detect_special_vertex(o, Caps(max_assignments=1), msets) is not None
+
+
+def test_pairing_search_stops_at_its_cap():
+    # the first boundary pairing tried verifies, so one ordering is enough
+    d = pp_signed(6)
+    o = build_family(d)
+    msets = _maximal_balanced_sets(o)
+    with pytest.raises(ResourceLimitError) as err:
+        _detect_pp_signed(o, Caps(max_assignments=0), msets)
+    assert err.value.stage == "planar boundary pairing search"
+    hit = _detect_pp_signed(o, Caps(max_assignments=1), msets)
+    assert hit is not None and hit[0].kind == "PPSigned"
+    assert verify_family(o, hit[0]).passed
+
+
+def test_decompose_stops_at_the_vertex_cut_cap():
+    o = build_family(pp_signed(6))
+    with pytest.raises(ResourceLimitError) as err:
+        decompose(o, Caps(max_subsets=20))
+    assert err.value.stage == "find_vertex_cuts"
+    assert decompose(o, Caps(max_subsets=100)).verify(o) == ()
 
 
 # -- inputs that used to fail ------------------------------------------------------

@@ -17,7 +17,6 @@ from tanglekit.graph import (
     enumerate_cycles,
     enumerate_theta_subgraphs,
     find_vertex_cuts,
-    is_k_connected,
     is_two_connected,
 )
 from tanglekit.limits import Caps, ResourceLimitError
@@ -188,8 +187,6 @@ def test_shared_edge_cut():
 
 def test_k4_no_small_cuts():
     assert find_vertex_cuts(k4(), 2) == ()
-    assert is_k_connected(k4(), 3)
-    assert not is_k_connected(k4(), 4)
 
 
 def test_cut_minimality():
@@ -281,3 +278,27 @@ def test_build_validation():
         MultiGraph.build([0], [(0, 0, 1)])
     with pytest.raises(GraphError):
         MultiGraph.build([0, 1], [(0, 0, 1), (0, 1, 0)])
+
+
+def _scan_edges_between(g: MultiGraph, u: int, v: int) -> tuple[int, ...]:
+    """Every edge whose endpoints are {u, v}, by a scan in edge-id order."""
+    want = sorted((u, v))
+    return tuple(e for e in g.edge_ids if sorted(g.endpoints(e)) == want)
+
+
+def test_edges_between_matches_a_full_scan():
+    rng = random.Random("edges between")
+    for _ in range(200):
+        base = random_multigraph(rng, max_n=6, max_extra=8, allow_loops=True)
+        # sparse, shuffled edge ids, and one isolated vertex
+        ids = rng.sample(range(3 * base.m + 1), base.m)
+        rows = [(i, *base.endpoints(e)) for i, e in zip(ids, base.edge_ids)]
+        g = MultiGraph.build([*base.vertices, base.n], rows)
+        probe = [*g.vertices, g.n + 5]  # the last id is no vertex
+        for u in probe:
+            for v in probe:
+                assert g.edges_between(u, v) == _scan_edges_between(g, u, v)
+    g = MultiGraph.from_pairs([(0, 1), (1, 0), (1, 1), (1, 2), (0, 1), (1, 1)])
+    assert g.edges_between(1, 0) == g.edges_between(0, 1) == (0, 1, 4)
+    assert g.edges_between(1, 1) == (2, 5)
+    assert g.edges_between(0, 2) == ()

@@ -1,4 +1,4 @@
-"""Linkage search, planarity witnesses, and the derived routing lemmas."""
+"""Linkage search and three-planar witnesses."""
 
 from __future__ import annotations
 
@@ -15,24 +15,15 @@ from tanglekit.limits import DEFAULT_CAPS, Caps, ResourceLimitError
 from tanglekit.linkage import (
     Linkage,
     LinkageError,
-    LinkageFoundError,
     ThreePlanarWitness,
-    TwoSeparation,
     VertexPath,
     _attempt_witness,
     _fan_cut_part,
-    cycle_through,
     find_linkage,
     find_three_planar,
-    hub_cut_analysis,
-    lift_linkage,
-    minimalize,
-    multi_pair_order,
     neighborhood,
-    planar_or_2sep,
     project,
     verify_linkage,
-    verify_two_separation,
     verify_witness,
 )
 
@@ -335,272 +326,51 @@ def test_verify_witness_flags_required_vertex_inside_set():
 
 
 # ---------------------------------------------------------------------------
-# minimalize
+# find_three_planar on set-valued and arbitrary orders
 # ---------------------------------------------------------------------------
 
 
-def test_minimalize_keeps_empty_and_singleton_sets():
+def theta_graph() -> MultiGraph:
+    """Three paths 0-2-1, 0-5-1 and 0-3-1."""
+    return MultiGraph.from_pairs([(0, 2), (2, 1), (0, 5), (5, 1), (0, 3), (3, 1)])
+
+
+def test_three_planar_set_entries_on_c4():
     g = c4()
-    w = _attempt_witness(g, (), (0, 1, 2, 3), DEFAULT_CAPS)
-    assert minimalize(g, w).sets == ()
-    g2 = c4_plus_b()
-    w2 = _attempt_witness(g2, (frozenset({4}),), (0, 1, 2, 3), DEFAULT_CAPS)
-    assert minimalize(g2, w2).sets == (frozenset({4}),)
+    order = (0, frozenset({1}), 2, frozenset({3}))
+    w = find_three_planar(g, order)
+    assert w is not None and w.sets == ()
+    assert verify_witness(g, w, order) == ()
 
 
-def test_minimalize_splits_separable_components():
-    g = MultiGraph.from_pairs(
-        [(0, 1), (1, 2), (2, 3), (3, 0), (4, 0), (4, 1), (5, 0), (5, 1)]
-    )
-    w = _attempt_witness(g, (frozenset({4, 5}),), (0, 1, 2, 3), DEFAULT_CAPS)
-    assert w is not None
-    mw = minimalize(g, w, (0, 1, 2, 3))
-    assert mw.sets == (frozenset({4}), frozenset({5}))
-    assert verify_witness(g, mw, (0, 1, 2, 3)) == ()
+def test_three_planar_set_entries_on_theta():
+    theta = theta_graph()
+    order = (0, frozenset({2}), 1, frozenset({5}))
+    w = find_three_planar(theta, order)
+    assert w is not None and verify_witness(theta, w, order) == ()
+    # every face of the theta holds two of its three middle vertices
+    assert find_three_planar(theta, (0, frozenset({2}), 1, frozenset({5, 3}))) is None
+    w = find_three_planar(theta, (0, frozenset({2, 3}), 1, frozenset({5})))
+    assert w is None
 
 
-def test_minimalize_leaves_connected_pair_alone():
-    """A two-vertex set joined by an edge has no nonadjacent refinement."""
-    g = handle_c5()
-    w = _attempt_witness(g, (frozenset({4, 5}),), (0, 2, 6, 1, 3), DEFAULT_CAPS)
-    assert minimalize(g, w).sets == (frozenset({4, 5}),)
-
-
-# ---------------------------------------------------------------------------
-# cycle_through
-# ---------------------------------------------------------------------------
-
-
-def test_cycle_through_face_already_in_graph():
-    g = c4()
-    w = _attempt_witness(g, (), (0, 1, 2, 3), DEFAULT_CAPS)
-    cyc = cycle_through(g, w, (0, 1, 2, 3))
-    assert cyc.edge_set == g.edge_id_set
-
-
-def test_cycle_through_c4_plus_b():
-    g = c4_plus_b()
-    w = _attempt_witness(g, (frozenset({4}),), (0, 1, 2, 3), DEFAULT_CAPS)
-    cyc = cycle_through(g, w, (0, 1, 2, 3))
-    assert cyc.vertex_set == {0, 1, 2, 3}
-
-
-def test_cycle_through_substitutes_projection_edge():
-    g = handle_c5()
-    w = _attempt_witness(g, (frozenset({4, 5}),), (0, 2, 6, 1), DEFAULT_CAPS)
-    cyc = cycle_through(g, w, (0, 2, 6, 1))
-    assert cyc.vertex_set == {0, 2, 6, 1, 5, 4}
-    assert cyc.walk in ((0, 2, 6, 1, 5, 4), (0, 4, 5, 1, 6, 2))
-
-
-def test_cycle_through_requires_two_connected():
-    g = MultiGraph.from_pairs([(0, 1), (1, 2), (2, 0), (2, 3), (3, 4), (4, 2)])
-    w = find_three_planar(g, (0, 1, 2))
+def test_three_planar_rejects_unknown_order_vertices():
     with pytest.raises(LinkageError):
-        cycle_through(g, w, (0, 1, 2))
-
-
-# ---------------------------------------------------------------------------
-# lift_linkage
-# ---------------------------------------------------------------------------
-
-
-def test_lift_identity_when_no_sets():
-    g = c4()
-    w = _attempt_witness(g, (), (0, 1, 2, 3), DEFAULT_CAPS)
-    pl = Linkage(
-        VertexPath.from_vertices(g, (0, 1)), VertexPath.from_vertices(g, (3, 2))
-    )
-    lf = lift_linkage(g, w, pl, 1, 2)
-    assert lf.first.vertices == (0, 1)
-    assert lf.second.vertices == (3, 2)
-
-
-def test_lift_extends_into_two_attachment_set():
-    g = handle_c5()
-    w = _attempt_witness(g, (frozenset({4, 5}),), (0, 2, 6, 1, 3), DEFAULT_CAPS)
-    proj = w.projection
-    # projected paths use only original edges; the lift dives in exactly
-    pl = Linkage(
-        VertexPath.from_vertices(proj, (3, 0)),
-        VertexPath.from_vertices(proj, (2, 6)),
-    )
-    lf = lift_linkage(g, w, pl, 5, 6)
-    assert lf.first.vertices == (3, 0, 4, 5)
-    assert lf.second.vertices == (2, 6)
-    assert verify_linkage(g, lf, 3, 5, 2, 6) == ()
-
-
-def test_lift_through_added_edge_keeps_containment():
-    """Riding the set's own projection edge forfeits the exact-hit half."""
-    g = handle_c5()
-    w = _attempt_witness(g, (frozenset({4, 5}),), (0, 2, 6, 1, 3), DEFAULT_CAPS)
-    proj = w.projection
-    pl = Linkage(
-        VertexPath.from_vertices(proj, (0, 1)),
-        VertexPath.from_vertices(proj, (2, 6)),
-    )
-    lf = lift_linkage(g, w, pl, 5, 6)
-    assert verify_linkage(g, lf, 0, 5, 2, 6) == ()
-    assert (lf.vertex_set() & proj.vertex_set) <= pl.vertex_set()
-
-
-def test_lift_both_ends_in_three_attachment_sets():
-    g = MultiGraph.from_pairs(
-        [(1, 2), (2, 3), (3, 4), (4, 5), (5, 6), (6, 1),
-         (7, 1), (7, 2), (7, 3), (8, 4), (8, 5), (8, 6)]
-    )
-    w = _attempt_witness(
-        g, (frozenset({7}), frozenset({8})), (1, 2, 3, 4, 5, 6), DEFAULT_CAPS
-    )
-    assert w.facial_triangles == (frozenset({1, 2, 3}), frozenset({4, 5, 6}))
-    proj = w.projection
-    pl = Linkage(
-        VertexPath.from_vertices(proj, (1, 2, 3)),
-        VertexPath.from_vertices(proj, (4, 5, 6)),
-    )
-    lf = lift_linkage(g, w, pl, 7, 8)
-    assert lf.first.vertices == (1, 2, 3, 7)
-    assert lf.second.vertices == (4, 5, 6, 8)
-
-
-def test_lift_rejects_same_set_endpoints():
-    g = handle_c5()
-    w = _attempt_witness(g, (frozenset({4, 5}),), (0, 2, 6, 1, 3), DEFAULT_CAPS)
-    proj = w.projection
-    pl = Linkage(
-        VertexPath.from_vertices(proj, (3, 0)),
-        VertexPath.from_vertices(proj, (2, 6, 1)),
-    )
-    with pytest.raises(LinkageError):
-        lift_linkage(g, w, pl, 4, 5)
-
-
-# ---------------------------------------------------------------------------
-# hub_cut_analysis
-# ---------------------------------------------------------------------------
-
-
-def test_hub_cut_star_of_triangles():
-    g = MultiGraph.from_pairs(
-        [(0, 1), (0, 2), (1, 2), (0, 3), (1, 3), (0, 4), (1, 4)]
-    )
-    cert = hub_cut_analysis(g, 0, 1, [2, 3, 4])
-    assert cert.cut == (0, 1)
-    homes = dict(cert.assignment)
-    assert sorted(homes) == [2, 3, 4]
-    assert len(set(homes.values())) == 3
-
-
-def test_hub_cut_reports_found_linkage():
-    with pytest.raises(LinkageFoundError) as exc:
-        hub_cut_analysis(k4(), 0, 1, [2, 3])
-    assert exc.value.pair == (2, 3)
-    assert verify_linkage(k4(), exc.value.linkage, 0, 1, 2, 3) == ()
-
-
-def test_hub_cut_book_graph():
-    """Four triangular pages glued along one spine edge."""
-    pairs = [(0, 1)]
-    for apex in (2, 3, 4, 5):
-        pairs += [(0, apex), (1, apex)]
-    g = MultiGraph.from_pairs(pairs)
-    cert = hub_cut_analysis(g, 0, 1, [2, 3, 4, 5])
-    assert len(cert.bridge_interiors) == 4
-    assert len(dict(cert.assignment)) == 4
-
-
-# ---------------------------------------------------------------------------
-# planar_or_2sep
-# ---------------------------------------------------------------------------
-
-
-def test_planar_or_2sep_c4_opposite():
-    g = c4()
-    got = planar_or_2sep(g, 0, 2, [1], [3])
-    assert isinstance(got, ThreePlanarWitness)
-    assert verify_witness(g, got, (0, frozenset({1}), 2, frozenset({3}))) == ()
-
-
-def test_planar_or_2sep_singletons_always_witness():
-    theta = MultiGraph.from_pairs([(0, 2), (2, 1), (0, 5), (5, 1), (0, 3), (3, 1)])
-    got = planar_or_2sep(theta, 0, 1, [2], [5])
-    assert isinstance(got, ThreePlanarWitness)
-
-
-def test_planar_or_2sep_theta_forces_separation():
-    """Three parallel paths: no face carries one X vertex and two Y ones."""
-    theta = MultiGraph.from_pairs([(0, 2), (2, 1), (0, 5), (5, 1), (0, 3), (3, 1)])
-    got = planar_or_2sep(theta, 0, 1, [2], [5, 3])
-    assert isinstance(got, TwoSeparation)
-    assert verify_two_separation(theta, got) == ()
-    assert got.boundary == (0, 1)
-    inner = theta.subgraph(got.side2).vertex_set - set(got.boundary)
-    assert inner == {2} or inner <= {5, 3}
-
-
-def test_planar_or_2sep_reports_linkage():
-    with pytest.raises(LinkageFoundError):
-        planar_or_2sep(k4(), 0, 1, [2], [3])
-
-
-def test_planar_or_2sep_rejects_overlapping_groups():
-    with pytest.raises(LinkageError):
-        planar_or_2sep(c4(), 0, 2, [1], [1])
-
-
-# ---------------------------------------------------------------------------
-# multi_pair_order
-# ---------------------------------------------------------------------------
-
-
-def test_multi_pair_order_two_pairs_matches_find_linkage():
-    g = c4()
-    pw = multi_pair_order(g, [(0, 2), (1, 3)])
-    assert pw.order == (0, 1, 2, 3)
-    assert verify_witness(g, pw.witness, pw.order) == ()
-
-
-def test_multi_pair_order_c6_natural_order():
-    g = MultiGraph.from_pairs([(0, 1), (1, 2), (2, 3), (3, 4), (4, 5), (5, 0)])
-    pw = multi_pair_order(g, [(0, 3), (1, 4), (2, 5)])
-    assert pw.order == (0, 1, 2, 3, 4, 5)
-    assert pw.permutation == (0, 1, 2)
-    assert pw.swapped == (False, False, False)
-
-
-def test_multi_pair_order_needs_reordering():
-    """Same three pairs listed shuffled still land on the C6 face."""
-    g = MultiGraph.from_pairs([(0, 1), (1, 2), (2, 3), (3, 4), (4, 5), (5, 0)])
-    pw = multi_pair_order(g, [(0, 3), (5, 2), (1, 4)])
-    assert verify_witness(g, pw.witness, pw.order) == ()
-    walk = pw.witness.embedding.order
-    assert set(walk) == {0, 1, 2, 3, 4, 5}
-
-
-def test_multi_pair_order_reports_linkage():
-    with pytest.raises(LinkageFoundError):
-        multi_pair_order(k4(), [(0, 1), (2, 3)])
+        find_three_planar(c4(), (0, frozenset({1, 9}), 2))
 
 
 @settings(max_examples=40, deadline=None)
 @given(st.integers(0, 10**9))
-def test_multi_pair_order_random_no_linkage_instances(seed):
-    """Chorded cycles usually carry some non-linkable quadruple."""
+def test_three_planar_exactly_when_chorded_cycle_is_not_linked(seed):
+    """On chorded cycles a witness for (s1, s2, t1, t2) exists iff no linkage does."""
     rng = random.Random(seed)
     n = rng.randint(4, 7)
     rim = [(i, (i + 1) % n) for i in range(n)]
     for _ in range(rng.randint(0, 2)):
         rim.append(tuple(rng.sample(range(n), 2)))
     g = MultiGraph.from_pairs(rim)
-    found = next(
-        (
-            quad
-            for quad in itertools.permutations(range(n), 4)
-            if disjoint_path_pair(g, *quad) is None
-        ),
-        None,
-    )
-    assume(found is not None)
-    pw = multi_pair_order(g, [(found[0], found[1]), (found[2], found[3])])
-    assert verify_witness(g, pw.witness, pw.order) == ()
+    s1, t1, s2, t2 = rng.sample(range(n), 4)
+    w = find_three_planar(g, (s1, s2, t1, t2))
+    assert (w is None) == (disjoint_path_pair(g, s1, t1, s2, t2) is not None)
+    if w is not None:
+        assert verify_witness(g, w, (s1, s2, t1, t2)) == ()

@@ -1,0 +1,54 @@
+"""Every private module-level name in the library is used by the library.
+
+A helper that only its own tests reach is dead weight: this test fails as
+soon as one is left behind, whatever the tests import.
+"""
+
+from __future__ import annotations
+
+import ast
+from pathlib import Path
+
+SRC = Path(__file__).resolve().parent.parent / "src" / "tanglekit"
+
+
+def _private_definitions(tree: ast.Module) -> list[tuple[str, ast.stmt]]:
+    """Module-level (name, defining statement) pairs for names starting with _."""
+    out = []
+    for node in tree.body:
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+            names = [node.name]
+        elif isinstance(node, ast.Assign):
+            names = [t.id for t in node.targets if isinstance(t, ast.Name)]
+        elif isinstance(node, ast.AnnAssign) and isinstance(node.target, ast.Name):
+            names = [node.target.id]
+        else:
+            continue
+        out += [(n, node) for n in names if n.startswith("_") and not n.endswith("__")]
+    return out
+
+
+def _uses(node: ast.AST) -> set[str]:
+    """Names read, attributes taken and names imported anywhere in node."""
+    found: set[str] = set()
+    for sub in ast.walk(node):
+        if isinstance(sub, ast.Name) and not isinstance(sub.ctx, ast.Store):
+            found.add(sub.id)
+        elif isinstance(sub, ast.Attribute):
+            found.add(sub.attr)
+        elif isinstance(sub, ast.alias):
+            found.add(sub.name)
+    return found
+
+
+def test_every_private_module_name_is_used_by_the_library():
+    trees = [ast.parse(p.read_text(), filename=str(p)) for p in sorted(SRC.glob("*.py"))]
+    # the names each top-level statement of the library uses
+    uses = [(stmt, _uses(stmt)) for tree in trees for stmt in tree.body]
+    unused = [
+        name
+        for tree in trees
+        for name, node in _private_definitions(tree)
+        if not any(name in names for stmt, names in uses if stmt is not node)
+    ]
+    assert unused == []

@@ -1,4 +1,4 @@
-"""Blocking structure: verdicts, partitions, 2-balanced sets, signatures."""
+"""Blocking structure: verdicts, partitions, signatures."""
 
 from __future__ import annotations
 
@@ -10,20 +10,18 @@ from hypothesis import assume, given, settings, strategies as st
 
 from tanglekit.graph import MultiGraph, enumerate_cycles
 from tanglekit.bias import AllUnbalanced, BiasedGraph, Signed, make_explicit, make_signed, simplify
+from tanglekit.classify import _maximal_balanced_sets
 from tanglekit.families import build_family, describe_pp_signed
 from tanglekit.tangles import (
     Balanced,
     HasBlockingVertex,
-    StandardPartition,
     Tangled,
     TangleError,
     TwoDisjointUnbalanced,
     blocking_pairs,
     blocking_vertices,
     find_disjoint_unbalanced_pair,
-    is_2_balanced,
     is_tangled,
-    recover_signature,
     standard_partition,
 )
 
@@ -243,89 +241,12 @@ def test_partition_relation_is_transitive(seed):
         assert not (sp.parts[s] & sp.parts[t])
 
 
-# -- 2-balanced sets ---------------------------------------------------------------
-
-
-def _k4_mixed_diagonal_bias():
-    # base quad balanced, one diagonal quad balanced, the other quad and
-    # all triangles unbalanced; a valid bias where {f1, f2}-cycles disagree
-    g = k4()
-    quads = [c for c in enumerate_cycles(g) if len(c) == 4]
-    basec = next(c for c in quads if c.edge_set == frozenset({0, 2, 3, 5}))
-    diag = next(c for c in quads if c.edge_set == frozenset({1, 2, 3, 4}))
-    return make_explicit(g, [basec, diag]), frozenset({0, 2, 3, 5})
-
-
-def test_mixed_diagonal_pair_not_2_balanced():
-    o, base = _k4_mixed_diagonal_bias()
-    viol = is_2_balanced(o, base, {1, 4})
-    assert viol is not None and viol.edge_set == frozenset({0, 1, 4, 5})
-
-
-def test_singleton_f_set_vacuously_2_balanced():
-    o, base = _k4_mixed_diagonal_bias()
-    assert is_2_balanced(o, base, {1}) is None
-
-
-def test_2_balanced_overlap_rejected():
-    o, base = _k4_mixed_diagonal_bias()
-    with pytest.raises(TangleError, match="overlaps"):
-        is_2_balanced(o, base, {0, 1})
-
-
-def test_signature_residue_always_2_balanced():
-    # two f-edges of a signature meet every common cycle twice
-    g = MultiGraph.from_pairs([(0, 1), (1, 2), (2, 3), (3, 0), (0, 2), (1, 3)])
-    o = make_signed(g, {4, 5})
-    assert is_2_balanced(o, {0, 1, 2, 3}, {4, 5}) is None
-
-
-# -- signature recovery -------------------------------------------------------------
-
-
-def test_recover_chord_signature():
-    g = MultiGraph.from_pairs([(0, 1), (1, 2), (2, 3), (3, 0), (0, 2)])
-    o = make_signed(g, {4})
-    assert recover_signature(o, {0, 1, 2, 3}, {4}) == frozenset({4})
-
-
-def test_recover_rejects_non_maximal_base():
-    g = MultiGraph.from_pairs([(0, 1), (1, 2), (2, 3), (3, 0), (0, 2)])
-    o = make_signed(g, set())
-    with pytest.raises(TangleError, match="not maximal"):
-        recover_signature(o, {0, 1, 2, 3}, {4})
-
-
-def test_recover_rejects_unbalanced_base():
-    g = MultiGraph.from_pairs([(0, 1), (1, 2), (2, 3), (3, 0), (0, 2)])
-    o = make_signed(g, {0, 4})
-    with pytest.raises(TangleError, match="not balanced"):
-        recover_signature(o, {0, 1, 2, 3}, {4})
-
-
-def test_recover_rejects_non_2_balanced_f_set():
-    o, base = _k4_mixed_diagonal_bias()
-    with pytest.raises(TangleError, match="not 2-balanced") as exc:
-        recover_signature(o, base, {1, 4})
-    assert exc.value.cycle is not None
-
-
-def test_recover_rejects_disjoint_unbalanced_pair():
-    # two unbalanced triangles joined by a long path
-    g = MultiGraph.from_pairs(
-        [(0, 1), (1, 2), (2, 0), (3, 4), (4, 5), (5, 3), (2, 3)]
-    )
-    o = make_signed(g, {0, 3})
-    base = frozenset(g.edge_ids) - {0, 3}
-    with pytest.raises(TangleError, match="disjoint unbalanced"):
-        recover_signature(o, base, {0, 3})
-
-
 @settings(max_examples=40, deadline=None)
 @given(st.integers(0, 10 ** 9))
 def test_recovered_signature_obeys_parity_law(seed):
     # signature off a spanning tree: the complement of the signature is a
-    # maximal balanced subgraph and the signature is 2-balanced for it
+    # maximal balanced edge set, so the signature is recovered as the
+    # complement of one, and a cycle is balanced iff it meets it evenly
     rng = random.Random(seed)
     g = random_multigraph(rng, max_n=6, max_extra=5)
     tree = set(g.spanning_tree_edges())
@@ -336,7 +257,7 @@ def test_recovered_signature_obeys_parity_law(seed):
     o = make_signed(g, sig)
     assume(find_disjoint_unbalanced_pair(o) is None)
     base = frozenset(g.edge_ids) - sig
-    assert recover_signature(o, base, sig) == frozenset(sig)
+    assert base in _maximal_balanced_sets(o)
     for c in o.cycles():
         assert o.balance(c) == (len(c.edge_set & sig) % 2 == 0)
 
