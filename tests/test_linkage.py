@@ -326,7 +326,56 @@ def test_verify_witness_flags_required_vertex_inside_set():
 
 
 # ---------------------------------------------------------------------------
-# find_three_planar on set-valued and arbitrary orders
+# Witness sets
+# ---------------------------------------------------------------------------
+
+
+def test_minimalize_keeps_empty_and_singleton_sets():
+    """Witnesses keep the sets they are built from: none, or one singleton."""
+    g = c4()
+    w = _attempt_witness(g, (), (0, 1, 2, 3), DEFAULT_CAPS)
+    assert w.sets == ()
+    g2 = c4_plus_b()
+    w2 = _attempt_witness(g2, (frozenset({4}),), (0, 1, 2, 3), DEFAULT_CAPS)
+    assert w2.sets == (frozenset({4}),)
+    assert verify_witness(g2, w2, (0, 1, 2, 3)) == ()
+
+
+def test_minimalize_splits_separable_components():
+    """Two nonadjacent fan vertices certify as one set or as two."""
+    g = MultiGraph.from_pairs(
+        [(0, 1), (1, 2), (2, 3), (3, 0), (4, 0), (4, 1), (5, 0), (5, 1)]
+    )
+    order = (0, 1, 2, 3)
+    w = _attempt_witness(g, (frozenset({4, 5}),), order, DEFAULT_CAPS)
+    assert w is not None and verify_witness(g, w, order) == ()
+    split = _attempt_witness(g, (frozenset({4}), frozenset({5})), order, DEFAULT_CAPS)
+    assert split.sets == (frozenset({4}), frozenset({5}))
+    assert verify_witness(g, split, order) == ()
+
+
+def test_minimalize_leaves_connected_pair_alone():
+    """A set joined by an edge certifies whole; split, its halves are adjacent."""
+    g = handle_c5()
+    order = (0, 2, 6, 1, 3)
+    w = _attempt_witness(g, (frozenset({4, 5}),), order, DEFAULT_CAPS)
+    assert w.sets == (frozenset({4, 5}),)
+    assert verify_witness(g, w, order) == ()
+    split = _attempt_witness(g, (frozenset({4}), frozenset({5})), order, DEFAULT_CAPS)
+    assert "sets 0 and 1 are adjacent" in verify_witness(g, split, order)
+
+
+def test_cycle_through_face_already_in_graph():
+    """With no sets, the ordered face of C4 is C4 itself."""
+    g = c4()
+    w = _attempt_witness(g, (), (0, 1, 2, 3), DEFAULT_CAPS)
+    assert w.added_edges == ()
+    assert w.embedding.order == (0, 1, 2, 3)
+    assert {e for e, _ in w.embedding.face} == g.edge_id_set
+
+
+# ---------------------------------------------------------------------------
+# find_three_planar on set-valued orders
 # ---------------------------------------------------------------------------
 
 
@@ -335,7 +384,7 @@ def theta_graph() -> MultiGraph:
     return MultiGraph.from_pairs([(0, 2), (2, 1), (0, 5), (5, 1), (0, 3), (3, 1)])
 
 
-def test_three_planar_set_entries_on_c4():
+def test_planar_or_2sep_c4_opposite():
     g = c4()
     order = (0, frozenset({1}), 2, frozenset({3}))
     w = find_three_planar(g, order)
@@ -343,15 +392,30 @@ def test_three_planar_set_entries_on_c4():
     assert verify_witness(g, w, order) == ()
 
 
-def test_three_planar_set_entries_on_theta():
+def test_planar_or_2sep_singletons_always_witness():
     theta = theta_graph()
     order = (0, frozenset({2}), 1, frozenset({5}))
     w = find_three_planar(theta, order)
     assert w is not None and verify_witness(theta, w, order) == ()
-    # every face of the theta holds two of its three middle vertices
+
+
+def test_planar_or_2sep_theta_forces_separation():
+    """Three parallel paths: no face carries one X vertex and two Y ones."""
+    theta = theta_graph()
     assert find_three_planar(theta, (0, frozenset({2}), 1, frozenset({5, 3}))) is None
-    w = find_three_planar(theta, (0, frozenset({2, 3}), 1, frozenset({5})))
-    assert w is None
+    assert find_three_planar(theta, (0, frozenset({2, 3}), 1, frozenset({5}))) is None
+    # {0, 1} separates the three middle vertices from one another
+    parts = theta.delete_vertices([0, 1]).components()
+    assert sorted(sorted(p) for p in parts) == [[2], [3], [5]]
+
+
+def test_planar_or_2sep_reports_linkage():
+    """K4 has no witness for (0, {2}, 1, {3}) because it links 0-1 and 2-3."""
+    g = k4()
+    assert find_three_planar(g, (0, frozenset({2}), 1, frozenset({3}))) is None
+    got = find_linkage(g, 0, 1, 2, 3)
+    assert isinstance(got, Linkage)
+    assert verify_linkage(g, got, 0, 1, 2, 3) == ()
 
 
 def test_three_planar_rejects_unknown_order_vertices():
@@ -359,9 +423,68 @@ def test_three_planar_rejects_unknown_order_vertices():
         find_three_planar(c4(), (0, frozenset({1, 9}), 2))
 
 
+# ---------------------------------------------------------------------------
+# find_three_planar on orders of several terminal pairs
+# ---------------------------------------------------------------------------
+
+
+def c6() -> MultiGraph:
+    return MultiGraph.from_pairs([(0, 1), (1, 2), (2, 3), (3, 4), (4, 5), (5, 0)])
+
+
+def _pair_orders(pairs):
+    """Every order s_1..s_k t_1..t_k over the pairs, each pair either way."""
+    for perm in itertools.permutations(pairs):
+        for swap in itertools.product((False, True), repeat=len(pairs)):
+            ps = [p[::-1] if sw else p for p, sw in zip(perm, swap)]
+            yield tuple(p[0] for p in ps) + tuple(p[1] for p in ps)
+
+
+def test_multi_pair_order_two_pairs_matches_find_linkage():
+    g = c4()
+    w = find_three_planar(g, (0, 1, 2, 3))
+    assert w is not None and verify_witness(g, w, (0, 1, 2, 3)) == ()
+    got = find_linkage(g, 0, 2, 1, 3)
+    assert isinstance(got, ThreePlanarWitness)
+    assert verify_witness(g, got, (0, 1, 2, 3)) == ()
+
+
+def test_multi_pair_order_c6_natural_order():
+    g = c6()
+    order = (0, 1, 2, 3, 4, 5)
+    w = find_three_planar(g, order)
+    assert w is not None and verify_witness(g, w, order) == ()
+    assert w.sets == () and w.embedding.order == order
+    for (s1, t1), (s2, t2) in itertools.combinations([(0, 3), (1, 4), (2, 5)], 2):
+        assert isinstance(find_linkage(g, s1, t1, s2, t2), ThreePlanarWitness)
+
+
+def test_multi_pair_order_needs_reordering():
+    """Same three pairs listed shuffled still land on the C6 face."""
+    g = c6()
+    pairs = [(0, 3), (5, 2), (1, 4)]
+    assert find_three_planar(g, (0, 5, 1, 3, 2, 4)) is None
+    found = []
+    for order in _pair_orders(pairs):
+        w = find_three_planar(g, order)
+        if w is not None:
+            assert verify_witness(g, w, order) == ()
+            assert set(w.embedding.order) == {0, 1, 2, 3, 4, 5}
+            found.append(order)
+    assert (0, 1, 2, 3, 4, 5) in found
+
+
+def test_multi_pair_order_reports_linkage():
+    g = k4()
+    assert all(find_three_planar(g, o) is None for o in _pair_orders([(0, 1), (2, 3)]))
+    got = find_linkage(g, 0, 1, 2, 3)
+    assert isinstance(got, Linkage)
+    assert verify_linkage(g, got, 0, 1, 2, 3) == ()
+
+
 @settings(max_examples=40, deadline=None)
 @given(st.integers(0, 10**9))
-def test_three_planar_exactly_when_chorded_cycle_is_not_linked(seed):
+def test_multi_pair_order_random_no_linkage_instances(seed):
     """On chorded cycles a witness for (s1, s2, t1, t2) exists iff no linkage does."""
     rng = random.Random(seed)
     n = rng.randint(4, 7)
@@ -374,3 +497,43 @@ def test_three_planar_exactly_when_chorded_cycle_is_not_linked(seed):
     assert (w is None) == (disjoint_path_pair(g, s1, t1, s2, t2) is not None)
     if w is not None:
         assert verify_witness(g, w, (s1, s2, t1, t2)) == ()
+
+
+# ---------------------------------------------------------------------------
+# Two-vertex hub cuts
+# ---------------------------------------------------------------------------
+
+
+def _assert_hub_separates(g, hub, apexes):
+    """Deleting the hub isolates every apex, so no two apexes link past it."""
+    parts = g.delete_vertices(list(hub)).components()
+    assert sorted(sorted(p) for p in parts) == [[a] for a in sorted(apexes)]
+    s, t = hub
+    for x, y in itertools.combinations(apexes, 2):
+        got = find_linkage(g, s, t, x, y)
+        assert isinstance(got, ThreePlanarWitness)
+        assert verify_witness(g, got, (s, x, t, y)) == ()
+
+
+def test_hub_cut_star_of_triangles():
+    g = MultiGraph.from_pairs(
+        [(0, 1), (0, 2), (1, 2), (0, 3), (1, 3), (0, 4), (1, 4)]
+    )
+    _assert_hub_separates(g, (0, 1), [2, 3, 4])
+
+
+def test_hub_cut_reports_found_linkage():
+    """In K4 the hub {0, 1} leaves 2 and 3 joined, and 0-1, 2-3 link."""
+    g = k4()
+    assert len(g.delete_vertices([0, 1]).components()) == 1
+    got = find_linkage(g, 0, 1, 2, 3)
+    assert isinstance(got, Linkage)
+    assert verify_linkage(g, got, 0, 1, 2, 3) == ()
+
+
+def test_hub_cut_book_graph():
+    """Four triangular pages glued along one spine edge."""
+    pairs = [(0, 1)]
+    for apex in (2, 3, 4, 5):
+        pairs += [(0, apex), (1, apex)]
+    _assert_hub_separates(MultiGraph.from_pairs(pairs), (0, 1), [2, 3, 4, 5])
