@@ -1,5 +1,7 @@
 """Bias semantics for multigraphs: which cycles count as balanced.
 
+The cycle list belongs to the graph (:meth:`MultiGraph.cycles`); a bias
+only sorts it into balanced and unbalanced, as in Zaslavsky's pair (G, B).
 A bias is theta-consistent when no theta subgraph has exactly two balanced
 cycles.  Signed graphs (balanced = even intersection with a signature) are
 theta-consistent for free (Zaslavsky 1989), and whether one is balanced is
@@ -22,7 +24,6 @@ from .graph import (
     MultiGraph,
     ThetaSubgraph,
     edge_path_vertices,
-    enumerate_cycles,
     enumerate_theta_subgraphs,
 )
 from .limits import Caps, DEFAULT_CAPS, ResourceLimitError
@@ -81,13 +82,7 @@ class BiasedGraph:
         return False
 
     def cycles(self, caps: Caps = DEFAULT_CAPS) -> tuple[Cycle, ...]:
-        cached = self.__dict__.get("_cycles")
-        if cached is None:
-            cached = enumerate_cycles(self.graph, caps=caps)
-            object.__setattr__(self, "_cycles", cached)
-        elif len(cached) > caps.max_cycles:
-            raise ResourceLimitError("enumerate_cycles", caps.max_cycles)
-        return cached
+        return self.graph.cycles(caps)
 
     def balanced_cycles(self, caps: Caps = DEFAULT_CAPS) -> tuple[Cycle, ...]:
         return tuple(c for c in self.cycles(caps) if self.balance(c))
@@ -170,13 +165,15 @@ def validate_theta(
 
 
 def validate_biased_graph(o: BiasedGraph, caps: Caps = DEFAULT_CAPS) -> tuple[ThetaSubgraph, ...]:
-    """Theta check for any bias spec (signed ones pass by construction).
+    """Theta check for any bias spec, with no cycle enumeration.
 
-    An explicit set is checked as stored, with no cycle enumeration.
+    Signed, all-balanced and all-unbalanced biases pass by construction
+    (Zaslavsky 1989); an explicit set is checked as stored.
     """
     b = o.bias
-    balanced = b.balanced if isinstance(b, ExplicitSet) else o.balanced_cycles(caps)
-    return _violating_thetas(o.graph, balanced, caps)
+    if not isinstance(b, ExplicitSet):
+        return ()
+    return _violating_thetas(o.graph, b.balanced, caps)
 
 
 def _violating_thetas(
@@ -233,7 +230,7 @@ def complete_bias(
     (True = balanced); per-theta constraint: balanced count is never exactly
     two.  Returns None when no extension exists.
     """
-    cycles = enumerate_cycles(g, caps=caps)
+    cycles = g.cycles(caps)
     index = {c: i for i, c in enumerate(cycles)}
     for c in partial:
         if c not in index:
@@ -430,32 +427,3 @@ def switch_signature(g: MultiGraph, signature: Iterable[int], part: Iterable[int
         if not g.is_loop(e) and (g.endpoints(e)[0] in X) != (g.endpoints(e)[1] in X)
     }
     return frozenset(set(signature) ^ cut)
-
-
-# ---------------------------------------------------------------------------
-# Shared cycle helpers
-# ---------------------------------------------------------------------------
-
-
-def cycles_with(
-    o: BiasedGraph,
-    required: Iterable[int],
-    within: Iterable[int] | None = None,
-    caps: Caps = DEFAULT_CAPS,
-) -> tuple[Cycle, ...]:
-    """Cycles containing all `required` edges, otherwise staying in `within`."""
-    req = frozenset(required)
-    allowed = None if within is None else frozenset(within) | req
-    out = []
-    for c in o.cycles(caps):
-        if not req <= c.edge_set:
-            continue
-        if allowed is not None and not c.edge_set <= allowed:
-            continue
-        out.append(c)
-    return tuple(out)
-
-
-def cycles_inside(o: BiasedGraph, edges: Iterable[int], caps: Caps = DEFAULT_CAPS) -> tuple[Cycle, ...]:
-    allowed = frozenset(edges)
-    return tuple(c for c in o.cycles(caps) if c.edge_set <= allowed)

@@ -24,8 +24,6 @@ from .bias import (
     AllBalanced,
     BiasedGraph,
     BiasError,
-    cycles_inside,
-    cycles_with,
     is_simple,
     make_explicit,
 )
@@ -37,7 +35,8 @@ from .graph import (
     VertexCut,
     block_tree,
     bridges_of_cut,
-    enumerate_cycles,
+    cycles_inside,
+    cycles_with,
     find_vertex_cuts,
     is_two_connected,
 )
@@ -538,10 +537,10 @@ def _star_bias_holds(
     each single edge (junction, leg or cross edge) only unbalanced ones."""
     for star in stars:
         for a, b in combinations(sorted(star), 2):
-            if not all(o.balance(c) for c in cycles_with(o, {a, b}, base, caps)):
+            if not all(o.balance(c) for c in cycles_with(o.graph, {a, b}, base, caps)):
                 return False
     for e in singles:
-        if any(o.balance(c) for c in cycles_with(o, {e}, base, caps)):
+        if any(o.balance(c) for c in cycles_with(o.graph, {e}, base, caps)):
             return False
     return True
 
@@ -1114,13 +1113,13 @@ def _tricoloured_bias_holds(
     pair of two colours only unbalanced ones through their four parts."""
     for i in positions:
         for a, b in combinations(es6[i], 2):
-            if not all(o.balance(c) for c in cycles_with(o, {a, b}, pe6[(i + 3) % 6], caps)):
+            if not all(o.balance(c) for c in cycles_with(o.graph, {a, b}, pe6[(i + 3) % 6], caps)):
                 return False
     for i, j in combinations(positions, 2):
         within = pe6[i] | pe6[j] | pe6[(i + 3) % 6] | pe6[(j + 3) % 6]
         for a in es6[i]:
             for b in es6[j]:
-                if any(o.balance(c) for c in cycles_with(o, {a, b}, within, caps)):
+                if any(o.balance(c) for c in cycles_with(o.graph, {a, b}, within, caps)):
                     return False
     return True
 
@@ -1145,7 +1144,7 @@ _DETECTORS: tuple[tuple[str, str, object], ...] = (
 
 
 def _side_balanced(cur: BiasedGraph, edges: frozenset[int], caps: Caps) -> bool:
-    return all(cur.balance(c) for c in cycles_inside(cur, edges, caps))
+    return all(cur.balance(c) for c in cycles_inside(cur.graph, edges, caps))
 
 
 def decompose(o: BiasedGraph, caps: Caps = DEFAULT_CAPS) -> SumDecomposition:
@@ -1276,7 +1275,7 @@ def _peel(
     core_graph = cur.graph.delete_vertices(interior).with_edges(virt)
     vset = frozenset(virt)
     balanced: list[frozenset[int]] = []
-    for c in enumerate_cycles(core_graph, caps=caps):
+    for c in core_graph.cycles(caps):
         used = c.edge_set & vset
         if not used:
             ok = cur.balance(Cycle.from_edge_set(cur.graph, c.edge_set))
@@ -1356,7 +1355,7 @@ def _extract_wheel(cur: BiasedGraph, vc: VertexCut, caps: Caps) -> tuple[FamilyD
     one_vertex_hits: list[set[int]] = []
     for b in vc.bridges:
         hits: set[int] = set()
-        for c in cycles_inside(cur, b.edges, caps):
+        for c in cycles_inside(cur.graph, b.edges, caps):
             if cur.balance(c):
                 continue
             meet = c.vertex_set & vc.cut

@@ -22,16 +22,13 @@ from itertools import combinations, permutations
 from typing import Iterable, Mapping, Sequence
 
 from .bias import (
-    AllBalanced,
     BiasedGraph,
     complete_bias,
-    cycles_inside,
-    cycles_with,
     make_explicit,
     make_signed,
 )
 from .embedding import collapse_cyclic, ordered_planarity
-from .graph import Cycle, MultiGraph, enumerate_cycles, is_two_connected
+from .graph import Cycle, MultiGraph, cycles_inside, cycles_with, is_two_connected
 from .limits import DEFAULT_CAPS, Caps
 from .linkage import find_three_planar
 
@@ -139,11 +136,6 @@ def _role_set(d: FamilyDescriptor, name: str) -> frozenset[int]:
     return v
 
 
-def _temp(g: MultiGraph) -> BiasedGraph:
-    # Bias-free wrapper so the cycle slicing helpers apply to a bare graph.
-    return BiasedGraph(g, AllBalanced())
-
-
 def _vertices_of(g: MultiGraph, edges: Iterable[int]) -> frozenset[int]:
     out: set[int] = set()
     for e in edges:
@@ -176,10 +168,6 @@ def _partition_check(g: MultiGraph, groups: Sequence[tuple[str, frozenset[int]]]
     if missing:
         return _check("edge roles partition the graph", False, f"edges {sorted(missing)} have no role")
     return _check("edge roles partition the graph", True)
-
-
-def _same_graph(a: MultiGraph, b: MultiGraph) -> bool:
-    return a == b
 
 
 # ---------------------------------------------------------------------------
@@ -293,12 +281,11 @@ def _plan_generalized_wheel(d: FamilyDescriptor, caps: Caps) -> _Plan:
     if not split_ok:
         return _Plan(tuple(checks), ())
 
-    temp = _temp(g)
     constraints: list[Constraint] = []
     for i, pe in enumerate(parts):
-        for c in cycles_inside(temp, pe, caps):
+        for c in cycles_inside(g, pe, caps):
             constraints.append(("part cycles balanced", c, True))
-    for c in cycles_inside(temp, rim, caps):
+    for c in cycles_inside(g, rim, caps):
         if all(c.edge_set & pe for pe in parts):
             constraints.append(("full rim cycles unbalanced", c, False))
     for i, pair in enumerate(attach_sets):
@@ -309,7 +296,7 @@ def _plan_generalized_wheel(d: FamilyDescriptor, caps: Caps) -> _Plan:
         legs = [e for e in spokes if ends[e] in pvs[i] and ends[e] in (pair[0] | pair[1])]
         for a, b in combinations(legs, 2):
             want = (ends[a] in xs) == (ends[b] in xs)
-            for c in cycles_with(temp, {a, b}, parts[i], caps):
+            for c in cycles_with(g, {a, b}, parts[i], caps):
                 constraints.append(("spoke pair parity", c, want))
     return _Plan(tuple(checks), tuple(constraints))
 
@@ -358,15 +345,14 @@ def _plan_criss_cross(d: FamilyDescriptor, caps: Caps) -> _Plan:
         # ordered_planarity needs a connected core
         checks.append(_check("boundary order planar", False, "not evaluated: core not two-connected"))
 
-    temp = _temp(g)
     constraints: list[Constraint] = []
-    for c in cycles_inside(temp, h, caps):
+    for c in cycles_inside(g, h, caps):
         constraints.append(("core cycles balanced", c, True))
     for f in fs:
-        for c in cycles_with(temp, {f}, h, caps):
+        for c in cycles_with(g, {f}, h, caps):
             constraints.append(("chord cycles unbalanced", c, False))
     for a, b in combinations(es, 2):
-        for c in cycles_with(temp, {a, b}, h, caps):
+        for c in cycles_with(g, {a, b}, h, caps):
             constraints.append(("spoke pair cycles unbalanced", c, False))
     for tri in ({es[0], es[2], fs[0]}, {es[1], es[3], fs[1]}):
         constraints.append(("crossing triangles balanced", Cycle.from_edge_set(g, tri), True))
@@ -403,12 +389,11 @@ def _plan_fat_triangle(d: FamilyDescriptor, caps: Caps) -> _Plan:
     if not corners_ok:
         return _Plan(tuple(checks), ())
 
-    temp = _temp(g)
     constraints: list[Constraint] = []
-    for c in cycles_inside(temp, h, caps):
+    for c in cycles_inside(g, h, caps):
         constraints.append(("base cycles balanced", c, True))
     for f in sorted(fat):
-        for c in cycles_with(temp, {f}, h, caps):
+        for c in cycles_with(g, {f}, h, caps):
             constraints.append(("corner edge cycles unbalanced", c, False))
     return _Plan(tuple(checks), tuple(constraints))
 
@@ -481,22 +466,21 @@ def _plan_pp_special_vertex(d: FamilyDescriptor, caps: Caps) -> _Plan:
     checks.append(_check("half orders planar", planar_ok))
 
     core = h1 | h2 | {zz, uu, wz1, wz2}
-    temp = _temp(g)
     constraints: list[Constraint] = []
-    for c in cycles_inside(temp, core, caps):
+    for c in cycles_inside(g, core, caps):
         constraints.append(("core cycles balanced", c, True))
     for r in (*fs, g1, g2):
-        for c in cycles_with(temp, {r}, core, caps):
+        for c in cycles_with(g, {r}, core, caps):
             constraints.append(("residual edge cycles unbalanced", c, False))
-    for c in cycles_with(temp, {g1, g2}, core, caps):
+    for c in cycles_with(g, {g1, g2}, core, caps):
         constraints.append(("hub chord pair cycles balanced", c, True))
     cut = core - {uu}
     for a, b in combinations(fs, 2):
-        for c in cycles_with(temp, {a, b}, cut, caps):
+        for c in cycles_with(g, {a, b}, cut, caps):
             constraints.append(("cross pair cycles balanced", c, True))
     for gi in (g1, g2):
         for fj in fs:
-            for c in cycles_with(temp, {gi, fj}, cut, caps):
+            for c in cycles_with(g, {gi, fj}, cut, caps):
                 constraints.append(("hub-cross pair cycles unbalanced", c, False))
     return _Plan(tuple(checks), tuple(constraints))
 
@@ -562,16 +546,15 @@ def _plan_pp_special_pair(d: FamilyDescriptor, caps: Caps) -> _Plan:
     base = g.subgraph(h, g.vertex_set)
     checks.append(_check("boundary order planar", _planar_with_junction(base, (x, y), xset, yset, caps)))
 
-    temp = _temp(g)
     constraints: list[Constraint] = []
-    for c in cycles_inside(temp, h, caps):
+    for c in cycles_inside(g, h, caps):
         constraints.append(("base cycles balanced", c, True))
     for star in (fx, fy):
         for a, b in combinations(sorted(star), 2):
-            for c in cycles_with(temp, {a, b}, h, caps):
+            for c in cycles_with(g, {a, b}, h, caps):
                 constraints.append(("star pairs balanced", c, True))
     for e in es:
-        for c in cycles_with(temp, {e}, h, caps):
+        for c in cycles_with(g, {e}, h, caps):
             constraints.append(("junction edge cycles unbalanced", c, False))
     return _Plan(tuple(checks), tuple(constraints))
 
@@ -625,17 +608,16 @@ def _plan_pp_special_triple(d: FamilyDescriptor, caps: Caps) -> _Plan:
         _check("boundary order planar", ordered_planarity(base, (y1, x, y2, xset), caps=caps) is not None)
     )
 
-    temp = _temp(g)
     constraints: list[Constraint] = []
-    for c in cycles_inside(temp, h, caps):
+    for c in cycles_inside(g, h, caps):
         constraints.append(("base cycles balanced", c, True))
     for a, b in combinations(sorted(fset), 2):
-        for c in cycles_with(temp, {a, b}, h, caps):
+        for c in cycles_with(g, {a, b}, h, caps):
             constraints.append(("star pairs balanced", c, True))
     for e in (*es, *gs):
-        for c in cycles_with(temp, {e}, h, caps):
+        for c in cycles_with(g, {e}, h, caps):
             constraints.append(("leg cycles unbalanced", c, False))
-    for c in cycles_with(temp, {f}, h, caps):
+    for c in cycles_with(g, {f}, h, caps):
         constraints.append(("cross edge cycles unbalanced", c, False))
     return _Plan(tuple(checks), tuple(constraints))
 
@@ -747,17 +729,16 @@ def _plan_tricoloured(d: FamilyDescriptor, caps: Caps) -> _Plan:
     else:
         checks.append(_check("attachment order three-planar", find_three_planar(core, order, caps=caps) is not None))
 
-    temp = _temp(g)
     constraints: list[Constraint] = []
     for i in sorted(colours):
         for a, b in combinations(es_raw[i], 2):
-            for c in cycles_with(temp, {a, b}, pe[(i + 3) % 6], caps):
+            for c in cycles_with(g, {a, b}, pe[(i + 3) % 6], caps):
                 constraints.append(("same colour pairs balanced", c, True))
     for i, j in combinations(sorted(colours), 2):
         within = pe[i] | pe[j] | pe[(i + 3) % 6] | pe[(j + 3) % 6]
         for a in es_raw[i]:
             for b in es_raw[j]:
-                for c in cycles_with(temp, {a, b}, within, caps):
+                for c in cycles_with(g, {a, b}, within, caps):
                     constraints.append(("cross colour pairs unbalanced", c, False))
     return _Plan(tuple(checks), tuple(constraints))
 
@@ -785,7 +766,7 @@ def _plan_k5_family(d: FamilyDescriptor, caps: Caps) -> _Plan:
         checks.append(
             _check(
                 "graph is a complete five-vertex multigraph",
-                _same_graph(d.graph, _k5_graph(mults)),
+                d.graph == _k5_graph(mults),
                 "graph must match the declared multiplicities",
             )
         )
@@ -825,8 +806,7 @@ def _plan_pp_signed(d: FamilyDescriptor, caps: Caps) -> _Plan:
     checks.append(_check("boundary pairing planar", planar_ok))
 
     sig = frozenset(cross)
-    temp = _temp(g)
-    constraints = tuple(("cycle parity law", c, len(c.edge_set & sig) % 2 == 0) for c in temp.cycles(caps))
+    constraints = tuple(("cycle parity law", c, len(c.edge_set & sig) % 2 == 0) for c in g.cycles(caps))
     return _Plan(tuple(checks), constraints)
 
 
@@ -901,7 +881,7 @@ def build_family(
 def verify_family(o: BiasedGraph, d: FamilyDescriptor, caps: Caps = DEFAULT_CAPS) -> Certificate:
     """Check every defining clause of d against o, clause by clause."""
     checks: list[CheckResult] = []
-    same = _same_graph(o.graph, d.graph)
+    same = o.graph == d.graph
     checks.append(_check("underlying graph matches descriptor", same))
     plan = _plan(d, caps)
     checks.extend(plan.structure)
@@ -1196,7 +1176,7 @@ def t_sum(
     to_second = dict(zip(firsts, seconds))
 
     balanced: list[Cycle] = []
-    for c in enumerate_cycles(sum_graph, caps=caps):
+    for c in sum_graph.cycles(caps):
         own2 = c.edge_set & side2
         if not own2:
             ok = o1.balance(Cycle.from_edge_set(o1.graph, c.edge_set))

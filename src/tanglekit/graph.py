@@ -7,6 +7,10 @@ two; a theta subgraph is a connected subgraph with exactly two vertices of
 degree three and the rest of degree two, equivalently the union of two
 cycles whose intersection is a path with at least one edge.
 
+The graph owns its cycle list: :meth:`MultiGraph.cycles` enumerates it once
+and keeps it, and every layer above (bias, tangles, families, classify)
+reads that one list.  A bias only sorts it into balanced and unbalanced.
+
 All enumerations are deterministic: results come back sorted by canonical
 keys, never in hash order.
 """
@@ -162,6 +166,19 @@ class MultiGraph:
     def edges_between(self, u: int, v: int) -> tuple[int, ...]:
         """Edges joining u and v in id order; loops at u when u == v."""
         return self._between.get((u, v) if u <= v else (v, u), ())
+
+    def cycles(self, caps: Caps = DEFAULT_CAPS) -> tuple["Cycle", ...]:
+        """All cycles in ``Cycle.sort_key`` order, enumerated once per graph.
+
+        Raises ResourceLimitError("enumerate_cycles") beyond
+        ``caps.max_cycles`` cycles, on a cache hit too.
+        """
+        cached = self.__dict__.get("_cycles")
+        if cached is None:
+            cached = self.__dict__["_cycles"] = enumerate_cycles(self, caps)
+        elif len(cached) > caps.max_cycles:
+            raise ResourceLimitError("enumerate_cycles", caps.max_cycles)
+        return cached
 
     # -- derived graphs ----------------------------------------------------
 
@@ -415,23 +432,43 @@ def _cycles_in_window(g: MultiGraph, lo: int, hi: int) -> Iterator[Cycle]:
                     stack.append((y, epath + [e], vpath + [y], onpath | {y}))
 
 
-def enumerate_cycles(
-    g: MultiGraph,
-    max_len: int | None = None,
-    caps: Caps = DEFAULT_CAPS,
-) -> tuple[Cycle, ...]:
-    """All cycles of g with at most max_len edges (all of them if None).
+def enumerate_cycles(g: MultiGraph, caps: Caps = DEFAULT_CAPS) -> tuple[Cycle, ...]:
+    """All cycles of g in ``Cycle.sort_key`` order, enumerated afresh.
 
-    Raises ResourceLimitError beyond ``caps.max_cycles`` cycles.
+    The library reads :meth:`MultiGraph.cycles`, which calls this once per
+    graph.  Raises ResourceLimitError beyond ``caps.max_cycles`` cycles.
     """
-    limit = g.m if max_len is None else min(max_len, g.m)
     out: list[Cycle] = []
-    for c in _cycles_in_window(g, 1, limit):
+    for c in _cycles_in_window(g, 1, g.m):
         out.append(c)
         if len(out) > caps.max_cycles:
             raise ResourceLimitError("enumerate_cycles", caps.max_cycles)
     out.sort(key=Cycle.sort_key)
     return tuple(out)
+
+
+def cycles_with(
+    g: MultiGraph,
+    required: Iterable[int],
+    within: Iterable[int] | None = None,
+    caps: Caps = DEFAULT_CAPS,
+) -> tuple[Cycle, ...]:
+    """Cycles containing all `required` edges, otherwise staying in `within`."""
+    req = frozenset(required)
+    allowed = None if within is None else frozenset(within) | req
+    out = []
+    for c in g.cycles(caps):
+        if not req <= c.edge_set:
+            continue
+        if allowed is not None and not c.edge_set <= allowed:
+            continue
+        out.append(c)
+    return tuple(out)
+
+
+def cycles_inside(g: MultiGraph, edges: Iterable[int], caps: Caps = DEFAULT_CAPS) -> tuple[Cycle, ...]:
+    allowed = frozenset(edges)
+    return tuple(c for c in g.cycles(caps) if c.edge_set <= allowed)
 
 
 def cycles_by_length(g: MultiGraph, caps: Caps = DEFAULT_CAPS) -> Iterator[Cycle]:
@@ -520,7 +557,7 @@ def enumerate_theta_subgraphs(
     caps: Caps = DEFAULT_CAPS,
 ) -> tuple[ThetaSubgraph, ...]:
     """All theta subgraphs, each reported once with its three cycles."""
-    cyc = tuple(cycles) if cycles is not None else enumerate_cycles(g, caps=caps)
+    cyc = tuple(cycles) if cycles is not None else g.cycles(caps)
     npairs = len(cyc) * (len(cyc) - 1) // 2
     if npairs > caps.max_theta_pairs:
         raise ResourceLimitError("enumerate_theta_subgraphs", caps.max_theta_pairs)

@@ -390,7 +390,8 @@ def document_from(
         return InstanceDocument(g.n, edges, "all-balanced", family=fam)
     if isinstance(bias, AllUnbalanced):
         return InstanceDocument(g.n, edges, "all-unbalanced", family=fam)
-    assert isinstance(bias, ExplicitSet)
+    if not isinstance(bias, ExplicitSet):
+        raise BiasError(f"unknown bias spec {type(bias).__name__}")
     if not bias.balanced:
         return InstanceDocument(g.n, edges, "all-unbalanced", family=fam)
     keys = tuple(sorted(c.key for c in bias.balanced))

@@ -9,16 +9,23 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import tanglekit.bias as bias_module
-from tanglekit.graph import Cycle, GraphError, MultiGraph, enumerate_cycles, enumerate_theta_subgraphs
+from tanglekit.graph import (
+    Cycle,
+    GraphError,
+    MultiGraph,
+    cycles_inside,
+    cycles_with,
+    enumerate_cycles,
+    enumerate_theta_subgraphs,
+)
 from tanglekit.limits import Caps, ResourceLimitError
 from tanglekit.bias import (
     AllBalanced,
     AllUnbalanced,
     BiasedGraph,
     BiasError,
+    Signed,
     complete_bias,
-    cycles_inside,
-    cycles_with,
     is_simple,
     make_explicit,
     make_signed,
@@ -98,7 +105,23 @@ def test_signed_bias_is_theta_valid(seed):
     rng = random.Random(seed)
     g = random_multigraph(rng, max_n=6, max_extra=5, allow_loops=True)
     sig = {e for e in g.edge_ids if rng.random() < 0.4}
-    assert validate_biased_graph(make_signed(g, sig)) == ()
+    o = make_signed(g, sig)
+    assert validate_biased_graph(o) == ()
+    # validate_biased_graph takes signed bias on trust; check the balanced cycles
+    assert validate_theta(g, o.balanced_cycles()) == ()
+
+
+def test_only_explicit_bias_is_theta_checked():
+    # signed K6 has 197 cycles; scanning its balanced pairs would overrun
+    # max_theta_pairs, and max_cycles=0 shows that nothing is enumerated
+    g = MultiGraph.from_pairs(list(itertools.combinations(range(6), 2)))
+    caps = Caps(max_cycles=0, max_theta_pairs=100)
+    for spec in (Signed(frozenset({0, 9})), Signed(frozenset()), AllBalanced(), AllUnbalanced()):
+        assert validate_biased_graph(BiasedGraph(g, spec), caps) == ()
+    explicit = make_explicit(g, g.cycles(), check=False)
+    with pytest.raises(ResourceLimitError) as err:
+        validate_biased_graph(explicit, Caps(max_theta_pairs=100))
+    assert err.value.stage == "theta check"
 
 
 # -- explicit sets and validate_theta ----------------------------------------------
@@ -187,15 +210,15 @@ def test_cycles_with_and_inside_filter_by_edges():
     quads = {c.edge_set: c for c in enumerate_cycles(g) if len(c) == 4}
     base = frozenset({0, 2, 3, 5})
     o = make_explicit(g, [quads[base], quads[frozenset({1, 2, 3, 4})]])
-    assert cycles_inside(o, base) == (quads[base],)
-    both = cycles_with(o, {1, 4}, base)
+    assert cycles_inside(g, base) == (quads[base],)
+    both = cycles_with(g, {1, 4}, base)
     assert {c.edge_set for c in both} == {frozenset({0, 1, 4, 5}), frozenset({1, 2, 3, 4})}
     assert [c.edge_set for c in both if not o.balance(c)] == [frozenset({0, 1, 4, 5})]
     # one diagonal over the base closes its two triangles
-    assert {c.edge_set for c in cycles_with(o, {1}, base)} == {frozenset({0, 1, 3}), frozenset({1, 2, 5})}
-    assert len(cycles_with(o, {1})) == 4
+    assert {c.edge_set for c in cycles_with(g, {1}, base)} == {frozenset({0, 1, 3}), frozenset({1, 2, 5})}
+    assert len(cycles_with(g, {1})) == 4
     for c in enumerate_cycles(g):
-        assert (c in cycles_with(o, {0, 5})) == ({0, 5} <= c.edge_set)
+        assert (c in cycles_with(g, {0, 5})) == ({0, 5} <= c.edge_set)
 
 
 # -- complete_bias ----------------------------------------------------------------
@@ -249,11 +272,17 @@ def test_complete_reports_theta_violation_as_error(monkeypatch):
 
 
 def test_cached_cycles_respect_a_tighter_cap():
-    o = make_signed(MultiGraph.from_pairs(list(itertools.combinations(range(5), 2))), ())
+    g = MultiGraph.from_pairs(list(itertools.combinations(range(5), 2)))
+    o = make_signed(g, ())
     assert len(o.cycles()) == 37
-    with pytest.raises(ResourceLimitError):
-        o.cycles(Caps(max_cycles=5))
-    assert len(o.cycles(Caps(max_cycles=37))) == 37
+    # the graph owns the list; every bias over it reads the same one
+    assert o.cycles() is g.cycles()
+    assert make_explicit(g, (), check=False).cycles() is g.cycles()
+    for owner in (o, g):
+        with pytest.raises(ResourceLimitError) as err:
+            owner.cycles(Caps(max_cycles=5))
+        assert err.value.stage == "enumerate_cycles"
+        assert len(owner.cycles(Caps(max_cycles=37))) == 37
 
 
 # -- simplify ---------------------------------------------------------------------

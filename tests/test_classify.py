@@ -9,6 +9,7 @@ import pytest
 
 from tanglekit.bias import BiasedGraph, make_explicit, make_signed
 import tanglekit.classify as classify_module
+import tanglekit.graph as graph_module
 from tanglekit.classify import (
     _PLACEMENTS,
     _detect_generalized_wheel,
@@ -310,6 +311,68 @@ def test_decompose_stops_at_the_vertex_cut_cap():
         decompose(o, Caps(max_subsets=20))
     assert err.value.stage == "find_vertex_cuts"
     assert decompose(o, Caps(max_subsets=100)).verify(o) == ()
+
+
+# -- one cycle list per graph ------------------------------------------------------
+
+
+@pytest.fixture
+def enumerated(monkeypatch) -> list[MultiGraph]:
+    """Every graph enumerate_cycles runs on, in call order.  Holding each
+    graph keeps its id from being reused while the test runs."""
+    graphs: list[MultiGraph] = []
+    real = graph_module.enumerate_cycles
+
+    def recording(g, *args, **kwargs):
+        graphs.append(g)
+        return real(g, *args, **kwargs)
+
+    monkeypatch.setattr(graph_module, "enumerate_cycles", recording)
+    return graphs
+
+
+def _enumerated_twice(graphs: list[MultiGraph]) -> list[MultiGraph]:
+    return [g for i, g in enumerate(graphs) if any(g is h for h in graphs[:i])]
+
+
+@pytest.mark.parametrize(
+    "make",
+    [
+        lambda: build_family(describe_k5_family()),
+        lambda: build_family(consecutive_tricoloured()),
+        lambda: t_sums()[2],
+    ],
+    ids=["k5", "tricoloured-consecutive", "tsum3-fatk4-k4"],
+)
+def test_classify_enumerates_each_graph_once(make, enumerated):
+    o = relabelled(make(), random.Random(1))
+    report = classify(o)
+    assert report.labels
+    assert _enumerated_twice(enumerated) == []
+    assert sum(g is o.graph for g in enumerated) == 1
+    calls = len(enumerated)
+    assert reverifies(o, report)
+    assert len(enumerated) == calls
+
+
+@pytest.mark.parametrize("index", range(6))
+def test_decompose_enumerates_each_peeled_core_once(index, enumerated, monkeypatch):
+    o = corpus_t_sums()[index]
+    cores: list[MultiGraph] = []
+    real_peel = classify_module._peel
+
+    def recording_peel(*args):
+        out = real_peel(*args)
+        cores.append(out[0].graph)
+        return out
+
+    monkeypatch.setattr(classify_module, "_peel", recording_peel)
+    del enumerated[:]
+    decompose(o)
+    assert cores
+    assert _enumerated_twice(enumerated) == []
+    for core in cores:
+        assert sum(g is core for g in enumerated) == 1
 
 
 # -- inputs that used to fail ------------------------------------------------------

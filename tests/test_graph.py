@@ -97,11 +97,6 @@ def test_cycles_by_length_counts_only_the_layers_it_built():
     assert err.value.stage == "enumerate_cycles"
 
 
-def test_max_len_prunes():
-    cycles = enumerate_cycles(k4(), max_len=3)
-    assert sorted(len(c) for c in cycles) == [3, 3, 3, 3]
-
-
 def test_cycle_canonical_key_is_rotation_and_reflection_invariant():
     g = k4()
     # walk the 4-cycle 0-1-2-3 in both directions from every start

@@ -6,9 +6,10 @@ import pytest
 
 import tanglekit.bias
 import tanglekit.io
-from tanglekit.bias import AllBalanced, BiasError, ExplicitSet, Signed
+from tanglekit.bias import AllBalanced, BiasedGraph, BiasError, ExplicitSet, Signed
 from tanglekit.classify import classify
 from tanglekit.families import build_family
+from tanglekit.graph import MultiGraph
 from tanglekit.io import (
     InstanceDocument,
     ParseError,
@@ -82,6 +83,13 @@ def test_realize_still_checks_a_document_it_is_handed():
     )
     with pytest.raises(BiasError, match="theta property"):
         realize(doc)
+
+
+def test_document_from_rejects_an_unknown_bias_spec():
+    # a typed error, so the check also runs under python -O
+    o = BiasedGraph(MultiGraph.from_pairs([(0, 1), (1, 2), (2, 0)]), "signed")
+    with pytest.raises(BiasError, match="unknown bias spec str"):
+        document_from(o)
 
 
 def test_export_dot_titles_with_verdict_and_codes():

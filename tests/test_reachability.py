@@ -1,7 +1,10 @@
-"""Every private module-level name in the library is used by the library.
+"""Static checks on the library source.
 
-A helper that only its own tests reach is dead weight: this test fails as
-soon as one is left behind, whatever the tests import.
+Every private module-level name in the library is used by the library: a
+helper that only its own tests reach is dead weight, and the first test
+fails as soon as one is left behind, whatever the tests import.  The
+second keeps one cycle list per graph: only ``MultiGraph.cycles`` reaches
+``enumerate_cycles``, and nothing writes through ``object.__setattr__``.
 """
 
 from __future__ import annotations
@@ -52,3 +55,32 @@ def test_every_private_module_name_is_used_by_the_library():
         if not any(name in names for stmt, names in uses if stmt is not node)
     ]
     assert unused == []
+
+
+def _references(node: ast.AST, scope: tuple[str, ...] = ()):
+    """(enclosing def/class names, name) for each name read, attribute taken
+    or name imported under node."""
+    for child in ast.iter_child_nodes(node):
+        inner = scope
+        if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+            inner = scope + (child.name,)
+        if isinstance(child, ast.Name) and not isinstance(child.ctx, ast.Store):
+            yield inner, child.id
+        elif isinstance(child, ast.Attribute):
+            yield inner, child.attr
+        elif isinstance(child, ast.alias):
+            yield inner, child.name
+        yield from _references(child, inner)
+
+
+def test_only_the_graph_enumerates_its_cycles():
+    offences = []
+    for path in sorted(SRC.glob("*.py")):
+        tree = ast.parse(path.read_text(), filename=str(path))
+        for scope, name in _references(tree):
+            where = f"{path.name}:{'.'.join(scope) or '<module>'}"
+            if name == "enumerate_cycles" and (path.name, scope) != ("graph.py", ("MultiGraph", "cycles")):
+                offences.append(f"{where} reaches enumerate_cycles")
+            elif name == "__setattr__":
+                offences.append(f"{where} calls __setattr__")
+    assert offences == []
