@@ -91,8 +91,13 @@ class BiasedGraph:
         return tuple(c for c in self.cycles(caps) if not self.balance(c))
 
     def is_balanced(self, caps: Caps = DEFAULT_CAPS) -> bool:
-        if isinstance(self.bias, Signed):
-            return switching_balanced(self.graph, self.bias.signature)
+        b = self.bias
+        if isinstance(b, Signed):
+            return switching_balanced(self.graph, b.signature)
+        if isinstance(b, AllBalanced):
+            return True
+        if isinstance(b, AllUnbalanced):  # balanced exactly when it has no cycle
+            return self.graph.m == self.graph.n - len(self.graph.components())
         return not self.unbalanced_cycles(caps)
 
     # -- inherited sub-biased-graphs ---------------------------------------

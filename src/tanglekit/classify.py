@@ -13,11 +13,18 @@ reaches it, the searches drop those that fail a necessary condition
 read off balance alone, such as a part that lies inside no maximal
 balanced set.  The brute-force oracles that check these searches live
 with the tests, in ``tests/oracles.py``.
+
+Generalized wheels and Tricoloured graphs are rings of parts glued at
+hinges, and their rings are read off structure, not searched for: the
+wheel search, the Tricoloured search and the wheel-core extraction in
+``decompose`` all take the bonds and polygons of a 2-connected rim or
+ring core from ``graph.rings``.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 from itertools import combinations, permutations, product
 
 from .bias import (
@@ -33,12 +40,11 @@ from .graph import (
     Cycle,
     MultiGraph,
     VertexCut,
-    block_tree,
-    bridges_of_cut,
     cycles_inside,
     cycles_with,
     find_vertex_cuts,
     is_two_connected,
+    rings,
 )
 from .limits import DEFAULT_CAPS, Caps, ResourceLimitError
 from .tangles import (
@@ -660,61 +666,14 @@ def _detect_special_triple(o: BiasedGraph, caps: Caps, msets: tuple[frozenset[in
     return None
 
 
-# -- ring helpers shared by the wheel and tricoloured detectors ------------
-
-
-def _pair_components(sub: MultiGraph, hinges: frozenset[int]) -> dict[frozenset[int], frozenset[int]] | None:
-    """Edges of sub grouped by the hinge pair they span, or None.
-
-    Fails when some component of sub - hinges does not attach to exactly
-    two hinges, or some edge evades the grouping.
-    """
-    groups: dict[frozenset[int], set[int]] = {}
-    for b in bridges_of_cut(sub, hinges):
-        if len(b.attachments) != 2:
-            return None
-        groups.setdefault(b.attachments, set()).update(b.edges)
-    for u, v in combinations(sorted(hinges), 2):
-        between = sub.edges_between(u, v)
-        if between:
-            groups.setdefault(frozenset({u, v}), set()).update(between)
-    covered: set[int] = set()
-    for es in groups.values():
-        covered |= es
-    if covered != set(sub.edge_ids):
-        return None
-    return {pair: frozenset(es) for pair, es in groups.items()}
-
-
-def _hamiltonian_support(pairs: set[frozenset[int]], hinges: tuple[int, ...]) -> tuple[int, ...] | None:
-    """Cyclic hinge order when the pairs form a single cycle through all hinges."""
-    if len(pairs) != len(hinges) or len(hinges) < 3:
-        return None
-    adj: dict[int, list[int]] = {v: [] for v in hinges}
-    for p in pairs:
-        u, v = sorted(p)
-        if u not in adj or v not in adj:
-            return None
-        adj[u].append(v)
-        adj[v].append(u)
-    if any(len(nbrs) != 2 for nbrs in adj.values()):
-        return None
-    start = min(hinges)
-    order = [start]
-    prev = -1
-    while len(order) < len(hinges):
-        nxt = [w for w in adj[order[-1]] if w != prev]
-        if not nxt:
-            return None
-        prev = order[-1]
-        order.append(nxt[0])
-    if len(set(order)) != len(hinges) or start not in adj[order[-1]]:
-        return None
-    return tuple(order)
-
-
 def _detect_generalized_wheel(o: BiasedGraph, caps: Caps, msets: tuple[frozenset[int], ...]) -> _Hit | None:
-    """Hub vertex whose removal leaves a ring of parts joined at hinges."""
+    """Hub vertex whose removal leaves a ring of parts joined at hinges.
+
+    Every part is 2-connected or a single edge, so the rim is 2-connected
+    and each ring is one of its rings: a bond split into two parts, or a
+    polygon of at most six pieces (merging two pieces would leave their
+    shared hinge a cut vertex of the merged part).
+    """
     g = o.graph
     counter = _Counter(caps, "generalized-wheel search")
     for hub in sorted(g.vertex_set):
@@ -722,66 +681,30 @@ def _detect_generalized_wheel(o: BiasedGraph, caps: Caps, msets: tuple[frozenset
         if not spokes or any(g.is_loop(e) for e in spokes):
             continue
         rim = g.edge_id_set - spokes
-        if not rim:
-            continue
         rim_sub = g.subgraph(rim)
-        if rim_sub.vertex_set != g.vertex_set - {hub}:
+        if rim_sub.vertex_set != g.vertex_set - {hub} or not is_two_connected(rim_sub):
             continue
-        rim_vertices = sorted(rim_sub.vertex_set)
-        for k in range(2, min(len(rim_vertices), 6) + 1):
-            for hinge_set in combinations(rim_vertices, k):
+        found = rings(rim_sub)
+        for bond in found.bonds:
+            counter.bump()
+            atoms = bond.classes
+            for mask in range(1, 1 << (len(atoms) - 1)):
                 counter.bump()
-                groups = _pair_components(rim_sub, frozenset(hinge_set))
-                if not groups:
-                    continue
-                if k == 2:
-                    if set(groups) != {frozenset(hinge_set)}:
-                        continue
-                    atoms = _ring_atoms(rim_sub, frozenset(hinge_set))
-                    if atoms is None or len(atoms) < 2:
-                        continue
-                    for mask in range(1, 1 << (len(atoms) - 1)):
-                        counter.bump()
-                        part_a = frozenset(
-                            e
-                            for i, es in enumerate(atoms)
-                            if mask >> i & 1 == 0
-                            for e in es
-                        )
-                        part_b = frozenset(rim) - part_a
-                        if not part_a or not part_b:
-                            continue
-                        hit = _wheel_candidate(
-                            o, hub, hinge_set, (part_a, part_b), spokes, msets, caps, counter
-                        )
-                        if hit:
-                            return hit
-                else:
-                    order = _hamiltonian_support(set(groups), hinge_set)
-                    if order is None:
-                        continue
-                    parts = tuple(
-                        groups[frozenset({order[i], order[(i + 1) % k]})]
-                        for i in range(k)
-                    )
-                    hinges = tuple(order[(i + 1) % k] for i in range(k))
-                    hit = _wheel_candidate(o, hub, hinges, parts, spokes, msets, caps, counter)
-                    if hit:
-                        return hit
+                part_a = frozenset(
+                    e for i, es in enumerate(atoms) if mask >> i & 1 == 0 for e in es
+                )
+                hit = _wheel_candidate(
+                    o, hub, bond.pair, (part_a, rim - part_a), spokes, msets, caps, counter
+                )
+                if hit:
+                    return hit
+        for poly in found.polygons:
+            counter.bump()
+            if len(poly.pieces) <= 6:
+                hit = _wheel_candidate(o, hub, poly.hinges, poly.pieces, spokes, msets, caps, counter)
+                if hit:
+                    return hit
     return None
-
-
-def _ring_atoms(sub: MultiGraph, hinges: frozenset[int]) -> tuple[frozenset[int], ...] | None:
-    """Indivisible edge groups between a 2-element hinge set."""
-    atoms: list[frozenset[int]] = []
-    for b in bridges_of_cut(sub, hinges):
-        if b.attachments != hinges:
-            return None
-        atoms.append(frozenset(b.edges))
-    u, v = sorted(hinges)
-    for e in sub.edges_between(u, v):
-        atoms.append(frozenset({e}))
-    return tuple(atoms)
 
 
 def _wheel_candidate(
@@ -805,7 +728,6 @@ def _wheel_candidate(
     if not all(any(pe <= m for m in msets) for pe in parts):
         return None
     g = o.graph
-    k = len(parts)
     options: list[list[tuple[frozenset[int], frozenset[int]] | None]] = []
     for i, pe in enumerate(parts):
         sub = g.subgraph(pe)
@@ -814,10 +736,7 @@ def _wheel_candidate(
             continue
         if not is_two_connected(sub):
             return None
-        if k == 2:
-            z_prev, z_cur = hinges[0], hinges[1]
-        else:
-            z_prev, z_cur = hinges[i - 1], hinges[i]
+        z_prev, z_cur = hinges[i - 1], hinges[i]
         attach = sorted(
             v
             for v in sub.vertex_set - {z_prev, z_cur}
@@ -882,16 +801,15 @@ def _detect_tricoloured(o: BiasedGraph, caps: Caps, msets: tuple[frozenset[int],
     only come from two target sets that meet.
 
     Each chord triple is met in every orientation, and all of them leave
-    the same ring edges: ``cores`` and ``layouts`` keep, for this call,
-    the 2-connected ring of each ring edge set and its layout at each
-    hinge set, so every ring is cut into parts once.
+    the same ring edges: ``cores`` keeps, for this call, the ring layouts
+    of each 2-connected ring edge set, so every ring is cut into parts
+    once.
     """
     g = o.graph
     if g.n < 4 or any(g.is_loop(e) for e in g.edge_ids):
         return None
     counter = _Counter(caps, "tricoloured search")
-    cores: dict[frozenset[int], MultiGraph | None] = {}
-    layouts: dict[tuple[frozenset[int], tuple[int, ...]], _RingLayout | None] = {}
+    cores: dict[frozenset[int], tuple[_RingLayout, ...]] = {}
     for trip in combinations(sorted(g.vertex_set), 3):
         tset = set(trip)
         stars: list[dict[int, list[int]]] = []
@@ -915,17 +833,20 @@ def _detect_tricoloured(o: BiasedGraph, caps: Caps, msets: tuple[frozenset[int],
             ring_edges = g.edge_id_set - chords
             if ring_edges not in cores:
                 core = g.subgraph(ring_edges, g.vertex_set)
-                cores[ring_edges] = core if is_two_connected(core) else None
-            core = cores[ring_edges]
-            if core is None:
-                continue
+                cores[ring_edges] = _ring_layouts(core) if is_two_connected(core) else ()
             pairs = [
                 (x, frozenset(targets), tuple(edges))
                 for x, (targets, edges) in zip(trip, choice)
             ]
-            hit = _fit_tricoloured(o, pairs, core, layouts, caps, counter)
-            if hit:
-                return hit
+            for layout in cores[ring_edges]:
+                counter.bump()
+                # Every target set must land inside one ring part.
+                if not all(layout.fits(yset) for _, yset, _ in pairs):
+                    continue
+                for ring in layout.rings:
+                    hit = _tricoloured_arrangements(o, pairs, ring, caps, counter)
+                    if hit:
+                        return hit
     return None
 
 
@@ -947,73 +868,61 @@ _Ring = tuple[tuple[frozenset[int], ...], tuple[frozenset[int], ...], tuple[int,
 
 @dataclass(frozen=True)
 class _RingLayout:
-    """A ring cut into base parts at one hinge set, with every six-part
-    ring the base parts make once single-hinge parts pad them out."""
+    """Three to six parts of a ring core, ``parts[i]`` from
+    ``hinges[i - 1]`` to ``hinges[i]``, with every six-part ring they
+    make once single-hinge parts pad them out."""
 
-    base_pvs: tuple[frozenset[int], ...]
-    hinges: frozenset[int]
-    rings: tuple[_Ring, ...]
+    hinges: tuple[int, ...]
+    parts: tuple[frozenset[int], ...]
+    part_vertices: tuple[frozenset[int], ...]
 
     def fits(self, yset: frozenset[int]) -> bool:
         # Parts are the base parts or single hinges.
-        return any(yset <= pv for pv in self.base_pvs) or (
-            len(yset) == 1 and yset <= self.hinges
+        return any(yset <= pv for pv in self.part_vertices) or (
+            len(yset) == 1 and yset <= set(self.hinges)
         )
 
-
-def _ring_layout(core: MultiGraph, hinge_set: tuple[int, ...]) -> _RingLayout | None:
-    """The ring of parts between consecutive hinges, or None when the
-    hinges do not cut the core into a single cycle of parts."""
-    groups = _pair_components(core, frozenset(hinge_set))
-    if not groups:
-        return None
-    order = _hamiltonian_support(set(groups), hinge_set)
-    if order is None:
-        return None
-    k = len(order)
-    base_parts = [groups[frozenset({order[i], order[(i + 1) % k]})] for i in range(k)]
-    base_pvs = [core.subgraph(pe).vertex_set for pe in base_parts]
-    singles = [frozenset({order[(i + 1) % k]}) for i in range(k)]
-    no_edges: frozenset[int] = frozenset()
-    rings: list[_Ring] = []
-    for slots in _weak_compositions(6 - k, k):
-        pvs: list[frozenset[int]] = []
-        pes: list[frozenset[int]] = []
-        for i in range(k):
-            pvs.append(base_pvs[i])
-            pes.append(base_parts[i])
-            pvs.extend([singles[i]] * slots[i])
-            pes.extend([no_edges] * slots[i])
-        meets = [pvs[i] & pvs[(i + 1) % 6] for i in range(6)]
-        if all(len(m) == 1 for m in meets):
-            rings.append((tuple(pvs), tuple(pes), tuple(min(m) for m in meets)))
-    return _RingLayout(tuple(base_pvs), frozenset(order), tuple(rings))
+    @cached_property
+    def rings(self) -> tuple[_Ring, ...]:
+        k = len(self.parts)
+        out: list[_Ring] = []
+        for slots in _weak_compositions(6 - k, k):
+            pvs: list[frozenset[int]] = []
+            pes: list[frozenset[int]] = []
+            for i in range(k):
+                pvs += [self.part_vertices[i]] + [frozenset({self.hinges[i]})] * slots[i]
+                pes += [self.parts[i]] + [frozenset()] * slots[i]
+            meets = [pvs[i] & pvs[(i + 1) % 6] for i in range(6)]
+            if all(len(m) == 1 for m in meets):
+                out.append((tuple(pvs), tuple(pes), tuple(min(m) for m in meets)))
+        return tuple(out)
 
 
-def _fit_tricoloured(
-    o: BiasedGraph,
-    pairs: list[tuple[int, frozenset[int], tuple[int, ...]]],
-    core: MultiGraph,
-    layouts: dict[tuple[frozenset[int], tuple[int, ...]], _RingLayout | None],
-    caps: Caps,
-    counter: _Counter,
-) -> _Hit | None:
-    verts = sorted(core.vertex_set)
-    for k in range(3, min(len(verts), 6) + 1):
-        for hinge_set in combinations(verts, k):
-            counter.bump()
-            key = (core.edge_id_set, hinge_set)
-            if key not in layouts:
-                layouts[key] = _ring_layout(core, hinge_set)
-            layout = layouts[key]
-            # Every target set must land inside one ring part.
-            if layout is None or not all(layout.fits(yset) for _, yset, _ in pairs):
-                continue
-            for ring in layout.rings:
-                hit = _tricoloured_arrangements(o, pairs, ring, caps, counter)
-                if hit:
-                    return hit
-    return None
+def _ring_layouts(core: MultiGraph) -> tuple[_RingLayout, ...]:
+    """Every ring of three to six parts in a 2-connected core, smallest
+    and least hinge set first: each 3- to 6-subset of a polygon's hinges
+    in cyclic order, the pieces between consecutive chosen hinges merged
+    into one part."""
+    out: list[_RingLayout] = []
+    for poly in rings(core).polygons:
+        k = len(poly.hinges)
+        for size in range(3, min(k, 6) + 1):
+            for chosen in combinations(range(k), size):
+                parts = tuple(
+                    frozenset().union(
+                        *(poly.pieces[(a + 1 + t) % k] for t in range((b - a) % k))
+                    )
+                    for a, b in zip(chosen[-1:] + chosen[:-1], chosen)
+                )
+                out.append(
+                    _RingLayout(
+                        tuple(poly.hinges[i] for i in chosen),
+                        parts,
+                        tuple(core.subgraph(pe).vertex_set for pe in parts),
+                    )
+                )
+    out.sort(key=lambda lay: (len(lay.hinges), sorted(lay.hinges)))
+    return tuple(out)
 
 
 _COLOUR_PATTERNS = (frozenset({0, 1, 2}), frozenset({0, 2, 4}))
@@ -1245,7 +1154,7 @@ def _peel(
     cut = tuple(sorted(vc.cut))
     interior = sorted(bridge.interior)
     if t == 1:
-        leaf = cur.restrict_edges(bridge.edges)
+        leaf = BiasedGraph(cur.graph.subgraph(bridge.edges), AllBalanced())
         leaf_origins = {e: tags[e] for e in bridge.edges}
         core = cur.delete_vertices(interior)
         new_tags = {e: tags[e] for e in core.graph.edge_id_set}
@@ -1303,47 +1212,6 @@ def _peel(
     return core, new_tags, SumNode(node_id, t, cut, virt_ids, leaf, leaf_origins)
 
 
-def _block_path(bt, s: int, t: int) -> tuple[list[int], list[int]]:
-    """Block indices from s's block to t's block, with the junctions between."""
-    s_blocks = bt.blocks_at(s)
-    t_blocks = bt.blocks_at(t)
-    if len(s_blocks) != 1 or len(t_blocks) != 1:
-        raise ClassifyError("rim endpoint sits in several blocks")
-    if s_blocks[0] == t_blocks[0]:
-        return [s_blocks[0]], []
-    by_junction: dict[int, list[int]] = {}
-    for block_idx, junction in bt.tree_edges:
-        by_junction.setdefault(junction, []).append(block_idx)
-    prev: dict[int, tuple[int, int] | None] = {s_blocks[0]: None}
-    frontier = [s_blocks[0]]
-    while frontier and t_blocks[0] not in prev:
-        nxt: list[int] = []
-        for b in frontier:
-            for junction, members in by_junction.items():
-                if b not in members:
-                    continue
-                for other in members:
-                    if other not in prev:
-                        prev[other] = (b, junction)
-                        nxt.append(other)
-        frontier = nxt
-    if t_blocks[0] not in prev:
-        raise ClassifyError("rim blocks do not form a path between the hinges")
-    blocks: list[int] = []
-    junctions: list[int] = []
-    at = t_blocks[0]
-    while at is not None:
-        blocks.append(at)
-        step = prev[at]
-        if step is None:
-            break
-        junctions.append(step[1])
-        at = step[0]
-    blocks.reverse()
-    junctions.reverse()
-    return blocks, junctions
-
-
 def _extract_wheel(cur: BiasedGraph, vc: VertexCut, caps: Caps) -> tuple[FamilyDescriptor, Certificate]:
     """Read the hub-and-ring roles off a 3-cut whose sides are all unbalanced."""
     g = cur.graph
@@ -1368,37 +1236,28 @@ def _extract_wheel(cur: BiasedGraph, vc: VertexCut, caps: Caps) -> tuple[FamilyD
     hub = next(iter(common))
     x2, x3 = sorted(vc.cut - {hub})
 
-    sides: list[tuple[list[frozenset[int]], list[int], object]] = []
+    partitions = []
     for b in vc.bridges:
-        ob = cur.restrict_edges(b.edges)
         try:
-            sp = standard_partition(ob, hub, caps)
+            partitions.append((b.edges, standard_partition(cur.restrict_edges(b.edges), hub, caps)))
         except TangleError as err:
             raise ClassifyError(f"wheel side at cut {cut} has no spoke partition: {err}")
-        rim_side = ob.graph.delete_vertices([hub])
-        bt = block_tree(rim_side)
-        block_ids, junctions = _block_path(bt, x2, x3)
-        parts = [frozenset(bt.blocks[i].edges) for i in block_ids]
-        sides.append((parts, junctions, sp))
-
-    (parts_a, junc_a, sp_a), (parts_b, junc_b, sp_b) = sides
-    ring: list[frozenset[int]] = list(parts_a) + list(reversed(parts_b))
-    owners: list[object] = [sp_a] * len(parts_a) + [sp_b] * len(parts_b)
-    if len(ring) == 2:
-        hinges = [x2, x3]
+    rim = g.delete_vertices([hub])
+    if not is_two_connected(rim):
+        raise ClassifyError(f"wheel rim at cut {cut} is not 2-connected")
+    # The two sides are the two bridge classes of the rim at x2, x3, and
+    # any edges joining x2 and x3 join one of them: a polygon through
+    # both hinges chains the blocks of each side, and with no polygon
+    # the ring is the bond split into its two sides.
+    found = rings(rim)
+    through = [p for p in found.polygons if {x2, x3} <= set(p.hinges)]
+    if len(through) > 1:
+        raise ClassifyError("edges joining the two rim hinges fit no ring part")
+    if through:
+        hinges, ring = through[0].hinges, through[0].pieces
     else:
-        hinges = list(junc_a) + [x3] + list(reversed(junc_b)) + [x2]
-
-    direct = sorted(g.edges_between(x2, x3))
-    if direct:
-        placed = False
-        for i, pe in enumerate(ring):
-            if {x2, x3} <= g.subgraph(pe).vertex_set:
-                ring[i] = pe | frozenset(direct)
-                placed = True
-                break
-        if not placed:
-            raise ClassifyError("edges joining the two rim hinges fit no ring part")
+        side_a, side_b, *direct = next(b for b in found.bonds if b.pair == (x2, x3)).classes
+        hinges, ring = (x2, x3), (side_a.union(*direct), side_b)
 
     xy: list[tuple[frozenset[int], frozenset[int]] | None] = []
     for i, pe in enumerate(ring):
@@ -1406,8 +1265,8 @@ def _extract_wheel(cur: BiasedGraph, vc: VertexCut, caps: Caps) -> tuple[FamilyD
         if len(pe) == 1 and sub.n == 2:
             xy.append(None)
             continue
-        part_hinges = {x2, x3} if len(ring) == 2 else {hinges[i - 1], hinges[i]}
-        sp = owners[i]
+        part_hinges = {hinges[i - 1], hinges[i]}
+        sp = next(sp for side, sp in partitions if pe & side)
         classes: dict[int, set[int]] = {}
         for v in sorted(sub.vertex_set - part_hinges):
             vs = {sp.part_of(e) for e in g.edges_between(hub, v)}

@@ -32,15 +32,15 @@ OrderEntry = int | frozenset[int]
 OrderSpec = Sequence[OrderEntry]
 
 
-def dart_tail(g: MultiGraph, d: Dart) -> int:
+def _dart_tail(g: MultiGraph, d: Dart) -> int:
     return g.endpoints(d[0])[d[1]]
 
 
-def dart_twin(d: Dart) -> Dart:
+def _dart_twin(d: Dart) -> Dart:
     return (d[0], 1 - d[1])
 
 
-def darts_at(g: MultiGraph, v: int) -> tuple[Dart, ...]:
+def _darts_at(g: MultiGraph, v: int) -> tuple[Dart, ...]:
     out: list[Dart] = []
     for e in g.incident_edges(v):
         a, b = g.endpoints(e)
@@ -94,9 +94,9 @@ class RotationSystem:
                 e, side = d
                 if e not in g.edge_id_set or side not in (0, 1):
                     defects.append(f"dart {d} is not a dart of the graph")
-                elif dart_tail(g, d) != v:
+                elif _dart_tail(g, d) != v:
                     defects.append(f"dart {d} listed at wrong vertex {v}")
-        expect = {d for v in g.vertices for d in darts_at(g, v)}
+        expect = {d for v in g.vertices for d in _darts_at(g, v)}
         if seen != expect:
             defects.append("rotation does not cover the dart set exactly")
         return defects
@@ -117,7 +117,7 @@ class RotationSystem:
             while True:
                 orbit.append(d)
                 seen.add(d)
-                d = nxt[dart_twin(d)]
+                d = nxt[_dart_twin(d)]
                 if d == d0:
                     break
             k = orbit.index(min(orbit))
@@ -126,7 +126,7 @@ class RotationSystem:
         return tuple(out)
 
     def face_walk(self, g: MultiGraph, face: Sequence[Dart]) -> tuple[int, ...]:
-        return tuple(dart_tail(g, d) for d in face)
+        return tuple(_dart_tail(g, d) for d in face)
 
     def is_planar(self, g: MultiGraph) -> bool:
         """Euler check V - E + F = 2 on every component with an edge."""
@@ -143,7 +143,7 @@ class RotationSystem:
             c = comp_of[g.endpoints(e)[0]]
             ne[c] = ne.get(c, 0) + 1
         for face in self.faces():
-            c = comp_of[dart_tail(g, face[0])]
+            c = comp_of[_dart_tail(g, face[0])]
             nf[c] = nf.get(c, 0) + 1
         for c, edges in ne.items():
             if nv[c] - edges + nf.get(c, 0) != 2:
@@ -246,7 +246,7 @@ def all_rotation_systems(g: MultiGraph, caps: Caps = DEFAULT_CAPS) -> Iterator[R
     per_vertex: list[tuple[int, list[tuple[Dart, ...]]]] = []
     total = 1
     for v in g.vertices:
-        ds = darts_at(g, v)
+        ds = _darts_at(g, v)
         if len(ds) <= 2:
             per_vertex.append((v, [ds]))
             continue

@@ -1072,22 +1072,6 @@ def build_pp_signed(
 # t-sums
 # ---------------------------------------------------------------------------
 
-_SIDE_MINIMUM = {"tight": {1: 2, 2: 3, 3: 4}, "classic": {1: 2, 2: 3, 3: 5}}
-
-
-def balanced_side_minimum(t: int, mode: str = "tight") -> int:
-    """Minimum balanced-side order for a t-sum to preserve tangledness.
-
-    Two published threshold tables exist for 3-sums ("tight" admits
-    4-vertex balanced sides, "classic" requires 5); both are kept and
-    the choice is left to the caller.
-    """
-    try:
-        return _SIDE_MINIMUM[mode][t]
-    except KeyError:
-        raise FamilyError(f"unknown mode {mode!r} or t {t!r}") from None
-
-
 def _pick_kt_edges(
     o: BiasedGraph,
     vs: Sequence[int],

@@ -812,3 +812,106 @@ def is_two_connected(g: MultiGraph) -> bool:
     if g.n < 2:
         return False
     return not block_tree(g).cut_vertices
+
+
+# ---------------------------------------------------------------------------
+# Rings: bonds and polygons at 2-separations
+# ---------------------------------------------------------------------------
+
+
+@dataclass(frozen=True)
+class Bond:
+    """A vertex pair u < v with its separation classes: the edges of each
+    bridge of H - {u, v}, then each edge joining u and v on its own."""
+
+    pair: tuple[int, int]
+    classes: tuple[frozenset[int], ...]
+
+
+@dataclass(frozen=True)
+class Polygon:
+    """A maximal cyclic hinge sequence: ``pieces[i]`` runs from
+    ``hinges[i - 1]`` to ``hinges[i]``, so ``hinges[i]`` is where piece
+    i meets piece i + 1.  Each piece is 2-connected or a single edge."""
+
+    hinges: tuple[int, ...]
+    pieces: tuple[frozenset[int], ...]
+
+
+@dataclass(frozen=True)
+class Rings:
+    bonds: tuple[Bond, ...]
+    polygons: tuple[Polygon, ...]
+
+
+def rings(h: MultiGraph) -> Rings:
+    """Every ring of parts glued at hinges in a 2-connected multigraph.
+
+    These are the bonds and polygons of Tutte's decomposition of a
+    2-connected graph at its 2-separations (Tutte, *Connectivity in
+    Graphs*, 1966; Hopcroft and Tarjan 1973).  A bond is a vertex pair
+    with at least two separation classes: every separation pair {a, c},
+    c a cut vertex of H - a, and every adjacent pair.  Each class closed
+    up by an edge uv is 2-connected, so its blocks form a chain from u
+    to v.  Two classes make one cycle of blocks; with more, each chain
+    of two or more blocks closes up with the union of the other classes.
+    A cycle of three or more pieces is a polygon, reported once.  Every
+    hinge set of three or more whose pieces attach to consecutive hinges
+    only lies, in cyclic order, inside one polygon.
+    """
+    if not is_two_connected(h):
+        raise GraphError("rings needs a 2-connected multigraph")
+    separating: set[tuple[int, int]] = set()
+    for a in h.vertices:
+        separating.update(tuple(sorted((a, c))) for c in block_tree(h.delete_vertices([a])).cut_vertices)
+    bonds: list[Bond] = []
+    polygons: list[Polygon] = []
+    if h.n == 3:  # the triangle has no separation pair
+        a, b, c = h.vertices
+        pieces = tuple(frozenset(h.edges_between(*p)) for p in ((a, b), (b, c), (c, a)))
+        polygons.append(Polygon((b, c, a), pieces))
+    for u, v in sorted(separating | set(h.simple_pairs())):
+        direct = h.edges_between(u, v)
+        if (u, v) in separating:
+            classes = tuple(b.edges for b in bridges_of_cut(h, (u, v)))
+        else:  # h - {u, v} is connected, or empty
+            rest = h.edge_id_set.difference(direct)
+            classes = (rest,) if rest else ()
+        classes += tuple(frozenset({e}) for e in direct)
+        bonds.append(Bond((u, v), classes))
+        # with two classes, u and v lie on one polygon at most
+        if (u, v) not in separating or (
+            len(classes) == 2 and any({u, v} <= set(p.hinges) for p in polygons)
+        ):
+            continue
+        chains = [_chain(h, c, u, v) for c in classes]
+        if len(classes) == 2:
+            (walk, pieces), (back, more) = chains
+            cycles = [(walk + back[-2:0:-1], pieces + more[::-1])]
+        else:
+            cycles = [
+                (walk, pieces + [frozenset().union(*classes[:i], *classes[i + 1:])])
+                for i, (walk, pieces) in enumerate(chains)
+                if len(pieces) >= 2
+            ]
+        for walk, pieces in cycles:
+            if len(walk) >= 3 and all(set(walk) != set(p.hinges) for p in polygons):
+                polygons.append(Polygon(tuple(walk[1:] + walk[:1]), tuple(pieces)))
+    polygons.sort(key=lambda p: (len(p.hinges), sorted(p.hinges)))
+    return Rings(tuple(bonds), tuple(polygons))
+
+
+def _chain(h: MultiGraph, edges: frozenset[int], u: int, v: int) -> tuple[list[int], list[frozenset[int]]]:
+    """The blocks of one separation class in order from u to v, with the
+    vertices where consecutive blocks meet: walk[i] to walk[i + 1] is
+    pieces[i]."""
+    bt = block_tree(h.subgraph(edges))
+    ends = bt.cut_vertices | {v}
+    walk, pieces = [u], []
+    left = list(bt.blocks)
+    while walk[-1] != v:
+        block = next(b for b in left if walk[-1] in b.vertices)
+        left.remove(block)
+        pieces.append(block.edges)
+        walk.append(min(x for x in block.vertices - {walk[-1]} if x in ends))
+    return walk, pieces

@@ -4,10 +4,10 @@ Everything here works by exhaustive subset or path enumeration and shares no
 search logic with the library: cycles come from 2-regularity checks over all
 edge subsets or from plain path extension, thetas from internally disjoint
 path triples, linkages from all simple path pairs, 2-connectivity from the
-vertex-subset cut scan.  The exceptions are earlier versions of the
-library's own code, kept without their fast paths: the maximal balanced
-sets, the Tricoloured detector, the canonical cycle key, the theta check
-and the linkage search at the end.
+vertex-subset cut scan, rings from the hinge-subset scan.  The exceptions
+are earlier versions of the library's own code, kept without their fast
+paths: the maximal balanced sets, the Tricoloured detector, the canonical
+cycle key, the theta check and the linkage search at the end.
 """
 
 from __future__ import annotations
@@ -18,19 +18,14 @@ from itertools import combinations, permutations, product
 from typing import Iterable, Iterator, Sequence
 
 from tanglekit.bias import BiasedGraph, BiasError
-from tanglekit.classify import (
-    _Counter,
-    _Hit,
-    _hamiltonian_support,
-    _pair_components,
-    _weak_compositions,
-)
+from tanglekit.classify import _Counter, _Hit, _weak_compositions
 from tanglekit.families import FamilyDescriptor, verify_family
 from tanglekit.graph import (
     Cycle,
     GraphError,
     MultiGraph,
     ThetaSubgraph,
+    bridges_of_cut,
     enumerate_theta_subgraphs,
     find_vertex_cuts,
     is_two_connected,
@@ -208,8 +203,9 @@ def canonical_form(g: MultiGraph) -> tuple:
     """Isomorphism-invariant canonical form for small simple graphs.
 
     Minimum adjacency bitmask over all vertex orderings that list vertices
-    by ascending degree; isomorphisms preserve degrees, so restricting to
-    degree-respecting orderings keeps the form exact while staying fast.
+    by ascending degree, then by their neighbours' degrees; isomorphisms
+    preserve both, so restricting to orderings that respect them keeps
+    the form exact while staying fast.
     """
     n = g.n
     verts = list(g.vertices)
@@ -222,9 +218,9 @@ def canonical_form(g: MultiGraph) -> tuple:
         adj[idx[u]].add(idx[v])
         adj[idx[v]].add(idx[u])
     deg = [len(a) for a in adj]
-    classes: dict[int, list[int]] = {}
+    classes: dict[tuple, list[int]] = {}
     for i, d in enumerate(deg):
-        classes.setdefault(d, []).append(i)
+        classes.setdefault((d, tuple(sorted(deg[j] for j in adj[i]))), []).append(i)
     groups = [classes[d] for d in sorted(classes)]
     best: int | None = None
     for ordering in _class_orderings(groups):
@@ -242,21 +238,26 @@ def canonical_form(g: MultiGraph) -> tuple:
 
 
 def connected_graph_census(n: int) -> list[MultiGraph]:
-    """One representative per unlabeled connected simple graph on n vertices."""
-    verts = list(range(n))
-    all_pairs = list(itertools.combinations(verts, 2))
+    """One representative per unlabeled connected simple graph on n vertices.
+
+    Grown one vertex at a time: deleting a leaf of a spanning tree leaves
+    a connected graph connected, so every connected graph on n vertices
+    is one on n - 1 vertices plus vertex n - 1 joined to a non-empty set.
+    """
+    if n <= 1:
+        return [MultiGraph.build(range(n), [])]
     seen: set[tuple] = set()
     out: list[MultiGraph] = []
-    for mask in range(1 << len(all_pairs)):
-        pairs = [all_pairs[i] for i in range(len(all_pairs)) if mask >> i & 1]
-        g = MultiGraph.build(verts, [(i, u, v) for i, (u, v) in enumerate(pairs)])
-        if not g.is_connected():
-            continue
-        key = canonical_form(g)
-        if key in seen:
-            continue
-        seen.add(key)
-        out.append(g)
+    for g in connected_graph_census(n - 1):
+        pairs = [g.endpoints(e) for e in g.edge_ids]
+        for mask in range(1, 1 << (n - 1)):
+            h = MultiGraph.from_pairs(
+                pairs + [(v, n - 1) for v in range(n - 1) if mask >> v & 1], range(n)
+            )
+            key = canonical_form(h)
+            if key not in seen:
+                seen.add(key)
+                out.append(h)
     return out
 
 
@@ -383,6 +384,107 @@ def _maximal_balanced_sets(o: BiasedGraph, caps: Caps = DEFAULT_CAPS) -> tuple[f
 
 
 oracle_maximal_balanced_sets = _maximal_balanced_sets
+
+
+# ---------------------------------------------------------------------------
+# Rings by hinge-subset scan
+#
+# The ring search as the wheel and Tricoloured detectors ran it before
+# rings were read off 2-separations: every 2- to 6-subset of vertices is
+# tried as a hinge set, and kept when each bridge of the graph minus the
+# hinges attaches to exactly two of them and those pairs close a single
+# cycle through all hinges.
+# ---------------------------------------------------------------------------
+
+
+def _pair_components(sub: MultiGraph, hinges: frozenset[int]) -> dict[frozenset[int], frozenset[int]] | None:
+    """Edges of sub grouped by the hinge pair they span, or None.
+
+    Fails when some component of sub - hinges does not attach to exactly
+    two hinges, or some edge evades the grouping.
+    """
+    groups: dict[frozenset[int], set[int]] = {}
+    for b in bridges_of_cut(sub, hinges):
+        if len(b.attachments) != 2:
+            return None
+        groups.setdefault(b.attachments, set()).update(b.edges)
+    for u, v in combinations(sorted(hinges), 2):
+        between = sub.edges_between(u, v)
+        if between:
+            groups.setdefault(frozenset({u, v}), set()).update(between)
+    covered: set[int] = set()
+    for es in groups.values():
+        covered |= es
+    if covered != set(sub.edge_ids):
+        return None
+    return {pair: frozenset(es) for pair, es in groups.items()}
+
+
+def _hamiltonian_support(pairs: set[frozenset[int]], hinges: tuple[int, ...]) -> tuple[int, ...] | None:
+    """Cyclic hinge order when the pairs form a single cycle through all hinges."""
+    if len(pairs) != len(hinges) or len(hinges) < 3:
+        return None
+    adj: dict[int, list[int]] = {v: [] for v in hinges}
+    for p in pairs:
+        u, v = sorted(p)
+        if u not in adj or v not in adj:
+            return None
+        adj[u].append(v)
+        adj[v].append(u)
+    if any(len(nbrs) != 2 for nbrs in adj.values()):
+        return None
+    start = min(hinges)
+    order = [start]
+    prev = -1
+    while len(order) < len(hinges):
+        nxt = [w for w in adj[order[-1]] if w != prev]
+        if not nxt:
+            return None
+        prev = order[-1]
+        order.append(nxt[0])
+    if len(set(order)) != len(hinges) or start not in adj[order[-1]]:
+        return None
+    return tuple(order)
+
+
+def _ring_atoms(sub: MultiGraph, hinges: frozenset[int]) -> tuple[frozenset[int], ...] | None:
+    """Indivisible edge groups between a 2-element hinge set."""
+    atoms: list[frozenset[int]] = []
+    for b in bridges_of_cut(sub, hinges):
+        if b.attachments != hinges:
+            return None
+        atoms.append(frozenset(b.edges))
+    u, v = sorted(hinges)
+    for e in sub.edges_between(u, v):
+        atoms.append(frozenset({e}))
+    return tuple(atoms)
+
+
+def scan_rings(
+    h: MultiGraph,
+) -> tuple[dict[tuple[int, int], tuple[frozenset[int], ...]], set[frozenset[tuple[frozenset[int], frozenset[int]]]]]:
+    """Bonds and rings of h by trying every 2- to 6-subset of vertices.
+
+    Bonds map each accepted hinge pair to its atoms, in the order the
+    wheel search split them.  A ring of three to six parts is the set of
+    (hinge pair, part edges) pairs, so it compares equal under rotation
+    and reflection.
+    """
+    bonds: dict[tuple[int, int], tuple[frozenset[int], ...]] = {}
+    found: set[frozenset[tuple[frozenset[int], frozenset[int]]]] = set()
+    verts = sorted(h.vertex_set)
+    for k in range(2, min(len(verts), 6) + 1):
+        for hinge_set in combinations(verts, k):
+            groups = _pair_components(h, frozenset(hinge_set))
+            if not groups:
+                continue
+            if k == 2:
+                atoms = _ring_atoms(h, frozenset(hinge_set))
+                if set(groups) == {frozenset(hinge_set)} and atoms is not None and len(atoms) >= 2:
+                    bonds[hinge_set] = atoms
+            elif _hamiltonian_support(set(groups), hinge_set) is not None:
+                found.add(frozenset(groups.items()))
+    return bonds, found
 
 
 # ---------------------------------------------------------------------------

@@ -11,6 +11,7 @@ from tanglekit.bias import BiasedGraph, make_explicit, make_signed
 import tanglekit.classify as classify_module
 import tanglekit.graph as graph_module
 from tanglekit.classify import (
+    WheelCore,
     _PLACEMENTS,
     _detect_generalized_wheel,
     _detect_pp_signed,
@@ -275,11 +276,14 @@ def test_balanced_subgraph_search_stops_at_its_cap():
 
 
 def test_wheel_search_stops_at_its_cap():
-    o = build_family(describe_k5_family())
+    # a non-member whose rims have bonds and polygons: the search runs
+    # through over a hundred rings and splits before it misses
+    o = build_family(consecutive_tricoloured())
     msets = _maximal_balanced_sets(o)
     with pytest.raises(ResourceLimitError) as err:
-        _detect_generalized_wheel(o, Caps(max_assignments=10), msets)
+        _detect_generalized_wheel(o, Caps(max_assignments=50), msets)
     assert err.value.stage == "generalized-wheel search"
+    assert _detect_generalized_wheel(o, DEFAULT_CAPS, msets) is None
 
 
 def test_special_vertex_search_stops_at_its_cap():
@@ -311,6 +315,59 @@ def test_decompose_stops_at_the_vertex_cut_cap():
         decompose(o, Caps(max_subsets=20))
     assert err.value.stage == "find_vertex_cuts"
     assert decompose(o, Caps(max_subsets=100)).verify(o) == ()
+
+
+# -- wheel cores ------------------------------------------------------------------
+
+
+def diamond_ring_wheel() -> BiasedGraph:
+    """Hub 0 over hinges 1, 2, 3.  Part i is h(i-1)-a-h(i)-b with chord ab,
+    spoke hub-a positive and hub-b negative, and both edges of part 0 at
+    hinge 1 are negative.  Part i has edge ids 7i..7i+4, spokes 7i+5, 7i+6."""
+    hinges = (1, 2, 3)
+    pairs: list[tuple[int, int]] = []
+    negative: list[int] = []
+    for i in range(3):
+        h0, h1, a, b = hinges[i - 1], hinges[i], 4 + 2 * i, 5 + 2 * i
+        for u, v in ((h0, a), (a, h1), (h1, b), (b, h0), (a, b)):
+            if i == 0 and 1 in (u, v):
+                negative.append(len(pairs))
+            pairs.append((u, v))
+        pairs += [(0, a), (0, b)]
+        negative.append(len(pairs) - 1)
+    return make_signed(MultiGraph.from_pairs(pairs), negative)
+
+
+def signed_w7() -> BiasedGraph:
+    """Hub 0, rim 1..7, spokes 0-6, rim edges 7-13; rim edges 7, 8, 10, 12
+    and 13 negative."""
+    pairs = [(0, i) for i in range(1, 8)] + [(i, i % 7 + 1) for i in range(1, 8)]
+    return make_signed(MultiGraph.from_pairs(pairs), [7, 8, 10, 12, 13])
+
+
+def test_diamond_ring_wheel_is_a_wheel_core():
+    o = diamond_ring_wheel()
+    assert (o.graph.n, o.graph.m) == (10, 21)
+    dec = decompose(o)
+    assert dec.nodes == () and isinstance(dec.core, WheelCore)
+    roles = dec.core.descriptor.roles
+    assert roles["hub"] == 0 and set(roles["hinges"]) == {1, 2, 3}
+    assert set(roles["parts"]) == {frozenset(range(7 * i, 7 * i + 5)) for i in range(3)}
+    assert dec.core.certificate.passed
+    assert verify_family(o, dec.core.descriptor).passed
+    assert classify(o, first=True).codes() == ("T1b",)
+
+
+def test_signed_w7_peels_to_a_wheel_core():
+    o = signed_w7()
+    dec = decompose(o)
+    assert len(dec.nodes) == 2 and isinstance(dec.core, WheelCore)
+    roles = dec.core.descriptor.roles
+    assert roles["hub"] == 0 and set(roles["hinges"]) == {1, 2, 5, 6}
+    # two real rim edges and the two virtual edges the peels left
+    assert set(roles["parts"]) == {frozenset({7}), frozenset({11}), frozenset({16}), frozenset({19})}
+    assert dec.core.certificate.passed
+    assert dec.verify(o) == ()
 
 
 # -- one cycle list per graph ------------------------------------------------------
@@ -373,6 +430,16 @@ def test_decompose_enumerates_each_peeled_core_once(index, enumerated, monkeypat
     assert _enumerated_twice(enumerated) == []
     for core in cores:
         assert sum(g is core for g in enumerated) == 1
+
+
+@pytest.mark.parametrize("index", range(6))
+def test_recomposition_enumerates_no_peeled_leaf(index, enumerated):
+    # a peeled leaf is all-balanced, so t_sum needs none of its cycles
+    o = corpus_t_sums()[index]
+    dec = decompose(o)
+    del enumerated[:]
+    assert dec.verify(o) == ()
+    assert not any(g is node.leaf.graph for node in dec.nodes for g in enumerated)
 
 
 # -- inputs that used to fail ------------------------------------------------------

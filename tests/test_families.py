@@ -12,7 +12,6 @@ from tanglekit.families import (
     FamilyDescriptor,
     FamilyError,
     KINDS,
-    balanced_side_minimum,
     build_criss_cross,
     build_family,
     build_fat_triangle,
@@ -703,15 +702,6 @@ def test_t_sum_requires_balanced_shared_triangle():
         t_sum(fatk, balanced_complete(4), 3, [(0, 0), (1, 1), (2, 2)], kt_edges1=(6, 1, 3))
 
 
-def test_balanced_side_minimum_modes():
-    assert [balanced_side_minimum(t) for t in (1, 2, 3)] == [2, 3, 4]
-    assert [balanced_side_minimum(t, "classic") for t in (1, 2, 3)] == [2, 3, 5]
-    with pytest.raises(FamilyError):
-        balanced_side_minimum(4)
-    with pytest.raises(FamilyError):
-        balanced_side_minimum(2, "loose")
-
-
 # -- certificates ----------------------------------------------------------------
 
 
@@ -869,7 +859,7 @@ def test_t_sum_preserves_tangledness_at_desk_scale(seed):
     rng = random.Random(seed)
     o1 = build_fat_triangle(random_fat_triangle(rng))
     t = rng.choice([tt for tt in (1, 2, 3) if o1.graph.n > tt])
-    n2 = rng.randint(max(balanced_side_minimum(t), t + 1), 4)
+    n2 = rng.randint(t + 1, 4)
     o2 = balanced_complete(n2)
     if o1.graph.n + o2.graph.n - t > 9:
         return

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import itertools
 import random
 
 import pytest
@@ -18,7 +19,9 @@ from tanglekit.graph import (
     enumerate_theta_subgraphs,
     find_vertex_cuts,
     is_two_connected,
+    rings,
 )
+from tanglekit.classify import _ring_layouts
 from tanglekit.limits import Caps, ResourceLimitError
 
 from oracles import (
@@ -27,6 +30,7 @@ from oracles import (
     path_triple_thetas,
     random_multigraph,
     scan_is_two_connected,
+    scan_rings,
     subset_cycles,
 )
 
@@ -297,3 +301,70 @@ def test_edges_between_matches_a_full_scan():
     assert g.edges_between(1, 0) == g.edges_between(0, 1) == (0, 1, 4)
     assert g.edges_between(1, 1) == (2, 5)
     assert g.edges_between(0, 2) == ()
+
+
+# -- rings at 2-separations -------------------------------------------------------
+
+
+def random_two_connected(rng: random.Random, max_n: int = 8) -> MultiGraph:
+    """A cycle on two to five vertices with up to six ears of one to three
+    edges between existing vertices: 2-connected, and the one-edge ears
+    are chords or parallel edges."""
+    k = rng.randint(2, 5)
+    pairs = [(i, (i + 1) % k) for i in range(k)]
+    n = k
+    for _ in range(rng.randint(0, 6)):
+        u, v = rng.sample(range(n), 2)
+        path = [u, *range(n, min(n + rng.randint(0, 2), max_n)), v]
+        n += len(path) - 2
+        pairs += zip(path, path[1:])
+    return MultiGraph.from_pairs(pairs)
+
+
+def read_rings(h: MultiGraph):
+    """The reader's bonds, and its rings of three to six parts in the
+    scan's form: each 3- to 6-subset of a polygon's hinges with the
+    pieces between them merged, as (hinge pair, part edges) pairs."""
+    found = rings(h)
+    bonds = {b.pair: b.classes for b in found.bonds}
+    layouts = {
+        frozenset(
+            (frozenset({lay.hinges[i - 1], lay.hinges[i]}), part) for i, part in enumerate(lay.parts)
+        )
+        for lay in _ring_layouts(h)
+    }
+    return bonds, layouts
+
+
+def test_rings_match_the_hinge_subset_scan():
+    graphs = [g for n in range(2, 8) for g in connected_graph_census(n) if is_two_connected(g)]
+    rng = random.Random(31)
+    draws = (random_two_connected(rng) for _ in itertools.count())
+    multi = list(itertools.islice((g for g in draws if len(g.simple_pairs()) < g.m), 200))
+    for g in graphs + multi:
+        assert read_rings(g) == scan_rings(g)
+    # every 2-connected simple graph on up to seven vertices
+    assert len(graphs) == 1 + 3 + 10 + 56 + 468
+
+
+def test_rings_read_a_cycle_of_blocks_as_one_polygon():
+    # a K4 and a digon strung on a 6-cycle, no polygon inside the K4: the polygon's pieces are the
+    # blocks, and every adjacent pair and separation pair is a bond
+    g = MultiGraph.from_pairs(
+        [(0, 1), (1, 2), (2, 3), (3, 4), (4, 5), (5, 0), (1, 6), (6, 2), (1, 7), (7, 2), (6, 7), (3, 4)]
+    )
+    found = rings(g)
+    (poly,) = found.polygons
+    assert {frozenset({poly.hinges[i - 1], poly.hinges[i]}): piece for i, piece in enumerate(poly.pieces)} == {
+        frozenset({0, 1}): {0},
+        frozenset({1, 2}): {1, 6, 7, 8, 9, 10},
+        frozenset({2, 3}): {2},
+        frozenset({3, 4}): {3, 11},
+        frozenset({4, 5}): {4},
+        frozenset({5, 0}): {5},
+    }
+    bond = next(b for b in found.bonds if b.pair == (1, 2))
+    assert bond.classes == (frozenset({0, 2, 3, 4, 5, 11}), frozenset({6, 7, 8, 9, 10}), frozenset({1}))
+    with pytest.raises(GraphError):
+        rings(MultiGraph.from_pairs([(0, 1), (1, 2)]))
+

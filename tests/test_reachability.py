@@ -2,8 +2,10 @@
 
 Every private module-level name in the library is used by the library: a
 helper that only its own tests reach is dead weight, and the first test
-fails as soon as one is left behind, whatever the tests import.  The
-second keeps one cycle list per graph: only ``MultiGraph.cycles`` reaches
+fails as soon as one is left behind, whatever the tests import.  Every
+public function or class is named by another library module (the CLI
+among them), by the benchmark or by the package's ``__all__``.  The last
+test keeps one cycle list per graph: only ``MultiGraph.cycles`` reaches
 ``enumerate_cycles``, and nothing writes through ``object.__setattr__``.
 """
 
@@ -13,6 +15,7 @@ import ast
 from pathlib import Path
 
 SRC = Path(__file__).resolve().parent.parent / "src" / "tanglekit"
+BENCH = SRC.parent.parent / "tanglebench"
 
 
 def _private_definitions(tree: ast.Module) -> list[tuple[str, ast.stmt]]:
@@ -55,6 +58,33 @@ def test_every_private_module_name_is_used_by_the_library():
         if not any(name in names for stmt, names in uses if stmt is not node)
     ]
     assert unused == []
+
+
+def _exported(init: ast.Module) -> set[str]:
+    for node in init.body:
+        if isinstance(node, ast.Assign) and any(getattr(t, "id", None) == "__all__" for t in node.targets):
+            return set(ast.literal_eval(node.value))
+    return set()
+
+
+def test_every_public_name_is_reached_from_outside_its_module():
+    trees = {p.name: ast.parse(p.read_text(), filename=str(p)) for p in sorted(SRC.glob("*.py"))}
+    # the package module imports what it exports, so it counts through __all__ only
+    reached = _exported(trees["__init__.py"])
+    for p in BENCH.glob("*.py"):
+        if not p.name.startswith("test_"):
+            reached |= _uses(ast.parse(p.read_text(), filename=str(p)))
+    unreached = []
+    for name, tree in trees.items():
+        named = reached.union(*(_uses(t) for n, t in trees.items() if n not in (name, "__init__.py")))
+        unreached += [
+            f"{name}:{node.name}"
+            for node in tree.body
+            if isinstance(node, (ast.FunctionDef, ast.ClassDef))
+            and not node.name.startswith("_")
+            and node.name not in named
+        ]
+    assert unreached == []
 
 
 def _references(node: ast.AST, scope: tuple[str, ...] = ()):
