@@ -403,6 +403,8 @@ def switching_balanced(
     2-colouring, with no cycle enumeration.
     """
     gone = set(removed)
+    if any(u == v and u not in gone and e in signature for e, (u, v) in g.edge_map.items()):
+        return False  # a signed loop
     side: dict[int, bool] = {}
     for root in g.vertices:
         if root in gone or root in side:
@@ -411,8 +413,7 @@ def switching_balanced(
         stack = [root]
         while stack:
             x = stack.pop()
-            for e in g.incident_edges(x):
-                y = g.other_end(e, x)
+            for y, e in g.adjacent(x):
                 if y in gone:
                     continue
                 want = side[x] != (e in signature)

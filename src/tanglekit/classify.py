@@ -6,6 +6,12 @@ This module turns the structural trichotomy into executable searches:
 matches the input against every concrete family, attaching a
 re-verifiable certificate to each label it reports.
 
+A signed input stays signed through ``decompose``: each virtual edge of a
+peeled core takes the sign of a path through the balanced side it stands
+for, so side balance and the per-peel tangle check are switching tests and
+no core's cycles are listed, unless it is a wheel.  Other biases rebuild
+each core as an explicit cycle set.
+
 Recognition is search-based: candidate role assignments are enumerated
 within the configured resource ceilings and ``verify_family`` is the
 sole authority on whether a candidate counts.  Before a candidate
@@ -31,6 +37,7 @@ from .bias import (
     AllBalanced,
     BiasedGraph,
     BiasError,
+    Signed,
     is_simple,
     make_explicit,
 )
@@ -1053,6 +1060,8 @@ _DETECTORS: tuple[tuple[str, str, object], ...] = (
 
 
 def _side_balanced(cur: BiasedGraph, edges: frozenset[int], caps: Caps) -> bool:
+    if isinstance(cur.bias, Signed):
+        return cur.restrict_edges(edges).is_balanced(caps)
     return all(cur.balance(c) for c in cycles_inside(cur.graph, edges, caps))
 
 
@@ -1183,6 +1192,34 @@ def _peel(
 
     core_graph = cur.graph.delete_vertices(interior).with_edges(virt)
     vset = frozenset(virt)
+    if isinstance(cur.bias, Signed):
+        # A virtual edge takes the sign of its q-path.  Any two a-c paths
+        # through the balanced side have equal sign, so a cycle through two
+        # virtual edges gets the sign of q_ac, and the virtual triangle is
+        # balanced: every core cycle keeps the balance of the cycle it
+        # stands for, with no cycle listed.
+        sig = cur.bias.signature
+        negative = {ve for ve, pair in virt.items() if len(qpaths[pair] & sig) % 2}
+        core = BiasedGraph(core_graph, Signed((sig & core_graph.edge_id_set) | negative))
+    else:
+        core = _explicit_core(cur, core_graph, virt, qpaths, cut, caps)
+    new_tags = {e: tags[e] for e in core_graph.edge_id_set if e not in vset}
+    for j, ve in enumerate(virt_ids):
+        new_tags[ve] = ("virt", node_id, j)
+    return core, new_tags, SumNode(node_id, t, cut, virt_ids, leaf, leaf_origins)
+
+
+def _explicit_core(
+    cur: BiasedGraph,
+    core_graph: MultiGraph,
+    virt: dict[int, tuple[int, int]],
+    qpaths: dict[tuple[int, int], frozenset[int]],
+    cut: tuple[int, ...],
+    caps: Caps,
+) -> BiasedGraph:
+    """The core's balanced cycles, each probed through the q-paths of its
+    virtual edges, as an explicit set checked against the theta property."""
+    vset = frozenset(virt)
     balanced: list[frozenset[int]] = []
     for c in core_graph.cycles(caps):
         used = c.edge_set & vset
@@ -1203,13 +1240,9 @@ def _peel(
         if ok:
             balanced.append(c.edge_set)
     try:
-        core = make_explicit(core_graph, balanced, check=True, caps=caps)
+        return make_explicit(core_graph, balanced, check=True, caps=caps)
     except BiasError as err:
         raise ClassifyError(f"reconstructed side bias at cut {list(cut)} fails: {err}")
-    new_tags = {e: tags[e] for e in core_graph.edge_id_set if e not in vset}
-    for j, ve in enumerate(virt_ids):
-        new_tags[ve] = ("virt", node_id, j)
-    return core, new_tags, SumNode(node_id, t, cut, virt_ids, leaf, leaf_origins)
 
 
 def _extract_wheel(cur: BiasedGraph, vc: VertexCut, caps: Caps) -> tuple[FamilyDescriptor, Certificate]:

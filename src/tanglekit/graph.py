@@ -10,6 +10,11 @@ cycles whose intersection is a path with at least one edge.
 The graph owns its cycle list: :meth:`MultiGraph.cycles` enumerates it once
 and keeps it, and every layer above (bias, tangles, families, classify)
 reads that one list.  A bias only sorts it into balanced and unbalanced.
+A caller that may stop early reads :func:`cycles_by_length` instead, which
+builds one length at a time from the open paths of the length before.
+The graph also keeps one adjacency index, which its walks (components,
+blocks, cycles, switching tests) read.  Minimal vertex cuts are read off
+block trees (Hopcroft and Tarjan 1973), not tested subset by subset.
 
 All enumerations are deterministic: results come back sorted by canonical
 keys, never in hash order.
@@ -145,16 +150,31 @@ class MultiGraph:
         except KeyError:
             raise GraphError(f"unknown vertex id {v}") from None
 
+    @cached_property
+    def _adjacency(self) -> dict[int, tuple[tuple[int, int], ...]]:
+        adj: dict[int, list[tuple[int, int]]] = {v: [] for v in self._vertices}
+        for e, u, v in self._edges:
+            if u != v:
+                adj[u].append((v, e))
+                adj[v].append((u, e))
+        return {v: tuple(steps) for v, steps in adj.items()}
+
+    def adjacent(self, v: int) -> tuple[tuple[int, int], ...]:
+        """(neighbour, edge) for each non-loop edge at v, in edge id order."""
+        try:
+            return self._adjacency[v]
+        except KeyError:
+            raise GraphError(f"unknown vertex id {v}") from None
+
     def loops_at(self, v: int) -> tuple[int, ...]:
         return tuple(e for e in self.incident_edges(v) if self.is_loop(e))
 
     def delta(self, v: int) -> tuple[int, ...]:
-        """Non-loop edges at v."""
-        return tuple(e for e in self.incident_edges(v) if not self.is_loop(e))
+        """Non-loop edges at v, in id order."""
+        return tuple(e for _, e in self.adjacent(v))
 
     def neighbors(self, v: int) -> tuple[int, ...]:
-        out = {self.other_end(e, v) for e in self.delta(v)}
-        return tuple(sorted(out))
+        return tuple(sorted({w for w, _ in self.adjacent(v)}))
 
     @cached_property
     def _between(self) -> dict[tuple[int, int], tuple[int, ...]]:
@@ -234,8 +254,7 @@ class MultiGraph:
             seen.add(start)
             while stack:
                 x = stack.pop()
-                for e in self.delta(x):
-                    y = self.other_end(e, x)
+                for y, _ in self._adjacency[x]:
                     if y not in comp:
                         comp.add(y)
                         seen.add(y)
@@ -258,8 +277,7 @@ class MultiGraph:
             while frontier:
                 nxt: list[int] = []
                 for x in frontier:
-                    for e in sorted(self.delta(x)):
-                        y = self.other_end(e, x)
+                    for y, e in self._adjacency[x]:
                         if y not in seen:
                             seen.add(y)
                             tree.append(e)
@@ -280,8 +298,7 @@ class MultiGraph:
         while frontier:
             nxt: list[int] = []
             for x in frontier:
-                for e in sorted(self.delta(x)):
-                    y = self.other_end(e, x)
+                for y, e in self.adjacent(x):
                     if y in banned or y in seen:
                         continue
                     seen.add(y)
@@ -393,56 +410,46 @@ class Cycle:
         return (len(self.key), self.key)
 
 
-def _cycles_in_window(g: MultiGraph, lo: int, hi: int) -> Iterator[Cycle]:
-    """Cycles of g with lo..hi edges, loops first, then digons, then longer."""
-    if lo <= 1 <= hi:
-        for e in g.edge_ids:
-            u, v = g.endpoints(e)
+def _short_cycles(g: MultiGraph, length: int) -> Iterator[Cycle]:
+    """Loops (length 1) or digons (length 2) of g."""
+    if length == 1:
+        for e, u, v in g._edges:
             if u == v:
                 yield Cycle((e,), (u,))
-    if lo <= 2 <= hi:
+    else:
         for (u, v) in g.simple_pairs():
-            cls = g.edges_between(u, v)
-            for e, f in itertools.combinations(cls, 2):
+            for e, f in itertools.combinations(g.edges_between(u, v), 2):
                 yield Cycle.from_walk((e, f), (u, v))
-    if hi >= 3:
-        # Rooted DFS: root s = least vertex on the cycle, interior vertices
-        # all exceed s, and walk[1] < walk[-1] kills the reflected copy.
-        order = {v: i for i, v in enumerate(g.vertices)}
-        steps: dict[int, list[tuple[int, int]]] = {
-            v: sorted(
-                ((g.other_end(e, v), e) for e in g.delta(v)),
-                key=lambda t: (order[t[0]], t[1]),
-            )
-            for v in g.vertices
-        }
-        for s in g.vertices:
-            stack: list[tuple[int, list[int], list[int], set[int]]] = [(s, [], [s], {s})]
-            while stack:
-                cur, epath, vpath, onpath = stack.pop()
-                for (y, e) in reversed(steps[cur]):
-                    if y == s and len(epath) >= 2:
-                        if len(epath) + 1 >= lo and vpath[1] < vpath[-1]:
-                            yield Cycle.from_walk(epath + [e], vpath)
-                        continue
-                    if order[y] <= order[s] or y in onpath:
-                        continue
-                    if len(epath) + 2 > hi:
-                        continue
-                    stack.append((y, epath + [e], vpath + [y], onpath | {y}))
+
+
+# Cycles with three or more edges are closed rooted paths: the root s is the
+# least vertex on the cycle, every other vertex exceeds s, and
+# walk[1] < walk[-1] keeps one of the two orientations.
 
 
 def enumerate_cycles(g: MultiGraph, caps: Caps = DEFAULT_CAPS) -> tuple[Cycle, ...]:
-    """All cycles of g in ``Cycle.sort_key`` order, enumerated afresh.
+    """All cycles of g in ``Cycle.sort_key`` order, enumerated afresh by one
+    depth-first search per root.
 
     The library reads :meth:`MultiGraph.cycles`, which calls this once per
     graph.  Raises ResourceLimitError beyond ``caps.max_cycles`` cycles.
     """
-    out: list[Cycle] = []
-    for c in _cycles_in_window(g, 1, g.m):
-        out.append(c)
-        if len(out) > caps.max_cycles:
-            raise ResourceLimitError("enumerate_cycles", caps.max_cycles)
+    out: list[Cycle] = [*_short_cycles(g, 1), *_short_cycles(g, 2)]
+    adj = g._adjacency
+    for s in g.vertices:
+        stack: list[tuple[tuple[int, ...], tuple[int, ...]]] = [((s,), ())]
+        while stack:
+            vpath, epath = stack.pop()
+            for y, e in adj[vpath[-1]]:
+                if y == s:
+                    if len(epath) >= 2 and vpath[1] < vpath[-1]:
+                        out.append(Cycle.from_walk(epath + (e,), vpath))
+                        if len(out) > caps.max_cycles:
+                            raise ResourceLimitError("enumerate_cycles", caps.max_cycles)
+                elif y > s and y not in vpath:
+                    stack.append((vpath + (y,), epath + (e,)))
+    if len(out) > caps.max_cycles:
+        raise ResourceLimitError("enumerate_cycles", caps.max_cycles)
     out.sort(key=Cycle.sort_key)
     return tuple(out)
 
@@ -474,17 +481,35 @@ def cycles_inside(g: MultiGraph, edges: Iterable[int], caps: Caps = DEFAULT_CAPS
 def cycles_by_length(g: MultiGraph, caps: Caps = DEFAULT_CAPS) -> Iterator[Cycle]:
     """All cycles of g in ``Cycle.sort_key`` order, built one length at a time.
 
-    A caller that stops early never builds the longer layers.  Raises
-    ResourceLimitError("enumerate_cycles") once the layers built so far
-    hold more than ``caps.max_cycles`` cycles.
+    The open rooted paths with L edges close up into the cycles of length
+    L + 1 and extend into the open paths with L + 1 edges, so each layer
+    costs one step from the last.  A caller that stops early never builds
+    the longer layers.  Raises ResourceLimitError("enumerate_cycles") once
+    the layers built so far hold more than ``caps.max_cycles`` cycles.
     """
     built = 0
+    adj = g._adjacency
+    paths = [((s,), ()) for s in g.vertices]  # (vertex path, edge path)
     # a cycle with three or more edges visits as many distinct vertices
-    for length in range(1, min(g.m, max(g.n, 2)) + 1):
-        layer = sorted(_cycles_in_window(g, length, length), key=Cycle.sort_key)
+    top = min(g.m, max(g.n, 2))
+    for length in range(1, top + 1):
+        layer = list(_short_cycles(g, length)) if length <= 2 else []
+        longer: list[tuple[tuple[int, ...], tuple[int, ...]]] = []
+        for vpath, epath in paths:
+            s = vpath[0]
+            for y, e in adj[vpath[-1]]:
+                if y == s:
+                    if len(epath) >= 2 and vpath[1] < vpath[-1]:
+                        layer.append(Cycle.from_walk(epath + (e,), vpath))
+                        if built + len(layer) > caps.max_cycles:
+                            raise ResourceLimitError("enumerate_cycles", caps.max_cycles)
+                elif y > s and y not in vpath and length < top:
+                    longer.append((vpath + (y,), epath + (e,)))
         built += len(layer)
         if built > caps.max_cycles:
             raise ResourceLimitError("enumerate_cycles", caps.max_cycles)
+        paths = longer
+        layer.sort(key=Cycle.sort_key)
         yield from layer
 
 
@@ -611,14 +636,6 @@ class VertexCut:
         return len(self.cut)
 
 
-def _disconnects(g: MultiGraph, cut: frozenset[int]) -> bool:
-    rest = g.vertex_set - cut
-    if len(rest) < 2:
-        return False
-    h = g.induced(rest)
-    return not h.is_connected()
-
-
 def bridges_of_cut(g: MultiGraph, cut: Iterable[int]) -> tuple[Bridge, ...]:
     """Bridges of G - X for an arbitrary vertex set X (not necessarily a cut)."""
     X = frozenset(cut)
@@ -651,38 +668,44 @@ def bridges_of_cut(g: MultiGraph, cut: Iterable[int]) -> tuple[Bridge, ...]:
 def find_vertex_cuts(g: MultiGraph, k: int, caps: Caps = DEFAULT_CAPS) -> tuple[VertexCut, ...]:
     """All minimal vertex cuts of size at most k, with their bridges.
 
-    Minimal means no proper subset disconnects.  Requires g connected.
+    A cut X disconnects g and leaves at least two vertices; minimal means
+    no proper subset of X is a cut.  Requires g connected.
+
+    Cuts are read off block trees (Hopcroft and Tarjan 1973), one size at
+    a time.  A minimal cut X of size s is Y + {c} for any c in X, where
+    Y = X - c leaves g connected and c is a cut vertex of g - Y; so with
+    c the largest vertex of X, each one is found once by building the
+    block tree of g - Y for every (s - 1)-set Y that contains no smaller
+    cut, and keeping Y + {c} when it contains no smaller cut either.
+    Size three costs O(n^2) block trees.  Every block tree built counts
+    against ``caps.max_subsets`` ("find_vertex_cuts").
     """
     if not g.is_connected():
         raise GraphError("find_vertex_cuts requires a connected graph")
     if k < 0:
         raise GraphError("k must be non-negative")
-    cuts: list[VertexCut] = []
-    verts = g.vertices
+    found: set[frozenset[int]] = set()
     count = 0
+
+    def holds_cut(xs: tuple[int, ...], sizes: range) -> bool:
+        return any(frozenset(sub) in found for r in sizes for sub in itertools.combinations(xs, r))
+
     for size in range(1, k + 1):
         if g.n - size < 2:
             break
-        for cand in itertools.combinations(verts, size):
+        # a (size - 1)-set with no smaller cut inside leaves g connected
+        for ys in itertools.combinations(g.vertices, size - 1):
+            if holds_cut(ys, range(1, size)):
+                continue
             count += 1
             if count > caps.max_subsets:
                 raise ResourceLimitError("find_vertex_cuts", caps.max_subsets)
-            X = frozenset(cand)
-            if not _disconnects(g, X):
-                continue
-            minimal = True
-            for r in range(1, size):
-                for sub in itertools.combinations(cand, r):
-                    if _disconnects(g, frozenset(sub)):
-                        minimal = False
-                        break
-                if not minimal:
-                    break
-            if not minimal:
-                continue
-            cuts.append(VertexCut(X, bridges_of_cut(g, X)))
-    cuts.sort(key=lambda c: (c.size, sorted(c.cut)))
-    return tuple(cuts)
+            top = ys[-1] if ys else -1
+            for c in sorted(block_tree(g.delete_vertices(ys)).cut_vertices):
+                if c > top and not holds_cut((*ys, c), range(1, size)):
+                    found.add(frozenset((*ys, c)))
+    cuts = sorted(found, key=lambda x: (len(x), sorted(x)))
+    return tuple(VertexCut(x, bridges_of_cut(g, x)) for x in cuts)
 
 
 # ---------------------------------------------------------------------------
@@ -725,11 +748,11 @@ def block_tree(g: MultiGraph) -> BlockTree:
     blocks: list[Block] = []
 
     # Loops are their own blocks and never affect 2-connectivity.
-    for e in g.edge_ids:
-        if g.is_loop(e):
-            u, _ = g.endpoints(e)
+    for e, u, v in g._edges:
+        if u == v:
             blocks.append(Block(frozenset({e}), frozenset({u})))
 
+    adj = g._adjacency
     index: dict[int, int] = {}
     low: dict[int, int] = {}
     counter = itertools.count()
@@ -738,22 +761,21 @@ def block_tree(g: MultiGraph) -> BlockTree:
     for root in g.vertices:
         if root in index:
             continue
-        # Iterative DFS; frames are (vertex, incoming edge id, edge iterator).
+        # Iterative DFS; frames are (vertex, incoming edge id, step iterator).
         index[root] = low[root] = next(counter)
-        frames: list[tuple[int, int, Iterator[int]]] = [
-            (root, -1, iter(sorted(g.delta(root))))
+        frames: list[tuple[int, int, Iterator[tuple[int, int]]]] = [
+            (root, -1, iter(adj[root]))
         ]
         while frames:
             v, in_edge, it = frames[-1]
             advanced = False
-            for e in it:
+            for w, e in it:
                 if e == in_edge:
                     continue
-                w = g.other_end(e, v)
                 if w not in index:
                     estack.append(e)
                     index[w] = low[w] = next(counter)
-                    frames.append((w, e, iter(sorted(g.delta(w)))))
+                    frames.append((w, e, iter(adj[w])))
                     advanced = True
                     break
                 elif index[w] < index[v]:
@@ -774,9 +796,7 @@ def block_tree(g: MultiGraph) -> BlockTree:
                             break
                     vs: set[int] = set()
                     for eid in comp:
-                        a, b = g.endpoints(eid)
-                        vs.add(a)
-                        vs.add(b)
+                        vs.update(g.edge_map[eid])
                     blocks.append(Block(frozenset(comp), frozenset(vs)))
 
     # Junctions: vertices in >= 2 blocks.  True cut vertices: junctions of

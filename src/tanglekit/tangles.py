@@ -8,8 +8,9 @@ a blocking vertex.
 
 For signed bias the verdict uses switching (2-colouring) tests instead of
 the cycle list: the graph is balanced when it passes one, a vertex v
-blocks when o - v passes one, and the disjoint-pair search tests o - V(C)
-for unbalanced cycles C taken shortest first.  Its generated cycles count
+blocks when o - v passes one, a pair {v, w} blocks when o - {v, w} does,
+and the disjoint-pair search tests o - V(C) for unbalanced cycles C taken
+shortest first.  Its generated cycles count
 against ``max_cycles`` and its switching tests against ``max_theta_pairs``.
 Other bias kinds enumerate every cycle (``max_cycles``) and scan pairs of
 unbalanced cycles (``max_theta_pairs``).
@@ -147,7 +148,17 @@ def blocking_vertices(o: BiasedGraph, caps: Caps = DEFAULT_CAPS) -> frozenset[in
 def blocking_pairs(
     o: BiasedGraph, caps: Caps = DEFAULT_CAPS
 ) -> tuple[tuple[int, int], ...]:
-    """Pairs {v, w}, neither blocking alone, meeting every unbalanced cycle."""
+    """Pairs {v, w}, neither blocking alone, meeting every unbalanced cycle.
+
+    For signed bias, {v, w} qualifies when o - {v, w} passes the switching
+    test.
+    """
+    if isinstance(o.bias, Signed):
+        if o.is_balanced(caps):
+            return ()
+        g, sig = o.graph, o.bias.signature
+        free = [v for v in g.vertices if not switching_balanced(g, sig, (v,))]
+        return tuple(p for p in combinations(free, 2) if switching_balanced(g, sig, p))
     unb = o.unbalanced_cycles(caps)
     if not unb:
         return ()

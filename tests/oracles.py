@@ -3,11 +3,12 @@
 Everything here works by exhaustive subset or path enumeration and shares no
 search logic with the library: cycles come from 2-regularity checks over all
 edge subsets or from plain path extension, thetas from internally disjoint
-path triples, linkages from all simple path pairs, 2-connectivity from the
-vertex-subset cut scan, rings from the hinge-subset scan.  The exceptions
-are earlier versions of the library's own code, kept without their fast
-paths: the maximal balanced sets, the Tricoloured detector, the canonical
-cycle key, the theta check and the linkage search at the end.
+path triples, linkages from all simple path pairs, vertex cuts and
+2-connectivity from the vertex-subset cut scan, rings from the hinge-subset
+scan.  The exceptions are earlier versions of the library's own code, kept
+without their fast paths: the explicit core of a peel, the maximal balanced
+sets, the Tricoloured detector, the canonical cycle key, the theta check and
+the linkage search at the end.
 """
 
 from __future__ import annotations
@@ -17,7 +18,7 @@ import random
 from itertools import combinations, permutations, product
 from typing import Iterable, Iterator, Sequence
 
-from tanglekit.bias import BiasedGraph, BiasError
+from tanglekit.bias import BiasedGraph, BiasError, make_explicit
 from tanglekit.classify import _Counter, _Hit, _weak_compositions
 from tanglekit.families import FamilyDescriptor, verify_family
 from tanglekit.graph import (
@@ -25,9 +26,9 @@ from tanglekit.graph import (
     GraphError,
     MultiGraph,
     ThetaSubgraph,
+    VertexCut,
     bridges_of_cut,
     enumerate_theta_subgraphs,
-    find_vertex_cuts,
     is_two_connected,
 )
 from tanglekit.limits import DEFAULT_CAPS, Caps, ResourceLimitError
@@ -261,6 +262,70 @@ def connected_graph_census(n: int) -> list[MultiGraph]:
     return out
 
 
+def _disconnects(g: MultiGraph, cut: frozenset[int]) -> bool:
+    rest = g.vertex_set - cut
+    if len(rest) < 2:
+        return False
+    return not g.induced(rest).is_connected()
+
+
+def scan_vertex_cuts(g: MultiGraph, k: int) -> tuple[VertexCut, ...]:
+    """Minimal vertex cuts of size at most k by trying every vertex subset
+    and every proper subset of each one that disconnects."""
+    cuts: list[VertexCut] = []
+    for size in range(1, k + 1):
+        if g.n - size < 2:
+            break
+        for cand in combinations(g.vertices, size):
+            X = frozenset(cand)
+            if not _disconnects(g, X):
+                continue
+            if any(
+                _disconnects(g, frozenset(sub))
+                for r in range(1, size)
+                for sub in combinations(cand, r)
+            ):
+                continue
+            cuts.append(VertexCut(X, bridges_of_cut(g, X)))
+    cuts.sort(key=lambda c: (c.size, sorted(c.cut)))
+    return tuple(cuts)
+
+
+def oracle_explicit_core(cur: BiasedGraph, cut: Sequence[int], bridge_edges: Iterable[int]) -> BiasedGraph:
+    """The core a peel leaves at a cut of two or three vertices, with every
+    balanced cycle listed: a cycle through virtual edges is probed with the
+    q-path (a shortest path through the peeled side, avoiding the other cut
+    vertex) between the ends of its virtual edges.  Virtual edge ids follow
+    the largest edge id of cur, one per sorted cut pair."""
+    cut = tuple(sorted(cut))
+    side = cur.graph.subgraph(bridge_edges)
+    interior = side.vertex_set - set(cut)
+    next_e = max(cur.graph.edge_id_set) + 1
+    virt = {next_e + j: pair for j, pair in enumerate(combinations(cut, 2))}
+    qpaths = {
+        (a, b): frozenset(side.path_between(a, b, [v for v in cut if v not in (a, b)]))
+        for a, b in virt.values()
+    }
+    core_graph = cur.graph.delete_vertices(interior).with_edges(virt)
+    balanced: list[frozenset[int]] = []
+    for c in core_graph.cycles():
+        used = c.edge_set & set(virt)
+        if len(used) == 3:
+            balanced.append(c.edge_set)
+            continue
+        if not used:
+            probe = c.edge_set
+        else:
+            ends = set()
+            for ve in used:
+                ends ^= set(virt[ve])
+            a, b = sorted(ends)
+            probe = (c.edge_set - used) | qpaths[(a, b)]
+        if cur.balance(Cycle.from_edge_set(cur.graph, probe)):
+            balanced.append(c.edge_set)
+    return make_explicit(core_graph, balanced)
+
+
 def scan_is_two_connected(g: MultiGraph) -> bool:
     """2-connectivity by trying each vertex as a cut, with the library's
     guards: no loops, connected, and a single edge does not count."""
@@ -272,7 +337,7 @@ def scan_is_two_connected(g: MultiGraph) -> bool:
         return g.m >= 2
     if g.n < 2:
         return False
-    return not find_vertex_cuts(g, 1)
+    return not scan_vertex_cuts(g, 1)
 
 
 def _scan_cycles(g: MultiGraph, caps: Caps) -> tuple[frozenset[int], ...]:

@@ -7,7 +7,7 @@ import random
 
 import pytest
 
-from tanglekit.bias import BiasedGraph, make_explicit, make_signed
+from tanglekit.bias import BiasedGraph, Signed, make_explicit, make_signed
 import tanglekit.classify as classify_module
 import tanglekit.graph as graph_module
 from tanglekit.classify import (
@@ -34,7 +34,13 @@ from tanglekit.graph import MultiGraph
 from tanglekit.limits import DEFAULT_CAPS, Caps, ResourceLimitError
 from tanglekit.tangles import Tangled, is_tangled
 
-from oracles import oracle_detect_tricoloured, oracle_maximal_balanced_sets, random_multigraph
+from oracles import (
+    connected_graph_census,
+    oracle_detect_tricoloured,
+    oracle_explicit_core,
+    oracle_maximal_balanced_sets,
+    random_multigraph,
+)
 from test_families import (
     alternating_tricoloured,
     balanced_complete,
@@ -310,11 +316,105 @@ def test_pairing_search_stops_at_its_cap():
 
 
 def test_decompose_stops_at_the_vertex_cut_cap():
+    # the input has no cut of size two or less, so its first cut search
+    # builds 1 + 6 + 15 block trees
     o = build_family(pp_signed(6))
     with pytest.raises(ResourceLimitError) as err:
-        decompose(o, Caps(max_subsets=20))
+        decompose(o, Caps(max_subsets=21))
     assert err.value.stage == "find_vertex_cuts"
-    assert decompose(o, Caps(max_subsets=100)).verify(o) == ()
+    assert decompose(o, Caps(max_subsets=22)).verify(o) == ()
+
+
+# -- signed cores -----------------------------------------------------------------
+
+
+# The five tangled signed graphs on six vertices of the classify-first
+# benchmark workload, as (edge pairs, signature).
+BENCH_FUZZ = [
+    ([(0, 1), (0, 2), (0, 3), (0, 4), (0, 5), (1, 2), (1, 3), (1, 5), (2, 3), (2, 4), (2, 5), (3, 4), (3, 5), (4, 5)], [1, 4, 5, 6, 12]),
+    ([(0, 1), (0, 2), (0, 3), (0, 4), (0, 5), (1, 2), (1, 3), (1, 4), (1, 5), (2, 3), (2, 4), (2, 5), (3, 4), (3, 5), (4, 5)], [0, 1, 2, 3, 4, 7, 8, 9, 10, 13]),
+    ([(0, 1), (0, 2), (0, 3), (0, 5), (1, 3), (1, 4), (2, 4), (3, 4), (3, 5)], [1, 2, 5, 6]),
+    ([(0, 2), (0, 3), (0, 4), (0, 5), (1, 2), (1, 3), (1, 4), (2, 3), (2, 4), (2, 5), (3, 4), (3, 5), (4, 5)], [6, 8, 11, 12]),
+    ([(0, 1), (0, 2), (0, 3), (0, 5), (1, 3), (1, 4), (2, 3), (2, 5), (3, 4), (3, 5)], [0, 2, 4, 6, 7, 8, 9]),
+]
+
+
+def tangled_signed_inputs() -> list[BiasedGraph]:
+    """Tangled signed census graphs on up to six vertices under three seeded
+    signatures each, PPSigned C6 to C12, and 200 seeded tangled signed
+    graphs on six to eight vertices."""
+    rng = random.Random(53)
+    out = [
+        make_signed(g, [e for e in g.edge_ids if rng.random() < 0.5])
+        for n in range(3, 7)
+        for g in connected_graph_census(n)
+        for _ in range(3)
+    ]
+    out = [o for o in out if isinstance(is_tangled(o), Tangled)]
+    out += [build_family(pp_signed(k)) for k in (6, 8, 10, 12)]
+    drawn = 0
+    while drawn < 200:
+        n = rng.randint(6, 8)
+        pairs = rng.sample(list(itertools.combinations(range(n), 2)), rng.randint(n + 2, 2 * n + 2))
+        g = MultiGraph.from_pairs(pairs, range(n))
+        if not g.is_connected():
+            continue
+        o = make_signed(g, [e for e in g.edge_ids if rng.random() < 0.5])
+        if isinstance(is_tangled(o), Tangled):
+            out.append(o)
+            drawn += 1
+    return out
+
+
+def test_signed_cores_keep_the_balance_of_the_explicit_core(monkeypatch):
+    peels = []
+    real_peel = classify_module._peel
+
+    def recording_peel(cur, tags, vc, bridge, node_id, caps):
+        out = real_peel(cur, tags, vc, bridge, node_id, caps)
+        peels.append((cur, vc.cut, bridge.edges, out[0]))
+        return out
+
+    monkeypatch.setattr(classify_module, "_peel", recording_peel)
+    inputs = tangled_signed_inputs()
+    for o in inputs:
+        decompose(o)
+    assert len(peels) > 200
+    compared = 0
+    for cur, cut, edges, core in peels:
+        assert isinstance(core.bias, Signed)
+        if len(cut) == 1:
+            continue
+        expected = oracle_explicit_core(cur, cut, edges)
+        assert core.graph == expected.graph
+        assert {c.edge_set for c in core.balanced_cycles()} == {c.edge_set for c in expected.balanced_cycles()}
+        compared += 1
+    assert compared > 100
+
+
+def test_decompose_lists_no_cycle_of_a_signed_input(monkeypatch):
+    # PPSigned cores and the benchmark's fuzz graphs peel to 4-connected
+    # cores, so nothing in decompose needs a cycle list
+    inputs = [build_family(pp_signed(k)) for k in range(6, 17, 2)]
+    inputs += [make_signed(MultiGraph.from_pairs(pairs), sig) for pairs, sig in BENCH_FUZZ]
+    listed = []
+    real = MultiGraph.cycles
+
+    def recording(g, *args, **kwargs):
+        listed.append(g)
+        return real(g, *args, **kwargs)
+
+    monkeypatch.setattr(MultiGraph, "cycles", recording)
+    for o in inputs:
+        dec = decompose(o)
+        assert not isinstance(dec.core, WheelCore)
+    assert listed == []
+
+
+@pytest.mark.wall
+def test_pp_signed_c18_classifies_at_default_caps():
+    o = build_family(pp_signed(18))
+    assert classify(o, first=True).codes() == ("T3",)
 
 
 # -- wheel cores ------------------------------------------------------------------

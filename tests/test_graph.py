@@ -25,12 +25,14 @@ from tanglekit.classify import _ring_layouts
 from tanglekit.limits import Caps, ResourceLimitError
 
 from oracles import (
+    _scan_cycles,
     connected_graph_census,
     oracle_cycle_from_walk,
     path_triple_thetas,
     random_multigraph,
     scan_is_two_connected,
     scan_rings,
+    scan_vertex_cuts,
     subset_cycles,
 )
 
@@ -85,10 +87,14 @@ def test_cycle_key_matches_the_all_rotations_scan():
 
 
 def test_cycles_by_length_lists_every_cycle_in_order():
+    # the layers against the depth-first enumeration, and both against
+    # the oracle that extends plain paths
     rng = random.Random(31)
-    for _ in range(40):
-        g = random_multigraph(rng, max_n=7, max_extra=6, allow_loops=True)
-        assert tuple(cycles_by_length(g)) == enumerate_cycles(g)
+    for _ in range(300):
+        g = random_multigraph(rng, max_n=9, max_extra=7, allow_loops=True)
+        listed = enumerate_cycles(g)
+        assert tuple(cycles_by_length(g)) == listed
+        assert {c.edge_set for c in listed} == set(_scan_cycles(g, Caps()))
 
 
 def test_cycles_by_length_counts_only_the_layers_it_built():
@@ -182,6 +188,25 @@ def test_shared_edge_cut():
     assert [sorted(b.interior) for b in cut.bridges] == [[2], [3]]
     # the glue edge 0-1 belongs to no bridge
     assert 0 not in cut.bridges[0].edges | cut.bridges[1].edges
+
+
+def test_vertex_cuts_match_the_subset_scan():
+    graphs = [(g, 3) for n in range(1, 8) for g in connected_graph_census(n)]
+    rng = random.Random("vertex cuts")
+    graphs += [(random_multigraph(rng, max_n=8, max_extra=6, allow_loops=True), 4) for _ in range(300)]
+    for g, top in graphs:
+        for k in range(1, top + 1):
+            assert find_vertex_cuts(g, k) == scan_vertex_cuts(g, k)
+
+
+def test_vertex_cut_cap_counts_block_trees():
+    # one block tree of the 6-cycle, then one per vertex, then one per
+    # pair of vertices that is not a cut itself (15 - 9 of them)
+    g = MultiGraph.from_pairs([(i, (i + 1) % 6) for i in range(6)])
+    assert len(find_vertex_cuts(g, 3, Caps(max_subsets=13))) == 9
+    with pytest.raises(ResourceLimitError) as err:
+        find_vertex_cuts(g, 3, Caps(max_subsets=12))
+    assert err.value.stage == "find_vertex_cuts"
 
 
 def test_k4_no_small_cuts():
@@ -283,6 +308,21 @@ def _scan_edges_between(g: MultiGraph, u: int, v: int) -> tuple[int, ...]:
     """Every edge whose endpoints are {u, v}, by a scan in edge-id order."""
     want = sorted((u, v))
     return tuple(e for e in g.edge_ids if sorted(g.endpoints(e)) == want)
+
+
+def test_adjacency_matches_the_incidence_filter():
+    rng = random.Random("adjacency")
+    for _ in range(200):
+        base = random_multigraph(rng, max_n=7, max_extra=8, allow_loops=True)
+        ids = rng.sample(range(3 * base.m + 1), base.m)
+        g = MultiGraph.build(base.vertices, [(i, *base.endpoints(e)) for i, e in zip(ids, base.edge_ids)])
+        for v in g.vertices:
+            delta = tuple(e for e in g.incident_edges(v) if not g.is_loop(e))
+            assert g.delta(v) == delta
+            assert g.neighbors(v) == tuple(sorted({g.other_end(e, v) for e in delta}))
+            assert g.adjacent(v) == tuple((g.other_end(e, v), e) for e in delta)
+    with pytest.raises(GraphError):
+        k4().adjacent(9)
 
 
 def test_edges_between_matches_a_full_scan():

@@ -311,23 +311,31 @@ def signed_inputs() -> list[BiasedGraph]:
 
 
 def test_signed_verdict_equals_the_explicit_copy():
-    # the explicit copy takes the cycle-list path, pair scan included
+    # the explicit copy takes the cycle-list path, pair scan and blocking
+    # pairs included
     seen = set()
+    pairs = 0
     for o in signed_inputs():
         assert isinstance(o.bias, Signed)
         copy = make_explicit(o.graph, o.balanced_cycles())
         verdict = is_tangled(o)
         assert verdict == is_tangled(copy)
         assert blocking_vertices(o) == blocking_vertices(copy)
+        assert blocking_pairs(o) == blocking_pairs(copy)
         assert o.is_balanced() == copy.is_balanced()
         seen.add(type(verdict))
+        pairs += len(blocking_pairs(o))
     assert seen == {Balanced, HasBlockingVertex, TwoDisjointUnbalanced, Tangled}
+    assert pairs > 100
 
 
 def test_signed_verdicts_need_no_cycle_list():
     none = Caps(max_cycles=0)
     assert is_tangled(make_signed(k5(), ()), none) == Balanced()
     assert is_tangled(make_signed(wheel4(), {4}), none) == HasBlockingVertex(0)
+    # every triangle of K4 is odd, so every pair blocks and no vertex does
+    assert blocking_pairs(make_signed(k4(), k4().edge_ids), none) == tuple(itertools.combinations(range(4), 2))
+    assert blocking_pairs(make_signed(k5(), ()), none) == ()
 
 
 def test_signed_pair_search_counts_switching_tests():
