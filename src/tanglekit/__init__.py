@@ -14,8 +14,7 @@ from .bias import (AllBalanced, AllUnbalanced, BiasedGraph, BiasError, ExplicitS
                    make_explicit, make_signed, simplify, switch_signature, validate_biased_graph)
 from .classify import (ClassificationReport, ClassifyError, FourConnectedCore, Label, SumDecomposition, SumNode,
                        WheelCore, decompose)
-from .embedding import (OrderedPlanarEmbedding, RotationSystem, all_rotation_systems, ordered_planarity,
-                        walk_contains_order)
+from .embedding import OrderedPlanarEmbedding, RotationSystem, ordered_planarity, walk_contains_order
 from .families import (Certificate, CheckResult, FamilyDescriptor, FamilyError, build_criss_cross, build_family,
                        build_fat_triangle, build_generalized_wheel, build_k5_family, build_pp_signed,
                        build_pp_special_pair, build_pp_special_triple, build_pp_special_vertex, build_tricoloured,
@@ -34,7 +33,7 @@ __all__ = [
     "make_explicit", "make_signed", "simplify", "switch_signature", "validate_biased_graph",
     "ClassificationReport", "ClassifyError", "FourConnectedCore", "Label", "SumDecomposition", "SumNode",
     "WheelCore", "decompose",
-    "OrderedPlanarEmbedding", "RotationSystem", "all_rotation_systems", "ordered_planarity", "walk_contains_order",
+    "OrderedPlanarEmbedding", "RotationSystem", "ordered_planarity", "walk_contains_order",
     "Certificate", "CheckResult", "FamilyDescriptor", "FamilyError", "build_criss_cross", "build_family",
     "build_fat_triangle", "build_generalized_wheel", "build_k5_family", "build_pp_signed", "build_pp_special_pair",
     "build_pp_special_triple", "build_pp_special_vertex", "build_tricoloured", "describe_k5_family",

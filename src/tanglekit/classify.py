@@ -308,7 +308,7 @@ def _pairing_search(
             seq = collapse_cyclic((*xs, *ys))
             if len(set(seq)) != len(seq):
                 continue
-            if ordered_planarity(base_sub, seq, caps=caps) is not None:
+            if ordered_planarity(base_sub, seq) is not None:
                 return tuple(zip(order, xs, ys))
     return None
 
@@ -760,7 +760,7 @@ def _wheel_candidate(
                 if not ys:
                     continue
                 counter.bump()
-                if ordered_planarity(sub, (z_prev, xs, z_cur, ys), caps=caps):
+                if ordered_planarity(sub, (z_prev, xs, z_cur, ys)):
                     opts.append((xs, ys))
         if not opts:
             return None

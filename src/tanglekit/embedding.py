@@ -5,13 +5,14 @@ the orbits of "next dart after the twin".  An embedding is planar when every
 component satisfies Euler's formula.  The central operation asks whether a
 graph embeds in the plane with given vertices on a common face in a given
 circular order; entries of the order may also be sets, whose members must
-appear consecutively in any internal order.
+appear consecutively in any internal order.  Given vertex triangles may also
+be required to bound faces.
 
-The search runs on the simple support graph through a planarity test (the
-required order is enforced by attaching a wheel to the designated face),
-then parallel edges and loops are reinserted next to their partners.  An
-exhaustive rotation-system fallback covers constraint combinations the fast
-path cannot express, and verification never trusts the search.
+Each resolved order costs one planarity test of the simple support graph
+with gadgets attached: a wheel pinned to the order and a claw vertex on each
+required triangle.  The embedding found is read back onto the multigraph,
+with parallel edges and loops placed beside their partners, and the faces it
+claims are checked before it is returned.
 """
 
 from __future__ import annotations
@@ -24,7 +25,6 @@ from typing import Iterator, Sequence
 import networkx as nx
 
 from .graph import GraphError, MultiGraph
-from .limits import Caps, DEFAULT_CAPS, ResourceLimitError
 
 Dart = tuple[int, int]  # (edge id, end index 0/1)
 
@@ -186,141 +186,203 @@ def walk_contains_order(walk: Sequence[int], order: Sequence[int]) -> bool:
 
 
 def _one_way(walk: Sequence[int], order: Sequence[int]) -> bool:
-    L = len(walk)
-    n = len(order)
-    if n == 1:
-        return order[0] in walk
-    if L < n:
-        return False
-    for start in range(L):
-        if walk[start] != order[0]:
-            continue
-        i = start
-        ok = True
-        for req in order[1:]:
-            j = i + 1
-            while j <= start + L - 1 and walk[j % L] != req:
-                j += 1
-            if j > start + L - 1:
-                ok = False
-                break
-            i = j
-        if ok:
-            return True
+    """Does `walk`, read round from some occurrence of order[0], contain `order` in sequence?"""
+    for start, v in enumerate(walk):
+        if v == order[0]:
+            rest = iter(tuple(walk[start:]) + tuple(walk[:start]))
+            if all(u in rest for u in order):
+                return True
     return False
 
 
-def resolve_orders(order: OrderSpec) -> Iterator[tuple[int, ...]]:
+def _resolve_orders(order: OrderSpec) -> Iterator[tuple[int, ...]]:
     """Expand set entries into all vertex orders (duplicates collapsed)."""
-    groups: list[tuple[int, ...]] = []
-    for entry in order:
-        if isinstance(entry, int):
-            groups.append((entry,))
-        else:
-            members = tuple(sorted(entry))
-            if not members:
-                continue
-            groups.append(members)
-    pools = [
-        [g] if len(g) == 1 else sorted(itertools.permutations(g))
-        for g in groups
-    ]
+    groups = [(e,) if isinstance(e, int) else tuple(sorted(e)) for e in order]
+    pools = [[gp] if len(gp) == 1 else sorted(itertools.permutations(gp)) for gp in groups if gp]
     seen: set[tuple[int, ...]] = set()
     for combo in itertools.product(*pools):
-        seq: list[int] = []
-        for part in combo:
-            seq.extend(part)
-        resolved = collapse_cyclic(seq)
+        resolved = collapse_cyclic([v for part in combo for v in part])
         if resolved not in seen:
             seen.add(resolved)
             yield resolved
 
 
 # ---------------------------------------------------------------------------
-# Exhaustive rotation enumeration (fallback and constraint search)
+# The gadget graph: support, order wheel and one claw per facial triangle
 # ---------------------------------------------------------------------------
 
 
-def all_rotation_systems(g: MultiGraph, caps: Caps = DEFAULT_CAPS) -> Iterator[RotationSystem]:
-    """Every rotation system of g, deterministically; cap-guarded."""
-    per_vertex: list[tuple[int, list[tuple[Dart, ...]]]] = []
-    total = 1
-    for v in g.vertices:
-        ds = _darts_at(g, v)
-        if len(ds) <= 2:
-            per_vertex.append((v, [ds]))
-            continue
-        head, rest = ds[0], ds[1:]
-        options = [(head,) + p for p in itertools.permutations(rest)]
-        total *= len(options)
-        if total > caps.max_embeddings:
-            raise ResourceLimitError("all_rotation_systems", caps.max_embeddings)
-        per_vertex.append((v, options))
-    verts = [v for v, _ in per_vertex]
-    for combo in itertools.product(*(opts for _, opts in per_vertex)):
-        yield RotationSystem(tuple(zip(verts, combo)))
+def _shared_pairs(h: "nx.Graph", pair: tuple[int, int], claws: list[int], need: int) -> list[tuple] | None:
+    """`need` disjoint pairs of claws that can face one edge of `pair` from its two sides.
 
-
-# ---------------------------------------------------------------------------
-# Wheel-trick fast path
-# ---------------------------------------------------------------------------
-
-
-def _support_graph(g: MultiGraph) -> "nx.Graph":
-    sg = nx.Graph()
-    sg.add_nodes_from(g.vertices)
-    sg.add_edges_from(g.simple_pairs())
-    return sg
-
-
-def _expand_rotation(g: MultiGraph, ring: dict[int, list[int]]) -> RotationSystem:
-    """Turn a neighbor rotation of the simple support into a dart rotation.
-
-    Parallel classes hug their representative: ascending edge ids at the
-    lower endpoint, descending at the higher, which creates the digon faces.
-    Loop dart pairs are appended (twin first), making one-dart inner faces.
+    The bridges of {a, b} in H can be permuted and flipped freely around a
+    and b.  A bridge holds at most two of the pair's claws, one per outer
+    side, and two claws share an edge when their bridges stand side by side
+    with the edge between.  The chain of a one-claw bridge, every two-claw
+    bridge, another one-claw bridge, then the other one-claw bridges two by
+    two has the most such links of any arrangement (it closes into a ring
+    only when no other bridge needs a gap), and any prefix of its links is
+    realisable, so None means no arrangement serves every claw.
     """
-    rot: dict[int, list[Dart]] = {}
-    for v in g.vertices:
-        darts: list[Dart] = []
-        for u in ring.get(v, []):
-            cls = g.edges_between(v, u)
-            ordered = cls if v <= u else tuple(reversed(cls))
-            for e in ordered:
-                a, _ = g.endpoints(e)
-                darts.append((e, 0 if a == v else 1))
-        for e in sorted(g.loops_at(v)):
-            darts.append((e, 1))
-            darts.append((e, 0))
-        rot[v] = darts
-    return RotationSystem.from_map(rot)
-
-
-def _wheel_rotation(g: MultiGraph, seq: tuple[int, ...]) -> RotationSystem | None:
-    """A planar rotation of g with seq on a common face, or None.
-
-    Realizability of the order is equivalent to planarity of the support
-    plus a wheel pinned to the ordered vertices.
-    """
-    ag = _support_graph(g)
-    n = len(seq)
-    if n == 1 or n == 2:
-        apex = ("w", 0)
-        for v in seq:
-            ag.add_edge(apex, v)
-    elif n >= 3:
-        for i in range(n):
-            ag.add_edge(("w", i), ("w", (i + 1) % n))
-            ag.add_edge(("w", i), seq[i])
-    ok, emb = nx.check_planarity(ag)
-    if not ok:
+    at_a, at_b = set(h[pair[0]]), set(h[pair[1]])
+    comp_of: dict[object, int] = {}
+    free = 0  # claw-free bridges of {a, b}
+    for i, comp in enumerate(nx.connected_components(h.subgraph(n for n in h if n not in pair))):
+        comp_of.update(dict.fromkeys(comp, i))
+        free += bool(comp & at_a and comp & at_b and all(("x", c) not in comp for c in claws))
+    groups: dict[int, list[int]] = {}
+    for c in claws:
+        groups.setdefault(comp_of[("x", c)], []).append(c)
+    if any(len(gp) > 2 for gp in groups.values()):
         return None
-    data = emb.get_data()
-    ring = {
-        v: [u for u in data.get(v, []) if not isinstance(u, tuple)]
-        for v in g.vertices
-    }
-    return _expand_rotation(g, ring)
+    ones = [gp[0] for gp in groups.values() if len(gp) == 1]
+    chain = ones[:1] + [c for gp in groups.values() if len(gp) == 2 for c in gp] + ones[1:2]
+    links = [(x, y) for x, y in zip(chain, chain[1:]) if comp_of[("x", x)] != comp_of[("x", y)]]
+    links += list(zip(ones[2::2], ones[3::2]))
+    if not ones and not free:
+        links.append((chain[-1], chain[0]))
+    return links[:need] if len(links) >= need else None
+
+
+def _gadget_graph(
+    g: MultiGraph, seq: tuple[int, ...], triangles: Sequence[tuple[int, ...]]
+) -> tuple["nx.Graph", dict, dict] | None:
+    """H, the token of each (claw, pair) and the edges each token stands for.
+
+    A triangle face uses one side of one edge of each of its pairs.  A pair
+    with k triangles and p parallel edges trades its support edge for
+    tokens: vertices of H joined to both ends and to the claws they serve.
+    With k <= p each claw gets a private token, the last one carrying the
+    spare edges; an edge no triangle uses can always be moved beside
+    another, so this loses nothing.  With k > p, k - p tokens are shared
+    by two claws each (see `_shared_pairs`), and None means they cannot be.
+    A claw is then the hub of a rigid wheel on its corners and tokens, and
+    a shared token the hub of a rigid W4 that puts its two claws on
+    opposite sides of the edge.
+    """
+    on_pair: dict[tuple[int, int], list[int]] = {}
+    for i, tri in enumerate(triangles):
+        for u, v in itertools.combinations(tri, 2):
+            on_pair.setdefault((u, v), []).append(i)
+    h = nx.Graph()
+    h.add_nodes_from(g.vertices)
+    h.add_edges_from(p for p in g.simple_pairs() if p not in on_pair)
+    if len(seq) < 3:
+        h.add_edges_from((("w", 0), v) for v in seq)
+    else:
+        h.add_edges_from((("w", i), u) for i, v in enumerate(seq) for u in (v, ("w", (i + 1) % len(seq))))
+    for i, tri in enumerate(triangles):
+        h.add_edges_from((("x", i), v) for v in tri)
+    served: dict[tuple[int, int], list[tuple]] = {}
+    for pair, claws in on_pair.items():
+        need = len(claws) - len(g.edges_between(*pair))
+        shared = _shared_pairs(h, pair, claws, need) if need > 0 else []
+        if shared is None:
+            return None
+        served[pair] = shared + [(c,) for c in claws if not any(c in s for s in shared)]
+    token: dict[tuple[int, tuple[int, int]], tuple] = {}
+    copies: dict[tuple, tuple[int, ...]] = {}
+    for pair, groups in served.items():
+        es = g.edges_between(*pair)
+        for j, group in enumerate(groups):
+            tok = ("t", *pair, j)
+            copies[tok] = es[j:] if j == len(groups) - 1 else es[j : j + 1]
+            h.add_edges_from((tok, v) for v in (*pair, *(("x", c) for c in group)))
+            token.update({(c, pair): tok for c in group})
+    return h, token, copies
+
+
+# ---------------------------------------------------------------------------
+# Reading the embedding back
+# ---------------------------------------------------------------------------
+
+
+def _read_back(
+    g: MultiGraph, h: "nx.Graph", ring: dict, triangles: Sequence[tuple[int, ...]], token: dict, copies: dict
+) -> RotationSystem | None:
+    """A dart rotation of g from H's rotation, or None if H's planarity misled.
+
+    Each claw x sees its triangle's corners in some cyclic order.  For
+    consecutive corners u, w the face u-x-w must be a triangle: at u the uw
+    token must directly precede x, and at w directly follow it.  In H only
+    blocks hanging at u alone can sit between them (the token and x are
+    joined, and both see only the triangle), so `_close_corners` moves
+    them out.  Deleting the closed claws and the wheel then leaves every
+    triangle as a face.  Loops go in a corner no triangle needs.
+    """
+    succ_at: dict[int, dict] = {}  # the entry each entry must be followed by, at each vertex
+    for i, tri in enumerate(triangles):
+        x = ("x", i)
+        cyc = [u for u in ring[x] if isinstance(u, int)]
+        for u, w in zip(cyc, cyc[1:] + cyc[:1]):
+            tok = token[i, (u, w) if u < w else (w, u)]
+            for at, before, after in ((u, tok, x), (w, x, tok)):
+                if succ_at.setdefault(at, {}).setdefault(before, after) != after:
+                    raise GraphError("internal: two claws claim one side of a shared edge")
+    darts: dict[int, list[Dart]] = {}
+    for v in g.vertices:
+        items = list(ring.get(v, ()))
+        loops = g.loops_at(v)
+        if v in succ_at:
+            items = _close_corners(v, items, succ_at[v], h, bool(loops))
+            if items is None:
+                return None
+        if loops:
+            k = next((k for k, t in enumerate(items) if t not in succ_at.get(v, {}).values()), len(items))
+            items[k:k] = [("loops",)]
+        out: list[Dart] = []
+        for t in items:
+            if t == ("loops",):
+                out.extend((e, side) for e in loops for side in (1, 0))
+            elif isinstance(t, int) or t[0] == "t":
+                es, low = (g.edges_between(v, t), v < t) if isinstance(t, int) else (copies[t], v == t[1])
+                for e in es if low else reversed(es):
+                    out.append((e, 0 if g.endpoints(e)[0] == v else 1))
+        darts[v] = out
+    return RotationSystem.from_map(darts)
+
+
+def _close_corners(v: int, items: list, succ: dict, h: "nx.Graph", loops: bool) -> list | None:
+    """`items` with every entry directly followed by its `succ`, or None if no embedding exists.
+
+    Blocks (components of H - v) found between an entry and its successor
+    move, in their old cyclic order cut where no successor is due, to just
+    before the first entry of that entry's chain: a corner no triangle
+    needs.  If the successors close a ring, its triangles fill every corner
+    at v, so anything else at v, a loop included, leaves no embedding.
+    """
+    pred = {b: a for a, b in succ.items()}
+
+    def first(a):  # the first entry of a's chain, None on a ring
+        for _ in range(len(pred) + 1):
+            if a not in pred:
+                return a
+            a = pred[a]
+        return None
+
+    def holds(its: list) -> bool:
+        return all(its[(its.index(a) + 1) % len(its)] == b for a, b in succ.items())
+
+    if any(first(a) is None for a in succ):
+        return items if len(succ) == len(items) and not loops and holds(items) else None
+    comp: dict[object, int] = {}
+    for _ in range(len(items) + 1):
+        if holds(items):
+            return items
+        if not comp:
+            for i, c in enumerate(nx.connected_components(h.subgraph(n for n in h if n != v))):
+                comp.update(dict.fromkeys(c, i))
+        a, b = next((a, b) for a, b in succ.items() if items[(items.index(a) + 1) % len(items)] != b)
+        i, j = items.index(a), items.index(b)
+        moving = {comp[t] for t in (items[i + 1 : j] if i < j else items[i + 1 :] + items[:j])}
+        if moving & {comp[a], comp[b]}:
+            raise GraphError(f"internal: a corner at vertex {v} holds more than hanging blocks")
+        moved = [t for t in items if comp[t] in moving]
+        cut = next((k for k in range(len(moved)) if succ.get(moved[k - 1]) != moved[k]), 0)
+        items = [t for t in items if comp[t] not in moving]
+        k = items.index(first(a))
+        items[k:k] = moved[cut:] + moved[:cut]
+    raise GraphError(f"internal: corners at vertex {v} do not close")
 
 
 # ---------------------------------------------------------------------------
@@ -332,11 +394,8 @@ def _order_component_ok(g: MultiGraph, seq: Sequence[int]) -> None:
     missing = [v for v in seq if v not in g.vertex_set]
     if missing:
         raise GraphError(f"order mentions unknown vertices {sorted(set(missing))}")
-    if len(set(seq)) > 1:
-        comps = g.components()
-        homes = {next(i for i, c in enumerate(comps) if v in c) for v in seq}
-        if len(homes) > 1:
-            raise GraphError("ordered vertices span several components")
+    if len(set(seq)) > 1 and sum(1 for c in g.components() if c & set(seq)) > 1:
+        raise GraphError("ordered vertices span several components")
 
 
 def _effective_seq(g: MultiGraph, seq: Sequence[int]) -> tuple[int, ...]:
@@ -346,97 +405,57 @@ def _effective_seq(g: MultiGraph, seq: Sequence[int]) -> tuple[int, ...]:
     return kept
 
 
-def _find_matching_face(
-    g: MultiGraph, rot: RotationSystem, seq: tuple[int, ...]
-) -> tuple[Dart, ...] | None:
-    faces = rot.faces()
-    if not seq:
-        return faces[0] if faces else ()
-    for face in faces:
-        if walk_contains_order(rot.face_walk(g, face), seq):
-            return face
-    return None
-
-
 def ordered_planarity(
     g: MultiGraph,
     order: OrderSpec = (),
-    caps: Caps = DEFAULT_CAPS,
+    facial_triangles: Sequence[frozenset[int]] = (),
 ) -> OrderedPlanarEmbedding | None:
     """A planar embedding of g with `order` on a common face, or None.
 
     Set entries in the order stand for their members in any consecutive
-    arrangement.  Failure (None) means no embedding realizes the order.
+    arrangement.  Each vertex set {a, b, c} in `facial_triangles` must
+    bound a face of three darts.  None means no embedding does both.
+
+    Each resolved order costs one planarity test of a gadget graph H: the
+    simple support, a wheel pinned to the order, and a claw vertex joined
+    to each triangle's corners (see `_gadget_graph`).  A claw splits its
+    side of the triangle into pockets, each attached at the ends of one
+    triangle edge only, so redrawing the edges between pockets and claw
+    makes the triangle a face: H is planar exactly when the embedding
+    exists, except where `_read_back` proves otherwise (triangles that fill
+    every corner at a vertex with another dart).  An order of at most three
+    vertices inside a required triangle is realised by that triangle's
+    face and gets no wheel, which could make H nonplanar (K4 with its
+    triangle {0, 1, 2} would become K3,3).  The faces the read-back claims
+    are checked: a miss is an internal GraphError, never a fallback.
     """
+    triangles = sorted({tuple(sorted(t)) for t in facial_triangles})
+    if any(len(t) != 3 for t in triangles):
+        raise GraphError("a facial triangle needs three distinct vertices")
     if g.m == 0:
         flat = [v for e in order for v in ((e,) if isinstance(e, int) else sorted(e))]
         _order_component_ok(g, flat)
         rot0 = RotationSystem.from_map({v: [] for v in g.vertices})
-        return OrderedPlanarEmbedding(rot0, (), ())
-    for raw in resolve_orders(order):
+        return OrderedPlanarEmbedding(rot0, (), ()) if not triangles else None
+    for raw in _resolve_orders(order):
         seq = _effective_seq(g, raw)
-        rot = _wheel_rotation(g, seq)
+        inside = len(set(seq)) <= 3 and any(set(seq) <= set(t) for t in triangles)
+        built = _gadget_graph(g, () if inside else seq, triangles)
+        if built is None:
+            continue
+        h, token, copies = built
+        planar, emb = nx.check_planarity(h)
+        rot = _read_back(g, h, emb.get_data(), triangles, token, copies) if planar else None
         if rot is None:
             continue
-        face = _find_matching_face(g, rot, seq)
-        if face is not None:
-            return OrderedPlanarEmbedding(rot, face, seq)
-        # The wheel said yes but the derived faces disagree; fall back to
-        # exhaustive search before giving up on this resolution.
-        found = find_embedding(g, order=seq, caps=caps)
-        if found is not None:
-            return found
-    return None
-
-
-def find_embedding(
-    g: MultiGraph,
-    order: Sequence[int] = (),
-    facial_triangles: Sequence[frozenset[int]] = (),
-    caps: Caps = DEFAULT_CAPS,
-) -> OrderedPlanarEmbedding | None:
-    """A planar embedding with an order face and required facial triangles.
-
-    Tries the wheel fast path, then enumerates rotation systems.  Triangles
-    are vertex sets {a, b, c} that must bound a 3-dart face.
-    """
-    seq = _effective_seq(g, tuple(order))
-    for tri in facial_triangles:
-        for a, b in itertools.combinations(sorted(tri), 2):
-            if not g.edges_between(a, b):
-                return None
-    rot = _wheel_rotation(g, seq)
-    if rot is not None:
-        emb = _accept(g, rot, seq, facial_triangles)
-        if emb is not None:
-            return emb
-    else:
-        return None  # support + wheel nonplanar: no embedding realizes seq
-    for rot in all_rotation_systems(g, caps):
-        if not rot.is_planar(g):
-            continue
-        emb = _accept(g, rot, seq, facial_triangles)
-        if emb is not None:
-            return emb
-    return None
-
-
-def _accept(
-    g: MultiGraph,
-    rot: RotationSystem,
-    seq: tuple[int, ...],
-    facial_triangles: Sequence[frozenset[int]],
-) -> OrderedPlanarEmbedding | None:
-    faces = rot.faces()
-    walks = [rot.face_walk(g, f) for f in faces]
-    for tri in facial_triangles:
-        if not any(len(f) == 3 and set(w) == set(tri) for f, w in zip(faces, walks)):
-            return None
-    if not seq:
-        return OrderedPlanarEmbedding(rot, faces[0] if faces else (), seq)
-    for f, w in zip(faces, walks):
-        if walk_contains_order(w, seq):
-            return OrderedPlanarEmbedding(rot, f, seq)
+        faces = [(f, rot.face_walk(g, f)) for f in rot.faces()]
+        for t in triangles:
+            if not any(len(f) == 3 and set(walk) == set(t) for f, walk in faces):
+                raise GraphError(f"internal: read-back misses facial triangle {t}")
+        face = next((f for f, walk in faces if walk_contains_order(walk, seq)), None)
+        if face is None:
+            raise GraphError(f"internal: read-back misses the order {seq}")
+        return OrderedPlanarEmbedding(rot, face, seq)
     return None
 
 
@@ -459,7 +478,7 @@ def verify_ordered_embedding(
     if order is None:
         want = [emb.order]
     else:
-        want = [_effective_seq(g, raw) for raw in resolve_orders(order)]
+        want = [_effective_seq(g, raw) for raw in _resolve_orders(order)]
     want = [w for w in want if w]
     if want and g.m > 0:
         walk = emb.rotation.face_walk(g, emb.face)

@@ -274,7 +274,7 @@ def _plan_generalized_wheel(d: FamilyDescriptor, caps: Caps) -> _Plan:
         attach_sets.append((xs, ys))
         z_prev = hinges[i - 1] if k > 2 else hinges[0]
         z_cur = hinges[i] if k > 2 else hinges[1]
-        if ordered_planarity(g.subgraph(pe), (z_prev, xs, z_cur, ys), caps=caps) is None:
+        if ordered_planarity(g.subgraph(pe), (z_prev, xs, z_cur, ys)) is None:
             planar_ok = False
     checks.append(_check("attachment split", split_ok, split_detail))
     checks.append(_check("attachment order planar", planar_ok, "some part has no embedding with hinge-X-hinge-Y boundary"))
@@ -340,7 +340,7 @@ def _plan_criss_cross(d: FamilyDescriptor, caps: Caps) -> _Plan:
     two_connected = is_two_connected(core)
     checks.append(_check("core two-connected", two_connected))
     if two_connected:
-        checks.append(_check("boundary order planar", ordered_planarity(core, us, caps=caps) is not None))
+        checks.append(_check("boundary order planar", ordered_planarity(core, us) is not None))
     else:
         # ordered_planarity needs a connected core
         checks.append(_check("boundary order planar", False, "not evaluated: core not two-connected"))
@@ -460,8 +460,8 @@ def _plan_pp_special_vertex(d: FamilyDescriptor, caps: Caps) -> _Plan:
         return _Plan(tuple(checks), ())
 
     planar_ok = (
-        ordered_planarity(g.subgraph(h1, v1), order1, caps=caps) is not None
-        and ordered_planarity(g.subgraph(h2, v2), order2, caps=caps) is not None
+        ordered_planarity(g.subgraph(h1, v1), order1) is not None
+        and ordered_planarity(g.subgraph(h2, v2), order2) is not None
     )
     checks.append(_check("half orders planar", planar_ok))
 
@@ -495,16 +495,15 @@ def _planar_with_junction(
     prefix: tuple[int, ...],
     xs: frozenset[int],
     ys: frozenset[int],
-    caps: Caps,
 ) -> bool:
     """Planarity of (g, (*prefix, X, Y)) allowing X and Y to share one vertex."""
     shared = xs & ys
     if not shared:
-        return ordered_planarity(g, (*prefix, xs, ys), caps=caps) is not None
+        return ordered_planarity(g, (*prefix, xs, ys)) is not None
     (v,) = shared
     for px in permutations(sorted(xs - {v})):
         for py in permutations(sorted(ys - {v})):
-            if ordered_planarity(g, (*prefix, *px, v, *py), caps=caps) is not None:
+            if ordered_planarity(g, (*prefix, *px, v, *py)) is not None:
                 return True
     return False
 
@@ -544,7 +543,7 @@ def _plan_pp_special_pair(d: FamilyDescriptor, caps: Caps) -> _Plan:
         return _Plan(tuple(checks), ())
 
     base = g.subgraph(h, g.vertex_set)
-    checks.append(_check("boundary order planar", _planar_with_junction(base, (x, y), xset, yset, caps)))
+    checks.append(_check("boundary order planar", _planar_with_junction(base, (x, y), xset, yset)))
 
     constraints: list[Constraint] = []
     for c in cycles_inside(g, h, caps):
@@ -605,7 +604,7 @@ def _plan_pp_special_triple(d: FamilyDescriptor, caps: Caps) -> _Plan:
 
     base = g.subgraph(h, g.vertex_set)
     checks.append(
-        _check("boundary order planar", ordered_planarity(base, (y1, x, y2, xset), caps=caps) is not None)
+        _check("boundary order planar", ordered_planarity(base, (y1, x, y2, xset)) is not None)
     )
 
     constraints: list[Constraint] = []
@@ -802,7 +801,7 @@ def _plan_pp_signed(d: FamilyDescriptor, caps: Caps) -> _Plan:
     base = g.subgraph(base_edges, g.vertex_set)
     checks.append(_check("base spans all vertices", _vertices_of(g, base_edges) == g.vertex_set))
     seq = collapse_cyclic((*xs, *ys))
-    planar_ok = len(set(seq)) == len(seq) and ordered_planarity(base, seq, caps=caps) is not None
+    planar_ok = len(set(seq)) == len(seq) and ordered_planarity(base, seq) is not None
     checks.append(_check("boundary pairing planar", planar_ok))
 
     sig = frozenset(cross)

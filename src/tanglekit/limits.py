@@ -8,7 +8,7 @@ instead of running away on large inputs.
 from __future__ import annotations
 
 import os
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 
 ENV_CAP = "TANGLEKIT_CAP"
 
@@ -29,19 +29,12 @@ class Caps:
     max_cycles: int = 1_000_000        # cycles per graph
     max_theta_pairs: int = 20_000_000  # cycle pairs scanned for thetas
     max_subsets: int = 2_000_000       # edge/vertex subset candidates
-    max_embeddings: int = 2_000_000    # rotation systems tried
     max_assignments: int = 2_000_000   # role assignments / orderings tried
 
     @staticmethod
     def uniform(n: int) -> "Caps":
-        """One ceiling for every stage (the CLI --cap contract)."""
-        return Caps(
-            max_cycles=n,
-            max_theta_pairs=n,
-            max_subsets=n,
-            max_embeddings=n,
-            max_assignments=n,
-        )
+        """One ceiling for every stage, as ``TANGLEKIT_CAP`` sets it."""
+        return Caps(**{f.name: n for f in fields(Caps)})
 
 
 DEFAULT_CAPS = Caps()

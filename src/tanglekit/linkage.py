@@ -16,17 +16,20 @@ deleted sets can be taken to be the terminal-free parts that a
 2. one descent of the pruned path search, without backtracking;
 3. the reduction witness: every terminal-free part cut off by at most three
    vertices is replaced by a clique on them, found with at most four
-   augmenting-path searches per vertex, then one more planarity test;
+   augmenting-path searches per vertex, then one more planarity test, in
+   which every three-vertex neighbourhood must bound a facial triangle;
 4. the pruned path search with backtracking, which by the theorem finds a
    linkage.
 
-Stages 1-3 take polynomial time, so every input without a linkage is
-decided in polynomial time; only stage 4, on a linked input that the first
-descent misses, can take exponential time.  Every prefix the path search
-builds counts against `Caps.max_subsets`.
+Stages 1-3 take polynomial time, facial triangles included, so every input
+without a linkage is decided in polynomial time; only stage 4, on a linked
+input that the first descent misses, can take exponential time.  Every
+prefix the path search builds counts against `Caps.max_subsets`.
 
 The module also verifies both outcomes and searches witnesses for
-arbitrary face orders (`find_three_planar`).
+arbitrary face orders (`find_three_planar`): each candidate costs one
+planarity test, but the candidates are sets of free vertices, so that
+search is exponential in their number and runs under `Caps.max_subsets`.
 """
 
 from __future__ import annotations
@@ -36,13 +39,7 @@ from collections import deque
 from dataclasses import dataclass
 from typing import Iterator, Sequence
 
-from .embedding import (
-    OrderedPlanarEmbedding,
-    OrderSpec,
-    find_embedding,
-    resolve_orders,
-    verify_ordered_embedding,
-)
+from .embedding import OrderedPlanarEmbedding, OrderSpec, ordered_planarity, verify_ordered_embedding
 from .graph import GraphError, MultiGraph
 from .limits import DEFAULT_CAPS, Caps, ResourceLimitError
 
@@ -260,26 +257,18 @@ def _set_partitions(items: list) -> Iterator[list[list]]:
 
 
 def _attempt_witness(
-    g: MultiGraph,
-    sets: tuple[frozenset[int], ...],
-    order: OrderSpec,
-    caps: Caps,
+    g: MultiGraph, sets: tuple[frozenset[int], ...], order: OrderSpec
 ) -> ThreePlanarWitness | None:
     proj, added = project(g, sets)
-    triangles = tuple(
-        sorted(
-            {neighborhood(g, a) for a in sets if len(neighborhood(g, a)) == 3},
-            key=sorted,
-        )
-    )
-    for seq in resolve_orders(order):
-        try:
-            emb = find_embedding(proj, seq, facial_triangles=triangles, caps=caps)
-        except GraphError:
-            continue
-        if emb is not None:
-            return ThreePlanarWitness(sets, proj, emb, added, triangles)
-    return None
+    triangles = tuple(sorted({neighborhood(g, a) for a in sets if len(neighborhood(g, a)) == 3}, key=sorted))
+    try:
+        emb = ordered_planarity(proj, order, facial_triangles=triangles)
+    except GraphError:
+        ends = {v for item in order for v in ((item,) if isinstance(item, int) else item) if proj.incident_edges(v)}
+        if sum(1 for c in proj.components() if c & ends) > 1:
+            return None  # no face holds an order spread over several components
+        raise
+    return None if emb is None else ThreePlanarWitness(sets, proj, emb, added, triangles)
 
 
 def find_three_planar(
@@ -290,14 +279,11 @@ def find_three_planar(
     Candidate set collections are exactly the partitions of the
     components of the deleted vertex set, which is exhaustive: distinct
     witness sets are never adjacent, so each is a union of components of
-    whatever gets deleted.
+    whatever gets deleted.  Each candidate costs one planarity test, but
+    the candidates are exponential in the free vertices: every deleted set
+    counts against `caps.max_subsets`.
     """
-    required: set[int] = set()
-    for item in order:
-        if isinstance(item, int):
-            required.add(item)
-        else:
-            required.update(item)
+    required = {v for item in order for v in ((item,) if isinstance(item, int) else item)}
     unknown = required - g.vertex_set
     if unknown:
         raise LinkageError(f"unknown vertices {sorted(unknown)}")
@@ -317,7 +303,7 @@ def find_three_planar(
                 )
                 if any(len(neighborhood(g, a)) > 3 for a in sets):
                     continue
-                found = _attempt_witness(g, sets, order, caps)
+                found = _attempt_witness(g, sets, order)
                 if found is not None:
                     return found
     return None
@@ -476,8 +462,8 @@ def find_linkage(
     The stages, in order: the witness with no deleted set; one descent of
     the pruned path search; the witness of the full (<= 3)-reduction;
     the pruned path search with backtracking.  The first three take
-    polynomial time, so an input without a linkage never reaches the
-    fourth.  The path search counts every prefix it builds against
+    polynomial time (each witness is one planarity test, facial triangles
+    included), so an input without a linkage never reaches the fourth.  The path search counts every prefix it builds against
     `caps.max_subsets` and raises ResourceLimitError("linkage path search")
     past it.
     """
@@ -508,14 +494,14 @@ def _decide_linkage(
 ) -> Linkage | ThreePlanarWitness | None:
     """The outcome of the first of the four stages that finds one, unchecked."""
     order = (s1, s2, t1, t2)
-    w = _attempt_witness(g, (), order, caps)
+    w = _attempt_witness(g, (), order)
     if w is not None:
         return w
     link = _search_linkage(g, s1, t1, s2, t2, caps, backtrack=False)
     if link is not None:
         return link
     sets = _reduction_sets(g, frozenset(order))
-    w = _attempt_witness(g, sets, order, caps) if sets else None
+    w = _attempt_witness(g, sets, order) if sets else None
     if w is not None:
         return w
     return _search_linkage(g, s1, t1, s2, t2, caps)

@@ -8,7 +8,8 @@ path triples, linkages from all simple path pairs, vertex cuts and
 scan.  The exceptions are earlier versions of the library's own code, kept
 without their fast paths: the explicit core of a peel, the maximal balanced
 sets, the Tricoloured detector, the canonical cycle key, the theta check and
-the linkage search at the end.
+the linkage search at the end.  Embeddings come from every rotation system
+that passes the Euler check.
 """
 
 from __future__ import annotations
@@ -20,6 +21,7 @@ from typing import Iterable, Iterator, Sequence
 
 from tanglekit.bias import BiasedGraph, BiasError, make_explicit
 from tanglekit.classify import _Counter, _Hit, _weak_compositions
+from tanglekit.embedding import OrderedPlanarEmbedding, RotationSystem, collapse_cyclic, walk_contains_order
 from tanglekit.families import FamilyDescriptor, verify_family
 from tanglekit.graph import (
     Cycle,
@@ -872,3 +874,52 @@ def oracle_find_linkage(
     if bad:
         raise LinkageError(f"internal: witness fails checks {bad}")
     return w
+
+
+# ---------------------------------------------------------------------------
+# Embeddings by exhaustive rotation enumeration
+# ---------------------------------------------------------------------------
+
+
+def oracle_rotation_systems(g: MultiGraph) -> Iterator[RotationSystem]:
+    """Every rotation system of g: all cyclic dart orders at every vertex."""
+    per_vertex: list[list[tuple[tuple[int, int], ...]]] = []
+    for v in g.vertices:
+        darts = sorted((e, side) for e in g.incident_edges(v) for side in (0, 1) if g.endpoints(e)[side] == v)
+        if len(darts) <= 2:
+            per_vertex.append([tuple(darts)])
+        else:
+            per_vertex.append([(darts[0], *p) for p in permutations(darts[1:])])
+    for combo in product(*per_vertex):
+        yield RotationSystem(tuple(zip(g.vertices, combo)))
+
+
+def oracle_planar_faces(g: MultiGraph) -> list[tuple[RotationSystem, list[tuple[tuple, tuple[int, ...]]]]]:
+    """(rotation, [(face, face walk)]) for every rotation passing the Euler check."""
+    out = []
+    for rot in oracle_rotation_systems(g):
+        if rot.is_planar(g):
+            out.append((rot, [(f, rot.face_walk(g, f)) for f in rot.faces()]))
+    return out
+
+
+def oracle_find_embedding(
+    g: MultiGraph,
+    order: Sequence[int] = (),
+    facial_triangles: Sequence[frozenset[int]] = (),
+    planar: list | None = None,
+) -> OrderedPlanarEmbedding | None:
+    """The first planar rotation with `order` on a face and every triangle a 3-dart face.
+
+    `planar` may pass `oracle_planar_faces(g)` in, to share it across queries.
+    """
+    seq = collapse_cyclic([v for v in order if g.incident_edges(v)])
+    for rot, faces in oracle_planar_faces(g) if planar is None else planar:
+        if not all(any(len(f) == 3 and set(w) == set(t) for f, w in faces) for t in facial_triangles):
+            continue
+        if not faces:
+            return OrderedPlanarEmbedding(rot, (), seq)
+        for f, w in faces:
+            if walk_contains_order(w, seq):
+                return OrderedPlanarEmbedding(rot, f, seq)
+    return None

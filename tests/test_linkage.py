@@ -11,7 +11,7 @@ from hypothesis import assume, given, settings, strategies as st
 
 import tanglekit.linkage
 from tanglekit.graph import MultiGraph
-from tanglekit.limits import DEFAULT_CAPS, Caps, ResourceLimitError
+from tanglekit.limits import Caps, ResourceLimitError
 from tanglekit.linkage import (
     Linkage,
     LinkageError,
@@ -125,7 +125,7 @@ def test_c4_plus_b_has_no_linkage():
 def test_c4_plus_b_admits_singleton_set_witness():
     """Deleting the fan vertex also certifies, with a facial triangle."""
     g = c4_plus_b()
-    w = _attempt_witness(g, (frozenset({4}),), (0, 1, 2, 3), DEFAULT_CAPS)
+    w = _attempt_witness(g, (frozenset({4}),), (0, 1, 2, 3))
     assert w is not None
     assert w.facial_triangles == (frozenset({0, 1, 2}),)
     assert verify_witness(g, w, (0, 1, 2, 3)) == ()
@@ -247,6 +247,20 @@ def test_witness_search_is_capped():
     assert w.sets == (frozenset({4, 5, 6}),)
 
 
+@pytest.mark.parametrize("loop", [False, True])
+def test_witness_needs_a_triangle_face_the_plain_embedding_misses(loop):
+    """Two doubled pairs; the one deleted set's neighbourhood {0, 2, 4} must bound a face."""
+    pairs = [(0, 4), (4, 2), (2, 3), (2, 5), (2, 1), (5, 6), (3, 7), (2, 3), (0, 6), (1, 4), (0, 1), (0, 4),
+             (2, 7), (4, 6)]
+    g = MultiGraph.from_pairs(pairs + [(7, 7)] * loop)
+    order = (4, 0, 7, 2)
+    w = find_three_planar(g, order)
+    assert w is not None
+    assert w.sets == (frozenset({1, 5, 6}),)
+    assert w.facial_triangles == (frozenset({0, 2, 4}),)
+    assert verify_witness(g, w, order) == ()
+
+
 def _atlas_cases():
     for i, nxg in enumerate(nx.graph_atlas_g()):
         if not 4 <= nxg.number_of_nodes() <= 6 or not nx.is_connected(nxg):
@@ -302,7 +316,7 @@ def test_verify_witness_flags_wide_attachment():
     g = MultiGraph.from_pairs(
         [(0, 1), (1, 2), (2, 3), (3, 0), (4, 0), (4, 1), (4, 2), (4, 3)]
     )
-    w = _attempt_witness(g, (frozenset({4}),), (), DEFAULT_CAPS)
+    w = _attempt_witness(g, (frozenset({4}),), ())
     assert w is not None
     assert any("attachment" in d for d in verify_witness(g, w, ()))
     # the honest search never proposes that set: the hub stays put
@@ -312,7 +326,7 @@ def test_verify_witness_flags_wide_attachment():
 
 def test_verify_witness_flags_nonplanar_projection():
     k5 = MultiGraph.from_pairs(list(itertools.combinations(range(5), 2)))
-    base = _attempt_witness(c4(), (), (0, 1, 2, 3), DEFAULT_CAPS)
+    base = _attempt_witness(c4(), (), (0, 1, 2, 3))
     forged = ThreePlanarWitness((), k5, base.embedding, (), ())
     bad = verify_witness(k5, forged, (0, 1, 2, 3))
     assert bad
@@ -320,7 +334,7 @@ def test_verify_witness_flags_nonplanar_projection():
 
 def test_verify_witness_flags_required_vertex_inside_set():
     g = c4_plus_b()
-    w = _attempt_witness(g, (frozenset({4}),), (0, 1, 2, 3), DEFAULT_CAPS)
+    w = _attempt_witness(g, (frozenset({4}),), (0, 1, 2, 3))
     bad = verify_witness(g, w, (0, 1, 4, 3))
     assert any("required" in d for d in bad)
 
@@ -333,10 +347,10 @@ def test_verify_witness_flags_required_vertex_inside_set():
 def test_minimalize_keeps_empty_and_singleton_sets():
     """Witnesses keep the sets they are built from: none, or one singleton."""
     g = c4()
-    w = _attempt_witness(g, (), (0, 1, 2, 3), DEFAULT_CAPS)
+    w = _attempt_witness(g, (), (0, 1, 2, 3))
     assert w.sets == ()
     g2 = c4_plus_b()
-    w2 = _attempt_witness(g2, (frozenset({4}),), (0, 1, 2, 3), DEFAULT_CAPS)
+    w2 = _attempt_witness(g2, (frozenset({4}),), (0, 1, 2, 3))
     assert w2.sets == (frozenset({4}),)
     assert verify_witness(g2, w2, (0, 1, 2, 3)) == ()
 
@@ -347,9 +361,9 @@ def test_minimalize_splits_separable_components():
         [(0, 1), (1, 2), (2, 3), (3, 0), (4, 0), (4, 1), (5, 0), (5, 1)]
     )
     order = (0, 1, 2, 3)
-    w = _attempt_witness(g, (frozenset({4, 5}),), order, DEFAULT_CAPS)
+    w = _attempt_witness(g, (frozenset({4, 5}),), order)
     assert w is not None and verify_witness(g, w, order) == ()
-    split = _attempt_witness(g, (frozenset({4}), frozenset({5})), order, DEFAULT_CAPS)
+    split = _attempt_witness(g, (frozenset({4}), frozenset({5})), order)
     assert split.sets == (frozenset({4}), frozenset({5}))
     assert verify_witness(g, split, order) == ()
 
@@ -358,17 +372,17 @@ def test_minimalize_leaves_connected_pair_alone():
     """A set joined by an edge certifies whole; split, its halves are adjacent."""
     g = handle_c5()
     order = (0, 2, 6, 1, 3)
-    w = _attempt_witness(g, (frozenset({4, 5}),), order, DEFAULT_CAPS)
+    w = _attempt_witness(g, (frozenset({4, 5}),), order)
     assert w.sets == (frozenset({4, 5}),)
     assert verify_witness(g, w, order) == ()
-    split = _attempt_witness(g, (frozenset({4}), frozenset({5})), order, DEFAULT_CAPS)
+    split = _attempt_witness(g, (frozenset({4}), frozenset({5})), order)
     assert "sets 0 and 1 are adjacent" in verify_witness(g, split, order)
 
 
 def test_cycle_through_face_already_in_graph():
     """With no sets, the ordered face of C4 is C4 itself."""
     g = c4()
-    w = _attempt_witness(g, (), (0, 1, 2, 3), DEFAULT_CAPS)
+    w = _attempt_witness(g, (), (0, 1, 2, 3))
     assert w.added_edges == ()
     assert w.embedding.order == (0, 1, 2, 3)
     assert {e for e, _ in w.embedding.face} == g.edge_id_set
