@@ -402,9 +402,21 @@ def switching_balanced(
     the signature edges are the ones crossing (Harary 1953): one pass of
     2-colouring, with no cycle enumeration.
     """
+    return switching_potential(g, signature, removed) is not None
+
+
+def switching_potential(
+    g: MultiGraph, signature: frozenset[int], removed: Iterable[int] = ()
+) -> dict[int, bool] | None:
+    """The two sides of :func:`switching_balanced`, or None when unbalanced.
+
+    Switching at the vertices mapped to True makes every edge of
+    g - removed positive: an edge is in the signature exactly when its
+    ends lie on different sides.
+    """
     gone = set(removed)
     if any(u == v and u not in gone and e in signature for e, (u, v) in g.edge_map.items()):
-        return False  # a signed loop
+        return None  # a signed loop
     side: dict[int, bool] = {}
     for root in g.vertices:
         if root in gone or root in side:
@@ -421,8 +433,8 @@ def switching_balanced(
                     side[y] = want
                     stack.append(y)
                 elif side[y] != want:
-                    return False
-    return True
+                    return None
+    return side
 
 
 def switch_signature(g: MultiGraph, signature: Iterable[int], part: Iterable[int]) -> frozenset[int]:

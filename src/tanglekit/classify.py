@@ -59,6 +59,8 @@ from .tangles import (
     Tangled,
     TangleVerdict,
     blocking_pairs,
+    blocking_vertices,
+    disjoint_unbalanced_pair_exists,
     is_tangled,
     standard_partition,
 )
@@ -1074,6 +1076,19 @@ def decompose(o: BiasedGraph, caps: Caps = DEFAULT_CAPS) -> SumDecomposition:
     ends at a core with no small cut, or, when every remaining 3-cut
     side is unbalanced, at the hub-and-ring shape, which is extracted
     and certified as a generalized wheel.
+
+    The input must be connected and tangled, and every peeled core is
+    tangled again, so tangledness is proved once, here.  A core cycle
+    through virtual edges stands for a cycle that runs through the
+    balanced side instead, and has its balance.  A cycle meets the side
+    in at most one path, since a second would need four cut vertices.
+    So every unbalanced cycle of the peeled graph shrinks to an
+    unbalanced core cycle on a subset of its vertices.  And only one
+    cycle can use the virtual edges: of two disjoint core cycles at most
+    one reaches the cut, and only that one expands into the side.  A
+    balanced core, a blocking vertex of the core or two disjoint
+    unbalanced core cycles would therefore give the input the same.
+    The terminal core alone is checked again, as a runtime guard.
     """
     if not o.graph.is_connected():
         raise ClassifyError("decompose needs a connected input")
@@ -1082,13 +1097,18 @@ def decompose(o: BiasedGraph, caps: Caps = DEFAULT_CAPS) -> SumDecomposition:
         raise ClassifyError(
             f"decompose needs a tangled input, verdict is {type(verdict).__name__}"
         )
+    return _decompose(o, caps)
+
+
+def _decompose(o: BiasedGraph, caps: Caps) -> SumDecomposition:
+    """The peel loop of :func:`decompose`, on an input known to be tangled."""
     cur = o
     tags: dict[int, _Tag] = {e: ("real", e) for e in o.graph.edge_id_set}
     nodes: list[SumNode] = []
     while True:
         cuts = find_vertex_cuts(cur.graph, 3, caps)
         if not cuts:
-            return SumDecomposition(tuple(nodes), FourConnectedCore(cur, dict(tags)))
+            return _terminal(nodes, FourConnectedCore(cur, dict(tags)), caps)
         if cuts[0].size <= 2:
             vc = cuts[0]
             balanced_sides = []
@@ -1132,9 +1152,7 @@ def decompose(o: BiasedGraph, caps: Caps = DEFAULT_CAPS) -> SumDecomposition:
                         if first_err is None:
                             first_err = err
                         continue
-                    return SumDecomposition(
-                        tuple(nodes), WheelCore(cur, d, cert, dict(tags))
-                    )
+                    return _terminal(nodes, WheelCore(cur, d, cert, dict(tags)), caps)
                 if first_err is not None:
                     raise first_err
                 raise ClassifyError(
@@ -1143,12 +1161,24 @@ def decompose(o: BiasedGraph, caps: Caps = DEFAULT_CAPS) -> SumDecomposition:
             vc, bridge = pick
         cur, tags, node = _peel(cur, tags, vc, bridge, len(nodes) + 1, caps)
         nodes.append(node)
-        check = is_tangled(cur, caps)
-        if not isinstance(check, Tangled):
-            raise ClassifyError(
-                f"peeling at {sorted(vc.cut)} left a non-tangled core "
-                f"({type(check).__name__})"
-            )
+
+
+def _terminal(
+    nodes: list[SumNode], core: FourConnectedCore | WheelCore, caps: Caps
+) -> SumDecomposition:
+    """The decomposition, once the terminal core is shown to be tangled.
+
+    The test is is_tangled's, but on signed cores the pair test lists no
+    cycle: peels at 3-cuts turn degree-3 vertices into triangles of
+    virtual edges, and the core can have many times the cycles of the
+    input (PPSigned C24: 108,962 against 4,229).
+    """
+    b = core.bias
+    if nodes and (
+        b.is_balanced(caps) or blocking_vertices(b, caps) or disjoint_unbalanced_pair_exists(b, caps)
+    ):
+        raise ClassifyError(f"peeling at {list(nodes[-1].cut)} left a non-tangled core")
+    return SumDecomposition(tuple(nodes), core)
 
 
 def _peel(
@@ -1389,7 +1419,7 @@ def _tangled_report(
         trace.append(
             "blocking pairs: " + ", ".join(f"({v},{w})" for v, w in pairs)
         )
-    dec = decompose(o, caps)
+    dec = _decompose(o, caps)
     labels: list[Label] = []
     if dec.nodes:
         fails = dec.verify(o, caps)

@@ -105,25 +105,13 @@ class RotationSystem:
         """Face orbits of phi(d) = rotation-successor of the twin of d.
 
         Each orbit is rotated to start at its least dart; orbits are sorted.
+        They are walked once per rotation system and kept.
         """
-        nxt = self._next
-        seen: set[Dart] = set()
-        out: list[tuple[Dart, ...]] = []
-        for d0 in sorted(nxt):
-            if d0 in seen:
-                continue
-            orbit: list[Dart] = []
-            d = d0
-            while True:
-                orbit.append(d)
-                seen.add(d)
-                d = nxt[_dart_twin(d)]
-                if d == d0:
-                    break
-            k = orbit.index(min(orbit))
-            out.append(tuple(orbit[k:] + orbit[:k]))
-        out.sort()
-        return tuple(out)
+        return self._faces
+
+    @cached_property
+    def _faces(self) -> tuple[tuple[Dart, ...], ...]:
+        return _face_orbits(self._next)
 
     def face_walk(self, g: MultiGraph, face: Sequence[Dart]) -> tuple[int, ...]:
         return tuple(_dart_tail(g, d) for d in face)
@@ -149,6 +137,26 @@ class RotationSystem:
             if nv[c] - edges + nf.get(c, 0) != 2:
                 return False
         return True
+
+
+def _face_orbits(nxt: dict[Dart, Dart]) -> tuple[tuple[Dart, ...], ...]:
+    seen: set[Dart] = set()
+    out: list[tuple[Dart, ...]] = []
+    for d0 in sorted(nxt):
+        if d0 in seen:
+            continue
+        orbit: list[Dart] = []
+        d = d0
+        while True:
+            orbit.append(d)
+            seen.add(d)
+            d = nxt[_dart_twin(d)]
+            if d == d0:
+                break
+        k = orbit.index(min(orbit))
+        out.append(tuple(orbit[k:] + orbit[:k]))
+    out.sort()
+    return tuple(out)
 
 
 @dataclass(frozen=True)

@@ -11,7 +11,8 @@ biased graph, producing an auditable :class:`Certificate`.
 
 ``t_sum`` glues a biased graph to a balanced one across a shared
 complete graph on one, two or three vertices and derives the bias of
-the glued graph from the biases of the summands.
+the glued graph from the biases of the summands: a signature when both
+are signed, an explicit balanced-cycle set otherwise.
 """
 
 from __future__ import annotations
@@ -22,10 +23,13 @@ from itertools import combinations, permutations
 from typing import Iterable, Mapping, Sequence
 
 from .bias import (
+    AllBalanced,
     BiasedGraph,
+    Signed,
     complete_bias,
     make_explicit,
     make_signed,
+    switching_potential,
 )
 from .embedding import collapse_cyclic, ordered_planarity
 from .graph import Cycle, MultiGraph, cycles_inside, cycles_with, is_two_connected
@@ -1113,7 +1117,18 @@ def t_sum(
     in one side keeps that side's bias; a cycle crossing sides splits
     into one path per side, and is balanced exactly when each path
     closed up with the deleted shared edge is balanced in its summand.
-    The result is validated against the theta property.
+
+    When o1 is signed and o2 is signed or all-balanced, the sum is signed
+    and no cycle is listed.  A 2-colouring potential psi switches o2 to
+    all-positive.  On the cut, phi(a) = 0 for the first glued vertex a
+    and phi(x) = the sign of the shared edge ax in o1; for t = 3 this is
+    consistent because the shared triangle is balanced.  Side-2 edge uv
+    then gets sig2(uv) + psi(u) + psi(v) + phi(u) + phi(v), with phi = 0
+    off the cut, and side 1 keeps its signature.  Every side-2 path
+    between cut vertices x and y so has the sign of the shared edge xy,
+    which is the rule above (Harary 1953; Zaslavsky 1982).  Other biases
+    get an explicit balanced-cycle set, validated against the theta
+    property.
     """
     if t not in (1, 2, 3) or len(identify) != t:
         raise FamilyError("t must be 1, 2 or 3 with one identified pair per vertex")
@@ -1125,7 +1140,14 @@ def t_sum(
         raise FamilyError("identified vertices must exist in their summands")
     if o1.graph.n <= t or o2.graph.n <= t:
         raise FamilyError("both summands need more than t vertices")
-    if not o2.is_balanced(caps):
+    signed = isinstance(o1.bias, Signed) and isinstance(o2.bias, (Signed, AllBalanced))
+    if signed:
+        sig2 = o2.bias.signature if isinstance(o2.bias, Signed) else frozenset()
+        psi = switching_potential(o2.graph, sig2)
+        balanced2 = psi is not None
+    else:
+        balanced2 = o2.is_balanced(caps)
+    if not balanced2:
         raise FamilyError("the second summand must be balanced")
     kt1 = _pick_kt_edges(o1, firsts, kt_edges1, "first summand")
     kt2 = _pick_kt_edges(o2, seconds, kt_edges2, "second summand")
@@ -1151,6 +1173,19 @@ def t_sum(
         extra[next_e] = (vmap[u], vmap[v])
         next_e += 1
     sum_graph = o1.graph.delete_edges(kt1).with_edges(extra, fresh)
+
+    if signed:
+        sig1 = o1.bias.signature
+        phi = dict.fromkeys(seconds, False)
+        for x, e in zip(seconds[1:], kt1):  # kt1 follows the pairs (0, 1), (0, 2), (1, 2)
+            phi[x] = e in sig1
+        pot = {v: psi[v] != phi.get(v, False) for v in o2.graph.vertex_set}
+        negative = set()
+        for old, new in emap.items():
+            u, v = o2.graph.endpoints(old)
+            if (old in sig2) != (pot[u] != pot[v]):
+                negative.add(new)
+        return make_signed(sum_graph, (sig1 - set(kt1)) | negative)
 
     side2 = frozenset(emap.values())
     back2 = {new: old for old, new in emap.items()}

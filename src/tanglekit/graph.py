@@ -513,6 +513,33 @@ def cycles_by_length(g: MultiGraph, caps: Caps = DEFAULT_CAPS) -> Iterator[Cycle
         yield from layer
 
 
+def chordless_vertex_sets(g: MultiGraph, caps: Caps = DEFAULT_CAPS) -> Iterator[frozenset[int]]:
+    """Vertex sets of the chordless cycles of g's simple support, each once.
+
+    Only cycles on three or more vertices count; loops and parallel edges
+    are ignored.  A rooted path from its least vertex s grows only by
+    vertices adjacent to no inner path vertex, and closes as soon as it
+    reaches a neighbour of s.  Raises ResourceLimitError("enumerate_cycles")
+    beyond ``caps.max_cycles`` sets.
+    """
+    nbrs = {v: {w for w, _ in g.adjacent(v)} for v in g.vertices}
+    found = 0
+    for s in g.vertices:
+        stack = [(s, a) for a in nbrs[s] if a > s]
+        while stack:
+            path = stack.pop()
+            for y in nbrs[path[-1]]:
+                if y <= s or y in path or any(y in nbrs[x] for x in path[1:-1]):
+                    continue
+                if s not in nbrs[y]:
+                    stack.append(path + (y,))
+                elif path[1] < y:  # one orientation of each cycle
+                    found += 1
+                    if found > caps.max_cycles:
+                        raise ResourceLimitError("enumerate_cycles", caps.max_cycles)
+                    yield frozenset(path + (y,))
+
+
 # ---------------------------------------------------------------------------
 # Theta subgraphs
 # ---------------------------------------------------------------------------

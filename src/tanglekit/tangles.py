@@ -13,16 +13,18 @@ and the disjoint-pair search tests o - V(C) for unbalanced cycles C taken
 shortest first.  Its generated cycles count
 against ``max_cycles`` and its switching tests against ``max_theta_pairs``.
 Other bias kinds enumerate every cycle (``max_cycles``) and scan pairs of
-unbalanced cycles (``max_theta_pairs``).
+unbalanced cycles (``max_theta_pairs``).  Whether a signed graph has a
+pair at all is also decided from the chordless cycles of its support,
+with no cycle listed.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import combinations
+from itertools import chain, combinations
 
 from .bias import BiasedGraph, Signed, switching_balanced
-from .graph import Cycle, cycles_by_length
+from .graph import Cycle, chordless_vertex_sets, cycles_by_length
 from .limits import DEFAULT_CAPS, Caps, ResourceLimitError
 
 
@@ -129,6 +131,33 @@ def find_disjoint_unbalanced_pair(
         if not masks[i] & masks[j]:
             return unb[i], unb[j]
     return None
+
+
+def disjoint_unbalanced_pair_exists(o: BiasedGraph, caps: Caps = DEFAULT_CAPS) -> bool:
+    """Whether o has two vertex-disjoint unbalanced cycles.
+
+    For signed bias no cycle is listed.  A chord splits an unbalanced
+    cycle into two cycles on fewer vertices, one of them unbalanced.  So
+    if a pair exists, one exists whose first cycle has the vertex set of
+    a loop, of a parallel class or of a chordless cycle of the simple
+    support.  A pair therefore exists exactly when some such vertex set
+    S leaves both o[S] and o - S unbalanced: two switching tests per set,
+    each set counted against ``caps.max_theta_pairs``.  Other bias kinds
+    ask :func:`find_disjoint_unbalanced_pair`.
+    """
+    if not isinstance(o.bias, Signed):
+        return find_disjoint_unbalanced_pair(o, caps) is not None
+    g, sig = o.graph, o.bias.signature
+    short = {frozenset(g.endpoints(e)) for e in g.edge_ids if g.is_loop(e)}
+    short.update(frozenset(p) for p in g.simple_pairs() if len(g.edges_between(*p)) > 1)
+    tests = 0
+    for part in chain(short, chordless_vertex_sets(g, caps)):
+        tests += 1
+        if tests > caps.max_theta_pairs:
+            raise ResourceLimitError("disjoint-pair scan", caps.max_theta_pairs)
+        if not switching_balanced(g, sig, g.vertex_set - part) and not switching_balanced(g, sig, part):
+            return True
+    return False
 
 
 def blocking_vertices(o: BiasedGraph, caps: Caps = DEFAULT_CAPS) -> frozenset[int]:

@@ -9,8 +9,10 @@ import pytest
 
 from tanglekit.bias import BiasedGraph, Signed, make_explicit, make_signed
 import tanglekit.classify as classify_module
+import tanglekit.families as families_module
 import tanglekit.graph as graph_module
 from tanglekit.classify import (
+    ClassifyError,
     WheelCore,
     _PLACEMENTS,
     _detect_generalized_wheel,
@@ -43,6 +45,7 @@ from oracles import (
 )
 from test_families import (
     alternating_tricoloured,
+    assert_signed_t_sum_matches_explicit,
     balanced_complete,
     c4_criss_cross,
     c4_part_wheel,
@@ -235,10 +238,22 @@ def corpus_t_sums() -> list[BiasedGraph]:
     ]
 
 
+def signed_t_sums() -> list[BiasedGraph]:
+    """Signed t-sums of orders 1, 2 and 3: PPSigned C8 at a vertex, the
+    corpus sums of PPSigned C6 and the K5 member, and the first benchmark
+    fuzz graph along its balanced triangle 0, 1, 2."""
+    fuzz = make_signed(MultiGraph.from_pairs(BENCH_FUZZ[0][0]), BENCH_FUZZ[0][1])
+    return [
+        t_sum(build_family(pp_signed(8)), balanced_complete(3), 1, [(0, 0)]),
+        *corpus_t_sums()[3:5],
+        t_sum(fuzz, balanced_complete(4), 3, [(0, 0), (1, 1), (2, 2)]),
+    ]
+
+
 @pytest.mark.parametrize("index", range(6))
 def test_decomposition_of_a_t_sum_recomposes(index):
-    # each core is rebuilt through make_explicit(check=True), which runs
-    # the balanced-pair theta check
+    # the cores of explicit sums are rebuilt through make_explicit(check=True),
+    # which runs the balanced-pair theta check; those of signed sums stay signed
     o = corpus_t_sums()[index]
     dec = decompose(o)
     assert dec.nodes  # something peels off
@@ -411,10 +426,116 @@ def test_decompose_lists_no_cycle_of_a_signed_input(monkeypatch):
     assert listed == []
 
 
-@pytest.mark.wall
 def test_pp_signed_c18_classifies_at_default_caps():
     o = build_family(pp_signed(18))
     assert classify(o, first=True).codes() == ("T3",)
+
+
+@pytest.mark.wall
+def test_pp_signed_c24_classifies_at_default_caps():
+    o = build_family(pp_signed(24))
+    assert classify(o, first=True).codes() == ("T3",)
+
+
+def test_every_peeled_core_is_tangled(monkeypatch):
+    # decompose proves the input tangled once and re-checks only the
+    # terminal core; every intermediate core is checked here instead
+    cores = []
+    real_peel = classify_module._peel
+
+    def recording_peel(*args):
+        out = real_peel(*args)
+        cores.append(out[0])
+        return out
+
+    monkeypatch.setattr(classify_module, "_peel", recording_peel)
+    inputs = tangled_signed_inputs() + corpus_t_sums() + [build_family(pp_signed(k)) for k in (14, 16)]
+    for o in inputs:
+        decompose(o)
+    assert len(cores) > 500
+    for core in cores:
+        assert is_tangled(core) == Tangled()
+
+
+def test_decompose_rejects_a_peel_that_loses_tangledness(monkeypatch):
+    real_peel = classify_module._peel
+
+    def balancing_peel(*args):
+        core, tags, node = real_peel(*args)
+        return BiasedGraph(core.graph, Signed(frozenset())), tags, node
+
+    monkeypatch.setattr(classify_module, "_peel", balancing_peel)
+    with pytest.raises(ClassifyError, match="non-tangled core"):
+        decompose(build_family(pp_signed(8)))
+
+
+# -- signed recomposition ---------------------------------------------------------
+
+
+def test_recomposition_folds_match_the_explicit_construction(monkeypatch):
+    # every fold recompose makes on signed input, against t_sum on explicit
+    # copies of the same summands
+    folds = []
+    real = classify_module.t_sum
+
+    def recording(*args, **kwargs):
+        folds.append((args, kwargs))
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(classify_module, "t_sum", recording)
+    for o in tangled_signed_inputs() + [build_family(pp_signed(k)) for k in (14, 16)]:
+        assert decompose(o).verify(o) == ()
+    monkeypatch.undo()
+    assert len(folds) > 500
+    assert {args[2] for args, _ in folds} == {1, 2, 3}
+    for args, kwargs in folds:
+        assert_signed_t_sum_matches_explicit(*args, **kwargs)
+
+
+def test_signed_classify_makes_no_explicit_bias(monkeypatch):
+    # classify's only cycle list of the rebuilt graph is the final scan in
+    # SumDecomposition.verify: recompose folds signed and lists nothing
+    inputs = [build_family(pp_signed(k)) for k in range(6, 17, 2)] + signed_t_sums()
+    made = []
+    for module in (families_module, classify_module):
+        real_make = module.make_explicit
+        monkeypatch.setattr(
+            module, "make_explicit", lambda *args, real=real_make, **kwargs: made.append(args) or real(*args, **kwargs)
+        )
+    listed = []
+    real_cycles = MultiGraph.cycles
+
+    def recording(g, *args, **kwargs):
+        listed.append(g)
+        return real_cycles(g, *args, **kwargs)
+
+    for o in inputs:
+        report = classify(o, first=True)
+        assert report.codes() == ("T3",)
+        monkeypatch.setattr(MultiGraph, "cycles", recording)
+        rebuilt, _, _ = report.decomposition.recompose()
+        monkeypatch.setattr(MultiGraph, "cycles", real_cycles)
+        assert isinstance(rebuilt.bias, Signed)
+    assert made == []
+    assert listed == []
+
+
+def test_signed_classify_caps_the_rebuilt_cycle_list():
+    # the rebuilt PPSigned C12 has as many cycles as the input; the input's
+    # verdict, the terminal core's guard and the recomposition all fit
+    # under that count, and the recomposition's final scan needs all of it
+    rebuilt, _, _ = decompose(build_family(pp_signed(12))).recompose()
+    count = len(rebuilt.cycles())
+    assert count == 95
+    with pytest.raises(ResourceLimitError) as err:
+        classify(build_family(pp_signed(12)), Caps(max_cycles=count - 1), first=True)
+    assert err.value.stage == "enumerate_cycles"
+    o = build_family(pp_signed(12))
+    dec = decompose(o)
+    with pytest.raises(ResourceLimitError) as err:
+        dec.verify(o, Caps(max_cycles=count - 1))
+    assert err.value.stage == "enumerate_cycles"
+    assert classify(build_family(pp_signed(12)), Caps(max_cycles=count), first=True).codes() == ("T3",)
 
 
 # -- wheel cores ------------------------------------------------------------------
@@ -528,8 +649,9 @@ def test_decompose_enumerates_each_peeled_core_once(index, enumerated, monkeypat
     decompose(o)
     assert cores
     assert _enumerated_twice(enumerated) == []
+    # signed cores and cores of 1-sums are never listed; the rest at most once
     for core in cores:
-        assert sum(g is core for g in enumerated) == 1
+        assert sum(g is core for g in enumerated) <= 1
 
 
 @pytest.mark.parametrize("index", range(6))

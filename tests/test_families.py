@@ -3,11 +3,22 @@
 from __future__ import annotations
 
 import random
+from itertools import combinations, permutations
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from tanglekit.bias import make_signed, simplify, validate_biased_graph
+from tanglekit.bias import (
+    AllBalanced,
+    BiasedGraph,
+    ExplicitSet,
+    Signed,
+    make_explicit,
+    make_signed,
+    simplify,
+    switch_signature,
+    validate_biased_graph,
+)
 from tanglekit.families import (
     FamilyDescriptor,
     FamilyError,
@@ -29,6 +40,8 @@ from tanglekit.families import (
 )
 from tanglekit.graph import Cycle, MultiGraph
 from tanglekit.tangles import Tangled, blocking_pairs, is_tangled
+
+from oracles import random_multigraph
 
 
 def assert_round_trip(o, d):
@@ -700,6 +713,64 @@ def test_t_sum_requires_balanced_shared_triangle():
     fatk = build_fat_triangle(k4_fat_triangle())
     with pytest.raises(FamilyError, match="triangle"):
         t_sum(fatk, balanced_complete(4), 3, [(0, 0), (1, 1), (2, 2)], kt_edges1=(6, 1, 3))
+
+
+def explicit_copy(o):
+    return make_explicit(o.graph, o.balanced_cycles(), check=False)
+
+
+def assert_signed_t_sum_matches_explicit(o1, o2, *args, **kwargs):
+    """t_sum on signed summands against t_sum on explicit copies of them."""
+    s = t_sum(o1, o2, *args, **kwargs)
+    e = t_sum(explicit_copy(o1), explicit_copy(o2), *args, **kwargs)
+    assert isinstance(s.bias, Signed) and isinstance(e.bias, ExplicitSet)
+    assert s.graph == e.graph
+    assert {c.edge_set for c in s.balanced_cycles()} == {c.edge_set for c in e.balanced_cycles()}
+    assert validate_biased_graph(s) == ()
+
+
+def random_signed_t_sum(rng: random.Random):
+    """A signed first summand, a balanced second one with a switched (so
+    usually non-empty) signature or all-balanced bias, and a glue of order
+    t whose shared triangle, for t = 3, is balanced."""
+    t = rng.choice((1, 2, 3))
+    g1 = random_multigraph(rng, max_n=6, max_extra=6, allow_loops=True)
+    o1 = make_signed(g1, [e for e in g1.edge_ids if rng.random() < 0.5])
+    glues = []
+    for vs in permutations(g1.vertices, t):
+        if g1.n <= t or not all(g1.edges_between(u, v) for u, v in combinations(vs, 2)):
+            continue
+        if t == 3 and not o1.balance(Cycle.from_edge_set(g1, [min(g1.edges_between(u, v)) for u, v in combinations(vs, 2)])):
+            continue
+        glues.append(vs)
+    if not glues:
+        return None
+    k = rng.randint(t + 1, 4)
+    g2 = MultiGraph.from_pairs(list(combinations(range(k), 2)) + [tuple(rng.sample(range(k), 2))])
+    if rng.random() < 0.2:
+        o2 = BiasedGraph(g2, AllBalanced())
+    else:
+        o2 = make_signed(g2, switch_signature(g2, (), [v for v in range(k) if rng.random() < 0.5]))
+    identify = list(zip(rng.choice(glues), rng.sample(range(k), t)))
+    return o1, o2, t, identify
+
+
+def test_signed_t_sum_matches_the_explicit_construction():
+    rng = random.Random(61)
+    orders = set()
+    switched = 0
+    done = 0
+    while done < 150:
+        case = random_signed_t_sum(rng)
+        if case is None:
+            continue
+        o1, o2, t, identify = case
+        assert_signed_t_sum_matches_explicit(o1, o2, t, identify)
+        orders.add(t)
+        switched += isinstance(o2.bias, Signed) and bool(o2.bias.signature)
+        done += 1
+    assert orders == {1, 2, 3}
+    assert switched > 50
 
 
 # -- certificates ----------------------------------------------------------------

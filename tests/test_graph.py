@@ -14,6 +14,7 @@ from tanglekit.graph import (
     MultiGraph,
     block_tree,
     bridges_of_cut,
+    chordless_vertex_sets,
     cycles_by_length,
     enumerate_cycles,
     enumerate_theta_subgraphs,
@@ -104,6 +105,29 @@ def test_cycles_by_length_counts_only_the_layers_it_built():
     assert [len(next(layers)) for _ in range(10)] == [3] * 10
     with pytest.raises(ResourceLimitError) as err:
         next(layers)
+    assert err.value.stage == "enumerate_cycles"
+
+
+def test_chordless_vertex_sets_are_the_induced_cycles_of_the_support():
+    # a cycle on three or more vertices is chordless when its vertex set
+    # spans no other support pair
+    rng = random.Random(37)
+    for _ in range(300):
+        g = random_multigraph(rng, max_n=9, max_extra=7, allow_loops=True)
+        support = set(g.simple_pairs())
+        want = {
+            c.vertex_set
+            for c in enumerate_cycles(g)
+            if len(c.vertex_set) >= 3
+            and sum(1 for p in itertools.combinations(sorted(c.vertex_set), 2) if p in support) == len(c.vertex_set)
+        }
+        got = list(chordless_vertex_sets(g))
+        assert len(got) == len(set(got))
+        assert set(got) == want
+    k5 = MultiGraph.from_pairs(list(itertools.combinations(range(5), 2)))
+    assert len(list(chordless_vertex_sets(k5, Caps(max_cycles=10)))) == 10
+    with pytest.raises(ResourceLimitError) as err:
+        list(chordless_vertex_sets(k5, Caps(max_cycles=9)))
     assert err.value.stage == "enumerate_cycles"
 
 

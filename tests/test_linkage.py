@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import dataclasses
 import itertools
 import random
 
@@ -9,7 +10,9 @@ import networkx as nx
 import pytest
 from hypothesis import assume, given, settings, strategies as st
 
+import tanglekit.embedding as embedding_module
 import tanglekit.linkage
+from tanglekit.embedding import RotationSystem
 from tanglekit.graph import MultiGraph
 from tanglekit.limits import Caps, ResourceLimitError
 from tanglekit.linkage import (
@@ -309,6 +312,20 @@ def test_find_linkage_matches_the_path_enumeration_oracle(cases, size, monkeypat
 # ---------------------------------------------------------------------------
 # verify_witness
 # ---------------------------------------------------------------------------
+
+
+def test_verify_witness_walks_the_faces_once(monkeypatch):
+    # is_planar, verify_ordered_embedding and the facial-triangle check all
+    # read the faces of one rotation system
+    g = k33_part_on_c4()
+    got = find_linkage(g, 0, 2, 1, 3)
+    emb = got.embedding
+    fresh = dataclasses.replace(emb, rotation=RotationSystem(emb.rotation.rotations))
+    walks = []
+    real = embedding_module._face_orbits
+    monkeypatch.setattr(embedding_module, "_face_orbits", lambda nxt: walks.append(nxt) or real(nxt))
+    assert verify_witness(g, dataclasses.replace(got, embedding=fresh), (0, 1, 2, 3)) == ()
+    assert len(walks) == 1
 
 
 def test_verify_witness_flags_wide_attachment():

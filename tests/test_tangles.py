@@ -20,6 +20,7 @@ from tanglekit.tangles import (
     TwoDisjointUnbalanced,
     blocking_pairs,
     blocking_vertices,
+    disjoint_unbalanced_pair_exists,
     find_disjoint_unbalanced_pair,
     is_tangled,
     standard_partition,
@@ -312,7 +313,7 @@ def signed_inputs() -> list[BiasedGraph]:
 
 def test_signed_verdict_equals_the_explicit_copy():
     # the explicit copy takes the cycle-list path, pair scan and blocking
-    # pairs included
+    # pairs included; the pair test that lists no cycle agrees with both
     seen = set()
     pairs = 0
     for o in signed_inputs():
@@ -323,6 +324,8 @@ def test_signed_verdict_equals_the_explicit_copy():
         assert blocking_vertices(o) == blocking_vertices(copy)
         assert blocking_pairs(o) == blocking_pairs(copy)
         assert o.is_balanced() == copy.is_balanced()
+        # a pair rules out a blocking vertex, so it decides this verdict
+        assert disjoint_unbalanced_pair_exists(o) == isinstance(verdict, TwoDisjointUnbalanced)
         seen.add(type(verdict))
         pairs += len(blocking_pairs(o))
     assert seen == {Balanced, HasBlockingVertex, TwoDisjointUnbalanced, Tangled}
