@@ -40,6 +40,7 @@ from .bias import (
     Signed,
     is_simple,
     make_explicit,
+    switching_balanced,
 )
 from .embedding import collapse_cyclic, ordered_planarity
 from .families import Certificate, FamilyDescriptor, FamilyError, t_sum, verify_family
@@ -365,7 +366,11 @@ def _detect_k5_parallel(o: BiasedGraph, caps: Caps, msets: tuple[frozenset[int],
 
 
 def _detect_fat_triangle(o: BiasedGraph, caps: Caps, msets: tuple[frozenset[int], ...]) -> _Hit | None:
-    """Three corners whose pairwise parallel classes carry the residual edges."""
+    """Three corners whose pairwise parallel classes carry the residual edges.
+
+    A fat set whose base E - fat lies inside no maximal balanced set
+    fails "base cycles balanced" and never reaches ``verify_family``.
+    """
     g = o.graph
     if g.n < 3 or any(g.is_loop(e) for e in g.edge_ids):
         return None
@@ -382,6 +387,9 @@ def _detect_fat_triangle(o: BiasedGraph, caps: Caps, msets: tuple[frozenset[int]
             if r and r <= full and r & fab and r & fbc and r & fca:
                 fats.add(frozenset(r))
         for fat in sorted(fats, key=lambda s: (len(s), sorted(s))):
+            base = g.edge_id_set - fat
+            if not any(base <= m for m in msets):
+                continue
             d = FamilyDescriptor(
                 "FatTriangle",
                 g,
@@ -394,7 +402,14 @@ def _detect_fat_triangle(o: BiasedGraph, caps: Caps, msets: tuple[frozenset[int]
 
 
 def _detect_criss_cross(o: BiasedGraph, caps: Caps, msets: tuple[frozenset[int], ...]) -> _Hit | None:
-    """Degree-4 apex with two crossing chords over a planar rest."""
+    """Degree-4 apex with two crossing chords over a planar rest.
+
+    Three clauses of ``verify_family`` do not depend on the spoke order,
+    so they are read once per apex, spoke pairing and chord pair, before
+    any descriptor is built: "crossing triangles balanced" (one balance
+    test per triangle), "core cycles balanced" (the core h lies inside a
+    maximal balanced set) and "core two-connected".
+    """
     g = o.graph
     for w in sorted(g.vertex_set):
         spokes = sorted(g.incident_edges(w))
@@ -403,19 +418,25 @@ def _detect_criss_cross(o: BiasedGraph, caps: Caps, msets: tuple[frozenset[int],
         ends = [g.other_end(e, w) for e in spokes]
         if len(set(ends)) != 4:
             continue
+        rest = g.edge_id_set - set(spokes)
         for (p, q), (r, s) in (((0, 1), (2, 3)), ((0, 2), (1, 3)), ((0, 3), (1, 2))):
             for f0 in sorted(g.edges_between(ends[p], ends[q])):
+                if not o.balance(Cycle.from_edge_set(g, (spokes[p], spokes[q], f0))):
+                    continue
                 for f1 in sorted(g.edges_between(ends[r], ends[s])):
+                    if not o.balance(Cycle.from_edge_set(g, (spokes[r], spokes[s], f1))):
+                        continue
+                    h = rest - {f0, f1}
+                    if not any(h <= m for m in msets) or not is_two_connected(g.subgraph(h)):
+                        continue
                     for idx in ((p, r, q, s), (p, s, q, r)):
                         es = tuple(spokes[i] for i in idx)
-                        us = tuple(ends[i] for i in idx)
-                        h = g.edge_id_set - set(es) - {f0, f1}
                         d = FamilyDescriptor(
                             "CrissCross",
                             g,
                             {
-                                "h_edges": frozenset(h),
-                                "u": us,
+                                "h_edges": h,
+                                "u": tuple(ends[i] for i in idx),
                                 "w": w,
                                 "e": es,
                                 "f": (f0, f1),
@@ -427,9 +448,33 @@ def _detect_criss_cross(o: BiasedGraph, caps: Caps, msets: tuple[frozenset[int],
     return None
 
 
+def _is_signature(o: BiasedGraph, cross: frozenset[int], caps: Caps) -> bool:
+    """True when o's bias is ``Signed(cross)``: the "cycle parity law".
+
+    On signed input that is one switching test of the two signatures'
+    difference; any other bias is read off the input's cycle list.
+    """
+    if isinstance(o.bias, Signed):
+        return switching_balanced(o.graph, o.bias.signature ^ cross)
+    return all(o.balance(c) == (len(c.edge_set & cross) % 2 == 0) for c in o.graph.cycles(caps))
+
+
 def _detect_pp_signed(o: BiasedGraph, caps: Caps, msets: tuple[frozenset[int], ...]) -> _Hit | None:
-    """Spanning 2-connected base with all residual edges on one face pairing."""
+    """Spanning 2-connected base with all residual edges on one face pairing.
+
+    The residual edges E - m of a base m are its cross edges, and the
+    "cycle parity law" of ``verify_family`` asks that the bias be
+    ``Signed(E - m)``.  It is tested once, on the first maximal balanced
+    set, before any pairing search.  If the bias is ``Signed(cross_1)``
+    and m_2 is another maximal balanced set, a switching makes m_2 all
+    positive, so the negative edges fall inside the minimal transversal
+    E - m_2 of the unbalanced cycles; they meet every unbalanced cycle,
+    so they equal it.  The law therefore holds for every member of
+    ``msets`` or for none.
+    """
     g = o.graph
+    if not msets or not _is_signature(o, g.edge_id_set - msets[0], caps):
+        return None
     for m in msets:
         sub = g.subgraph(m)
         if sub.vertex_set != g.vertex_set or not is_two_connected(sub):

@@ -7,8 +7,8 @@ path triples, linkages from all simple path pairs, vertex cuts and
 2-connectivity from the vertex-subset cut scan, rings from the hinge-subset
 scan.  The exceptions are earlier versions of the library's own code, kept
 without their fast paths: the explicit core of a peel, the maximal balanced
-sets, the Tricoloured detector, the canonical cycle key, the theta check and
-the linkage search at the end.  Embeddings come from every rotation system
+sets, the Tricoloured, FatTriangle, CrissCross and PPSigned detectors, the
+canonical cycle key, the theta check and the linkage search at the end.  Embeddings come from every rotation system
 that passes the Euler check.
 """
 
@@ -20,7 +20,7 @@ from itertools import combinations, permutations, product
 from typing import Iterable, Iterator, Sequence
 
 from tanglekit.bias import BiasedGraph, BiasError, make_explicit
-from tanglekit.classify import _Counter, _Hit, _weak_compositions
+from tanglekit.classify import _Counter, _Hit, _pairing_search, _weak_compositions
 from tanglekit.embedding import OrderedPlanarEmbedding, RotationSystem, collapse_cyclic, walk_contains_order
 from tanglekit.families import FamilyDescriptor, verify_family
 from tanglekit.graph import (
@@ -751,6 +751,108 @@ def _tricoloured_arrangements(
 
 
 oracle_detect_tricoloured = _detect_tricoloured
+
+
+# ---------------------------------------------------------------------------
+# FatTriangle, CrissCross and PPSigned searches before their balance filters
+#
+# The three detectors as they stood before they tested any bias clause of
+# their own, copied unchanged: every candidate they build goes to
+# verify_family.
+# ---------------------------------------------------------------------------
+
+
+def _detect_fat_triangle(o: BiasedGraph, caps: Caps, msets: tuple[frozenset[int], ...]) -> _Hit | None:
+    """Three corners whose pairwise parallel classes carry the residual edges."""
+    g = o.graph
+    if g.n < 3 or any(g.is_loop(e) for e in g.edge_ids):
+        return None
+    residuals = [g.edge_id_set - m for m in msets]
+    for a, b, c in combinations(sorted(g.vertex_set), 3):
+        fab = frozenset(g.edges_between(a, b))
+        fbc = frozenset(g.edges_between(b, c))
+        fca = frozenset(g.edges_between(c, a))
+        if not (fab and fbc and fca):
+            continue
+        full = fab | fbc | fca
+        fats = {full}
+        for r in residuals:
+            if r and r <= full and r & fab and r & fbc and r & fca:
+                fats.add(frozenset(r))
+        for fat in sorted(fats, key=lambda s: (len(s), sorted(s))):
+            d = FamilyDescriptor(
+                "FatTriangle",
+                g,
+                {"v": (a, b, c), "f12": fat & fab, "f23": fat & fbc, "f31": fat & fca},
+            )
+            cert = verify_family(o, d, caps)
+            if cert.passed:
+                return d, cert, None
+    return None
+
+
+def _detect_criss_cross(o: BiasedGraph, caps: Caps, msets: tuple[frozenset[int], ...]) -> _Hit | None:
+    """Degree-4 apex with two crossing chords over a planar rest."""
+    g = o.graph
+    for w in sorted(g.vertex_set):
+        spokes = sorted(g.incident_edges(w))
+        if len(spokes) != 4 or any(g.is_loop(e) for e in spokes):
+            continue
+        ends = [g.other_end(e, w) for e in spokes]
+        if len(set(ends)) != 4:
+            continue
+        for (p, q), (r, s) in (((0, 1), (2, 3)), ((0, 2), (1, 3)), ((0, 3), (1, 2))):
+            for f0 in sorted(g.edges_between(ends[p], ends[q])):
+                for f1 in sorted(g.edges_between(ends[r], ends[s])):
+                    for idx in ((p, r, q, s), (p, s, q, r)):
+                        es = tuple(spokes[i] for i in idx)
+                        us = tuple(ends[i] for i in idx)
+                        h = g.edge_id_set - set(es) - {f0, f1}
+                        d = FamilyDescriptor(
+                            "CrissCross",
+                            g,
+                            {
+                                "h_edges": frozenset(h),
+                                "u": us,
+                                "w": w,
+                                "e": es,
+                                "f": (f0, f1),
+                            },
+                        )
+                        cert = verify_family(o, d, caps)
+                        if cert.passed:
+                            return d, cert, None
+    return None
+
+
+def _detect_pp_signed(o: BiasedGraph, caps: Caps, msets: tuple[frozenset[int], ...]) -> _Hit | None:
+    """Spanning 2-connected base with all residual edges on one face pairing."""
+    g = o.graph
+    for m in msets:
+        sub = g.subgraph(m)
+        if sub.vertex_set != g.vertex_set or not is_two_connected(sub):
+            continue
+        pairing = _pairing_search(o, m, caps)
+        if pairing is None:
+            continue
+        d = FamilyDescriptor(
+            "PPSigned",
+            g,
+            {
+                "xs": tuple(x for _, x, _ in pairing),
+                "ys": tuple(y for _, _, y in pairing),
+                "cross": tuple(e for e, _, _ in pairing),
+            },
+        )
+        cert = verify_family(o, d, caps)
+        if cert.passed:
+            return d, cert, None
+    return None
+
+
+oracle_detect_fat_triangle = _detect_fat_triangle
+oracle_detect_criss_cross = _detect_criss_cross
+oracle_detect_pp_signed = _detect_pp_signed
 
 
 # ---------------------------------------------------------------------------

@@ -15,6 +15,8 @@ from tanglekit.classify import (
     ClassifyError,
     WheelCore,
     _PLACEMENTS,
+    _detect_criss_cross,
+    _detect_fat_triangle,
     _detect_generalized_wheel,
     _detect_pp_signed,
     _detect_special_pair,
@@ -38,6 +40,9 @@ from tanglekit.tangles import Tangled, is_tangled
 
 from oracles import (
     connected_graph_census,
+    oracle_detect_criss_cross,
+    oracle_detect_fat_triangle,
+    oracle_detect_pp_signed,
     oracle_detect_tricoloured,
     oracle_explicit_core,
     oracle_maximal_balanced_sets,
@@ -58,6 +63,7 @@ from test_families import (
     minimal_special_pair,
     minimal_special_vertex,
     triangle_rim_wheel,
+    wheel_criss_cross,
 )
 
 _CODES = {
@@ -467,6 +473,111 @@ def test_decompose_rejects_a_peel_that_loses_tangledness(monkeypatch):
     monkeypatch.setattr(classify_module, "_peel", balancing_peel)
     with pytest.raises(ClassifyError, match="non-tangled core"):
         decompose(build_family(pp_signed(8)))
+
+
+# -- CrissCross, PPSigned and FatTriangle against their unfiltered searches ---------
+
+
+FILTERED = [
+    (_detect_criss_cross, oracle_detect_criss_cross),
+    (_detect_pp_signed, oracle_detect_pp_signed),
+    (_detect_fat_triangle, oracle_detect_fat_triangle),
+]
+
+
+def filter_inputs() -> list[BiasedGraph]:
+    """The Tricoloured differential's inputs, the t-sums, the tangled signed
+    graphs, PPSigned C4 to C10, both CrissCross members and a seeded
+    relabelling of every round-trip member and of the CrissCross wheel."""
+    rng = random.Random(13)
+    members = [build_family(d()) for d in (*ROUND_TRIP.values(), wheel_criss_cross)]
+    return (
+        differential_inputs()
+        + [build_family(c4_criss_cross()), members[-1]]
+        + t_sums()
+        + tangled_signed_inputs()
+        + [build_family(pp_signed(k)) for k in (4, 6, 8, 10)]
+        + [relabelled(o, rng) for o in members]
+    )
+
+
+def test_balance_filtered_searches_agree_with_unfiltered_oracles():
+    hits = {detector.__name__: 0 for detector, _ in FILTERED}
+    for o in filter_inputs():
+        msets = _maximal_balanced_sets(o)
+        for detector, oracle in FILTERED:
+            hit = detector(o, DEFAULT_CAPS, msets)
+            expected = oracle(o, DEFAULT_CAPS, msets)
+            assert (hit is None) == (expected is None)
+            if hit is not None:
+                assert hit[0].roles == expected[0].roles
+                assert hit[1].passed and hit[2] is None
+                hits[detector.__name__] += 1
+    # no signed input is a CrissCross member
+    assert hits == {"_detect_criss_cross": 4, "_detect_pp_signed": 161, "_detect_fat_triangle": 117}
+
+
+@pytest.mark.parametrize(
+    "d, calls",
+    [(describe_k5_family, 0), (lambda: pp_signed(6), 0), (c4_criss_cross, 1)],
+    ids=["k5", "pp-signed-c6", "criss-cross-c4"],
+)
+def test_criss_cross_search_builds_no_doomed_candidate(d, calls, monkeypatch):
+    # the unfiltered search sent K5 thirty candidates and the member three;
+    # all but the member's hit fail a crossing triangle, the core's balance
+    # or its 2-connectivity
+    o = build_family(d())
+    msets = _maximal_balanced_sets(o)
+    made = []
+    real = classify_module.verify_family
+    monkeypatch.setattr(classify_module, "verify_family", lambda *args: made.append(args) or real(*args))
+    hit = _detect_criss_cross(o, DEFAULT_CAPS, msets)
+    assert len(made) == calls
+    assert (hit is not None) == bool(calls)
+
+
+@pytest.mark.parametrize("d", [describe_k5_family, c4_criss_cross])
+def test_fat_triangle_search_builds_no_doomed_candidate(d, monkeypatch):
+    # the unfiltered search sent each of these ten candidates, none with a
+    # base E - fat inside a maximal balanced set
+    o = build_family(d())
+    msets = _maximal_balanced_sets(o)
+    calls = []
+    monkeypatch.setattr(classify_module, "verify_family", lambda *args: calls.append(args))
+    assert _detect_fat_triangle(o, DEFAULT_CAPS, msets) is None
+    assert calls == []
+
+
+@pytest.mark.parametrize("d", [minimal_special_vertex, k4_fat_triangle, minimal_special_pair])
+def test_pp_signed_search_skips_a_bias_that_is_no_signature(d, monkeypatch):
+    # explicit members whose bias is Signed(E - m) for no base m: the
+    # unfiltered search ran a pairing search and ordered_planarity on each
+    o = build_family(d())
+    msets = _maximal_balanced_sets(o)
+    calls = []
+    for name in ("_pairing_search", "ordered_planarity"):
+        real = getattr(classify_module, name)
+        monkeypatch.setattr(
+            classify_module, name, lambda *args, real=real, **kwargs: calls.append(args) or real(*args, **kwargs)
+        )
+    assert _detect_pp_signed(o, DEFAULT_CAPS, msets) is None
+    assert calls == []
+
+
+def test_classify_stops_at_the_balanced_subgraph_cap():
+    # the maximal balanced sets of the CrissCross member take 156 search
+    # nodes; decompose's cut search fits under that, and the detectors
+    # that read the sets answer as at the default caps
+    o = build_family(c4_criss_cross())
+    with pytest.raises(ResourceLimitError):
+        _maximal_balanced_sets(o, Caps(max_subsets=155))
+    assert _maximal_balanced_sets(o, Caps(max_subsets=156)) == _maximal_balanced_sets(o)
+    with pytest.raises(ResourceLimitError) as err:
+        classify(o, Caps(max_subsets=155))
+    assert err.value.stage == "balanced subgraph search"
+    report = classify(o, Caps(max_subsets=156))
+    assert report.codes() == classify(o).codes() == ("T1c", "T2")
+    assert reverifies(o, report)
 
 
 # -- signed recomposition ---------------------------------------------------------
