@@ -881,17 +881,14 @@ def _detect_tricoloured(o: BiasedGraph, caps: Caps, msets: tuple[frozenset[int],
             continue
         for choice in product(*(_star_choices(s) for s in stars)):
             counter.bump()
-            if any(set(a[0]) & set(b[0]) for a, b in combinations(choice, 2)):
+            if any(not a[0].isdisjoint(b[0]) for a, b in combinations(choice, 2)):
                 continue
             chords = {e for _, es in choice for e in es}
             ring_edges = g.edge_id_set - chords
             if ring_edges not in cores:
                 core = g.subgraph(ring_edges, g.vertex_set)
                 cores[ring_edges] = _ring_layouts(core) if is_two_connected(core) else ()
-            pairs = [
-                (x, frozenset(targets), tuple(edges))
-                for x, (targets, edges) in zip(trip, choice)
-            ]
+            pairs = [(x, targets, edges) for x, (targets, edges) in zip(trip, choice)]
             for layout in cores[ring_edges]:
                 counter.bump()
                 # Every target set must land inside one ring part.
@@ -904,14 +901,17 @@ def _detect_tricoloured(o: BiasedGraph, caps: Caps, msets: tuple[frozenset[int],
     return None
 
 
-def _star_choices(by_target: dict[int, list[int]]) -> list[tuple[tuple[int, ...], tuple[int, ...]]]:
-    """Every (targets, one edge per target) choice for one chord source."""
+def _star_choices(by_target: dict[int, list[int]]) -> list[tuple[frozenset[int], tuple[int, ...]]]:
+    """Every (targets, one edge per target) choice for one chord source,
+    by target subsets in sorted order; the edges follow the sorted
+    targets."""
     targets = sorted(by_target)
-    out: list[tuple[tuple[int, ...], tuple[int, ...]]] = []
+    out: list[tuple[frozenset[int], tuple[int, ...]]] = []
     for r in range(1, len(targets) + 1):
         for ts in combinations(targets, r):
+            tset = frozenset(ts)
             for es in product(*(sorted(by_target[t]) for t in ts)):
-                out.append((ts, es))
+                out.append((tset, es))
     return out
 
 
@@ -957,6 +957,7 @@ def _ring_layouts(core: MultiGraph) -> tuple[_RingLayout, ...]:
     and least hinge set first: each 3- to 6-subset of a polygon's hinges
     in cyclic order, the pieces between consecutive chosen hinges merged
     into one part."""
+    ends = core.edge_map
     out: list[_RingLayout] = []
     for poly in rings(core).polygons:
         k = len(poly.hinges)
@@ -972,7 +973,7 @@ def _ring_layouts(core: MultiGraph) -> tuple[_RingLayout, ...]:
                     _RingLayout(
                         tuple(poly.hinges[i] for i in chosen),
                         parts,
-                        tuple(core.subgraph(pe).vertex_set for pe in parts),
+                        tuple(frozenset(v for e in pe for v in ends[e]) for pe in parts),
                     )
                 )
     out.sort(key=lambda lay: (len(lay.hinges), sorted(lay.hinges)))

@@ -664,31 +664,32 @@ class VertexCut:
 
 
 def bridges_of_cut(g: MultiGraph, cut: Iterable[int]) -> tuple[Bridge, ...]:
-    """Bridges of G - X for an arbitrary vertex set X (not necessarily a cut)."""
+    """Bridges of G - X for an arbitrary vertex set X (not necessarily a cut).
+
+    One search over g's own incidences that never enters X; the
+    components come out in order of their least vertex.
+    """
     X = frozenset(cut)
-    h = g.delete_vertices(X)
+    inc, ends = g._incidence, g.edge_map
+    seen: set[int] = set(X)
     out: list[Bridge] = []
-    for comp in sorted(h.components(), key=lambda c: sorted(c)):
-        edges: set[int] = set()
-        attach: set[int] = set()
-        for e, u, v in g._edges:
-            iu, iv = u in comp, v in comp
-            if iu and iv:
+    for start in g._vertices:
+        if start in seen:
+            continue
+        seen.add(start)
+        comp, edges, attach = [start], set(), set()
+        for x in comp:
+            for e in inc[x]:
                 edges.add(e)
-            elif iu and v in X:
-                edges.add(e)
-                attach.add(v)
-            elif iv and u in X:
-                edges.add(e)
-                attach.add(u)
-        out.append(
-            Bridge(
-                vertices=frozenset(comp) | frozenset(attach),
-                edges=frozenset(edges),
-                interior=frozenset(comp),
-                attachments=frozenset(attach),
-            )
-        )
+                u, v = ends[e]
+                y = v if u == x else u
+                if y in X:
+                    attach.add(y)
+                elif y not in seen:
+                    seen.add(y)
+                    comp.append(y)
+        interior = frozenset(comp)
+        out.append(Bridge(interior | attach, frozenset(edges), interior, frozenset(attach)))
     return tuple(out)
 
 
@@ -698,14 +699,14 @@ def find_vertex_cuts(g: MultiGraph, k: int, caps: Caps = DEFAULT_CAPS) -> tuple[
     A cut X disconnects g and leaves at least two vertices; minimal means
     no proper subset of X is a cut.  Requires g connected.
 
-    Cuts are read off block trees (Hopcroft and Tarjan 1973), one size at
-    a time.  A minimal cut X of size s is Y + {c} for any c in X, where
-    Y = X - c leaves g connected and c is a cut vertex of g - Y; so with
-    c the largest vertex of X, each one is found once by building the
-    block tree of g - Y for every (s - 1)-set Y that contains no smaller
-    cut, and keeping Y + {c} when it contains no smaller cut either.
-    Size three costs O(n^2) block trees.  Every block tree built counts
-    against ``caps.max_subsets`` ("find_vertex_cuts").
+    Cuts are read off cut vertices, one size at a time.  A minimal cut X
+    of size s is Y + {c} for any c in X, where Y = X - c leaves g
+    connected and c is a cut vertex of g - Y; so with c the largest
+    vertex of X, each one is found once by one lowpoint pass over g - Y
+    (``_cut_vertices``, which builds no graph) for every (s - 1)-set Y
+    that contains no smaller cut, and keeping Y + {c} when it contains no
+    smaller cut either.  Size three costs O(n^2) passes.  Every pass
+    counts against ``caps.max_subsets`` ("find_vertex_cuts").
     """
     if not g.is_connected():
         raise GraphError("find_vertex_cuts requires a connected graph")
@@ -728,11 +729,63 @@ def find_vertex_cuts(g: MultiGraph, k: int, caps: Caps = DEFAULT_CAPS) -> tuple[
             if count > caps.max_subsets:
                 raise ResourceLimitError("find_vertex_cuts", caps.max_subsets)
             top = ys[-1] if ys else -1
-            for c in sorted(block_tree(g.delete_vertices(ys)).cut_vertices):
+            for c in sorted(_cut_vertices(g, ys)):
                 if c > top and not holds_cut((*ys, c), range(1, size)):
                     found.add(frozenset((*ys, c)))
     cuts = sorted(found, key=lambda x: (len(x), sorted(x)))
     return tuple(VertexCut(x, bridges_of_cut(g, x)) for x in cuts)
+
+
+def _cut_vertices(g: MultiGraph, removed: Iterable[int] = ()) -> frozenset[int]:
+    """The cut vertices of g - removed, which is
+    ``block_tree(g.delete_vertices(removed)).cut_vertices``, from one
+    iterative lowpoint search over g's own adjacency (Hopcroft and Tarjan
+    1973); no graph and no block is built.
+
+    A root is a cut vertex when it has two or more tree children, any
+    other vertex v when some child w has low(w) >= index(v).  Only the
+    edge a vertex was entered by is skipped, by id, so a parallel edge
+    is a back edge and a digon is 2-connected; loops are not in the
+    adjacency and never make a cut vertex.
+    """
+    adj = g._adjacency
+    # removed vertices count as visited, with an index no lowpoint takes
+    index = dict.fromkeys(removed, g.n)
+    low: dict[int, int] = {}
+    cuts: set[int] = set()
+    count = 0
+    for root in g._vertices:
+        if root in index:
+            continue
+        index[root] = low[root] = count
+        count += 1
+        children = 0
+        # frames are (vertex, incoming edge id, step iterator)
+        frames = [(root, -1, iter(adj[root]))]
+        while frames:
+            v, in_edge, steps = frames[-1]
+            for w, e in steps:
+                if w not in index:
+                    index[w] = low[w] = count
+                    count += 1
+                    frames.append((w, e, iter(adj[w])))
+                    break
+                if e != in_edge and index[w] < low[v]:
+                    low[v] = index[w]
+            else:
+                frames.pop()
+                if not frames:
+                    continue
+                p = frames[-1][0]
+                if low[v] < low[p]:
+                    low[p] = low[v]
+                if p == root:
+                    children += 1
+                elif low[v] >= index[p]:
+                    cuts.add(p)
+        if children >= 2:
+            cuts.add(root)
+    return frozenset(cuts)
 
 
 # ---------------------------------------------------------------------------
@@ -852,13 +905,13 @@ def is_two_connected(g: MultiGraph) -> bool:
     """No loops, connected, no cut vertex; digons count, a single edge not."""
     if not g.is_connected():
         return False
-    if any(g.is_loop(e) for e in g.edge_ids):
+    if any(u == v for _, u, v in g._edges):
         return False
     if g.n == 2:
         return g.m >= 2
     if g.n < 2:
         return False
-    return not block_tree(g).cut_vertices
+    return not _cut_vertices(g)
 
 
 # ---------------------------------------------------------------------------
@@ -898,7 +951,9 @@ def rings(h: MultiGraph) -> Rings:
     2-connected graph at its 2-separations (Tutte, *Connectivity in
     Graphs*, 1966; Hopcroft and Tarjan 1973).  A bond is a vertex pair
     with at least two separation classes: every separation pair {a, c},
-    c a cut vertex of H - a, and every adjacent pair.  Each class closed
+    c a cut vertex of H - a, and every adjacent pair.  The separation
+    pairs take one lowpoint pass over H per vertex a (``_cut_vertices``),
+    with no copy of H and no block tree.  Each class closed
     up by an edge uv is 2-connected, so its blocks form a chain from u
     to v.  Two classes make one cycle of blocks; with more, each chain
     of two or more blocks closes up with the union of the other classes.
@@ -910,7 +965,7 @@ def rings(h: MultiGraph) -> Rings:
         raise GraphError("rings needs a 2-connected multigraph")
     separating: set[tuple[int, int]] = set()
     for a in h.vertices:
-        separating.update(tuple(sorted((a, c))) for c in block_tree(h.delete_vertices([a])).cut_vertices)
+        separating.update((a, c) if a < c else (c, a) for c in _cut_vertices(h, (a,)))
     bonds: list[Bond] = []
     polygons: list[Polygon] = []
     if h.n == 3:  # the triangle has no separation pair

@@ -6,7 +6,8 @@ edge subsets or from plain path extension, thetas from internally disjoint
 path triples, linkages from all simple path pairs, vertex cuts and
 2-connectivity from the vertex-subset cut scan, rings from the hinge-subset
 scan.  The exceptions are earlier versions of the library's own code, kept
-without their fast paths: the explicit core of a peel, the maximal balanced
+without their fast paths: the bridges of a vertex set read off the
+components of a copy, the explicit core of a peel, the maximal balanced
 sets, the Tricoloured, FatTriangle, CrissCross and PPSigned detectors, the
 canonical cycle key, the theta check and the linkage search at the end.  Embeddings come from every rotation system
 that passes the Euler check.
@@ -24,6 +25,7 @@ from tanglekit.classify import _Counter, _Hit, _pairing_search, _weak_compositio
 from tanglekit.embedding import OrderedPlanarEmbedding, RotationSystem, collapse_cyclic, walk_contains_order
 from tanglekit.families import FamilyDescriptor, verify_family
 from tanglekit.graph import (
+    Bridge,
     Cycle,
     GraphError,
     MultiGraph,
@@ -326,6 +328,37 @@ def oracle_explicit_core(cur: BiasedGraph, cut: Sequence[int], bridge_edges: Ite
         if cur.balance(Cycle.from_edge_set(cur.graph, probe)):
             balanced.append(c.edge_set)
     return make_explicit(core_graph, balanced)
+
+
+def oracle_bridges_of_cut(g: MultiGraph, cut: Iterable[int]) -> tuple[Bridge, ...]:
+    """Bridges of G - X from the components of a copy of G - X, each
+    component's edges and attachments found by a pass over every edge."""
+    X = frozenset(cut)
+    h = g.delete_vertices(X)
+    out: list[Bridge] = []
+    for comp in sorted(h.components(), key=lambda c: sorted(c)):
+        edges: set[int] = set()
+        attach: set[int] = set()
+        for e in g.edge_ids:
+            u, v = g.endpoints(e)
+            iu, iv = u in comp, v in comp
+            if iu and iv:
+                edges.add(e)
+            elif iu and v in X:
+                edges.add(e)
+                attach.add(v)
+            elif iv and u in X:
+                edges.add(e)
+                attach.add(u)
+        out.append(
+            Bridge(
+                vertices=frozenset(comp) | frozenset(attach),
+                edges=frozenset(edges),
+                interior=frozenset(comp),
+                attachments=frozenset(attach),
+            )
+        )
+    return tuple(out)
 
 
 def scan_is_two_connected(g: MultiGraph) -> bool:

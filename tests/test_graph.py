@@ -12,6 +12,7 @@ from tanglekit.graph import (
     Cycle,
     GraphError,
     MultiGraph,
+    _cut_vertices,
     block_tree,
     bridges_of_cut,
     chordless_vertex_sets,
@@ -28,6 +29,7 @@ from tanglekit.limits import Caps, ResourceLimitError
 from oracles import (
     _scan_cycles,
     connected_graph_census,
+    oracle_bridges_of_cut,
     oracle_cycle_from_walk,
     path_triple_thetas,
     random_multigraph,
@@ -281,6 +283,38 @@ def test_blocks_partition_edges():
     bt = block_tree(g)
     all_edges = [e for b in bt.blocks for e in b.edges]
     assert sorted(all_edges) == list(g.edge_ids)
+
+
+def test_cut_vertices_match_block_trees_of_copies():
+    cases = [
+        (g, removed)
+        for n in range(1, 7)
+        for g in connected_graph_census(n)
+        for r in range(3)
+        for removed in itertools.combinations(g.vertices, r)
+    ]
+    rng = random.Random("cut vertices")
+    for _ in range(300):
+        g = random_multigraph(rng, max_n=8, max_extra=8, allow_loops=True)
+        cases += [(g, removed) for r in range(3) for removed in itertools.combinations(g.vertices, r)]
+    loops = digons = split = 0
+    for g, removed in cases:
+        rest = g.delete_vertices(removed)
+        assert _cut_vertices(g, removed) == block_tree(rest).cut_vertices
+        loops += any(rest.is_loop(e) for e in rest.edge_ids)
+        digons += len(rest.simple_pairs()) < rest.m - sum(rest.is_loop(e) for e in rest.edge_ids)
+        split += not rest.is_connected()
+    # the multigraph draws reach loops, parallel edges and disconnected remainders
+    assert min(loops, digons, split) > 100
+
+
+def test_bridges_of_cut_match_the_component_oracle():
+    rng = random.Random("bridges of cut")
+    for _ in range(200):
+        g = random_multigraph(rng, max_n=8, max_extra=8, allow_loops=True)
+        for r in range(4):
+            for cut in itertools.combinations(g.vertices, r):
+                assert bridges_of_cut(g, cut) == oracle_bridges_of_cut(g, cut)
 
 
 def test_two_connected_agrees_with_vertex_cut_scan():
