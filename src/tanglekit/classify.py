@@ -52,7 +52,7 @@ from .graph import (
     cycles_with,
     find_vertex_cuts,
     is_two_connected,
-    rings,
+    _rings,
 )
 from .limits import DEFAULT_CAPS, Caps, ResourceLimitError
 from .tangles import (
@@ -219,15 +219,149 @@ class ClassificationReport:
 def _maximal_balanced_sets(o: BiasedGraph, caps: Caps = DEFAULT_CAPS) -> tuple[frozenset[int], ...]:
     """Inclusion-maximal balanced edge sets, largest first.
 
-    An edge set is balanced iff its complement meets every unbalanced
-    cycle, so the maximal balanced sets are the complements of the
-    minimal transversals of the unbalanced cycles.  They are enumerated
-    as in MMCS (Murakami and Uno 2014): branch i on the first unhit
-    cycle removes its i-th edge and rules out its earlier ones, so each
+    A signed input's sets come from its switchings.  An edge set is
+    balanced exactly when some switching makes all of its edges positive
+    (Harary 1953; Zaslavsky, *Signed graphs*, 1982), so each maximal
+    balanced set is the positive set of a switching.  That set is
+    maximal exactly when the switching's positive subgraph has the
+    components of the graph; put another way, when its negative set, a
+    member of signature + cut space, contains no edge cut.  If a positive
+    component K is a proper part of a component of the graph, every edge
+    leaving K is negative, and switching at K makes those edges positive
+    and keeps every positive one.  If each component's positive part is
+    connected, a switching that keeps every positive edge switches a
+    union of components and changes no edge.  ``_positive_sets`` walks
+    these switchings only.
+
+    Any other bias is read off its unbalanced cycles: an edge set is
+    balanced iff its complement meets every unbalanced cycle, so the
+    maximal balanced sets are the complements of the minimal
+    transversals of the unbalanced cycles.  They are enumerated as in
+    MMCS (Murakami and Uno 2014): branch i on the first unhit cycle
+    removes its i-th edge and rules out its earlier ones, so each
     minimal transversal is reached once, and a branch dies as soon as a
     removed edge is the only removed edge on no unbalanced cycle, since
     no extension of it is then minimal.
+
+    Either search counts its nodes against ``caps.max_subsets``.
     """
+    if isinstance(o.bias, Signed):
+        maximal = _positive_sets(o.graph, o.bias.signature, caps)
+    else:
+        maximal = [o.graph.edge_id_set - t for t in _minimal_transversals(o, caps)]
+    maximal.sort(key=lambda s: (-len(s), sorted(s)))
+    return tuple(maximal)
+
+
+def _positive_sets(g: MultiGraph, signature: frozenset[int], caps: Caps) -> list[frozenset[int]]:
+    """The positive sets of the switchings whose positive subgraph has
+    the components of g, one set per switching.
+
+    Each component's vertices are placed in breadth-first order, its
+    root on the unswitched side and every other vertex on either side;
+    positive adjacency among the placed vertices is kept as bitmasks.  A
+    positive component whose vertices have no neighbour left to place is
+    final, so a branch dies as soon as such a component is not a whole
+    component of g.  Every leaf is therefore a wanted switching, and
+    with the roots fixed no two leaves give the same set.  Positive
+    loops lie in every set and negative loops in none.
+    """
+    order: list[int] = []
+    index: dict[int, int] = {}
+    roots = 0
+    whole: list[int] = []  # whole[i]: the component of g holding vertex i
+    for root in g.vertices:
+        if root in index:
+            continue
+        start = len(order)
+        roots |= 1 << start
+        index[root] = start
+        order.append(root)
+        head = start
+        while head < len(order):
+            for y, _ in g.adjacent(order[head]):
+                if y not in index:
+                    index[y] = len(order)
+                    order.append(y)
+            head += 1
+        whole += [(1 << len(order)) - (1 << start)] * (len(order) - start)
+    n = len(order)
+    # even[i] and odd[i]: the earlier vertices joined to vertex i by an
+    # edge outside or inside the signature; last[i]: i's latest neighbour
+    even, odd, last = [0] * n, [0] * n, list(range(n))
+    edges: list[tuple[int, int, int, bool]] = []
+    loops = frozenset(e for e, (u, v) in g.edge_map.items() if u == v and e not in signature)
+    for e, (u, v) in g.edge_map.items():
+        if u == v:
+            continue
+        negative = e in signature
+        i, j = sorted((index[u], index[v]))
+        if negative:
+            odd[j] |= 1 << i
+        else:
+            even[j] |= 1 << i
+        last[i] = max(last[i], j)
+        edges.append((e, i, j, negative))
+    # closes[i]: the vertices whose latest neighbour is i, final once i
+    # is placed; opened[i]: the vertices up to i with a neighbour after i
+    closes, opened, still = [0] * n, [0] * n, 0
+    for i in range(n):
+        closes[last[i]] |= 1 << i
+    for i in range(n):
+        still = (still | 1 << i) & ~closes[i]
+        opened[i] = still
+    positive = [0] * n  # positive neighbours among the placed vertices
+    found: list[frozenset[int]] = []
+    visited = 0
+
+    def toggle(i: int, joined: int) -> None:
+        # adds, or takes back, the positive edges from i to earlier vertices
+        positive[i] = joined
+        while joined:
+            low = joined & -joined
+            joined ^= low
+            positive[low.bit_length() - 1] ^= 1 << i
+
+    def final_parts_whole(i: int) -> bool:
+        pending = closes[i]
+        while pending:
+            first = pending & -pending
+            part = grow = first
+            while grow:
+                low = grow & -grow
+                grow ^= low
+                new = positive[low.bit_length() - 1] & ~part
+                part |= new
+                grow |= new
+            if not part & opened[i] and part != whole[first.bit_length() - 1]:
+                return False
+            pending &= ~part
+        return True
+
+    def place(i: int, switched: int) -> None:
+        nonlocal visited
+        if i == n:
+            found.append(loops.union(
+                e for e, a, b, negative in edges if negative == bool((switched >> a ^ switched >> b) & 1)
+            ))
+            return
+        for side in (0,) if roots >> i & 1 else (0, 1):
+            visited += 1
+            if visited > caps.max_subsets:
+                raise ResourceLimitError("balanced subgraph search", caps.max_subsets)
+            same = switched if side else ~switched
+            joined = (even[i] & same) | (odd[i] & ~same)
+            toggle(i, joined)
+            if final_parts_whole(i):
+                place(i + 1, switched | side << i)
+            toggle(i, joined)
+
+    place(0, 0)
+    return found
+
+
+def _minimal_transversals(o: BiasedGraph, caps: Caps) -> list[frozenset[int]]:
+    """The minimal transversals of o's unbalanced cycles, by MMCS."""
     unb = sorted(
         {c.edge_set for c in o.unbalanced_cycles(caps)},
         key=lambda s: (len(s), sorted(s)),
@@ -261,9 +395,7 @@ def _maximal_balanced_sets(o: BiasedGraph, caps: Caps = DEFAULT_CAPS) -> tuple[f
                 walk(kept, free, unhit & ~hit)
 
     walk({}, all_edges, (1 << len(unb)) - 1)
-    maximal = [all_edges - t for t in transversals]
-    maximal.sort(key=lambda s: (-len(s), sorted(s)))
-    return tuple(maximal)
+    return transversals
 
 
 @dataclass
@@ -470,7 +602,10 @@ def _detect_pp_signed(o: BiasedGraph, caps: Caps, msets: tuple[frozenset[int], .
     positive, so the negative edges fall inside the minimal transversal
     E - m_2 of the unbalanced cycles; they meet every unbalanced cycle,
     so they equal it.  The law therefore holds for every member of
-    ``msets`` or for none.
+    ``msets`` or for none.  On signed input it holds for all of them by
+    construction: ``_maximal_balanced_sets`` reads each member off a
+    switching as its positive set, so E - m is that switching's negative
+    set, the signature plus an edge cut, and the test never rejects.
     """
     g = o.graph
     if not msets or not _is_signature(o, g.edge_id_set - msets[0], caps):
@@ -738,7 +873,7 @@ def _detect_generalized_wheel(o: BiasedGraph, caps: Caps, msets: tuple[frozenset
         rim_sub = g.subgraph(rim)
         if rim_sub.vertex_set != g.vertex_set - {hub} or not is_two_connected(rim_sub):
             continue
-        found = rings(rim_sub)
+        found = _rings(rim_sub)
         for bond in found.bonds:
             counter.bump()
             atoms = bond.classes
@@ -959,7 +1094,7 @@ def _ring_layouts(core: MultiGraph) -> tuple[_RingLayout, ...]:
     into one part."""
     ends = core.edge_map
     out: list[_RingLayout] = []
-    for poly in rings(core).polygons:
+    for poly in _rings(core).polygons:
         k = len(poly.hinges)
         for size in range(3, min(k, 6) + 1):
             for chosen in combinations(range(k), size):
@@ -1358,7 +1493,7 @@ def _extract_wheel(cur: BiasedGraph, vc: VertexCut, caps: Caps) -> tuple[FamilyD
     # any edges joining x2 and x3 join one of them: a polygon through
     # both hinges chains the blocks of each side, and with no polygon
     # the ring is the bond split into its two sides.
-    found = rings(rim)
+    found = _rings(rim)
     through = [p for p in found.polygons if {x2, x3} <= set(p.hinges)]
     if len(through) > 1:
         raise ClassifyError("edges joining the two rim hinges fit no ring part")

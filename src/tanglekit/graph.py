@@ -963,6 +963,11 @@ def rings(h: MultiGraph) -> Rings:
     """
     if not is_two_connected(h):
         raise GraphError("rings needs a 2-connected multigraph")
+    return _rings(h)
+
+
+def _rings(h: MultiGraph) -> Rings:
+    """:func:`rings` of a multigraph the caller knows to be 2-connected."""
     separating: set[tuple[int, int]] = set()
     for a in h.vertices:
         separating.update((a, c) if a < c else (c, a) for c in _cut_vertices(h, (a,)))

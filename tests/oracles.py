@@ -8,9 +8,10 @@ path triples, linkages from all simple path pairs, vertex cuts and
 scan.  The exceptions are earlier versions of the library's own code, kept
 without their fast paths: the bridges of a vertex set read off the
 components of a copy, the explicit core of a peel, the maximal balanced
-sets, the Tricoloured, FatTriangle, CrissCross and PPSigned detectors, the
+sets by transversals, the Tricoloured, FatTriangle, CrissCross and PPSigned detectors, the
 canonical cycle key, the theta check and the linkage search at the end.  Embeddings come from every rotation system
-that passes the Euler check.
+that passes the Euler check, and a signed graph's maximal balanced sets
+from every switching.
 """
 
 from __future__ import annotations
@@ -163,6 +164,18 @@ def disjoint_path_pair(
         if sub is not None:
             return (p1, sub)
     return None
+
+
+def random_connected_pairs(rng: random.Random, n: int, m: int) -> list[tuple[int, int]]:
+    """A connected simple graph on n vertices with min(m, n choose 2)
+    edges, drawn as the benchmark corpus draws its signed graphs."""
+    order = list(range(n))
+    rng.shuffle(order)
+    pairs = {tuple(sorted((order[i], rng.choice(order[:i])))) for i in range(1, n)}
+    rest = [p for p in itertools.combinations(range(n), 2) if p not in pairs]
+    rng.shuffle(rest)
+    pairs.update(rest[: max(0, m - len(pairs))])
+    return sorted(pairs)
 
 
 def random_multigraph(
@@ -484,6 +497,31 @@ def _maximal_balanced_sets(o: BiasedGraph, caps: Caps = DEFAULT_CAPS) -> tuple[f
 
 
 oracle_maximal_balanced_sets = _maximal_balanced_sets
+
+
+def oracle_switching_balanced_sets(o: BiasedGraph) -> tuple[frozenset[int], ...]:
+    """Inclusion-maximal balanced edge sets of a signed graph, largest first.
+
+    An edge set is balanced exactly when some switching makes all of its
+    edges positive, so these are the inclusion-maximal positive sets over
+    all switchings.  Switching a whole component changes no sign, so one
+    vertex of each component stays unswitched and the other n - c go
+    through all 2^(n - c) subsets.  A loop never crosses a switching and
+    stays positive or negative.
+    """
+    g = o.graph
+    signature = o.bias.signature
+    fixed = {min(c) for c in g.components()}
+    free = [v for v in g.vertices if v not in fixed]
+    sets = set()
+    for r in range(len(free) + 1):
+        for switched in map(set, combinations(free, r)):
+            sets.add(frozenset(
+                e for e, (u, v) in g.edge_map.items() if (e in signature) == ((u in switched) != (v in switched))
+            ))
+    maximal = [s for s in sets if not any(s < t for t in sets)]
+    maximal.sort(key=lambda s: (-len(s), sorted(s)))
+    return tuple(maximal)
 
 
 # ---------------------------------------------------------------------------

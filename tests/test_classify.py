@@ -46,6 +46,8 @@ from oracles import (
     oracle_detect_tricoloured,
     oracle_explicit_core,
     oracle_maximal_balanced_sets,
+    oracle_switching_balanced_sets,
+    random_connected_pairs,
     random_multigraph,
 )
 from test_families import (
@@ -275,10 +277,41 @@ def random_signed(count: int) -> list[BiasedGraph]:
     return out
 
 
+def signed_multigraphs(count: int) -> list[BiasedGraph]:
+    """Seeded signed multigraphs on one to seven vertices, not necessarily
+    connected, with positive and negative loops, digons of either balance
+    and isolated vertices."""
+    rng = random.Random(41)
+    out = []
+    for _ in range(count):
+        n = rng.randint(1, 7)
+        pairs = [(rng.randrange(n), rng.randrange(n)) for _ in range(rng.randint(0, n + 4))]
+        pairs += rng.sample(pairs, min(len(pairs), rng.randint(0, 2)))  # parallel edges
+        g = MultiGraph.from_pairs(pairs, range(n))
+        out.append(make_signed(g, [e for e in g.edge_ids if rng.random() < 0.5]))
+    return out
+
+
 def test_maximal_balanced_sets_agree_with_unpruned_search():
     inputs = [build_family(d()) for d in ROUND_TRIP.values()] + t_sums() + random_signed(200)
+    inputs += signed_multigraphs(150)
+    signed = 0
     for o in inputs:
-        assert _maximal_balanced_sets(o) == oracle_maximal_balanced_sets(o)
+        found = _maximal_balanced_sets(o)
+        assert found == oracle_maximal_balanced_sets(o)
+        if isinstance(o.bias, Signed):
+            assert found == oracle_switching_balanced_sets(o)
+            signed += 1
+    assert signed > 350
+
+
+def test_maximal_balanced_sets_of_a_dense_signed_graph():
+    # n = 9 and m = 33: a transversal search over this graph's 14,257
+    # unbalanced cycles runs past 2,000,000 nodes; it has 256 switchings
+    rng = random.Random(5)
+    pairs = random_connected_pairs(rng, 9, 33)
+    o = make_signed(MultiGraph.from_pairs(pairs), [e for e in range(len(pairs)) if rng.random() < 0.5])
+    assert _maximal_balanced_sets(o) == oracle_switching_balanced_sets(o)
 
 
 @pytest.mark.parametrize("detector", [_detect_generalized_wheel, _detect_special_pair])
@@ -578,6 +611,38 @@ def test_classify_stops_at_the_balanced_subgraph_cap():
     report = classify(o, Caps(max_subsets=156))
     assert report.codes() == classify(o).codes() == ("T1c", "T2")
     assert reverifies(o, report)
+
+
+def test_classify_stops_at_the_switching_search_cap():
+    # the signed K5 member's switching search places four vertices after
+    # the root, each on both sides, and no branch dies before the last:
+    # 1 + 2 + 4 + 8 + 16 = 31 nodes
+    o = build_family(describe_k5_family())
+    assert isinstance(o.bias, Signed)
+    with pytest.raises(ResourceLimitError) as err:
+        classify(o, Caps(max_subsets=30))
+    assert err.value.stage == "balanced subgraph search"
+    report = classify(o, Caps(max_subsets=31))
+    assert report.codes() == classify(o).codes() == ("T2",)
+    assert reverifies(o, report)
+
+
+@pytest.mark.parametrize(
+    "make, tests",
+    [(lambda: pp_signed(6), 7), (c4_criss_cross, 561)],
+    ids=["pp-signed-c6", "criss-cross-c4"],
+)
+def test_classify_and_decompose_stop_at_the_disjoint_pair_cap(make, tests):
+    # signed PPSigned C6: the verdict makes six switching tests and the
+    # terminal core's pair test seven; the explicit CrissCross member's
+    # verdict scans all 561 pairs of its 34 unbalanced cycles
+    o = build_family(make())
+    for run in (decompose, classify):
+        with pytest.raises(ResourceLimitError) as err:
+            run(o, Caps(max_theta_pairs=tests - 1))
+        assert err.value.stage == "disjoint-pair scan"
+    assert decompose(o, Caps(max_theta_pairs=tests)).verify(o) == ()
+    assert classify(o, Caps(max_theta_pairs=tests)).codes() == classify(o).codes()
 
 
 # -- signed recomposition ---------------------------------------------------------
