@@ -2,10 +2,15 @@
 
 The cycle list belongs to the graph (:meth:`MultiGraph.cycles`); a bias
 only sorts it into balanced and unbalanced, as in Zaslavsky's pair (G, B).
-A bias is theta-consistent when no theta subgraph has exactly two balanced
-cycles.  Signed graphs (balanced = even intersection with a signature) are
+A cycle's balance depends only on its edge set, so every bias answers it
+from the edge set alone (:meth:`BiasedGraph.balance_of`).  A bias is
+theta-consistent when no theta subgraph has exactly two balanced cycles.
+Signed graphs (balanced = even intersection with a signature) are
 theta-consistent for free (Zaslavsky 1989), and whether one is balanced is
 a switching (2-colouring) test with no cycle enumeration (Harary 1953).
+Any other bias is balanced exactly when the fundamental cycles of one
+spanning forest are, by the theta property alone, so no bias kind lists
+cycles to decide balance (:func:`balanced_without`).
 Explicit cycle sets are validated by scanning pairs of balanced cycles
 only, since a theta that breaks the rule is the union of its two balanced
 cycles; those pairs count against ``max_theta_pairs``.  A partial
@@ -17,6 +22,7 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Iterable, Mapping
 
 from .graph import (
@@ -25,6 +31,7 @@ from .graph import (
     ThetaSubgraph,
     edge_path_vertices,
     enumerate_theta_subgraphs,
+    fundamental_cycles,
 )
 from .limits import Caps, DEFAULT_CAPS, ResourceLimitError
 
@@ -51,6 +58,11 @@ class ExplicitSet:
 
     balanced: frozenset[Cycle]
 
+    @cached_property
+    def edge_sets(self) -> frozenset[frozenset[int]]:
+        """The edge sets of the balanced cycles: a cycle is its edge set."""
+        return frozenset(c.edge_set for c in self.balanced)
+
 
 @dataclass(frozen=True)
 class AllBalanced:
@@ -72,14 +84,21 @@ class BiasedGraph:
 
     def balance(self, c: Cycle) -> bool:
         """True when c is balanced."""
+        return self.balance_of(c.edge_set)
+
+    def balance_of(self, edges: frozenset[int]) -> bool:
+        """True when the cycle with these edges is balanced.
+
+        A cycle's balance depends only on its edge set, so no
+        :class:`Cycle` is built.  The edges must form a cycle of the
+        graph; that is not checked.
+        """
         b = self.bias
         if isinstance(b, Signed):
-            return len(c.edge_set & b.signature) % 2 == 0
+            return len(edges & b.signature) % 2 == 0
         if isinstance(b, ExplicitSet):
-            return c in b.balanced
-        if isinstance(b, AllBalanced):
-            return True
-        return False
+            return edges in b.edge_sets
+        return isinstance(b, AllBalanced)
 
     def cycles(self, caps: Caps = DEFAULT_CAPS) -> tuple[Cycle, ...]:
         return self.graph.cycles(caps)
@@ -91,14 +110,23 @@ class BiasedGraph:
         return tuple(c for c in self.cycles(caps) if not self.balance(c))
 
     def is_balanced(self, caps: Caps = DEFAULT_CAPS) -> bool:
-        b = self.bias
-        if isinstance(b, Signed):
-            return switching_balanced(self.graph, b.signature)
-        if isinstance(b, AllBalanced):
-            return True
-        if isinstance(b, AllUnbalanced):  # balanced exactly when it has no cycle
-            return self.graph.m == self.graph.n - len(self.graph.components())
-        return not self.unbalanced_cycles(caps)
+        """True when every cycle is balanced; no cycle is listed.
+
+        It suffices that every fundamental cycle of one spanning forest is
+        balanced, by the theta property alone (Zaslavsky, "Biased graphs.
+        I", JCTB 47, 1989).  Induction on the number k of non-tree edges of
+        a cycle C: for k = 1, C is a fundamental cycle.  For k >= 2 take a
+        non-tree edge uv of C.  The tree path from u to v is not inside C,
+        so it has a subpath Q whose ends lie on C and whose inner vertices
+        do not.  Q splits C into two arcs, and each arc holds a non-tree
+        edge, since Q and an all-tree arc would make a cycle of the tree.
+        So the two cycles "Q plus an arc" have fewer than k non-tree edges
+        each and are balanced; they form a theta with C, so C is balanced
+        too.  Signed bias answers by a switching test instead (Harary
+        1953).  This is :func:`balanced_without` with nothing removed;
+        ``caps`` is not consumed.
+        """
+        return balanced_without(self)
 
     # -- inherited sub-biased-graphs ---------------------------------------
 
@@ -145,9 +173,8 @@ def make_explicit(
 ) -> BiasedGraph:
     canon: set[Cycle] = set()
     for item in balanced:
-        c = item if isinstance(item, Cycle) else Cycle.from_edge_set(g, item)
-        # re-canonicalize against the graph to reject foreign cycles
-        canon.add(Cycle.from_edge_set(g, c.edge_set))
+        # a given Cycle is rebuilt from its edges too, to reject foreign cycles
+        canon.add(Cycle.from_edge_set(g, item.edge_set if isinstance(item, Cycle) else item))
     o = BiasedGraph(g, ExplicitSet(frozenset(canon)))
     if check:
         bad = validate_theta(g, canon, caps=caps)
@@ -391,6 +418,24 @@ def is_simple(o: BiasedGraph) -> bool:
             if o.balance(Cycle.from_walk((e, f), (u, v))):
                 return False
     return True
+
+
+def balanced_without(o: BiasedGraph, removed: Iterable[int] = ()) -> bool:
+    """True when o - removed, for a set of vertices, is balanced.
+
+    Signed bias asks :func:`switching_balanced`.  Any other bias asks
+    the balance of each fundamental cycle of a spanning forest of
+    o - removed (:func:`~tanglekit.graph.fundamental_cycles`), which
+    suffices by the argument in :meth:`BiasedGraph.is_balanced`: one
+    lookup per non-tree edge for an explicit set, and "no non-tree edge"
+    for all-unbalanced bias.  The first unbalanced one ends the search.
+    """
+    g, b = o.graph, o.bias
+    if isinstance(b, Signed):
+        return switching_balanced(g, b.signature, removed)
+    if isinstance(b, AllBalanced):
+        return True
+    return all(o.balance_of(c) for c in fundamental_cycles(g, removed))
 
 
 def switching_balanced(

@@ -45,7 +45,6 @@ from .bias import (
 from .embedding import collapse_cyclic, ordered_planarity
 from .families import Certificate, FamilyDescriptor, FamilyError, t_sum, verify_family
 from .graph import (
-    Cycle,
     MultiGraph,
     VertexCut,
     cycles_inside,
@@ -181,9 +180,11 @@ class SumDecomposition:
             ):
                 fails.append(f"rebuilt edge {e} maps to {emap[e]} with other endpoints")
                 return tuple(fails)
+        # The endpoint check and the two bijections make emap an
+        # isomorphism onto the original, so every mapped edge set is a
+        # cycle of it and its balance is read off the edges.
         for c in rebuilt.cycles(caps):
-            oc = Cycle.from_edge_set(g0, frozenset(emap[e] for e in c.edge_set))
-            if rebuilt.balance(c) != original.balance(oc):
+            if rebuilt.balance(c) != original.balance_of(frozenset(emap[e] for e in c.edge_set)):
                 fails.append(
                     "cycle through original edges "
                     f"{sorted(emap[e] for e in c.edge_set)} changes balance"
@@ -553,10 +554,10 @@ def _detect_criss_cross(o: BiasedGraph, caps: Caps, msets: tuple[frozenset[int],
         rest = g.edge_id_set - set(spokes)
         for (p, q), (r, s) in (((0, 1), (2, 3)), ((0, 2), (1, 3)), ((0, 3), (1, 2))):
             for f0 in sorted(g.edges_between(ends[p], ends[q])):
-                if not o.balance(Cycle.from_edge_set(g, (spokes[p], spokes[q], f0))):
+                if not o.balance_of(frozenset((spokes[p], spokes[q], f0))):
                     continue
                 for f1 in sorted(g.edges_between(ends[r], ends[s])):
-                    if not o.balance(Cycle.from_edge_set(g, (spokes[r], spokes[s], f1))):
+                    if not o.balance_of(frozenset((spokes[r], spokes[s], f1))):
                         continue
                     h = rest - {f0, f1}
                     if not any(h <= m for m in msets) or not is_two_connected(g.subgraph(h)):
@@ -1242,12 +1243,6 @@ _DETECTORS: tuple[tuple[str, str, object], ...] = (
 # ---------------------------------------------------------------------------
 
 
-def _side_balanced(cur: BiasedGraph, edges: frozenset[int], caps: Caps) -> bool:
-    if isinstance(cur.bias, Signed):
-        return cur.restrict_edges(edges).is_balanced(caps)
-    return all(cur.balance(c) for c in cycles_inside(cur.graph, edges, caps))
-
-
 def decompose(o: BiasedGraph, caps: Caps = DEFAULT_CAPS) -> SumDecomposition:
     """Peel balanced summands at vertex cuts of size at most three.
 
@@ -1295,7 +1290,7 @@ def _decompose(o: BiasedGraph, caps: Caps) -> SumDecomposition:
             balanced_sides = []
             unbalanced = 0
             for b in vc.bridges:
-                if _side_balanced(cur, b.edges, caps):
+                if cur.restrict_edges(b.edges).is_balanced(caps):
                     balanced_sides.append(b)
                 else:
                     unbalanced += 1
@@ -1312,7 +1307,7 @@ def _decompose(o: BiasedGraph, caps: Caps) -> SumDecomposition:
                         b
                         for b in vc.bridges
                         if len(b.interior) >= (2 if proper else 1)
-                        and _side_balanced(cur, b.edges, caps)
+                        and cur.restrict_edges(b.edges).is_balanced(caps)
                     ]
                     if sides:
                         pick = (
@@ -1435,7 +1430,7 @@ def _explicit_core(
     for c in core_graph.cycles(caps):
         used = c.edge_set & vset
         if not used:
-            ok = cur.balance(Cycle.from_edge_set(cur.graph, c.edge_set))
+            ok = cur.balance_of(c.edge_set)
         elif len(used) == 3:
             ok = True
         else:
@@ -1447,7 +1442,7 @@ def _explicit_core(
                 ends = set(virt[e1]) ^ set(virt[e2])
                 a, b = sorted(ends)
             probe = (c.edge_set - used) | qpaths[(a, b)]
-            ok = cur.balance(Cycle.from_edge_set(cur.graph, probe))
+            ok = cur.balance_of(probe)
         if ok:
             balanced.append(c.edge_set)
     try:

@@ -1152,8 +1152,7 @@ def t_sum(
     kt1 = _pick_kt_edges(o1, firsts, kt_edges1, "first summand")
     kt2 = _pick_kt_edges(o2, seconds, kt_edges2, "second summand")
     if t == 3:
-        tri = Cycle.from_edge_set(o1.graph, kt1)
-        if not o1.balance(tri):
+        if not o1.balance_of(frozenset(kt1)):
             raise FamilyError("the shared triangle must be balanced in the first summand")
 
     # Side 2 moves onto fresh vertex and edge ids, except the glued vertices.
@@ -1197,9 +1196,9 @@ def t_sum(
     for c in sum_graph.cycles(caps):
         own2 = c.edge_set & side2
         if not own2:
-            ok = o1.balance(Cycle.from_edge_set(o1.graph, c.edge_set))
+            ok = o1.balance_of(c.edge_set)
         elif own2 == c.edge_set:
-            ok = o2.balance(Cycle.from_edge_set(o2.graph, {back2[e] for e in own2}))
+            ok = o2.balance_of(frozenset(back2[e] for e in own2))
         else:
             length = len(c.key)
             switches = [
@@ -1213,10 +1212,10 @@ def t_sum(
             seg_b = [c.key[i % length] for i in range(q, p + length)]
             seg1, seg2 = (seg_b, seg_a) if seg_a[0] in side2 else (seg_a, seg_b)
             e1 = pair_edge1[frozenset({u, v})]
-            c1 = Cycle.from_edge_set(o1.graph, set(seg1) | {e1})
             e2 = pair_edge2[frozenset({to_second[u], to_second[v]})]
-            c2 = Cycle.from_edge_set(o2.graph, {back2[e] for e in seg2} | {e2})
-            ok = o1.balance(c1) and o2.balance(c2)
+            ok = o1.balance_of(frozenset(seg1) | {e1}) and o2.balance_of(
+                frozenset(back2[e] for e in seg2) | {e2}
+            )
         if ok:
             balanced.append(c)
     return make_explicit(sum_graph, balanced, check=True, caps=caps)

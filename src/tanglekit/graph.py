@@ -13,8 +13,9 @@ reads that one list.  A bias only sorts it into balanced and unbalanced.
 A caller that may stop early reads :func:`cycles_by_length` instead, which
 builds one length at a time from the open paths of the length before.
 The graph also keeps one adjacency index, which its walks (components,
-blocks, cycles, switching tests) read.  Minimal vertex cuts are read off
-block trees (Hopcroft and Tarjan 1973), not tested subset by subset.
+blocks, cycles, fundamental cycles, switching tests) read.  Minimal vertex
+cuts are read off block trees (Hopcroft and Tarjan 1973), not tested
+subset by subset.
 
 All enumerations are deterministic: results come back sorted by canonical
 keys, never in hash order.
@@ -326,6 +327,23 @@ class MultiGraph:
 # ---------------------------------------------------------------------------
 
 
+class _memoised:
+    """A cached attribute, as ``functools.cached_property`` but without the
+    lock that it takes on each first access before Python 3.12.  Cycles
+    are made by the thousand, and most of their edge and vertex sets are
+    read once."""
+
+    def __init__(self, fn):
+        self.fn = fn
+        self.name = fn.__name__
+
+    def __get__(self, obj, owner=None):
+        if obj is None:
+            return self
+        value = obj.__dict__[self.name] = self.fn(obj)
+        return value
+
+
 @dataclass(frozen=True)
 class Cycle:
     """A cycle as a canonical edge-id sequence.
@@ -395,11 +413,11 @@ class Cycle:
             raise GraphError("edge set is not connected")
         return Cycle.from_walk(edge_seq, vertex_seq)
 
-    @cached_property
+    @_memoised
     def edge_set(self) -> frozenset[int]:
         return frozenset(self.key)
 
-    @cached_property
+    @_memoised
     def vertex_set(self) -> frozenset[int]:
         return frozenset(self.walk)
 
@@ -511,6 +529,49 @@ def cycles_by_length(g: MultiGraph, caps: Caps = DEFAULT_CAPS) -> Iterator[Cycle
         paths = longer
         layer.sort(key=Cycle.sort_key)
         yield from layer
+
+
+def fundamental_cycles(g: MultiGraph, removed: Iterable[int] = ()) -> Iterator[frozenset[int]]:
+    """Edge sets of the fundamental cycles of a breadth-first spanning
+    forest of g - removed (a set of vertices), one per non-tree edge.
+
+    Loops come first.  Every other non-tree edge is yielded when the
+    search first meets it, from the end scanned first, so a caller that
+    stops early never finishes the forest.
+    """
+    gone = set(removed)
+    for e, u, v in g._edges:
+        if u == v and u not in gone:
+            yield frozenset((e,))
+    up: dict[int, tuple[int, int]] = {}  # vertex -> (parent, tree edge)
+    depth: dict[int, int] = {}
+    scanned: set[int] = set()
+    for root in g._vertices:
+        if root in gone or root in depth:
+            continue
+        depth[root] = 0
+        frontier = [root]
+        while frontier:
+            nxt: list[int] = []
+            for x in frontier:
+                for y, e in g._adjacency[x]:
+                    if y in gone or y in scanned:  # y has met this edge already
+                        continue
+                    if y not in depth:
+                        depth[y] = depth[x] + 1
+                        up[y] = (x, e)
+                        nxt.append(y)
+                        continue
+                    cycle = {e}
+                    a, b = x, y
+                    while a != b:
+                        if depth[a] < depth[b]:
+                            a, b = b, a
+                        a, f = up[a]
+                        cycle.add(f)
+                    yield frozenset(cycle)
+                scanned.add(x)
+            frontier = nxt
 
 
 def chordless_vertex_sets(g: MultiGraph, caps: Caps = DEFAULT_CAPS) -> Iterator[frozenset[int]]:

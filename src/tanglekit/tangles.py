@@ -6,16 +6,23 @@ module decides which, and recovers the finer blocking structure used by
 the classifier: blocking pairs and the standard partition of the edges at
 a blocking vertex.
 
-For signed bias the verdict uses switching (2-colouring) tests instead of
-the cycle list: the graph is balanced when it passes one, a vertex v
-blocks when o - v passes one, a pair {v, w} blocks when o - {v, w} does,
-and the disjoint-pair search tests o - V(C) for unbalanced cycles C taken
-shortest first.  Its generated cycles count
+Whether a graph, or the graph left after deleting some vertices, is
+balanced is one test shared by every bias kind
+(:func:`~tanglekit.bias.balanced_without`): a switching (2-colouring)
+test for signed bias, fundamental cycles of a spanning forest otherwise.
+So is the yes/no test for two disjoint unbalanced cycles
+(:func:`disjoint_unbalanced_pair_exists`): it reads vertex sets off the
+chordless cycles of the support, lists no cycle, and counts each set
+against ``max_theta_pairs``.
+
+For signed bias the rest of the verdict uses switching tests too: a
+vertex v blocks when o - v passes one, a pair {v, w} blocks when
+o - {v, w} does, and the disjoint-pair search tests o - V(C) for
+unbalanced cycles C taken shortest first.  Its generated cycles count
 against ``max_cycles`` and its switching tests against ``max_theta_pairs``.
-Other bias kinds enumerate every cycle (``max_cycles``) and scan pairs of
-unbalanced cycles (``max_theta_pairs``).  Whether a signed graph has a
-pair at all is also decided from the chordless cycles of its support,
-with no cycle listed.
+Other bias kinds find blocking vertices, blocking pairs and the first
+disjoint pair on the full cycle list (``max_cycles``), and scan pairs of
+unbalanced cycles (``max_theta_pairs``).
 """
 
 from __future__ import annotations
@@ -23,7 +30,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from itertools import chain, combinations
 
-from .bias import BiasedGraph, Signed, switching_balanced
+from .bias import BiasedGraph, Signed, balanced_without, switching_balanced
 from .graph import Cycle, chordless_vertex_sets, cycles_by_length
 from .limits import DEFAULT_CAPS, Caps, ResourceLimitError
 
@@ -134,20 +141,18 @@ def find_disjoint_unbalanced_pair(
 
 
 def disjoint_unbalanced_pair_exists(o: BiasedGraph, caps: Caps = DEFAULT_CAPS) -> bool:
-    """Whether o has two vertex-disjoint unbalanced cycles.
+    """Whether o has two vertex-disjoint unbalanced cycles; no cycle is listed.
 
-    For signed bias no cycle is listed.  A chord splits an unbalanced
-    cycle into two cycles on fewer vertices, one of them unbalanced.  So
-    if a pair exists, one exists whose first cycle has the vertex set of
-    a loop, of a parallel class or of a chordless cycle of the simple
-    support.  A pair therefore exists exactly when some such vertex set
-    S leaves both o[S] and o - S unbalanced: two switching tests per set,
-    each set counted against ``caps.max_theta_pairs``.  Other bias kinds
-    ask :func:`find_disjoint_unbalanced_pair`.
+    A chord splits an unbalanced cycle into two cycles on fewer vertices,
+    which form a theta with it, so by the theta property one of them is
+    unbalanced.  So if a pair exists, one exists whose first cycle has the
+    vertex set of a loop, of a parallel class or of a chordless cycle of
+    the simple support.  A pair therefore exists exactly when some such
+    vertex set S leaves both o[S] and o - S unbalanced: two tests of
+    :func:`~tanglekit.bias.balanced_without` per set, each set counted
+    against ``caps.max_theta_pairs``.  This holds for every bias kind.
     """
-    if not isinstance(o.bias, Signed):
-        return find_disjoint_unbalanced_pair(o, caps) is not None
-    g, sig = o.graph, o.bias.signature
+    g = o.graph
     short = {frozenset(g.endpoints(e)) for e in g.edge_ids if g.is_loop(e)}
     short.update(frozenset(p) for p in g.simple_pairs() if len(g.edges_between(*p)) > 1)
     tests = 0
@@ -155,7 +160,7 @@ def disjoint_unbalanced_pair_exists(o: BiasedGraph, caps: Caps = DEFAULT_CAPS) -
         tests += 1
         if tests > caps.max_theta_pairs:
             raise ResourceLimitError("disjoint-pair scan", caps.max_theta_pairs)
-        if not switching_balanced(g, sig, g.vertex_set - part) and not switching_balanced(g, sig, part):
+        if not balanced_without(o, g.vertex_set - part) and not balanced_without(o, part):
             return True
     return False
 

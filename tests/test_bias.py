@@ -25,6 +25,7 @@ from tanglekit.bias import (
     BiasedGraph,
     BiasError,
     Signed,
+    balanced_without,
     complete_bias,
     is_simple,
     make_explicit,
@@ -191,6 +192,25 @@ def test_theta_check_counts_balanced_pairs():
     assert err.value.stage == "theta check"
 
 
+def test_make_explicit_builds_each_cycle_once(monkeypatch):
+    # edge-set items and Cycle items alike are built once from their edges
+    g = k4()
+    cycles = g.cycles()
+    built = []
+    real = Cycle.from_edge_set
+
+    def counting(graph, edges):
+        built.append(frozenset(edges))
+        return real(graph, edges)
+
+    monkeypatch.setattr(Cycle, "from_edge_set", staticmethod(counting))
+    for items in ([c.edge_set for c in cycles], cycles):
+        built.clear()
+        o = make_explicit(g, items, check=False)
+        assert sorted(built, key=sorted) == sorted((c.edge_set for c in cycles), key=sorted)
+        assert o.bias.balanced == frozenset(cycles)
+
+
 def test_foreign_cycle_rejected():
     g = k4()
     other = MultiGraph.from_pairs([(0, 1), (1, 2), (2, 3), (3, 4), (4, 0)])
@@ -334,3 +354,34 @@ def test_simplify_inherits_bias():
     s = simplify(o)
     assert s.graph.m == 3
     assert s.is_balanced()
+
+
+# -- balance from the fundamental cycles of a spanning forest ----------------------
+
+
+def theta_valid_k4_biases() -> list[BiasedGraph]:
+    """Every theta-valid bias of K4: the subsets of its seven cycles that
+    validate_theta accepts."""
+    g = k4()
+    cycles = g.cycles()
+    subsets = (
+        [c for i, c in enumerate(cycles) if mask >> i & 1] for mask in range(1 << len(cycles))
+    )
+    return [make_explicit(g, chosen, check=False) for chosen in subsets if not validate_theta(g, chosen)]
+
+
+def test_balance_without_vertices_matches_the_cycle_list_on_every_bias_of_k4():
+    biases = theta_valid_k4_biases()
+    # eight are signed (all seven cycles balanced, or three); the other
+    # eleven have at most two balanced cycles
+    assert len(biases) == 19
+    unbalanced = 0
+    for o in biases:
+        for k in range(3):
+            for removed in itertools.combinations(o.graph.vertices, k):
+                definition = not any(not o.balance(c) for c in o.delete_vertices(removed).cycles())
+                assert balanced_without(o, removed) == definition
+                unbalanced += not definition
+        assert o.is_balanced() == balanced_without(o)
+    # of the 19 * 11 deletions, the unbalanced ones
+    assert unbalanced == 74

@@ -2,12 +2,15 @@
 
 from __future__ import annotations
 
+import dataclasses
 import itertools
 import random
+import sys
+from pathlib import Path
 
 import pytest
 
-from tanglekit.bias import BiasedGraph, Signed, make_explicit, make_signed
+from tanglekit.bias import BiasedGraph, ExplicitSet, Signed, balanced_without, make_explicit, make_signed
 import tanglekit.classify as classify_module
 import tanglekit.families as families_module
 import tanglekit.graph as graph_module
@@ -36,7 +39,12 @@ from tanglekit.families import (
 )
 from tanglekit.graph import MultiGraph
 from tanglekit.limits import DEFAULT_CAPS, Caps, ResourceLimitError
-from tanglekit.tangles import Tangled, is_tangled
+from tanglekit.tangles import (
+    Tangled,
+    disjoint_unbalanced_pair_exists,
+    find_disjoint_unbalanced_pair,
+    is_tangled,
+)
 
 from oracles import (
     connected_graph_census,
@@ -850,3 +858,139 @@ def test_roadmap_n9_classifies():
     report = classify(o)
     assert report.codes() == ("T1d", "T1f", "T1g", "T3")
     assert reverifies(o, report)
+
+
+# -- balance of explicit bias from fundamental cycles ------------------------------
+
+
+def explicit_copy(o: BiasedGraph) -> BiasedGraph:
+    return make_explicit(o.graph, o.balanced_cycles())
+
+
+def explicit_corpus_members() -> list[BiasedGraph]:
+    """The family members of the benchmark corpus that carry explicit bias."""
+    sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "tanglebench"))
+    try:
+        import corpus
+    finally:
+        sys.path.pop(0)
+    members = [build_family(d) for d in corpus.family_descriptors().values()]
+    return [o for o in members if isinstance(o.bias, ExplicitSet)]
+
+
+def assert_balance_without_matches_the_cycle_list(o: BiasedGraph, most: int) -> int:
+    """Compare the fundamental-cycle test with the cycle list of o - X for
+    every X of at most `most` vertices; returns how many X leave o
+    unbalanced."""
+    unbalanced = 0
+    for k in range(most + 1):
+        for removed in itertools.combinations(o.graph.vertices, k):
+            definition = not any(not o.balance(c) for c in o.delete_vertices(removed).cycles())
+            assert balanced_without(o, removed) == definition
+            unbalanced += not definition
+    return unbalanced
+
+
+def test_balance_without_vertices_matches_the_cycle_list_on_explicit_input():
+    # the corpus's explicit members (none a signed graph in disguise) and
+    # explicit copies of the tangled signed inputs
+    members = explicit_corpus_members()
+    assert len(members) == 13
+    copies = [explicit_copy(o) for o in tangled_signed_inputs()]
+    unbalanced = sum(assert_balance_without_matches_the_cycle_list(o, 2) for o in members + copies)
+    assert unbalanced > 5000
+
+
+def test_pair_test_matches_the_pair_scan_on_explicit_input(monkeypatch):
+    # every explicit corpus member and every core peeled off explicit
+    # input; all are tangled, so both pair tests must say no, and the
+    # balance of o - X for |X| <= 1 is compared as well
+    cores = []
+    real_peel = classify_module._peel
+
+    def recording_peel(*args):
+        out = real_peel(*args)
+        cores.append(out[0])
+        return out
+
+    monkeypatch.setattr(classify_module, "_peel", recording_peel)
+    members = explicit_corpus_members()
+    inputs = [o for o in corpus_t_sums() if isinstance(o.bias, ExplicitSet)]
+    inputs += [explicit_copy(build_family(pp_signed(k))) for k in (6, 8, 10, 12)]
+    inputs += [explicit_copy(o) for o in tangled_signed_inputs()[::10]]
+    for o in members + inputs:
+        decompose(o)
+    assert len(cores) > 40 and all(isinstance(core.bias, ExplicitSet) for core in cores)
+    for o in members + cores:
+        assert disjoint_unbalanced_pair_exists(o) == (find_disjoint_unbalanced_pair(o) is not None)
+        assert_balance_without_matches_the_cycle_list(o, 1)
+
+
+def test_pair_test_on_an_explicit_core_counts_vertex_sets():
+    # the terminal core of explicit PPSigned C8 is K5 with two doubled
+    # edges: 2 parallel classes and 10 chordless triangles, and as the
+    # core is tangled, no set leaves a pair and all 12 are tested
+    core = decompose(explicit_copy(build_family(pp_signed(8)))).core.bias
+    assert isinstance(core.bias, ExplicitSet) and core.graph.n == 5
+    with pytest.raises(ResourceLimitError) as err:
+        disjoint_unbalanced_pair_exists(core, Caps(max_theta_pairs=11))
+    assert err.value.stage == "disjoint-pair scan"
+    assert not disjoint_unbalanced_pair_exists(core, Caps(max_theta_pairs=12))
+
+
+def assert_explicit_pp_signed_classifies(k: int) -> None:
+    o = build_family(pp_signed(k))
+    copy = explicit_copy(o)
+    report = classify(copy, first=True)
+    assert report.codes() == classify(o, first=True).codes()
+    assert report.decomposition.verify(copy) == ()
+
+
+def test_explicit_pp_signed_c12_classifies_as_the_signed_copy():
+    assert_explicit_pp_signed_classifies(12)
+
+
+@pytest.mark.wall
+@pytest.mark.parametrize("k", [18, 20])
+def test_explicit_pp_signed_classifies_as_the_signed_copy(k):
+    # these used to raise at the cap of the scan of unbalanced-cycle pairs
+    assert_explicit_pp_signed_classifies(k)
+
+
+# -- SumDecomposition.verify on tampered decompositions ----------------------------
+
+
+def tampered(dec, bias: BiasedGraph):
+    return dataclasses.replace(dec, core=dataclasses.replace(dec.core, bias=bias))
+
+
+def core_virtual_edges(dec) -> list[int]:
+    return sorted(e for e, tag in dec.core.origins.items() if tag[0] == "virt")
+
+
+def test_verify_reports_a_flipped_virtual_edge_of_a_signed_core():
+    # the K5 member's corpus 2-sum peels at one 2-cut; negating its
+    # virtual edge flips every rebuilt cycle that runs through the leaf
+    o = corpus_t_sums()[4]
+    dec = decompose(o)
+    core = dec.core.bias
+    assert isinstance(core.bias, Signed) and [node.t for node in dec.nodes] == [2]
+    (ve,) = core_virtual_edges(dec)
+    bad = tampered(dec, BiasedGraph(core.graph, Signed(core.bias.signature ^ {ve})))
+    assert dec.verify(o) == ()
+    assert bad.verify(o) == ("cycle through original edges [1, 4, 10, 11] changes balance",)
+
+
+def test_verify_reports_a_dropped_balanced_cycle_of_an_explicit_core():
+    # the FatTriangle's 2-sum peels at one 2-cut; dropping the balanced
+    # core triangle through its virtual edge keeps the theta property but
+    # unbalances the rebuilt cycles through the leaf
+    o = corpus_t_sums()[1]
+    dec = decompose(o)
+    core = dec.core.bias
+    assert isinstance(core.bias, ExplicitSet) and [node.t for node in dec.nodes] == [2]
+    (ve,) = core_virtual_edges(dec)
+    through = sorted((c for c in core.bias.balanced if ve in c.edge_set), key=lambda c: c.sort_key())
+    bad = tampered(dec, BiasedGraph(core.graph, ExplicitSet(core.bias.balanced - {through[0]})))
+    assert dec.verify(o) == ()
+    assert bad.verify(o) == ("cycle through original edges [1, 2, 6, 7] changes balance",)

@@ -20,6 +20,7 @@ from tanglekit.graph import (
     enumerate_cycles,
     enumerate_theta_subgraphs,
     find_vertex_cuts,
+    fundamental_cycles,
     is_two_connected,
     rings,
 )
@@ -131,6 +132,25 @@ def test_chordless_vertex_sets_are_the_induced_cycles_of_the_support():
     with pytest.raises(ResourceLimitError) as err:
         list(chordless_vertex_sets(k5, Caps(max_cycles=9)))
     assert err.value.stage == "enumerate_cycles"
+
+
+def test_fundamental_cycles_are_a_cycle_basis_of_the_remainder():
+    # m - n + c cycles of g - X, independent over GF(2)
+    rng = random.Random(59)
+    for _ in range(200):
+        g = random_multigraph(rng, max_n=8, max_extra=6, allow_loops=True)
+        removed = rng.sample(g.vertices, rng.randint(0, min(2, g.n)))
+        h = g.delete_vertices(removed)
+        got = list(fundamental_cycles(g, removed))
+        assert len(got) == h.m - h.n + len(h.components())
+        pivots: dict[int, int] = {}
+        for edges in got:
+            assert Cycle.from_edge_set(h, edges).edge_set == edges
+            mask = sum(1 << e for e in edges)
+            while mask.bit_length() in pivots:
+                mask ^= pivots[mask.bit_length()]
+            assert mask
+            pivots[mask.bit_length()] = mask
 
 
 def test_cycle_canonical_key_is_rotation_and_reflection_invariant():

@@ -9,7 +9,15 @@ import pytest
 from hypothesis import assume, given, settings, strategies as st
 
 from tanglekit.graph import MultiGraph, enumerate_cycles
-from tanglekit.bias import AllUnbalanced, BiasedGraph, Signed, make_explicit, make_signed, simplify
+from tanglekit.bias import (
+    AllUnbalanced,
+    BiasedGraph,
+    Signed,
+    balanced_without,
+    make_explicit,
+    make_signed,
+    simplify,
+)
 from tanglekit.classify import _maximal_balanced_sets
 from tanglekit.families import build_family, describe_pp_signed
 from tanglekit.tangles import (
@@ -330,6 +338,26 @@ def test_signed_verdict_equals_the_explicit_copy():
         pairs += len(blocking_pairs(o))
     assert seen == {Balanced, HasBlockingVertex, TwoDisjointUnbalanced, Tangled}
     assert pairs > 100
+
+
+def test_balance_without_vertices_matches_the_cycle_list_on_explicit_copies():
+    # explicit copies take the fundamental-cycle test; it agrees with the
+    # cycle list of o - X for every X of at most two vertices, and with
+    # the switching test on the signed original
+    compared = unbalanced = pairs = 0
+    for o in signed_inputs():
+        copy = make_explicit(o.graph, o.balanced_cycles())
+        for k in range(3):
+            for removed in itertools.combinations(o.graph.vertices, k):
+                definition = not any(not copy.balance(c) for c in copy.delete_vertices(removed).cycles())
+                assert balanced_without(copy, removed) == definition == balanced_without(o, removed)
+                compared += 1
+                unbalanced += not definition
+        # the pair test that lists no cycle, against the scan of all pairs
+        found = find_disjoint_unbalanced_pair(copy) is not None
+        assert disjoint_unbalanced_pair_exists(copy) == found
+        pairs += found
+    assert compared > 7000 and unbalanced > 3000 and pairs > 50
 
 
 def test_signed_verdicts_need_no_cycle_list():
