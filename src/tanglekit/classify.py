@@ -30,7 +30,7 @@ ring core from ``graph.rings``.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import cached_property
+from functools import cache, cached_property
 from itertools import combinations, permutations, product
 
 from .bias import (
@@ -961,6 +961,7 @@ def _wheel_candidate(
     return None
 
 
+@cache
 def _weak_compositions(total: int, slots: int) -> tuple[tuple[int, ...], ...]:
     if slots == 0:
         return ((),) if total == 0 else ()
@@ -983,6 +984,16 @@ def _detect_tricoloured(o: BiasedGraph, caps: Caps, msets: tuple[frozenset[int],
     at each, and then fits the remaining edges into a ring of parts.
     Chords ending on another chosen source are not considered.
 
+    ``verify_family`` requires the core, the ring edges on every vertex
+    of G, to be 2-connected, and two necessary conditions follow.  The
+    core is a spanning subgraph of G, so when G is not 2-connected no
+    core is, and the search returns at once.  A 2-connected core on
+    n >= 4 vertices has minimum degree 2.  A target loses exactly one
+    edge to its chord, and a source x loses one per target, so only
+    targets of degree 3 or more and target sets Y with
+    |Y| <= deg(x) - 2 are tried.  Both gates only drop choices, so the
+    order of the rest and the first hit do not change.
+
     The target sets must be pairwise disjoint.  ``verify_family``
     flattens the attachment order (x0, x1, x2, Y0, Y1, Y2), or
     (x0, Y4, x2, Y0, x4, Y2) for the alternating colours, and rejects
@@ -993,13 +1004,28 @@ def _detect_tricoloured(o: BiasedGraph, caps: Caps, msets: tuple[frozenset[int],
     Each chord triple is met in every orientation, and all of them leave
     the same ring edges: ``cores`` keeps, for this call, the ring layouts
     of each 2-connected ring edge set, so every ring is cut into parts
-    once.
+    once.  ``verdicts`` keeps the answer to each bias clause asked, by
+    clause, chord pair and part edges (``_tricoloured_bias_holds``).
+
+    Chord classes are fitted to a layout by position; its rings are not
+    built to be searched.  A k-part layout is padded out to six parts by
+    each weak composition (s_0, ..., s_(k-1)) of 6 - k, the c-th in
+    ``_weak_compositions`` order: base part i sits at ring position
+    i + s_0 + ... + s_(i-1), and hinge i also fills the s_i padded
+    positions after it.  So each vertex has a slot bitmask, with bit
+    6c + p set when it lies in ring part p under padding c
+    (``_RingLayout.slots``).  A class (x, Y) may sit at position p when
+    x has bit p and every target has bit p + 3 (mod 6): one AND over Y
+    and one rotation by three per class.  Only a padding on which all
+    three classes have a position has its ring built.
     """
     g = o.graph
-    if g.n < 4 or any(g.is_loop(e) for e in g.edge_ids):
+    if g.n < 4 or any(g.is_loop(e) for e in g.edge_ids) or not is_two_connected(g):
         return None
     counter = _Counter(caps, "tricoloured search")
     cores: dict[frozenset[int], tuple[_RingLayout, ...]] = {}
+    verdicts: dict[tuple, bool] = {}
+    degree = {v: len(g.incident_edges(v)) for v in g.vertex_set}
     for trip in combinations(sorted(g.vertex_set), 3):
         tset = set(trip)
         stars: list[dict[int, list[int]]] = []
@@ -1007,7 +1033,7 @@ def _detect_tricoloured(o: BiasedGraph, caps: Caps, msets: tuple[frozenset[int],
             by_target: dict[int, list[int]] = {}
             for e in sorted(g.incident_edges(x)):
                 far = g.other_end(e, x)
-                if far not in tset:
+                if far not in tset and degree[far] >= 3:
                     by_target.setdefault(far, []).append(e)
             if not by_target:
                 stars = []
@@ -1015,7 +1041,7 @@ def _detect_tricoloured(o: BiasedGraph, caps: Caps, msets: tuple[frozenset[int],
             stars.append(by_target)
         if not stars:
             continue
-        for choice in product(*(_star_choices(s) for s in stars)):
+        for choice in product(*(_star_choices(s, degree[x] - 2) for x, s in zip(trip, stars))):
             counter.bump()
             if any(not a[0].isdisjoint(b[0]) for a, b in combinations(choice, 2)):
                 continue
@@ -1027,23 +1053,20 @@ def _detect_tricoloured(o: BiasedGraph, caps: Caps, msets: tuple[frozenset[int],
             pairs = [(x, targets, edges) for x, (targets, edges) in zip(trip, choice)]
             for layout in cores[ring_edges]:
                 counter.bump()
-                # Every target set must land inside one ring part.
-                if not all(layout.fits(yset) for _, yset, _ in pairs):
-                    continue
-                for ring in layout.rings:
-                    hit = _tricoloured_arrangements(o, pairs, ring, caps, counter)
+                for ring, spots in layout.fit(pairs):
+                    hit = _tricoloured_arrangements(o, pairs, ring, spots, caps, counter, verdicts)
                     if hit:
                         return hit
     return None
 
 
-def _star_choices(by_target: dict[int, list[int]]) -> list[tuple[frozenset[int], tuple[int, ...]]]:
-    """Every (targets, one edge per target) choice for one chord source,
-    by target subsets in sorted order; the edges follow the sorted
-    targets."""
+def _star_choices(by_target: dict[int, list[int]], most: int) -> list[tuple[frozenset[int], tuple[int, ...]]]:
+    """Every (targets, one edge per target) choice for one chord source
+    with at most `most` targets, by target subsets in sorted order; the
+    edges follow the sorted targets."""
     targets = sorted(by_target)
     out: list[tuple[frozenset[int], tuple[int, ...]]] = []
-    for r in range(1, len(targets) + 1):
+    for r in range(1, min(len(targets), most) + 1):
         for ts in combinations(targets, r):
             tset = frozenset(ts)
             for es in product(*(sorted(by_target[t]) for t in ts)):
@@ -1055,37 +1078,95 @@ def _star_choices(by_target: dict[int, list[int]]) -> list[tuple[frozenset[int],
 # part i meets part i + 1.
 _Ring = tuple[tuple[frozenset[int], ...], tuple[frozenset[int], ...], tuple[int, ...]]
 
+# Slot masks hold six bits per padding, at most ten paddings: bit 6c + p
+# stands for ring position p under padding c.
+_FIRST_HALF = sum(0b000111 << 6 * c for c in range(10))
+_PADDING_BITS = sum(1 << 6 * c for c in range(10))
+
+
+@cache
+def _slot_table(k: int) -> tuple[tuple[int, int], ...]:
+    """For each base part i of a k-part layout, its slot bits under every
+    padding and those of the padded positions that follow it.  Padding c
+    puts s_i single-hinge parts after part i (``_weak_compositions``), so
+    base part i sits at position i + s_0 + ... + s_(i-1), and hinge i
+    also fills the s_i positions after it."""
+    part_bits = [0] * k
+    pad_bits = [0] * k
+    for c, pad in enumerate(_weak_compositions(6 - k, k)):
+        at = 6 * c
+        for i, s in enumerate(pad):
+            part_bits[i] |= 1 << at
+            pad_bits[i] |= ((1 << s) - 1) << at + 1
+            at += 1 + s
+    return tuple(zip(part_bits, pad_bits))
+
 
 @dataclass(frozen=True)
 class _RingLayout:
     """Three to six parts of a ring core, ``parts[i]`` from
-    ``hinges[i - 1]`` to ``hinges[i]``, with every six-part ring they
-    make once single-hinge parts pad them out."""
+    ``hinges[i - 1]`` to ``hinges[i]``, padded out to six-part rings by
+    single-hinge parts.  Neighbouring parts of a polygon meet in their
+    hinge alone, so every padding gives a ring."""
 
     hinges: tuple[int, ...]
     parts: tuple[frozenset[int], ...]
     part_vertices: tuple[frozenset[int], ...]
 
-    def fits(self, yset: frozenset[int]) -> bool:
-        # Parts are the base parts or single hinges.
-        return any(yset <= pv for pv in self.part_vertices) or (
-            len(yset) == 1 and yset <= set(self.hinges)
-        )
+    @cached_property
+    def slots(self) -> dict[int, int]:
+        """Each vertex's ring positions under every padding: bit 6c + p
+        is set when the vertex lies in ring part p of padding c."""
+        slots: dict[int, int] = {}
+        for pv, hinge, (part, pad) in zip(self.part_vertices, self.hinges, _slot_table(len(self.parts))):
+            for v in pv:
+                slots[v] = slots.get(v, 0) | part
+            slots[hinge] |= pad
+        return slots
+
+    def fit(
+        self, pairs: list[tuple[int, frozenset[int], tuple[int, ...]]]
+    ) -> list[tuple[_Ring, list[list[int]]]]:
+        """The padded rings, in padding order, on which every chord class
+        has a ring position p with x in part p and its targets inside
+        part p + 3, each with those positions per class."""
+        slots = self.slots
+        room = _PADDING_BITS
+        fits: list[int] = []
+        for x, yset, _ in pairs:
+            inside = -1
+            for y in yset:
+                inside &= slots[y]
+            # rotate each padding's six bits by three
+            at = slots[x] & (((inside & _FIRST_HALF) << 3) | ((inside >> 3) & _FIRST_HALF))
+            fits.append(at)
+            room &= at | at >> 1 | at >> 2 | at >> 3 | at >> 4 | at >> 5
+        out = []
+        while room:
+            low = room & -room
+            room ^= low
+            c = low.bit_length() // 6
+            out.append((self.ring(c), [[p for p in range(6) if at >> 6 * c + p & 1] for at in fits]))
+        return out
 
     @cached_property
-    def rings(self) -> tuple[_Ring, ...]:
-        k = len(self.parts)
-        out: list[_Ring] = []
-        for slots in _weak_compositions(6 - k, k):
+    def _built(self) -> dict[int, _Ring]:
+        return {}
+
+    def ring(self, c: int) -> _Ring:
+        """The six-part ring of padding c, built once."""
+        ring = self._built.get(c)
+        if ring is None:
             pvs: list[frozenset[int]] = []
             pes: list[frozenset[int]] = []
-            for i in range(k):
-                pvs += [self.part_vertices[i]] + [frozenset({self.hinges[i]})] * slots[i]
-                pes += [self.parts[i]] + [frozenset()] * slots[i]
-            meets = [pvs[i] & pvs[(i + 1) % 6] for i in range(6)]
-            if all(len(m) == 1 for m in meets):
-                out.append((tuple(pvs), tuple(pes), tuple(min(m) for m in meets)))
-        return tuple(out)
+            hinges: list[int] = []
+            pad = _weak_compositions(6 - len(self.parts), len(self.parts))[c]
+            for pv, pe, hinge, s in zip(self.part_vertices, self.parts, self.hinges, pad):
+                pvs += [pv] + [frozenset({hinge})] * s
+                pes += [pe] + [frozenset()] * s
+                hinges += [hinge] * (1 + s)
+            ring = self._built[c] = (tuple(pvs), tuple(pes), tuple(hinges))
+        return ring
 
 
 def _ring_layouts(core: MultiGraph) -> tuple[_RingLayout, ...]:
@@ -1154,18 +1235,16 @@ def _tricoloured_arrangements(
     o: BiasedGraph,
     pairs: list[tuple[int, frozenset[int], tuple[int, ...]]],
     ring: _Ring,
+    spots: list[list[int]],
     caps: Caps,
     counter: _Counter,
+    verdicts: dict[tuple, bool],
 ) -> _Hit | None:
+    """Lay the chord classes onto one ring: ``spots`` gives, per class,
+    the ring indices where x is in the part and its targets in the
+    antipodal one."""
     g = o.graph
     pvs, pes, hinges = ring
-    # Ring indices where each chord class may sit: x in the part, its
-    # targets in the antipodal one.
-    spots: list[list[int]] = []
-    for x, yset, _ in pairs:
-        spots.append([i for i in range(6) if x in pvs[i] and yset <= pvs[(i + 3) % 6]])
-        if not spots[-1]:
-            return None
     found = sorted(p for at in product(*spots) for p in _PLACEMENTS.get(at, ()))
     for _, part_at, hinge_at, colours, perm in found:
         positions = sorted(colours)
@@ -1179,7 +1258,7 @@ def _tricoloured_arrangements(
             ys6[i] = yset
             es6[i] = edges
         counter.bump()
-        if not _tricoloured_bias_holds(o, pe6, es6, positions, caps):
+        if not _tricoloured_bias_holds(o, pe6, es6, positions, caps, verdicts):
             continue
         d = FamilyDescriptor(
             "Tricoloured",
@@ -1206,20 +1285,30 @@ def _tricoloured_bias_holds(
     es6: list[tuple[int, ...] | None],
     positions: list[int],
     caps: Caps,
+    verdicts: dict[tuple, bool],
 ) -> bool:
     """The bias clauses ``verify_family`` checks on a Tricoloured
     candidate, read off the input's own cycles: a chord pair of one
     colour closes only balanced cycles through the antipodal part, a
-    pair of two colours only unbalanced ones through their four parts."""
+    pair of two colours only unbalanced ones through their four parts.
+    ``verdicts`` keeps each answer by (clause, chord pair, part edges)."""
+    g = o.graph
     for i in positions:
+        part = pe6[(i + 3) % 6]
         for a, b in combinations(es6[i], 2):
-            if not all(o.balance(c) for c in cycles_with(o.graph, {a, b}, pe6[(i + 3) % 6], caps)):
+            key = (True, min(a, b), max(a, b), part)
+            if key not in verdicts:
+                verdicts[key] = all(o.balance(c) for c in cycles_with(g, {a, b}, part, caps))
+            if not verdicts[key]:
                 return False
     for i, j in combinations(positions, 2):
         within = pe6[i] | pe6[j] | pe6[(i + 3) % 6] | pe6[(j + 3) % 6]
         for a in es6[i]:
             for b in es6[j]:
-                if any(o.balance(c) for c in cycles_with(o.graph, {a, b}, within, caps)):
+                key = (False, min(a, b), max(a, b), within)
+                if key not in verdicts:
+                    verdicts[key] = not any(o.balance(c) for c in cycles_with(g, {a, b}, within, caps))
+                if not verdicts[key]:
                     return False
     return True
 

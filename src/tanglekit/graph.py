@@ -1072,14 +1072,47 @@ def _rings(h: MultiGraph) -> Rings:
 def _chain(h: MultiGraph, edges: frozenset[int], u: int, v: int) -> tuple[list[int], list[frozenset[int]]]:
     """The blocks of one separation class in order from u to v, with the
     vertices where consecutive blocks meet: walk[i] to walk[i + 1] is
-    pieces[i]."""
-    bt = block_tree(h.subgraph(edges))
-    ends = bt.cut_vertices | {v}
-    walk, pieces = [u], []
-    left = list(bt.blocks)
-    while walk[-1] != v:
-        block = next(b for b in left if walk[-1] in b.vertices)
-        left.remove(block)
-        pieces.append(block.edges)
-        walk.append(min(x for x in block.vertices - {walk[-1]} if x in ends))
-    return walk, pieces
+    pieces[i].
+
+    One iterative lowpoint search from u over the class's edges of h's
+    own adjacency, with an edge stack as in :func:`block_tree`; no copy.
+    The class closed up by uv is 2-connected, so its blocks form a chain
+    from u to v, and u lies in the first block only.  Every block past
+    the first lies in the subtree of the cut vertex it is entered by, so
+    the blocks close from v back to u, each at the cut vertex nearer u.
+    """
+    adj = h._adjacency
+    index = {u: 0}
+    low = {u: 0}
+    stack: list[int] = []
+    closed: list[tuple[int, frozenset[int]]] = []
+    # frames are (vertex, incoming edge id, step iterator)
+    frames = [(u, -1, iter(adj[u]))]
+    while frames:
+        x, in_edge, steps = frames[-1]
+        for w, e in steps:
+            if e == in_edge or e not in edges:
+                continue
+            if w not in index:
+                stack.append(e)
+                index[w] = low[w] = len(index)
+                frames.append((w, e, iter(adj[w])))
+                break
+            if index[w] < index[x]:
+                stack.append(e)
+                if index[w] < low[x]:
+                    low[x] = index[w]
+        else:
+            frames.pop()
+            if not frames:
+                continue
+            p = frames[-1][0]
+            if low[x] < low[p]:
+                low[p] = low[x]
+            if low[x] >= index[p]:
+                # p closes a block: pop the edge stack down to in_edge
+                at = stack.index(in_edge)
+                closed.append((p, frozenset(stack[at:])))
+                del stack[at:]
+    closed.reverse()
+    return [p for p, _ in closed] + [v], [block for _, block in closed]

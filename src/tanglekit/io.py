@@ -203,8 +203,8 @@ def _parse(text: str, caps: Caps) -> tuple[InstanceDocument, BiasedGraph | None]
 
     graph = MultiGraph.build(range(count), edges)
 
+    cycles: dict[tuple[int, ...], Cycle] = {}
     if kind == "explicit":
-        seen: dict[tuple[int, ...], int] = {}
         while (row := rd.peek()) is not None and row[1][0][0] == "bal":
             no, toks = rd.take()
             ids = []
@@ -219,8 +219,8 @@ def _parse(text: str, caps: Caps) -> tuple[InstanceDocument, BiasedGraph | None]
                 cyc = Cycle.from_edge_set(graph, ids)
             except GraphError as exc:
                 raise ParseError(str(exc), no, toks[0][1]) from None
-            seen.setdefault(cyc.key, no)
-        balanced = sorted(seen)
+            cycles.setdefault(cyc.key, cyc)
+        balanced = sorted(cycles)
         if (row := rd.peek()) is not None and row[1][0][0] == "default":
             no, toks = rd.take()
             if len(toks) != 2 or toks[1][0] not in ("balanced", "unbalanced"):
@@ -260,7 +260,7 @@ def _parse(text: str, caps: Caps) -> tuple[InstanceDocument, BiasedGraph | None]
         default=default,
         version=version,
     )
-    checked = _check_bias(doc, graph, caps, bias_line)
+    checked = _check_bias(doc, graph, [cycles[key] for key in doc.balanced], caps, bias_line)
     doc = InstanceDocument(
         vertex_count=doc.vertex_count,
         edges=doc.edges,
@@ -275,12 +275,15 @@ def _parse(text: str, caps: Caps) -> tuple[InstanceDocument, BiasedGraph | None]
 
 
 def _check_bias(
-    doc: InstanceDocument, graph: MultiGraph, caps: Caps, line: int
+    doc: InstanceDocument, graph: MultiGraph, cycles: list[Cycle], caps: Caps, line: int
 ) -> BiasedGraph | None:
-    """Check an explicit bias and return the biased graph it describes."""
+    """Check an explicit bias and return the biased graph it describes.
+
+    `cycles` are the document's balanced cycles, which the parse built on
+    `graph` from their edge sets, so none is foreign and none is rebuilt.
+    """
     if doc.bias_kind != "explicit":
         return None
-    cycles = [Cycle.from_edge_set(graph, key) for key in doc.balanced]
     if doc.default is None:
         bad = validate_theta(graph, cycles, caps)
         if bad:
@@ -291,7 +294,7 @@ def _check_bias(
                 f"theta violation: exactly two of the cycles {triple} are balanced",
                 line,
             )
-        return make_explicit(graph, cycles, check=False)
+        return BiasedGraph(graph, ExplicitSet(frozenset(cycles)))
     out = complete_bias(graph, {c: True for c in cycles}, default=doc.default, caps=caps)
     if out is None:
         raise ParseError(

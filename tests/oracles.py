@@ -8,10 +8,11 @@ path triples, linkages from all simple path pairs, vertex cuts and
 scan.  The exceptions are earlier versions of the library's own code, kept
 without their fast paths: the bridges of a vertex set read off the
 components of a copy, the explicit core of a peel, the maximal balanced
-sets by transversals, the Tricoloured, FatTriangle, CrissCross and PPSigned detectors, the
-canonical cycle key, the theta check and the linkage search at the end.  Embeddings come from every rotation system
-that passes the Euler check, and a signed graph's maximal balanced sets
-from every switching.
+sets by transversals, two earlier Tricoloured searches, the FatTriangle,
+CrissCross and PPSigned detectors, the canonical cycle key, the theta check
+and the linkage search at the end.  Embeddings come from every rotation
+system that passes the Euler check, and a signed graph's maximal balanced
+sets from every switching.
 """
 
 from __future__ import annotations
@@ -19,10 +20,12 @@ from __future__ import annotations
 import itertools
 import random
 from itertools import combinations, permutations, product
+from dataclasses import dataclass
+from functools import cached_property
 from typing import Iterable, Iterator, Sequence
 
 from tanglekit.bias import BiasedGraph, BiasError, make_explicit
-from tanglekit.classify import _Counter, _Hit, _pairing_search, _weak_compositions
+from tanglekit.classify import _PLACEMENTS, _Counter, _Hit, _pairing_search, _weak_compositions
 from tanglekit.embedding import OrderedPlanarEmbedding, RotationSystem, collapse_cyclic, walk_contains_order
 from tanglekit.families import FamilyDescriptor, verify_family
 from tanglekit.graph import (
@@ -33,8 +36,10 @@ from tanglekit.graph import (
     ThetaSubgraph,
     VertexCut,
     bridges_of_cut,
+    cycles_with,
     enumerate_theta_subgraphs,
     is_two_connected,
+    _rings,
 )
 from tanglekit.limits import DEFAULT_CAPS, Caps, ResourceLimitError
 from tanglekit.linkage import (
@@ -822,6 +827,234 @@ def _tricoloured_arrangements(
 
 
 oracle_detect_tricoloured = _detect_tricoloured
+
+
+# ---------------------------------------------------------------------------
+# Tricoloured search before its degree gates and slot masks
+#
+# The ring-layout search as it stood before it returned at once on an input
+# that is not 2-connected, dropped chord choices by degree, fitted chords to
+# rings by slot bitmasks and remembered bias-clause verdicts, copied
+# unchanged but for its names.  It builds every padded ring of a layout and
+# tests each chord class on it with set operations.
+# ---------------------------------------------------------------------------
+
+def _layout_detect_tricoloured(o: BiasedGraph, caps: Caps, msets: tuple[frozenset[int], ...]) -> _Hit | None:
+    """Six-part ring with three antipodal chord classes.
+
+    Candidates are anchored on the three chord sources: the search
+    picks three vertices, a target set with one chord edge per target
+    at each, and then fits the remaining edges into a ring of parts.
+    Chords ending on another chosen source are not considered.
+
+    The target sets must be pairwise disjoint.  ``verify_family``
+    flattens the attachment order (x0, x1, x2, Y0, Y1, Y2), or
+    (x0, Y4, x2, Y0, x4, Y2) for the alternating colours, and rejects
+    every candidate in which a vertex repeats there, whatever the ring.
+    The sources are distinct and no target is a source, so a repeat can
+    only come from two target sets that meet.
+
+    Each chord triple is met in every orientation, and all of them leave
+    the same ring edges: ``cores`` keeps, for this call, the ring layouts
+    of each 2-connected ring edge set, so every ring is cut into parts
+    once.
+    """
+    g = o.graph
+    if g.n < 4 or any(g.is_loop(e) for e in g.edge_ids):
+        return None
+    counter = _Counter(caps, "tricoloured search")
+    cores: dict[frozenset[int], tuple[OracleRingLayout, ...]] = {}
+    for trip in combinations(sorted(g.vertex_set), 3):
+        tset = set(trip)
+        stars: list[dict[int, list[int]]] = []
+        for x in trip:
+            by_target: dict[int, list[int]] = {}
+            for e in sorted(g.incident_edges(x)):
+                far = g.other_end(e, x)
+                if far not in tset:
+                    by_target.setdefault(far, []).append(e)
+            if not by_target:
+                stars = []
+                break
+            stars.append(by_target)
+        if not stars:
+            continue
+        for choice in product(*(_layout_star_choices(s) for s in stars)):
+            counter.bump()
+            if any(not a[0].isdisjoint(b[0]) for a, b in combinations(choice, 2)):
+                continue
+            chords = {e for _, es in choice for e in es}
+            ring_edges = g.edge_id_set - chords
+            if ring_edges not in cores:
+                core = g.subgraph(ring_edges, g.vertex_set)
+                cores[ring_edges] = _layout_ring_layouts(core) if is_two_connected(core) else ()
+            pairs = [(x, targets, edges) for x, (targets, edges) in zip(trip, choice)]
+            for layout in cores[ring_edges]:
+                counter.bump()
+                # Every target set must land inside one ring part.
+                if not all(layout.fits(yset) for _, yset, _ in pairs):
+                    continue
+                for ring in layout.rings:
+                    hit = _layout_tricoloured_arrangements(o, pairs, ring, caps, counter)
+                    if hit:
+                        return hit
+    return None
+
+
+def _layout_star_choices(by_target: dict[int, list[int]]) -> list[tuple[frozenset[int], tuple[int, ...]]]:
+    """Every (targets, one edge per target) choice for one chord source,
+    by target subsets in sorted order; the edges follow the sorted
+    targets."""
+    targets = sorted(by_target)
+    out: list[tuple[frozenset[int], tuple[int, ...]]] = []
+    for r in range(1, len(targets) + 1):
+        for ts in combinations(targets, r):
+            tset = frozenset(ts)
+            for es in product(*(sorted(by_target[t]) for t in ts)):
+                out.append((tset, es))
+    return out
+
+
+# A six-part ring: part vertex sets, part edge sets, and the hinge where
+# part i meets part i + 1.
+_OracleRing = tuple[tuple[frozenset[int], ...], tuple[frozenset[int], ...], tuple[int, ...]]
+
+
+@dataclass(frozen=True)
+class OracleRingLayout:
+    """Three to six parts of a ring core, ``parts[i]`` from
+    ``hinges[i - 1]`` to ``hinges[i]``, with every six-part ring they
+    make once single-hinge parts pad them out."""
+
+    hinges: tuple[int, ...]
+    parts: tuple[frozenset[int], ...]
+    part_vertices: tuple[frozenset[int], ...]
+
+    def fits(self, yset: frozenset[int]) -> bool:
+        # Parts are the base parts or single hinges.
+        return any(yset <= pv for pv in self.part_vertices) or (
+            len(yset) == 1 and yset <= set(self.hinges)
+        )
+
+    @cached_property
+    def rings(self) -> tuple[_OracleRing, ...]:
+        k = len(self.parts)
+        out: list[_OracleRing] = []
+        for slots in _weak_compositions(6 - k, k):
+            pvs: list[frozenset[int]] = []
+            pes: list[frozenset[int]] = []
+            for i in range(k):
+                pvs += [self.part_vertices[i]] + [frozenset({self.hinges[i]})] * slots[i]
+                pes += [self.parts[i]] + [frozenset()] * slots[i]
+            meets = [pvs[i] & pvs[(i + 1) % 6] for i in range(6)]
+            if all(len(m) == 1 for m in meets):
+                out.append((tuple(pvs), tuple(pes), tuple(min(m) for m in meets)))
+        return tuple(out)
+
+
+def _layout_ring_layouts(core: MultiGraph) -> tuple[OracleRingLayout, ...]:
+    """Every ring of three to six parts in a 2-connected core, smallest
+    and least hinge set first: each 3- to 6-subset of a polygon's hinges
+    in cyclic order, the pieces between consecutive chosen hinges merged
+    into one part."""
+    ends = core.edge_map
+    out: list[OracleRingLayout] = []
+    for poly in _rings(core).polygons:
+        k = len(poly.hinges)
+        for size in range(3, min(k, 6) + 1):
+            for chosen in combinations(range(k), size):
+                parts = tuple(
+                    frozenset().union(
+                        *(poly.pieces[(a + 1 + t) % k] for t in range((b - a) % k))
+                    )
+                    for a, b in zip(chosen[-1:] + chosen[:-1], chosen)
+                )
+                out.append(
+                    OracleRingLayout(
+                        tuple(poly.hinges[i] for i in chosen),
+                        parts,
+                        tuple(frozenset(v for e in pe for v in ends[e]) for pe in parts),
+                    )
+                )
+    out.sort(key=lambda lay: (len(lay.hinges), sorted(lay.hinges)))
+    return tuple(out)
+
+
+def _layout_tricoloured_arrangements(
+    o: BiasedGraph,
+    pairs: list[tuple[int, frozenset[int], tuple[int, ...]]],
+    ring: _OracleRing,
+    caps: Caps,
+    counter: _Counter,
+) -> _Hit | None:
+    g = o.graph
+    pvs, pes, hinges = ring
+    # Ring indices where each chord class may sit: x in the part, its
+    # targets in the antipodal one.
+    spots: list[list[int]] = []
+    for x, yset, _ in pairs:
+        spots.append([i for i in range(6) if x in pvs[i] and yset <= pvs[(i + 3) % 6]])
+        if not spots[-1]:
+            return None
+    found = sorted(p for at in product(*spots) for p in _PLACEMENTS.get(at, ()))
+    for _, part_at, hinge_at, colours, perm in found:
+        positions = sorted(colours)
+        pe6 = tuple(pes[i] for i in part_at)
+        xs6: list[int | None] = [None] * 6
+        ys6: list[frozenset[int] | None] = [None] * 6
+        es6: list[tuple[int, ...] | None] = [None] * 6
+        for slot, i in enumerate(positions):
+            x, yset, edges = pairs[perm[slot]]
+            xs6[i] = x
+            ys6[i] = yset
+            es6[i] = edges
+        counter.bump()
+        if not _layout_tricoloured_bias_holds(o, pe6, es6, positions, caps):
+            continue
+        d = FamilyDescriptor(
+            "Tricoloured",
+            g,
+            {
+                "part_vertices": tuple(pvs[i] for i in part_at),
+                "part_edges": pe6,
+                "hinges": tuple(hinges[i] for i in hinge_at),
+                "I": colours,
+                "xs": tuple(xs6),
+                "ysets": tuple(ys6),
+                "esets": tuple(es6),
+            },
+        )
+        cert = verify_family(o, d, caps)
+        if cert.passed:
+            return d, cert, None
+    return None
+
+
+def _layout_tricoloured_bias_holds(
+    o: BiasedGraph,
+    pe6: tuple[frozenset[int], ...],
+    es6: list[tuple[int, ...] | None],
+    positions: list[int],
+    caps: Caps,
+) -> bool:
+    """The bias clauses ``verify_family`` checks on a Tricoloured
+    candidate, read off the input's own cycles: a chord pair of one
+    colour closes only balanced cycles through the antipodal part, a
+    pair of two colours only unbalanced ones through their four parts."""
+    for i in positions:
+        for a, b in combinations(es6[i], 2):
+            if not all(o.balance(c) for c in cycles_with(o.graph, {a, b}, pe6[(i + 3) % 6], caps)):
+                return False
+    for i, j in combinations(positions, 2):
+        within = pe6[i] | pe6[j] | pe6[(i + 3) % 6] | pe6[(j + 3) % 6]
+        for a in es6[i]:
+            for b in es6[j]:
+                if any(o.balance(c) for c in cycles_with(o.graph, {a, b}, within, caps)):
+                    return False
+    return True
+
+
+oracle_layout_tricoloured = _layout_detect_tricoloured
 
 
 # ---------------------------------------------------------------------------

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import dataclasses
+import importlib
 import itertools
 import random
 import sys
@@ -26,6 +27,9 @@ from tanglekit.classify import (
     _detect_special_vertex,
     _detect_tricoloured,
     _maximal_balanced_sets,
+    _ring_layouts,
+    _tricoloured_bias_holds,
+    _weak_compositions,
     classify,
     decompose,
 )
@@ -37,7 +41,7 @@ from tanglekit.families import (
     t_sum,
     verify_family,
 )
-from tanglekit.graph import MultiGraph
+from tanglekit.graph import MultiGraph, is_two_connected
 from tanglekit.limits import DEFAULT_CAPS, Caps, ResourceLimitError
 from tanglekit.tangles import (
     Tangled,
@@ -47,12 +51,14 @@ from tanglekit.tangles import (
 )
 
 from oracles import (
+    OracleRingLayout,
     connected_graph_census,
     oracle_detect_criss_cross,
     oracle_detect_fat_triangle,
     oracle_detect_pp_signed,
     oracle_detect_tricoloured,
     oracle_explicit_core,
+    oracle_layout_tricoloured,
     oracle_maximal_balanced_sets,
     oracle_switching_balanced_sets,
     random_connected_pairs,
@@ -230,6 +236,156 @@ def test_tricoloured_search_stops_at_its_cap():
     with pytest.raises(ResourceLimitError) as err:
         _detect_tricoloured(o, Caps(max_assignments=50), ())
     assert err.value.stage == "tricoloured search"
+
+
+# -- Tricoloured gates and slot masks against the layout search --------------------
+
+
+def bench_module(name: str):
+    """A module of the benchmark in tanglebench/."""
+    sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "tanglebench"))
+    try:
+        return importlib.import_module(name)
+    finally:
+        sys.path.pop(0)
+
+
+def classify_full_cases() -> dict[str, BiasedGraph]:
+    """Every input of the benchmark's classify-full workload, unrelabelled."""
+    workloads = bench_module("workloads")
+    corpus = bench_module("corpus")
+    descriptors = corpus.family_descriptors()
+    tsums = workloads._FULL_TSUMS
+    names = {*workloads._FULL_MEMBERS, *(corpus.TSUMS[t][0] for t in tsums)}
+    built = {name: build_family(descriptors[name]) for name in names}
+    cases = {name: built[name] for name in workloads._FULL_MEMBERS}
+    cases.update(corpus.t_sums(built, tsums))
+    cases["roadmap-n9"] = corpus.signed_graph(workloads._ROADMAP_PAIRS, workloads._ROADMAP_SIGNATURE)
+    return cases
+
+
+def with_pendant_edge(o: BiasedGraph) -> BiasedGraph:
+    """o with a new vertex joined to vertex 0 by an edge on no cycle."""
+    g = o.graph
+    w, f = max(g.vertex_set) + 1, max(g.edge_id_set) + 1
+    h = MultiGraph.build([*g.vertices, w], [(e, *g.endpoints(e)) for e in g.edge_ids] + [(f, 0, w)])
+    return make_explicit(h, [c.edge_set for c in o.balanced_cycles()])
+
+
+def subdivided(o: BiasedGraph, e: int) -> BiasedGraph:
+    """o with edge e made a path of two edges through a new vertex of
+    degree 2; every cycle keeps its balance."""
+    g = o.graph
+    u, v = g.endpoints(e)
+    w, f = max(g.vertex_set) + 1, max(g.edge_id_set) + 1
+    edges = [(d, *g.endpoints(d)) for d in g.edge_ids if d != e] + [(e, u, w), (f, w, v)]
+    h = MultiGraph.build([*g.vertices, w], edges)
+    return make_explicit(h, [c.edge_set | {f} if e in c.edge_set else c.edge_set for c in o.balanced_cycles()])
+
+
+def pruned_inputs() -> list[BiasedGraph]:
+    """Inputs the Tricoloured gates cut short: the consecutive member
+    1-summed with a triangle and with a pendant edge, which are not
+    2-connected, and the member with its ring edge 0-1 or its chord 0-3
+    subdivided, which gives sources a target of degree 2."""
+    member = build_family(consecutive_tricoloured())
+    return [
+        t_sum(member, balanced_complete(3), 1, [(0, 0)]),
+        with_pendant_edge(member),
+        subdivided(member, 0),
+        subdivided(member, 6),
+    ]
+
+
+def test_tricoloured_search_matches_the_layout_search():
+    # the same first hit, or none, as the search before the gates, the
+    # slot masks and the verdict memo
+    rng = random.Random(5)
+    inputs = pruned_inputs() + differential_inputs() + t_sums()
+    for o in classify_full_cases().values():
+        inputs += [o, relabelled(o, rng)]
+    hits = []
+    for o in inputs:
+        hit = _detect_tricoloured(o, DEFAULT_CAPS, ())
+        expected = oracle_layout_tricoloured(o, DEFAULT_CAPS, ())
+        assert (hit and hit[0].roles) == (expected and expected[0].roles)
+        hits.append(hit is not None)
+    # differential members and copies, both subdivided members, and two
+    # copies of each classify-full case with a hit
+    assert sum(hits) == 7 + 2 + 2 * 4
+    assert hits[:4] == [False, False, True, True]
+
+
+@pytest.mark.parametrize(
+    "make",
+    [lambda: classify_full_cases()["roadmap-n9"], lambda: pruned_inputs()[0], lambda: pruned_inputs()[1]],
+    ids=["roadmap-n9", "tricoloured-1-sum", "tricoloured-pendant"],
+)
+def test_tricoloured_search_builds_no_ring_core_of_an_input_that_is_not_two_connected(make, monkeypatch):
+    o = make()
+    layouts, tested = [], []
+    real = classify_module.is_two_connected
+    monkeypatch.setattr(classify_module, "_ring_layouts", lambda core: layouts.append(core) or ())
+    monkeypatch.setattr(classify_module, "is_two_connected", lambda h: tested.append(h) or real(h))
+    assert _detect_tricoloured(o, DEFAULT_CAPS, ()) is None
+    assert layouts == []
+    assert len(tested) == 1 and tested[0] is o.graph
+
+
+def test_tricoloured_degree_gates_cut_the_steps_on_a_t_sum(monkeypatch):
+    counters = []
+
+    class Recording(classify_module._Counter):
+        def __init__(self, *args):
+            super().__init__(*args)
+            counters.append(self)
+
+    monkeypatch.setattr(classify_module, "_Counter", Recording)
+    # tsum2-k5-k3; 1,197 steps before the degree gates
+    assert _detect_tricoloured(corpus_t_sums()[4], DEFAULT_CAPS, ()) is None
+    assert [c.count for c in counters] == [162]
+
+
+def test_bias_verdicts_are_remembered_per_part_edge_set():
+    # the triangles over edges 0, 1, 2 (balanced) and 0, 1, 3 (unbalanced)
+    # share the chord pair 0, 1; only the part edges tell them apart
+    o = make_signed(MultiGraph.from_pairs([(0, 1), (1, 2), (2, 0), (2, 0)]), [3])
+    verdicts: dict = {}
+    none = frozenset()
+    for part, same, cross in ((frozenset({2}), True, False), (frozenset({3}), False, True)) * 2:
+        pe6 = (part, none, none, part, none, none)
+        holds = (
+            _tricoloured_bias_holds(o, pe6, [(0, 1), None, None, None, None, None], [0], DEFAULT_CAPS, verdicts),
+            _tricoloured_bias_holds(o, pe6, [(0,), (1,), None, None, None, None], [0, 1], DEFAULT_CAPS, verdicts),
+        )
+        assert holds == (same, cross)
+    assert len(verdicts) == 4
+
+
+def test_slot_masks_match_the_padded_rings():
+    graphs = [g for n in range(3, 8) for g in connected_graph_census(n) if is_two_connected(g)]
+    layouts = 0
+    for g in graphs:
+        for lay in _ring_layouts(g):
+            layouts += 1
+            padded = OracleRingLayout(lay.hinges, lay.parts, lay.part_vertices).rings
+            pads = len(_weak_compositions(6 - len(lay.parts), len(lay.parts)))
+            # every padding gives a ring, the one built the old way
+            assert tuple(lay.ring(c) for c in range(pads)) == padded
+            for c, (pvs, _, _) in enumerate(padded):
+                for v in g.vertex_set:
+                    assert [lay.slots[v] >> 6 * c + p & 1 for p in range(6)] == [v in pv for pv in pvs]
+            assert max(lay.slots.values()) < 1 << 6 * pads
+    assert len(graphs) == 1 + 3 + 10 + 56 + 468 and layouts > len(graphs)
+
+
+@pytest.mark.wall
+def test_tricoloured_search_at_its_wall():
+    assert _detect_tricoloured(build_family(pp_signed(12)), DEFAULT_CAPS, ()) is None
+    o = diamond_ring_wheel()
+    report = classify(o)
+    assert report.codes() == ("T1a", "T1b", "T1f")
+    assert reverifies(o, report)
 
 
 # -- balance filters in front of verify_family ------------------------------------
@@ -869,12 +1025,7 @@ def explicit_copy(o: BiasedGraph) -> BiasedGraph:
 
 def explicit_corpus_members() -> list[BiasedGraph]:
     """The family members of the benchmark corpus that carry explicit bias."""
-    sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "tanglebench"))
-    try:
-        import corpus
-    finally:
-        sys.path.pop(0)
-    members = [build_family(d) for d in corpus.family_descriptors().values()]
+    members = [build_family(d) for d in bench_module("corpus").family_descriptors().values()]
     return [o for o in members if isinstance(o.bias, ExplicitSet)]
 
 

@@ -9,7 +9,7 @@ import tanglekit.io
 from tanglekit.bias import AllBalanced, BiasedGraph, BiasError, ExplicitSet, Signed
 from tanglekit.classify import classify
 from tanglekit.families import build_family
-from tanglekit.graph import MultiGraph
+from tanglekit.graph import Cycle, MultiGraph
 from tanglekit.io import (
     InstanceDocument,
     ParseError,
@@ -21,7 +21,7 @@ from tanglekit.io import (
     serialize,
 )
 
-from test_families import c4_part_wheel, k4_fat_triangle
+from test_families import c4_part_wheel, k4_fat_triangle, minimal_special_vertex
 
 K4_EDGES = "e 0 0 1\ne 1 0 2\ne 2 0 3\ne 3 1 2\ne 4 1 3\ne 5 2 3\n"
 
@@ -72,6 +72,19 @@ def test_load_checks_the_bias_once(kind, check, monkeypatch):
     o = load(text)
     assert len(calls) == 1
     assert o == realize(parse(text))
+
+
+def test_load_builds_each_balanced_cycle_once(monkeypatch):
+    # the parse keeps the cycle it builds per bal line for the theta check
+    # and the biased graph it returns
+    o = build_family(minimal_special_vertex())
+    text = serialize(document_from(o))
+    built = []
+    real = Cycle.from_edge_set
+    monkeypatch.setattr(Cycle, "from_edge_set", staticmethod(lambda g, edges: built.append(1) or real(g, edges)))
+    loaded = load(text)
+    assert text.count("\nbal ") == len(built) == 16
+    assert loaded.bias == o.bias
 
 
 def test_realize_still_checks_a_document_it_is_handed():
