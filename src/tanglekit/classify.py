@@ -420,6 +420,20 @@ def _pairing_search(
 
     Returns ``(edge, x, y)`` triples such that (x_1..x_m, y_1..y_m) is
     realized on a common face of the base, or None.
+
+    Candidates run over the orders of the residual edges after the first
+    and, within each, over the orientation bits.  Two kinds are skipped,
+    and each has an equivalent candidate earlier in that order, so the
+    first hit is the one the full enumeration finds and a miss tries a
+    quarter of the candidates.  Flipping every bit swaps the x's and y's,
+    which rotates the cyclic sequence by m; of b and its complement the
+    one with the top bit clear comes first, so bits stop below 2^(m-1).
+    Reversing the tail of the order (e_1, e_m, ..., e_2) and flipping
+    every edge but e_1 spells the sequence backwards; a face realizes a
+    cyclic order exactly when it realizes its reverse, and the reversed
+    tail precedes an order with perm[0] > perm[-1], so those are skipped.
+    Neither move changes which vertices the sequence repeats, so twins
+    pass or fail the repeat check alike.
     """
     g = o.graph
     residual = sorted(g.edge_id_set - base_edges)
@@ -430,8 +444,10 @@ def _pairing_search(
     m = len(residual)
     first = residual[0]
     for perm in permutations(residual[1:]):
+        if perm and perm[0] > perm[-1]:
+            continue
         order = (first, *perm)
-        for bits in range(1 << m):
+        for bits in range(1 << (m - 1)):
             counter.bump()
             xs: list[int] = []
             ys: list[int] = []

@@ -13,6 +13,11 @@ with gadgets attached: a wheel pinned to the order and a claw vertex on each
 required triangle.  The embedding found is read back onto the multigraph,
 with parallel edges and loops placed beside their partners, and the faces it
 claims are checked before it is returned.
+
+The planarity test is the left-right test (Brandes 2009, after de
+Fraysseix and Rosenstiehl), ported from NetworkX 3.6's `LRPlanarity` to
+plain dicts.  It returns the rotation NetworkX returns, so NetworkX is now
+needed only by the tests, as their oracle.
 """
 
 from __future__ import annotations
@@ -21,8 +26,6 @@ import itertools
 from dataclasses import dataclass
 from functools import cached_property
 from typing import Iterator, Sequence
-
-import networkx as nx
 
 from .graph import GraphError, MultiGraph
 
@@ -216,11 +219,313 @@ def _resolve_orders(order: OrderSpec) -> Iterator[tuple[int, ...]]:
 
 
 # ---------------------------------------------------------------------------
+# The left-right planarity test
+# ---------------------------------------------------------------------------
+
+
+def _planar_rotation(h: dict) -> dict | None:
+    """The clockwise neighbour list of every node of H, or None if H is not planar.
+
+    H maps each node to its neighbours, both in insertion order.  Nodes
+    are numbered in H's order and each edge is listed from its end that
+    comes first, as NetworkX's internal copy lists it, so the result
+    equals ``nx.check_planarity(H)[1].get_data()`` for an ``nx.Graph`` with
+    H's adjacency.  A graph with more than 3n - 6 edges is refused by
+    Euler's formula before any search.
+    """
+    nodes = list(h)
+    index = {v: i for i, v in enumerate(nodes)}
+    n = len(nodes)
+    adjs: list[list[int]] = [[] for _ in nodes]
+    for i, u in enumerate(nodes):
+        for w in h[u]:
+            j = index[w]
+            if j > i:
+                adjs[i].append(j)
+                adjs[j].append(i)
+    if n > 2 and sum(map(len, adjs)) // 2 > 3 * n - 6:
+        return None
+    rings = _left_right(adjs)
+    return None if rings is None else {v: [nodes[w] for w in ring] for v, ring in zip(nodes, rings)}
+
+
+def _left_right(adjs: list[list[int]]) -> list[list[int]] | None:
+    """The clockwise neighbour list of every node 0..n-1, or None if not planar.
+
+    This is the left-right planarity test (U. Brandes, "The Left-Right
+    Planarity Test", 2009, after de Fraysseix and Rosenstiehl), ported
+    from NetworkX 3.6's `LRPlanarity` with every pass iterative, since
+    grids go deep.  An edge is a pair (tail, head) of node numbers.  A
+    conflict pair is the list [left low, left high, right low, right high]
+    of return edges, an interval being empty when its low and high are
+    both None; each pair starts with fresh empty intervals.  The rotation
+    of a node is a ring of clockwise and counterclockwise links plus its
+    "leftmost" neighbour, where reading the ring starts: the first
+    half-edge, and afterwards any half-edge inserted counterclockwise of
+    the leftmost one.
+    """
+    n = len(adjs)
+
+    # Orientation: DFS heights, lowpoints and nesting depths.
+    height: list[int | None] = [None] * n
+    parent_edge: list[tuple[int, int] | None] = [None] * n
+    lowpt: dict = {}
+    lowpt2: dict = {}
+    nesting: dict = {}
+    out: list[dict[int, None]] = [{} for _ in adjs]  # oriented edges at their tail, in orientation order
+    roots: list[int] = []
+    ind = [0] * n
+    resumed: set[tuple[int, int]] = set()  # tree edges already descended: skip their set-up on return
+    for r in range(n):
+        if height[r] is not None:
+            continue
+        height[r] = 0
+        roots.append(r)
+        stack = [r]
+        while stack:
+            v = stack.pop()
+            e = parent_edge[v]
+            for w in adjs[v][ind[v] :]:
+                vw = (v, w)
+                if vw not in resumed:
+                    if w in out[v] or v in out[w]:
+                        ind[v] += 1
+                        continue
+                    out[v][w] = None
+                    lowpt[vw] = lowpt2[vw] = height[v]
+                    if height[w] is None:  # tree edge
+                        parent_edge[w] = vw
+                        height[w] = height[v] + 1
+                        stack += (v, w)
+                        resumed.add(vw)
+                        break
+                    lowpt[vw] = height[w]  # back edge
+                nesting[vw] = 2 * lowpt[vw] + (lowpt2[vw] < height[v])
+                if e is not None:
+                    if lowpt[vw] < lowpt[e]:
+                        lowpt2[e] = min(lowpt[e], lowpt2[vw])
+                        lowpt[e] = lowpt[vw]
+                    elif lowpt[vw] > lowpt[e]:
+                        lowpt2[e] = min(lowpt2[e], lowpt[vw])
+                    else:
+                        lowpt2[e] = min(lowpt2[e], lowpt2[vw])
+                ind[v] += 1
+
+    # Testing: conflict pairs of return edges.
+    S: list[list] = []
+    stack_bottom: dict = {}
+    lowpt_edge: dict = {}
+    ref: dict = {}
+    side: dict = {}
+
+    def conflicting(low, high, b) -> bool:
+        return (low is not None or high is not None) and lowpt[high] > lowpt[b]
+
+    def lowest(p: list) -> int:
+        if p[0] is None and p[1] is None:
+            return lowpt[p[2]]
+        if p[2] is None and p[3] is None:
+            return lowpt[p[0]]
+        return min(lowpt[p[0]], lowpt[p[2]])
+
+    def add_constraints(ei, e) -> bool:
+        p = [None, None, None, None]
+        while True:  # merge the return edges of ei into p's right interval
+            q = S.pop()
+            if q[0] is not None or q[1] is not None:
+                q[:] = q[2], q[3], q[0], q[1]
+            if q[0] is not None or q[1] is not None:
+                return False
+            if lowpt[q[2]] > lowpt[e]:
+                if p[2] is None and p[3] is None:
+                    p[3] = q[3]
+                else:
+                    ref[p[2]] = q[3]
+                p[2] = q[2]
+            else:
+                ref[q[2]] = lowpt_edge[e]
+            if (S[-1] if S else None) is stack_bottom[ei]:
+                break
+        # merge the conflicting return edges of earlier siblings into p's left interval
+        while conflicting(S[-1][0], S[-1][1], ei) or conflicting(S[-1][2], S[-1][3], ei):
+            q = S.pop()
+            if conflicting(q[2], q[3], ei):
+                q[:] = q[2], q[3], q[0], q[1]
+            if conflicting(q[2], q[3], ei):
+                return False
+            ref[p[2]] = q[3]
+            if q[2] is not None:
+                p[2] = q[2]
+            if p[0] is None and p[1] is None:
+                p[1] = q[1]
+            else:
+                ref[p[0]] = q[1]
+            p[0] = q[0]
+        if any(x is not None for x in p):
+            S.append(p)
+        return True
+
+    def remove_back_edges(e) -> None:
+        u = e[0]
+        while S and lowest(S[-1]) == height[u]:
+            p = S.pop()
+            if p[0] is not None:
+                side[p[0]] = -1
+        if S:  # trim the top pair in place
+            p = S[-1]
+            while p[1] is not None and p[1][1] == u:
+                p[1] = ref.get(p[1])
+            if p[1] is None and p[0] is not None:
+                ref[p[0]] = p[2]
+                side[p[0]] = -1
+                p[0] = None
+            while p[3] is not None and p[3][1] == u:
+                p[3] = ref.get(p[3])
+            if p[3] is None and p[2] is not None:
+                ref[p[2]] = p[0]
+                side[p[2]] = -1
+                p[2] = None
+        if lowpt[e] < height[u]:  # the side of e is the side of a highest return edge
+            hl, hr = S[-1][1], S[-1][3]
+            ref[e] = hl if hl is not None and (hr is None or lowpt[hl] > lowpt[hr]) else hr
+
+    ordered = [sorted(out[v], key=lambda w: nesting[v, w]) for v in range(n)]
+    ind = [0] * n
+    resumed = set()
+    for r in roots:
+        stack = [r]
+        while stack:
+            v = stack.pop()
+            e = parent_edge[v]
+            descended = False
+            for w in ordered[v][ind[v] :]:
+                ei = (v, w)
+                if ei not in resumed:
+                    stack_bottom[ei] = S[-1] if S else None
+                    if ei == parent_edge[w]:
+                        stack += (v, w)
+                        resumed.add(ei)
+                        descended = True
+                        break
+                    lowpt_edge[ei] = ei
+                    S.append([None, None, ei, ei])
+                if lowpt[ei] < height[v]:
+                    if w == ordered[v][0]:
+                        lowpt_edge[e] = lowpt_edge[ei]
+                    elif not add_constraints(ei, e):
+                        return None
+                ind[v] += 1
+            if not descended and e is not None:
+                remove_back_edges(e)
+
+    # Embedding: resolve sides against their references, then place back edges.
+    def sign(e) -> int:
+        stack = [e]
+        old_ref: dict = {}
+        while stack:
+            e = stack.pop()
+            r = ref.get(e)
+            if r is not None:
+                stack += (e, r)
+                old_ref[e] = r
+                ref[e] = None
+            else:
+                side[e] = side.get(e, 1) * side.get(old_ref.get(e), 1)
+        return side[e]
+
+    for v in range(n):
+        for w in out[v]:
+            nesting[v, w] *= sign((v, w))
+    cw: list[dict[int, int]] = [{} for _ in adjs]
+    ccw: list[dict[int, int]] = [{} for _ in adjs]
+    leftmost: list[int | None] = [None] * n
+
+    def put_after(v: int, w: int, ref_w: int | None) -> None:  # w clockwise next to ref_w
+        if ref_w is None:
+            cw[v][w] = ccw[v][w] = leftmost[v] = w
+            return
+        after = cw[v][ref_w]
+        cw[v][w], ccw[v][w] = after, ref_w
+        ccw[v][after] = cw[v][ref_w] = w
+
+    def put_before(v: int, w: int, ref_w: int | None) -> None:  # w counterclockwise next to ref_w
+        if ref_w is None:
+            cw[v][w] = ccw[v][w] = leftmost[v] = w
+            return
+        before = ccw[v][ref_w]
+        cw[v][w], ccw[v][w] = ref_w, before
+        cw[v][before] = ccw[v][ref_w] = w
+        if ref_w == leftmost[v]:
+            leftmost[v] = w
+
+    for v in range(n):
+        ordered[v] = sorted(out[v], key=lambda w: nesting[v, w])
+        prev = None
+        for w in ordered[v]:
+            put_after(v, w, prev)
+            prev = w
+    left_ref: list[int | None] = [None] * n
+    right_ref: list[int | None] = [None] * n
+    ind = [0] * n
+    for r in roots:
+        stack = [r]
+        while stack:
+            v = stack.pop()
+            for w in ordered[v][ind[v] :]:
+                ind[v] += 1
+                if parent_edge[w] == (v, w):
+                    put_before(w, v, leftmost[w])
+                    left_ref[v] = right_ref[v] = w
+                    stack += (v, w)
+                    break
+                if side.get((v, w), 1) == 1:
+                    put_after(w, v, right_ref[w])
+                else:
+                    put_before(w, v, left_ref[w])
+                    left_ref[w] = v
+
+    rings: list[list[int]] = []
+    for v in range(n):
+        ring: list[int] = []
+        w = start = leftmost[v]
+        while w is not None:
+            ring.append(w)
+            w = cw[v][w]
+            if w == start:
+                break
+        rings.append(ring)
+    return rings
+
+
+# ---------------------------------------------------------------------------
 # The gadget graph: support, order wheel and one claw per facial triangle
 # ---------------------------------------------------------------------------
 
 
-def _shared_pairs(h: "nx.Graph", pair: tuple[int, int], claws: list[int], need: int) -> list[tuple] | None:
+def _join(h: dict, u, v) -> None:
+    h.setdefault(u, {})[v] = None
+    h.setdefault(v, {})[u] = None
+
+
+def _components(h: dict, removed: tuple) -> dict:
+    """The component number of each node of H minus `removed`."""
+    comp: dict = {}
+    k = 0
+    for s in h:
+        if s in removed or s in comp:
+            continue
+        k += 1
+        comp[s] = k
+        stack = [s]
+        while stack:
+            for w in h[stack.pop()]:
+                if w not in comp and w not in removed:
+                    comp[w] = k
+                    stack.append(w)
+    return comp
+
+
+def _shared_pairs(h: dict, pair: tuple[int, int], claws: list[int], need: int) -> list[tuple] | None:
     """`need` disjoint pairs of claws that can face one edge of `pair` from its two sides.
 
     The bridges of {a, b} in H can be permuted and flipped freely around a
@@ -232,12 +537,9 @@ def _shared_pairs(h: "nx.Graph", pair: tuple[int, int], claws: list[int], need: 
     only when no other bridge needs a gap), and any prefix of its links is
     realisable, so None means no arrangement serves every claw.
     """
-    at_a, at_b = set(h[pair[0]]), set(h[pair[1]])
-    comp_of: dict[object, int] = {}
-    free = 0  # claw-free bridges of {a, b}
-    for i, comp in enumerate(nx.connected_components(h.subgraph(n for n in h if n not in pair))):
-        comp_of.update(dict.fromkeys(comp, i))
-        free += bool(comp & at_a and comp & at_b and all(("x", c) not in comp for c in claws))
+    comp_of = _components(h, pair)
+    at_a, at_b = ({comp_of[w] for w in h[p] if w in comp_of} for p in pair)
+    free = len(at_a & at_b - {comp_of[("x", c)] for c in claws})  # claw-free bridges of {a, b}
     groups: dict[int, list[int]] = {}
     for c in claws:
         groups.setdefault(comp_of[("x", c)], []).append(c)
@@ -254,7 +556,7 @@ def _shared_pairs(h: "nx.Graph", pair: tuple[int, int], claws: list[int], need: 
 
 def _gadget_graph(
     g: MultiGraph, seq: tuple[int, ...], triangles: Sequence[tuple[int, ...]]
-) -> tuple["nx.Graph", dict, dict] | None:
+) -> tuple[dict, dict, dict] | None:
     """H, the token of each (claw, pair) and the edges each token stands for.
 
     A triangle face uses one side of one edge of each of its pairs.  A pair
@@ -266,21 +568,28 @@ def _gadget_graph(
     by two claws each (see `_shared_pairs`), and None means they cannot be.
     A claw is then the hub of a rigid wheel on its corners and tokens, and
     a shared token the hub of a rigid W4 that puts its two claws on
-    opposite sides of the edge.
+    opposite sides of the edge.  H maps each node to its neighbours in the
+    order nodes and edges are added, which fixes the rotation the planarity
+    test returns.
     """
     on_pair: dict[tuple[int, int], list[int]] = {}
     for i, tri in enumerate(triangles):
         for u, v in itertools.combinations(tri, 2):
             on_pair.setdefault((u, v), []).append(i)
-    h = nx.Graph()
-    h.add_nodes_from(g.vertices)
-    h.add_edges_from(p for p in g.simple_pairs() if p not in on_pair)
+    h: dict = {v: {} for v in g.vertices}
+    for u, v in g.simple_pairs():
+        if (u, v) not in on_pair:
+            _join(h, u, v)
     if len(seq) < 3:
-        h.add_edges_from((("w", 0), v) for v in seq)
+        for v in seq:
+            _join(h, ("w", 0), v)
     else:
-        h.add_edges_from((("w", i), u) for i, v in enumerate(seq) for u in (v, ("w", (i + 1) % len(seq))))
+        for i, v in enumerate(seq):
+            _join(h, ("w", i), v)
+            _join(h, ("w", i), ("w", (i + 1) % len(seq)))
     for i, tri in enumerate(triangles):
-        h.add_edges_from((("x", i), v) for v in tri)
+        for v in tri:
+            _join(h, ("x", i), v)
     served: dict[tuple[int, int], list[tuple]] = {}
     for pair, claws in on_pair.items():
         need = len(claws) - len(g.edges_between(*pair))
@@ -295,7 +604,8 @@ def _gadget_graph(
         for j, group in enumerate(groups):
             tok = ("t", *pair, j)
             copies[tok] = es[j:] if j == len(groups) - 1 else es[j : j + 1]
-            h.add_edges_from((tok, v) for v in (*pair, *(("x", c) for c in group)))
+            for v in (*pair, *(("x", c) for c in group)):
+                _join(h, tok, v)
             token.update({(c, pair): tok for c in group})
     return h, token, copies
 
@@ -306,7 +616,7 @@ def _gadget_graph(
 
 
 def _read_back(
-    g: MultiGraph, h: "nx.Graph", ring: dict, triangles: Sequence[tuple[int, ...]], token: dict, copies: dict
+    g: MultiGraph, h: dict, ring: dict, triangles: Sequence[tuple[int, ...]], token: dict, copies: dict
 ) -> RotationSystem | None:
     """A dart rotation of g from H's rotation, or None if H's planarity misled.
 
@@ -350,7 +660,7 @@ def _read_back(
     return RotationSystem.from_map(darts)
 
 
-def _close_corners(v: int, items: list, succ: dict, h: "nx.Graph", loops: bool) -> list | None:
+def _close_corners(v: int, items: list, succ: dict, h: dict, loops: bool) -> list | None:
     """`items` with every entry directly followed by its `succ`, or None if no embedding exists.
 
     Blocks (components of H - v) found between an entry and its successor
@@ -378,8 +688,7 @@ def _close_corners(v: int, items: list, succ: dict, h: "nx.Graph", loops: bool) 
         if holds(items):
             return items
         if not comp:
-            for i, c in enumerate(nx.connected_components(h.subgraph(n for n in h if n != v))):
-                comp.update(dict.fromkeys(c, i))
+            comp = _components(h, (v,))
         a, b = next((a, b) for a, b in succ.items() if items[(items.index(a) + 1) % len(items)] != b)
         i, j = items.index(a), items.index(b)
         moving = {comp[t] for t in (items[i + 1 : j] if i < j else items[i + 1 :] + items[:j])}
@@ -426,7 +735,10 @@ def ordered_planarity(
 
     Each resolved order costs one planarity test of a gadget graph H: the
     simple support, a wheel pinned to the order, and a claw vertex joined
-    to each triangle's corners (see `_gadget_graph`).  A claw splits its
+    to each triangle's corners (see `_gadget_graph`).  The test is the
+    built-in left-right test `_planar_rotation`, ported from NetworkX 3.6,
+    which gives the rotation ``nx.check_planarity`` gives; NetworkX serves
+    only as the tests' oracle.  A claw splits its
     side of the triangle into pockets, each attached at the ends of one
     triangle edge only, so redrawing the edges between pockets and claw
     makes the triangle a face: H is planar exactly when the embedding
@@ -452,8 +764,8 @@ def ordered_planarity(
         if built is None:
             continue
         h, token, copies = built
-        planar, emb = nx.check_planarity(h)
-        rot = _read_back(g, h, emb.get_data(), triangles, token, copies) if planar else None
+        ring = _planar_rotation(h)
+        rot = _read_back(g, h, ring, triangles, token, copies) if ring is not None else None
         if rot is None:
             continue
         faces = [(f, rot.face_walk(g, f)) for f in rot.faces()]

@@ -9,8 +9,9 @@ scan.  The exceptions are earlier versions of the library's own code, kept
 without their fast paths: the bridges of a vertex set read off the
 components of a copy, the explicit core of a peel, the maximal balanced
 sets by transversals, two earlier Tricoloured searches, the FatTriangle,
-CrissCross and PPSigned detectors, the canonical cycle key, the theta check
-and the linkage search at the end.  Embeddings come from every rotation
+CrissCross and PPSigned detectors, the canonical cycle key, the theta check,
+the linkage search, the boundary pairing search and, at the end, ordered
+planarity by networkx's planarity test.  Embeddings come from every rotation
 system that passes the Euler check, and a signed graph's maximal balanced
 sets from every switching.
 """
@@ -24,9 +25,21 @@ from dataclasses import dataclass
 from functools import cached_property
 from typing import Iterable, Iterator, Sequence
 
+import networkx as nx
+
 from tanglekit.bias import BiasedGraph, BiasError, make_explicit
-from tanglekit.classify import _PLACEMENTS, _Counter, _Hit, _pairing_search, _weak_compositions
-from tanglekit.embedding import OrderedPlanarEmbedding, RotationSystem, collapse_cyclic, walk_contains_order
+from tanglekit.classify import _PLACEMENTS, _Counter, _Hit, _weak_compositions
+from tanglekit.embedding import (
+    Dart,
+    OrderedPlanarEmbedding,
+    RotationSystem,
+    _effective_seq,
+    _order_component_ok,
+    _resolve_orders,
+    collapse_cyclic,
+    ordered_planarity,
+    walk_contains_order,
+)
 from tanglekit.families import FamilyDescriptor, verify_family
 from tanglekit.graph import (
     Bridge,
@@ -1136,7 +1149,7 @@ def _detect_pp_signed(o: BiasedGraph, caps: Caps, msets: tuple[frozenset[int], .
         sub = g.subgraph(m)
         if sub.vertex_set != g.vertex_set or not is_two_connected(sub):
             continue
-        pairing = _pairing_search(o, m, caps)
+        pairing = oracle_pairing_search(o, m, caps)
         if pairing is None:
             continue
         d = FamilyDescriptor(
@@ -1328,4 +1341,274 @@ def oracle_find_embedding(
         for f, w in faces:
             if walk_contains_order(w, seq):
                 return OrderedPlanarEmbedding(rot, f, seq)
+    return None
+
+
+# ---------------------------------------------------------------------------
+# The boundary pairing search without its mirror-image pruning
+# ---------------------------------------------------------------------------
+
+
+def oracle_pairing_search(
+    o: BiasedGraph, base_edges: frozenset[int], caps: Caps
+) -> tuple[tuple[int, int, int], ...] | None:
+    """Orient and order the residual edges onto one face of the base.
+
+    Returns ``(edge, x, y)`` triples such that (x_1..x_m, y_1..y_m) is
+    realized on a common face of the base, or None.
+    """
+    g = o.graph
+    residual = sorted(g.edge_id_set - base_edges)
+    if not residual or any(g.is_loop(e) for e in residual):
+        return None
+    base_sub = g.subgraph(base_edges, g.vertex_set)
+    counter = _Counter(caps, "planar boundary pairing search")
+    m = len(residual)
+    first = residual[0]
+    for perm in permutations(residual[1:]):
+        order = (first, *perm)
+        for bits in range(1 << m):
+            counter.bump()
+            xs: list[int] = []
+            ys: list[int] = []
+            for i, e in enumerate(order):
+                u, v = g.endpoints(e)
+                if bits >> i & 1:
+                    u, v = v, u
+                xs.append(u)
+                ys.append(v)
+            seq = collapse_cyclic((*xs, *ys))
+            if len(set(seq)) != len(seq):
+                continue
+            if ordered_planarity(base_sub, seq) is not None:
+                return tuple(zip(order, xs, ys))
+    return None
+
+
+# ---------------------------------------------------------------------------
+# Ordered planarity by networkx's planarity test
+# ---------------------------------------------------------------------------
+# The library's `ordered_planarity` as it was when H was an ``nx.Graph`` and
+# ``nx.check_planarity`` embedded it, unchanged but for the names.
+
+
+def _oracle_shared_pairs(h: "nx.Graph", pair: tuple[int, int], claws: list[int], need: int) -> list[tuple] | None:
+    """`need` disjoint pairs of claws that can face one edge of `pair` from its two sides.
+
+    The bridges of {a, b} in H can be permuted and flipped freely around a
+    and b.  A bridge holds at most two of the pair's claws, one per outer
+    side, and two claws share an edge when their bridges stand side by side
+    with the edge between.  The chain of a one-claw bridge, every two-claw
+    bridge, another one-claw bridge, then the other one-claw bridges two by
+    two has the most such links of any arrangement (it closes into a ring
+    only when no other bridge needs a gap), and any prefix of its links is
+    realisable, so None means no arrangement serves every claw.
+    """
+    at_a, at_b = set(h[pair[0]]), set(h[pair[1]])
+    comp_of: dict[object, int] = {}
+    free = 0  # claw-free bridges of {a, b}
+    for i, comp in enumerate(nx.connected_components(h.subgraph(n for n in h if n not in pair))):
+        comp_of.update(dict.fromkeys(comp, i))
+        free += bool(comp & at_a and comp & at_b and all(("x", c) not in comp for c in claws))
+    groups: dict[int, list[int]] = {}
+    for c in claws:
+        groups.setdefault(comp_of[("x", c)], []).append(c)
+    if any(len(gp) > 2 for gp in groups.values()):
+        return None
+    ones = [gp[0] for gp in groups.values() if len(gp) == 1]
+    chain = ones[:1] + [c for gp in groups.values() if len(gp) == 2 for c in gp] + ones[1:2]
+    links = [(x, y) for x, y in zip(chain, chain[1:]) if comp_of[("x", x)] != comp_of[("x", y)]]
+    links += list(zip(ones[2::2], ones[3::2]))
+    if not ones and not free:
+        links.append((chain[-1], chain[0]))
+    return links[:need] if len(links) >= need else None
+
+
+def _oracle_gadget_graph(
+    g: MultiGraph, seq: tuple[int, ...], triangles: Sequence[tuple[int, ...]]
+) -> tuple["nx.Graph", dict, dict] | None:
+    """H, the token of each (claw, pair) and the edges each token stands for.
+
+    A triangle face uses one side of one edge of each of its pairs.  A pair
+    with k triangles and p parallel edges trades its support edge for
+    tokens: vertices of H joined to both ends and to the claws they serve.
+    With k <= p each claw gets a private token, the last one carrying the
+    spare edges; an edge no triangle uses can always be moved beside
+    another, so this loses nothing.  With k > p, k - p tokens are shared
+    by two claws each (see `_oracle_shared_pairs`), and None means they cannot be.
+    A claw is then the hub of a rigid wheel on its corners and tokens, and
+    a shared token the hub of a rigid W4 that puts its two claws on
+    opposite sides of the edge.
+    """
+    on_pair: dict[tuple[int, int], list[int]] = {}
+    for i, tri in enumerate(triangles):
+        for u, v in itertools.combinations(tri, 2):
+            on_pair.setdefault((u, v), []).append(i)
+    h = nx.Graph()
+    h.add_nodes_from(g.vertices)
+    h.add_edges_from(p for p in g.simple_pairs() if p not in on_pair)
+    if len(seq) < 3:
+        h.add_edges_from((("w", 0), v) for v in seq)
+    else:
+        h.add_edges_from((("w", i), u) for i, v in enumerate(seq) for u in (v, ("w", (i + 1) % len(seq))))
+    for i, tri in enumerate(triangles):
+        h.add_edges_from((("x", i), v) for v in tri)
+    served: dict[tuple[int, int], list[tuple]] = {}
+    for pair, claws in on_pair.items():
+        need = len(claws) - len(g.edges_between(*pair))
+        shared = _oracle_shared_pairs(h, pair, claws, need) if need > 0 else []
+        if shared is None:
+            return None
+        served[pair] = shared + [(c,) for c in claws if not any(c in s for s in shared)]
+    token: dict[tuple[int, tuple[int, int]], tuple] = {}
+    copies: dict[tuple, tuple[int, ...]] = {}
+    for pair, groups in served.items():
+        es = g.edges_between(*pair)
+        for j, group in enumerate(groups):
+            tok = ("t", *pair, j)
+            copies[tok] = es[j:] if j == len(groups) - 1 else es[j : j + 1]
+            h.add_edges_from((tok, v) for v in (*pair, *(("x", c) for c in group)))
+            token.update({(c, pair): tok for c in group})
+    return h, token, copies
+
+
+def _oracle_read_back(
+    g: MultiGraph, h: "nx.Graph", ring: dict, triangles: Sequence[tuple[int, ...]], token: dict, copies: dict
+) -> RotationSystem | None:
+    """A dart rotation of g from H's rotation, or None if H's planarity misled.
+
+    Each claw x sees its triangle's corners in some cyclic order.  For
+    consecutive corners u, w the face u-x-w must be a triangle: at u the uw
+    token must directly precede x, and at w directly follow it.  In H only
+    blocks hanging at u alone can sit between them (the token and x are
+    joined, and both see only the triangle), so `_oracle_close_corners` moves
+    them out.  Deleting the closed claws and the wheel then leaves every
+    triangle as a face.  Loops go in a corner no triangle needs.
+    """
+    succ_at: dict[int, dict] = {}  # the entry each entry must be followed by, at each vertex
+    for i, tri in enumerate(triangles):
+        x = ("x", i)
+        cyc = [u for u in ring[x] if isinstance(u, int)]
+        for u, w in zip(cyc, cyc[1:] + cyc[:1]):
+            tok = token[i, (u, w) if u < w else (w, u)]
+            for at, before, after in ((u, tok, x), (w, x, tok)):
+                if succ_at.setdefault(at, {}).setdefault(before, after) != after:
+                    raise GraphError("internal: two claws claim one side of a shared edge")
+    darts: dict[int, list[Dart]] = {}
+    for v in g.vertices:
+        items = list(ring.get(v, ()))
+        loops = g.loops_at(v)
+        if v in succ_at:
+            items = _oracle_close_corners(v, items, succ_at[v], h, bool(loops))
+            if items is None:
+                return None
+        if loops:
+            k = next((k for k, t in enumerate(items) if t not in succ_at.get(v, {}).values()), len(items))
+            items[k:k] = [("loops",)]
+        out: list[Dart] = []
+        for t in items:
+            if t == ("loops",):
+                out.extend((e, side) for e in loops for side in (1, 0))
+            elif isinstance(t, int) or t[0] == "t":
+                es, low = (g.edges_between(v, t), v < t) if isinstance(t, int) else (copies[t], v == t[1])
+                for e in es if low else reversed(es):
+                    out.append((e, 0 if g.endpoints(e)[0] == v else 1))
+        darts[v] = out
+    return RotationSystem.from_map(darts)
+
+
+def _oracle_close_corners(v: int, items: list, succ: dict, h: "nx.Graph", loops: bool) -> list | None:
+    """`items` with every entry directly followed by its `succ`, or None if no embedding exists.
+
+    Blocks (components of H - v) found between an entry and its successor
+    move, in their old cyclic order cut where no successor is due, to just
+    before the first entry of that entry's chain: a corner no triangle
+    needs.  If the successors close a ring, its triangles fill every corner
+    at v, so anything else at v, a loop included, leaves no embedding.
+    """
+    pred = {b: a for a, b in succ.items()}
+
+    def first(a):  # the first entry of a's chain, None on a ring
+        for _ in range(len(pred) + 1):
+            if a not in pred:
+                return a
+            a = pred[a]
+        return None
+
+    def holds(its: list) -> bool:
+        return all(its[(its.index(a) + 1) % len(its)] == b for a, b in succ.items())
+
+    if any(first(a) is None for a in succ):
+        return items if len(succ) == len(items) and not loops and holds(items) else None
+    comp: dict[object, int] = {}
+    for _ in range(len(items) + 1):
+        if holds(items):
+            return items
+        if not comp:
+            for i, c in enumerate(nx.connected_components(h.subgraph(n for n in h if n != v))):
+                comp.update(dict.fromkeys(c, i))
+        a, b = next((a, b) for a, b in succ.items() if items[(items.index(a) + 1) % len(items)] != b)
+        i, j = items.index(a), items.index(b)
+        moving = {comp[t] for t in (items[i + 1 : j] if i < j else items[i + 1 :] + items[:j])}
+        if moving & {comp[a], comp[b]}:
+            raise GraphError(f"internal: a corner at vertex {v} holds more than hanging blocks")
+        moved = [t for t in items if comp[t] in moving]
+        cut = next((k for k in range(len(moved)) if succ.get(moved[k - 1]) != moved[k]), 0)
+        items = [t for t in items if comp[t] not in moving]
+        k = items.index(first(a))
+        items[k:k] = moved[cut:] + moved[:cut]
+    raise GraphError(f"internal: corners at vertex {v} do not close")
+
+
+def oracle_ordered_planarity(
+    g: MultiGraph,
+    order: OrderSpec = (),
+    facial_triangles: Sequence[frozenset[int]] = (),
+) -> OrderedPlanarEmbedding | None:
+    """A planar embedding of g with `order` on a common face, or None.
+
+    Set entries in the order stand for their members in any consecutive
+    arrangement.  Each vertex set {a, b, c} in `facial_triangles` must
+    bound a face of three darts.  None means no embedding does both.
+
+    Each resolved order costs one planarity test of a gadget graph H: the
+    simple support, a wheel pinned to the order, and a claw vertex joined
+    to each triangle's corners (see `_oracle_gadget_graph`).  A claw splits its
+    side of the triangle into pockets, each attached at the ends of one
+    triangle edge only, so redrawing the edges between pockets and claw
+    makes the triangle a face: H is planar exactly when the embedding
+    exists, except where `_oracle_read_back` proves otherwise (triangles that fill
+    every corner at a vertex with another dart).  An order of at most three
+    vertices inside a required triangle is realised by that triangle's
+    face and gets no wheel, which could make H nonplanar (K4 with its
+    triangle {0, 1, 2} would become K3,3).  The faces the read-back claims
+    are checked: a miss is an internal GraphError, never a fallback.
+    """
+    triangles = sorted({tuple(sorted(t)) for t in facial_triangles})
+    if any(len(t) != 3 for t in triangles):
+        raise GraphError("a facial triangle needs three distinct vertices")
+    if g.m == 0:
+        flat = [v for e in order for v in ((e,) if isinstance(e, int) else sorted(e))]
+        _order_component_ok(g, flat)
+        rot0 = RotationSystem.from_map({v: [] for v in g.vertices})
+        return OrderedPlanarEmbedding(rot0, (), ()) if not triangles else None
+    for raw in _resolve_orders(order):
+        seq = _effective_seq(g, raw)
+        inside = len(set(seq)) <= 3 and any(set(seq) <= set(t) for t in triangles)
+        built = _oracle_gadget_graph(g, () if inside else seq, triangles)
+        if built is None:
+            continue
+        h, token, copies = built
+        planar, emb = nx.check_planarity(h)
+        rot = _oracle_read_back(g, h, emb.get_data(), triangles, token, copies) if planar else None
+        if rot is None:
+            continue
+        faces = [(f, rot.face_walk(g, f)) for f in rot.faces()]
+        for t in triangles:
+            if not any(len(f) == 3 and set(walk) == set(t) for f, walk in faces):
+                raise GraphError(f"internal: read-back misses facial triangle {t}")
+        face = next((f for f, walk in faces if walk_contains_order(walk, seq)), None)
+        if face is None:
+            raise GraphError(f"internal: read-back misses the order {seq}")
+        return OrderedPlanarEmbedding(rot, face, seq)
     return None

@@ -5,12 +5,15 @@ from __future__ import annotations
 import dataclasses
 import importlib
 import itertools
+import math
 import random
 import sys
+import types
 from pathlib import Path
 
 import pytest
 
+from tanglekit import io
 from tanglekit.bias import BiasedGraph, ExplicitSet, Signed, balanced_without, make_explicit, make_signed
 import tanglekit.classify as classify_module
 import tanglekit.families as families_module
@@ -27,6 +30,7 @@ from tanglekit.classify import (
     _detect_special_vertex,
     _detect_tricoloured,
     _maximal_balanced_sets,
+    _pairing_search,
     _ring_layouts,
     _tricoloured_bias_holds,
     _weak_compositions,
@@ -60,6 +64,7 @@ from oracles import (
     oracle_explicit_core,
     oracle_layout_tricoloured,
     oracle_maximal_balanced_sets,
+    oracle_pairing_search,
     oracle_switching_balanced_sets,
     random_connected_pairs,
     random_multigraph,
@@ -518,6 +523,42 @@ def test_special_vertex_search_stops_at_its_cap():
         _detect_special_vertex(o, Caps(max_assignments=0), msets)
     assert err.value.stage == "special-vertex search"
     assert _detect_special_vertex(o, Caps(max_assignments=1), msets) is not None
+
+
+def classify_workload_documents() -> dict[str, str]:
+    """The document of every input of the classify-first and classify-full workloads."""
+    workloads = bench_module("workloads")
+    meter = types.SimpleNamespace(call=lambda _name, f, *args: f(*args))
+    return {case.name: case.text for first in (True, False) for case in workloads.Classify(0, first).setup(meter)}
+
+
+def test_pairing_search_matches_the_search_without_mirror_images():
+    # every spanning 2-connected maximal balanced set of the classify
+    # workloads' inputs, unrelabelled and under one relabelling
+    corpus = bench_module("corpus")
+    rng = random.Random(17)
+    bases, misses = 0, []
+    for text in classify_workload_documents().values():
+        for o in (io.load(text), io.load(corpus.relabel(text, rng).text)):
+            g = o.graph
+            for m in _maximal_balanced_sets(o):
+                sub = g.subgraph(m)
+                if sub.vertex_set != g.vertex_set or not is_two_connected(sub):
+                    continue
+                got = _pairing_search(o, m, DEFAULT_CAPS)
+                assert got == oracle_pairing_search(o, m, DEFAULT_CAPS)
+                bases += 1
+                if got is None:
+                    misses.append((o, m))
+    assert (bases, len(misses)) == (152, 34)
+    # a miss with k residual edges tries (k - 1)!/2 orders and 2^(k-1) orientations each
+    o, m = max(misses, key=lambda miss: miss[0].graph.m - len(miss[1]))
+    k = o.graph.m - len(m)
+    tried = math.factorial(k - 1) // 2 * 2 ** (k - 1)
+    assert k >= 4
+    with pytest.raises(ResourceLimitError):
+        _pairing_search(o, m, Caps(max_assignments=tried - 1))
+    assert _pairing_search(o, m, Caps(max_assignments=tried)) is None
 
 
 def test_pairing_search_stops_at_its_cap():
