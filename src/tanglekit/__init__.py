@@ -15,12 +15,9 @@ from .bias import (AllBalanced, AllUnbalanced, BiasedGraph, BiasError, ExplicitS
 from .classify import (ClassificationReport, ClassifyError, FourConnectedCore, Label, SumDecomposition, SumNode,
                        WheelCore, decompose)
 from .embedding import OrderedPlanarEmbedding, RotationSystem, ordered_planarity, walk_contains_order
-from .families import (Certificate, CheckResult, FamilyDescriptor, FamilyError, build_criss_cross, build_family,
-                       build_fat_triangle, build_generalized_wheel, build_k5_family, build_pp_signed,
-                       build_pp_special_pair, build_pp_special_triple, build_pp_special_vertex, build_tricoloured,
-                       describe_k5_family, describe_pp_signed, t_sum, verify_family)
-from .graph import (Block, BlockTree, Bond, Bridge, Cycle, GraphError, MultiGraph, Polygon, Rings, block_tree,
-                    bridges_of_cut, rings)
+from .families import (Certificate, CheckResult, FamilyDescriptor, FamilyError, build_family, describe_k5_family,
+                       describe_pp_signed, t_sum, verify_family)
+from .graph import Bond, Bridge, Cycle, GraphError, MultiGraph, Polygon, Rings, bridges_of_cut, rings
 from .io import InstanceDocument, ParseError, export_dot, load, parse, serialize
 from .limits import DEFAULT_CAPS, Caps, ResourceLimitError, caps_from_env
 from .linkage import (Linkage, LinkageError, ThreePlanarWitness, VertexPath, find_linkage, find_three_planar,
@@ -34,12 +31,9 @@ __all__ = [
     "ClassificationReport", "ClassifyError", "FourConnectedCore", "Label", "SumDecomposition", "SumNode",
     "WheelCore", "decompose",
     "OrderedPlanarEmbedding", "RotationSystem", "ordered_planarity", "walk_contains_order",
-    "Certificate", "CheckResult", "FamilyDescriptor", "FamilyError", "build_criss_cross", "build_family",
-    "build_fat_triangle", "build_generalized_wheel", "build_k5_family", "build_pp_signed", "build_pp_special_pair",
-    "build_pp_special_triple", "build_pp_special_vertex", "build_tricoloured", "describe_k5_family",
+    "Certificate", "CheckResult", "FamilyDescriptor", "FamilyError", "build_family", "describe_k5_family",
     "describe_pp_signed", "t_sum", "verify_family",
-    "Block", "BlockTree", "Bond", "Bridge", "Cycle", "GraphError", "MultiGraph", "Polygon", "Rings", "block_tree",
-    "bridges_of_cut", "rings",
+    "Bond", "Bridge", "Cycle", "GraphError", "MultiGraph", "Polygon", "Rings", "bridges_of_cut", "rings",
     "InstanceDocument", "ParseError", "export_dot", "load", "parse", "serialize",
     "DEFAULT_CAPS", "Caps", "ResourceLimitError", "caps_from_env",
     "Linkage", "LinkageError", "ThreePlanarWitness", "VertexPath", "find_linkage", "find_three_planar",

@@ -40,7 +40,6 @@ from .bias import (
     Signed,
     is_simple,
     make_explicit,
-    switching_balanced,
 )
 from .embedding import collapse_cyclic, ordered_planarity
 from .families import Certificate, FamilyDescriptor, FamilyError, t_sum, verify_family
@@ -597,17 +596,6 @@ def _detect_criss_cross(o: BiasedGraph, caps: Caps, msets: tuple[frozenset[int],
     return None
 
 
-def _is_signature(o: BiasedGraph, cross: frozenset[int], caps: Caps) -> bool:
-    """True when o's bias is ``Signed(cross)``: the "cycle parity law".
-
-    On signed input that is one switching test of the two signatures'
-    difference; any other bias is read off the input's cycle list.
-    """
-    if isinstance(o.bias, Signed):
-        return switching_balanced(o.graph, o.bias.signature ^ cross)
-    return all(o.balance(c) == (len(c.edge_set & cross) % 2 == 0) for c in o.graph.cycles(caps))
-
-
 def _detect_pp_signed(o: BiasedGraph, caps: Caps, msets: tuple[frozenset[int], ...]) -> _Hit | None:
     """Spanning 2-connected base with all residual edges on one face pairing.
 
@@ -622,11 +610,14 @@ def _detect_pp_signed(o: BiasedGraph, caps: Caps, msets: tuple[frozenset[int], .
     ``msets`` or for none.  On signed input it holds for all of them by
     construction: ``_maximal_balanced_sets`` reads each member off a
     switching as its positive set, so E - m is that switching's negative
-    set, the signature plus an edge cut, and the test never rejects.
+    set, the signature plus an edge cut.  So only other biases are
+    tested, against the input's cycle list.
     """
     g = o.graph
-    if not msets or not _is_signature(o, g.edge_id_set - msets[0], caps):
-        return None
+    if msets and not isinstance(o.bias, Signed):
+        cross = g.edge_id_set - msets[0]
+        if any(o.balance(c) != (len(c.edge_set & cross) % 2 == 0) for c in g.cycles(caps)):
+            return None
     for m in msets:
         sub = g.subgraph(m)
         if sub.vertex_set != g.vertex_set or not is_two_connected(sub):

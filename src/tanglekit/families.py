@@ -64,9 +64,11 @@ class FamilyDescriptor:
     """A family kind plus the role assignment inside one underlying graph.
 
     ``roles`` maps role names to vertex ids, edge ids, tuples or frozensets
-    of them; the exact keys per kind are documented on the corresponding
-    builder.  The graph stored here is the finished underlying graph, so a
-    descriptor is self-contained and can be re-verified at any time.
+    of them; the exact keys per kind are documented on the kind's planner
+    (``_plan_<kind>``), or on ``describe_k5_family`` and
+    ``describe_pp_signed``.  The graph stored here is the finished
+    underlying graph, so a descriptor is self-contained and can be
+    re-verified at any time.
     """
 
     kind: str
@@ -180,6 +182,16 @@ def _partition_check(g: MultiGraph, groups: Sequence[tuple[str, frozenset[int]]]
 
 
 def _plan_generalized_wheel(d: FamilyDescriptor, caps: Caps) -> _Plan:
+    """Hub-and-ring family: balanced ring parts, unbalanced full-rim cycles.
+
+    Roles: ``hub`` (vertex), ``hinges`` (k-tuple of ring cut vertices),
+    ``parts`` (k-tuple of frozensets of edge ids; part i spans hinges
+    i-1 and i, every pair of consecutive parts meets exactly in its
+    hinge, with both hinges shared when k == 2), ``xy`` (k-tuple, None
+    for single-edge parts, else an (X, Y) pair of frozensets splitting
+    the part's spoke attachments).  Spoke-and-path cycles inside one
+    part are unbalanced exactly when their attachments split X and Y.
+    """
     g = d.graph
     hub = _role_int(d, "hub")
     hinges = _role_ints(d, "hinges")
@@ -311,6 +323,15 @@ def _plan_generalized_wheel(d: FamilyDescriptor, caps: Caps) -> _Plan:
 
 
 def _plan_criss_cross(d: FamilyDescriptor, caps: Caps) -> _Plan:
+    """Planar core with an apex and two crossing chords.
+
+    Roles: ``h_edges`` (frozenset: the core), ``u`` (4-tuple of boundary
+    vertices in circular order), ``w`` (apex), ``e`` (4-tuple of spoke
+    edge ids, e[i] = w-u[i]), ``f`` (2-tuple of chords, f[0] = u0-u2 and
+    f[1] = u1-u3).  Core cycles are balanced, chord and spoke-pair
+    cycles through the core are unbalanced, and the two triangles
+    {e0, e2, f0} and {e1, e3, f1} are balanced.
+    """
     g = d.graph
     h = _role_set(d, "h_edges")
     us = _role_ints(d, "u", 4)
@@ -369,6 +390,13 @@ def _plan_criss_cross(d: FamilyDescriptor, caps: Caps) -> _Plan:
 
 
 def _plan_fat_triangle(d: FamilyDescriptor, caps: Caps) -> _Plan:
+    """Balanced base plus three nonempty corner edge bundles.
+
+    Roles: ``v`` (3-tuple of corners), ``f12``/``f23``/``f31``
+    (frozensets of extra edges joining the corner pairs).  Base cycles
+    are balanced; every cycle using exactly one extra edge is
+    unbalanced.
+    """
     g = d.graph
     vs = _role_ints(d, "v", 3)
     f12 = _role_set(d, "f12")
@@ -408,6 +436,14 @@ def _plan_fat_triangle(d: FamilyDescriptor, caps: Caps) -> _Plan:
 
 
 def _plan_pp_special_vertex(d: FamilyDescriptor, caps: Caps) -> _Plan:
+    """Two planar halves joined by a degree-two apex and cross edges.
+
+    Roles: ``h1_edges``/``h2_edges`` (the halves), ``xs``/``ys``
+    (m-tuples of paired boundary vertices), ``u`` ((u1, u2)), ``z``
+    ((z1, z2) with z2 in half 1 and z1 in half 2), ``w`` (apex),
+    ``bridge_edges`` ((z1z2, u1u2)), ``hub_edges`` ((wz1, wz2)), ``g``
+    ((wu1, wu2)), ``f`` (m-tuple of cross edges x_i-y_i).
+    """
     g = d.graph
     h1 = _role_set(d, "h1_edges")
     h2 = _role_set(d, "h2_edges")
@@ -513,6 +549,14 @@ def _planar_with_junction(
 
 
 def _plan_pp_special_pair(d: FamilyDescriptor, caps: Caps) -> _Plan:
+    """Planar base with two vertex stars and optional junction edges.
+
+    Roles: ``x``/``y`` (star centres), ``X``/``Y`` (attachment sets on
+    the base's boundary face, sharing at most one vertex), ``fx``/``fy``
+    (frozensets of star edges), ``e`` (tuple of x-y edges, may be
+    empty).  The base is balanced, same-star pairs are balanced, and
+    every x-y edge cycle through the base is unbalanced.
+    """
     g = d.graph
     x = _role_int(d, "x")
     y = _role_int(d, "y")
@@ -568,6 +612,15 @@ def _plan_pp_special_pair(d: FamilyDescriptor, caps: Caps) -> _Plan:
 
 
 def _plan_pp_special_triple(d: FamilyDescriptor, caps: Caps) -> _Plan:
+    """Planar base with one star and three mutually joined boundary roles.
+
+    Roles: ``x``/``y1``/``y2`` (boundary vertices in order y1, x, y2),
+    ``X`` (star attachments), ``F`` (frozenset of star edges), ``e``
+    (nonempty tuple of x-y1 edges), ``g`` (tuple of x-y2 edges), ``f``
+    (single y1-y2 edge).  The base is balanced, star pairs are
+    balanced, and every leg or cross-edge cycle through the base is
+    unbalanced.
+    """
     g = d.graph
     x = _role_int(d, "x")
     y1 = _role_int(d, "y1")
@@ -631,6 +684,16 @@ def _plan_pp_special_triple(d: FamilyDescriptor, caps: Caps) -> _Plan:
 
 
 def _plan_tricoloured(d: FamilyDescriptor, caps: Caps) -> _Plan:
+    """Six-part ring with three colour classes of antipodal chords.
+
+    Roles: ``part_vertices``/``part_edges`` (6-tuples; empty edge sets
+    mark single-vertex parts), ``hinges`` (6-tuple; part i meets part
+    i+1 exactly in hinges[i]), ``I`` (frozenset {0,1,2} or {0,2,4}),
+    ``xs``/``ysets``/``esets`` (6-tuples with entries exactly on I: a
+    chord source in part i, targets inside part i+3, and the chord edge
+    ids).  Same-colour chord pairs are balanced within the target part;
+    cross-colour pairs are unbalanced within their four host parts.
+    """
     g = d.graph
     pv_raw = d.role("part_vertices")
     pe_raw = d.role("part_edges")
@@ -761,7 +824,7 @@ def _k5_graph(mults: Sequence[int]) -> MultiGraph:
 
 
 def _plan_k5_family(d: FamilyDescriptor, caps: Caps) -> _Plan:
-    # The family is defined by the underlying graph alone; the builder
+    # The family is defined by the underlying graph alone; ``build_family``
     # signs every edge, but other biases over the same graph also qualify.
     mults = _role_ints(d, "mults", 10)
     checks = [_check("multiplicities valid", all(m >= 1 for m in mults), "every pair needs at least one edge")]
@@ -912,109 +975,16 @@ def verify_family(o: BiasedGraph, d: FamilyDescriptor, caps: Caps = DEFAULT_CAPS
     return Certificate(d, tuple(checks))
 
 
-def _expect_kind(d: FamilyDescriptor, kind: str) -> None:
-    if d.kind != kind:
-        raise FamilyError(f"descriptor kind {d.kind!r}, expected {kind!r}")
-
-
-def build_generalized_wheel(d: FamilyDescriptor, *, default_balanced: bool = False, caps: Caps = DEFAULT_CAPS) -> BiasedGraph:
-    """Hub-and-ring family: balanced ring parts, unbalanced full-rim cycles.
-
-    Roles: ``hub`` (vertex), ``hinges`` (k-tuple of ring cut vertices),
-    ``parts`` (k-tuple of frozensets of edge ids; part i spans hinges
-    i-1 and i, every pair of consecutive parts meets exactly in its
-    hinge, with both hinges shared when k == 2), ``xy`` (k-tuple, None
-    for single-edge parts, else an (X, Y) pair of frozensets splitting
-    the part's spoke attachments).  Spoke-and-path cycles inside one
-    part are unbalanced exactly when their attachments split X and Y.
-    """
-    _expect_kind(d, "GeneralizedWheel")
-    return build_family(d, default_balanced=default_balanced, caps=caps)
-
-
-def build_criss_cross(d: FamilyDescriptor, *, default_balanced: bool = False, caps: Caps = DEFAULT_CAPS) -> BiasedGraph:
-    """Planar core with an apex and two crossing chords.
-
-    Roles: ``h_edges`` (frozenset: the core), ``u`` (4-tuple of boundary
-    vertices in circular order), ``w`` (apex), ``e`` (4-tuple of spoke
-    edge ids, e[i] = w-u[i]), ``f`` (2-tuple of chords, f[0] = u0-u2 and
-    f[1] = u1-u3).  Core cycles are balanced, chord and spoke-pair
-    cycles through the core are unbalanced, and the two triangles
-    {e0, e2, f0} and {e1, e3, f1} are balanced.
-    """
-    _expect_kind(d, "CrissCross")
-    return build_family(d, default_balanced=default_balanced, caps=caps)
-
-
-def build_fat_triangle(d: FamilyDescriptor, *, default_balanced: bool = False, caps: Caps = DEFAULT_CAPS) -> BiasedGraph:
-    """Balanced base plus three nonempty corner edge bundles.
-
-    Roles: ``v`` (3-tuple of corners), ``f12``/``f23``/``f31``
-    (frozensets of extra edges joining the corner pairs).  Base cycles
-    are balanced; every cycle using exactly one extra edge is
-    unbalanced.
-    """
-    _expect_kind(d, "FatTriangle")
-    return build_family(d, default_balanced=default_balanced, caps=caps)
-
-
-def build_pp_special_vertex(d: FamilyDescriptor, *, default_balanced: bool = False, caps: Caps = DEFAULT_CAPS) -> BiasedGraph:
-    """Two planar halves joined by a degree-two apex and cross edges.
-
-    Roles: ``h1_edges``/``h2_edges`` (the halves), ``xs``/``ys``
-    (m-tuples of paired boundary vertices), ``u`` ((u1, u2)), ``z``
-    ((z1, z2) with z2 in half 1 and z1 in half 2), ``w`` (apex),
-    ``bridge_edges`` ((z1z2, u1u2)), ``hub_edges`` ((wz1, wz2)), ``g``
-    ((wu1, wu2)), ``f`` (m-tuple of cross edges x_i-y_i).
-    """
-    _expect_kind(d, "PPSpecialVertex")
-    return build_family(d, default_balanced=default_balanced, caps=caps)
-
-
-def build_pp_special_pair(d: FamilyDescriptor, *, default_balanced: bool = False, caps: Caps = DEFAULT_CAPS) -> BiasedGraph:
-    """Planar base with two vertex stars and optional junction edges.
-
-    Roles: ``x``/``y`` (star centres), ``X``/``Y`` (attachment sets on
-    the base's boundary face, sharing at most one vertex), ``fx``/``fy``
-    (frozensets of star edges), ``e`` (tuple of x-y edges, may be
-    empty).  The base is balanced, same-star pairs are balanced, and
-    every x-y edge cycle through the base is unbalanced.
-    """
-    _expect_kind(d, "PPSpecialPair")
-    return build_family(d, default_balanced=default_balanced, caps=caps)
-
-
-def build_pp_special_triple(d: FamilyDescriptor, *, default_balanced: bool = False, caps: Caps = DEFAULT_CAPS) -> BiasedGraph:
-    """Planar base with one star and three mutually joined boundary roles.
-
-    Roles: ``x``/``y1``/``y2`` (boundary vertices in order y1, x, y2),
-    ``X`` (star attachments), ``F`` (frozenset of star edges), ``e``
-    (nonempty tuple of x-y1 edges), ``g`` (tuple of x-y2 edges), ``f``
-    (single y1-y2 edge).  The base is balanced, star pairs are
-    balanced, and every leg or cross-edge cycle through the base is
-    unbalanced.
-    """
-    _expect_kind(d, "PPSpecialTriple")
-    return build_family(d, default_balanced=default_balanced, caps=caps)
-
-
-def build_tricoloured(d: FamilyDescriptor, *, default_balanced: bool = False, caps: Caps = DEFAULT_CAPS) -> BiasedGraph:
-    """Six-part ring with three colour classes of antipodal chords.
-
-    Roles: ``part_vertices``/``part_edges`` (6-tuples; empty edge sets
-    mark single-vertex parts), ``hinges`` (6-tuple; part i meets part
-    i+1 exactly in hinges[i]), ``I`` (frozenset {0,1,2} or {0,2,4}),
-    ``xs``/``ysets``/``esets`` (6-tuples with entries exactly on I: a
-    chord source in part i, targets inside part i+3, and the chord edge
-    ids).  Same-colour chord pairs are balanced within the target part;
-    cross-colour pairs are unbalanced within their four host parts.
-    """
-    _expect_kind(d, "Tricoloured")
-    return build_family(d, default_balanced=default_balanced, caps=caps)
-
-
 def describe_k5_family(mults: Sequence[int] | Mapping[tuple[int, int], int] = (1,) * 10) -> FamilyDescriptor:
-    """Descriptor for the all-edges-signed complete graph on five vertices."""
+    """Descriptor for the complete graph on five vertices, all edges signed.
+
+    ``mults`` gives the parallel-class size per vertex pair, in
+    lexicographic pair order, or as a mapping from pairs (missing pairs
+    get one edge); the tuple is the descriptor's one role, ``mults``.
+    ``build_family`` signs every edge, so a cycle is
+    balanced exactly when its length is even; in particular parallel
+    classes are balanced digons and triangles are unbalanced.
+    """
     if isinstance(mults, Mapping):
         mult_list = [int(mults.get(p, 1)) for p in _K5_PAIRS]
     else:
@@ -1027,22 +997,15 @@ def describe_k5_family(mults: Sequence[int] | Mapping[tuple[int, int], int] = (1
     return FamilyDescriptor("K5Parallel", _k5_graph(tup), {"mults": tup})
 
 
-def build_k5_family(
-    mults: Sequence[int] | Mapping[tuple[int, int], int] = (1,) * 10,
-    caps: Caps = DEFAULT_CAPS,
-) -> BiasedGraph:
-    """Complete graph on five vertices, all edges signed.
-
-    ``mults`` gives the parallel-class size per vertex pair, in
-    lexicographic pair order.  The bias is the all-edges signature, so a
-    cycle is balanced exactly when its length is even; in particular
-    parallel classes are balanced digons and triangles are unbalanced.
-    """
-    return build_family(describe_k5_family(mults), caps=caps)
-
-
 def describe_pp_signed(base: MultiGraph, xs: Sequence[int], ys: Sequence[int]) -> FamilyDescriptor:
-    """Descriptor for a signed graph over a planar base with paired boundary."""
+    """Descriptor that adds cross edges x_i-y_i to a planar base.
+
+    Roles: ``xs``/``ys`` (the paired vertices) and ``cross`` (the new
+    edge ids, cross[i] = x_i-y_i).  The base must embed with x_1..x_m,
+    y_1..y_m on one face in this circular order (consecutive repeats
+    allowed).  ``build_family`` signs exactly the cross edges.  With a single pair it warns: the two
+    endpoints then block every unbalanced cycle.
+    """
     m = len(xs)
     if m != len(ys) or m < 1:
         raise FamilyError("need equally many xs and ys, at least one pair")
@@ -1053,22 +1016,6 @@ def describe_pp_signed(base: MultiGraph, xs: Sequence[int], ys: Sequence[int]) -
     return FamilyDescriptor(
         "PPSigned", g, {"xs": tuple(xs), "ys": tuple(ys), "cross": cross}
     )
-
-
-def build_pp_signed(
-    base: MultiGraph,
-    xs: Sequence[int],
-    ys: Sequence[int],
-    caps: Caps = DEFAULT_CAPS,
-) -> BiasedGraph:
-    """Add cross edges x_i-y_i to a planar base and sign exactly them.
-
-    The base must embed with x_1..x_m, y_1..y_m on one face in this
-    circular order (consecutive repeats allowed); the signature is the
-    set of added cross edges.  With a single pair the builder warns: the
-    two endpoints then block every unbalanced cycle.
-    """
-    return build_family(describe_pp_signed(base, xs, ys), caps=caps)
 
 
 # ---------------------------------------------------------------------------

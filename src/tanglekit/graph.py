@@ -1,4 +1,4 @@
-"""Multigraph core: cycles, theta subgraphs, vertex cuts and blocks.
+"""Multigraph core: cycles, theta subgraphs, vertex cuts and rings.
 
 Vertices and edges are non-negative integer ids.  Loops and parallel edges
 are first-class: a loop is a 1-edge cycle and a parallel pair is a 2-edge
@@ -13,9 +13,9 @@ reads that one list.  A bias only sorts it into balanced and unbalanced.
 A caller that may stop early reads :func:`cycles_by_length` instead, which
 builds one length at a time from the open paths of the length before.
 The graph also keeps one adjacency index, which its walks (components,
-blocks, cycles, fundamental cycles, switching tests) read.  Minimal vertex
-cuts are read off block trees (Hopcroft and Tarjan 1973), not tested
-subset by subset.
+cycles, fundamental cycles, lowpoint searches, switching tests) read.
+Minimal vertex cuts are read off the cut vertices that lowpoint searches
+find (Hopcroft and Tarjan 1973), not tested subset by subset.
 
 All enumerations are deterministic: results come back sorted by canonical
 keys, never in hash order.
@@ -265,26 +265,6 @@ class MultiGraph:
 
     def is_connected(self) -> bool:
         return len(self.components()) <= 1
-
-    def spanning_tree_edges(self) -> tuple[int, ...]:
-        """Edge ids of a BFS forest (deterministic)."""
-        seen: set[int] = set()
-        tree: list[int] = []
-        for start in self._vertices:
-            if start in seen:
-                continue
-            seen.add(start)
-            frontier = [start]
-            while frontier:
-                nxt: list[int] = []
-                for x in frontier:
-                    for y, e in self._adjacency[x]:
-                        if y not in seen:
-                            seen.add(y)
-                            tree.append(e)
-                            nxt.append(y)
-                frontier = nxt
-        return tuple(sorted(tree))
 
     def path_between(self, s: int, t: int, avoid: Iterable[int] = ()) -> tuple[int, ...] | None:
         """Edge ids of a shortest s-t path avoiding the given vertices, or None."""
@@ -616,17 +596,6 @@ class ThetaSubgraph:
     cycles: tuple[Cycle, Cycle, Cycle]
     edge_set: frozenset[int]
 
-    def branch_vertices(self, g: MultiGraph) -> tuple[int, int]:
-        deg: dict[int, int] = {}
-        for e in self.edge_set:
-            u, v = g.endpoints(e)
-            deg[u] = deg.get(u, 0) + 1
-            deg[v] = deg.get(v, 0) + 1
-        branch = sorted(v for v, d in deg.items() if d == 3)
-        if len(branch) != 2:
-            raise GraphError("not a theta edge set")
-        return (branch[0], branch[1])
-
 
 def edge_path_vertices(g: MultiGraph, edges: frozenset[int]) -> frozenset[int] | None:
     """Vertex set if `edges` forms a path with >= 1 edge, else None."""
@@ -798,8 +767,8 @@ def find_vertex_cuts(g: MultiGraph, k: int, caps: Caps = DEFAULT_CAPS) -> tuple[
 
 
 def _cut_vertices(g: MultiGraph, removed: Iterable[int] = ()) -> frozenset[int]:
-    """The cut vertices of g - removed, which is
-    ``block_tree(g.delete_vertices(removed)).cut_vertices``, from one
+    """The cut vertices of g - removed, the vertices whose deletion
+    leaves a component of g - removed in two or more pieces, from one
     iterative lowpoint search over g's own adjacency (Hopcroft and Tarjan
     1973); no graph and no block is built.
 
@@ -847,119 +816,6 @@ def _cut_vertices(g: MultiGraph, removed: Iterable[int] = ()) -> frozenset[int]:
         if children >= 2:
             cuts.add(root)
     return frozenset(cuts)
-
-
-# ---------------------------------------------------------------------------
-# Blocks
-# ---------------------------------------------------------------------------
-
-
-@dataclass(frozen=True)
-class Block:
-    edges: frozenset[int]
-    vertices: frozenset[int]
-
-
-@dataclass(frozen=True)
-class BlockTree:
-    """Block-cut forest: blocks, cut vertices, and block/junction incidences.
-
-    ``tree_edges`` joins block indices to junction vertices (vertices lying
-    in two or more blocks); per component the resulting bipartite graph is a
-    tree.  ``cut_vertices`` holds the true cut vertices, i.e. junctions of
-    two or more non-loop blocks.
-    """
-
-    blocks: tuple[Block, ...]
-    cut_vertices: frozenset[int]
-    tree_edges: tuple[tuple[int, int], ...]  # (block index, junction vertex)
-
-    def leaf_blocks(self) -> tuple[int, ...]:
-        deg = [0] * len(self.blocks)
-        for b, _ in self.tree_edges:
-            deg[b] += 1
-        return tuple(i for i, d in enumerate(deg) if d <= 1)
-
-    def blocks_at(self, v: int) -> tuple[int, ...]:
-        return tuple(i for i, b in enumerate(self.blocks) if v in b.vertices)
-
-
-def block_tree(g: MultiGraph) -> BlockTree:
-    """Blocks (maximal 2-connected subgraphs, bridges-as-K2, loops) of g."""
-    blocks: list[Block] = []
-
-    # Loops are their own blocks and never affect 2-connectivity.
-    for e, u, v in g._edges:
-        if u == v:
-            blocks.append(Block(frozenset({e}), frozenset({u})))
-
-    adj = g._adjacency
-    index: dict[int, int] = {}
-    low: dict[int, int] = {}
-    counter = itertools.count()
-    estack: list[int] = []
-
-    for root in g.vertices:
-        if root in index:
-            continue
-        # Iterative DFS; frames are (vertex, incoming edge id, step iterator).
-        index[root] = low[root] = next(counter)
-        frames: list[tuple[int, int, Iterator[tuple[int, int]]]] = [
-            (root, -1, iter(adj[root]))
-        ]
-        while frames:
-            v, in_edge, it = frames[-1]
-            advanced = False
-            for w, e in it:
-                if e == in_edge:
-                    continue
-                if w not in index:
-                    estack.append(e)
-                    index[w] = low[w] = next(counter)
-                    frames.append((w, e, iter(adj[w])))
-                    advanced = True
-                    break
-                elif index[w] < index[v]:
-                    estack.append(e)
-                    low[v] = min(low[v], index[w])
-            if advanced:
-                continue
-            frames.pop()
-            if frames:
-                pv, _, _ = frames[-1]
-                low[pv] = min(low[pv], low[v])
-                if low[v] >= index[pv]:
-                    # pv closes a block; pop the edge stack down to in_edge.
-                    comp: list[int] = []
-                    while estack:
-                        comp.append(estack.pop())
-                        if comp[-1] == in_edge:
-                            break
-                    vs: set[int] = set()
-                    for eid in comp:
-                        vs.update(g.edge_map[eid])
-                    blocks.append(Block(frozenset(comp), frozenset(vs)))
-
-    # Junctions: vertices in >= 2 blocks.  True cut vertices: junctions of
-    # >= 2 non-loop blocks (a loop never makes its vertex a cut vertex).
-    junction_count: dict[int, int] = {}
-    nonloop_count: dict[int, int] = {}
-    for b in blocks:
-        isloop = len(b.edges) == 1 and len(b.vertices) == 1
-        for v in b.vertices:
-            junction_count[v] = junction_count.get(v, 0) + 1
-            if not isloop:
-                nonloop_count[v] = nonloop_count.get(v, 0) + 1
-    junctions = {v for v, c in junction_count.items() if c >= 2}
-    cut_vertices = {v for v, c in nonloop_count.items() if c >= 2}
-
-    blocks_sorted = sorted(blocks, key=lambda b: sorted(b.edges))
-    tree_edges: list[tuple[int, int]] = []
-    for i, b in enumerate(blocks_sorted):
-        for v in sorted(b.vertices):
-            if v in junctions:
-                tree_edges.append((i, v))
-    return BlockTree(tuple(blocks_sorted), frozenset(cut_vertices), tuple(tree_edges))
 
 
 def is_two_connected(g: MultiGraph) -> bool:
@@ -1075,7 +931,8 @@ def _chain(h: MultiGraph, edges: frozenset[int], u: int, v: int) -> tuple[list[i
     pieces[i].
 
     One iterative lowpoint search from u over the class's edges of h's
-    own adjacency, with an edge stack as in :func:`block_tree`; no copy.
+    own adjacency, with an edge stack that each block is popped off as
+    it closes; no copy.
     The class closed up by uv is 2-connected, so its blocks form a chain
     from u to v, and u lies in the first block only.  Every block past
     the first lies in the subtree of the cut vertex it is entered by, so

@@ -258,20 +258,10 @@ def _parse(text: str, caps: Caps) -> tuple[InstanceDocument, BiasedGraph | None]
         signature=signature,
         balanced=tuple(balanced),
         default=default,
-        version=version,
-    )
-    checked = _check_bias(doc, graph, [cycles[key] for key in doc.balanced], caps, bias_line)
-    doc = InstanceDocument(
-        vertex_count=doc.vertex_count,
-        edges=doc.edges,
-        bias_kind=doc.bias_kind,
-        signature=doc.signature,
-        balanced=doc.balanced,
-        default=doc.default,
         family=family,
         version=version,
     )
-    return doc, checked
+    return doc, _check_bias(doc, graph, [cycles[key] for key in doc.balanced], caps, bias_line)
 
 
 def _check_bias(

@@ -6,14 +6,15 @@ edge subsets or from plain path extension, thetas from internally disjoint
 path triples, linkages from all simple path pairs, vertex cuts and
 2-connectivity from the vertex-subset cut scan, rings from the hinge-subset
 scan.  The exceptions are earlier versions of the library's own code, kept
-without their fast paths: the bridges of a vertex set read off the
-components of a copy, the explicit core of a peel, the maximal balanced
-sets by transversals, two earlier Tricoloured searches, the FatTriangle,
-CrissCross and PPSigned detectors, the canonical cycle key, the theta check,
-the linkage search, the boundary pairing search and, at the end, ordered
-planarity by networkx's planarity test.  Embeddings come from every rotation
-system that passes the Euler check, and a signed graph's maximal balanced
-sets from every switching.
+without their fast paths: the block tree, the bridges of a vertex set read
+off the components of a copy, the explicit core of a peel, the maximal
+balanced sets by transversals, two earlier Tricoloured searches, the
+FatTriangle, CrissCross and PPSigned detectors, the canonical cycle key, the
+theta check, the linkage search, the boundary pairing search and, at the
+end, ordered planarity by networkx's planarity test.  Embeddings come from
+every rotation system that passes the Euler check, a signed graph's maximal
+balanced sets from every switching, and spanning forests from breadth-first
+search.
 """
 
 from __future__ import annotations
@@ -404,6 +405,140 @@ def scan_is_two_connected(g: MultiGraph) -> bool:
     if g.n < 2:
         return False
     return not scan_vertex_cuts(g, 1)
+
+
+# ---------------------------------------------------------------------------
+# Block trees and spanning forests
+#
+# The block tree is the reference the library's lowpoint searches for cut
+# vertices are compared with.
+# ---------------------------------------------------------------------------
+
+
+@dataclass(frozen=True)
+class Block:
+    edges: frozenset[int]
+    vertices: frozenset[int]
+
+
+@dataclass(frozen=True)
+class BlockTree:
+    """Block-cut forest: blocks, cut vertices, and block/junction incidences.
+
+    ``tree_edges`` joins block indices to junction vertices (vertices lying
+    in two or more blocks); per component the resulting bipartite graph is a
+    tree.  ``cut_vertices`` holds the true cut vertices, i.e. junctions of
+    two or more non-loop blocks.
+    """
+
+    blocks: tuple[Block, ...]
+    cut_vertices: frozenset[int]
+    tree_edges: tuple[tuple[int, int], ...]  # (block index, junction vertex)
+
+    def leaf_blocks(self) -> tuple[int, ...]:
+        deg = [0] * len(self.blocks)
+        for b, _ in self.tree_edges:
+            deg[b] += 1
+        return tuple(i for i, d in enumerate(deg) if d <= 1)
+
+
+def block_tree(g: MultiGraph) -> BlockTree:
+    """Blocks (maximal 2-connected subgraphs, bridges-as-K2, loops) of g."""
+    blocks: list[Block] = []
+
+    # Loops are their own blocks and never affect 2-connectivity.
+    for e, u, v in g._edges:
+        if u == v:
+            blocks.append(Block(frozenset({e}), frozenset({u})))
+
+    adj = g._adjacency
+    index: dict[int, int] = {}
+    low: dict[int, int] = {}
+    counter = itertools.count()
+    estack: list[int] = []
+
+    for root in g.vertices:
+        if root in index:
+            continue
+        # Iterative DFS; frames are (vertex, incoming edge id, step iterator).
+        index[root] = low[root] = next(counter)
+        frames: list[tuple[int, int, Iterator[tuple[int, int]]]] = [
+            (root, -1, iter(adj[root]))
+        ]
+        while frames:
+            v, in_edge, it = frames[-1]
+            advanced = False
+            for w, e in it:
+                if e == in_edge:
+                    continue
+                if w not in index:
+                    estack.append(e)
+                    index[w] = low[w] = next(counter)
+                    frames.append((w, e, iter(adj[w])))
+                    advanced = True
+                    break
+                elif index[w] < index[v]:
+                    estack.append(e)
+                    low[v] = min(low[v], index[w])
+            if advanced:
+                continue
+            frames.pop()
+            if frames:
+                pv, _, _ = frames[-1]
+                low[pv] = min(low[pv], low[v])
+                if low[v] >= index[pv]:
+                    # pv closes a block; pop the edge stack down to in_edge.
+                    comp: list[int] = []
+                    while estack:
+                        comp.append(estack.pop())
+                        if comp[-1] == in_edge:
+                            break
+                    vs: set[int] = set()
+                    for eid in comp:
+                        vs.update(g.edge_map[eid])
+                    blocks.append(Block(frozenset(comp), frozenset(vs)))
+
+    # Junctions: vertices in >= 2 blocks.  True cut vertices: junctions of
+    # >= 2 non-loop blocks (a loop never makes its vertex a cut vertex).
+    junction_count: dict[int, int] = {}
+    nonloop_count: dict[int, int] = {}
+    for b in blocks:
+        isloop = len(b.edges) == 1 and len(b.vertices) == 1
+        for v in b.vertices:
+            junction_count[v] = junction_count.get(v, 0) + 1
+            if not isloop:
+                nonloop_count[v] = nonloop_count.get(v, 0) + 1
+    junctions = {v for v, c in junction_count.items() if c >= 2}
+    cut_vertices = {v for v, c in nonloop_count.items() if c >= 2}
+
+    blocks_sorted = sorted(blocks, key=lambda b: sorted(b.edges))
+    tree_edges: list[tuple[int, int]] = []
+    for i, b in enumerate(blocks_sorted):
+        for v in sorted(b.vertices):
+            if v in junctions:
+                tree_edges.append((i, v))
+    return BlockTree(tuple(blocks_sorted), frozenset(cut_vertices), tuple(tree_edges))
+
+
+def spanning_forest(g: MultiGraph) -> frozenset[int]:
+    """Edge ids of a breadth-first spanning forest of g."""
+    seen: set[int] = set()
+    tree: set[int] = set()
+    for start in g.vertices:
+        if start in seen:
+            continue
+        seen.add(start)
+        frontier = [start]
+        while frontier:
+            nxt: list[int] = []
+            for x in frontier:
+                for y, e in g.adjacent(x):
+                    if y not in seen:
+                        seen.add(y)
+                        tree.add(e)
+                        nxt.append(y)
+            frontier = nxt
+    return frozenset(tree)
 
 
 def _scan_cycles(g: MultiGraph, caps: Caps) -> tuple[frozenset[int], ...]:

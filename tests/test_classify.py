@@ -14,7 +14,8 @@ from pathlib import Path
 import pytest
 
 from tanglekit import io
-from tanglekit.bias import BiasedGraph, ExplicitSet, Signed, balanced_without, make_explicit, make_signed
+from tanglekit.bias import (BiasedGraph, ExplicitSet, Signed, balanced_without, make_explicit, make_signed,
+                            switching_balanced)
 import tanglekit.classify as classify_module
 import tanglekit.families as families_module
 import tanglekit.graph as graph_module
@@ -472,6 +473,19 @@ def test_maximal_balanced_sets_agree_with_unpruned_search():
             assert found == oracle_switching_balanced_sets(o)
             signed += 1
     assert signed > 350
+
+
+def test_signed_maximal_balanced_sets_obey_the_parity_law():
+    # E - m is the negative set of a switching, so it differs from the
+    # signature by an edge cut and Signed(E - m) is the input's bias: the
+    # PPSigned search leaves the parity law untested on signed input
+    checked = 0
+    for o in signed_multigraphs(300):
+        sig, edges = o.bias.signature, o.graph.edge_id_set
+        for m in _maximal_balanced_sets(o):
+            assert switching_balanced(o.graph, sig ^ (edges - m))
+            checked += 1
+    assert checked > 300
 
 
 def test_maximal_balanced_sets_of_a_dense_signed_graph():

@@ -23,16 +23,7 @@ from tanglekit.families import (
     FamilyDescriptor,
     FamilyError,
     KINDS,
-    build_criss_cross,
     build_family,
-    build_fat_triangle,
-    build_generalized_wheel,
-    build_k5_family,
-    build_pp_signed,
-    build_pp_special_pair,
-    build_pp_special_triple,
-    build_pp_special_vertex,
-    build_tricoloured,
     describe_k5_family,
     describe_pp_signed,
     t_sum,
@@ -104,7 +95,7 @@ def triangle_rim_wheel() -> FamilyDescriptor:
 
 def test_wheel_digon_rim_tangled():
     d = digon_rim_wheel()
-    o = build_generalized_wheel(d)
+    o = build_family(d)
     assert_round_trip(o, d)
     # rim digon unbalanced, forced by the full-rim clause
     assert not o.balance(Cycle.from_edge_set(o.graph, {0, 1}))
@@ -112,7 +103,7 @@ def test_wheel_digon_rim_tangled():
 
 def test_wheel_c4_part():
     d = c4_part_wheel()
-    o = build_generalized_wheel(d)
+    o = build_family(d)
     assert_round_trip(o, d)
     # the part's own cycle is balanced; split spoke-pair cycles are not
     assert o.balance(Cycle.from_edge_set(o.graph, {0, 1, 2, 3}))
@@ -122,7 +113,7 @@ def test_wheel_c4_part():
 
 def test_wheel_triangle_rim_tangled():
     d = triangle_rim_wheel()
-    o = build_generalized_wheel(d)
+    o = build_family(d)
     assert_round_trip(o, d)
     assert not o.balance(Cycle.from_edge_set(o.graph, {0, 1, 2}))
 
@@ -143,7 +134,7 @@ def test_wheel_rejects_nonplanar_split():
         },
     )
     with pytest.raises(FamilyError, match="planar"):
-        build_generalized_wheel(d)
+        build_family(d)
 
 
 def test_wheel_rejects_bad_ring():
@@ -159,7 +150,7 @@ def test_wheel_rejects_bad_ring():
         },
     )
     with pytest.raises(FamilyError):
-        build_generalized_wheel(d)
+        build_family(d)
 
 
 # -- criss-cross -----------------------------------------------------------------
@@ -211,7 +202,7 @@ def wheel_criss_cross() -> FamilyDescriptor:
 
 def test_criss_cross_c4():
     d = c4_criss_cross()
-    o = build_criss_cross(d)
+    o = build_family(d)
     assert o.graph.n == 5
     assert_round_trip(o, d)
     assert o.balance(Cycle.from_edge_set(o.graph, {4, 6, 8}))
@@ -220,13 +211,13 @@ def test_criss_cross_c4():
 
 def test_criss_cross_wheel_core():
     d = wheel_criss_cross()
-    o = build_criss_cross(d)
+    o = build_family(d)
     assert_round_trip(o, d)
 
 
 def test_criss_cross_symmetric_role_permutation():
     d = c4_criss_cross()
-    o = build_criss_cross(d)
+    o = build_family(d)
     rotated = FamilyDescriptor(
         "CrissCross",
         d.graph,
@@ -261,7 +252,7 @@ def test_criss_cross_rejects_nonplanar_order():
         },
     )
     with pytest.raises(FamilyError, match="planar"):
-        build_criss_cross(d)
+        build_family(d)
 
 
 # -- fat triangle ----------------------------------------------------------------
@@ -299,7 +290,7 @@ def k4_fat_triangle() -> FamilyDescriptor:
 
 def test_fat_triangle_minimal():
     d = minimal_fat_triangle()
-    o = build_fat_triangle(d)
+    o = build_family(d)
     assert o.graph.n == 3
     assert_round_trip(o, d)
     # every base-plus-one-extra digon is unbalanced
@@ -309,7 +300,7 @@ def test_fat_triangle_minimal():
 
 def test_fat_triangle_k4_base():
     d = k4_fat_triangle()
-    o = build_fat_triangle(d)
+    o = build_family(d)
     assert_round_trip(o, d)
     assert o.balance(Cycle.from_edge_set(o.graph, {0, 1, 3}))
 
@@ -327,7 +318,7 @@ def test_fat_triangle_rejects_empty_bundle():
         },
     )
     with pytest.raises(FamilyError, match="nonempty"):
-        build_fat_triangle(d)
+        build_family(d)
 
 
 # -- projective planar specials --------------------------------------------------
@@ -413,7 +404,7 @@ def minimal_special_vertex() -> FamilyDescriptor:
 
 def test_special_triple_from_balanced_base_construction():
     d = lemma_style_special_triple()
-    o = build_pp_special_triple(d)
+    o = build_family(d)
     assert o.graph.n == 5
     assert_round_trip(o, d)
     assert o.balance(Cycle.from_edge_set(o.graph, {0, 1, 2, 3}))
@@ -421,7 +412,7 @@ def test_special_triple_from_balanced_base_construction():
 
 def test_special_pair_minimal_has_blocking_pair():
     d = minimal_special_pair()
-    o = build_pp_special_pair(d)
+    o = build_family(d)
     assert_round_trip(o, d)
     # with no junction edges, the two star centres block every unbalanced cycle
     assert (1, 2) in blocking_pairs(o)
@@ -429,7 +420,7 @@ def test_special_pair_minimal_has_blocking_pair():
 
 def test_special_vertex_minimal():
     d = minimal_special_vertex()
-    o = build_pp_special_vertex(d)
+    o = build_family(d)
     assert o.graph.n == 7
     assert_round_trip(o, d)
     # the two hub chords together close balanced cycles through the core
@@ -444,7 +435,7 @@ def test_special_triple_requires_first_leg():
     roles = dict(d.roles)
     roles["e"], roles["g"] = (), (6, 7)
     with pytest.raises(FamilyError):
-        build_pp_special_triple(FamilyDescriptor(d.kind, d.graph, roles))
+        build_family(FamilyDescriptor(d.kind, d.graph, roles))
 
 
 def test_special_pair_star_mismatch_rejected():
@@ -452,7 +443,7 @@ def test_special_pair_star_mismatch_rejected():
     roles = dict(d.roles)
     roles["fx"], roles["fy"] = frozenset({5}), frozenset({4})
     with pytest.raises(FamilyError):
-        build_pp_special_pair(FamilyDescriptor(d.kind, d.graph, roles))
+        build_family(FamilyDescriptor(d.kind, d.graph, roles))
 
 
 # -- tricoloured -----------------------------------------------------------------
@@ -532,7 +523,7 @@ def degenerate_tricoloured() -> FamilyDescriptor:
 
 def test_tricoloured_consecutive_colours():
     d = consecutive_tricoloured()
-    o = build_tricoloured(d)
+    o = build_family(d)
     assert o.graph.n == 6
     assert_round_trip(o, d)
     # a cross-colour pair inside its four host parts is unbalanced
@@ -541,13 +532,13 @@ def test_tricoloured_consecutive_colours():
 
 def test_tricoloured_alternating_colours():
     d = alternating_tricoloured()
-    o = build_tricoloured(d)
+    o = build_family(d)
     assert_round_trip(o, d)
 
 
 def test_tricoloured_degenerate_part():
     d = degenerate_tricoloured()
-    o = build_tricoloured(d)
+    o = build_family(d)
     assert o.graph.n == 7
     assert_round_trip(o, d)
 
@@ -571,43 +562,45 @@ def test_tricoloured_rejects_coinciding_sources():
         },
     )
     with pytest.raises(FamilyError, match="distinct"):
-        build_tricoloured(d)
+        build_family(d)
 
 
 # -- K5 with parallel classes ----------------------------------------------------
 
 
 def test_k5_simple_tangled():
-    o = build_k5_family()
+    d = describe_k5_family()
+    o = build_family(d)
     assert (o.graph.n, o.graph.m) == (5, 10)
-    assert_round_trip(o, describe_k5_family())
+    assert_round_trip(o, d)
     # odd cycles unbalanced, even cycles balanced
     assert all(o.balance(c) == (len(c) % 2 == 0) for c in o.cycles())
 
 
 def test_k5_doubled_edge_tangled():
     mults = [2] + [1] * 9
-    o = build_k5_family(mults)
+    d = describe_k5_family(mults)
+    o = build_family(d)
     assert o.graph.m == 11
-    assert_round_trip(o, describe_k5_family(mults))
+    assert_round_trip(o, d)
     # the parallel class closes a balanced digon
     assert o.balance(Cycle.from_edge_set(o.graph, o.graph.edges_between(0, 1)))
 
 
 def test_k5_mapping_multiplicities():
-    o = build_k5_family({(2, 3): 3})
+    o = build_family(describe_k5_family({(2, 3): 3}))
     assert o.graph.m == 12
     assert is_tangled(o) == Tangled()
 
 
 def test_k5_simplification_fixed_point():
-    o = build_k5_family()
+    o = build_family(describe_k5_family())
     assert simplify(o).graph == o.graph
 
 
 def test_k5_rejects_zero_multiplicity():
     with pytest.raises(FamilyError):
-        build_k5_family([0] + [1] * 9)
+        build_family(describe_k5_family([0] + [1] * 9))
 
 
 # -- projective planar signed ----------------------------------------------------
@@ -616,40 +609,42 @@ def test_k5_rejects_zero_multiplicity():
 def test_pp_signed_c6_diagonals():
     base = MultiGraph.from_pairs([(i, (i + 1) % 6) for i in range(6)])
     d = describe_pp_signed(base, (0, 1, 2), (3, 4, 5))
-    o = build_pp_signed(base, (0, 1, 2), (3, 4, 5))
+    o = build_family(d)
     assert_round_trip(o, d)
 
 
 def test_pp_signed_parity_law():
     base = MultiGraph.from_pairs([(i, (i + 1) % 6) for i in range(6)])
-    o = build_pp_signed(base, (0, 1, 2), (3, 4, 5))
+    o = build_family(describe_pp_signed(base, (0, 1, 2), (3, 4, 5)))
     sig = frozenset(range(6, 9))
     assert all(o.balance(c) == (len(c.edge_set & sig) % 2 == 0) for c in o.cycles())
 
 
 def test_pp_signed_single_pair_warns_not_tangled():
     base = MultiGraph.from_pairs([(0, 1), (1, 2), (2, 3), (3, 0)])
-    with pytest.warns(UserWarning, match="blocking pair"):
-        o = build_pp_signed(base, (0,), (1,))
+    with pytest.warns(UserWarning, match="blocking pair") as caught:
+        o = build_family(describe_pp_signed(base, (0,), (1,)))
+    # the warning names the caller of build_family, not the library
+    assert [w.filename for w in caught] == [__file__]
     assert is_tangled(o) != Tangled()
 
 
 def test_pp_signed_c4_crossing_diagonals():
     base = MultiGraph.from_pairs([(0, 1), (1, 2), (2, 3), (3, 0)])
-    o = build_pp_signed(base, (0, 1), (2, 3))
+    o = build_family(describe_pp_signed(base, (0, 1), (2, 3)))
     assert is_tangled(o) == Tangled()
 
 
 def test_pp_signed_rejects_nonplanar_pairing():
     base = MultiGraph.from_pairs([(0, 1), (1, 2), (2, 3), (3, 0)])
     with pytest.raises(FamilyError, match="planar"):
-        build_pp_signed(base, (0, 2), (1, 3))
+        build_family(describe_pp_signed(base, (0, 2), (1, 3)))
 
 
 def test_pp_signed_collapses_repeated_boundary_vertices():
     # x2 = y1 is allowed: consecutive repeats collapse in the boundary order
     base = MultiGraph.from_pairs([(0, 1), (1, 2), (2, 0)])
-    o = build_pp_signed(base, (0, 1), (1, 2))
+    o = build_family(describe_pp_signed(base, (0, 1), (1, 2)))
     assert o.graph.m == 5
     assert validate_biased_graph(o) == ()
 
@@ -663,7 +658,7 @@ def balanced_complete(n: int):
 
 
 def test_one_sum_at_corner():
-    fat = build_fat_triangle(minimal_fat_triangle())
+    fat = build_family(minimal_fat_triangle())
     s = t_sum(fat, balanced_complete(3), 1, [(0, 0)])
     assert (s.graph.n, s.graph.m) == (5, 9)
     assert validate_biased_graph(s) == ()
@@ -671,7 +666,7 @@ def test_one_sum_at_corner():
 
 
 def test_two_sum_along_edge():
-    fat = build_fat_triangle(minimal_fat_triangle())
+    fat = build_family(minimal_fat_triangle())
     s = t_sum(fat, balanced_complete(3), 2, [(0, 0), (1, 1)])
     assert (s.graph.n, s.graph.m) == (4, 7)
     assert validate_biased_graph(s) == ()
@@ -682,7 +677,7 @@ def test_two_sum_along_edge():
 
 
 def test_three_sum_with_four_vertex_balanced_side():
-    fatk = build_fat_triangle(k4_fat_triangle())
+    fatk = build_family(k4_fat_triangle())
     s = t_sum(fatk, balanced_complete(4), 3, [(0, 0), (1, 1), (2, 2)])
     assert (s.graph.n, s.graph.m) == (5, 9)
     assert validate_biased_graph(s) == ()
@@ -690,27 +685,27 @@ def test_three_sum_with_four_vertex_balanced_side():
 
 
 def test_t_sum_requires_balanced_second_summand():
-    fat = build_fat_triangle(minimal_fat_triangle())
+    fat = build_family(minimal_fat_triangle())
     with pytest.raises(FamilyError, match="balanced"):
         t_sum(fat, fat, 1, [(0, 0)])
 
 
 def test_t_sum_requires_shared_edges():
-    fat = build_fat_triangle(minimal_fat_triangle())
+    fat = build_family(minimal_fat_triangle())
     path = make_signed(MultiGraph.from_pairs([(0, 1), (1, 2)]), ())
     with pytest.raises(FamilyError, match="no edge between"):
         t_sum(fat, path, 2, [(0, 0), (1, 2)])
 
 
 def test_t_sum_requires_enough_vertices():
-    fat = build_fat_triangle(minimal_fat_triangle())
+    fat = build_family(minimal_fat_triangle())
     with pytest.raises(FamilyError, match="more than"):
         t_sum(fat, balanced_complete(3), 3, [(0, 0), (1, 1), (2, 2)])
 
 
 def test_t_sum_requires_balanced_shared_triangle():
     # picking one fat edge makes the designated shared triangle unbalanced
-    fatk = build_fat_triangle(k4_fat_triangle())
+    fatk = build_family(k4_fat_triangle())
     with pytest.raises(FamilyError, match="triangle"):
         t_sum(fatk, balanced_complete(4), 3, [(0, 0), (1, 1), (2, 2)], kt_edges1=(6, 1, 3))
 
@@ -805,7 +800,7 @@ def test_certificate_names_failing_clause():
             "f31": frozenset({4}),
         },
     )
-    o = build_fat_triangle(d_fat)
+    o = build_family(d_fat)
     cert = verify_family(o, d_cc)
     assert not cert.passed
     assert "core cycles balanced" in {c.name for c in cert.failures()}
@@ -813,7 +808,7 @@ def test_certificate_names_failing_clause():
 
 
 def test_certificate_graph_mismatch():
-    o = build_fat_triangle(minimal_fat_triangle())
+    o = build_family(minimal_fat_triangle())
     cert = verify_family(o, c4_criss_cross())
     assert not cert.passed
     assert cert.checks[0].name == "underlying graph matches descriptor"
@@ -860,7 +855,7 @@ def random_fat_triangle(rng: random.Random) -> FamilyDescriptor:
 @given(st.integers(0, 10 ** 9))
 def test_random_fat_triangles_tangled(seed):
     d = random_fat_triangle(random.Random(seed))
-    o = build_fat_triangle(d)
+    o = build_family(d)
     assert_round_trip(o, d)
 
 
@@ -900,7 +895,7 @@ def test_random_wheels_tangled(seed):
         MultiGraph.from_pairs(pairs),
         {"hub": 0, "hinges": hinges, "parts": parts, "xy": (None,) * k},
     )
-    o = build_generalized_wheel(d)
+    o = build_family(d)
     assert_round_trip(o, d)
 
 
@@ -928,7 +923,7 @@ def test_random_pp_signed_parity(seed):
 @given(st.integers(0, 10 ** 9))
 def test_t_sum_preserves_tangledness_at_desk_scale(seed):
     rng = random.Random(seed)
-    o1 = build_fat_triangle(random_fat_triangle(rng))
+    o1 = build_family(random_fat_triangle(rng))
     t = rng.choice([tt for tt in (1, 2, 3) if o1.graph.n > tt])
     n2 = rng.randint(t + 1, 4)
     o2 = balanced_complete(n2)

@@ -13,7 +13,6 @@ from tanglekit.graph import (
     GraphError,
     MultiGraph,
     _cut_vertices,
-    block_tree,
     bridges_of_cut,
     chordless_vertex_sets,
     cycles_by_length,
@@ -29,6 +28,7 @@ from tanglekit.limits import Caps, ResourceLimitError
 
 from oracles import (
     _scan_cycles,
+    block_tree,
     connected_graph_census,
     oracle_bridges_of_cut,
     oracle_cycle_from_walk,
@@ -195,7 +195,6 @@ def test_theta_graph_is_one_theta_with_three_cycles():
     t = thetas[0]
     assert t.edge_set == frozenset(range(5))
     assert len({c.edge_set for c in t.cycles}) == 3
-    assert t.branch_vertices(g) == (0, 1)
     c1, c2, c3 = t.cycles
     assert c1.edge_set ^ c2.edge_set == c3.edge_set
 
@@ -246,8 +245,8 @@ def test_vertex_cuts_match_the_subset_scan():
 
 
 def test_vertex_cut_cap_counts_block_trees():
-    # one block tree of the 6-cycle, then one per vertex, then one per
-    # pair of vertices that is not a cut itself (15 - 9 of them)
+    # one lowpoint pass over the 6-cycle, then one per vertex, then one
+    # per pair of vertices that is not a cut itself (15 - 9 of them)
     g = MultiGraph.from_pairs([(i, (i + 1) % 6) for i in range(6)])
     assert len(find_vertex_cuts(g, 3, Caps(max_subsets=13))) == 9
     with pytest.raises(ResourceLimitError) as err:

@@ -4,9 +4,11 @@ Every private module-level name in the library is used by the library: a
 helper that only its own tests reach is dead weight, and the first test
 fails as soon as one is left behind, whatever the tests import.  Every
 public function or class is named by another library module (the CLI
-among them), by the benchmark or by the package's ``__all__``.  The last
-test keeps one cycle list per graph: only ``MultiGraph.cycles`` reaches
-``enumerate_cycles``, and nothing writes through ``object.__setattr__``.
+among them), by the benchmark or by the package's ``__all__``, and every
+public method of a module-level class is named by library or benchmark
+code outside its own definition.  The last test keeps one cycle list per
+graph: only ``MultiGraph.cycles`` reaches ``enumerate_cycles``, and
+nothing writes through ``object.__setattr__``.
 """
 
 from __future__ import annotations
@@ -101,6 +103,31 @@ def _references(node: ast.AST, scope: tuple[str, ...] = ()):
         elif isinstance(child, ast.alias):
             yield inner, child.name
         yield from _references(child, inner)
+
+
+def test_every_public_method_is_reached_outside_its_definition():
+    trees = {p.name: ast.parse(p.read_text(), filename=str(p)) for p in sorted(SRC.glob("*.py"))}
+    reached: set[str] = set()
+    for p in BENCH.glob("*.py"):
+        if not p.name.startswith("test_"):
+            reached |= _uses(ast.parse(p.read_text(), filename=str(p)))
+    # each name the library reads -> (module, outermost two enclosing defs)
+    readers: dict[str, set[tuple[str, tuple[str, ...]]]] = {}
+    for name, tree in trees.items():
+        for scope, ref in _references(tree):
+            readers.setdefault(ref, set()).add((name, scope[:2]))
+    unreached = [
+        f"{name}:{cls.name}.{node.name}"
+        for name, tree in trees.items()
+        for cls in tree.body
+        if isinstance(cls, ast.ClassDef)
+        for node in cls.body
+        if isinstance(node, ast.FunctionDef)
+        and not node.name.startswith("_")
+        and node.name not in reached
+        and not readers.get(node.name, set()) - {(name, (cls.name, node.name))}
+    ]
+    assert unreached == []
 
 
 def test_only_the_graph_enumerates_its_cycles():

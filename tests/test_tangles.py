@@ -36,7 +36,7 @@ from tanglekit.tangles import (
 
 from tanglekit.limits import DEFAULT_CAPS, Caps, ResourceLimitError
 
-from oracles import connected_graph_census, oracle_is_tangled, random_multigraph
+from oracles import connected_graph_census, oracle_is_tangled, random_multigraph, spanning_forest
 
 
 def k4() -> MultiGraph:
@@ -264,7 +264,7 @@ def test_recovered_signature_obeys_parity_law(seed):
     # complement of one, and a cycle is balanced iff it meets it evenly
     rng = random.Random(seed)
     g = random_multigraph(rng, max_n=6, max_extra=5)
-    tree = set(g.spanning_tree_edges())
+    tree = spanning_forest(g)
     rest = sorted(set(g.edge_ids) - tree)
     assume(rest)
     sig = {e for e in rest if rng.random() < 0.6}
