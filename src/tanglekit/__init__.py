@@ -22,8 +22,8 @@ from .io import InstanceDocument, ParseError, export_dot, load, parse, serialize
 from .limits import DEFAULT_CAPS, Caps, ResourceLimitError, caps_from_env
 from .linkage import (Linkage, LinkageError, ThreePlanarWitness, VertexPath, find_linkage, find_three_planar,
                       neighborhood, project, verify_linkage, verify_witness)
-from .tangles import (StandardPartition, Tangled, blocking_pairs, blocking_vertices, find_disjoint_unbalanced_pair,
-                      is_tangled, standard_partition)
+from .tangles import (StandardPartition, Tangled, blocking_pairs, blocking_vertices, disjoint_unbalanced_pair_exists,
+                      find_disjoint_unbalanced_pair, is_tangled, standard_partition)
 
 __all__ = [
     "AllBalanced", "AllUnbalanced", "BiasedGraph", "BiasError", "ExplicitSet", "Signed", "complete_bias",
@@ -38,8 +38,8 @@ __all__ = [
     "DEFAULT_CAPS", "Caps", "ResourceLimitError", "caps_from_env",
     "Linkage", "LinkageError", "ThreePlanarWitness", "VertexPath", "find_linkage", "find_three_planar",
     "neighborhood", "project", "verify_linkage", "verify_witness",
-    "StandardPartition", "Tangled", "blocking_pairs", "blocking_vertices", "find_disjoint_unbalanced_pair",
-    "is_tangled", "standard_partition",
+    "StandardPartition", "Tangled", "blocking_pairs", "blocking_vertices", "disjoint_unbalanced_pair_exists",
+    "find_disjoint_unbalanced_pair", "is_tangled", "standard_partition",
 ]
 
 __version__ = "0.1.0"

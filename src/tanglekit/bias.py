@@ -423,7 +423,8 @@ def is_simple(o: BiasedGraph) -> bool:
 def balanced_without(o: BiasedGraph, removed: Iterable[int] = ()) -> bool:
     """True when o - removed, for a set of vertices, is balanced.
 
-    Signed bias asks :func:`switching_balanced`.  Any other bias asks
+    Signed bias asks for a switching (:func:`switching_potential`): one
+    pass of 2-colouring (Harary 1953).  Any other bias asks
     the balance of each fundamental cycle of a spanning forest of
     o - removed (:func:`~tanglekit.graph.fundamental_cycles`), which
     suffices by the argument in :meth:`BiasedGraph.is_balanced`: one
@@ -432,35 +433,25 @@ def balanced_without(o: BiasedGraph, removed: Iterable[int] = ()) -> bool:
     """
     g, b = o.graph, o.bias
     if isinstance(b, Signed):
-        return switching_balanced(g, b.signature, removed)
+        return switching_potential(g, b.signature, removed) is not None
     if isinstance(b, AllBalanced):
         return True
     return all(o.balance_of(c) for c in fundamental_cycles(g, removed))
 
 
-def switching_balanced(
-    g: MultiGraph, signature: frozenset[int], removed: Iterable[int] = ()
-) -> bool:
-    """True when g - removed has no cycle meeting the signature oddly.
-
-    That holds exactly when the vertices can be put on two sides so that
-    the signature edges are the ones crossing (Harary 1953): one pass of
-    2-colouring, with no cycle enumeration.
-    """
-    return switching_potential(g, signature, removed) is not None
-
-
 def switching_potential(
     g: MultiGraph, signature: frozenset[int], removed: Iterable[int] = ()
 ) -> dict[int, bool] | None:
-    """The two sides of :func:`switching_balanced`, or None when unbalanced.
+    """Two sides of g - removed, or None when it is unbalanced.
 
-    Switching at the vertices mapped to True makes every edge of
-    g - removed positive: an edge is in the signature exactly when its
-    ends lie on different sides.
+    g - removed has no cycle meeting the signature oddly exactly when the
+    vertices can be put on two sides so that the signature edges are the
+    ones crossing (Harary 1953): one pass of 2-colouring, with no cycle
+    enumeration.  Switching at the vertices mapped to True makes every
+    edge of g - removed positive.
     """
     gone = set(removed)
-    if any(u == v and u not in gone and e in signature for e, (u, v) in g.edge_map.items()):
+    if any(e in signature and u not in gone for e, u in g.loops):
         return None  # a signed loop
     side: dict[int, bool] = {}
     for root in g.vertices:

@@ -58,8 +58,6 @@ from .tangles import (
     Tangled,
     TangleVerdict,
     blocking_pairs,
-    blocking_vertices,
-    disjoint_unbalanced_pair_exists,
     is_tangled,
     standard_partition,
 )
@@ -1440,15 +1438,12 @@ def _terminal(
 ) -> SumDecomposition:
     """The decomposition, once the terminal core is shown to be tangled.
 
-    The test is is_tangled's, but on signed cores the pair test lists no
-    cycle: peels at 3-cuts turn degree-3 vertices into triangles of
-    virtual edges, and the core can have many times the cycles of the
-    input (PPSigned C24: 108,962 against 4,229).
+    is_tangled lists no cycle to reach that verdict, which matters here:
+    peels at 3-cuts turn degree-3 vertices into triangles of virtual
+    edges, and the core can have many times the cycles of the input
+    (PPSigned C24: 108,962 against 4,229).
     """
-    b = core.bias
-    if nodes and (
-        b.is_balanced(caps) or blocking_vertices(b, caps) or disjoint_unbalanced_pair_exists(b, caps)
-    ):
+    if nodes and not isinstance(is_tangled(core.bias, caps), Tangled):
         raise ClassifyError(f"peeling at {list(nodes[-1].cut)} left a non-tangled core")
     return SumDecomposition(tuple(nodes), core)
 

@@ -178,15 +178,30 @@ class MultiGraph:
         return tuple(sorted({w for w, _ in self.adjacent(v)}))
 
     @cached_property
-    def _between(self) -> dict[tuple[int, int], tuple[int, ...]]:
+    def _between(self) -> tuple[dict[tuple[int, int], tuple[int, ...]], tuple[tuple[int, int], ...]]:
+        """The edges joining each pair (u, v), u <= v, and the loops as
+        (edge, vertex), both in edge id order.
+
+        The loops share this cache rather than taking one of their own:
+        on CPython 3.11, one more cached attribute on the input graph
+        made ``classify`` of explicit-bias family members 6-9% slower.
+        """
         joined: dict[tuple[int, int], list[int]] = {}
+        loops = []
         for e, u, v in self._edges:
             joined.setdefault((u, v) if u <= v else (v, u), []).append(e)
-        return {pair: tuple(es) for pair, es in joined.items()}
+            if u == v:
+                loops.append((e, u))
+        return {pair: tuple(es) for pair, es in joined.items()}, tuple(loops)
 
     def edges_between(self, u: int, v: int) -> tuple[int, ...]:
         """Edges joining u and v in id order; loops at u when u == v."""
-        return self._between.get((u, v) if u <= v else (v, u), ())
+        return self._between[0].get((u, v) if u <= v else (v, u), ())
+
+    @property
+    def loops(self) -> tuple[tuple[int, int], ...]:
+        """(edge, vertex) for each loop, in edge id order."""
+        return self._between[1]
 
     def cycles(self, caps: Caps = DEFAULT_CAPS) -> tuple["Cycle", ...]:
         """All cycles in ``Cycle.sort_key`` order, enumerated once per graph.
@@ -520,8 +535,8 @@ def fundamental_cycles(g: MultiGraph, removed: Iterable[int] = ()) -> Iterator[f
     stops early never finishes the forest.
     """
     gone = set(removed)
-    for e, u, v in g._edges:
-        if u == v and u not in gone:
+    for e, u in g.loops:
+        if u not in gone:
             yield frozenset((e,))
     up: dict[int, tuple[int, int]] = {}  # vertex -> (parent, tree edge)
     depth: dict[int, int] = {}

@@ -6,23 +6,16 @@ module decides which, and recovers the finer blocking structure used by
 the classifier: blocking pairs and the standard partition of the edges at
 a blocking vertex.
 
-Whether a graph, or the graph left after deleting some vertices, is
-balanced is one test shared by every bias kind
-(:func:`~tanglekit.bias.balanced_without`): a switching (2-colouring)
-test for signed bias, fundamental cycles of a spanning forest otherwise.
-So is the yes/no test for two disjoint unbalanced cycles
-(:func:`disjoint_unbalanced_pair_exists`): it reads vertex sets off the
-chordless cycles of the support, lists no cycle, and counts each set
-against ``max_theta_pairs``.
-
-For signed bias the rest of the verdict uses switching tests too: a
-vertex v blocks when o - v passes one, a pair {v, w} blocks when
-o - {v, w} does, and the disjoint-pair search tests o - V(C) for
-unbalanced cycles C taken shortest first.  Its generated cycles count
-against ``max_cycles`` and its switching tests against ``max_theta_pairs``.
-Other bias kinds find blocking vertices, blocking pairs and the first
-disjoint pair on the full cycle list (``max_cycles``), and scan pairs of
-unbalanced cycles (``max_theta_pairs``).
+Every question is one code path for every bias kind, built on whether a
+graph, or the graph left after deleting some vertices, is balanced
+(:func:`~tanglekit.bias.balanced_without`: a switching test for signed
+bias, fundamental cycles of a spanning forest otherwise).  A vertex v
+blocks when o - v is balanced, and a pair {v, w} blocks when o - {v, w}
+is.  Whether two disjoint unbalanced cycles exist is read off the
+chordless cycles of the support (:func:`disjoint_unbalanced_pair_exists`),
+so no verdict lists a cycle.  Only the pair that certifies a
+:class:`TwoDisjointUnbalanced` verdict is searched for among cycles
+generated shortest first (:func:`find_disjoint_unbalanced_pair`).
 """
 
 from __future__ import annotations
@@ -30,7 +23,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from itertools import chain, combinations
 
-from .bias import BiasedGraph, Signed, balanced_without, switching_balanced
+from .bias import BiasedGraph, balanced_without
 from .graph import Cycle, chordless_vertex_sets, cycles_by_length
 from .limits import DEFAULT_CAPS, Caps, ResourceLimitError
 
@@ -99,44 +92,34 @@ def find_disjoint_unbalanced_pair(
     """First vertex-disjoint pair of unbalanced cycles, or None.
 
     "First" is in the order of the pairs (i, j), i < j, of the unbalanced
-    cycles sorted by ``Cycle.sort_key``.  For signed bias that pair is read
-    off switching tests: its first cycle is the first unbalanced C for which
-    o - V(C) is unbalanced (an earlier partner of a later cycle would come
-    first), and its second is the first unbalanced cycle of o - V(C).
-    Cycles are generated one length at a time, counting against
-    ``caps.max_cycles`` per graph searched; each switching test counts
-    against ``caps.max_theta_pairs``.  A cycle whose vertex set contains
-    that of a rejected one is skipped, as its remainder lies inside a
-    balanced graph.  Other bias kinds scan the pairs of the full list of
-    unbalanced cycles, at most ``caps.max_theta_pairs`` of them.
+    cycles sorted by ``Cycle.sort_key``.  That pair is read off balance
+    tests, whatever the bias kind: its first cycle is the first unbalanced
+    C for which o - V(C) is unbalanced (an earlier partner of a later
+    cycle would come first), and its second is the first unbalanced cycle
+    of o - V(C).  Cycles are generated one length at a time, counting
+    against ``caps.max_cycles`` per graph searched; each balance test
+    counts against ``caps.max_theta_pairs``.  A cycle whose vertex set
+    contains that of a rejected one is skipped, as its remainder lies
+    inside a balanced graph.
     """
     g = o.graph
     index = {v: i for i, v in enumerate(g.vertices)}
-    if isinstance(o.bias, Signed):
-        rejected: list[int] = []
-        tests = 0
-        for c in cycles_by_length(g, caps):
-            if o.balance(c):
-                continue
-            mask = _vertex_mask(index, c)
-            if any(r & mask == r for r in rejected):
-                continue
-            tests += 1
-            if tests > caps.max_theta_pairs:
-                raise ResourceLimitError("disjoint-pair scan", caps.max_theta_pairs)
-            if switching_balanced(g, o.bias.signature, c.vertex_set):
-                rejected.append(mask)
-                continue
-            rest = g.delete_vertices(c.vertex_set)
-            return c, next(d for d in cycles_by_length(rest, caps) if not o.balance(d))
-        return None
-    unb = o.unbalanced_cycles(caps)
-    masks = [_vertex_mask(index, c) for c in unb]
-    for scanned, (i, j) in enumerate(combinations(range(len(unb)), 2), 1):
-        if scanned > caps.max_theta_pairs:
+    rejected: list[int] = []
+    tests = 0
+    for c in cycles_by_length(g, caps):
+        if o.balance(c):
+            continue
+        mask = _vertex_mask(index, c)
+        if any(r & mask == r for r in rejected):
+            continue
+        tests += 1
+        if tests > caps.max_theta_pairs:
             raise ResourceLimitError("disjoint-pair scan", caps.max_theta_pairs)
-        if not masks[i] & masks[j]:
-            return unb[i], unb[j]
+        if balanced_without(o, c.vertex_set):
+            rejected.append(mask)
+            continue
+        rest = g.delete_vertices(c.vertex_set)
+        return c, next(d for d in cycles_by_length(rest, caps) if not o.balance(d))
     return None
 
 
@@ -153,7 +136,7 @@ def disjoint_unbalanced_pair_exists(o: BiasedGraph, caps: Caps = DEFAULT_CAPS) -
     against ``caps.max_theta_pairs``.  This holds for every bias kind.
     """
     g = o.graph
-    short = {frozenset(g.endpoints(e)) for e in g.edge_ids if g.is_loop(e)}
+    short = {frozenset((v,)) for _, v in g.loops}
     short.update(frozenset(p) for p in g.simple_pairs() if len(g.edges_between(*p)) > 1)
     tests = 0
     for part in chain(short, chordless_vertex_sets(g, caps)):
@@ -168,15 +151,10 @@ def disjoint_unbalanced_pair_exists(o: BiasedGraph, caps: Caps = DEFAULT_CAPS) -
 def blocking_vertices(o: BiasedGraph, caps: Caps = DEFAULT_CAPS) -> frozenset[int]:
     """Vertices meeting every unbalanced cycle; all of V if balanced.
 
-    For signed bias, v qualifies when o - v passes the switching test.
+    v qualifies when o - v is balanced, one balance test per vertex.
+    ``caps`` is not consumed.
     """
-    if isinstance(o.bias, Signed):
-        g, sig = o.graph, o.bias.signature
-        return frozenset(v for v in g.vertices if switching_balanced(g, sig, (v,)))
-    unb = o.unbalanced_cycles(caps)
-    if not unb:
-        return frozenset(o.graph.vertices)
-    return frozenset.intersection(*(c.vertex_set for c in unb))
+    return frozenset(v for v in o.graph.vertices if balanced_without(o, (v,)))
 
 
 def blocking_pairs(
@@ -184,48 +162,31 @@ def blocking_pairs(
 ) -> tuple[tuple[int, int], ...]:
     """Pairs {v, w}, neither blocking alone, meeting every unbalanced cycle.
 
-    For signed bias, {v, w} qualifies when o - {v, w} passes the switching
-    test.
+    {v, w} qualifies when o - {v, w} is balanced.
     """
-    if isinstance(o.bias, Signed):
-        if o.is_balanced(caps):
-            return ()
-        g, sig = o.graph, o.bias.signature
-        free = [v for v in g.vertices if not switching_balanced(g, sig, (v,))]
-        return tuple(p for p in combinations(free, 2) if switching_balanced(g, sig, p))
-    unb = o.unbalanced_cycles(caps)
-    if not unb:
+    if o.is_balanced(caps):
         return ()
-    blockers = blocking_vertices(o, caps)
-    hits = {v: 0 for v in o.graph.vertices}
-    for i, c in enumerate(unb):
-        for v in c.vertex_set:
-            hits[v] |= 1 << i
-    full = (1 << len(unb)) - 1
-    out = []
-    for v, w in combinations(o.graph.vertices, 2):
-        if v in blockers or w in blockers:
-            continue
-        if hits[v] | hits[w] == full:
-            out.append((v, w))
-    return tuple(out)
+    free = [v for v in o.graph.vertices if not balanced_without(o, (v,))]
+    return tuple(p for p in combinations(free, 2) if balanced_without(o, p))
 
 
 def is_tangled(o: BiasedGraph, caps: Caps = DEFAULT_CAPS) -> TangleVerdict:
     """Classify the blocking structure; exactly one verdict ever applies.
 
     A blocking vertex rules out a disjoint pair (both cycles would need
-    it), so the verdicts are mutually exclusive.
+    it), so the verdicts are mutually exclusive.  The least blocking
+    vertex ends the search, and the pair test lists no cycle, so only a
+    :class:`TwoDisjointUnbalanced` verdict generates cycles, to name its
+    pair.
     """
     if o.is_balanced(caps):
         return Balanced()
-    blockers = blocking_vertices(o, caps)
-    if blockers:
-        return HasBlockingVertex(min(blockers))
-    pair = find_disjoint_unbalanced_pair(o, caps)
-    if pair is not None:
-        return TwoDisjointUnbalanced(*pair)
-    return Tangled()
+    for v in o.graph.vertices:
+        if balanced_without(o, (v,)):
+            return HasBlockingVertex(v)
+    if not disjoint_unbalanced_pair_exists(o, caps):
+        return Tangled()
+    return TwoDisjointUnbalanced(*find_disjoint_unbalanced_pair(o, caps))
 
 
 def standard_partition(
@@ -240,7 +201,7 @@ def standard_partition(
     g = o.graph
     if v not in g.vertex_set:
         raise TangleError(f"vertex {v} is not in the graph")
-    if v not in blocking_vertices(o, caps):
+    if not balanced_without(o, (v,)):
         raise TangleError(f"vertex {v} is not a blocking vertex")
     if not g.delete_vertices([v]).is_connected():
         raise TangleError(f"deleting vertex {v} disconnects the graph")

@@ -8,7 +8,8 @@ path triples, linkages from all simple path pairs, vertex cuts and
 scan.  The exceptions are earlier versions of the library's own code, kept
 without their fast paths: the block tree, the bridges of a vertex set read
 off the components of a copy, the explicit core of a peel, the maximal
-balanced sets by transversals, two earlier Tricoloured searches, the
+balanced sets by transversals, blocking vertices, blocking pairs and the
+first disjoint pair on the cycle list, two earlier Tricoloured searches, the
 FatTriangle, CrissCross and PPSigned detectors, the canonical cycle key, the
 theta check, the linkage search, the boundary pairing search and, at the
 end, ordered planarity by networkx's planarity test.  Embeddings come from
@@ -601,6 +602,70 @@ def oracle_is_tangled(o: BiasedGraph, caps: Caps = DEFAULT_CAPS) -> TangleVerdic
         common &= c.vertex_set
     if common:
         return HasBlockingVertex(min(common))
+    return Tangled()
+
+
+# ---------------------------------------------------------------------------
+# Blocking structure on the cycle list
+#
+# The branches the library took for every bias but signed before its verdicts
+# became balance tests, copied unchanged: blocking vertices and pairs as covers
+# of the unbalanced cycles, and the first disjoint pair by a scan of all pairs
+# of unbalanced cycles in ``Cycle.sort_key`` order.
+# ---------------------------------------------------------------------------
+
+
+def oracle_blocking_vertices(o: BiasedGraph, caps: Caps = DEFAULT_CAPS) -> frozenset[int]:
+    """Vertices meeting every unbalanced cycle; all of V if balanced."""
+    unb = o.unbalanced_cycles(caps)
+    if not unb:
+        return frozenset(o.graph.vertices)
+    return frozenset.intersection(*(c.vertex_set for c in unb))
+
+
+def oracle_blocking_pairs(o: BiasedGraph, caps: Caps = DEFAULT_CAPS) -> tuple[tuple[int, int], ...]:
+    """Pairs {v, w}, neither blocking alone, meeting every unbalanced cycle."""
+    unb = o.unbalanced_cycles(caps)
+    if not unb:
+        return ()
+    blockers = oracle_blocking_vertices(o, caps)
+    hits = {v: 0 for v in o.graph.vertices}
+    for i, c in enumerate(unb):
+        for v in c.vertex_set:
+            hits[v] |= 1 << i
+    full = (1 << len(unb)) - 1
+    out = []
+    for v, w in combinations(o.graph.vertices, 2):
+        if v in blockers or w in blockers:
+            continue
+        if hits[v] | hits[w] == full:
+            out.append((v, w))
+    return tuple(out)
+
+
+def oracle_disjoint_unbalanced_pair(o: BiasedGraph, caps: Caps = DEFAULT_CAPS) -> tuple[Cycle, Cycle] | None:
+    """First pair (i, j), i < j, of disjoint unbalanced cycles, or None."""
+    unb = o.unbalanced_cycles(caps)
+    index = {v: i for i, v in enumerate(o.graph.vertices)}
+    masks = [sum(1 << index[v] for v in c.vertex_set) for c in unb]
+    for scanned, (i, j) in enumerate(combinations(range(len(unb)), 2), 1):
+        if scanned > caps.max_theta_pairs:
+            raise ResourceLimitError("disjoint-pair scan", caps.max_theta_pairs)
+        if not masks[i] & masks[j]:
+            return unb[i], unb[j]
+    return None
+
+
+def oracle_cycle_list_verdict(o: BiasedGraph, caps: Caps = DEFAULT_CAPS) -> TangleVerdict:
+    """The verdict from the three cycle-list functions above."""
+    if not o.unbalanced_cycles(caps):
+        return Balanced()
+    blockers = oracle_blocking_vertices(o, caps)
+    if blockers:
+        return HasBlockingVertex(min(blockers))
+    pair = oracle_disjoint_unbalanced_pair(o, caps)
+    if pair is not None:
+        return TwoDisjointUnbalanced(*pair)
     return Tangled()
 
 

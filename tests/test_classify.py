@@ -14,8 +14,7 @@ from pathlib import Path
 import pytest
 
 from tanglekit import io
-from tanglekit.bias import (BiasedGraph, ExplicitSet, Signed, balanced_without, make_explicit, make_signed,
-                            switching_balanced)
+from tanglekit.bias import BiasedGraph, ExplicitSet, Signed, balanced_without, make_explicit, make_signed
 import tanglekit.classify as classify_module
 import tanglekit.families as families_module
 import tanglekit.graph as graph_module
@@ -483,7 +482,7 @@ def test_signed_maximal_balanced_sets_obey_the_parity_law():
     for o in signed_multigraphs(300):
         sig, edges = o.bias.signature, o.graph.edge_id_set
         for m in _maximal_balanced_sets(o):
-            assert switching_balanced(o.graph, sig ^ (edges - m))
+            assert balanced_without(make_signed(o.graph, sig ^ (edges - m)))
             checked += 1
     assert checked > 300
 
@@ -848,13 +847,13 @@ def test_classify_stops_at_the_switching_search_cap():
 
 @pytest.mark.parametrize(
     "make, tests",
-    [(lambda: pp_signed(6), 7), (c4_criss_cross, 561)],
+    [(lambda: pp_signed(6), 9), (c4_criss_cross, 10)],
     ids=["pp-signed-c6", "criss-cross-c4"],
 )
 def test_classify_and_decompose_stop_at_the_disjoint_pair_cap(make, tests):
-    # signed PPSigned C6: the verdict makes six switching tests and the
-    # terminal core's pair test seven; the explicit CrissCross member's
-    # verdict scans all 561 pairs of its 34 unbalanced cycles
+    # the verdict's pair test counts one vertex set per loop, parallel
+    # class and chordless cycle of the support: 9 on signed PPSigned C6,
+    # whose terminal core needs 7, and 10 on the explicit CrissCross member
     o = build_family(make())
     for run in (decompose, classify):
         with pytest.raises(ResourceLimitError) as err:

@@ -52,10 +52,15 @@ def test_parse_error_is_one_line(tmp_path, capsys):
 
 
 def test_cap_from_the_environment_names_the_stage(tmp_path, capsys, monkeypatch):
-    monkeypatch.setenv(ENV_CAP, "3")
+    # the fat triangle classifies with every cap at 11; at 10 the cycle
+    # list the detectors read is one too long
+    monkeypatch.setenv(ENV_CAP, "10")
     status, out, err = run(tmp_path, capsys, FAT_TRIANGLE, "classify")
     assert (status, out) == (1, "")
-    assert err == "tanglekit: resource limit exceeded in enumerate_cycles (cap 3)\n"
+    assert err == "tanglekit: resource limit exceeded in enumerate_cycles (cap 10)\n"
+    monkeypatch.setenv(ENV_CAP, "11")
+    status, out, err = run(tmp_path, capsys, FAT_TRIANGLE, "classify")
+    assert (status, err) == (0, "") and "T1d" in out.split()
 
 
 def test_bad_cap_and_missing_file(tmp_path, capsys, monkeypatch):

@@ -36,7 +36,32 @@ from tanglekit.tangles import (
 
 from tanglekit.limits import DEFAULT_CAPS, Caps, ResourceLimitError
 
-from oracles import connected_graph_census, oracle_is_tangled, random_multigraph, spanning_forest
+import tanglekit.graph as graph_module
+import tanglekit.tangles as tangles_module
+from oracles import (
+    ORACLE_VERTICES,
+    connected_graph_census,
+    oracle_blocking_pairs,
+    oracle_blocking_vertices,
+    oracle_cycle_list_verdict,
+    oracle_disjoint_unbalanced_pair,
+    oracle_is_tangled,
+    random_multigraph,
+    spanning_forest,
+)
+from test_families import (
+    alternating_tricoloured,
+    c4_criss_cross,
+    c4_part_wheel,
+    consecutive_tricoloured,
+    degenerate_tricoloured,
+    k4_fat_triangle,
+    lemma_style_special_triple,
+    minimal_fat_triangle,
+    minimal_special_pair,
+    minimal_special_vertex,
+    triangle_rim_wheel,
+)
 
 
 def k4() -> MultiGraph:
@@ -121,12 +146,13 @@ def test_dense_graph_gets_a_disjoint_pair_at_default_caps():
 
 
 def test_pair_scan_cap_counts_scanned_pairs():
-    # K5 has no two disjoint cycles, so the scan runs through every pair
+    # K5 has no two disjoint cycles: each of the 10 triangles leaves a
+    # balanced edge, and every longer cycle contains a rejected triangle,
+    # so the search makes 10 balance tests
     o = BiasedGraph(k5(), AllUnbalanced())
-    total = len(o.unbalanced_cycles()) * (len(o.unbalanced_cycles()) - 1) // 2
-    assert find_disjoint_unbalanced_pair(o, Caps(max_theta_pairs=total)) is None
+    assert find_disjoint_unbalanced_pair(o, Caps(max_theta_pairs=10)) is None
     with pytest.raises(ResourceLimitError) as err:
-        find_disjoint_unbalanced_pair(o, Caps(max_theta_pairs=total - 1))
+        find_disjoint_unbalanced_pair(o, Caps(max_theta_pairs=9))
     assert err.value.stage == "disjoint-pair scan"
 
 
@@ -320,17 +346,19 @@ def signed_inputs() -> list[BiasedGraph]:
 
 
 def test_signed_verdict_equals_the_explicit_copy():
-    # the explicit copy takes the cycle-list path, pair scan and blocking
-    # pairs included; the pair test that lists no cycle agrees with both
+    # the signed original takes switching tests and the explicit copy
+    # fundamental cycles; both agree with the cycle-list oracles, pair
+    # scan and blocking pairs included, and with the pair test that lists
+    # no cycle
     seen = set()
     pairs = 0
     for o in signed_inputs():
         assert isinstance(o.bias, Signed)
         copy = make_explicit(o.graph, o.balanced_cycles())
         verdict = is_tangled(o)
-        assert verdict == is_tangled(copy)
-        assert blocking_vertices(o) == blocking_vertices(copy)
-        assert blocking_pairs(o) == blocking_pairs(copy)
+        assert verdict == is_tangled(copy) == oracle_cycle_list_verdict(o)
+        assert blocking_vertices(o) == blocking_vertices(copy) == oracle_blocking_vertices(o)
+        assert blocking_pairs(o) == blocking_pairs(copy) == oracle_blocking_pairs(o)
         assert o.is_balanced() == copy.is_balanced()
         # a pair rules out a blocking vertex, so it decides this verdict
         assert disjoint_unbalanced_pair_exists(o) == isinstance(verdict, TwoDisjointUnbalanced)
@@ -388,10 +416,92 @@ def test_signed_pair_search_counts_switching_tests():
 
 
 def test_signed_pair_search_counts_generated_cycles():
-    # K5 with every edge odd is tangled, so the search builds every layer:
-    # 10 triangles, 15 four-cycles and 12 five-cycles
+    # K5 with every edge odd has no disjoint pair, so the search builds
+    # every layer: 10 triangles, 15 four-cycles and 12 five-cycles
     o = make_signed(k5(), k5().edge_ids)
-    assert is_tangled(o, Caps(max_cycles=37)) == Tangled()
+    assert find_disjoint_unbalanced_pair(o, Caps(max_cycles=37)) is None
     with pytest.raises(ResourceLimitError) as err:
-        is_tangled(o, Caps(max_cycles=36))
+        find_disjoint_unbalanced_pair(o, Caps(max_cycles=36))
     assert err.value.stage == "enumerate_cycles"
+
+
+# -- one balance-test path for every bias ----------------------------------------
+
+
+EXPLICIT_MEMBERS = [
+    c4_part_wheel,
+    triangle_rim_wheel,
+    c4_criss_cross,
+    minimal_fat_triangle,
+    k4_fat_triangle,
+    minimal_special_vertex,
+    minimal_special_pair,
+    lemma_style_special_triple,
+    consecutive_tricoloured,
+    alternating_tricoloured,
+    degenerate_tricoloured,
+]
+
+
+def gain_bias(g: MultiGraph, k: int, rng: random.Random) -> BiasedGraph:
+    """Z_k gains on g, each edge read from its first end to its second; a
+    cycle is balanced when its gains sum to 0 mod k.  Gain graphs satisfy
+    the theta property, and for k >= 3 most are no signed graph."""
+    gain = {e: 0 if rng.random() < 0.5 else rng.randrange(1, k) for e in g.edge_ids}
+
+    def balanced(c) -> bool:
+        total = 0
+        for e, x in zip(c.key, c.walk):
+            total += gain[e] if g.endpoints(e)[0] == x else -gain[e]
+        return total % k == 0
+
+    return make_explicit(g, [c for c in g.cycles() if balanced(c)])
+
+
+def non_signed_inputs() -> list[BiasedGraph]:
+    rng = random.Random(29)
+    out = []
+    for _ in range(250):
+        g = random_multigraph(rng, max_n=9, max_extra=6, allow_loops=True)
+        out.append(gain_bias(g, rng.choice((3, 4, 5)), rng))
+    for _ in range(40):
+        out.append(BiasedGraph(random_multigraph(rng, max_n=8, max_extra=5, allow_loops=True), AllUnbalanced()))
+    for d in EXPLICIT_MEMBERS:
+        o = build_family(d())
+        out.append(o)
+        out += [o.delete_edges([e]) for e in o.graph.edge_ids]
+    return out
+
+
+def test_verdicts_of_any_bias_match_the_cycle_list_oracles():
+    # Z_k-gain explicit biases with loops and digons, all-unbalanced bias
+    # and the explicit family members with each edge deleted in turn
+    seen = set()
+    pairs = 0
+    for o in non_signed_inputs():
+        assert not isinstance(o.bias, Signed)
+        verdict = is_tangled(o)
+        assert verdict == oracle_cycle_list_verdict(o)
+        assert blocking_vertices(o) == oracle_blocking_vertices(o)
+        assert blocking_pairs(o) == oracle_blocking_pairs(o)
+        assert find_disjoint_unbalanced_pair(o) == oracle_disjoint_unbalanced_pair(o)
+        if o.graph.n <= ORACLE_VERTICES:
+            assert verdict == oracle_is_tangled(o)
+        seen.add(type(verdict))
+        pairs += len(blocking_pairs(o))
+    assert seen == {Balanced, HasBlockingVertex, TwoDisjointUnbalanced, Tangled}
+    assert pairs > 100
+
+
+@pytest.mark.parametrize("make", [c4_criss_cross, minimal_special_vertex], ids=["criss-cross-c4", "special-vertex"])
+def test_tangled_verdict_lists_no_cycle(make, monkeypatch):
+    o = build_family(make())
+    fresh = BiasedGraph(MultiGraph.build(o.graph.vertices, o.graph.edge_map), o.bias)
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("a cycle list was built")
+
+    monkeypatch.setattr(graph_module, "enumerate_cycles", refuse)
+    monkeypatch.setattr(graph_module, "cycles_by_length", refuse)
+    monkeypatch.setattr(tangles_module, "cycles_by_length", refuse)
+    assert is_tangled(fresh) == Tangled()
