@@ -10,7 +10,7 @@ The classifier itself is ``tanglekit.classify.classify``: bound here, it
 would hide the module of the same name.
 """
 
-from .bias import (AllBalanced, AllUnbalanced, BiasedGraph, BiasError, ExplicitSet, Signed, complete_bias,
+from .bias import (AllBalanced, AllUnbalanced, BiasedGraph, BiasError, ExplicitSet, Lifted, Signed, complete_bias,
                    make_explicit, make_signed, simplify, switch_signature, validate_biased_graph)
 from .classify import (ClassificationReport, ClassifyError, FourConnectedCore, Label, SumDecomposition, SumNode,
                        WheelCore, decompose)
@@ -26,7 +26,7 @@ from .tangles import (StandardPartition, Tangled, blocking_pairs, blocking_verti
                       find_disjoint_unbalanced_pair, is_tangled, standard_partition)
 
 __all__ = [
-    "AllBalanced", "AllUnbalanced", "BiasedGraph", "BiasError", "ExplicitSet", "Signed", "complete_bias",
+    "AllBalanced", "AllUnbalanced", "BiasedGraph", "BiasError", "ExplicitSet", "Lifted", "Signed", "complete_bias",
     "make_explicit", "make_signed", "simplify", "switch_signature", "validate_biased_graph",
     "ClassificationReport", "ClassifyError", "FourConnectedCore", "Label", "SumDecomposition", "SumNode",
     "WheelCore", "decompose",

@@ -11,6 +11,8 @@ a switching (2-colouring) test with no cycle enumeration (Harary 1953).
 Any other bias is balanced exactly when the fundamental cycles of one
 spanning forest are, by the theta property alone, so no bias kind lists
 cycles to decide balance (:func:`balanced_without`).
+A t-sum (t <= 3) and a peeled core carry a :class:`Lifted` bias, which
+asks the first summand about each cycle and stores none.
 Explicit cycle sets are validated by scanning pairs of balanced cycles
 only, since a theta that breaks the rule is the union of its two balanced
 cycles; those pairs count against ``max_theta_pairs``.  A partial
@@ -74,7 +76,47 @@ class AllUnbalanced:
     pass
 
 
-BiasSpec = Signed | ExplicitSet | AllBalanced | AllUnbalanced
+@dataclass(frozen=True)
+class Lifted:
+    """The bias of a t-sum (t <= 3) with a balanced second summand.
+
+    Side 1 keeps the first summand's edge ids and its bias ``first``;
+    ``ends`` gives each side-2 edge its ends, and ``closing`` each sorted
+    pair of glued vertices the first summand's edges that close a side-1
+    path between them.  A cycle in side 1 keeps its balance, one in side 2
+    is balanced, and a crossing one, whose side-2 path has as ends the odd
+    degree vertices of its side-2 edges, has the balance of its side-1
+    path closed up (:func:`~tanglekit.families.t_sum`).  A peeled core is
+    a t-sum read backwards: its real edges are side 1 under the parent's
+    bias, its virtual edges side 2, and each pair closes through the
+    peeled side's q-path.  Theta-consistency: :func:`validate_biased_graph`.
+    """
+
+    first: BiasSpec
+    ends: Mapping[int, tuple[int, int]]
+    closing: Mapping[tuple[int, int], frozenset[int]]
+
+
+BiasSpec = Signed | ExplicitSet | AllBalanced | AllUnbalanced | Lifted
+
+
+def _balance(b: BiasSpec, edges: frozenset[int]) -> bool:
+    """True when the cycle with these edges is balanced under b."""
+    if isinstance(b, Signed):
+        return len(edges & b.signature) % 2 == 0
+    if isinstance(b, ExplicitSet):
+        return edges in b.edge_sets
+    if not isinstance(b, Lifted):
+        return isinstance(b, AllBalanced)
+    own = edges & b.ends.keys()
+    if not own:
+        return _balance(b.first, edges)
+    if len(own) == len(edges):
+        return True
+    odd: set[int] = set()  # the ends of the side-2 path
+    for e in own:
+        odd.symmetric_difference_update(b.ends[e])
+    return _balance(b.first, (edges - own) | b.closing[tuple(sorted(odd))])
 
 
 @dataclass(frozen=True)
@@ -84,7 +126,7 @@ class BiasedGraph:
 
     def balance(self, c: Cycle) -> bool:
         """True when c is balanced."""
-        return self.balance_of(c.edge_set)
+        return _balance(self.bias, c.edge_set)
 
     def balance_of(self, edges: frozenset[int]) -> bool:
         """True when the cycle with these edges is balanced.
@@ -93,12 +135,7 @@ class BiasedGraph:
         :class:`Cycle` is built.  The edges must form a cycle of the
         graph; that is not checked.
         """
-        b = self.bias
-        if isinstance(b, Signed):
-            return len(edges & b.signature) % 2 == 0
-        if isinstance(b, ExplicitSet):
-            return edges in b.edge_sets
-        return isinstance(b, AllBalanced)
+        return _balance(self.bias, edges)
 
     def cycles(self, caps: Caps = DEFAULT_CAPS) -> tuple[Cycle, ...]:
         return self.graph.cycles(caps)
@@ -143,6 +180,7 @@ class BiasedGraph:
         return BiasedGraph(sub, self._inherit(sub))
 
     def _inherit(self, sub: MultiGraph) -> BiasSpec:
+        """The bias of a subgraph; a lifted bias answers its cycles as it is."""
         b = self.bias
         if isinstance(b, Signed):
             return Signed(b.signature & sub.edge_id_set)
@@ -200,7 +238,20 @@ def validate_biased_graph(o: BiasedGraph, caps: Caps = DEFAULT_CAPS) -> tuple[Th
     """Theta check for any bias spec, with no cycle enumeration.
 
     Signed, all-balanced and all-unbalanced biases pass by construction
-    (Zaslavsky 1989); an explicit set is checked as stored.
+    (Zaslavsky 1989); an explicit set is checked as stored.  A lifted bias
+    passes whenever its first summand's does: a t-sum cycle meeting side 1
+    has the balance of its image there, its side-2 path swapped for the
+    shared edge on its ends.  In a theta of the sum with a cycle in side 2,
+    the other two have one image, so one or three are balanced; with one
+    in side 1, the images form a theta of the first summand; otherwise the
+    theta crosses at a, b, c, and the images are the faces yab, yac, ybc of
+    a subdivided K4 whose face abc, the shared triangle, is balanced, where
+    yab and yac balanced make yacb balanced (a theta with abc) and so ybc
+    (a theta with yac).  A peeled core's theta through virtual edges is the
+    image of a parent theta that runs each virtual path, and two virtual
+    edges at a branch vertex through a claw, through the balanced side,
+    where paths close up alike.  A theta holding the virtual triangle is it
+    plus one path, whose two cycles share a q-path.
     """
     b = o.bias
     if not isinstance(b, ExplicitSet):
@@ -436,7 +487,7 @@ def balanced_without(o: BiasedGraph, removed: Iterable[int] = ()) -> bool:
         return switching_potential(g, b.signature, removed) is not None
     if isinstance(b, AllBalanced):
         return True
-    return all(o.balance_of(c) for c in fundamental_cycles(g, removed))
+    return all(_balance(b, c) for c in fundamental_cycles(g, removed))
 
 
 def switching_potential(

@@ -8,9 +8,10 @@ re-verifiable certificate to each label it reports.
 
 A signed input stays signed through ``decompose``: each virtual edge of a
 peeled core takes the sign of a path through the balanced side it stands
-for, so side balance and the per-peel tangle check are switching tests and
-no core's cycles are listed, unless it is a wheel.  Other biases rebuild
-each core as an explicit cycle set.
+for, so side balance and the per-peel tangle check are switching tests,
+and a T3 label needs one more.  Other biases give each core a lazy
+``bias.Lifted`` that asks the parent about the cycle through that path.
+No core's cycles are listed, unless it is a wheel.
 
 Recognition is search-based: candidate role assignments are enumerated
 within the configured resource ceilings and ``verify_family`` is the
@@ -37,9 +38,12 @@ from .bias import (
     AllBalanced,
     BiasedGraph,
     BiasError,
+    Lifted,
     Signed,
+    balanced_without,
     is_simple,
     make_explicit,
+    make_signed,
 )
 from .embedding import collapse_cyclic, ordered_planarity
 from .families import Certificate, FamilyDescriptor, FamilyError, t_sum, verify_family
@@ -57,7 +61,6 @@ from .tangles import (
     TangleError,
     Tangled,
     TangleVerdict,
-    blocking_pairs,
     is_tangled,
     standard_partition,
 )
@@ -137,15 +140,13 @@ class SumDecomposition:
     nodes: tuple[SumNode, ...]
     core: FourConnectedCore | WheelCore
 
-    def recompose(
-        self, caps: Caps = DEFAULT_CAPS
-    ) -> tuple[BiasedGraph, dict[int, int], dict[int, int]]:
+    def recompose(self) -> tuple[BiasedGraph, dict[int, int], dict[int, int]]:
         """Rebuild the input; maps rebuilt edge/vertex ids to originals."""
         bias = self.core.bias
         tags: dict[int, _Tag] = dict(self.core.origins)
         vorig = {v: v for v in bias.graph.vertex_set}
         for node in reversed(self.nodes):
-            bias, tags, vorig = _fold(bias, tags, vorig, node, caps)
+            bias, tags, vorig = _fold(bias, tags, vorig, node)
         emap: dict[int, int] = {}
         for e, tag in tags.items():
             if tag[0] != "real":
@@ -155,10 +156,25 @@ class SumDecomposition:
 
     def verify(self, original: BiasedGraph, caps: Caps = DEFAULT_CAPS) -> tuple[str, ...]:
         """Failure messages; empty when recomposition matches cycle-for-cycle."""
+        rebuilt, emap, fails = self._rebuild(original)
+        if fails:
+            return fails
+        for c in rebuilt.cycles(caps):
+            if rebuilt.balance(c) != original.balance_of(frozenset(emap[e] for e in c.edge_set)):
+                return (
+                    "cycle through original edges "
+                    f"{sorted(emap[e] for e in c.edge_set)} changes balance",
+                )
+        return ()
+
+    def _rebuild(self, original: BiasedGraph) -> tuple[BiasedGraph | None, dict[int, int], tuple[str, ...]]:
+        """The recomposition, its edge map and its bookkeeping failures.
+        With none, the edge and vertex maps make an isomorphism onto the
+        original, so every mapped edge set is a cycle of it."""
         try:
-            rebuilt, emap, vmap = self.recompose(caps)
+            rebuilt, emap, vmap = self.recompose()
         except (ClassifyError, FamilyError, BiasError, TangleError) as err:
-            return (f"recomposition failed: {err}",)
+            return None, {}, (f"recomposition failed: {err}",)
         fails: list[str] = []
         g0 = original.graph
         if sorted(emap) != sorted(rebuilt.graph.edge_id_set):
@@ -170,24 +186,13 @@ class SumDecomposition:
         ) != sorted(g0.vertex_set) or len(set(vmap.values())) != len(vmap):
             fails.append("vertex bookkeeping is not a bijection onto the original")
         if fails:
-            return tuple(fails)
+            return rebuilt, emap, tuple(fails)
         for e in sorted(emap):
             if {vmap[v] for v in rebuilt.graph.endpoints(e)} != set(
                 g0.endpoints(emap[e])
             ):
-                fails.append(f"rebuilt edge {e} maps to {emap[e]} with other endpoints")
-                return tuple(fails)
-        # The endpoint check and the two bijections make emap an
-        # isomorphism onto the original, so every mapped edge set is a
-        # cycle of it and its balance is read off the edges.
-        for c in rebuilt.cycles(caps):
-            if rebuilt.balance(c) != original.balance_of(frozenset(emap[e] for e in c.edge_set)):
-                fails.append(
-                    "cycle through original edges "
-                    f"{sorted(emap[e] for e in c.edge_set)} changes balance"
-                )
-                return tuple(fails)
-        return ()
+                return rebuilt, emap, (f"rebuilt edge {e} maps to {emap[e]} with other endpoints",)
+        return rebuilt, emap, ()
 
 
 @dataclass(frozen=True)
@@ -1429,7 +1434,7 @@ def _decompose(o: BiasedGraph, caps: Caps) -> SumDecomposition:
                     "all 3-cut sides are unbalanced but no cut has exactly two sides"
                 )
             vc, bridge = pick
-        cur, tags, node = _peel(cur, tags, vc, bridge, len(nodes) + 1, caps)
+        cur, tags, node = _peel(cur, tags, vc, bridge, len(nodes) + 1)
         nodes.append(node)
 
 
@@ -1438,10 +1443,10 @@ def _terminal(
 ) -> SumDecomposition:
     """The decomposition, once the terminal core is shown to be tangled.
 
-    is_tangled lists no cycle to reach that verdict, which matters here:
-    peels at 3-cuts turn degree-3 vertices into triangles of virtual
-    edges, and the core can have many times the cycles of the input
-    (PPSigned C24: 108,962 against 4,229).
+    is_tangled lists no cycle to reach that verdict, and no core bias
+    stores one, which matters here: peels at 3-cuts turn degree-3
+    vertices into triangles of virtual edges, and the core can have many
+    times the cycles of the input (PPSigned C24: 108,962 against 4,229).
     """
     if nodes and not isinstance(is_tangled(core.bias, caps), Tangled):
         raise ClassifyError(f"peeling at {list(nodes[-1].cut)} left a non-tangled core")
@@ -1454,7 +1459,6 @@ def _peel(
     vc: VertexCut,
     bridge,
     node_id: int,
-    caps: Caps,
 ) -> tuple[BiasedGraph, dict[int, _Tag], SumNode]:
     t = vc.size
     cut = tuple(sorted(vc.cut))
@@ -1499,47 +1503,11 @@ def _peel(
         negative = {ve for ve, pair in virt.items() if len(qpaths[pair] & sig) % 2}
         core = BiasedGraph(core_graph, Signed((sig & core_graph.edge_id_set) | negative))
     else:
-        core = _explicit_core(cur, core_graph, virt, qpaths, cut, caps)
+        core = BiasedGraph(core_graph, Lifted(cur.bias, virt, qpaths))
     new_tags = {e: tags[e] for e in core_graph.edge_id_set if e not in vset}
     for j, ve in enumerate(virt_ids):
         new_tags[ve] = ("virt", node_id, j)
     return core, new_tags, SumNode(node_id, t, cut, virt_ids, leaf, leaf_origins)
-
-
-def _explicit_core(
-    cur: BiasedGraph,
-    core_graph: MultiGraph,
-    virt: dict[int, tuple[int, int]],
-    qpaths: dict[tuple[int, int], frozenset[int]],
-    cut: tuple[int, ...],
-    caps: Caps,
-) -> BiasedGraph:
-    """The core's balanced cycles, each probed through the q-paths of its
-    virtual edges, as an explicit set checked against the theta property."""
-    vset = frozenset(virt)
-    balanced: list[frozenset[int]] = []
-    for c in core_graph.cycles(caps):
-        used = c.edge_set & vset
-        if not used:
-            ok = cur.balance_of(c.edge_set)
-        elif len(used) == 3:
-            ok = True
-        else:
-            if len(used) == 1:
-                (ve,) = used
-                a, b = virt[ve]
-            else:
-                e1, e2 = sorted(used)
-                ends = set(virt[e1]) ^ set(virt[e2])
-                a, b = sorted(ends)
-            probe = (c.edge_set - used) | qpaths[(a, b)]
-            ok = cur.balance_of(probe)
-        if ok:
-            balanced.append(c.edge_set)
-    try:
-        return make_explicit(core_graph, balanced, check=True, caps=caps)
-    except BiasError as err:
-        raise ClassifyError(f"reconstructed side bias at cut {list(cut)} fails: {err}")
 
 
 def _extract_wheel(cur: BiasedGraph, vc: VertexCut, caps: Caps) -> tuple[FamilyDescriptor, Certificate]:
@@ -1636,7 +1604,6 @@ def _fold(
     tags: dict[int, _Tag],
     vorig: dict[int, int],
     node: SumNode,
-    caps: Caps,
 ) -> tuple[BiasedGraph, dict[int, _Tag], dict[int, int]]:
     """Glue one peeled leaf back onto the partially rebuilt graph."""
     inverse = {orig: cur for cur, orig in vorig.items()}
@@ -1650,13 +1617,7 @@ def _fold(
             f"sum node {node.node_id} lost track of its virtual edges"
         )
     summed = t_sum(
-        left,
-        node.leaf,
-        node.t,
-        identify,
-        kt_edges1=kt1 or None,
-        kt_edges2=node.virtual_edges or None,
-        caps=caps,
+        left, node.leaf, node.t, identify, kt_edges1=kt1 or None, kt_edges2=node.virtual_edges or None
     )
     glued = {orig for _, orig in identify}
     new_vorig = dict(vorig)
@@ -1677,21 +1638,35 @@ def _fold(
 # ---------------------------------------------------------------------------
 
 
+def _switching_accepts(dec: SumDecomposition, o: BiasedGraph) -> bool:
+    """True when ``dec.verify(o)`` would find nothing, for signed o, by one
+    switching test; False sends the caller to ``verify``.
+
+    After its bookkeeping checks, ``verify`` compares each rebuilt cycle's
+    parity under the rebuilt signature with its image's under o's.  Two
+    signatures agree on every cycle exactly when their symmetric
+    difference is an edge cut, that is, balanced (Harary 1953).
+    """
+    if not isinstance(o.bias, Signed):
+        return False
+    rebuilt, emap, fails = dec._rebuild(o)
+    if fails or not isinstance(rebuilt.bias, Signed):
+        return False
+    moved = frozenset(emap[e] for e in rebuilt.bias.signature)
+    return balanced_without(make_signed(o.graph, o.bias.signature ^ moved))
+
+
 def _tangled_report(
     o: BiasedGraph, verdict: TangleVerdict, caps: Caps, first: bool
 ) -> ClassificationReport:
     trace: list[str] = []
-    pairs = blocking_pairs(o, caps)
-    if pairs:
-        trace.append(
-            "blocking pairs: " + ", ".join(f"({v},{w})" for v, w in pairs)
-        )
     dec = _decompose(o, caps)
     labels: list[Label] = []
     if dec.nodes:
-        fails = dec.verify(o, caps)
-        if fails:
-            raise ClassifyError("decomposition does not recompose: " + fails[0])
+        if not _switching_accepts(dec, o):
+            fails = dec.verify(o, caps)
+            if fails:
+                raise ClassifyError("decomposition does not recompose: " + fails[0])
         orders = ", ".join(str(n.t) for n in dec.nodes)
         trace.append(f"peeled {len(dec.nodes)} balanced summand(s) at cuts of order {orders}")
         labels.append(Label("T3", "TSum", None, None))

@@ -12,7 +12,7 @@ biased graph, producing an auditable :class:`Certificate`.
 ``t_sum`` glues a biased graph to a balanced one across a shared
 complete graph on one, two or three vertices and derives the bias of
 the glued graph from the biases of the summands: a signature when both
-are signed, an explicit balanced-cycle set otherwise.
+are signed, a lazy bias that asks the first summand otherwise.
 """
 
 from __future__ import annotations
@@ -25,9 +25,9 @@ from typing import Iterable, Mapping, Sequence
 from .bias import (
     AllBalanced,
     BiasedGraph,
+    Lifted,
     Signed,
     complete_bias,
-    make_explicit,
     make_signed,
     switching_potential,
 )
@@ -1053,7 +1053,6 @@ def t_sum(
     identify: Sequence[tuple[int, int]],
     kt_edges1: Sequence[int] | None = None,
     kt_edges2: Sequence[int] | None = None,
-    caps: Caps = DEFAULT_CAPS,
 ) -> BiasedGraph:
     """Glue o1 and o2 across a shared balanced complete graph on t vertices.
 
@@ -1074,8 +1073,7 @@ def t_sum(
     off the cut, and side 1 keeps its signature.  Every side-2 path
     between cut vertices x and y so has the sign of the shared edge xy,
     which is the rule above (Harary 1953; Zaslavsky 1982).  Other biases
-    get an explicit balanced-cycle set, validated against the theta
-    property.
+    get a lazy :class:`~tanglekit.bias.Lifted`, which asks o1 per cycle.
     """
     if t not in (1, 2, 3) or len(identify) != t:
         raise FamilyError("t must be 1, 2 or 3 with one identified pair per vertex")
@@ -1093,7 +1091,7 @@ def t_sum(
         psi = switching_potential(o2.graph, sig2)
         balanced2 = psi is not None
     else:
-        balanced2 = o2.is_balanced(caps)
+        balanced2 = o2.is_balanced()
     if not balanced2:
         raise FamilyError("the second summand must be balanced")
     kt1 = _pick_kt_edges(o1, firsts, kt_edges1, "first summand")
@@ -1133,36 +1131,8 @@ def t_sum(
                 negative.add(new)
         return make_signed(sum_graph, (sig1 - set(kt1)) | negative)
 
-    side2 = frozenset(emap.values())
-    back2 = {new: old for old, new in emap.items()}
-    pair_edge1 = {frozenset(o1.graph.endpoints(e)): e for e in kt1}
-    pair_edge2 = {frozenset(o2.graph.endpoints(e)): e for e in kt2}
-    to_second = dict(zip(firsts, seconds))
-
-    balanced: list[Cycle] = []
-    for c in sum_graph.cycles(caps):
-        own2 = c.edge_set & side2
-        if not own2:
-            ok = o1.balance_of(c.edge_set)
-        elif own2 == c.edge_set:
-            ok = o2.balance_of(frozenset(back2[e] for e in own2))
-        else:
-            length = len(c.key)
-            switches = [
-                i for i in range(length) if (c.key[i] in side2) != (c.key[i - 1] in side2)
-            ]
-            if len(switches) != 2:
-                raise FamilyError("internal error: sum cycle crosses more than once")
-            p, q = switches
-            u, v = c.walk[p], c.walk[q]
-            seg_a = [c.key[i] for i in range(p, q)]
-            seg_b = [c.key[i % length] for i in range(q, p + length)]
-            seg1, seg2 = (seg_b, seg_a) if seg_a[0] in side2 else (seg_a, seg_b)
-            e1 = pair_edge1[frozenset({u, v})]
-            e2 = pair_edge2[frozenset({to_second[u], to_second[v]})]
-            ok = o1.balance_of(frozenset(seg1) | {e1}) and o2.balance_of(
-                frozenset(back2[e] for e in seg2) | {e2}
-            )
-        if ok:
-            balanced.append(c)
-    return make_explicit(sum_graph, balanced, check=True, caps=caps)
+    closing = {
+        tuple(sorted((firsts[i], firsts[j]))): frozenset({e})
+        for (i, j), e in zip(combinations(range(t), 2), kt1)
+    }
+    return BiasedGraph(sum_graph, Lifted(o1.bias, extra, closing))

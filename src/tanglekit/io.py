@@ -28,6 +28,7 @@ from .bias import (
     BiasedGraph,
     BiasError,
     ExplicitSet,
+    Lifted,
     Signed,
     complete_bias,
     make_explicit,
@@ -365,8 +366,9 @@ def document_from(
 ) -> InstanceDocument:
     """Describe a biased graph as a document.
 
-    The vertex set must already be ``0..n-1``.  Explicit bias is written as
-    the full balanced-cycle list, so the caps must admit a cycle scan.
+    The vertex set must already be ``0..n-1``.  Explicit and lifted bias
+    are written as the full balanced-cycle list, so the caps must admit a
+    cycle scan.
     """
     g = o.graph
     if set(g.vertices) != set(range(g.n)):
@@ -383,11 +385,12 @@ def document_from(
         return InstanceDocument(g.n, edges, "all-balanced", family=fam)
     if isinstance(bias, AllUnbalanced):
         return InstanceDocument(g.n, edges, "all-unbalanced", family=fam)
-    if not isinstance(bias, ExplicitSet):
+    if not isinstance(bias, (ExplicitSet, Lifted)):
         raise BiasError(f"unknown bias spec {type(bias).__name__}")
-    if not bias.balanced:
+    balanced = bias.balanced if isinstance(bias, ExplicitSet) else o.balanced_cycles(caps)
+    if not balanced:
         return InstanceDocument(g.n, edges, "all-unbalanced", family=fam)
-    keys = tuple(sorted(c.key for c in bias.balanced))
+    keys = tuple(sorted(c.key for c in balanced))
     return InstanceDocument(g.n, edges, "explicit", balanced=keys, family=fam)
 
 

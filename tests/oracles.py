@@ -7,7 +7,8 @@ path triples, linkages from all simple path pairs, vertex cuts and
 2-connectivity from the vertex-subset cut scan, rings from the hinge-subset
 scan.  The exceptions are earlier versions of the library's own code, kept
 without their fast paths: the block tree, the bridges of a vertex set read
-off the components of a copy, the explicit core of a peel, the maximal
+off the components of a copy, the explicit core of a peel and the
+explicit t-sum, each with every balanced cycle listed, the maximal
 balanced sets by transversals, blocking vertices, blocking pairs and the
 first disjoint pair on the cycle list, two earlier Tricoloured searches, the
 FatTriangle, CrissCross and PPSigned detectors, the canonical cycle key, the
@@ -361,6 +362,62 @@ def oracle_explicit_core(cur: BiasedGraph, cut: Sequence[int], bridge_edges: Ite
         if cur.balance(Cycle.from_edge_set(cur.graph, probe)):
             balanced.append(c.edge_set)
     return make_explicit(core_graph, balanced)
+
+
+def oracle_t_sum(
+    o1: BiasedGraph,
+    o2: BiasedGraph,
+    t: int,
+    identify: Sequence[tuple[int, int]],
+    kt_edges1: Sequence[int] | None = None,
+    kt_edges2: Sequence[int] | None = None,
+) -> BiasedGraph:
+    """The t-sum of o1 and a balanced o2 with every balanced cycle listed and
+    theta-checked.  Side 2 takes fresh vertex ids in the order of o2's
+    unglued vertices and fresh edge ids in the order of its unshared edges;
+    the shared edges are the least per glued pair unless given.  A crossing
+    cycle is walked to find its two paths, and is balanced when each one,
+    closed with its summand's shared edge, is balanced there."""
+    firsts = [a for a, _ in identify]
+    seconds = [b for _, b in identify]
+    pairs = list(combinations(range(t), 2))
+    kt1 = tuple(kt_edges1 or (min(o1.graph.edges_between(firsts[i], firsts[j])) for i, j in pairs))
+    kt2 = tuple(kt_edges2 or (min(o2.graph.edges_between(seconds[i], seconds[j])) for i, j in pairs))
+    vmap = dict(zip(seconds, firsts))
+    fresh = []
+    for v in sorted(o2.graph.vertex_set - set(seconds)):
+        vmap[v] = max(o1.graph.vertices) + 1 + len(fresh)
+        fresh.append(vmap[v])
+    back2: dict[int, int] = {}
+    extra: dict[int, tuple[int, int]] = {}
+    for old in sorted(o2.graph.edge_id_set - set(kt2)):
+        new = max(o1.graph.edge_id_set) + 1 + len(back2)
+        back2[new] = old
+        extra[new] = tuple(vmap[x] for x in o2.graph.endpoints(old))
+    g = o1.graph.delete_edges(kt1).with_edges(extra, fresh)
+    pair_edge1 = {frozenset(o1.graph.endpoints(e)): e for e in kt1}
+    pair_edge2 = {frozenset(vmap[x] for x in o2.graph.endpoints(e)): e for e in kt2}
+    balanced = []
+    for c in g.cycles():
+        own2 = c.edge_set & back2.keys()
+        if not own2:
+            ok = o1.balance(c)
+        elif own2 == c.edge_set:
+            ok = o2.balance_of(frozenset(back2[e] for e in own2))
+        else:
+            length = len(c.key)
+            switches = [i for i in range(length) if (c.key[i] in back2) != (c.key[i - 1] in back2)]
+            assert len(switches) == 2
+            p, q = switches
+            ends = frozenset({c.walk[p], c.walk[q]})
+            seg = {c.key[i] for i in range(p, q)}
+            seg2 = seg if c.key[p] in back2 else c.edge_set - seg
+            ok = o1.balance_of(frozenset(c.edge_set - seg2) | {pair_edge1[ends]}) and o2.balance_of(
+                frozenset(back2[e] for e in seg2) | {pair_edge2[ends]}
+            )
+        if ok:
+            balanced.append(c)
+    return make_explicit(g, balanced)
 
 
 def oracle_bridges_of_cut(g: MultiGraph, cut: Iterable[int]) -> tuple[Bridge, ...]:

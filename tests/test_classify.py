@@ -14,9 +14,17 @@ from pathlib import Path
 import pytest
 
 from tanglekit import io
-from tanglekit.bias import BiasedGraph, ExplicitSet, Signed, balanced_without, make_explicit, make_signed
+from tanglekit.bias import (
+    BiasedGraph,
+    ExplicitSet,
+    Lifted,
+    Signed,
+    balanced_without,
+    make_explicit,
+    make_signed,
+    validate_theta,
+)
 import tanglekit.classify as classify_module
-import tanglekit.families as families_module
 import tanglekit.graph as graph_module
 from tanglekit.classify import (
     ClassifyError,
@@ -32,6 +40,7 @@ from tanglekit.classify import (
     _maximal_balanced_sets,
     _pairing_search,
     _ring_layouts,
+    _switching_accepts,
     _tricoloured_bias_holds,
     _weak_compositions,
     classify,
@@ -66,9 +75,11 @@ from oracles import (
     oracle_maximal_balanced_sets,
     oracle_pairing_search,
     oracle_switching_balanced_sets,
+    oracle_t_sum,
     random_connected_pairs,
     random_multigraph,
 )
+from test_tangles import gain_bias
 from test_families import (
     alternating_tricoloured,
     assert_signed_t_sum_matches_explicit,
@@ -396,23 +407,27 @@ def test_tricoloured_search_at_its_wall():
 # -- balance filters in front of verify_family ------------------------------------
 
 
-def t_sums() -> list[BiasedGraph]:
+def corpus_t_sum_args() -> list[tuple]:
+    """The summands, orders and glues of the benchmark corpus's six t-sums."""
     fat = build_family(minimal_fat_triangle())
     fatk = build_family(k4_fat_triangle())
     return [
-        t_sum(fat, balanced_complete(3), 1, [(0, 0)]),
-        t_sum(fat, balanced_complete(3), 2, [(0, 0), (1, 1)]),
-        t_sum(fatk, balanced_complete(4), 3, [(0, 0), (1, 1), (2, 2)]),
+        (fat, balanced_complete(3), 1, [(0, 0)]),
+        (fat, balanced_complete(3), 2, [(0, 0), (1, 1)]),
+        (fatk, balanced_complete(4), 3, [(0, 0), (1, 1), (2, 2)]),
+        (build_family(pp_signed(6)), balanced_complete(4), 2, [(0, 0), (1, 1)]),
+        (build_family(describe_k5_family()), balanced_complete(3), 2, [(0, 0), (1, 1)]),
+        (build_family(c4_criss_cross()), balanced_complete(3), 1, [(1, 0)]),
     ]
+
+
+def t_sums() -> list[BiasedGraph]:
+    return corpus_t_sums()[:3]
 
 
 def corpus_t_sums() -> list[BiasedGraph]:
     """The six t-sums of the benchmark corpus."""
-    return t_sums() + [
-        t_sum(build_family(pp_signed(6)), balanced_complete(4), 2, [(0, 0), (1, 1)]),
-        t_sum(build_family(describe_k5_family()), balanced_complete(3), 2, [(0, 0), (1, 1)]),
-        t_sum(build_family(c4_criss_cross()), balanced_complete(3), 1, [(1, 0)]),
-    ]
+    return [t_sum(*args) for args in corpus_t_sum_args()]
 
 
 def signed_t_sums() -> list[BiasedGraph]:
@@ -642,8 +657,8 @@ def test_signed_cores_keep_the_balance_of_the_explicit_core(monkeypatch):
     peels = []
     real_peel = classify_module._peel
 
-    def recording_peel(cur, tags, vc, bridge, node_id, caps):
-        out = real_peel(cur, tags, vc, bridge, node_id, caps)
+    def recording_peel(cur, tags, vc, bridge, node_id):
+        out = real_peel(cur, tags, vc, bridge, node_id)
         peels.append((cur, vc.cut, bridge.edges, out[0]))
         return out
 
@@ -887,15 +902,15 @@ def test_recomposition_folds_match_the_explicit_construction(monkeypatch):
 
 
 def test_signed_classify_makes_no_explicit_bias(monkeypatch):
-    # classify's only cycle list of the rebuilt graph is the final scan in
-    # SumDecomposition.verify: recompose folds signed and lists nothing
+    # classify accepts a signed decomposition by one switching test, and
+    # recompose folds signed, so no cycle of any graph is listed; the
+    # library makes explicit bias only in classify (the K5 witness)
     inputs = [build_family(pp_signed(k)) for k in range(6, 17, 2)] + signed_t_sums()
     made = []
-    for module in (families_module, classify_module):
-        real_make = module.make_explicit
-        monkeypatch.setattr(
-            module, "make_explicit", lambda *args, real=real_make, **kwargs: made.append(args) or real(*args, **kwargs)
-        )
+    real_make = classify_module.make_explicit
+    monkeypatch.setattr(
+        classify_module, "make_explicit", lambda *args, **kwargs: made.append(args) or real_make(*args, **kwargs)
+    )
     listed = []
     real_cycles = MultiGraph.cycles
 
@@ -903,33 +918,30 @@ def test_signed_classify_makes_no_explicit_bias(monkeypatch):
         listed.append(g)
         return real_cycles(g, *args, **kwargs)
 
+    monkeypatch.setattr(MultiGraph, "cycles", recording)
     for o in inputs:
         report = classify(o, first=True)
         assert report.codes() == ("T3",)
-        monkeypatch.setattr(MultiGraph, "cycles", recording)
         rebuilt, _, _ = report.decomposition.recompose()
-        monkeypatch.setattr(MultiGraph, "cycles", real_cycles)
         assert isinstance(rebuilt.bias, Signed)
     assert made == []
     assert listed == []
 
 
-def test_signed_classify_caps_the_rebuilt_cycle_list():
-    # the rebuilt PPSigned C12 has as many cycles as the input; the input's
-    # verdict, the terminal core's guard and the recomposition all fit
-    # under that count, and the recomposition's final scan needs all of it
-    rebuilt, _, _ = decompose(build_family(pp_signed(12))).recompose()
+def test_signed_classify_needs_no_rebuilt_cycle_list():
+    # the rebuilt PPSigned C12 has as many cycles as the input; verify's
+    # final scan needs all of them, and classify, which accepts by the
+    # switching test, classifies under a cap that verify cannot meet
+    o = build_family(pp_signed(12))
+    dec = decompose(o)
+    rebuilt, _, _ = dec.recompose()
     count = len(rebuilt.cycles())
     assert count == 95
     with pytest.raises(ResourceLimitError) as err:
-        classify(build_family(pp_signed(12)), Caps(max_cycles=count - 1), first=True)
-    assert err.value.stage == "enumerate_cycles"
-    o = build_family(pp_signed(12))
-    dec = decompose(o)
-    with pytest.raises(ResourceLimitError) as err:
         dec.verify(o, Caps(max_cycles=count - 1))
     assert err.value.stage == "enumerate_cycles"
-    assert classify(build_family(pp_signed(12)), Caps(max_cycles=count), first=True).codes() == ("T3",)
+    assert dec.verify(o, Caps(max_cycles=count)) == ()
+    assert classify(build_family(pp_signed(12)), Caps(max_cycles=count - 1), first=True).codes() == ("T3",)
 
 
 # -- wheel cores ------------------------------------------------------------------
@@ -1043,9 +1055,8 @@ def test_decompose_enumerates_each_peeled_core_once(index, enumerated, monkeypat
     decompose(o)
     assert cores
     assert _enumerated_twice(enumerated) == []
-    # signed cores and cores of 1-sums are never listed; the rest at most once
-    for core in cores:
-        assert sum(g is core for g in enumerated) <= 1
+    # no core bias stores a cycle list, and these cores are no wheels
+    assert not any(g is core for core in cores for g in enumerated)
 
 
 @pytest.mark.parametrize("index", range(6))
@@ -1125,7 +1136,9 @@ def test_pair_test_matches_the_pair_scan_on_explicit_input(monkeypatch):
     inputs += [explicit_copy(o) for o in tangled_signed_inputs()[::10]]
     for o in members + inputs:
         decompose(o)
-    assert len(cores) > 40 and all(isinstance(core.bias, ExplicitSet) for core in cores)
+    # a peel at a cut vertex keeps the explicit set, any other is lazy
+    assert all(isinstance(core.bias, (ExplicitSet, Lifted)) for core in cores)
+    assert sum(isinstance(core.bias, Lifted) for core in cores) > 40
     for o in members + cores:
         assert disjoint_unbalanced_pair_exists(o) == (find_disjoint_unbalanced_pair(o) is not None)
         assert_balance_without_matches_the_cycle_list(o, 1)
@@ -1136,7 +1149,7 @@ def test_pair_test_on_an_explicit_core_counts_vertex_sets():
     # edges: 2 parallel classes and 10 chordless triangles, and as the
     # core is tangled, no set leaves a pair and all 12 are tested
     core = decompose(explicit_copy(build_family(pp_signed(8)))).core.bias
-    assert isinstance(core.bias, ExplicitSet) and core.graph.n == 5
+    assert isinstance(core.bias, Lifted) and core.graph.n == 5
     with pytest.raises(ResourceLimitError) as err:
         disjoint_unbalanced_pair_exists(core, Caps(max_theta_pairs=11))
     assert err.value.stage == "disjoint-pair scan"
@@ -1155,11 +1168,123 @@ def test_explicit_pp_signed_c12_classifies_as_the_signed_copy():
     assert_explicit_pp_signed_classifies(12)
 
 
-@pytest.mark.wall
-@pytest.mark.parametrize("k", [18, 20])
+@pytest.mark.parametrize("k", [18, 20, 24])
 def test_explicit_pp_signed_classifies_as_the_signed_copy(k):
-    # these used to raise at the cap of the scan of unbalanced-cycle pairs
+    # these used to raise at the cap of the scan of unbalanced-cycle pairs,
+    # and then to list every cycle of each peeled core and each fold
     assert_explicit_pp_signed_classifies(k)
+
+
+def test_explicit_classify_lists_only_the_rebuilt_graph(monkeypatch):
+    # peels and folds of explicit input list nothing: the one cycle list
+    # of classify(first=True) is verify's scan of the rebuilt graph, as
+    # long as the input's
+    copy = explicit_copy(build_family(pp_signed(16)))
+    listed = []
+    real_cycles = MultiGraph.cycles
+
+    def recording(g, *args, **kwargs):
+        listed.append(g)
+        return real_cycles(g, *args, **kwargs)
+
+    monkeypatch.setattr(MultiGraph, "cycles", recording)
+    report = classify(copy, first=True)
+    assert report.codes() == ("T3",)
+    assert len(listed) == 1 and len(real_cycles(listed[0])) == len(real_cycles(copy.graph)) == 313
+
+
+@pytest.mark.wall
+def test_signed_pp_signed_c32_classifies():
+    report = classify(build_family(pp_signed(32)), first=True)
+    assert report.codes() == ("T3",)
+
+
+# -- lazy peels and folds against the explicit constructions ----------------------
+
+
+def test_corpus_t_sums_round_trip_through_io():
+    # a lazy sum is written as its balanced cycles, listed once
+    kinds = []
+    for args in corpus_t_sum_args():
+        o = t_sum(*args)
+        kinds.append(type(o.bias))
+        loaded = io.load(io.serialize(io.document_from(o)))
+        assert loaded.graph == o.graph
+        expected = oracle_t_sum(*args)
+        assert {c.edge_set for c in loaded.balanced_cycles()} == {c.edge_set for c in expected.bias.balanced}
+    assert kinds == [Lifted] * 3 + [Signed] * 2 + [Lifted]
+
+
+def tangled_gain_sum_args(count: int) -> list[tuple]:
+    """Seeded t_sum arguments, t = 1, 2, 3, whose sum is tangled: a tangled
+    Z_k-gain graph (k = 3, 4, 5) on five to seven vertices and K4 plus one
+    doubled edge with every cycle listed as balanced, glued where the shared
+    triangle is balanced."""
+    rng = random.Random(67)
+    out: list[tuple] = []
+    while len(out) < count:
+        n = rng.randint(5, 7)
+        allp = list(itertools.combinations(range(n), 2))
+        g = MultiGraph.from_pairs(rng.sample(allp, min(len(allp), rng.randint(n + 3, 2 * n + 2))), range(n))
+        if not g.is_connected():
+            continue
+        o1 = gain_bias(g, rng.choice((3, 4, 5)), rng)
+        if not isinstance(is_tangled(o1), Tangled):
+            continue
+        t = rng.choice((1, 2, 3))
+        vs = rng.sample(range(n), t)
+        kt = [g.edges_between(u, v) for u, v in itertools.combinations(vs, 2)]
+        if not all(kt) or (t == 3 and not o1.balance_of(frozenset(min(es) for es in kt))):
+            continue
+        g2 = MultiGraph.from_pairs(list(itertools.combinations(range(4), 2)) + [(0, 1)])
+        args = (o1, make_explicit(g2, g2.cycles()), t, list(zip(vs, rng.sample(range(4), t))))
+        if isinstance(is_tangled(t_sum(*args)), Tangled):
+            out.append(args)
+    return out
+
+
+def assert_lazy_matches_the_explicit(lazy: BiasedGraph, explicit: BiasedGraph) -> None:
+    assert isinstance(lazy.bias, Lifted)
+    assert lazy.graph == explicit.graph
+    balanced = lazy.balanced_cycles()
+    assert {c.edge_set for c in balanced} == {c.edge_set for c in explicit.balanced_cycles()}
+    assert validate_theta(lazy.graph, balanced) == ()
+
+
+def test_lazy_cores_and_folds_match_the_explicit_constructions(monkeypatch):
+    # tangled t-sums of Z_k-gain graphs, whose second summand is stored
+    # explicitly; then every core peeled at a cut of two or three vertices,
+    # and every fold of the recomposition, of these sums, the explicit
+    # corpus members and explicit copies of the tangled signed inputs
+    gains = []
+    for args in tangled_gain_sum_args(60):
+        gains.append(t_sum(*args))
+        assert_lazy_matches_the_explicit(gains[-1], oracle_t_sum(*args))
+    peels, folds = [], []
+    real_peel, real_sum = classify_module._peel, classify_module.t_sum
+
+    def recording_peel(cur, tags, vc, bridge, node_id):
+        out = real_peel(cur, tags, vc, bridge, node_id)
+        if vc.size > 1:
+            peels.append((cur, vc.cut, bridge.edges, out[0]))
+        return out
+
+    def recording_sum(*args, **kwargs):
+        out = real_sum(*args, **kwargs)
+        folds.append((args, kwargs, out))
+        return out
+
+    monkeypatch.setattr(classify_module, "_peel", recording_peel)
+    monkeypatch.setattr(classify_module, "t_sum", recording_sum)
+    for o in gains + explicit_corpus_members() + [explicit_copy(o) for o in tangled_signed_inputs()]:
+        assert decompose(o).verify(o) == ()
+    monkeypatch.undo()
+    assert len(peels) > 300 and len(folds) > 400
+    assert {args[2] for args, _, _ in folds} == {1, 2, 3}
+    for cur, cut, edges, core in peels:
+        assert_lazy_matches_the_explicit(core, oracle_explicit_core(cur, cut, edges))
+    for args, kwargs, lazy in folds:
+        assert_lazy_matches_the_explicit(lazy, oracle_t_sum(*args, **kwargs))
 
 
 # -- SumDecomposition.verify on tampered decompositions ----------------------------
@@ -1186,16 +1311,43 @@ def test_verify_reports_a_flipped_virtual_edge_of_a_signed_core():
     assert bad.verify(o) == ("cycle through original edges [1, 4, 10, 11] changes balance",)
 
 
+def test_switching_test_and_verify_agree():
+    # on the signed t-sums and PPSigned C6 to C24, as decomposed, with each
+    # core edge flipped in turn, and on the tampered case above
+    decs = [(o, decompose(o)) for o in signed_t_sums() + [build_family(pp_signed(k)) for k in range(6, 25, 2)]]
+    cases = list(decs)
+    for o, dec in decs[:6]:
+        core = dec.core.bias
+        cases += [
+            (o, tampered(dec, BiasedGraph(core.graph, Signed(core.bias.signature ^ {e}))))
+            for e in sorted(core.graph.edge_id_set)
+        ]
+    o = corpus_t_sums()[4]
+    dec = decompose(o)
+    core = dec.core.bias
+    cases.append((o, tampered(dec, BiasedGraph(core.graph, Signed(core.bias.signature ^ set(core_virtual_edges(dec)))))))
+    accepted = 0
+    for o, dec in cases:
+        ok = _switching_accepts(dec, o)
+        assert ok == (dec.verify(o) == ())
+        accepted += ok
+    assert accepted == len(decs) and len(cases) - accepted > 50
+
+
 def test_verify_reports_a_dropped_balanced_cycle_of_an_explicit_core():
     # the FatTriangle's 2-sum peels at one 2-cut; dropping the balanced
-    # core triangle through its virtual edge keeps the theta property but
-    # unbalances the rebuilt cycles through the leaf
+    # core triangle through its virtual edge from the lazy core's balanced
+    # cycles keeps the theta property but unbalances the rebuilt cycles
+    # through the leaf
     o = corpus_t_sums()[1]
     dec = decompose(o)
     core = dec.core.bias
-    assert isinstance(core.bias, ExplicitSet) and [node.t for node in dec.nodes] == [2]
+    assert isinstance(core.bias, Lifted) and [node.t for node in dec.nodes] == [2]
     (ve,) = core_virtual_edges(dec)
-    through = sorted((c for c in core.bias.balanced if ve in c.edge_set), key=lambda c: c.sort_key())
-    bad = tampered(dec, BiasedGraph(core.graph, ExplicitSet(core.bias.balanced - {through[0]})))
+    balanced = frozenset(core.balanced_cycles())
+    through = sorted((c for c in balanced if ve in c.edge_set), key=lambda c: c.sort_key())
+    dropped = BiasedGraph(core.graph, ExplicitSet(balanced - {through[0]}))
+    assert validate_theta(core.graph, dropped.bias.balanced) == ()
+    bad = tampered(dec, dropped)
     assert dec.verify(o) == ()
     assert bad.verify(o) == ("cycle through original edges [1, 2, 6, 7] changes balance",)

@@ -11,7 +11,7 @@ from hypothesis import given, settings, strategies as st
 from tanglekit.bias import (
     AllBalanced,
     BiasedGraph,
-    ExplicitSet,
+    Lifted,
     Signed,
     make_explicit,
     make_signed,
@@ -718,7 +718,7 @@ def assert_signed_t_sum_matches_explicit(o1, o2, *args, **kwargs):
     """t_sum on signed summands against t_sum on explicit copies of them."""
     s = t_sum(o1, o2, *args, **kwargs)
     e = t_sum(explicit_copy(o1), explicit_copy(o2), *args, **kwargs)
-    assert isinstance(s.bias, Signed) and isinstance(e.bias, ExplicitSet)
+    assert isinstance(s.bias, Signed) and isinstance(e.bias, Lifted)
     assert s.graph == e.graph
     assert {c.edge_set for c in s.balanced_cycles()} == {c.edge_set for c in e.balanced_cycles()}
     assert validate_biased_graph(s) == ()
