@@ -18,8 +18,11 @@ within the configured resource ceilings and ``verify_family`` is the
 sole authority on whether a candidate counts.  Before a candidate
 reaches it, the searches drop those that fail a necessary condition
 read off balance alone, such as a part that lies inside no maximal
-balanced set.  The brute-force oracles that check these searches live
-with the tests, in ``tests/oracles.py``.
+balanced set.  The PP special vertex, pair and triple searches read
+their roles off where the residual edges E - m of each maximal
+balanced set m sit: one pass over E - m indexes them by vertex.  The
+brute-force oracles that check these searches live with the tests, in
+``tests/oracles.py``.
 
 Generalized wheels and Tricoloured graphs are rings of parts glued at
 hinges, and their rings are read off structure, not searched for: the
@@ -439,7 +442,7 @@ def _pairing_search(
     """
     g = o.graph
     residual = sorted(g.edge_id_set - base_edges)
-    if not residual or any(g.is_loop(e) for e in residual):
+    if not residual or g.loops:
         return None
     base_sub = g.subgraph(base_edges, g.vertex_set)
     counter = _Counter(caps, "planar boundary pairing search")
@@ -643,61 +646,68 @@ def _detect_pp_signed(o: BiasedGraph, caps: Caps, msets: tuple[frozenset[int], .
     return None
 
 
+def _residual_at(g: MultiGraph, m: frozenset[int]) -> tuple[frozenset[int], dict[int, set[int]]]:
+    """The residual edges E - m and, for each vertex v that one of them
+    touches, ``at[v]``: the residual edges at v.  One pass over E - m."""
+    residual = g.edge_id_set - m
+    at: dict[int, set[int]] = {}
+    ends = g.edge_map
+    for e in residual:
+        u, v = ends[e]
+        at.setdefault(u, set()).add(e)
+        at.setdefault(v, set()).add(e)
+    return residual, at
+
+
 def _detect_special_vertex(o: BiasedGraph, caps: Caps, msets: tuple[frozenset[int], ...]) -> _Hit | None:
-    """Degree-4 special vertex joining two planar halves, residual legs across."""
+    """Degree-4 special vertex joining two planar halves, residual legs across.
+
+    Candidates come in the order of a scan of every base m, every vertex
+    w and every orientation of its edges, so the first hit is the scan's.
+    ``classify`` passes only simple input, whose loops are unbalanced and
+    so lie in every E - m: one ``g.loops`` test stands for one per base.
+    The degree-4 vertices and the far ends of their edges are listed
+    once; the residual and base edges at w are read off those four edges,
+    not off E - m and m.  If the g's or the hub edges share a far end,
+    every orientation fails.  The split of m - {uu, zz, wz1, wz2} depends
+    only on the bridge edges (uu, zz), as the hub edges are the two base
+    edges at w in either order, so it is made once for the four
+    orientations.  The counter still bumps once per leg permutation.
+    """
     g = o.graph
+    if g.loops:
+        return None
     counter = _Counter(caps, "special-vertex search")
+    hubs = [(w, {e: g.other_end(e, w) for e in g.incident_edges(w)}) for w in sorted(g.vertex_set)]
+    hubs = [(w, spoke) for w, spoke in hubs if len(spoke) == 4]
     for m in msets:
         residual = sorted(g.edge_id_set - m)
-        if len(residual) < 2 or any(g.is_loop(e) for e in residual):
+        if len(residual) < 2:
             continue
-        for w in sorted(g.vertex_set):
-            if len(g.incident_edges(w)) != 4:
+        for w, spoke in hubs:
+            rw = [e for e in spoke if e not in m]
+            bw = [e for e in spoke if e in m]
+            if len(rw) != 2 or spoke[rw[0]] == spoke[rw[1]] or spoke[bw[0]] == spoke[bw[1]]:
                 continue
-            rw = [e for e in residual if w in g.endpoints(e)]
-            bw = sorted(e for e in m if w in g.endpoints(e))
-            if len(rw) != 2 or len(bw) != 2:
-                continue
+            uus = [e for e in g.edges_between(spoke[rw[0]], spoke[rw[1]]) if e in m]
+            zzs = [e for e in g.edges_between(spoke[bw[0]], spoke[bw[1]]) if e in m]
             legs = [e for e in residual if e not in rw]
+            splits: dict[tuple[int, int], tuple] = {}
             for g1, g2 in ((rw[0], rw[1]), (rw[1], rw[0])):
-                u1, u2 = g.other_end(g1, w), g.other_end(g2, w)
-                if u1 == u2:
-                    continue
+                u1, u2 = spoke[g1], spoke[g2]
                 for wz1, wz2 in ((bw[0], bw[1]), (bw[1], bw[0])):
-                    z1, z2 = g.other_end(wz1, w), g.other_end(wz2, w)
-                    if z1 == z2:
-                        continue
-                    for uu in sorted(set(g.edges_between(u1, u2)) & m):
-                        for zz in sorted(set(g.edges_between(z1, z2)) & m):
+                    z1, z2 = spoke[wz1], spoke[wz2]
+                    for uu in uus:
+                        for zz in zzs:
                             if uu == zz:
                                 continue
-                            halves = m - {uu, zz, wz1, wz2}
-                            sides = g.subgraph(halves)
-                            if sides.vertex_set != g.vertex_set - {w}:
+                            if (uu, zz) not in splits:
+                                splits[uu, zz] = _split_sides(g, m - {uu, zz, *bw}, w, legs)
+                            sides = splits[uu, zz]
+                            if not sides:
                                 continue
-                            comps = sides.components()
-                            if len(comps) != 2:
-                                continue
-                            side1 = next(cc for cc in comps if u1 in cc)
-                            side2 = next(cc for cc in comps if u1 not in cc)
+                            side1, side2, h1, h2, spans = sides[0] if u1 in sides[0][0] else sides[1]
                             if not {u1, z2} <= side1 or not {u2, z1} <= side2:
-                                continue
-                            h1 = frozenset(
-                                e for e in halves if set(g.endpoints(e)) <= side1
-                            )
-                            h2 = halves - h1
-                            spans: list[tuple[int, int]] = []
-                            ok = True
-                            for e in legs:
-                                a, b = g.endpoints(e)
-                                if a in side1 and b in side2:
-                                    spans.append((a, b))
-                                elif b in side1 and a in side2:
-                                    spans.append((b, a))
-                                else:
-                                    ok = False
-                                    break
-                            if not ok:
                                 continue
                             for perm in permutations(range(len(legs))):
                                 counter.bump()
@@ -730,6 +740,23 @@ def _detect_special_vertex(o: BiasedGraph, caps: Caps, msets: tuple[frozenset[in
     return None
 
 
+def _split_sides(g: MultiGraph, halves: frozenset[int], w: int, legs: list[int]) -> tuple:
+    """Both orientations (side 1, side 2, h1, h2, spans) of a special
+    vertex's halves, or () unless they span every vertex but w in two
+    components that every leg crosses.  The spans are the legs as (end
+    on side 1, end on side 2)."""
+    sub = g.subgraph(halves)
+    if sub.vertex_set != g.vertex_set - {w} or len(comps := sub.components()) != 2:
+        return ()
+    c0, c1 = comps
+    ends = [g.endpoints(e) for e in legs]
+    if any((a in c0) == (b in c0) for a, b in ends):
+        return ()
+    h0 = frozenset(e for e in halves if g.endpoints(e)[0] in c0)
+    spans = [(a, b) if a in c0 else (b, a) for a, b in ends]
+    return (c0, c1, h0, halves - h0, spans), (c1, c0, halves - h0, h0, [(b, a) for a, b in spans])
+
+
 def _star_bias_holds(
     o: BiasedGraph,
     base: frozenset[int],
@@ -752,36 +779,40 @@ def _star_bias_holds(
 
 
 def _detect_special_pair(o: BiasedGraph, caps: Caps, msets: tuple[frozenset[int], ...]) -> _Hit | None:
-    """Two junction vertices carrying every residual edge as stars or links."""
+    """Two junction vertices carrying every residual edge as stars or links.
+
+    The junctions x, y must between them touch every residual edge, so x
+    is an end of the least one.  Either x alone touches all of E - m, and
+    then every other vertex is a candidate y, or y is an end of the least
+    residual edge that x misses and ``at[x] | at[y]`` covers E - m.  This
+    is the candidate set of a scan of E - m for each x and y, walked in
+    the same order.  With a cover, the links are ``at[x] & at[y]`` and
+    the stars the rest of ``at[x]`` and of ``at[y]``, so no candidate
+    scans the residual again.  The star bias clauses depend on the base
+    and the three edge sets alone, and every y that misses E - m asks the
+    same one, so each answer is kept for its base.
+    """
     g = o.graph
+    if g.loops:
+        return None
     for m in msets:
-        residual = frozenset(g.edge_id_set) - m
-        if not residual or any(g.is_loop(e) for e in residual):
+        residual, at = _residual_at(g, m)
+        if not residual:
             continue
-        rs = sorted(residual)
-        a, b = g.endpoints(rs[0])
         candidates: set[tuple[int, int]] = set()
-        for x in (a, b):
-            rest = [e for e in rs if x not in g.endpoints(e)]
-            if not rest:
-                for y in sorted(g.vertex_set - {x}):
-                    candidates.add((x, y))
+        for x in g.endpoints(min(residual)):
+            missed = residual - at[x]
+            if not missed:
+                candidates.update((x, y) for y in g.vertex_set - {x})
                 continue
-            for y in g.endpoints(rest[0]):
-                if all(
-                    x in g.endpoints(e) or y in g.endpoints(e) for e in rs
-                ):
+            for y in g.endpoints(min(missed)):
+                if not missed - at[y]:
                     candidates.add((x, y))
+        held: dict[tuple, bool] = {}
         for x, y in sorted(candidates):
-            if x == y:
-                continue
-            links = tuple(
-                sorted(e for e in rs if frozenset(g.endpoints(e)) == frozenset({x, y}))
-            )
-            fx = frozenset(e for e in rs if x in g.endpoints(e)) - set(links)
-            fy = frozenset(e for e in rs if y in g.endpoints(e)) - set(links)
-            if set(links) | fx | fy != residual:
-                continue
+            ax, ay = at[x], at.get(y, set())
+            links = tuple(sorted(ax & ay))
+            fx, fy = frozenset(ax - ay), frozenset(ay - ax)
             xv = [g.other_end(e, x) for e in sorted(fx)]
             yv = [g.other_end(e, y) for e in sorted(fy)]
             if len(set(xv)) != len(xv) or len(set(yv)) != len(yv):
@@ -791,7 +822,10 @@ def _detect_special_pair(o: BiasedGraph, caps: Caps, msets: tuple[frozenset[int]
                 continue
             # The residual edges are exactly fx, fy and links, so the
             # planner's base is m.
-            if not _star_bias_holds(o, m, (fx, fy), links, caps):
+            key = (fx, fy, links)
+            if key not in held:
+                held[key] = _star_bias_holds(o, m, (fx, fy), links, caps)
+            if not held[key]:
                 continue
             d = FamilyDescriptor(
                 "PPSpecialPair",
@@ -805,38 +839,39 @@ def _detect_special_pair(o: BiasedGraph, caps: Caps, msets: tuple[frozenset[int]
 
 
 def _detect_special_triple(o: BiasedGraph, caps: Caps, msets: tuple[frozenset[int], ...]) -> _Hit | None:
-    """One star source covering all residual edges but a single cross edge."""
+    """One star source covering all residual edges but a single cross edge.
+
+    A vertex x is the source for the cross edge f exactly when
+    E - m - ``at[x]`` is {f}: it touches every other residual edge and is
+    no end of f.  Grouping the vertices by that f, then walking f and
+    each group's x in sorted order, gives the candidates of a scan over
+    every f and every end x of another residual edge, in its order, in
+    O(|E - m|) per base instead of O(|E - m|^2).  The edges e and g
+    between x and the ends of f are ``at[x]`` meeting ``at[y1]`` and
+    ``at[y2]``; the star is the rest of ``at[x]``.
+    """
     g = o.graph
+    if g.loops:
+        return None
     for m in msets:
-        residual = sorted(g.edge_id_set - m)
-        if len(residual) < 2 or any(g.is_loop(e) for e in residual):
+        residual, at = _residual_at(g, m)
+        if len(residual) < 2:
             continue
-        for f in residual:
-            rest = [e for e in residual if e != f]
-            for x in sorted(set(g.endpoints(rest[0]))):
-                if not all(x in g.endpoints(e) for e in rest):
-                    continue
-                ya, yb = g.endpoints(f)
-                if x in (ya, yb):
-                    continue
+        sources: dict[int, list[int]] = {}
+        for x, rest in at.items():
+            if len(rest) == len(residual) - 1:
+                (f,) = residual - rest
+                sources.setdefault(f, []).append(x)
+        for f in sorted(sources):
+            ya, yb = g.endpoints(f)
+            for x in sorted(sources[f]):
+                rest = at[x]
                 for y1, y2 in ((ya, yb), (yb, ya)):
-                    es = tuple(
-                        sorted(
-                            e
-                            for e in rest
-                            if frozenset(g.endpoints(e)) == frozenset({x, y1})
-                        )
-                    )
+                    es = tuple(sorted(rest & at[y1]))
                     if not es:
                         continue
-                    gs = tuple(
-                        sorted(
-                            e
-                            for e in rest
-                            if frozenset(g.endpoints(e)) == frozenset({x, y2})
-                        )
-                    )
-                    star = frozenset(rest) - set(es) - set(gs)
+                    gs = tuple(sorted(rest & at[y2]))
+                    star = frozenset(rest - at[y1] - at[y2])
                     ends = [g.other_end(e, x) for e in sorted(star)]
                     if len(set(ends)) != len(ends):
                         continue
@@ -849,16 +884,7 @@ def _detect_special_triple(o: BiasedGraph, caps: Caps, msets: tuple[frozenset[in
                     d = FamilyDescriptor(
                         "PPSpecialTriple",
                         g,
-                        {
-                            "x": x,
-                            "y1": y1,
-                            "y2": y2,
-                            "X": xset,
-                            "F": star,
-                            "e": es,
-                            "g": gs,
-                            "f": f,
-                        },
+                        {"x": x, "y1": y1, "y2": y2, "X": xset, "F": star, "e": es, "g": gs, "f": f},
                     )
                     cert = verify_family(o, d, caps)
                     if cert.passed:

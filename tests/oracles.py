@@ -11,9 +11,10 @@ off the components of a copy, the explicit core of a peel and the
 explicit t-sum, each with every balanced cycle listed, the maximal
 balanced sets by transversals, blocking vertices, blocking pairs and the
 first disjoint pair on the cycle list, two earlier Tricoloured searches, the
-FatTriangle, CrissCross and PPSigned detectors, the canonical cycle key, the
-theta check, the linkage search, the boundary pairing search and, at the
-end, ordered planarity by networkx's planarity test.  Embeddings come from
+FatTriangle, CrissCross, PPSigned and PP special vertex, pair and triple
+detectors, the canonical cycle key, the theta check, the linkage search,
+the boundary pairing search and, at the end, ordered planarity by
+networkx's planarity test.  Embeddings come from
 every rotation system that passes the Euler check, a signed graph's maximal
 balanced sets from every switching, and spanning forests from breadth-first
 search.
@@ -31,7 +32,7 @@ from typing import Iterable, Iterator, Sequence
 import networkx as nx
 
 from tanglekit.bias import BiasedGraph, BiasError, make_explicit
-from tanglekit.classify import _PLACEMENTS, _Counter, _Hit, _weak_compositions
+from tanglekit.classify import _PLACEMENTS, _Counter, _Hit, _star_bias_holds, _weak_compositions
 from tanglekit.embedding import (
     Dart,
     OrderedPlanarEmbedding,
@@ -1427,6 +1428,222 @@ def _detect_pp_signed(o: BiasedGraph, caps: Caps, msets: tuple[frozenset[int], .
 oracle_detect_fat_triangle = _detect_fat_triangle
 oracle_detect_criss_cross = _detect_criss_cross
 oracle_detect_pp_signed = _detect_pp_signed
+
+
+# ---------------------------------------------------------------------------
+# PP special vertex, pair and triple searches before the residual index
+#
+# The three detectors as they stood when each rescanned all of E - m (and,
+# for the special vertex, all of m) for every base and candidate vertex,
+# copied unchanged.
+# ---------------------------------------------------------------------------
+
+
+def _detect_special_vertex(o: BiasedGraph, caps: Caps, msets: tuple[frozenset[int], ...]) -> _Hit | None:
+    """Degree-4 special vertex joining two planar halves, residual legs across."""
+    g = o.graph
+    counter = _Counter(caps, "special-vertex search")
+    for m in msets:
+        residual = sorted(g.edge_id_set - m)
+        if len(residual) < 2 or any(g.is_loop(e) for e in residual):
+            continue
+        for w in sorted(g.vertex_set):
+            if len(g.incident_edges(w)) != 4:
+                continue
+            rw = [e for e in residual if w in g.endpoints(e)]
+            bw = sorted(e for e in m if w in g.endpoints(e))
+            if len(rw) != 2 or len(bw) != 2:
+                continue
+            legs = [e for e in residual if e not in rw]
+            for g1, g2 in ((rw[0], rw[1]), (rw[1], rw[0])):
+                u1, u2 = g.other_end(g1, w), g.other_end(g2, w)
+                if u1 == u2:
+                    continue
+                for wz1, wz2 in ((bw[0], bw[1]), (bw[1], bw[0])):
+                    z1, z2 = g.other_end(wz1, w), g.other_end(wz2, w)
+                    if z1 == z2:
+                        continue
+                    for uu in sorted(set(g.edges_between(u1, u2)) & m):
+                        for zz in sorted(set(g.edges_between(z1, z2)) & m):
+                            if uu == zz:
+                                continue
+                            halves = m - {uu, zz, wz1, wz2}
+                            sides = g.subgraph(halves)
+                            if sides.vertex_set != g.vertex_set - {w}:
+                                continue
+                            comps = sides.components()
+                            if len(comps) != 2:
+                                continue
+                            side1 = next(cc for cc in comps if u1 in cc)
+                            side2 = next(cc for cc in comps if u1 not in cc)
+                            if not {u1, z2} <= side1 or not {u2, z1} <= side2:
+                                continue
+                            h1 = frozenset(
+                                e for e in halves if set(g.endpoints(e)) <= side1
+                            )
+                            h2 = halves - h1
+                            spans: list[tuple[int, int]] = []
+                            ok = True
+                            for e in legs:
+                                a, b = g.endpoints(e)
+                                if a in side1 and b in side2:
+                                    spans.append((a, b))
+                                elif b in side1 and a in side2:
+                                    spans.append((b, a))
+                                else:
+                                    ok = False
+                                    break
+                            if not ok:
+                                continue
+                            for perm in permutations(range(len(legs))):
+                                counter.bump()
+                                xs = tuple(spans[i][0] for i in perm)
+                                ys = tuple(spans[i][1] for i in perm)
+                                if len(set((*xs, u1, z2))) != len(xs) + 2:
+                                    continue
+                                if len(set((*ys, z1, u2))) != len(ys) + 2:
+                                    continue
+                                d = FamilyDescriptor(
+                                    "PPSpecialVertex",
+                                    g,
+                                    {
+                                        "h1_edges": h1,
+                                        "h2_edges": h2,
+                                        "xs": xs,
+                                        "ys": ys,
+                                        "u": (u1, u2),
+                                        "z": (z1, z2),
+                                        "w": w,
+                                        "bridge_edges": (zz, uu),
+                                        "hub_edges": (wz1, wz2),
+                                        "g": (g1, g2),
+                                        "f": tuple(legs[i] for i in perm),
+                                    },
+                                )
+                                cert = verify_family(o, d, caps)
+                                if cert.passed:
+                                    return d, cert, None
+    return None
+
+
+def _detect_special_pair(o: BiasedGraph, caps: Caps, msets: tuple[frozenset[int], ...]) -> _Hit | None:
+    """Two junction vertices carrying every residual edge as stars or links."""
+    g = o.graph
+    for m in msets:
+        residual = frozenset(g.edge_id_set) - m
+        if not residual or any(g.is_loop(e) for e in residual):
+            continue
+        rs = sorted(residual)
+        a, b = g.endpoints(rs[0])
+        candidates: set[tuple[int, int]] = set()
+        for x in (a, b):
+            rest = [e for e in rs if x not in g.endpoints(e)]
+            if not rest:
+                for y in sorted(g.vertex_set - {x}):
+                    candidates.add((x, y))
+                continue
+            for y in g.endpoints(rest[0]):
+                if all(
+                    x in g.endpoints(e) or y in g.endpoints(e) for e in rs
+                ):
+                    candidates.add((x, y))
+        for x, y in sorted(candidates):
+            if x == y:
+                continue
+            links = tuple(
+                sorted(e for e in rs if frozenset(g.endpoints(e)) == frozenset({x, y}))
+            )
+            fx = frozenset(e for e in rs if x in g.endpoints(e)) - set(links)
+            fy = frozenset(e for e in rs if y in g.endpoints(e)) - set(links)
+            if set(links) | fx | fy != residual:
+                continue
+            xv = [g.other_end(e, x) for e in sorted(fx)]
+            yv = [g.other_end(e, y) for e in sorted(fy)]
+            if len(set(xv)) != len(xv) or len(set(yv)) != len(yv):
+                continue
+            xset, yset = frozenset(xv), frozenset(yv)
+            if {x, y} & (xset | yset) or len(xset & yset) > 1:
+                continue
+            # The residual edges are exactly fx, fy and links, so the
+            # planner's base is m.
+            if not _star_bias_holds(o, m, (fx, fy), links, caps):
+                continue
+            d = FamilyDescriptor(
+                "PPSpecialPair",
+                g,
+                {"x": x, "y": y, "X": xset, "Y": yset, "fx": fx, "fy": fy, "e": links},
+            )
+            cert = verify_family(o, d, caps)
+            if cert.passed:
+                return d, cert, None
+    return None
+
+
+def _detect_special_triple(o: BiasedGraph, caps: Caps, msets: tuple[frozenset[int], ...]) -> _Hit | None:
+    """One star source covering all residual edges but a single cross edge."""
+    g = o.graph
+    for m in msets:
+        residual = sorted(g.edge_id_set - m)
+        if len(residual) < 2 or any(g.is_loop(e) for e in residual):
+            continue
+        for f in residual:
+            rest = [e for e in residual if e != f]
+            for x in sorted(set(g.endpoints(rest[0]))):
+                if not all(x in g.endpoints(e) for e in rest):
+                    continue
+                ya, yb = g.endpoints(f)
+                if x in (ya, yb):
+                    continue
+                for y1, y2 in ((ya, yb), (yb, ya)):
+                    es = tuple(
+                        sorted(
+                            e
+                            for e in rest
+                            if frozenset(g.endpoints(e)) == frozenset({x, y1})
+                        )
+                    )
+                    if not es:
+                        continue
+                    gs = tuple(
+                        sorted(
+                            e
+                            for e in rest
+                            if frozenset(g.endpoints(e)) == frozenset({x, y2})
+                        )
+                    )
+                    star = frozenset(rest) - set(es) - set(gs)
+                    ends = [g.other_end(e, x) for e in sorted(star)]
+                    if len(set(ends)) != len(ends):
+                        continue
+                    xset = frozenset(ends)
+                    if xset & {x, y1, y2}:
+                        continue
+                    # F, e, g and f are the residual edges: the base is m.
+                    if not _star_bias_holds(o, m, (star,), (*es, *gs, f), caps):
+                        continue
+                    d = FamilyDescriptor(
+                        "PPSpecialTriple",
+                        g,
+                        {
+                            "x": x,
+                            "y1": y1,
+                            "y2": y2,
+                            "X": xset,
+                            "F": star,
+                            "e": es,
+                            "g": gs,
+                            "f": f,
+                        },
+                    )
+                    cert = verify_family(o, d, caps)
+                    if cert.passed:
+                        return d, cert, None
+    return None
+
+
+oracle_detect_special_vertex = _detect_special_vertex
+oracle_detect_special_pair = _detect_special_pair
+oracle_detect_special_triple = _detect_special_triple
 
 
 # ---------------------------------------------------------------------------

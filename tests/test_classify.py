@@ -9,6 +9,7 @@ import math
 import random
 import sys
 import types
+from collections import Counter
 from pathlib import Path
 
 import pytest
@@ -35,6 +36,7 @@ from tanglekit.classify import (
     _detect_generalized_wheel,
     _detect_pp_signed,
     _detect_special_pair,
+    _detect_special_triple,
     _detect_special_vertex,
     _detect_tricoloured,
     _maximal_balanced_sets,
@@ -63,12 +65,17 @@ from tanglekit.tangles import (
     is_tangled,
 )
 
+import oracles as oracles_module
+from census import switching_classes
 from oracles import (
     OracleRingLayout,
     connected_graph_census,
     oracle_detect_criss_cross,
     oracle_detect_fat_triangle,
     oracle_detect_pp_signed,
+    oracle_detect_special_pair,
+    oracle_detect_special_triple,
+    oracle_detect_special_vertex,
     oracle_detect_tricoloured,
     oracle_explicit_core,
     oracle_layout_tricoloured,
@@ -741,14 +748,18 @@ def test_decompose_rejects_a_peel_that_loses_tangledness(monkeypatch):
         decompose(build_family(pp_signed(8)))
 
 
-# -- CrissCross, PPSigned and FatTriangle against their unfiltered searches ---------
+# -- CrissCross, PPSigned, FatTriangle and the PP specials against earlier searches --
 
 
 FILTERED = [
     (_detect_criss_cross, oracle_detect_criss_cross),
     (_detect_pp_signed, oracle_detect_pp_signed),
     (_detect_fat_triangle, oracle_detect_fat_triangle),
+    (_detect_special_vertex, oracle_detect_special_vertex),
+    (_detect_special_pair, oracle_detect_special_pair),
+    (_detect_special_triple, oracle_detect_special_triple),
 ]
+PP_SPECIAL = FILTERED[3:]
 
 
 def filter_inputs() -> list[BiasedGraph]:
@@ -780,7 +791,74 @@ def test_balance_filtered_searches_agree_with_unfiltered_oracles():
                 assert hit[1].passed and hit[2] is None
                 hits[detector.__name__] += 1
     # no signed input is a CrissCross member
-    assert hits == {"_detect_criss_cross": 4, "_detect_pp_signed": 161, "_detect_fat_triangle": 117}
+    assert hits == {
+        "_detect_criss_cross": 4,
+        "_detect_pp_signed": 161,
+        "_detect_fat_triangle": 117,
+        "_detect_special_vertex": 1,
+        "_detect_special_pair": 240,
+        "_detect_special_triple": 239,
+    }
+
+
+def test_pp_special_searches_send_the_scans_candidates_on_the_classify_workloads(monkeypatch):
+    # every input of both classify workloads under relabelling seeds 1 to 3:
+    # the same candidates reach verify_family in the same order, so the
+    # first hit is the scan's
+    corpus = bench_module("corpus")
+    sent = {classify_module: [], oracles_module: []}
+    for module, calls in sent.items():
+        real = module.verify_family
+        monkeypatch.setattr(
+            module, "verify_family", lambda o, d, caps, real=real, calls=calls: calls.append(d.roles) or real(o, d, caps)
+        )
+    hits, candidates = Counter(), Counter()
+    for text in classify_workload_documents().values():
+        for seed in (1, 2, 3):
+            o = io.load(corpus.relabel(text, random.Random(seed)).text)
+            msets = _maximal_balanced_sets(o)
+            for detector, oracle in PP_SPECIAL:
+                for calls in sent.values():
+                    calls.clear()
+                hit = detector(o, DEFAULT_CAPS, msets)
+                expected = oracle(o, DEFAULT_CAPS, msets)
+                assert sent[classify_module] == sent[oracles_module]
+                assert (hit is None) == (expected is None)
+                if hit is not None:
+                    assert hit[0].roles == expected[0].roles
+                    hits[detector.__name__] += 1
+                candidates[detector.__name__] += len(sent[classify_module])
+    assert hits == {"_detect_special_vertex": 3, "_detect_special_pair": 51, "_detect_special_triple": 51}
+    assert candidates == {"_detect_special_vertex": 3, "_detect_special_pair": 87, "_detect_special_triple": 87}
+
+
+def test_special_vertex_search_stops_where_the_scan_does(monkeypatch):
+    # the split of each base is made once for four orientations; the cap
+    # still counts every leg permutation the scan tries, to a hit or a miss
+    counters = []
+
+    class Recording(classify_module._Counter):
+        def __init__(self, *args):
+            super().__init__(*args)
+            counters.append(self)
+
+    monkeypatch.setattr(oracles_module, "_Counter", Recording)
+    tried: dict[bool, list[int]] = {True: [], False: []}
+    for o in filter_inputs():
+        msets = _maximal_balanced_sets(o)
+        counters.clear()
+        expected = oracle_detect_special_vertex(o, DEFAULT_CAPS, msets)
+        c = counters[0].count
+        if not c:
+            continue
+        for detector in (_detect_special_vertex, oracle_detect_special_vertex):
+            with pytest.raises(ResourceLimitError) as err:
+                detector(o, Caps(max_assignments=c - 1), msets)
+            assert err.value.stage == "special-vertex search"
+            assert (detector(o, Caps(max_assignments=c), msets) is None) == (expected is None)
+        tried[expected is not None].append(c)
+    # the member hits at its first candidate; 32 misses try 2,008
+    assert (tried[True], len(tried[False]), sum(tried[False])) == ([1], 32, 2008)
 
 
 @pytest.mark.parametrize(
@@ -1351,3 +1429,45 @@ def test_verify_reports_a_dropped_balanced_cycle_of_an_explicit_core():
     bad = tampered(dec, dropped)
     assert dec.verify(o) == ()
     assert bad.verify(o) == ("cycle through original edges [1, 2, 6, 7] changes balance",)
+
+
+# -- census: every switching class of the small connected simple graphs ------------
+
+
+# (inputs, tangled inputs, label count per code) on three to five and on
+# three to six vertices
+CENSUS = {
+    5: (214, 61, {"T1a": 48, "T1b": 46, "T1d": 26, "T1f": 49, "T1g": 49, "T2": 38, "T3": 22}),
+    6: (
+        4530,
+        851,
+        {"T1a": 564, "T1b": 425, "T1d": 287, "T1f": 638, "T1g": 602, "T1h": 28, "T2": 38, "T3": 700},
+    ),
+}
+
+
+def assert_census(most: int) -> None:
+    # every tangled input gets a label, every label re-verifies, and a
+    # relabelled copy gets the same codes
+    rng = random.Random(29)
+    inputs, tangled, codes = 0, 0, Counter()
+    for o in switching_classes(range(3, most + 1)):
+        inputs += 1
+        report = classify(o)
+        if not isinstance(report.verdict, Tangled):
+            continue
+        tangled += 1
+        assert report.labels
+        assert reverifies(o, report)
+        assert classify(relabelled(o, rng)).codes() == report.codes()
+        codes.update(report.codes())
+    assert (inputs, tangled, dict(codes)) == CENSUS[most]
+
+
+def test_census_of_switching_classes_on_up_to_five_vertices():
+    assert_census(5)
+
+
+@pytest.mark.wall
+def test_census_of_switching_classes_on_up_to_six_vertices():
+    assert_census(6)
