@@ -73,6 +73,9 @@ def main(argv: Sequence[str] | None = None) -> int:
     except OSError as err:
         print(f"tanglekit: {args.file}: {err.strerror}", file=sys.stderr)
         return 1
+    except UnicodeDecodeError as err:
+        print(f"tanglekit: {args.file}: not UTF-8: {err}", file=sys.stderr)
+        return 1
     try:
         o = load(text, caps)
         if args.command == "verdict":

@@ -219,15 +219,18 @@ class MultiGraph:
     # -- derived graphs ----------------------------------------------------
 
     def subgraph(self, edge_ids: Iterable[int], keep_vertices: Iterable[int] = ()) -> "MultiGraph":
-        ids = sorted(set(edge_ids))
-        vs = set(keep_vertices)
+        """The given edges, their ends and `keep_vertices`; rows copied from
+        this graph are not checked again, vertices from outside it are."""
         rows = []
-        for e in ids:
+        vs = set(keep_vertices)
+        for e in sorted(set(edge_ids)):
             u, v = self.endpoints(e)
             rows.append((e, u, v))
             vs.add(u)
             vs.add(v)
-        return MultiGraph.build(vs, rows)
+        if not vs <= self.vertex_set:
+            return MultiGraph.build(vs, rows)
+        return MultiGraph(tuple(v for v in self._vertices if v in vs), tuple(rows))
 
     def induced(self, vertices: Iterable[int]) -> "MultiGraph":
         vs = set(vertices)
@@ -250,12 +253,14 @@ class MultiGraph:
         return MultiGraph(self._vertices, tuple(rows))
 
     def with_edges(self, extra: Mapping[int, tuple[int, int]], extra_vertices: Iterable[int] = ()) -> "MultiGraph":
-        rows = list(self._edges) + [(e, u, v) for e, (u, v) in extra.items()]
-        vs = set(self._vertices) | set(extra_vertices)
-        for _, u, v in rows:
-            vs.add(u)
-            vs.add(v)
-        return MultiGraph.build(vs, rows)
+        """This graph plus the edges `extra`, their ends and `extra_vertices`;
+        only what is added is checked."""
+        added = MultiGraph.build(set(extra_vertices).union(*extra.values()), extra)
+        clash = added.edge_id_set & self.edge_id_set
+        if clash:
+            raise GraphError(f"duplicate edge id {min(clash)}")
+        vs = tuple(sorted(self.vertex_set | added.vertex_set))
+        return MultiGraph(vs, tuple(sorted(self._edges + added._edges)))
 
     # -- connectivity ------------------------------------------------------
 

@@ -12,14 +12,19 @@ per edge record, and one bias block.  The bias block is one of
   :func:`tanglekit.bias.complete_bias`.
 
 An optional ``family <kind>`` line with ``role <name> <json>`` lines records
-which constructor produced the instance.  Blank lines and ``#`` comments are
-ignored.  Parsing validates the document all the way down to the theta
-property, so a parsed document always realises a consistent biased graph.
+which constructor produced the instance.  Fields are separated by runs of
+whitespace, spaces and tabs alike; blank lines and ``#`` comments are ignored.
+
+Parsing checks each line once, as it reads it, all the way down to the theta
+property, and builds the graph once from the checked rows; :func:`load`
+returns the biased graph built on it.  :func:`realize` and
+:meth:`MultiGraph.build` take input from elsewhere and check it all again.
 """
 
 from __future__ import annotations
 
 import json
+import re
 from dataclasses import dataclass
 
 from .bias import (
@@ -84,43 +89,62 @@ class InstanceDocument:
 # ---------------------------------------------------------------------------
 
 
-def _tokens(line: str) -> list[tuple[str, int]]:
-    out = []
-    col = 0
-    for piece in line.split(" "):
-        if piece:
-            out.append((piece, col + 1))
-        col += len(piece) + 1
-    return out
+_FIELD = re.compile(r"\S+")
+
+_Row = tuple[int, str, list[str]]  # line number, raw line, fields
 
 
-def _int_token(tok: str, no: int, col: int, what: str) -> int:
+def _defect(message: str, row: _Row, k: int = 0) -> ParseError:
+    """A ParseError at field k of a row; the column is found only here."""
+    no, raw, _ = row
+    return ParseError(message, no, [m.start() + 1 for m in _FIELD.finditer(raw)][k])
+
+
+def _int(row: _Row, k: int, what: str) -> int:
     try:
-        value = int(tok, 10)
+        return int(row[2][k])
     except ValueError:
-        raise ParseError(f"{what} must be an integer, got {tok!r}", no, col) from None
-    return value
+        raise _defect(f"{what} must be an integer, got {row[2][k]!r}", row, k) from None
 
 
 class _Reader:
     def __init__(self, text: str):
-        self.rows = []
-        for no, raw in enumerate(text.splitlines(), start=1):
-            line = raw.split("#", 1)[0].rstrip()
-            if line.strip():
-                self.rows.append((no, _tokens(line)))
+        self.rows: list[_Row] = [
+            (no, raw, fields)
+            for no, raw in enumerate(text.splitlines(), start=1)
+            if (fields := raw.partition("#")[0].split())
+        ]
         self.pos = 0
 
-    def peek(self) -> tuple[int, list[tuple[str, int]]] | None:
-        return self.rows[self.pos] if self.pos < len(self.rows) else None
-
-    def take(self) -> tuple[int, list[tuple[str, int]]]:
-        row = self.peek()
-        if row is None:
-            last = self.rows[-1][0] if self.rows else 1
-            raise ParseError("unexpected end of document", last)
+    def take(self) -> _Row:
+        if self.pos == len(self.rows):
+            raise ParseError("unexpected end of document", self.rows[-1][0] if self.rows else 1)
         self.pos += 1
-        return row
+        return self.rows[self.pos - 1]
+
+    def next_is(self, word: str) -> bool:
+        return self.pos < len(self.rows) and self.rows[self.pos][2][0] == word
+
+    def run(self, word: str) -> list[_Row]:
+        """Take the rows from here on that start with `word`."""
+        start, rows = self.pos, self.rows
+        while self.pos < len(rows) and rows[self.pos][2][0] == word:
+            self.pos += 1
+        return rows[start : self.pos]
+
+
+def _edge_ids(row: _Row, start: int, known: set[int], where: str) -> list[int]:
+    """The edge ids from field `start` on; each must name a known edge.
+    Only a defective row is scanned field by field, for its first defect."""
+    try:
+        ids = [int(tok) for tok in row[2][start:]]
+    except ValueError:
+        ids = None
+    if ids is None or not known.issuperset(ids):
+        for k in range(start, len(row[2])):
+            if (e := _int(row, k, "edge id")) not in known:
+                raise _defect(f"{where} names unknown edge {e}", row, k)
+    return ids
 
 
 def parse(text: str, caps: Caps = DEFAULT_CAPS) -> InstanceDocument:
@@ -133,128 +157,109 @@ def parse(text: str, caps: Caps = DEFAULT_CAPS) -> InstanceDocument:
     return _parse(text, caps)[0]
 
 
-def _parse(text: str, caps: Caps) -> tuple[InstanceDocument, BiasedGraph | None]:
-    """The document, and for an explicit bias the biased graph its check built."""
+def _parse(text: str, caps: Caps) -> tuple[InstanceDocument, BiasedGraph]:
+    """The document and its biased graph, built once from the checked rows."""
     rd = _Reader(text)
 
-    no, toks = rd.take()
-    if toks[0][0] != HEADER:
-        raise ParseError(f"expected {HEADER!r} header", no, toks[0][1])
+    row = rd.take()
+    toks = row[2]
+    if toks[0] != HEADER:
+        raise _defect(f"expected {HEADER!r} header", row)
     if len(toks) != 2:
-        raise ParseError("header takes exactly one version number", no, toks[0][1])
-    version = _int_token(toks[1][0], no, toks[1][1], "format version")
+        raise _defect("header takes exactly one version number", row)
+    version = _int(row, 1, "format version")
     if version != FORMAT_VERSION:
-        raise ParseError(f"unsupported format version {version}", no, toks[1][1])
+        raise _defect(f"unsupported format version {version}", row, 1)
 
-    no, toks = rd.take()
-    if toks[0][0] != "v" or len(toks) != 2:
-        raise ParseError("expected 'v <count>'", no, toks[0][1])
-    count = _int_token(toks[1][0], no, toks[1][1], "vertex count")
+    row = rd.take()
+    if row[2][0] != "v" or len(row[2]) != 2:
+        raise _defect("expected 'v <count>'", row)
+    count = _int(row, 1, "vertex count")
     if count < 0:
-        raise ParseError("vertex count must be non-negative", no, toks[1][1])
+        raise _defect("vertex count must be non-negative", row, 1)
 
     edges: list[tuple[int, int, int]] = []
-    edge_line: dict[int, int] = {}
-    while (row := rd.peek()) is not None and row[1][0][0] == "e":
-        no, toks = rd.take()
+    known: set[int] = set()
+    for row in rd.run("e"):
+        toks = row[2]
         if len(toks) != 4:
-            raise ParseError("expected 'e <id> <u> <v>'", no, toks[0][1])
-        e = _int_token(toks[1][0], no, toks[1][1], "edge id")
-        u = _int_token(toks[2][0], no, toks[2][1], "endpoint")
-        v = _int_token(toks[3][0], no, toks[3][1], "endpoint")
+            raise _defect("expected 'e <id> <u> <v>'", row)
+        try:
+            e, u, v = int(toks[1]), int(toks[2]), int(toks[3])
+        except ValueError:
+            e, u, v = _int(row, 1, "edge id"), _int(row, 2, "endpoint"), _int(row, 3, "endpoint")
         if e < 0:
-            raise ParseError("edge id must be non-negative", no, toks[1][1])
-        if e in edge_line:
-            raise ParseError(f"duplicate edge id {e}", no, toks[1][1])
-        for value, (_, col) in ((u, toks[2]), (v, toks[3])):
-            if not 0 <= value < count:
-                raise ParseError(f"endpoint {value} outside 0..{count - 1}", no, col)
+            raise _defect("edge id must be non-negative", row, 1)
+        if e in known:
+            raise _defect(f"duplicate edge id {e}", row, 1)
+        for k, end in ((2, u), (3, v)):
+            if not 0 <= end < count:
+                raise _defect(f"endpoint {end} outside 0..{count - 1}", row, k)
         edges.append((e, u, v))
-        edge_line[e] = no
+        known.add(e)
 
-    no, toks = rd.take()
-    if toks[0][0] != "bias":
-        raise ParseError("expected a 'bias' line after the edge records", no, toks[0][1])
-    if len(toks) < 2 or toks[1][0] not in _BIAS_KINDS:
-        raise ParseError(
-            "bias kind must be one of " + ", ".join(_BIAS_KINDS), no, toks[-1][1]
-        )
-    kind = toks[1][0]
-    bias_line = no
-    known = set(edge_line)
+    row = rd.take()
+    toks = row[2]
+    if toks[0] != "bias":
+        raise _defect("expected a 'bias' line after the edge records", row)
+    if len(toks) < 2 or toks[1] not in _BIAS_KINDS:
+        raise _defect("bias kind must be one of " + ", ".join(_BIAS_KINDS), row, len(toks) - 1)
+    kind = toks[1]
+    bias_line = row[0]
 
     signature: tuple[int, ...] = ()
     balanced: list[tuple[int, ...]] = []
     default: bool | None = None
 
     if kind == "signed":
-        sig = []
-        for tok, col in toks[2:]:
-            e = _int_token(tok, no, col, "edge id")
-            if e not in known:
-                raise ParseError(f"signature names unknown edge {e}", no, col)
-            sig.append(e)
-        signature = tuple(sorted(set(sig)))
-    elif kind == "explicit":
-        if len(toks) != 2:
-            raise ParseError("'bias explicit' takes no arguments", no, toks[2][1])
-    else:
-        if len(toks) != 2:
-            raise ParseError(f"'bias {kind}' takes no arguments", no, toks[2][1])
+        signature = tuple(sorted(set(_edge_ids(row, 2, known, "signature"))))
+    elif len(toks) != 2:
+        raise _defect(f"'bias {kind}' takes no arguments", row, 2)
 
-    graph = MultiGraph.build(range(count), edges)
+    records = tuple(sorted(edges))
+    graph = MultiGraph(tuple(range(count)), records)
 
     cycles: dict[tuple[int, ...], Cycle] = {}
     if kind == "explicit":
-        while (row := rd.peek()) is not None and row[1][0][0] == "bal":
-            no, toks = rd.take()
-            ids = []
-            for tok, col in toks[1:]:
-                e = _int_token(tok, no, col, "edge id")
-                if e not in known:
-                    raise ParseError(f"cycle names unknown edge {e}", no, col)
-                ids.append(e)
+        for row in rd.run("bal"):
+            ids = _edge_ids(row, 1, known, "cycle")
             if not ids:
-                raise ParseError("'bal' needs at least one edge id", no, toks[0][1])
+                raise _defect("'bal' needs at least one edge id", row)
             try:
                 cyc = Cycle.from_edge_set(graph, ids)
             except GraphError as exc:
-                raise ParseError(str(exc), no, toks[0][1]) from None
+                raise _defect(str(exc), row) from None
             cycles.setdefault(cyc.key, cyc)
         balanced = sorted(cycles)
-        if (row := rd.peek()) is not None and row[1][0][0] == "default":
-            no, toks = rd.take()
-            if len(toks) != 2 or toks[1][0] not in ("balanced", "unbalanced"):
-                raise ParseError("expected 'default balanced|unbalanced'", no, toks[0][1])
-            default = toks[1][0] == "balanced"
+        if rd.next_is("default"):
+            row = rd.take()
+            if len(row[2]) != 2 or row[2][1] not in ("balanced", "unbalanced"):
+                raise _defect("expected 'default balanced|unbalanced'", row)
+            default = row[2][1] == "balanced"
 
     family: tuple[str, tuple[tuple[str, str], ...]] | None = None
-    if (row := rd.peek()) is not None and row[1][0][0] == "family":
-        no, toks = rd.take()
-        if len(toks) != 2:
-            raise ParseError("expected 'family <kind>'", no, toks[0][1])
-        fkind = toks[1][0]
+    if rd.next_is("family"):
+        row = rd.take()
+        if len(row[2]) != 2:
+            raise _defect("expected 'family <kind>'", row)
         roles: list[tuple[str, str]] = []
-        while (row := rd.peek()) is not None and row[1][0][0] == "role":
-            no, toks = rd.take()
-            if len(toks) < 3:
-                raise ParseError("expected 'role <name> <json>'", no, toks[0][1])
-            name = toks[1][0]
-            blob = " ".join(tok for tok, _ in toks[2:])
+        for role in rd.run("role"):
+            if len(role[2]) < 3:
+                raise _defect("expected 'role <name> <json>'", role)
             try:
-                value = json.loads(blob)
+                value = json.loads(" ".join(role[2][2:]))
             except json.JSONDecodeError as exc:
-                raise ParseError(f"role value is not JSON: {exc.msg}", no, toks[2][1]) from None
-            roles.append((name, json.dumps(value)))
-        family = (fkind, tuple(roles))
+                raise _defect(f"role value is not JSON: {exc.msg}", role, 2) from None
+            roles.append((role[2][1], json.dumps(value)))
+        family = (row[2][1], tuple(roles))
 
-    if (row := rd.peek()) is not None:
-        no, toks = row
-        raise ParseError(f"unexpected directive {toks[0][0]!r}", no, toks[0][1])
+    if rd.pos < len(rd.rows):
+        row = rd.rows[rd.pos]
+        raise _defect(f"unexpected directive {row[2][0]!r}", row)
 
     doc = InstanceDocument(
         vertex_count=count,
-        edges=tuple(sorted(edges)),
+        edges=records,
         bias_kind=kind,
         signature=signature,
         balanced=tuple(balanced),
@@ -262,19 +267,24 @@ def _parse(text: str, caps: Caps) -> tuple[InstanceDocument, BiasedGraph | None]
         family=family,
         version=version,
     )
-    return doc, _check_bias(doc, graph, [cycles[key] for key in doc.balanced], caps, bias_line)
+    return doc, _biased(doc, graph, [cycles[key] for key in doc.balanced], caps, bias_line)
 
 
-def _check_bias(
+def _biased(
     doc: InstanceDocument, graph: MultiGraph, cycles: list[Cycle], caps: Caps, line: int
-) -> BiasedGraph | None:
-    """Check an explicit bias and return the biased graph it describes.
+) -> BiasedGraph:
+    """The biased graph of a parsed document, on the graph the parse built.
 
-    `cycles` are the document's balanced cycles, which the parse built on
-    `graph` from their edge sets, so none is foreign and none is rebuilt.
+    Only an explicit bias is checked here.  `cycles` are the document's
+    balanced cycles, which the parse built on `graph` from their edge
+    sets, so none is foreign and none is rebuilt.
     """
-    if doc.bias_kind != "explicit":
-        return None
+    if doc.bias_kind == "signed":
+        return BiasedGraph(graph, Signed(frozenset(doc.signature)))
+    if doc.bias_kind == "all-balanced":
+        return BiasedGraph(graph, AllBalanced())
+    if doc.bias_kind == "all-unbalanced":
+        return BiasedGraph(graph, ExplicitSet(frozenset()))
     if doc.default is None:
         bad = validate_theta(graph, cycles, caps)
         if bad:
@@ -299,16 +309,14 @@ def _check_bias(
 def realize(doc: InstanceDocument, caps: Caps = DEFAULT_CAPS) -> BiasedGraph:
     """Build the biased graph a document describes.
 
-    An explicit bias is checked here as in :func:`parse`, since the document
-    may not come from it; :func:`load` builds it once, in the parse check.
+    The document may not come from :func:`parse`, so its edges and bias are
+    checked here again; :func:`load` needs no such second pass.
     """
     graph = doc.graph()
     if doc.bias_kind == "signed":
         return make_signed(graph, doc.signature)
-    if doc.bias_kind == "all-balanced":
-        return BiasedGraph(graph, AllBalanced())
-    if doc.bias_kind == "all-unbalanced":
-        return make_explicit(graph, [], check=False)
+    if doc.bias_kind != "explicit":
+        return _biased(doc, graph, [], caps, 0)
     cycles = [Cycle.from_edge_set(graph, key) for key in doc.balanced]
     if doc.default is None:
         return make_explicit(graph, cycles, check=True, caps=caps)
@@ -319,9 +327,9 @@ def realize(doc: InstanceDocument, caps: Caps = DEFAULT_CAPS) -> BiasedGraph:
 
 
 def load(text: str, caps: Caps = DEFAULT_CAPS) -> BiasedGraph:
-    """Parse a document and build its biased graph, checking the bias once."""
-    doc, checked = _parse(text, caps)
-    return checked if checked is not None else realize(doc, caps)
+    """Parse a document and return the biased graph the parse built, so that
+    each line is checked and the graph built exactly once."""
+    return _parse(text, caps)[1]
 
 
 # ---------------------------------------------------------------------------

@@ -51,6 +51,17 @@ def test_parse_error_is_one_line(tmp_path, capsys):
     assert err == "tanglekit: parse: line 8, column 7: endpoint 7 outside 0..2\n"
 
 
+def test_non_utf8_input_is_one_line(tmp_path, capsys):
+    path = tmp_path / "input.bg"
+    path.write_bytes(FAT_TRIANGLE.encode().replace(b"v 3", b"v \xff3"))
+    status = main(["verdict", str(path)])
+    out, err = capsys.readouterr()
+    assert (status, out) == (1, "")
+    assert err == (
+        f"tanglekit: {path}: not UTF-8: 'utf-8' codec can't decode byte 0xff in position 16: invalid start byte\n"
+    )
+
+
 def test_cap_from_the_environment_names_the_stage(tmp_path, capsys, monkeypatch):
     # the fat triangle classifies with every cap at 11; at 10 the cycle
     # list the detectors read is one too long

@@ -381,6 +381,58 @@ def test_build_validation():
         MultiGraph.build([0, 1], [(0, 0, 1), (0, 1, 0)])
 
 
+def _relabelled_multigraph(rng: random.Random) -> MultiGraph:
+    """A random multigraph with loops and parallel edges on sparse vertex and edge ids."""
+    base = random_multigraph(rng, max_n=7, max_extra=8, allow_loops=True, connected=rng.random() < 0.5)
+    vs = dict(zip(base.vertices, rng.sample(range(3 * base.n), base.n)))
+    ids = rng.sample(range(3 * base.m + 1), base.m)
+    rows = [(i, *(vs[x] for x in base.endpoints(e))) for i, e in zip(ids, base.edge_ids)]
+    return MultiGraph.build(vs.values(), rows)
+
+
+def test_subgraph_and_with_edges_match_build():
+    rng = random.Random("derived graphs")
+    for _ in range(300):
+        g = _relabelled_multigraph(rng)
+        es = rng.sample(g.edge_ids, rng.randint(0, g.m))
+        keep = rng.sample(g.vertices, rng.randint(0, g.n)) + rng.sample(range(40), rng.randint(0, 1))
+        rows = [(e, *g.endpoints(e)) for e in es]
+        assert g.subgraph(es + es[:1], keep) == MultiGraph.build(keep + [x for r in rows for x in r[1:]], rows)
+        fresh = rng.sample(range(100, 120), 3)
+        targets = list(g.vertices) + fresh
+        extra = {e: (rng.choice(targets), rng.choice(targets)) for e in rng.sample(range(200, 220), rng.randint(0, 4))}
+        extra_vertices = rng.sample(fresh, rng.randint(0, 3))
+        ends = [x for uv in extra.values() for x in uv]
+        want = MultiGraph.build(
+            list(g.vertices) + extra_vertices + ends,
+            list(g._edges) + [(e, u, v) for e, (u, v) in extra.items()],
+        )
+        assert g.with_edges(extra, extra_vertices) == want
+
+
+def test_subgraph_and_with_edges_reject_what_build_rejects():
+    g = MultiGraph.build([0, 1, 2, 5], [(3, 0, 1), (4, 1, 1), (7, 1, 2), (8, 1, 2)])
+    with pytest.raises(GraphError, match="unknown edge id 5"):
+        g.subgraph([9, 5, 3])
+    with pytest.raises(GraphError, match="vertex ids must be non-negative"):
+        g.subgraph([3], [-1])
+    # a vertex outside the graph is kept as an isolated vertex
+    assert g.subgraph([4], [9]) == MultiGraph.build([1, 9], [(4, 1, 1)])
+    for extra, extra_vertices, message in (
+        ({-2: (0, 1), 4: (0, 0)}, (), "edge id -2 is negative"),
+        ({8: (0, 2), 3: (2, 2), 9: (0, 1)}, (), "duplicate edge id 3"),
+        ({9: (0, -1)}, (), "vertex ids must be non-negative"),
+        ({9: (0, 1)}, (-4,), "vertex ids must be non-negative"),
+    ):
+        with pytest.raises(GraphError, match=message):
+            g.with_edges(extra, extra_vertices)
+        with pytest.raises(GraphError, match=message):
+            MultiGraph.build(
+                [*g.vertices, *extra_vertices, *(x for uv in extra.values() for x in uv)],
+                list(g._edges) + [(e, u, v) for e, (u, v) in extra.items()],
+            )
+
+
 def _scan_edges_between(g: MultiGraph, u: int, v: int) -> tuple[int, ...]:
     """Every edge whose endpoints are {u, v}, by a scan in edge-id order."""
     want = sorted((u, v))
