@@ -23,6 +23,7 @@ keys, never in hash order.
 
 from __future__ import annotations
 
+import bisect
 import itertools
 from dataclasses import dataclass
 from functools import cached_property
@@ -256,10 +257,10 @@ class MultiGraph:
         """This graph plus the edges `extra`, their ends and `extra_vertices`;
         only what is added is checked."""
         added = MultiGraph.build(set(extra_vertices).union(*extra.values()), extra)
-        clash = added.edge_id_set & self.edge_id_set
-        if clash:
-            raise GraphError(f"duplicate edge id {min(clash)}")
-        vs = tuple(sorted(self.vertex_set | added.vertex_set))
+        for e, _, _ in added._edges:
+            if (i := bisect.bisect_left(self._edges, (e,))) < self.m and self._edges[i][0] == e:
+                raise GraphError(f"duplicate edge id {e}")
+        vs = tuple(sorted(set(self._vertices).union(added._vertices)))
         return MultiGraph(vs, tuple(sorted(self._edges + added._edges)))
 
     # -- connectivity ------------------------------------------------------
