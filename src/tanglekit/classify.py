@@ -20,7 +20,9 @@ reaches it, the searches drop those that fail a necessary condition
 read off balance alone, such as a part that lies inside no maximal
 balanced set.  The PP special vertex, pair and triple searches read
 their roles off where the residual edges E - m of each maximal
-balanced set m sit: one pass over E - m indexes them by vertex.  The
+balanced set m sit: one pass over E - m indexes them by vertex.  Wheel
+attachment splits are read off, not searched for: each part's X and Y
+are the two classes of a standard partition at the hub.  The
 brute-force oracles that check these searches live with the tests, in
 ``tests/oracles.py``.
 
@@ -28,7 +30,8 @@ Generalized wheels and Tricoloured graphs are rings of parts glued at
 hinges, and their rings are read off structure, not searched for: the
 wheel search, the Tricoloured search and the wheel-core extraction in
 ``decompose`` all take the bonds and polygons of a 2-connected rim or
-ring core from ``graph.rings``.
+ring core from ``graph.rings``, and both wheel paths send their rings
+to one reader.
 """
 
 from __future__ import annotations
@@ -898,7 +901,9 @@ def _detect_generalized_wheel(o: BiasedGraph, caps: Caps, msets: tuple[frozenset
     Every part is 2-connected or a single edge, so the rim is 2-connected
     and each ring is one of its rings: a bond split into two parts, or a
     polygon of at most six pieces (merging two pieces would leave their
-    shared hinge a cut vertex of the merged part).
+    shared hinge a cut vertex of the merged part).  The parts of a
+    generalized wheel are balanced, so a ring reaches the reader only
+    when each part lies inside a maximal balanced set.
     """
     g = o.graph
     counter = _Counter(caps, "generalized-wheel search")
@@ -919,15 +924,15 @@ def _detect_generalized_wheel(o: BiasedGraph, caps: Caps, msets: tuple[frozenset
                 part_a = frozenset(
                     e for i, es in enumerate(atoms) if mask >> i & 1 == 0 for e in es
                 )
-                hit = _wheel_candidate(
-                    o, hub, bond.pair, (part_a, rim - part_a), spokes, msets, caps, counter
-                )
-                if hit:
-                    return hit
+                parts = (part_a, rim - part_a)
+                if all(any(pe <= m for m in msets) for pe in parts):
+                    hit = _wheel_candidate(o, hub, bond.pair, parts, spokes, caps, counter)
+                    if hit:
+                        return hit
         for poly in found.polygons:
             counter.bump()
-            if len(poly.pieces) <= 6:
-                hit = _wheel_candidate(o, hub, poly.hinges, poly.pieces, spokes, msets, caps, counter)
+            if len(poly.pieces) <= 6 and all(any(pe <= m for m in msets) for pe in poly.pieces):
+                hit = _wheel_candidate(o, hub, poly.hinges, poly.pieces, spokes, caps, counter)
                 if hit:
                     return hit
     return None
@@ -939,62 +944,60 @@ def _wheel_candidate(
     hinges: tuple[int, ...],
     parts: tuple[frozenset[int], ...],
     spokes: frozenset[int],
-    msets: tuple[frozenset[int], ...],
     caps: Caps,
     counter: _Counter,
 ) -> _Hit | None:
-    """Try every attachment split of the given ring against the planner.
+    """Read each part's attachment split off a standard partition.
 
-    The parts of a generalized wheel are balanced, so each must lie
-    inside a maximal balanced set; rings that fail this are dropped
-    before any planarity test.  Splits are then filtered per part: only
-    those whose part subgraph orders planarly with the part hinges
-    survive into the full check.
+    The legs of a part are its spokes to vertices other than its hinges.
+    For two legs a and b, the checker's "spoke pair parity" clause asks
+    every cycle of a, b and a path inside the part to be balanced exactly
+    when both ends lie on one side of the split.  When the part is
+    balanced, the hub blocks in the part plus its legs, and the part is
+    connected, so the standard partition at the hub exists.  Take a
+    descriptor that passes: its clause holds on every such cycle, so on
+    the one per pair that :func:`~tanglekit.tangles.standard_partition`
+    tests, and its X and Y are the ends of the two classes.  So at most
+    one split with the least attachment in X can pass, and it is read
+    off, not searched for: each part needs one planarity test and the
+    ring one ``verify_family`` call.  A part that is not balanced, or
+    whose legs fall into other than two classes, or into two classes
+    sharing an end, ends the ring with None.
     """
-    if not all(any(pe <= m for m in msets) for pe in parts):
-        return None
     g = o.graph
-    options: list[list[tuple[frozenset[int], frozenset[int]] | None]] = []
+    xy: list[tuple[frozenset[int], frozenset[int]] | None] = []
     for i, pe in enumerate(parts):
         sub = g.subgraph(pe)
         if len(pe) == 1 and sub.n == 2:
-            options.append([None])
+            xy.append(None)
             continue
         if not is_two_connected(sub):
             return None
         z_prev, z_cur = hinges[i - 1], hinges[i]
-        attach = sorted(
-            v
-            for v in sub.vertex_set - {z_prev, z_cur}
-            if g.edges_between(hub, v)
-        )
-        if len(attach) < 2:
+        inner = sub.vertex_set - {z_prev, z_cur}
+        legs = frozenset(e for e in spokes if g.other_end(e, hub) in inner)
+        try:
+            sp = standard_partition(o.restrict_edges(pe | legs), hub)
+        except TangleError:
             return None
-        opts: list[tuple[frozenset[int], frozenset[int]] | None] = []
-        rest = attach[1:]
-        for r in range(len(rest) + 1):
-            for extra in combinations(rest, r):
-                xs = frozenset({attach[0], *extra})
-                ys = frozenset(attach) - xs
-                if not ys:
-                    continue
-                counter.bump()
-                if ordered_planarity(sub, (z_prev, xs, z_cur, ys)):
-                    opts.append((xs, ys))
-        if not opts:
+        if len(sp.parts) != 2:
             return None
-        options.append(opts)
-    for combo in product(*options):
+        x = sp.part_of(min(legs, key=lambda e: g.other_end(e, hub)))
+        xs, ys = (frozenset(g.other_end(e, hub) for e in sp.parts[j]) for j in (x, 1 - x))
+        if xs & ys:
+            return None
         counter.bump()
-        d = FamilyDescriptor(
-            "GeneralizedWheel",
-            g,
-            {"hub": hub, "hinges": tuple(hinges), "parts": parts, "xy": tuple(combo)},
-        )
-        cert = verify_family(o, d, caps)
-        if cert.passed:
-            return d, cert, None
-    return None
+        if ordered_planarity(sub, (z_prev, xs, z_cur, ys)) is None:
+            return None
+        xy.append((xs, ys))
+    counter.bump()
+    d = FamilyDescriptor(
+        "GeneralizedWheel",
+        g,
+        {"hub": hub, "hinges": tuple(hinges), "parts": tuple(parts), "xy": tuple(xy)},
+    )
+    cert = verify_family(o, d, caps)
+    return (d, cert, None) if cert.passed else None
 
 
 @cache
@@ -1560,12 +1563,6 @@ def _extract_wheel(cur: BiasedGraph, vc: VertexCut, caps: Caps) -> tuple[FamilyD
     hub = next(iter(common))
     x2, x3 = sorted(vc.cut - {hub})
 
-    partitions = []
-    for b in vc.bridges:
-        try:
-            partitions.append((b.edges, standard_partition(cur.restrict_edges(b.edges), hub, caps)))
-        except TangleError as err:
-            raise ClassifyError(f"wheel side at cut {cut} has no spoke partition: {err}")
     rim = g.delete_vertices([hub])
     if not is_two_connected(rim):
         raise ClassifyError(f"wheel rim at cut {cut} is not 2-connected")
@@ -1583,46 +1580,11 @@ def _extract_wheel(cur: BiasedGraph, vc: VertexCut, caps: Caps) -> tuple[FamilyD
         side_a, side_b, *direct = next(b for b in found.bonds if b.pair == (x2, x3)).classes
         hinges, ring = (x2, x3), (side_a.union(*direct), side_b)
 
-    xy: list[tuple[frozenset[int], frozenset[int]] | None] = []
-    for i, pe in enumerate(ring):
-        sub = g.subgraph(pe)
-        if len(pe) == 1 and sub.n == 2:
-            xy.append(None)
-            continue
-        part_hinges = {hinges[i - 1], hinges[i]}
-        sp = next(sp for side, sp in partitions if pe & side)
-        classes: dict[int, set[int]] = {}
-        for v in sorted(sub.vertex_set - part_hinges):
-            vs = {sp.part_of(e) for e in g.edges_between(hub, v)}
-            if not vs:
-                continue
-            if len(vs) != 1:
-                raise ClassifyError(
-                    f"rim vertex {v} takes spokes from different classes"
-                )
-            classes.setdefault(vs.pop(), set()).add(v)
-        if len(classes) != 2:
-            raise ClassifyError(
-                f"ring part {i} splits its spoke attachments into {len(classes)} classes"
-            )
-        first, second = sorted(classes)
-        xy.append((frozenset(classes[first]), frozenset(classes[second])))
-
-    d = FamilyDescriptor(
-        "GeneralizedWheel",
-        g,
-        {
-            "hub": hub,
-            "hinges": tuple(hinges),
-            "parts": tuple(ring),
-            "xy": tuple(xy),
-        },
-    )
-    cert = verify_family(cur, d, caps)
-    if not cert.passed:
-        names = "; ".join(c.name for c in cert.failures())
-        raise ClassifyError(f"wheel shape at cut {cut} fails verification: {names}")
-    return d, cert
+    spokes = frozenset(g.incident_edges(hub))
+    hit = _wheel_candidate(cur, hub, hinges, ring, spokes, caps, _Counter(caps, "wheel-core extraction"))
+    if hit is None:
+        raise ClassifyError(f"wheel shape at cut {cut} has no verified attachment split")
+    return hit[0], hit[1]
 
 
 def _fold(

@@ -13,7 +13,8 @@ bias, fundamental cycles of a spanning forest otherwise).  A vertex v
 blocks when o - v is balanced, and a pair {v, w} blocks when o - {v, w}
 is.  Whether two disjoint unbalanced cycles exist is read off the
 chordless cycles of the support (:func:`disjoint_unbalanced_pair_exists`),
-so no verdict lists a cycle.  Only the pair that certifies a
+so no verdict lists a cycle, and a standard partition tests one cycle
+per edge and part.  Only the pair that certifies a
 :class:`TwoDisjointUnbalanced` verdict is searched for among cycles
 generated shortest first (:func:`find_disjoint_unbalanced_pair`).
 """
@@ -194,45 +195,55 @@ def standard_partition(
 ) -> StandardPartition:
     """Partition delta(v) by "every cycle through both edges is balanced".
 
-    Requires v to be a blocking vertex with o - v connected; those
-    hypotheses make the relation an equivalence.  Loops at v are not
-    part of the partition.
+    Requires v to be a blocking vertex with o - v connected.  Loops at v
+    are not part of the partition, and ``caps`` is not consumed: no
+    cycle is listed.
+
+    Then one path decides each pair.  Take edges e = vx and f = vy and
+    two x-y paths P and Q of the balanced graph o - v; the cycles e P f
+    and e Q f have the same balance.  Exchange one detour at a time: let
+    P agree with Q up to the vertex a where Q leaves it, and let b be
+    the first vertex of Q after a that lies on P.  b lies on P after a,
+    so replacing P's a-b segment by Q's gives a path P' that agrees with
+    Q for longer.  Three a-b paths are internally disjoint: the two
+    segments, and the path back along P from a to x, through e, v and f,
+    and from y back along P to b.  So the cycles e P f, e P' f and the
+    cycle on the two segments, which lies in o - v and is balanced, form
+    a theta, and by the theta property e P f and e P' f are balanced
+    alike.  Repeating ends at Q.  So each edge e = vx goes into the
+    first part whose first edge f = vy closes a balanced cycle with e
+    through ``rest.path_between(x, y)``, where rest is o - v.  For three
+    edges at v, the tree paths of o - v between their ends meet at one
+    vertex c, and the three paths from v to c form a theta: two
+    balanced cycles through v make the third balanced, and the relation
+    is transitive.  An edge that closes balanced cycles with the first
+    edges of two parts shows a bias that breaks the theta property, and
+    raises :class:`TangleError`.
     """
     g = o.graph
     if v not in g.vertex_set:
         raise TangleError(f"vertex {v} is not in the graph")
     if not balanced_without(o, (v,)):
         raise TangleError(f"vertex {v} is not a blocking vertex")
-    if not g.delete_vertices([v]).is_connected():
+    rest = g.delete_vertices([v])
+    if not rest.is_connected():
         raise TangleError(f"deleting vertex {v} disconnects the graph")
-    delta = g.delta(v)
-    delta_set = frozenset(delta)
-    bad_pairs: set[frozenset[int]] = set()
-    for c in o.unbalanced_cycles(caps):
-        used = c.edge_set & delta_set
-        if len(used) == 2:
-            bad_pairs.add(used)
-    # components of the "equivalent" graph; verify transitivity afterwards
-    parts: list[set[int]] = []
-    remaining = list(delta)
-    while remaining:
-        seed = remaining.pop(0)
-        part = {seed}
-        grew = True
-        while grew:
-            grew = False
-            for e in list(remaining):
-                if any(frozenset({e, f}) not in bad_pairs for f in part):
-                    part.add(e)
-                    remaining.remove(e)
-                    grew = True
-        parts.append(part)
-    for part in parts:
-        for e, f in combinations(sorted(part), 2):
-            if frozenset({e, f}) in bad_pairs:
-                raise TangleError(
-                    f"edges {e} and {f} at vertex {v} are linked through a "
-                    "third edge but some cycle through both is unbalanced"
-                )
-    parts.sort(key=min)
-    return StandardPartition(v, tuple(frozenset(p) for p in parts))
+    # (first edge, its end other than v, the part), parts in order of first edge
+    parts: list[tuple[int, int, set[int]]] = []
+    for e in g.delta(v):
+        x = g.other_end(e, v)
+        hits = [
+            (f, part)
+            for f, y, part in parts
+            if o.balance_of(frozenset((e, f, *rest.path_between(x, y))))
+        ]
+        if len(hits) > 1:
+            raise TangleError(
+                f"edge {e} at vertex {v} closes balanced cycles with edges "
+                f"{hits[0][0]} and {hits[1][0]}, which close an unbalanced one"
+            )
+        if hits:
+            hits[0][1].add(e)
+        else:
+            parts.append((e, x, {e}))
+    return StandardPartition(v, tuple(frozenset(part) for _, _, part in parts))

@@ -12,7 +12,9 @@ explicit t-sum, each with every balanced cycle listed, the maximal
 balanced sets by transversals, blocking vertices, blocking pairs and the
 first disjoint pair on the cycle list, two earlier Tricoloured searches, the
 FatTriangle, CrissCross, PPSigned and PP special vertex, pair and triple
-detectors, the canonical cycle key, the theta check, the linkage search,
+detectors, the standard partition on the cycle list, the wheel search
+and wheel-core extraction before they read splits off standard
+partitions, the canonical cycle key, the theta check, the linkage search,
 the boundary pairing search and, at the end, ordered planarity by
 networkx's planarity test.  Embeddings come from
 every rotation system that passes the Euler check, a signed graph's maximal
@@ -31,8 +33,15 @@ from typing import Iterable, Iterator, Sequence
 
 import networkx as nx
 
-from tanglekit.bias import BiasedGraph, BiasError, make_explicit
-from tanglekit.classify import _PLACEMENTS, _Counter, _Hit, _star_bias_holds, _weak_compositions
+from tanglekit.bias import BiasedGraph, BiasError, balanced_without, make_explicit
+from tanglekit.classify import (
+    _PLACEMENTS,
+    ClassifyError,
+    _Counter,
+    _Hit,
+    _star_bias_holds,
+    _weak_compositions,
+)
 from tanglekit.embedding import (
     Dart,
     OrderedPlanarEmbedding,
@@ -44,7 +53,7 @@ from tanglekit.embedding import (
     ordered_planarity,
     walk_contains_order,
 )
-from tanglekit.families import FamilyDescriptor, verify_family
+from tanglekit.families import Certificate, FamilyDescriptor, verify_family
 from tanglekit.graph import (
     Bridge,
     Cycle,
@@ -53,6 +62,7 @@ from tanglekit.graph import (
     ThetaSubgraph,
     VertexCut,
     bridges_of_cut,
+    cycles_inside,
     cycles_with,
     enumerate_theta_subgraphs,
     is_two_connected,
@@ -72,6 +82,8 @@ from tanglekit.linkage import (
 from tanglekit.tangles import (
     Balanced,
     HasBlockingVertex,
+    StandardPartition,
+    TangleError,
     Tangled,
     TangleVerdict,
     TwoDisjointUnbalanced,
@@ -1644,6 +1656,266 @@ def _detect_special_triple(o: BiasedGraph, caps: Caps, msets: tuple[frozenset[in
 oracle_detect_special_vertex = _detect_special_vertex
 oracle_detect_special_pair = _detect_special_pair
 oracle_detect_special_triple = _detect_special_triple
+
+
+# ---------------------------------------------------------------------------
+# The standard partition on the cycle list, and the wheel searches before
+# their splits were read off standard partitions
+#
+# Copied unchanged, but for the wheel-core extraction calling the oracle
+# partition: the partition listed every unbalanced cycle of the graph,
+# the wheel search tried every attachment split of each part against
+# the planner, and the extraction read X and Y off one partition per
+# side of the cut.
+# ---------------------------------------------------------------------------
+
+
+def oracle_standard_partition(
+    o: BiasedGraph, v: int, caps: Caps = DEFAULT_CAPS
+) -> StandardPartition:
+    """Partition delta(v) by "every cycle through both edges is balanced".
+
+    Requires v to be a blocking vertex with o - v connected; those
+    hypotheses make the relation an equivalence.  Loops at v are not
+    part of the partition.
+    """
+    g = o.graph
+    if v not in g.vertex_set:
+        raise TangleError(f"vertex {v} is not in the graph")
+    if not balanced_without(o, (v,)):
+        raise TangleError(f"vertex {v} is not a blocking vertex")
+    if not g.delete_vertices([v]).is_connected():
+        raise TangleError(f"deleting vertex {v} disconnects the graph")
+    delta = g.delta(v)
+    delta_set = frozenset(delta)
+    bad_pairs: set[frozenset[int]] = set()
+    for c in o.unbalanced_cycles(caps):
+        used = c.edge_set & delta_set
+        if len(used) == 2:
+            bad_pairs.add(used)
+    # components of the "equivalent" graph; verify transitivity afterwards
+    parts: list[set[int]] = []
+    remaining = list(delta)
+    while remaining:
+        seed = remaining.pop(0)
+        part = {seed}
+        grew = True
+        while grew:
+            grew = False
+            for e in list(remaining):
+                if any(frozenset({e, f}) not in bad_pairs for f in part):
+                    part.add(e)
+                    remaining.remove(e)
+                    grew = True
+        parts.append(part)
+    for part in parts:
+        for e, f in combinations(sorted(part), 2):
+            if frozenset({e, f}) in bad_pairs:
+                raise TangleError(
+                    f"edges {e} and {f} at vertex {v} are linked through a "
+                    "third edge but some cycle through both is unbalanced"
+                )
+    parts.sort(key=min)
+    return StandardPartition(v, tuple(frozenset(p) for p in parts))
+
+
+def _detect_generalized_wheel(o: BiasedGraph, caps: Caps, msets: tuple[frozenset[int], ...]) -> _Hit | None:
+    """Hub vertex whose removal leaves a ring of parts joined at hinges.
+
+    Every part is 2-connected or a single edge, so the rim is 2-connected
+    and each ring is one of its rings: a bond split into two parts, or a
+    polygon of at most six pieces (merging two pieces would leave their
+    shared hinge a cut vertex of the merged part).
+    """
+    g = o.graph
+    counter = _Counter(caps, "generalized-wheel search")
+    for hub in sorted(g.vertex_set):
+        spokes = frozenset(g.incident_edges(hub))
+        if not spokes or any(g.is_loop(e) for e in spokes):
+            continue
+        rim = g.edge_id_set - spokes
+        rim_sub = g.subgraph(rim)
+        if rim_sub.vertex_set != g.vertex_set - {hub} or not is_two_connected(rim_sub):
+            continue
+        found = _rings(rim_sub)
+        for bond in found.bonds:
+            counter.bump()
+            atoms = bond.classes
+            for mask in range(1, 1 << (len(atoms) - 1)):
+                counter.bump()
+                part_a = frozenset(
+                    e for i, es in enumerate(atoms) if mask >> i & 1 == 0 for e in es
+                )
+                hit = _wheel_candidate(
+                    o, hub, bond.pair, (part_a, rim - part_a), spokes, msets, caps, counter
+                )
+                if hit:
+                    return hit
+        for poly in found.polygons:
+            counter.bump()
+            if len(poly.pieces) <= 6:
+                hit = _wheel_candidate(o, hub, poly.hinges, poly.pieces, spokes, msets, caps, counter)
+                if hit:
+                    return hit
+    return None
+
+
+def _wheel_candidate(
+    o: BiasedGraph,
+    hub: int,
+    hinges: tuple[int, ...],
+    parts: tuple[frozenset[int], ...],
+    spokes: frozenset[int],
+    msets: tuple[frozenset[int], ...],
+    caps: Caps,
+    counter: _Counter,
+) -> _Hit | None:
+    """Try every attachment split of the given ring against the planner.
+
+    The parts of a generalized wheel are balanced, so each must lie
+    inside a maximal balanced set; rings that fail this are dropped
+    before any planarity test.  Splits are then filtered per part: only
+    those whose part subgraph orders planarly with the part hinges
+    survive into the full check.
+    """
+    if not all(any(pe <= m for m in msets) for pe in parts):
+        return None
+    g = o.graph
+    options: list[list[tuple[frozenset[int], frozenset[int]] | None]] = []
+    for i, pe in enumerate(parts):
+        sub = g.subgraph(pe)
+        if len(pe) == 1 and sub.n == 2:
+            options.append([None])
+            continue
+        if not is_two_connected(sub):
+            return None
+        z_prev, z_cur = hinges[i - 1], hinges[i]
+        attach = sorted(
+            v
+            for v in sub.vertex_set - {z_prev, z_cur}
+            if g.edges_between(hub, v)
+        )
+        if len(attach) < 2:
+            return None
+        opts: list[tuple[frozenset[int], frozenset[int]] | None] = []
+        rest = attach[1:]
+        for r in range(len(rest) + 1):
+            for extra in combinations(rest, r):
+                xs = frozenset({attach[0], *extra})
+                ys = frozenset(attach) - xs
+                if not ys:
+                    continue
+                counter.bump()
+                if ordered_planarity(sub, (z_prev, xs, z_cur, ys)):
+                    opts.append((xs, ys))
+        if not opts:
+            return None
+        options.append(opts)
+    for combo in product(*options):
+        counter.bump()
+        d = FamilyDescriptor(
+            "GeneralizedWheel",
+            g,
+            {"hub": hub, "hinges": tuple(hinges), "parts": parts, "xy": tuple(combo)},
+        )
+        cert = verify_family(o, d, caps)
+        if cert.passed:
+            return d, cert, None
+    return None
+
+
+def _extract_wheel(cur: BiasedGraph, vc: VertexCut, caps: Caps) -> tuple[FamilyDescriptor, Certificate]:
+    """Read the hub-and-ring roles off a 3-cut whose sides are all unbalanced."""
+    g = cur.graph
+    cut = sorted(vc.cut)
+    if len(vc.bridges) != 2:
+        raise ClassifyError(
+            f"wheel shape at cut {cut} needs exactly two sides, found {len(vc.bridges)}"
+        )
+    one_vertex_hits: list[set[int]] = []
+    for b in vc.bridges:
+        hits: set[int] = set()
+        for c in cycles_inside(cur.graph, b.edges, caps):
+            if cur.balance(c):
+                continue
+            meet = c.vertex_set & vc.cut
+            if len(meet) == 1:
+                hits.add(next(iter(meet)))
+        one_vertex_hits.append(hits)
+    common = one_vertex_hits[0] & one_vertex_hits[1]
+    if len(common) != 1:
+        raise ClassifyError(f"wheel shape at cut {cut}: hub candidates {sorted(common)}")
+    hub = next(iter(common))
+    x2, x3 = sorted(vc.cut - {hub})
+
+    partitions = []
+    for b in vc.bridges:
+        try:
+            partitions.append((b.edges, oracle_standard_partition(cur.restrict_edges(b.edges), hub, caps)))
+        except TangleError as err:
+            raise ClassifyError(f"wheel side at cut {cut} has no spoke partition: {err}")
+    rim = g.delete_vertices([hub])
+    if not is_two_connected(rim):
+        raise ClassifyError(f"wheel rim at cut {cut} is not 2-connected")
+    # The two sides are the two bridge classes of the rim at x2, x3, and
+    # any edges joining x2 and x3 join one of them: a polygon through
+    # both hinges chains the blocks of each side, and with no polygon
+    # the ring is the bond split into its two sides.
+    found = _rings(rim)
+    through = [p for p in found.polygons if {x2, x3} <= set(p.hinges)]
+    if len(through) > 1:
+        raise ClassifyError("edges joining the two rim hinges fit no ring part")
+    if through:
+        hinges, ring = through[0].hinges, through[0].pieces
+    else:
+        side_a, side_b, *direct = next(b for b in found.bonds if b.pair == (x2, x3)).classes
+        hinges, ring = (x2, x3), (side_a.union(*direct), side_b)
+
+    xy: list[tuple[frozenset[int], frozenset[int]] | None] = []
+    for i, pe in enumerate(ring):
+        sub = g.subgraph(pe)
+        if len(pe) == 1 and sub.n == 2:
+            xy.append(None)
+            continue
+        part_hinges = {hinges[i - 1], hinges[i]}
+        sp = next(sp for side, sp in partitions if pe & side)
+        classes: dict[int, set[int]] = {}
+        for v in sorted(sub.vertex_set - part_hinges):
+            vs = {sp.part_of(e) for e in g.edges_between(hub, v)}
+            if not vs:
+                continue
+            if len(vs) != 1:
+                raise ClassifyError(
+                    f"rim vertex {v} takes spokes from different classes"
+                )
+            classes.setdefault(vs.pop(), set()).add(v)
+        if len(classes) != 2:
+            raise ClassifyError(
+                f"ring part {i} splits its spoke attachments into {len(classes)} classes"
+            )
+        first, second = sorted(classes)
+        xy.append((frozenset(classes[first]), frozenset(classes[second])))
+
+    d = FamilyDescriptor(
+        "GeneralizedWheel",
+        g,
+        {
+            "hub": hub,
+            "hinges": tuple(hinges),
+            "parts": tuple(ring),
+            "xy": tuple(xy),
+        },
+    )
+    cert = verify_family(cur, d, caps)
+    if not cert.passed:
+        names = "; ".join(c.name for c in cert.failures())
+        raise ClassifyError(f"wheel shape at cut {cut} fails verification: {names}")
+    return d, cert
+
+
+oracle_detect_generalized_wheel = _detect_generalized_wheel
+oracle_wheel_candidate = _wheel_candidate
+oracle_extract_wheel = _extract_wheel
 
 
 # ---------------------------------------------------------------------------

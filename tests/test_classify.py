@@ -56,7 +56,7 @@ from tanglekit.families import (
     t_sum,
     verify_family,
 )
-from tanglekit.graph import MultiGraph, is_two_connected
+from tanglekit.graph import MultiGraph, find_vertex_cuts, is_two_connected
 from tanglekit.limits import DEFAULT_CAPS, Caps, ResourceLimitError
 from tanglekit.tangles import (
     Tangled,
@@ -72,12 +72,14 @@ from oracles import (
     connected_graph_census,
     oracle_detect_criss_cross,
     oracle_detect_fat_triangle,
+    oracle_detect_generalized_wheel,
     oracle_detect_pp_signed,
     oracle_detect_special_pair,
     oracle_detect_special_triple,
     oracle_detect_special_vertex,
     oracle_detect_tricoloured,
     oracle_explicit_core,
+    oracle_extract_wheel,
     oracle_layout_tricoloured,
     oracle_maximal_balanced_sets,
     oracle_pairing_search,
@@ -1073,6 +1075,104 @@ def test_signed_w7_peels_to_a_wheel_core():
     assert set(roles["parts"]) == {frozenset({7}), frozenset({11}), frozenset({16}), frozenset({19})}
     assert dec.core.certificate.passed
     assert dec.verify(o) == ()
+
+
+# -- wheel splits read off standard partitions ------------------------------------
+
+
+def test_wheel_search_returns_the_split_search_hit():
+    # every classify workload input under relabelling seeds 1 to 3, and
+    # the census on three to five vertices
+    corpus = bench_module("corpus")
+    inputs = [
+        io.load(corpus.relabel(text, random.Random(seed)).text)
+        for text in classify_workload_documents().values()
+        for seed in (1, 2, 3)
+    ]
+    hits = Counter()
+    for source, graphs in (("workloads", inputs), ("census", switching_classes(range(3, 6)))):
+        for o in graphs:
+            msets = _maximal_balanced_sets(o)
+            hit = _detect_generalized_wheel(o, DEFAULT_CAPS, msets)
+            expected = oracle_detect_generalized_wheel(o, DEFAULT_CAPS, msets)
+            assert (hit is None) == (expected is None)
+            if hit is not None:
+                assert hit[0].roles == expected[0].roles
+                assert hit[1].passed and hit[2] is None
+                hits[source] += 1
+    assert hits == {"workloads": 39, "census": 71}
+
+
+def test_wheel_cores_match_the_side_partition_extraction(monkeypatch):
+    # the same hub, hinges and parts; X and Y may trade places within a
+    # part, as the reader puts the least attachment in X
+    swapped = wheels = 0
+    for make in (diamond_ring_wheel, signed_w7):
+        for seed in range(4):
+            o = make() if seed == 0 else relabelled(make(), random.Random(seed))
+            dec = decompose(o)
+            with monkeypatch.context() as m:
+                m.setattr(classify_module, "_extract_wheel", oracle_extract_wheel)
+                expected = decompose(o)
+            assert type(dec.core) is type(expected.core) and len(dec.nodes) == len(expected.nodes)
+            if not isinstance(dec.core, WheelCore):
+                continue
+            wheels += 1
+            roles, want = dec.core.descriptor.roles, expected.core.descriptor.roles
+            assert [roles[k] for k in ("hub", "hinges", "parts")] == [want[k] for k in ("hub", "hinges", "parts")]
+            for xy, xy_want in zip(roles["xy"], want["xy"]):
+                assert xy == xy_want or (xy is not None and xy == xy_want[::-1])
+                swapped += xy != xy_want
+            assert dec.core.certificate.passed
+            assert verify_family(dec.core.bias, dec.core.descriptor).passed
+    assert (wheels, swapped) == (5, 3)
+
+
+def diamond_ring_with_unbalanced_part() -> BiasedGraph:
+    """The diamond-ring wheel with edge 7 (hinge 1 to a) of part 1 flipped,
+    which leaves the triangle 1-a-b of that part unbalanced."""
+    o = diamond_ring_wheel()
+    return make_signed(o.graph, o.bias.signature ^ {7})
+
+
+def test_wheel_reader_and_extraction_raise_no_tangle_error(monkeypatch):
+    parts = tuple(frozenset(range(7 * i, 7 * i + 5)) for i in range(3))
+    spokes = frozenset(diamond_ring_wheel().graph.incident_edges(0))
+    counter = classify_module._Counter(DEFAULT_CAPS, "generalized-wheel search")
+    read = classify_module._wheel_candidate
+    assert read(diamond_ring_wheel(), 0, (1, 2, 3), parts, spokes, DEFAULT_CAPS, counter) is not None
+    o = diamond_ring_with_unbalanced_part()
+    assert read(o, 0, (1, 2, 3), parts, spokes, DEFAULT_CAPS, counter) is None
+    # the cut around part 1 finds hub 0 and the ring, and reaches the reader
+    vc = next(vc for vc in find_vertex_cuts(o.graph, 3) if vc.cut == {0, 1, 2})
+    answers = []
+    monkeypatch.setattr(classify_module, "_wheel_candidate", lambda *args: answers.append(read(*args)))
+    with pytest.raises(ClassifyError, match="no verified attachment split"):
+        classify_module._extract_wheel(o, vc, DEFAULT_CAPS)
+    assert answers == [None]
+
+
+@pytest.mark.parametrize("name", ["wheel-c4-part", "wheel-triangle-rim", "tricoloured-consecutive"])
+def test_wheel_search_tests_each_part_and_ring_once(name, monkeypatch):
+    o = build_family(ROUND_TRIP[name]())
+    msets = _maximal_balanced_sets(o)
+    calls = Counter()
+    read = classify_module._wheel_candidate
+
+    def counted(key, f):
+        return lambda *args: calls.update([key]) or f(*args)
+
+    def reader(o, hub, hinges, parts, *rest):
+        calls.update({"parts": sum(len(pe) > 1 for pe in parts)})
+        return counted("rings", read)(o, hub, hinges, parts, *rest)
+
+    monkeypatch.setattr(classify_module, "_wheel_candidate", reader)
+    monkeypatch.setattr(classify_module, "verify_family", counted("verify", verify_family))
+    monkeypatch.setattr(classify_module, "ordered_planarity", counted("planar", classify_module.ordered_planarity))
+    hit = _detect_generalized_wheel(o, DEFAULT_CAPS, msets)
+    assert (hit is not None) == name.startswith("wheel")
+    assert calls["verify"] <= calls["rings"]
+    assert calls["planar"] <= calls["parts"]
 
 
 # -- one cycle list per graph ------------------------------------------------------

@@ -8,7 +8,9 @@ among them), by the benchmark or by the package's ``__all__``, and every
 public method of a module-level class is named by library or benchmark
 code outside its own definition.  The last test keeps one cycle list per
 graph: only ``MultiGraph.cycles`` reaches ``enumerate_cycles``, and
-nothing writes through ``object.__setattr__``.
+nothing writes through ``object.__setattr__``.  The blocking-structure
+module lists no cycle: its one cycle source is ``cycles_by_length``, read
+only where a disjoint pair is named.
 """
 
 from __future__ import annotations
@@ -141,3 +143,12 @@ def test_only_the_graph_enumerates_its_cycles():
             elif name == "__setattr__":
                 offences.append(f"{where} calls __setattr__")
     assert offences == []
+
+
+def test_no_verdict_lists_a_cycle():
+    path = SRC / "tangles.py"
+    listers = {"cycles", "balanced_cycles", "unbalanced_cycles", "cycles_with", "cycles_inside"}
+    refs = list(_references(ast.parse(path.read_text(), filename=str(path))))
+    assert sorted({name for _, name in refs} & listers) == []
+    sources = {scope for scope, name in refs if name == "cycles_by_length"}
+    assert sources == {(), ("find_disjoint_unbalanced_pair",)}

@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import itertools
 import random
+from collections import Counter
 
 import pytest
 from hypothesis import assume, given, settings, strategies as st
@@ -12,6 +13,7 @@ from tanglekit.graph import MultiGraph, enumerate_cycles
 from tanglekit.bias import (
     AllUnbalanced,
     BiasedGraph,
+    BiasError,
     Signed,
     balanced_without,
     make_explicit,
@@ -38,6 +40,7 @@ from tanglekit.limits import DEFAULT_CAPS, Caps, ResourceLimitError
 
 import tanglekit.graph as graph_module
 import tanglekit.tangles as tangles_module
+from census import switching_classes
 from oracles import (
     ORACLE_VERTICES,
     connected_graph_census,
@@ -46,6 +49,7 @@ from oracles import (
     oracle_cycle_list_verdict,
     oracle_disjoint_unbalanced_pair,
     oracle_is_tangled,
+    oracle_standard_partition,
     random_multigraph,
     spanning_forest,
 )
@@ -282,6 +286,56 @@ def test_partition_relation_is_transitive(seed):
         assert not (sp.parts[s] & sp.parts[t])
 
 
+def blocked_gain_bias(g: MultiGraph, v: int, k: int, rng: random.Random) -> BiasedGraph:
+    """Z_k gains that are a switching of zero off v and random at v, so
+    that v blocks and its edges fall into up to k parts."""
+    potential = {u: rng.randrange(k) for u in g.vertices}
+    gain = {}
+    for e in g.edge_ids:
+        a, b = g.endpoints(e)
+        gain[e] = (potential[a] - potential[b] + (rng.randrange(k) if v in (a, b) else 0)) % k
+    return gains_bias(g, k, gain)
+
+
+def partition_inputs() -> list[tuple[BiasedGraph, int]]:
+    """(o, v) for every blocking vertex v with o - v connected: the census
+    on three to five vertices, then seeded Z_3 and Z_4 gain graphs."""
+    out = []
+    for o in switching_classes(range(3, 6)):
+        out += [(o, v) for v in sorted(blocking_vertices(o)) if o.graph.delete_vertices([v]).is_connected()]
+    rng = random.Random(31)
+    for _ in range(150):
+        g = random_multigraph(rng, max_n=7, max_extra=6, allow_loops=True)
+        v = g.vertices[0]
+        if g.n > 1 and g.delete_vertices([v]).is_connected():
+            out.append((blocked_gain_bias(g, v, rng.choice((3, 4)), rng), v))
+    return out
+
+
+def test_standard_partition_matches_the_cycle_list_oracle():
+    sizes = Counter()
+    for o, v in partition_inputs():
+        sp = standard_partition(o, v)
+        assert sp == oracle_standard_partition(o, v)
+        sizes[min(len(sp.parts), 3)] += 1
+    # the count of inputs with one, two and three or more parts
+    assert sizes == {1: 149, 2: 275, 3: 22}
+
+
+def test_standard_partition_guard_catches_a_bias_that_breaks_the_theta_rule():
+    # three paths from vertex 0 to vertex 4, through 1, 2 and 3: the cycles
+    # through 1 and 3 and through 2 and 3 are balanced, the one through 1
+    # and 2 is not, so the theta on all three has exactly two balanced cycles
+    g = MultiGraph.from_pairs([(0, 1), (0, 2), (0, 3), (1, 4), (2, 4), (3, 4)])
+    balanced = [{0, 2, 3, 5}, {1, 2, 4, 5}]
+    with pytest.raises(BiasError):
+        make_explicit(g, balanced)
+    o = make_explicit(g, balanced, check=False)
+    for partition in (standard_partition, oracle_standard_partition):
+        with pytest.raises(TangleError, match="edge"):
+            partition(o, 0)
+
+
 @settings(max_examples=40, deadline=None)
 @given(st.integers(0, 10 ** 9))
 def test_recovered_signature_obeys_parity_law(seed):
@@ -447,7 +501,11 @@ def gain_bias(g: MultiGraph, k: int, rng: random.Random) -> BiasedGraph:
     """Z_k gains on g, each edge read from its first end to its second; a
     cycle is balanced when its gains sum to 0 mod k.  Gain graphs satisfy
     the theta property, and for k >= 3 most are no signed graph."""
-    gain = {e: 0 if rng.random() < 0.5 else rng.randrange(1, k) for e in g.edge_ids}
+    return gains_bias(g, k, {e: 0 if rng.random() < 0.5 else rng.randrange(1, k) for e in g.edge_ids})
+
+
+def gains_bias(g: MultiGraph, k: int, gain: dict[int, int]) -> BiasedGraph:
+    """The explicit bias of the given Z_k gains, read as in :func:`gain_bias`."""
 
     def balanced(c) -> bool:
         total = 0
