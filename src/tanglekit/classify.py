@@ -11,7 +11,8 @@ peeled core takes the sign of a path through the balanced side it stands
 for, so side balance and the per-peel tangle check are switching tests,
 and a T3 label needs one more.  Other biases give each core a lazy
 ``bias.Lifted`` that asks the parent about the cycle through that path.
-No core's cycles are listed, unless it is a wheel.
+No core's cycles are listed; only the check of a wheel core's certificate
+lists any.
 
 Recognition is search-based: candidate role assignments are enumerated
 within the configured resource ceilings and ``verify_family`` is the
@@ -56,7 +57,6 @@ from .families import Certificate, FamilyDescriptor, FamilyError, t_sum, verify_
 from .graph import (
     MultiGraph,
     VertexCut,
-    cycles_inside,
     cycles_with,
     find_vertex_cuts,
     is_two_connected,
@@ -203,12 +203,19 @@ class SumDecomposition:
 
 @dataclass(frozen=True)
 class ClassificationReport:
-    """Verdict plus every structure case the input matched."""
+    """Verdict plus every structure case the input matched.
+
+    ``capped`` names, in battery order, the family kind of each detector
+    whose search stopped at its resource cap: the labels those searches
+    would have found may be missing.  It is empty when no search stopped
+    at its cap, as on input that is not tangled and on a ``first`` run
+    that stops at a hit before any search does.
+    """
 
     verdict: TangleVerdict
     labels: tuple[Label, ...]
     decomposition: SumDecomposition | None
-    trace: tuple[str, ...]
+    capped: tuple[str, ...]
 
     def codes(self) -> tuple[str, ...]:
         return tuple(sorted({label.code for label in self.labels}))
@@ -1540,23 +1547,24 @@ def _peel(
 
 
 def _extract_wheel(cur: BiasedGraph, vc: VertexCut, caps: Caps) -> tuple[FamilyDescriptor, Certificate]:
-    """Read the hub-and-ring roles off a 3-cut whose sides are all unbalanced."""
+    """Read the hub-and-ring roles off a 3-cut whose sides are all unbalanced.
+
+    The hub is the cut vertex v at which each side has an unbalanced cycle
+    meeting the cut in v alone.  Such a cycle of side b is one that avoids
+    cut - v, so six balance tests find it: the core is tangled, and an
+    unbalanced cycle of one side that missed the cut altogether would be
+    disjoint from every unbalanced cycle of the other side.
+    """
     g = cur.graph
     cut = sorted(vc.cut)
     if len(vc.bridges) != 2:
         raise ClassifyError(
             f"wheel shape at cut {cut} needs exactly two sides, found {len(vc.bridges)}"
         )
-    one_vertex_hits: list[set[int]] = []
-    for b in vc.bridges:
-        hits: set[int] = set()
-        for c in cycles_inside(cur.graph, b.edges, caps):
-            if cur.balance(c):
-                continue
-            meet = c.vertex_set & vc.cut
-            if len(meet) == 1:
-                hits.add(next(iter(meet)))
-        one_vertex_hits.append(hits)
+    one_vertex_hits = [
+        {v for v in vc.cut if not balanced_without(cur.restrict_edges(b.edges), vc.cut - {v})}
+        for b in vc.bridges
+    ]
     common = one_vertex_hits[0] & one_vertex_hits[1]
     if len(common) != 1:
         raise ClassifyError(f"wheel shape at cut {cut}: hub candidates {sorted(common)}")
@@ -1647,7 +1655,6 @@ def _switching_accepts(dec: SumDecomposition, o: BiasedGraph) -> bool:
 def _tangled_report(
     o: BiasedGraph, verdict: TangleVerdict, caps: Caps, first: bool
 ) -> ClassificationReport:
-    trace: list[str] = []
     dec = _decompose(o, caps)
     labels: list[Label] = []
     if dec.nodes:
@@ -1655,23 +1662,13 @@ def _tangled_report(
             fails = dec.verify(o, caps)
             if fails:
                 raise ClassifyError("decomposition does not recompose: " + fails[0])
-        orders = ", ".join(str(n.t) for n in dec.nodes)
-        trace.append(f"peeled {len(dec.nodes)} balanced summand(s) at cuts of order {orders}")
         labels.append(Label("T3", "TSum", None, None))
     core = dec.core
-    if isinstance(core, WheelCore):
-        trace.append(
-            f"terminal core is a generalized wheel on {core.bias.graph.n} vertices"
+    if isinstance(core, WheelCore) and not dec.nodes:
+        labels.append(
+            Label("T1b", "GeneralizedWheel", core.descriptor, core.certificate)
         )
-        if not dec.nodes:
-            labels.append(
-                Label("T1b", "GeneralizedWheel", core.descriptor, core.certificate)
-            )
-    else:
-        trace.append(
-            f"terminal core has no small cut ({core.bias.graph.n} vertices)"
-        )
-    capped: list[ResourceLimitError] = []
+    capped: dict[str, ResourceLimitError] = {}
     if not (first and labels):
         msets = _maximal_balanced_sets(o, caps)
         for code, kind, detector in _DETECTORS:
@@ -1680,8 +1677,7 @@ def _tangled_report(
             try:
                 hit = detector(o, caps, msets)
             except ResourceLimitError as err:
-                capped.append(err)
-                trace.append(f"{kind} search stopped at its resource cap")
+                capped[kind] = err
                 continue
             if hit:
                 d, cert, witness = hit
@@ -1690,9 +1686,9 @@ def _tangled_report(
                     break
     if not labels:
         if capped:
-            raise capped[0]
+            raise next(iter(capped.values()))
         raise ClassifyError("tangled input did not match any structure case")
-    return ClassificationReport(verdict, tuple(labels), dec, tuple(trace))
+    return ClassificationReport(verdict, tuple(labels), dec, tuple(capped))
 
 
 def classify(
@@ -1712,10 +1708,5 @@ def classify(
         raise ClassifyError("classification needs a simple input")
     verdict = is_tangled(o, caps)
     if not isinstance(verdict, Tangled):
-        return ClassificationReport(
-            verdict,
-            (),
-            None,
-            (f"verdict {type(verdict).__name__}: no structure case applies",),
-        )
+        return ClassificationReport(verdict, (), None, ())
     return _tangled_report(o, verdict, caps, first)

@@ -4,7 +4,10 @@
 document (see :mod:`tanglekit.io`) and its certificate: the blocking
 vertex, or the edge ids of two vertex-disjoint unbalanced cycles, one
 ``cycle`` line each.  ``tanglekit classify FILE`` prints the verdict and the
-label codes of every structure case the input matches.
+label codes of every structure case the input matches.  When a cap
+stopped some family searches, a ``capped`` line follows with their kinds
+(:attr:`tanglekit.classify.ClassificationReport.capped`): the labels
+they would have found may be missing.
 ``tanglekit linkage FILE S1 T1 S2 T2`` prints two vertex-disjoint paths
 joining S1 to T1 and S2 to T2, one ``path <vertices>`` line each, or, when
 none exist, ``witness`` and one ``set <vertices>`` line per vertex set the
@@ -54,6 +57,13 @@ def _verdict_lines(verdict) -> list[str]:
     return lines
 
 
+def _report_lines(report) -> list[str]:
+    lines = [report_text(report)]
+    if report.capped:
+        lines.append("capped " + " ".join(report.capped))
+    return lines
+
+
 def _linkage_lines(found) -> list[str]:
     if isinstance(found, Linkage):
         return ["path " + " ".join(map(str, p.vertices)) for p in (found.first, found.second)]
@@ -81,7 +91,7 @@ def main(argv: Sequence[str] | None = None) -> int:
         if args.command == "verdict":
             lines = _verdict_lines(is_tangled(o, caps))
         elif args.command == "classify":
-            lines = [report_text(classify(o, caps))]
+            lines = _report_lines(classify(o, caps))
         else:
             lines = _linkage_lines(find_linkage(o.graph, args.s1, args.t1, args.s2, args.t2, caps))
     except ParseError as err:

@@ -41,19 +41,6 @@ class FamilyError(ValueError):
     """Descriptor malformed, or its defining clauses cannot be satisfied."""
 
 
-KINDS = (
-    "GeneralizedWheel",
-    "CrissCross",
-    "FatTriangle",
-    "PPSpecialVertex",
-    "PPSpecialPair",
-    "PPSpecialTriple",
-    "Tricoloured",
-    "K5Parallel",
-    "PPSigned",
-)
-
-
 # ---------------------------------------------------------------------------
 # Descriptors and certificates
 # ---------------------------------------------------------------------------
@@ -892,6 +879,8 @@ _PLANNERS = {
     "PPSigned": _plan_pp_signed,
 }
 
+KINDS = tuple(_PLANNERS)
+
 # Kinds whose bias is a signature law rather than a completed constraint set.
 _SIGNED_KINDS = {"K5Parallel", "PPSigned"}
 
@@ -905,18 +894,13 @@ def _plan(d: FamilyDescriptor, caps: Caps) -> _Plan:
         return _Plan((_check("roles resolve", False, str(err)),), ())
 
 
-def build_family(
-    d: FamilyDescriptor,
-    *,
-    default_balanced: bool = False,
-    caps: Caps = DEFAULT_CAPS,
-) -> BiasedGraph:
+def build_family(d: FamilyDescriptor, *, caps: Caps = DEFAULT_CAPS) -> BiasedGraph:
     """Equip the descriptor's graph with a bias satisfying its clauses.
 
     Cycles not constrained by the family definition are filled in by
-    ``complete_bias``, preferring unbalanced unless ``default_balanced``
-    is set.  Raises FamilyError when the descriptor is malformed, a side
-    condition fails, or no theta-consistent completion exists.
+    ``complete_bias``, preferring unbalanced.  Raises FamilyError when the
+    descriptor is malformed, a side condition fails, or no theta-consistent
+    completion exists.
     """
     plan = _plan(d, caps)
     bad = [c for c in plan.structure if not c.ok]
@@ -938,7 +922,7 @@ def build_family(
         if prev is not None and prev != want:
             raise FamilyError(f"defining clauses conflict on cycle {cyc.key} ({name})")
         partial[cyc] = want
-    o = complete_bias(d.graph, partial, default=default_balanced, caps=caps)
+    o = complete_bias(d.graph, partial, default=False, caps=caps)
     if o is None:
         raise FamilyError("defining clauses admit no bias with the theta property")
     return o

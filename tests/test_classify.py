@@ -941,6 +941,29 @@ def test_classify_stops_at_the_switching_search_cap():
 
 
 @pytest.mark.parametrize(
+    "d, caps, codes, kind",
+    [
+        (lambda: pp_signed(6), Caps(max_assignments=50), ("T1a", "T1b", "T1f", "T1g", "T3"), "Tricoloured"),
+        (c4_part_wheel, Caps(max_assignments=5), ("T1d", "T1f", "T1g", "T3"), "GeneralizedWheel"),
+    ],
+    ids=["pp-signed-c6", "wheel-c4-part"],
+)
+def test_classify_names_the_searches_a_cap_stopped(d, caps, codes, kind):
+    # the cap stops one detector's search and the battery goes on: the
+    # report lacks that detector's label and names its kind
+    o = build_family(d())
+    report = classify(o, caps)
+    assert (report.codes(), report.capped) == (codes, (kind,))
+    assert reverifies(o, report)
+    full = classify(o)
+    assert full.capped == () and set(full.codes()) - set(codes) == {_CODES[kind]}
+    # a first run stops at the T3 label before any detector runs
+    assert classify(o, caps, first=True).capped == classify(o, first=True).capped == ()
+    balanced = make_signed(MultiGraph.from_pairs([(0, 1), (1, 2), (2, 0)]), ())
+    assert classify(balanced, caps).capped == ()
+
+
+@pytest.mark.parametrize(
     "make, tests",
     [(lambda: pp_signed(6), 9), (c4_criss_cross, 10)],
     ids=["pp-signed-c6", "criss-cross-c4"],

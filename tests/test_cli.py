@@ -12,6 +12,12 @@ FAT_TRIANGLE = (
     "e 0 0 1\ne 1 1 2\ne 2 2 0\ne 3 0 1\ne 4 1 2\ne 5 2 0\n"
     "bias signed 3 4 5\n"
 )
+# the benchmark's PPSigned C6 member (pp-signed-c6)
+PP_SIGNED_C6 = (
+    "biasedgraph 1\nv 6\n"
+    "e 0 0 1\ne 1 1 2\ne 2 2 3\ne 3 3 4\ne 4 4 5\ne 5 5 0\ne 6 0 3\ne 7 1 4\ne 8 2 5\n"
+    "bias signed 6 7 8\n"
+)
 TWO_TRIANGLES = (
     "biasedgraph 1\nv 6\n"
     "e 0 0 1\ne 1 1 2\ne 2 2 0\ne 3 3 4\ne 4 4 5\ne 5 5 3\ne 6 2 3\n"
@@ -72,6 +78,14 @@ def test_cap_from_the_environment_names_the_stage(tmp_path, capsys, monkeypatch)
     monkeypatch.setenv(ENV_CAP, "11")
     status, out, err = run(tmp_path, capsys, FAT_TRIANGLE, "classify")
     assert (status, err) == (0, "") and "T1d" in out.split()
+
+
+def test_classify_names_the_searches_a_cap_stopped(tmp_path, capsys, monkeypatch):
+    # at 100 the Tricoloured search stops and its T1h label is missing
+    assert run(tmp_path, capsys, PP_SIGNED_C6, "classify") == (0, "tangled: T1a T1b T1f T1g T1h T3\n", "")
+    monkeypatch.setenv(ENV_CAP, "100")
+    status, out, err = run(tmp_path, capsys, PP_SIGNED_C6, "classify")
+    assert (status, out, err) == (0, "tangled: T1a T1b T1f T1g T3\ncapped Tricoloured\n", "")
 
 
 def test_bad_cap_and_missing_file(tmp_path, capsys, monkeypatch):

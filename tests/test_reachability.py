@@ -10,7 +10,9 @@ code outside its own definition.  The last test keeps one cycle list per
 graph: only ``MultiGraph.cycles`` reaches ``enumerate_cycles``, and
 nothing writes through ``object.__setattr__``.  The blocking-structure
 module lists no cycle: its one cycle source is ``cycles_by_length``, read
-only where a disjoint pair is named.
+only where a disjoint pair is named.  Every field of a classification
+report is read off a ``report`` by library, CLI or benchmark code outside
+the classifier.
 """
 
 from __future__ import annotations
@@ -152,3 +154,23 @@ def test_no_verdict_lists_a_cycle():
     assert sorted({name for _, name in refs} & listers) == []
     sources = {scope for scope, name in refs if name == "cycles_by_length"}
     assert sources == {(), ("find_disjoint_unbalanced_pair",)}
+
+
+def _report_reads(tree: ast.AST) -> set[str]:
+    """Attributes read off a name ``report``: the library and the benchmark
+    give that name to every classification report they hold."""
+    return {
+        n.attr
+        for n in ast.walk(tree)
+        if isinstance(n, ast.Attribute) and isinstance(n.value, ast.Name) and n.value.id == "report"
+    }
+
+
+def test_every_report_field_is_read_outside_the_classifier():
+    tree = ast.parse((SRC / "classify.py").read_text())
+    report = next(n for n in tree.body if isinstance(n, ast.ClassDef) and n.name == "ClassificationReport")
+    fields = {n.target.id for n in report.body if isinstance(n, ast.AnnAssign)}
+    readers = [p for p in SRC.glob("*.py") if p.name != "classify.py"]
+    readers += [p for p in BENCH.glob("*.py") if not p.name.startswith("test_")]
+    read = set().union(*(_report_reads(ast.parse(p.read_text(), filename=str(p))) for p in readers))
+    assert sorted(fields - read) == []
