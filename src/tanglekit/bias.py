@@ -420,7 +420,7 @@ def complete_bias(
 # ---------------------------------------------------------------------------
 
 
-def simplify(o: BiasedGraph, caps: Caps = DEFAULT_CAPS) -> BiasedGraph:
+def simplify(o: BiasedGraph) -> BiasedGraph:
     """Delete balanced loops and all but the least edge of each balanced
     parallel class (edges pairwise forming balanced digons)."""
     g = o.graph
@@ -477,7 +477,7 @@ def balanced_without(o: BiasedGraph, removed: Iterable[int] = ()) -> bool:
         return switching_potential(g, b.signature, removed) is not None
     if isinstance(b, AllBalanced):
         return True
-    return all(_balance(b, c) for c in fundamental_cycles(g, removed))
+    return all(_balance(b, c) for _, c in fundamental_cycles(g, removed))
 
 
 def switching_potential(

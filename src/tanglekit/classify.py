@@ -10,22 +10,25 @@ A signed input stays signed through ``decompose``: each virtual edge of a
 peeled core takes the sign of a path through the balanced side it stands
 for, so side balance and the per-peel tangle check are switching tests,
 and a T3 label needs one more.  Other biases give each core a lazy
-``bias.Lifted`` that asks the parent about the cycle through that path.
-No core's cycles are listed; only the check of a wheel core's certificate
-lists any.
+``bias.Lifted`` that asks the parent about the cycle through that path,
+and a T3 label needs only the recomposition's bookkeeping: the theta
+property proves the rest (``_recomposes``).  No core's cycles are
+listed; only the check of a wheel core's certificate lists any.
 
 Recognition is search-based: candidate role assignments are enumerated
 within the configured resource ceilings and ``verify_family`` is the
 sole authority on whether a candidate counts.  Before a candidate
 reaches it, the searches drop those that fail a necessary condition
 read off balance alone, such as a part that lies inside no maximal
-balanced set.  The PP special vertex, pair and triple searches read
-their roles off where the residual edges E - m of each maximal
-balanced set m sit: one pass over E - m indexes them by vertex.  Wheel
-attachment splits are read off, not searched for: each part's X and Y
-are the two classes of a standard partition at the hub.  The
-brute-force oracles that check these searches live with the tests, in
-``tests/oracles.py``.
+balanced set, which is a part that is not balanced.  The maximal
+balanced sets themselves are listed only when a search walks them
+(``_Bases``), and then once per call.  The PP special vertex, pair and
+triple searches read their roles off where the residual edges E - m of
+each maximal balanced set m sit: one pass over E - m indexes them by
+vertex.  Wheel attachment splits are read off, not searched for: each
+part's X and Y are the two classes of a standard partition at the hub.
+The brute-force oracles that check these searches live with the tests,
+in ``tests/oracles.py``.
 
 Generalized wheels and Tricoloured graphs are rings of parts glued at
 hinges, and their rings are read off structure, not searched for: the
@@ -40,6 +43,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from functools import cache, cached_property
 from itertools import combinations, permutations, product
+from typing import Iterator
 
 from .bias import (
     AllBalanced,
@@ -59,6 +63,7 @@ from .graph import (
     VertexCut,
     cycles_with,
     find_vertex_cuts,
+    fundamental_cycles,
     is_two_connected,
     _rings,
 )
@@ -260,13 +265,77 @@ def _maximal_balanced_sets(o: BiasedGraph, caps: Caps = DEFAULT_CAPS) -> tuple[f
     no extension of it is then minimal.
 
     Either search counts its nodes against ``caps.max_subsets``.
+    ``classify`` does not call this: its detectors read the sets through
+    a :class:`_Bases`, which lists them only when one iterates them.
     """
-    if isinstance(o.bias, Signed):
-        maximal = _positive_sets(o.graph, o.bias.signature, caps)
-    else:
-        maximal = [o.graph.edge_id_set - t for t in _minimal_transversals(o, caps)]
-    maximal.sort(key=lambda s: (-len(s), sorted(s)))
-    return tuple(maximal)
+    return tuple(_Bases(o, caps))
+
+
+class _Bases:
+    """The maximal balanced sets of one input, listed on demand.
+
+    ``classify`` hands one to its detectors in place of the sets
+    themselves, and builds it only when a detector is to run.  The sets
+    are listed the first time a detector iterates them, by
+    :func:`_maximal_balanced_sets`'s searches and in its order; a
+    ``ResourceLimitError`` of that listing is kept in ``limit``, so that
+    ``classify`` can raise it rather than record the detector as capped.
+
+    ``holds(part)`` answers whether an edge set lies inside some maximal
+    balanced set with no listing on non-signed input.  A balanced set
+    grows to a maximal one and a subset of a balanced set is balanced,
+    so the answer is whether ``part`` is balanced: whether it contains
+    none of the input's unbalanced cycles.  Those are listed here, once
+    per call, off the graph's cycle list.  A signed input lists no
+    cycle: ``holds`` scans its switching sets, which are cheap to list.
+    """
+
+    def __init__(self, o: BiasedGraph, caps: Caps):
+        self.o, self.caps = o, caps
+        self.limit: ResourceLimitError | None = None
+        self._sets: tuple[frozenset[int], ...] | None = None
+        self._unbalanced: list[frozenset[int]] | None = None
+        if not isinstance(o.bias, Signed):
+            self._unbalanced = sorted(
+                {c.edge_set for c in o.unbalanced_cycles(caps)},
+                key=lambda s: (len(s), sorted(s)),
+            )
+
+    def __iter__(self) -> Iterator[frozenset[int]]:
+        if self._sets is None:
+            o, caps = self.o, self.caps
+            try:
+                if self._unbalanced is None:
+                    found = _positive_sets(o.graph, o.bias.signature, caps)
+                else:
+                    edges = o.graph.edge_id_set
+                    found = [edges - t for t in _minimal_transversals(self._unbalanced, edges, caps)]
+            except ResourceLimitError as err:
+                self.limit = err
+                raise
+            found.sort(key=lambda s: (-len(s), sorted(s)))
+            self._sets = tuple(found)
+        return iter(self._sets)
+
+    def holds(self, part: frozenset[int]) -> bool:
+        """True when ``part`` lies inside some maximal balanced set."""
+        if self._unbalanced is None:
+            return any(part <= m for m in self)
+        return not any(c <= part for c in self._unbalanced)
+
+
+def _tree_closure(o: BiasedGraph) -> frozenset[int]:
+    """cl(T) for the breadth-first spanning forest T of
+    :func:`~tanglekit.graph.fundamental_cycles`: T and every edge whose
+    fundamental cycle under T is balanced.
+
+    It is a maximal balanced set.  It is balanced because its own
+    fundamental cycles under T are all balanced, by the argument in
+    :meth:`~tanglekit.bias.BiasedGraph.is_balanced`, and no edge can
+    join it, since each edge outside closes an unbalanced cycle with T.
+    """
+    g = o.graph
+    return g.edge_id_set - {e for e, cycle in fundamental_cycles(g) if not o.balance_of(cycle)}
 
 
 def _positive_sets(g: MultiGraph, signature: frozenset[int], caps: Caps) -> list[frozenset[int]]:
@@ -376,13 +445,10 @@ def _positive_sets(g: MultiGraph, signature: frozenset[int], caps: Caps) -> list
     return found
 
 
-def _minimal_transversals(o: BiasedGraph, caps: Caps) -> list[frozenset[int]]:
-    """The minimal transversals of o's unbalanced cycles, by MMCS."""
-    unb = sorted(
-        {c.edge_set for c in o.unbalanced_cycles(caps)},
-        key=lambda s: (len(s), sorted(s)),
-    )
-    all_edges = o.graph.edge_id_set
+def _minimal_transversals(
+    unb: list[frozenset[int]], all_edges: frozenset[int], caps: Caps
+) -> list[frozenset[int]]:
+    """The minimal transversals of the unbalanced cycles ``unb``, by MMCS."""
     # Bit i of through[e] is set when unbalanced cycle i uses edge e.
     through = dict.fromkeys(all_edges, 0)
     for i, cyc in enumerate(unb):
@@ -492,7 +558,7 @@ def _pairing_search(
 _Hit = tuple[FamilyDescriptor, Certificate, BiasedGraph | None]
 
 
-def _detect_k5_parallel(o: BiasedGraph, caps: Caps, msets: tuple[frozenset[int], ...]) -> _Hit | None:
+def _detect_k5_parallel(o: BiasedGraph, caps: Caps, bases: _Bases) -> _Hit | None:
     """Complete graph on five vertices with parallel classes, relabelled canonically."""
     g = o.graph
     if g.n != 5 or any(g.is_loop(e) for e in g.edge_ids):
@@ -529,16 +595,18 @@ def _detect_k5_parallel(o: BiasedGraph, caps: Caps, msets: tuple[frozenset[int],
     return None
 
 
-def _detect_fat_triangle(o: BiasedGraph, caps: Caps, msets: tuple[frozenset[int], ...]) -> _Hit | None:
+def _detect_fat_triangle(o: BiasedGraph, caps: Caps, bases: _Bases) -> _Hit | None:
     """Three corners whose pairwise parallel classes carry the residual edges.
 
     A fat set whose base E - fat lies inside no maximal balanced set
     fails "base cycles balanced" and never reaches ``verify_family``.
+    The other fat sets are residuals E - m of maximal balanced sets m,
+    so this search lists them.
     """
     g = o.graph
     if g.n < 3 or any(g.is_loop(e) for e in g.edge_ids):
         return None
-    residuals = [g.edge_id_set - m for m in msets]
+    residuals = [g.edge_id_set - m for m in bases]
     for a, b, c in combinations(sorted(g.vertex_set), 3):
         fab = frozenset(g.edges_between(a, b))
         fbc = frozenset(g.edges_between(b, c))
@@ -552,7 +620,7 @@ def _detect_fat_triangle(o: BiasedGraph, caps: Caps, msets: tuple[frozenset[int]
                 fats.add(frozenset(r))
         for fat in sorted(fats, key=lambda s: (len(s), sorted(s))):
             base = g.edge_id_set - fat
-            if not any(base <= m for m in msets):
+            if not bases.holds(base):
                 continue
             d = FamilyDescriptor(
                 "FatTriangle",
@@ -565,7 +633,7 @@ def _detect_fat_triangle(o: BiasedGraph, caps: Caps, msets: tuple[frozenset[int]
     return None
 
 
-def _detect_criss_cross(o: BiasedGraph, caps: Caps, msets: tuple[frozenset[int], ...]) -> _Hit | None:
+def _detect_criss_cross(o: BiasedGraph, caps: Caps, bases: _Bases) -> _Hit | None:
     """Degree-4 apex with two crossing chords over a planar rest.
 
     Three clauses of ``verify_family`` do not depend on the spoke order,
@@ -591,7 +659,7 @@ def _detect_criss_cross(o: BiasedGraph, caps: Caps, msets: tuple[frozenset[int],
                     if not o.balance_of(frozenset((spokes[r], spokes[s], f1))):
                         continue
                     h = rest - {f0, f1}
-                    if not any(h <= m for m in msets) or not is_two_connected(g.subgraph(h)):
+                    if not bases.holds(h) or not is_two_connected(g.subgraph(h)):
                         continue
                     for idx in ((p, r, q, s), (p, s, q, r)):
                         es = tuple(spokes[i] for i in idx)
@@ -612,29 +680,32 @@ def _detect_criss_cross(o: BiasedGraph, caps: Caps, msets: tuple[frozenset[int],
     return None
 
 
-def _detect_pp_signed(o: BiasedGraph, caps: Caps, msets: tuple[frozenset[int], ...]) -> _Hit | None:
+def _detect_pp_signed(o: BiasedGraph, caps: Caps, bases: _Bases) -> _Hit | None:
     """Spanning 2-connected base with all residual edges on one face pairing.
 
     The residual edges E - m of a base m are its cross edges, and the
     "cycle parity law" of ``verify_family`` asks that the bias be
-    ``Signed(E - m)``.  It is tested once, on the first maximal balanced
-    set, before any pairing search.  If the bias is ``Signed(cross_1)``
-    and m_2 is another maximal balanced set, a switching makes m_2 all
-    positive, so the negative edges fall inside the minimal transversal
-    E - m_2 of the unbalanced cycles; they meet every unbalanced cycle,
-    so they equal it.  The law therefore holds for every member of
-    ``msets`` or for none.  On signed input it holds for all of them by
-    construction: ``_maximal_balanced_sets`` reads each member off a
-    switching as its positive set, so E - m is that switching's negative
-    set, the signature plus an edge cut.  So only other biases are
-    tested, against the input's cycle list.
+    ``Signed(E - m)``.  It is tested once, before any pairing search, on
+    one maximal balanced set: the closure of a spanning tree
+    (:func:`_tree_closure`), which needs no other set listed.  If the
+    bias is ``Signed(cross_1)`` and m_2 is another maximal balanced set,
+    a switching makes m_2 all positive, so the negative edges fall
+    inside the minimal transversal E - m_2 of the unbalanced cycles;
+    they meet every unbalanced cycle, so they equal it.  The law
+    therefore holds for every maximal balanced set or for none.  On
+    signed input it holds for all of them by construction:
+    ``_maximal_balanced_sets`` reads each one off a switching as its
+    positive set, so E - m is that switching's negative set, the
+    signature plus an edge cut.  So only other biases are tested,
+    against the input's cycle list, and a bias that fails lists no
+    maximal balanced set here.
     """
     g = o.graph
-    if msets and not isinstance(o.bias, Signed):
-        cross = g.edge_id_set - msets[0]
+    if not isinstance(o.bias, Signed):
+        cross = g.edge_id_set - _tree_closure(o)
         if any(o.balance(c) != (len(c.edge_set & cross) % 2 == 0) for c in g.cycles(caps)):
             return None
-    for m in msets:
+    for m in bases:
         sub = g.subgraph(m)
         if sub.vertex_set != g.vertex_set or not is_two_connected(sub):
             continue
@@ -669,7 +740,7 @@ def _residual_at(g: MultiGraph, m: frozenset[int]) -> tuple[frozenset[int], dict
     return residual, at
 
 
-def _detect_special_vertex(o: BiasedGraph, caps: Caps, msets: tuple[frozenset[int], ...]) -> _Hit | None:
+def _detect_special_vertex(o: BiasedGraph, caps: Caps, bases: _Bases) -> _Hit | None:
     """Degree-4 special vertex joining two planar halves, residual legs across.
 
     Candidates come in the order of a scan of every base m, every vertex
@@ -690,7 +761,7 @@ def _detect_special_vertex(o: BiasedGraph, caps: Caps, msets: tuple[frozenset[in
     counter = _Counter(caps, "special-vertex search")
     hubs = [(w, {e: g.other_end(e, w) for e in g.incident_edges(w)}) for w in sorted(g.vertex_set)]
     hubs = [(w, spoke) for w, spoke in hubs if len(spoke) == 4]
-    for m in msets:
+    for m in bases:
         residual = sorted(g.edge_id_set - m)
         if len(residual) < 2:
             continue
@@ -788,7 +859,7 @@ def _star_bias_holds(
     return True
 
 
-def _detect_special_pair(o: BiasedGraph, caps: Caps, msets: tuple[frozenset[int], ...]) -> _Hit | None:
+def _detect_special_pair(o: BiasedGraph, caps: Caps, bases: _Bases) -> _Hit | None:
     """Two junction vertices carrying every residual edge as stars or links.
 
     The junctions x, y must between them touch every residual edge, so x
@@ -805,7 +876,7 @@ def _detect_special_pair(o: BiasedGraph, caps: Caps, msets: tuple[frozenset[int]
     g = o.graph
     if g.loops:
         return None
-    for m in msets:
+    for m in bases:
         residual, at = _residual_at(g, m)
         if not residual:
             continue
@@ -848,7 +919,7 @@ def _detect_special_pair(o: BiasedGraph, caps: Caps, msets: tuple[frozenset[int]
     return None
 
 
-def _detect_special_triple(o: BiasedGraph, caps: Caps, msets: tuple[frozenset[int], ...]) -> _Hit | None:
+def _detect_special_triple(o: BiasedGraph, caps: Caps, bases: _Bases) -> _Hit | None:
     """One star source covering all residual edges but a single cross edge.
 
     A vertex x is the source for the cross edge f exactly when
@@ -863,7 +934,7 @@ def _detect_special_triple(o: BiasedGraph, caps: Caps, msets: tuple[frozenset[in
     g = o.graph
     if g.loops:
         return None
-    for m in msets:
+    for m in bases:
         residual, at = _residual_at(g, m)
         if len(residual) < 2:
             continue
@@ -902,7 +973,7 @@ def _detect_special_triple(o: BiasedGraph, caps: Caps, msets: tuple[frozenset[in
     return None
 
 
-def _detect_generalized_wheel(o: BiasedGraph, caps: Caps, msets: tuple[frozenset[int], ...]) -> _Hit | None:
+def _detect_generalized_wheel(o: BiasedGraph, caps: Caps, bases: _Bases) -> _Hit | None:
     """Hub vertex whose removal leaves a ring of parts joined at hinges.
 
     Every part is 2-connected or a single edge, so the rim is 2-connected
@@ -910,7 +981,8 @@ def _detect_generalized_wheel(o: BiasedGraph, caps: Caps, msets: tuple[frozenset
     polygon of at most six pieces (merging two pieces would leave their
     shared hinge a cut vertex of the merged part).  The parts of a
     generalized wheel are balanced, so a ring reaches the reader only
-    when each part lies inside a maximal balanced set.
+    when each part lies inside a maximal balanced set
+    (:meth:`_Bases.holds`).
     """
     g = o.graph
     counter = _Counter(caps, "generalized-wheel search")
@@ -932,13 +1004,13 @@ def _detect_generalized_wheel(o: BiasedGraph, caps: Caps, msets: tuple[frozenset
                     e for i, es in enumerate(atoms) if mask >> i & 1 == 0 for e in es
                 )
                 parts = (part_a, rim - part_a)
-                if all(any(pe <= m for m in msets) for pe in parts):
+                if all(bases.holds(pe) for pe in parts):
                     hit = _wheel_candidate(o, hub, bond.pair, parts, spokes, caps, counter)
                     if hit:
                         return hit
         for poly in found.polygons:
             counter.bump()
-            if len(poly.pieces) <= 6 and all(any(pe <= m for m in msets) for pe in poly.pieces):
+            if len(poly.pieces) <= 6 and all(bases.holds(pe) for pe in poly.pieces):
                 hit = _wheel_candidate(o, hub, poly.hinges, poly.pieces, spokes, caps, counter)
                 if hit:
                     return hit
@@ -1022,7 +1094,7 @@ def _weak_compositions(total: int, slots: int) -> tuple[tuple[int, ...], ...]:
     return tuple(out)
 
 
-def _detect_tricoloured(o: BiasedGraph, caps: Caps, msets: tuple[frozenset[int], ...]) -> _Hit | None:
+def _detect_tricoloured(o: BiasedGraph, caps: Caps, bases: _Bases) -> _Hit | None:
     """Six-part ring with three antipodal chord classes.
 
     Candidates are anchored on the three chord sources: the search
@@ -1634,19 +1706,57 @@ def _fold(
 # ---------------------------------------------------------------------------
 
 
-def _switching_accepts(dec: SumDecomposition, o: BiasedGraph) -> bool:
-    """True when ``dec.verify(o)`` would find nothing, for signed o, by one
-    switching test; False sends the caller to ``verify``.
+def _recomposes(dec: SumDecomposition, o: BiasedGraph) -> bool:
+    """True when ``dec.verify(o)`` would find nothing, for a decomposition
+    that ``_decompose`` built from o, with no cycle listed; False sends
+    the caller to ``verify``.
 
-    After its bookkeeping checks, ``verify`` compares each rebuilt cycle's
-    parity under the rebuilt signature with its image's under o's.  Two
-    signatures agree on every cycle exactly when their symmetric
-    difference is an edge cut, that is, balanced (Harary 1953).
+    Both cases start with ``verify``'s bookkeeping (``_rebuild``), which
+    shows that the rebuilt graph is o up to ids.  ``verify`` then compares
+    the balance of each rebuilt cycle with its image's in o.
+
+    Signed o: the rebuilt bias is signed too, and two signatures agree on
+    every cycle exactly when their symmetric difference is an edge cut,
+    that is, balanced (Harary 1953).  One switching test decides.
+
+    Any other bias: the bookkeeping is enough.  Let cur_0 = o and let
+    cur_i be the core after the i-th peel, at the cut S_i, whose peeled
+    side B_i ``_decompose`` found balanced in cur_(i-1).  ``recompose``
+    starts from the terminal core, cur_k itself, and the fold of node i
+    glues B_i back onto the partial rebuild R_i by ``t_sum``, whose
+    ``Lifted`` bias asks R_i.  Each R_i answers every cycle as cur_i
+    does, through the ids the tags give; by induction down from R_k,
+    take a cycle C of R_(i-1):
+
+    - C has no edge of B_i.  The fold asks R_i, so cur_i, about C; C has
+      no virtual edge of node i, so cur_i asks cur_(i-1) about C itself.
+      A peel at a cut vertex gives the core its parent's bias unchanged.
+    - C lies in B_i.  The fold calls C balanced, and so is every cycle of
+      the balanced B_i in cur_(i-1).
+    - C crosses S_i.  Two of its arcs between cut vertices always share
+      an end, so its edges in B_i form one path P between x and y in
+      S_i; the rest R of C runs outside B_i.  The fold asks R_i about R
+      closed by the virtual edge xy, so cur_i about it, and cur_i asks
+      cur_(i-1) about R closed by q, the q-path of xy, which runs through
+      the interior of B_i and avoids S_i - {x, y}.  P and q are x-y
+      paths of the balanced B_i and R an x-y path internally disjoint
+      from B_i, so R + P and R + q have the same balance, by the prefix
+      exchange in :func:`~tanglekit.tangles.standard_partition`'s
+      docstring with R in place of its e v f.
+
+    A loop lies on one side, so the first two cases cover it.  So they
+    cover a digon unless it crosses, and a crossing digon would need an
+    edge of B_i joining two cut vertices: every edge of a peeled side
+    has an end in its interior, so P has two edges or more.  A digon of
+    a real edge xy and the virtual edge xy in cur_i is the third case
+    with R that one edge.
     """
-    if not isinstance(o.bias, Signed):
-        return False
     rebuilt, emap, fails = dec._rebuild(o)
-    if fails or not isinstance(rebuilt.bias, Signed):
+    if fails:
+        return False
+    if not isinstance(o.bias, Signed):
+        return True
+    if not isinstance(rebuilt.bias, Signed):
         return False
     moved = frozenset(emap[e] for e in rebuilt.bias.signature)
     return balanced_without(make_signed(o.graph, o.bias.signature ^ moved))
@@ -1655,10 +1765,19 @@ def _switching_accepts(dec: SumDecomposition, o: BiasedGraph) -> bool:
 def _tangled_report(
     o: BiasedGraph, verdict: TangleVerdict, caps: Caps, first: bool
 ) -> ClassificationReport:
+    """The labels of a tangled input.
+
+    A T3 label is accepted by :func:`_recomposes`, and ``verify`` runs
+    only when that fails.  The detectors share one :class:`_Bases`, so
+    the maximal balanced sets are listed only if one of them iterates
+    the sets, and then once.  A cap hit in that listing raises, as a cap
+    hit in ``decompose`` does; a cap hit in a detector's own search is
+    recorded in ``capped`` and the battery goes on.
+    """
     dec = _decompose(o, caps)
     labels: list[Label] = []
     if dec.nodes:
-        if not _switching_accepts(dec, o):
+        if not _recomposes(dec, o):
             fails = dec.verify(o, caps)
             if fails:
                 raise ClassifyError("decomposition does not recompose: " + fails[0])
@@ -1670,13 +1789,15 @@ def _tangled_report(
         )
     capped: dict[str, ResourceLimitError] = {}
     if not (first and labels):
-        msets = _maximal_balanced_sets(o, caps)
+        bases = _Bases(o, caps)
         for code, kind, detector in _DETECTORS:
             if any(label.code == code for label in labels):
                 continue
             try:
-                hit = detector(o, caps, msets)
+                hit = detector(o, caps, bases)
             except ResourceLimitError as err:
+                if err is bases.limit:
+                    raise
                 capped[kind] = err
                 continue
             if hit:

@@ -532,9 +532,10 @@ def cycles_by_length(g: MultiGraph, caps: Caps = DEFAULT_CAPS) -> Iterator[Cycle
         yield from layer
 
 
-def fundamental_cycles(g: MultiGraph, removed: Iterable[int] = ()) -> Iterator[frozenset[int]]:
-    """Edge sets of the fundamental cycles of a breadth-first spanning
-    forest of g - removed (a set of vertices), one per non-tree edge.
+def fundamental_cycles(g: MultiGraph, removed: Iterable[int] = ()) -> Iterator[tuple[int, frozenset[int]]]:
+    """(non-tree edge, edge set of its fundamental cycle) for each edge
+    outside a breadth-first spanning forest of g - removed (a set of
+    vertices).
 
     Loops come first.  Every other non-tree edge is yielded when the
     search first meets it, from the end scanned first, so a caller that
@@ -543,7 +544,7 @@ def fundamental_cycles(g: MultiGraph, removed: Iterable[int] = ()) -> Iterator[f
     gone = set(removed)
     for e, u in g.loops:
         if u not in gone:
-            yield frozenset((e,))
+            yield e, frozenset((e,))
     up: dict[int, tuple[int, int]] = {}  # vertex -> (parent, tree edge)
     depth: dict[int, int] = {}
     scanned: set[int] = set()
@@ -570,7 +571,7 @@ def fundamental_cycles(g: MultiGraph, removed: Iterable[int] = ()) -> Iterator[f
                             a, b = b, a
                         a, f = up[a]
                         cycle.add(f)
-                    yield frozenset(cycle)
+                    yield e, frozenset(cycle)
                 scanned.add(x)
             frontier = nxt
 

@@ -296,14 +296,10 @@ def _biased(
                 line,
             )
         return BiasedGraph(graph, ExplicitSet(frozenset(cycles)))
-    out = complete_bias(graph, {c: True for c in cycles}, default=doc.default, caps=caps)
-    if out is None:
-        raise ParseError(
-            "partial bias has no theta-consistent completion with "
-            f"default {'balanced' if doc.default else 'unbalanced'}",
-            line,
-        )
-    return out
+    # Every listed cycle is to be balanced, and making every cycle
+    # balanced satisfies the theta rule, so the exhaustive search always
+    # finds a completion and never returns None here.
+    return complete_bias(graph, {c: True for c in cycles}, default=doc.default, caps=caps)
 
 
 def realize(doc: InstanceDocument, caps: Caps = DEFAULT_CAPS) -> BiasedGraph:
@@ -320,10 +316,8 @@ def realize(doc: InstanceDocument, caps: Caps = DEFAULT_CAPS) -> BiasedGraph:
     cycles = [Cycle.from_edge_set(graph, key) for key in doc.balanced]
     if doc.default is None:
         return make_explicit(graph, cycles, check=True, caps=caps)
-    out = complete_bias(graph, {c: True for c in cycles}, default=doc.default, caps=caps)
-    if out is None:
-        raise BiasError("partial bias has no theta-consistent completion")
-    return out
+    # never None, as in _biased: all balanced is always a completion
+    return complete_bias(graph, {c: True for c in cycles}, default=doc.default, caps=caps)
 
 
 def load(text: str, caps: Caps = DEFAULT_CAPS) -> BiasedGraph:

@@ -31,6 +31,7 @@ from tanglekit.classify import (
     ClassifyError,
     WheelCore,
     _PLACEMENTS,
+    _Bases,
     _detect_criss_cross,
     _detect_fat_triangle,
     _detect_generalized_wheel,
@@ -41,8 +42,9 @@ from tanglekit.classify import (
     _detect_tricoloured,
     _maximal_balanced_sets,
     _pairing_search,
+    _recomposes,
     _ring_layouts,
-    _switching_accepts,
+    _tree_closure,
     _tricoloured_bias_holds,
     _weak_compositions,
     classify,
@@ -88,7 +90,7 @@ from oracles import (
     random_connected_pairs,
     random_multigraph,
 )
-from test_tangles import gain_bias
+from test_tangles import gain_bias, non_signed_inputs
 from test_families import (
     alternating_tricoloured,
     assert_signed_t_sum_matches_explicit,
@@ -223,7 +225,7 @@ def differential_inputs() -> list[BiasedGraph]:
 def test_tricoloured_search_agrees_with_oracle():
     hits = 0
     for o in differential_inputs():
-        hit = _detect_tricoloured(o, DEFAULT_CAPS, ())
+        hit = _detect_tricoloured(o, DEFAULT_CAPS, _Bases(o, DEFAULT_CAPS))
         expected = oracle_detect_tricoloured(o, DEFAULT_CAPS, ())
         assert (hit is None) == (expected is None)
         if hit is not None:
@@ -242,7 +244,7 @@ def test_tricoloured_search_builds_no_doomed_candidate(d, monkeypatch):
     o = build_family(d())
     calls = []
     monkeypatch.setattr(classify_module, "verify_family", lambda *args: calls.append(args))
-    assert _detect_tricoloured(o, DEFAULT_CAPS, ()) is None
+    assert _detect_tricoloured(o, DEFAULT_CAPS, _Bases(o, DEFAULT_CAPS)) is None
     assert calls == []
 
 
@@ -259,7 +261,7 @@ def test_ring_placements_name_the_hinge_between_neighbours():
 def test_tricoloured_search_stops_at_its_cap():
     o = build_family(pp_signed(6))
     with pytest.raises(ResourceLimitError) as err:
-        _detect_tricoloured(o, Caps(max_assignments=50), ())
+        _detect_tricoloured(o, Caps(max_assignments=50), _Bases(o, DEFAULT_CAPS))
     assert err.value.stage == "tricoloured search"
 
 
@@ -331,7 +333,7 @@ def test_tricoloured_search_matches_the_layout_search():
         inputs += [o, relabelled(o, rng)]
     hits = []
     for o in inputs:
-        hit = _detect_tricoloured(o, DEFAULT_CAPS, ())
+        hit = _detect_tricoloured(o, DEFAULT_CAPS, _Bases(o, DEFAULT_CAPS))
         expected = oracle_layout_tricoloured(o, DEFAULT_CAPS, ())
         assert (hit and hit[0].roles) == (expected and expected[0].roles)
         hits.append(hit is not None)
@@ -352,7 +354,7 @@ def test_tricoloured_search_builds_no_ring_core_of_an_input_that_is_not_two_conn
     real = classify_module.is_two_connected
     monkeypatch.setattr(classify_module, "_ring_layouts", lambda core: layouts.append(core) or ())
     monkeypatch.setattr(classify_module, "is_two_connected", lambda h: tested.append(h) or real(h))
-    assert _detect_tricoloured(o, DEFAULT_CAPS, ()) is None
+    assert _detect_tricoloured(o, DEFAULT_CAPS, _Bases(o, DEFAULT_CAPS)) is None
     assert layouts == []
     assert len(tested) == 1 and tested[0] is o.graph
 
@@ -367,7 +369,8 @@ def test_tricoloured_degree_gates_cut_the_steps_on_a_t_sum(monkeypatch):
 
     monkeypatch.setattr(classify_module, "_Counter", Recording)
     # tsum2-k5-k3; 1,197 steps before the degree gates
-    assert _detect_tricoloured(corpus_t_sums()[4], DEFAULT_CAPS, ()) is None
+    o = corpus_t_sums()[4]
+    assert _detect_tricoloured(o, DEFAULT_CAPS, _Bases(o, DEFAULT_CAPS)) is None
     assert [c.count for c in counters] == [162]
 
 
@@ -406,7 +409,8 @@ def test_slot_masks_match_the_padded_rings():
 
 @pytest.mark.wall
 def test_tricoloured_search_at_its_wall():
-    assert _detect_tricoloured(build_family(pp_signed(12)), DEFAULT_CAPS, ()) is None
+    o = build_family(pp_signed(12))
+    assert _detect_tricoloured(o, DEFAULT_CAPS, _Bases(o, DEFAULT_CAPS)) is None
     o = diamond_ring_wheel()
     report = classify(o)
     assert report.codes() == ("T1a", "T1b", "T1f")
@@ -511,6 +515,35 @@ def test_signed_maximal_balanced_sets_obey_the_parity_law():
     assert checked > 300
 
 
+def parity_law_holds(o: BiasedGraph, cross: frozenset[int]) -> bool:
+    return all(o.balance(c) == (len(c.edge_set & cross) % 2 == 0) for c in o.cycles())
+
+
+def test_tree_closure_gives_the_parity_verdict_of_the_first_maximal_balanced_set():
+    # the PPSigned search tests the parity law on the closure of a spanning
+    # tree, which is one maximal balanced set, where it used the first:
+    # Z_k-gain and all-unbalanced biases with loops and digons, the
+    # explicit members and their edge deletions, the explicit corpus
+    # members, the lazy t-sums and the explicit classify workload inputs
+    # under relabelling seeds 1 to 3
+    corpus = bench_module("corpus")
+    inputs = non_signed_inputs() + explicit_corpus_members() + t_sums()
+    for text in classify_workload_documents().values():
+        inputs += [io.load(corpus.relabel(text, random.Random(seed)).text) for seed in (1, 2, 3)]
+    verdicts = Counter()
+    for o in inputs:
+        if isinstance(o.bias, Signed):
+            continue
+        msets = _maximal_balanced_sets(o)
+        closure = _tree_closure(o)
+        assert closure in msets
+        edges = o.graph.edge_id_set
+        law = parity_law_holds(o, edges - closure)
+        assert law == parity_law_holds(o, edges - msets[0])
+        verdicts[law] += 1
+    assert verdicts == {True: 190, False: 272}
+
+
 def test_maximal_balanced_sets_of_a_dense_signed_graph():
     # n = 9 and m = 33: a transversal search over this graph's 14,257
     # unbalanced cycles runs past 2,000,000 nodes; it has 256 switchings
@@ -527,10 +560,10 @@ def test_wheel_and_special_pair_searches_build_no_doomed_candidate(detector, d, 
     # balance clause: a wheel part outside every maximal balanced set, or
     # a special-pair star or junction edge of the wrong balance
     o = build_family(d())
-    msets = _maximal_balanced_sets(o)
+    bases = _Bases(o, DEFAULT_CAPS)
     calls = []
     monkeypatch.setattr(classify_module, "verify_family", lambda *args: calls.append(args))
-    assert detector(o, DEFAULT_CAPS, msets) is None
+    assert detector(o, DEFAULT_CAPS, bases) is None
     assert calls == []
 
 
@@ -545,21 +578,21 @@ def test_wheel_search_stops_at_its_cap():
     # a non-member whose rims have bonds and polygons: the search runs
     # through over a hundred rings and splits before it misses
     o = build_family(consecutive_tricoloured())
-    msets = _maximal_balanced_sets(o)
+    bases = _Bases(o, DEFAULT_CAPS)
     with pytest.raises(ResourceLimitError) as err:
-        _detect_generalized_wheel(o, Caps(max_assignments=50), msets)
+        _detect_generalized_wheel(o, Caps(max_assignments=50), bases)
     assert err.value.stage == "generalized-wheel search"
-    assert _detect_generalized_wheel(o, DEFAULT_CAPS, msets) is None
+    assert _detect_generalized_wheel(o, DEFAULT_CAPS, bases) is None
 
 
 def test_special_vertex_search_stops_at_its_cap():
     # the member's first candidate verifies, so one assignment is enough
     o = build_family(minimal_special_vertex())
-    msets = _maximal_balanced_sets(o)
+    bases = _Bases(o, DEFAULT_CAPS)
     with pytest.raises(ResourceLimitError) as err:
-        _detect_special_vertex(o, Caps(max_assignments=0), msets)
+        _detect_special_vertex(o, Caps(max_assignments=0), bases)
     assert err.value.stage == "special-vertex search"
-    assert _detect_special_vertex(o, Caps(max_assignments=1), msets) is not None
+    assert _detect_special_vertex(o, Caps(max_assignments=1), bases) is not None
 
 
 def classify_workload_documents() -> dict[str, str]:
@@ -602,11 +635,11 @@ def test_pairing_search_stops_at_its_cap():
     # the first boundary pairing tried verifies, so one ordering is enough
     d = pp_signed(6)
     o = build_family(d)
-    msets = _maximal_balanced_sets(o)
+    bases = _Bases(o, DEFAULT_CAPS)
     with pytest.raises(ResourceLimitError) as err:
-        _detect_pp_signed(o, Caps(max_assignments=0), msets)
+        _detect_pp_signed(o, Caps(max_assignments=0), bases)
     assert err.value.stage == "planar boundary pairing search"
-    hit = _detect_pp_signed(o, Caps(max_assignments=1), msets)
+    hit = _detect_pp_signed(o, Caps(max_assignments=1), bases)
     assert hit is not None and hit[0].kind == "PPSigned"
     assert verify_family(o, hit[0]).passed
 
@@ -783,10 +816,10 @@ def filter_inputs() -> list[BiasedGraph]:
 def test_balance_filtered_searches_agree_with_unfiltered_oracles():
     hits = {detector.__name__: 0 for detector, _ in FILTERED}
     for o in filter_inputs():
-        msets = _maximal_balanced_sets(o)
+        bases = _Bases(o, DEFAULT_CAPS)
         for detector, oracle in FILTERED:
-            hit = detector(o, DEFAULT_CAPS, msets)
-            expected = oracle(o, DEFAULT_CAPS, msets)
+            hit = detector(o, DEFAULT_CAPS, bases)
+            expected = oracle(o, DEFAULT_CAPS, bases)
             assert (hit is None) == (expected is None)
             if hit is not None:
                 assert hit[0].roles == expected[0].roles
@@ -818,12 +851,12 @@ def test_pp_special_searches_send_the_scans_candidates_on_the_classify_workloads
     for text in classify_workload_documents().values():
         for seed in (1, 2, 3):
             o = io.load(corpus.relabel(text, random.Random(seed)).text)
-            msets = _maximal_balanced_sets(o)
+            bases = _Bases(o, DEFAULT_CAPS)
             for detector, oracle in PP_SPECIAL:
                 for calls in sent.values():
                     calls.clear()
-                hit = detector(o, DEFAULT_CAPS, msets)
-                expected = oracle(o, DEFAULT_CAPS, msets)
+                hit = detector(o, DEFAULT_CAPS, bases)
+                expected = oracle(o, DEFAULT_CAPS, bases)
                 assert sent[classify_module] == sent[oracles_module]
                 assert (hit is None) == (expected is None)
                 if hit is not None:
@@ -847,17 +880,17 @@ def test_special_vertex_search_stops_where_the_scan_does(monkeypatch):
     monkeypatch.setattr(oracles_module, "_Counter", Recording)
     tried: dict[bool, list[int]] = {True: [], False: []}
     for o in filter_inputs():
-        msets = _maximal_balanced_sets(o)
+        bases = _Bases(o, DEFAULT_CAPS)
         counters.clear()
-        expected = oracle_detect_special_vertex(o, DEFAULT_CAPS, msets)
+        expected = oracle_detect_special_vertex(o, DEFAULT_CAPS, bases)
         c = counters[0].count
         if not c:
             continue
         for detector in (_detect_special_vertex, oracle_detect_special_vertex):
             with pytest.raises(ResourceLimitError) as err:
-                detector(o, Caps(max_assignments=c - 1), msets)
+                detector(o, Caps(max_assignments=c - 1), bases)
             assert err.value.stage == "special-vertex search"
-            assert (detector(o, Caps(max_assignments=c), msets) is None) == (expected is None)
+            assert (detector(o, Caps(max_assignments=c), bases) is None) == (expected is None)
         tried[expected is not None].append(c)
     # the member hits at its first candidate; 32 misses try 2,008
     assert (tried[True], len(tried[False]), sum(tried[False])) == ([1], 32, 2008)
@@ -873,11 +906,11 @@ def test_criss_cross_search_builds_no_doomed_candidate(d, calls, monkeypatch):
     # all but the member's hit fail a crossing triangle, the core's balance
     # or its 2-connectivity
     o = build_family(d())
-    msets = _maximal_balanced_sets(o)
+    bases = _Bases(o, DEFAULT_CAPS)
     made = []
     real = classify_module.verify_family
     monkeypatch.setattr(classify_module, "verify_family", lambda *args: made.append(args) or real(*args))
-    hit = _detect_criss_cross(o, DEFAULT_CAPS, msets)
+    hit = _detect_criss_cross(o, DEFAULT_CAPS, bases)
     assert len(made) == calls
     assert (hit is not None) == bool(calls)
 
@@ -887,10 +920,10 @@ def test_fat_triangle_search_builds_no_doomed_candidate(d, monkeypatch):
     # the unfiltered search sent each of these ten candidates, none with a
     # base E - fat inside a maximal balanced set
     o = build_family(d())
-    msets = _maximal_balanced_sets(o)
+    bases = _Bases(o, DEFAULT_CAPS)
     calls = []
     monkeypatch.setattr(classify_module, "verify_family", lambda *args: calls.append(args))
-    assert _detect_fat_triangle(o, DEFAULT_CAPS, msets) is None
+    assert _detect_fat_triangle(o, DEFAULT_CAPS, bases) is None
     assert calls == []
 
 
@@ -899,14 +932,14 @@ def test_pp_signed_search_skips_a_bias_that_is_no_signature(d, monkeypatch):
     # explicit members whose bias is Signed(E - m) for no base m: the
     # unfiltered search ran a pairing search and ordered_planarity on each
     o = build_family(d())
-    msets = _maximal_balanced_sets(o)
+    bases = _Bases(o, DEFAULT_CAPS)
     calls = []
     for name in ("_pairing_search", "ordered_planarity"):
         real = getattr(classify_module, name)
         monkeypatch.setattr(
             classify_module, name, lambda *args, real=real, **kwargs: calls.append(args) or real(*args, **kwargs)
         )
-    assert _detect_pp_signed(o, DEFAULT_CAPS, msets) is None
+    assert _detect_pp_signed(o, DEFAULT_CAPS, bases) is None
     assert calls == []
 
 
@@ -924,6 +957,16 @@ def test_classify_stops_at_the_balanced_subgraph_cap():
     report = classify(o, Caps(max_subsets=156))
     assert report.codes() == classify(o).codes() == ("T1c", "T2")
     assert reverifies(o, report)
+    # the CrissCross wheel's sets take about a thousand nodes, and no
+    # detector up to its first hit lists them: a first run classifies
+    # under a cap that the full battery, which lists them, cannot meet
+    o = build_family(wheel_criss_cross())
+    report = classify(o, Caps(max_subsets=50), first=True)
+    assert (report.codes(), report.capped) == (("T1c",), ())
+    assert reverifies(o, report)
+    with pytest.raises(ResourceLimitError) as err:
+        classify(o, Caps(max_subsets=50))
+    assert err.value.stage == "balanced subgraph search"
 
 
 def test_classify_stops_at_the_switching_search_cap():
@@ -1115,9 +1158,9 @@ def test_wheel_search_returns_the_split_search_hit():
     hits = Counter()
     for source, graphs in (("workloads", inputs), ("census", switching_classes(range(3, 6)))):
         for o in graphs:
-            msets = _maximal_balanced_sets(o)
-            hit = _detect_generalized_wheel(o, DEFAULT_CAPS, msets)
-            expected = oracle_detect_generalized_wheel(o, DEFAULT_CAPS, msets)
+            bases = _Bases(o, DEFAULT_CAPS)
+            hit = _detect_generalized_wheel(o, DEFAULT_CAPS, bases)
+            expected = oracle_detect_generalized_wheel(o, DEFAULT_CAPS, bases)
             assert (hit is None) == (expected is None)
             if hit is not None:
                 assert hit[0].roles == expected[0].roles
@@ -1178,7 +1221,7 @@ def test_wheel_reader_and_extraction_raise_no_tangle_error(monkeypatch):
 @pytest.mark.parametrize("name", ["wheel-c4-part", "wheel-triangle-rim", "tricoloured-consecutive"])
 def test_wheel_search_tests_each_part_and_ring_once(name, monkeypatch):
     o = build_family(ROUND_TRIP[name]())
-    msets = _maximal_balanced_sets(o)
+    bases = _Bases(o, DEFAULT_CAPS)
     calls = Counter()
     read = classify_module._wheel_candidate
 
@@ -1192,7 +1235,7 @@ def test_wheel_search_tests_each_part_and_ring_once(name, monkeypatch):
     monkeypatch.setattr(classify_module, "_wheel_candidate", reader)
     monkeypatch.setattr(classify_module, "verify_family", counted("verify", verify_family))
     monkeypatch.setattr(classify_module, "ordered_planarity", counted("planar", classify_module.ordered_planarity))
-    hit = _detect_generalized_wheel(o, DEFAULT_CAPS, msets)
+    hit = _detect_generalized_wheel(o, DEFAULT_CAPS, bases)
     assert (hit is not None) == name.startswith("wheel")
     assert calls["verify"] <= calls["rings"]
     assert calls["planar"] <= calls["parts"]
@@ -1376,10 +1419,10 @@ def test_explicit_pp_signed_classifies_as_the_signed_copy(k):
     assert_explicit_pp_signed_classifies(k)
 
 
-def test_explicit_classify_lists_only_the_rebuilt_graph(monkeypatch):
-    # peels and folds of explicit input list nothing: the one cycle list
-    # of classify(first=True) is verify's scan of the rebuilt graph, as
-    # long as the input's
+def test_explicit_classify_lists_no_cycle(monkeypatch):
+    # peels and folds of explicit input list nothing, and the T3 label is
+    # accepted with no scan of the rebuilt graph, which has as many cycles
+    # as the input
     copy = explicit_copy(build_family(pp_signed(16)))
     listed = []
     real_cycles = MultiGraph.cycles
@@ -1391,7 +1434,9 @@ def test_explicit_classify_lists_only_the_rebuilt_graph(monkeypatch):
     monkeypatch.setattr(MultiGraph, "cycles", recording)
     report = classify(copy, first=True)
     assert report.codes() == ("T3",)
-    assert len(listed) == 1 and len(real_cycles(listed[0])) == len(real_cycles(copy.graph)) == 313
+    assert listed == []
+    rebuilt, _, _ = report.decomposition.recompose()
+    assert len(real_cycles(rebuilt.graph)) == len(real_cycles(copy.graph)) == 313
 
 
 @pytest.mark.wall
@@ -1529,10 +1574,51 @@ def test_switching_test_and_verify_agree():
     cases.append((o, tampered(dec, BiasedGraph(core.graph, Signed(core.bias.signature ^ set(core_virtual_edges(dec)))))))
     accepted = 0
     for o, dec in cases:
-        ok = _switching_accepts(dec, o)
+        ok = _recomposes(dec, o)
         assert ok == (dec.verify(o) == ())
         accepted += ok
     assert accepted == len(decs) and len(cases) - accepted > 50
+
+
+def tangled_gain_graphs(count: int) -> list[BiasedGraph]:
+    """Seeded tangled Z_3- and Z_4-gain graphs on five to seven vertices."""
+    rng = random.Random(71)
+    out: list[BiasedGraph] = []
+    while len(out) < count:
+        n = rng.randint(5, 7)
+        allp = list(itertools.combinations(range(n), 2))
+        g = MultiGraph.from_pairs(rng.sample(allp, rng.randint(n + 2, min(len(allp), 2 * n))), range(n))
+        if not g.is_connected():
+            continue
+        o = gain_bias(g, rng.choice((3, 4)), rng)
+        if isinstance(is_tangled(o), Tangled):
+            out.append(o)
+    return out
+
+
+def test_non_signed_t3_acceptance_agrees_with_verify():
+    # classify accepts a T3 label on non-signed input by the bookkeeping
+    # alone; verify scans every rebuilt cycle of each decomposition:
+    # explicit members and explicit copies of PPSigned C6 to C12, the
+    # t-sums under relabelling seeds 1 to 3, tangled Z_3- and Z_4-gain
+    # graphs and t-sums of tangled gain graphs
+    sources = {
+        "members": explicit_corpus_members() + [explicit_copy(build_family(pp_signed(k))) for k in (6, 8, 10, 12)],
+        "t-sums": [relabelled(o, random.Random(seed)) for o in corpus_t_sums() for seed in (1, 2, 3)],
+        "gains": tangled_gain_graphs(60),
+        "gain t-sums": [t_sum(*args) for args in tangled_gain_sum_args(20)],
+    }
+    accepted = Counter()
+    for source, inputs in sources.items():
+        for o in inputs:
+            assert not isinstance(o.bias, Signed)
+            dec = decompose(o)
+            if not dec.nodes:
+                continue
+            assert _recomposes(dec, o)
+            assert dec.verify(o) == ()
+            accepted[source] += 1
+    assert accepted == {"members": 10, "t-sums": 18, "gains": 41, "gain t-sums": 20}
 
 
 def test_verify_reports_a_dropped_balanced_cycle_of_an_explicit_core():

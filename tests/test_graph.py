@@ -135,14 +135,18 @@ def test_chordless_vertex_sets_are_the_induced_cycles_of_the_support():
 
 
 def test_fundamental_cycles_are_a_cycle_basis_of_the_remainder():
-    # m - n + c cycles of g - X, independent over GF(2)
+    # m - n + c cycles of g - X, independent over GF(2), each named by the
+    # one edge that lies on it and on no other
     rng = random.Random(59)
     for _ in range(200):
         g = random_multigraph(rng, max_n=8, max_extra=6, allow_loops=True)
         removed = rng.sample(g.vertices, rng.randint(0, min(2, g.n)))
         h = g.delete_vertices(removed)
-        got = list(fundamental_cycles(g, removed))
+        named = list(fundamental_cycles(g, removed))
+        got = [edges for _, edges in named]
         assert len(got) == h.m - h.n + len(h.components())
+        for e, edges in named:
+            assert [other for other in got if e in other] == [edges]
         pivots: dict[int, int] = {}
         for edges in got:
             assert Cycle.from_edge_set(h, edges).edge_set == edges
