@@ -16,22 +16,22 @@ asks the first summand about each cycle and stores none.
 Explicit cycle sets are validated by scanning pairs of balanced cycles
 only, since a theta that breaks the rule is the union of its two balanced
 cycles; those pairs count against ``max_theta_pairs``.  A partial
-assignment can be completed by backtracking search, preferring a default
-value on unconstrained cycles.
+assignment is completed by the theta closure of the cycles it marks
+balanced, the least completion, again by pairs of balanced cycles
+(:func:`complete_bias`).
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cached_property
-from typing import Iterable, Mapping
+from typing import Iterable, Iterator, Mapping
 
 from .graph import (
     Cycle,
     MultiGraph,
     ThetaSubgraph,
     edge_path_vertices,
-    enumerate_theta_subgraphs,
     fundamental_cycles,
 )
 from .limits import Caps, DEFAULT_CAPS, ResourceLimitError
@@ -225,12 +225,21 @@ def validate_theta(
     balanced: Iterable[Cycle],
     caps: Caps = DEFAULT_CAPS,
 ) -> tuple[ThetaSubgraph, ...]:
-    """Violating thetas (those with exactly 2 balanced cycles); empty = ok."""
+    """Violating thetas (those with exactly 2 balanced cycles); empty = ok.
+    A cycle that is not one of g raises BiasError (:func:`_check_cycle`)."""
     bal = set(balanced)
     for c in bal:
-        if not c.edge_set <= g.edge_id_set:
-            raise BiasError("balanced set mentions a cycle outside the graph")
+        _check_cycle(g, c)
     return _violating_thetas(g, bal, caps)
+
+
+def _check_cycle(g: MultiGraph, c: Cycle) -> None:
+    """Raise BiasError unless each edge of c joins, in g, the two walk
+    vertices c puts it between.  One lookup per edge; no cycle is built."""
+    ends = g.edge_map
+    for e, u, v in zip(c.key, c.walk, c.walk[1:] + c.walk[:1]):
+        if ends.get(e) not in ((u, v), (v, u)):
+            raise BiasError(f"cycle {c.key} lies outside the graph")
 
 
 def validate_biased_graph(o: BiasedGraph, caps: Caps = DEFAULT_CAPS) -> tuple[ThetaSubgraph, ...]:
@@ -261,8 +270,7 @@ def validate_biased_graph(o: BiasedGraph, caps: Caps = DEFAULT_CAPS) -> tuple[Th
 def _violating_thetas(
     g: MultiGraph, balanced: Iterable[Cycle], caps: Caps
 ) -> tuple[ThetaSubgraph, ...]:
-    """Thetas of g with exactly two cycles in `balanced`, in the order of
-    :func:`enumerate_theta_subgraphs`.
+    """Thetas of g with exactly two cycles in `balanced`, sorted by edge set.
 
     Such a theta is the union of its two balanced cycles, so only pairs of
     balanced cycles are scanned: a pair that forms a theta whose third
@@ -275,16 +283,7 @@ def _violating_thetas(
     bal_sets = {c.edge_set for c in bal}
     out = []
     for i, c1 in enumerate(bal):
-        for c2 in bal[i + 1:]:
-            inter = c1.edge_set & c2.edge_set
-            if not inter:
-                continue
-            diff = c1.edge_set ^ c2.edge_set
-            if diff in bal_sets:
-                continue
-            pv = edge_path_vertices(g, inter)
-            if pv is None or (c1.vertex_set & c2.vertex_set) != pv:
-                continue
+        for c2, diff in _thirds(g, c1, bal[i + 1:], bal_sets):
             c3 = Cycle.from_edge_set(g, diff)
             trio = tuple(sorted((c1, c2, c3), key=Cycle.sort_key))
             out.append(ThetaSubgraph(trio, c1.edge_set | c2.edge_set))  # type: ignore[arg-type]
@@ -292,124 +291,74 @@ def _violating_thetas(
     return tuple(out)
 
 
+def _thirds(
+    g: MultiGraph, c: Cycle, others: Iterable[Cycle], known: set[frozenset[int]]
+) -> Iterator[tuple[Cycle, frozenset[int]]]:
+    """(d, third) for each d of `others` that forms a theta with c whose
+    third cycle's edge set is not in `known`.  `known` is read at each d,
+    so a third the caller adds meanwhile is not yielded again.
+
+    Two cycles form a theta exactly when they meet in a path whose vertices
+    are all they share; the third cycle is their symmetric difference.
+    """
+    edges, vertices = c.edge_set, c.vertex_set
+    for d in others:
+        inter = edges & d.edge_set
+        if not inter:
+            continue
+        third = edges ^ d.edge_set
+        if third in known:
+            continue
+        pv = edge_path_vertices(g, inter)
+        if pv is not None and vertices & d.vertex_set == pv:
+            yield d, third
+
+
 # ---------------------------------------------------------------------------
 # Partial bias completion
 # ---------------------------------------------------------------------------
 
 
-PartialBias = Mapping[Cycle, bool]
+def complete_bias(g: MultiGraph, partial: Mapping[Cycle, bool], caps: Caps = DEFAULT_CAPS) -> BiasedGraph | None:
+    """The least bias of g in which the cycles `partial` maps to True are
+    balanced and those it maps to False are not; None when there is none.
 
+    Its balanced set is the theta closure B of the cycles marked balanced.
+    A worklist tests each cycle that joins B against every earlier one
+    (:func:`_thirds`) and adds the third cycle of each theta they form.
+    Each pair tested counts against ``caps.max_theta_pairs`` under the
+    stage "theta closure": n(n - 1)/2 for n cycles, as in the final theta
+    check.  No cycle of g is listed; the keys of `partial` are checked
+    against g (:func:`_check_cycle`).
 
-def complete_bias(
-    g: MultiGraph,
-    partial: PartialBias,
-    default: bool = False,
-    caps: Caps = DEFAULT_CAPS,
-) -> BiasedGraph | None:
-    """Extend a partial balanced/unbalanced assignment to a full bias.
-
-    Backtracking over cycles in (length, key) order, trying `default` first
-    (True = balanced); per-theta constraint: balanced count is never exactly
-    two.  Returns None when no extension exists.
+    B is a bias: a theta with exactly two cycles in B is their union, and
+    that pair was tested.  Every completion contains B, by induction along
+    the worklist, since a bias holding two cycles of a theta holds the
+    third (Zaslavsky, "Biased graphs. I", JCTB 47, 1989).  So a completion
+    exists exactly when no cycle marked unbalanced lies in B, and B is the
+    least.  B is also what the exhaustive search over the cycles in
+    (length, key) order, trying unbalanced first, returns: the
+    lexicographically least consistent assignment.  While the values so
+    far are B's, unbalanced is consistent at the next cycle C exactly when
+    C lies outside B, for B then extends them, and otherwise every
+    completion holds C.  A completion that breaks the theta rule raises
+    BiasError.
     """
-    cycles = g.cycles(caps)
-    index = {c: i for i, c in enumerate(cycles)}
     for c in partial:
-        if c not in index:
-            raise BiasError("partial bias mentions a cycle outside the graph")
-    thetas = enumerate_theta_subgraphs(g, cycles, caps=caps)
-    triples = [tuple(index[c] for c in t.cycles) for t in thetas]
-    involved: dict[int, list[int]] = {i: [] for i in range(len(cycles))}
-    for ti, tri in enumerate(triples):
-        for i in tri:
-            involved[i].append(ti)
-
-    value: list[bool | None] = [None] * len(cycles)
-
-    def propagate(start: list[int], trail: list[int]) -> bool:
-        queue = list(start)
-        while queue:
-            ci = queue.pop()
-            for ti in involved[ci]:
-                tri = triples[ti]
-                vals = [value[i] for i in tri]
-                known = [v for v in vals if v is not None]
-                ntrue = sum(1 for v in known if v)
-                if len(known) == 3:
-                    if ntrue == 2:
-                        return False
-                    continue
-                if len(known) == 2 and ntrue >= 1:
-                    forced = ntrue == 2  # two balanced force the third balanced
-                    free_i = next(i for i in tri if value[i] is None)
-                    value[free_i] = forced
-                    trail.append(free_i)
-                    queue.append(free_i)
-        return True
-
-    seed_trail: list[int] = []
-    for c, b in sorted(partial.items(), key=lambda kv: kv[0].sort_key()):
-        i = index[c]
-        if value[i] is None:
-            value[i] = bool(b)
-            seed_trail.append(i)
-            if not propagate([i], seed_trail):
-                return None
-        elif value[i] != bool(b):
-            return None
-
-    order = sorted(range(len(cycles)), key=lambda i: cycles[i].sort_key())
-
-    def try_assign(pos: int, attempt: bool) -> list[int] | None:
-        i = order[pos]
-        trail = [i]
-        value[i] = attempt
-        if propagate([i], trail):
-            return trail
-        for j in trail:
-            value[j] = None
+        _check_cycle(g, c)
+    closure = sorted((c for c, b in partial.items() if b), key=Cycle.sort_key)
+    known = {c.edge_set for c in closure}
+    pairs = 0
+    for i, c in enumerate(closure):  # the list grows as thirds join it
+        pairs += i
+        if pairs > caps.max_theta_pairs:
+            raise ResourceLimitError("theta closure", caps.max_theta_pairs)
+        for _, third in _thirds(g, c, closure[:i], known):
+            known.add(third)
+            closure.append(Cycle.from_edge_set(g, third))
+    if any(c.edge_set in known for c, b in partial.items() if not b):
         return None
-
-    # Iterative backtracking; each decision records whether the alternate
-    # value was already tried.
-    decisions: list[tuple[int, bool, list[int]]] = []
-    pos = 0
-    feasible = True
-    while True:
-        while pos < len(order) and value[order[pos]] is not None:
-            pos += 1
-        if pos == len(order):
-            break
-        trail = try_assign(pos, default)
-        if trail is not None:
-            decisions.append((pos, False, trail))
-            pos += 1
-            continue
-        trail = try_assign(pos, not default)
-        if trail is not None:
-            decisions.append((pos, True, trail))
-            pos += 1
-            continue
-        moved = False
-        while decisions:
-            dpos, tried_alt, dtrail = decisions.pop()
-            for j in dtrail:
-                value[j] = None
-            if tried_alt:
-                continue
-            trail = try_assign(dpos, not default)
-            if trail is not None:
-                decisions.append((dpos, True, trail))
-                pos = dpos + 1
-                moved = True
-                break
-        if not moved:
-            feasible = False
-            break
-    if not feasible:
-        return None
-    balanced = frozenset(c for c, i in index.items() if value[i])
-    out = BiasedGraph(g, ExplicitSet(balanced))
+    out = BiasedGraph(g, ExplicitSet(frozenset(closure)))
     if validate_biased_graph(out, caps):
         raise BiasError("completion violated the theta property")
     return out

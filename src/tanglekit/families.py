@@ -897,10 +897,11 @@ def _plan(d: FamilyDescriptor, caps: Caps) -> _Plan:
 def build_family(d: FamilyDescriptor, *, caps: Caps = DEFAULT_CAPS) -> BiasedGraph:
     """Equip the descriptor's graph with a bias satisfying its clauses.
 
-    Cycles not constrained by the family definition are filled in by
-    ``complete_bias``, preferring unbalanced.  Raises FamilyError when the
-    descriptor is malformed, a side condition fails, or no theta-consistent
-    completion exists.
+    The bias is the least completion of the defining clauses
+    (``complete_bias``): a cycle no clause constrains is balanced only when
+    the theta rule forces it.  Raises FamilyError when the descriptor is
+    malformed, a side condition fails, or no theta-consistent completion
+    exists.
     """
     plan = _plan(d, caps)
     bad = [c for c in plan.structure if not c.ok]
@@ -922,7 +923,7 @@ def build_family(d: FamilyDescriptor, *, caps: Caps = DEFAULT_CAPS) -> BiasedGra
         if prev is not None and prev != want:
             raise FamilyError(f"defining clauses conflict on cycle {cyc.key} ({name})")
         partial[cyc] = want
-    o = complete_bias(d.graph, partial, default=False, caps=caps)
+    o = complete_bias(d.graph, partial, caps=caps)
     if o is None:
         raise FamilyError("defining clauses admit no bias with the theta property")
     return o

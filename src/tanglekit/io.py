@@ -7,9 +7,10 @@ per edge record, and one bias block.  The bias block is one of
 * ``bias signed <edge ids...>``,
 * ``bias explicit`` followed by ``bal <edge ids...>`` lines,
 * ``bias all-balanced`` / ``bias all-unbalanced``,
-* ``bias explicit`` plus a trailing ``default balanced|unbalanced`` line,
-  in which case the listed cycles are a partial assignment completed by
-  :func:`tanglekit.bias.complete_bias`.
+* ``bias explicit`` plus a trailing ``default balanced|unbalanced`` line.
+  With ``default balanced`` every cycle is balanced.  With ``default
+  unbalanced`` the balanced cycles are the theta closure of those listed,
+  their least completion (:func:`tanglekit.bias.complete_bias`).
 
 An optional ``family <kind>`` line with ``role <name> <json>`` lines records
 which constructor produced the instance.  Fields are separated by runs of
@@ -296,10 +297,12 @@ def _biased(
                 line,
             )
         return BiasedGraph(graph, ExplicitSet(frozenset(cycles)))
-    # Every listed cycle is to be balanced, and making every cycle
-    # balanced satisfies the theta rule, so the exhaustive search always
-    # finds a completion and never returns None here.
-    return complete_bias(graph, {c: True for c in cycles}, default=doc.default, caps=caps)
+    if doc.default:
+        # every cycle balanced satisfies the theta rule and holds the list
+        return BiasedGraph(graph, ExplicitSet(frozenset(graph.cycles(caps))))
+    # a list that marks cycles balanced only always has its closure, which
+    # leaves out every cycle the theta rule does not force in: never None
+    return complete_bias(graph, {c: True for c in cycles}, caps=caps)
 
 
 def realize(doc: InstanceDocument, caps: Caps = DEFAULT_CAPS) -> BiasedGraph:
@@ -316,8 +319,7 @@ def realize(doc: InstanceDocument, caps: Caps = DEFAULT_CAPS) -> BiasedGraph:
     cycles = [Cycle.from_edge_set(graph, key) for key in doc.balanced]
     if doc.default is None:
         return make_explicit(graph, cycles, check=True, caps=caps)
-    # never None, as in _biased: all balanced is always a completion
-    return complete_bias(graph, {c: True for c in cycles}, default=doc.default, caps=caps)
+    return _biased(doc, graph, cycles, caps, 0)
 
 
 def load(text: str, caps: Caps = DEFAULT_CAPS) -> BiasedGraph:

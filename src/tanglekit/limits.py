@@ -27,7 +27,7 @@ class Caps:
     """Ceilings for the main enumeration stages."""
 
     max_cycles: int = 1_000_000        # cycles per graph
-    max_theta_pairs: int = 20_000_000  # cycle pairs scanned for thetas
+    max_theta_pairs: int = 20_000_000  # cycle pairs tested: theta check and closure, disjoint pairs
     max_subsets: int = 2_000_000       # edge/vertex subset candidates
     max_assignments: int = 2_000_000   # role assignments / orderings tried
 

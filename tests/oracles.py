@@ -15,7 +15,8 @@ FatTriangle, CrissCross, PPSigned and PP special vertex, pair and triple
 detectors, the standard partition on the cycle list, the wheel search
 and wheel-core extraction before they read splits off standard
 partitions, the canonical cycle key, the theta check, the linkage search,
-the boundary pairing search and, at the end, ordered planarity by
+the boundary pairing search, the bias completion by backtracking over
+every theta and, at the end, ordered planarity by
 networkx's planarity test.  Embeddings come from
 every rotation system that passes the Euler check, a signed graph's maximal
 balanced sets from every switching, and spanning forests from breadth-first
@@ -29,11 +30,18 @@ import random
 from itertools import combinations, permutations, product
 from dataclasses import dataclass
 from functools import cached_property
-from typing import Iterable, Iterator, Sequence
+from typing import Iterable, Iterator, Mapping, Sequence
 
 import networkx as nx
 
-from tanglekit.bias import BiasedGraph, BiasError, balanced_without, make_explicit
+from tanglekit.bias import (
+    BiasedGraph,
+    BiasError,
+    ExplicitSet,
+    balanced_without,
+    make_explicit,
+    validate_biased_graph,
+)
 from tanglekit.classify import (
     _PLACEMENTS,
     ClassifyError,
@@ -1959,6 +1967,136 @@ def oracle_validate_theta(
         if sum(1 for c in t.cycles if c in bal) == 2:
             out.append(t)
     return tuple(out)
+
+
+# ---------------------------------------------------------------------------
+# Bias completion before the theta closure
+#
+# Copied unchanged: backtracking over every cycle of the graph, with unit
+# propagation over every theta, trying the default value first.
+# ---------------------------------------------------------------------------
+
+
+def oracle_complete_bias(
+    g: MultiGraph,
+    partial: Mapping[Cycle, bool],
+    default: bool = False,
+    caps: Caps = DEFAULT_CAPS,
+) -> BiasedGraph | None:
+    """Extend a partial balanced/unbalanced assignment to a full bias.
+
+    Backtracking over cycles in (length, key) order, trying `default` first
+    (True = balanced); per-theta constraint: balanced count is never exactly
+    two.  Returns None when no extension exists.
+
+    With ``default=False`` this is the lexicographically least consistent
+    assignment, which the library reads off the theta closure.  The search
+    itself is exhaustive over every theta of the graph, so a generator of
+    every bias of a small graph (the census item of ROADMAP.md) can reuse
+    it: branch on both values at each free cycle instead of stopping at
+    the first leaf.
+    """
+    cycles = g.cycles(caps)
+    index = {c: i for i, c in enumerate(cycles)}
+    for c in partial:
+        if c not in index:
+            raise BiasError("partial bias mentions a cycle outside the graph")
+    thetas = enumerate_theta_subgraphs(g, cycles, caps=caps)
+    triples = [tuple(index[c] for c in t.cycles) for t in thetas]
+    involved: dict[int, list[int]] = {i: [] for i in range(len(cycles))}
+    for ti, tri in enumerate(triples):
+        for i in tri:
+            involved[i].append(ti)
+
+    value: list[bool | None] = [None] * len(cycles)
+
+    def propagate(start: list[int], trail: list[int]) -> bool:
+        queue = list(start)
+        while queue:
+            ci = queue.pop()
+            for ti in involved[ci]:
+                tri = triples[ti]
+                vals = [value[i] for i in tri]
+                known = [v for v in vals if v is not None]
+                ntrue = sum(1 for v in known if v)
+                if len(known) == 3:
+                    if ntrue == 2:
+                        return False
+                    continue
+                if len(known) == 2 and ntrue >= 1:
+                    forced = ntrue == 2  # two balanced force the third balanced
+                    free_i = next(i for i in tri if value[i] is None)
+                    value[free_i] = forced
+                    trail.append(free_i)
+                    queue.append(free_i)
+        return True
+
+    seed_trail: list[int] = []
+    for c, b in sorted(partial.items(), key=lambda kv: kv[0].sort_key()):
+        i = index[c]
+        if value[i] is None:
+            value[i] = bool(b)
+            seed_trail.append(i)
+            if not propagate([i], seed_trail):
+                return None
+        elif value[i] != bool(b):
+            return None
+
+    order = sorted(range(len(cycles)), key=lambda i: cycles[i].sort_key())
+
+    def try_assign(pos: int, attempt: bool) -> list[int] | None:
+        i = order[pos]
+        trail = [i]
+        value[i] = attempt
+        if propagate([i], trail):
+            return trail
+        for j in trail:
+            value[j] = None
+        return None
+
+    # Iterative backtracking; each decision records whether the alternate
+    # value was already tried.
+    decisions: list[tuple[int, bool, list[int]]] = []
+    pos = 0
+    feasible = True
+    while True:
+        while pos < len(order) and value[order[pos]] is not None:
+            pos += 1
+        if pos == len(order):
+            break
+        trail = try_assign(pos, default)
+        if trail is not None:
+            decisions.append((pos, False, trail))
+            pos += 1
+            continue
+        trail = try_assign(pos, not default)
+        if trail is not None:
+            decisions.append((pos, True, trail))
+            pos += 1
+            continue
+        moved = False
+        while decisions:
+            dpos, tried_alt, dtrail = decisions.pop()
+            for j in dtrail:
+                value[j] = None
+            if tried_alt:
+                continue
+            trail = try_assign(dpos, not default)
+            if trail is not None:
+                decisions.append((dpos, True, trail))
+                pos = dpos + 1
+                moved = True
+                break
+        if not moved:
+            feasible = False
+            break
+    if not feasible:
+        return None
+    balanced = frozenset(c for c, i in index.items() if value[i])
+    out = BiasedGraph(g, ExplicitSet(balanced))
+    if validate_biased_graph(out, caps):
+        raise BiasError("completion violated the theta property")
+    return out
 
 
 # ---------------------------------------------------------------------------

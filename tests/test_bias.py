@@ -36,7 +36,7 @@ from tanglekit.bias import (
     validate_theta,
 )
 
-from oracles import oracle_validate_theta, random_multigraph
+from oracles import oracle_complete_bias, oracle_validate_theta, random_multigraph
 
 
 def k4() -> MultiGraph:
@@ -183,6 +183,20 @@ def test_validate_theta_matches_the_all_theta_scan():
     assert valid >= 200 and violating >= 150
 
 
+def test_validate_theta_rejects_a_cycle_of_another_graph():
+    # edges 0, 1, 2 close a triangle in the other graph and a star in K4
+    tri = enumerate_cycles(MultiGraph.from_pairs([(0, 1), (1, 2), (2, 0)]))[0]
+    assert tri.key == (0, 1, 2)
+    with pytest.raises(BiasError, match="outside the graph"):
+        validate_theta(k4(), [tri])
+    # the triangle on edges 0, 1, 3 of K4 with its walk turned, and a loop
+    tri = Cycle.from_edge_set(k4(), {0, 1, 3})
+    assert tri == Cycle((0, 1, 3), (1, 0, 2)) and validate_theta(k4(), [tri]) == ()
+    for c in (Cycle((0, 1, 3), (0, 1, 2)), Cycle((0,), (0,))):
+        with pytest.raises(BiasError):
+            validate_theta(k4(), [c])
+
+
 def test_theta_check_counts_balanced_pairs():
     # K4 has 7 cycles, so all of them balanced make 21 pairs
     cycles = enumerate_cycles(k4())
@@ -254,12 +268,9 @@ def test_cycles_with_and_inside_filter_by_edges():
 # -- complete_bias ----------------------------------------------------------------
 
 
-def test_complete_empty_partial_prefers_default():
-    g = k4()
-    o = complete_bias(g, {}, default=False)
+def test_complete_empty_partial_balances_nothing():
+    o = complete_bias(k4(), {})
     assert o is not None and not o.balanced_cycles()
-    o = complete_bias(g, {}, default=True)
-    assert o is not None and o.is_balanced()
 
 
 def test_complete_detects_infeasible():
@@ -271,14 +282,14 @@ def test_complete_detects_infeasible():
 def test_complete_propagates_forced_value():
     g = theta_graph()
     cyc = enumerate_cycles(g)
-    o = complete_bias(g, {cyc[0]: True, cyc[1]: True}, default=False)
+    o = complete_bias(g, {cyc[0]: True, cyc[1]: True})
     assert o is not None and o.balance(cyc[2])
 
 
 def test_complete_output_passes_theta():
     g = k4()
     quad = next(c for c in enumerate_cycles(g) if len(c) == 4)
-    o = complete_bias(g, {quad: True}, default=False)
+    o = complete_bias(g, {quad: True})
     assert o is not None
     assert validate_biased_graph(o) == ()
 
@@ -288,6 +299,41 @@ def test_complete_rejects_unknown_cycle():
     tri = enumerate_cycles(other)[0]
     with pytest.raises(BiasError):
         complete_bias(k4(), {tri: True})
+
+
+def test_completion_matches_the_backtracking_oracle():
+    # seeded partial assignments with both marks over small multigraphs
+    # with loops and digons, against the search that tries unbalanced first
+    rng = random.Random(1919)
+    compared = infeasible = grown = loops = digons = 0
+    while compared < 1000:
+        g = random_multigraph(rng, max_n=5, max_extra=5, allow_loops=True)
+        cycles = g.cycles()
+        if not cycles:
+            continue
+        marked = rng.sample(cycles, rng.randint(1, min(6, len(cycles))))
+        partial = {c: rng.random() < 0.7 for c in marked}
+        got = complete_bias(g, partial)
+        want = oracle_complete_bias(g, partial, default=False)
+        assert (got and got.bias) == (want and want.bias)
+        compared += 1
+        infeasible += got is None
+        grown += got is not None and len(got.bias.balanced) > sum(partial.values())
+        loops += bool(g.loops)
+        digons += any(len(c) == 2 for c in cycles)
+    assert min(infeasible, grown) >= 80 and min(loops, digons) >= 500
+
+
+def test_complete_stops_at_the_theta_pair_cap():
+    # the three triangles at vertex 0 of K4 close to all 7 cycles, and the
+    # closure tests each of their 21 pairs once
+    g = k4()
+    partial = {c: True for c in g.cycles() if len(c) == 3 and 0 in c.vertex_set}
+    with pytest.raises(ResourceLimitError) as err:
+        complete_bias(g, partial, Caps(max_theta_pairs=20))
+    assert err.value.stage == "theta closure"
+    o = complete_bias(g, partial, Caps(max_theta_pairs=21))
+    assert o is not None and o.bias.balanced == frozenset(g.cycles())
 
 
 def test_complete_reports_theta_violation_as_error(monkeypatch):

@@ -21,6 +21,7 @@ from tanglekit.bias import (
     Lifted,
     Signed,
     balanced_without,
+    complete_bias,
     make_explicit,
     make_signed,
     validate_theta,
@@ -52,6 +53,7 @@ from tanglekit.classify import (
 )
 from tanglekit.families import (
     FamilyDescriptor,
+    _plan,
     build_family,
     describe_k5_family,
     describe_pp_signed,
@@ -72,6 +74,7 @@ from census import switching_classes
 from oracles import (
     OracleRingLayout,
     connected_graph_census,
+    oracle_complete_bias,
     oracle_detect_criss_cross,
     oracle_detect_fat_triangle,
     oracle_detect_generalized_wheel,
@@ -105,6 +108,7 @@ from test_families import (
     minimal_fat_triangle,
     minimal_special_pair,
     minimal_special_vertex,
+    random_fat_triangle,
     triangle_rim_wheel,
     wheel_criss_cross,
 )
@@ -1359,6 +1363,34 @@ def test_balance_without_vertices_matches_the_cycle_list_on_explicit_input():
     copies = [explicit_copy(o) for o in tangled_signed_inputs()]
     unbalanced = sum(assert_balance_without_matches_the_cycle_list(o, 2) for o in members + copies)
     assert unbalanced > 5000
+
+
+def test_completion_matches_the_backtracking_oracle_on_members():
+    # the defining clauses of every member the tests build by name, of the
+    # benchmark corpus and of seeded FatTriangle members: the theta closure
+    # and the search that tries unbalanced first give one balanced set.
+    # The clauses mark cycles both ways, and on these members the balanced
+    # ones are already closed
+    descriptors = list(bench_module("corpus").family_descriptors().values())
+    descriptors += [
+        make()
+        for make in (
+            alternating_tricoloured, c4_criss_cross, c4_part_wheel, consecutive_tricoloured,
+            degenerate_tricoloured, digon_rim_wheel, k4_fat_triangle, lemma_style_special_triple,
+            minimal_fat_triangle, minimal_special_pair, minimal_special_vertex, triangle_rim_wheel,
+            wheel_criss_cross,
+        )
+    ]
+    descriptors += [pp_signed(k) for k in (4, 6, 8, 10)]
+    descriptors += [random_fat_triangle(random.Random(seed)) for seed in range(20)]
+    marks = Counter()
+    for d in descriptors:
+        partial = {cyc: want for _, cyc, want in _plan(d, DEFAULT_CAPS).constraints}
+        got = complete_bias(d.graph, partial)
+        want = oracle_complete_bias(d.graph, partial, default=False)
+        assert got is not None and want is not None and got.bias == want.bias
+        marks.update(partial.values())
+    assert len(descriptors) == 54 and min(marks[True], marks[False]) > 100
 
 
 def test_pair_test_matches_the_pair_scan_on_explicit_input(monkeypatch):

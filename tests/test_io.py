@@ -89,6 +89,16 @@ def test_load_checks_the_bias_once(kind, check, monkeypatch):
     assert o == realize(parse(text))
 
 
+def test_a_partial_list_is_completed_by_its_closure():
+    # two triangles of K4 on edge 0 form a theta with the quad 0-2-1-3
+    text = "biasedgraph 1\nv 4\n" + K4_EDGES + "bias explicit\nbal 0 1 3\nbal 0 2 4\n"
+    for read in (load, lambda text: realize(parse(text))):
+        closed = read(text + "default unbalanced\n")
+        assert sorted(c.key for c in closed.bias.balanced) == [(0, 1, 3), (0, 2, 4), (1, 2, 4, 3)]
+        every = read(text + "default balanced\n")
+        assert every.bias == ExplicitSet(frozenset(every.graph.cycles()))
+
+
 def test_load_builds_each_balanced_cycle_once(monkeypatch):
     # the parse keeps the cycle it builds per bal line for the theta check
     # and the biased graph it returns

@@ -10,7 +10,8 @@ code outside its own definition.  The last test keeps one cycle list per
 graph: only ``MultiGraph.cycles`` reaches ``enumerate_cycles``, and
 nothing writes through ``object.__setattr__``.  The blocking-structure
 module lists no cycle: its one cycle source is ``cycles_by_length``, read
-only where a disjoint pair is named.  Every field of a classification
+only where a disjoint pair is named.  The bias module lists no theta: it
+tests pairs of balanced cycles instead.  Every field of a classification
 report is read off a ``report`` by library, CLI or benchmark code outside
 the classifier.
 """
@@ -154,6 +155,12 @@ def test_no_verdict_lists_a_cycle():
     assert sorted({name for _, name in refs} & listers) == []
     sources = {scope for scope, name in refs if name == "cycles_by_length"}
     assert sources == {(), ("find_disjoint_unbalanced_pair",)}
+
+
+def test_bias_completion_lists_no_theta():
+    path = SRC / "bias.py"
+    names = {name for _, name in _references(ast.parse(path.read_text(), filename=str(path)))}
+    assert "enumerate_theta_subgraphs" not in names
 
 
 def _report_reads(tree: ast.AST) -> set[str]:
