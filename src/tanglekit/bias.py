@@ -31,8 +31,8 @@ from .graph import (
     Cycle,
     MultiGraph,
     ThetaSubgraph,
-    edge_path_vertices,
     fundamental_cycles,
+    is_theta_pair,
 )
 from .limits import Caps, DEFAULT_CAPS, ResourceLimitError
 
@@ -145,7 +145,7 @@ class BiasedGraph:
     def unbalanced_cycles(self, caps: Caps = DEFAULT_CAPS) -> tuple[Cycle, ...]:
         return tuple(c for c in self.cycles(caps) if not self.balance(c))
 
-    def is_balanced(self, caps: Caps = DEFAULT_CAPS) -> bool:
+    def is_balanced(self) -> bool:
         """True when every cycle is balanced; no cycle is listed.
 
         It suffices that every fundamental cycle of one spanning forest is
@@ -159,8 +159,7 @@ class BiasedGraph:
         So the two cycles "Q plus an arc" have fewer than k non-tree edges
         each and are balanced; they form a theta with C, so C is balanced
         too.  Signed bias answers by a switching test instead (Harary
-        1953).  This is :func:`balanced_without` with nothing removed;
-        ``caps`` is not consumed.
+        1953).  This is :func:`balanced_without` with nothing removed.
         """
         return balanced_without(self)
 
@@ -296,21 +295,16 @@ def _thirds(
 ) -> Iterator[tuple[Cycle, frozenset[int]]]:
     """(d, third) for each d of `others` that forms a theta with c whose
     third cycle's edge set is not in `known`.  `known` is read at each d,
-    so a third the caller adds meanwhile is not yielded again.
-
-    Two cycles form a theta exactly when they meet in a path whose vertices
-    are all they share; the third cycle is their symmetric difference.
+    so a third the caller adds meanwhile is not yielded again.  The
+    membership test comes before the theta test (:func:`is_theta_pair`),
+    which costs more.
     """
-    edges, vertices = c.edge_set, c.vertex_set
+    edges = c.edge_set
     for d in others:
-        inter = edges & d.edge_set
-        if not inter:
+        if edges.isdisjoint(d.edge_set):
             continue
         third = edges ^ d.edge_set
-        if third in known:
-            continue
-        pv = edge_path_vertices(g, inter)
-        if pv is not None and vertices & d.vertex_set == pv:
+        if third not in known and is_theta_pair(g, c, d):
             yield d, third
 
 

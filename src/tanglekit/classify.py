@@ -1497,7 +1497,7 @@ def _decompose(o: BiasedGraph, caps: Caps) -> SumDecomposition:
             balanced_sides = []
             unbalanced = 0
             for b in vc.bridges:
-                if cur.restrict_edges(b.edges).is_balanced(caps):
+                if cur.restrict_edges(b.edges).is_balanced():
                     balanced_sides.append(b)
                 else:
                     unbalanced += 1
@@ -1514,7 +1514,7 @@ def _decompose(o: BiasedGraph, caps: Caps) -> SumDecomposition:
                         b
                         for b in vc.bridges
                         if len(b.interior) >= (2 if proper else 1)
-                        and cur.restrict_edges(b.edges).is_balanced(caps)
+                        and cur.restrict_edges(b.edges).is_balanced()
                     ]
                     if sides:
                         pick = (

@@ -8,10 +8,12 @@ degree three and the rest of degree two, equivalently the union of two
 cycles whose intersection is a path with at least one edge.
 
 The graph owns its cycle list: :meth:`MultiGraph.cycles` enumerates it once
-and keeps it, and every layer above (bias, tangles, families, classify)
-reads that one list.  A bias only sorts it into balanced and unbalanced.
-A caller that may stop early reads :func:`cycles_by_length` instead, which
-builds one length at a time from the open paths of the length before.
+and keeps it, and every layer above that needs all cycles reads that one
+list.  A bias only sorts it into balanced and unbalanced.  Questions that
+need no list read the fundamental cycles of a spanning forest
+(:func:`fundamental_cycles`) or the vertex sets of the chordless cycles
+(:func:`chordless_vertex_sets`) instead.  Whether two cycles form a
+theta is one rule (:func:`is_theta_pair`).
 The graph also keeps one adjacency index, which its walks (components,
 cycles, fundamental cycles, lowpoint searches, switching tests) read.
 Minimal vertex cuts are read off the cut vertices that lowpoint searches
@@ -497,41 +499,6 @@ def cycles_inside(g: MultiGraph, edges: Iterable[int], caps: Caps = DEFAULT_CAPS
     return tuple(c for c in g.cycles(caps) if c.edge_set <= allowed)
 
 
-def cycles_by_length(g: MultiGraph, caps: Caps = DEFAULT_CAPS) -> Iterator[Cycle]:
-    """All cycles of g in ``Cycle.sort_key`` order, built one length at a time.
-
-    The open rooted paths with L edges close up into the cycles of length
-    L + 1 and extend into the open paths with L + 1 edges, so each layer
-    costs one step from the last.  A caller that stops early never builds
-    the longer layers.  Raises ResourceLimitError("enumerate_cycles") once
-    the layers built so far hold more than ``caps.max_cycles`` cycles.
-    """
-    built = 0
-    adj = g._adjacency
-    paths = [((s,), ()) for s in g.vertices]  # (vertex path, edge path)
-    # a cycle with three or more edges visits as many distinct vertices
-    top = min(g.m, max(g.n, 2))
-    for length in range(1, top + 1):
-        layer = list(_short_cycles(g, length)) if length <= 2 else []
-        longer: list[tuple[tuple[int, ...], tuple[int, ...]]] = []
-        for vpath, epath in paths:
-            s = vpath[0]
-            for y, e in adj[vpath[-1]]:
-                if y == s:
-                    if len(epath) >= 2 and vpath[1] < vpath[-1]:
-                        layer.append(Cycle.from_walk(epath + (e,), vpath))
-                        if built + len(layer) > caps.max_cycles:
-                            raise ResourceLimitError("enumerate_cycles", caps.max_cycles)
-                elif y > s and y not in vpath and length < top:
-                    longer.append((vpath + (y,), epath + (e,)))
-        built += len(layer)
-        if built > caps.max_cycles:
-            raise ResourceLimitError("enumerate_cycles", caps.max_cycles)
-        paths = longer
-        layer.sort(key=Cycle.sort_key)
-        yield from layer
-
-
 def fundamental_cycles(g: MultiGraph, removed: Iterable[int] = ()) -> Iterator[tuple[int, frozenset[int]]]:
     """(non-tree edge, edge set of its fundamental cycle) for each edge
     outside a breadth-first spanning forest of g - removed (a set of
@@ -619,40 +586,19 @@ class ThetaSubgraph:
     edge_set: frozenset[int]
 
 
-def edge_path_vertices(g: MultiGraph, edges: frozenset[int]) -> frozenset[int] | None:
-    """Vertex set if `edges` forms a path with >= 1 edge, else None."""
-    deg: dict[int, int] = {}
-    for e in edges:
-        u, v = g.endpoints(e)
-        if u == v:
-            return None
-        deg[u] = deg.get(u, 0) + 1
-        deg[v] = deg.get(v, 0) + 1
-    if len(deg) != len(edges) + 1:
-        return None
-    ends = [v for v, d in deg.items() if d == 1]
-    if len(ends) != 2 or any(d > 2 for d in deg.values()):
-        return None
-    # connectivity: walk from one end
-    inc: dict[int, list[int]] = {}
-    for e in edges:
-        u, v = g.endpoints(e)
-        inc.setdefault(u, []).append(e)
-        inc.setdefault(v, []).append(e)
-    seen_e: set[int] = set()
-    cur = ends[0]
-    prev_e = -1
-    while True:
-        nxt = [e for e in inc[cur] if e != prev_e and e not in seen_e]
-        if not nxt:
-            break
-        e = nxt[0]
-        seen_e.add(e)
-        cur = g.other_end(e, cur)
-        prev_e = e
-    if len(seen_e) != len(edges):
-        return None
-    return frozenset(deg)
+def is_theta_pair(g: MultiGraph, c: Cycle, d: Cycle) -> bool:
+    """Whether cycles c and d of g form a theta: they meet in a path with at
+    least one edge whose vertices are all they share.  The third cycle is
+    the symmetric difference of their edge sets.
+
+    The shared edges lie on the cycle c, so they form disjoint paths, or
+    all of c when d = c.  They form one path exactly when their ends make
+    one more vertex than they have edges.
+    """
+    shared = c.edge_set & d.edge_set
+    ends = g.edge_map
+    path = {x for e in shared for x in ends[e]}
+    return len(path) == len(shared) + 1 and c.vertex_set & d.vertex_set == path
 
 
 def enumerate_theta_subgraphs(
@@ -669,13 +615,7 @@ def enumerate_theta_subgraphs(
     seen: dict[frozenset[int], ThetaSubgraph] = {}
     for i, c1 in enumerate(cyc):
         for c2 in cyc[i + 1:]:
-            inter = c1.edge_set & c2.edge_set
-            if not inter:
-                continue
-            pv = edge_path_vertices(g, inter)
-            if pv is None:
-                continue
-            if (c1.vertex_set & c2.vertex_set) != pv:
+            if not is_theta_pair(g, c1, c2):
                 continue
             union = c1.edge_set | c2.edge_set
             if union in seen:

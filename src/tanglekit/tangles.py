@@ -11,12 +11,12 @@ graph, or the graph left after deleting some vertices, is balanced
 (:func:`~tanglekit.bias.balanced_without`: a switching test for signed
 bias, fundamental cycles of a spanning forest otherwise).  A vertex v
 blocks when o - v is balanced, and a pair {v, w} blocks when o - {v, w}
-is.  Whether two disjoint unbalanced cycles exist is read off the
-chordless cycles of the support (:func:`disjoint_unbalanced_pair_exists`),
-so no verdict lists a cycle, and a standard partition tests one cycle
-per edge and part.  Only the pair that certifies a
-:class:`TwoDisjointUnbalanced` verdict is searched for among cycles
-generated shortest first (:func:`find_disjoint_unbalanced_pair`).
+is.  Two disjoint unbalanced cycles are found from the vertex sets of
+the loops, parallel classes and chordless cycles of the support: the
+first set S that leaves both o[S] and o - S unbalanced gives the pair,
+one unbalanced fundamental cycle on each side
+(:func:`find_disjoint_unbalanced_pair`).  So no verdict lists a cycle,
+and a standard partition tests one cycle per edge and part.
 """
 
 from __future__ import annotations
@@ -25,7 +25,7 @@ from dataclasses import dataclass
 from itertools import chain, combinations
 
 from .bias import BiasedGraph, balanced_without
-from .graph import Cycle, chordless_vertex_sets, cycles_by_length
+from .graph import Cycle, chordless_vertex_sets, fundamental_cycles
 from .limits import DEFAULT_CAPS, Caps, ResourceLimitError
 
 
@@ -80,92 +80,77 @@ class StandardPartition:
         raise KeyError(edge_id)
 
 
-def _vertex_mask(index: dict[int, int], c: Cycle) -> int:
-    m = 0
-    for v in c.vertex_set:
-        m |= 1 << index[v]
-    return m
-
-
 def find_disjoint_unbalanced_pair(
     o: BiasedGraph, caps: Caps = DEFAULT_CAPS
 ) -> tuple[Cycle, Cycle] | None:
-    """First vertex-disjoint pair of unbalanced cycles, or None.
-
-    "First" is in the order of the pairs (i, j), i < j, of the unbalanced
-    cycles sorted by ``Cycle.sort_key``.  That pair is read off balance
-    tests, whatever the bias kind: its first cycle is the first unbalanced
-    C for which o - V(C) is unbalanced (an earlier partner of a later
-    cycle would come first), and its second is the first unbalanced cycle
-    of o - V(C).  Cycles are generated one length at a time, counting
-    against ``caps.max_cycles`` per graph searched; each balance test
-    counts against ``caps.max_theta_pairs``.  A cycle whose vertex set
-    contains that of a rejected one is skipped, as its remainder lies
-    inside a balanced graph.
-    """
-    g = o.graph
-    index = {v: i for i, v in enumerate(g.vertices)}
-    rejected: list[int] = []
-    tests = 0
-    for c in cycles_by_length(g, caps):
-        if o.balance(c):
-            continue
-        mask = _vertex_mask(index, c)
-        if any(r & mask == r for r in rejected):
-            continue
-        tests += 1
-        if tests > caps.max_theta_pairs:
-            raise ResourceLimitError("disjoint-pair scan", caps.max_theta_pairs)
-        if balanced_without(o, c.vertex_set):
-            rejected.append(mask)
-            continue
-        rest = g.delete_vertices(c.vertex_set)
-        return c, next(d for d in cycles_by_length(rest, caps) if not o.balance(d))
-    return None
-
-
-def disjoint_unbalanced_pair_exists(o: BiasedGraph, caps: Caps = DEFAULT_CAPS) -> bool:
-    """Whether o has two vertex-disjoint unbalanced cycles; no cycle is listed.
+    """Two vertex-disjoint unbalanced cycles, or None when o has none.
 
     A chord splits an unbalanced cycle into two cycles on fewer vertices,
     which form a theta with it, so by the theta property one of them is
     unbalanced.  So if a pair exists, one exists whose first cycle has the
     vertex set of a loop, of a parallel class or of a chordless cycle of
     the simple support.  A pair therefore exists exactly when some such
-    vertex set S leaves both o[S] and o - S unbalanced: two tests of
-    :func:`~tanglekit.bias.balanced_without` per set, each set counted
-    against ``caps.max_theta_pairs``.  This holds for every bias kind.
+    vertex set S leaves both o[S] and o - S unbalanced.  The scan walks
+    the loop vertices and the parallel pairs, both sorted, then
+    :func:`~tanglekit.graph.chordless_vertex_sets`, and stops at the first
+    such S: two tests of :func:`~tanglekit.bias.balanced_without` per set,
+    each set counted against ``caps.max_theta_pairs``.  This holds for
+    every bias kind.
+
+    The pair is read off S: the first unbalanced fundamental cycle of
+    o[S] and the first of o - S (:func:`_unbalanced_fundamental_cycle`).
+    Both reads find one.  For a signed bias, a graph whose fundamental
+    cycles all meet the signature evenly has a switching that makes every
+    edge positive, built along the forest (Harary 1953), so it is
+    balanced.  Any other bias was tested on these very cycles, since
+    ``balanced_without`` reads the same forest.  The two cycles lie in S
+    and in V - S, so they are disjoint.  Balance tests are exact for every
+    bias, so a signed graph and its explicit copy stop at the same S and
+    read the same pair.
     """
     g = o.graph
-    short = {frozenset((v,)) for _, v in g.loops}
-    short.update(frozenset(p) for p in g.simple_pairs() if len(g.edges_between(*p)) > 1)
+    loops = [frozenset((v,)) for v in sorted({v for _, v in g.loops})]
+    parallel = [frozenset(p) for p in g.simple_pairs() if len(g.edges_between(*p)) > 1]
     tests = 0
-    for part in chain(short, chordless_vertex_sets(g, caps)):
+    for part in chain(loops, parallel, chordless_vertex_sets(g, caps)):
         tests += 1
         if tests > caps.max_theta_pairs:
             raise ResourceLimitError("disjoint-pair scan", caps.max_theta_pairs)
-        if not balanced_without(o, g.vertex_set - part) and not balanced_without(o, part):
-            return True
-    return False
+        rest = g.vertex_set - part
+        if not balanced_without(o, rest) and not balanced_without(o, part):
+            return _unbalanced_fundamental_cycle(o, rest), _unbalanced_fundamental_cycle(o, part)
+    return None
 
 
-def blocking_vertices(o: BiasedGraph, caps: Caps = DEFAULT_CAPS) -> frozenset[int]:
+def _unbalanced_fundamental_cycle(o: BiasedGraph, removed: frozenset[int]) -> Cycle:
+    """The first unbalanced fundamental cycle of o - removed, which must be
+    unbalanced; the proof that one exists is in
+    :func:`find_disjoint_unbalanced_pair`."""
+    for _, edges in fundamental_cycles(o.graph, removed):
+        if not o.balance_of(edges):
+            return Cycle.from_edge_set(o.graph, edges)
+
+
+def disjoint_unbalanced_pair_exists(o: BiasedGraph, caps: Caps = DEFAULT_CAPS) -> bool:
+    """Whether o has two vertex-disjoint unbalanced cycles
+    (:func:`find_disjoint_unbalanced_pair`); no cycle is listed."""
+    return find_disjoint_unbalanced_pair(o, caps) is not None
+
+
+def blocking_vertices(o: BiasedGraph) -> frozenset[int]:
     """Vertices meeting every unbalanced cycle; all of V if balanced.
 
     v qualifies when o - v is balanced, one balance test per vertex.
-    ``caps`` is not consumed.
     """
     return frozenset(v for v in o.graph.vertices if balanced_without(o, (v,)))
 
 
-def blocking_pairs(
-    o: BiasedGraph, caps: Caps = DEFAULT_CAPS
-) -> tuple[tuple[int, int], ...]:
+def blocking_pairs(o: BiasedGraph) -> tuple[tuple[int, int], ...]:
     """Pairs {v, w}, neither blocking alone, meeting every unbalanced cycle.
 
     {v, w} qualifies when o - {v, w} is balanced.
     """
-    if o.is_balanced(caps):
+    if o.is_balanced():
         return ()
     free = [v for v in o.graph.vertices if not balanced_without(o, (v,))]
     return tuple(p for p in combinations(free, 2) if balanced_without(o, p))
@@ -176,28 +161,24 @@ def is_tangled(o: BiasedGraph, caps: Caps = DEFAULT_CAPS) -> TangleVerdict:
 
     A blocking vertex rules out a disjoint pair (both cycles would need
     it), so the verdicts are mutually exclusive.  The least blocking
-    vertex ends the search, and the pair test lists no cycle, so only a
-    :class:`TwoDisjointUnbalanced` verdict generates cycles, to name its
-    pair.
+    vertex ends the search, and one scan decides a disjoint pair and
+    names it (:func:`find_disjoint_unbalanced_pair`), so no verdict lists
+    a cycle.  Only that scan counts against ``caps``.
     """
-    if o.is_balanced(caps):
+    if o.is_balanced():
         return Balanced()
     for v in o.graph.vertices:
         if balanced_without(o, (v,)):
             return HasBlockingVertex(v)
-    if not disjoint_unbalanced_pair_exists(o, caps):
-        return Tangled()
-    return TwoDisjointUnbalanced(*find_disjoint_unbalanced_pair(o, caps))
+    pair = find_disjoint_unbalanced_pair(o, caps)
+    return Tangled() if pair is None else TwoDisjointUnbalanced(*pair)
 
 
-def standard_partition(
-    o: BiasedGraph, v: int, caps: Caps = DEFAULT_CAPS
-) -> StandardPartition:
+def standard_partition(o: BiasedGraph, v: int) -> StandardPartition:
     """Partition delta(v) by "every cycle through both edges is balanced".
 
     Requires v to be a blocking vertex with o - v connected.  Loops at v
-    are not part of the partition, and ``caps`` is not consumed: no
-    cycle is listed.
+    are not part of the partition, and no cycle is listed.
 
     Then one path decides each pair.  Take edges e = vx and f = vy and
     two x-y paths P and Q of the balanced graph o - v; the cycles e P f

@@ -9,6 +9,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import tanglekit.bias as bias_module
+import tanglekit.graph as graph_module
 from tanglekit.graph import (
     Cycle,
     GraphError,
@@ -81,21 +82,22 @@ def test_signature_must_exist():
         make_signed(k4(), {99})
 
 
-def test_all_balanced_and_all_unbalanced():
+def test_all_balanced_and_all_unbalanced(monkeypatch):
     o = BiasedGraph(k4(), AllBalanced())
     assert o.is_balanced()
     u = BiasedGraph(k4(), AllUnbalanced())
     assert not u.balanced_cycles()
     # all-balanced is balanced, and all-unbalanced is balanced exactly when
     # the graph has no cycle, loops and digons included; neither enumerates
-    none = Caps(max_cycles=0)
     rng = random.Random(41)
     graphs = [random_multigraph(rng, max_n=6, max_extra=rng.randint(0, 2), allow_loops=True) for _ in range(60)]
     graphs.append(MultiGraph.from_pairs([(0, 1), (2, 3)]))
     assert any(g.m >= g.n for g in graphs) and any(g.m < g.n for g in graphs)
-    for g in graphs:
-        assert BiasedGraph(g, AllBalanced()).is_balanced(none)
-        assert BiasedGraph(g, AllUnbalanced()).is_balanced(none) == (not g.cycles())
+    acyclic = [not enumerate_cycles(g) for g in graphs]
+    monkeypatch.setattr(graph_module, "enumerate_cycles", lambda *args: pytest.fail("a cycle list was built"))
+    for g, no_cycle in zip(graphs, acyclic):
+        assert BiasedGraph(g, AllBalanced()).is_balanced()
+        assert BiasedGraph(g, AllUnbalanced()).is_balanced() == no_cycle
 
 
 @settings(max_examples=40, deadline=None)

@@ -65,7 +65,6 @@ from tanglekit.limits import DEFAULT_CAPS, Caps, ResourceLimitError
 from tanglekit.tangles import (
     Tangled,
     disjoint_unbalanced_pair_exists,
-    find_disjoint_unbalanced_pair,
     is_tangled,
 )
 
@@ -83,6 +82,7 @@ from oracles import (
     oracle_detect_special_triple,
     oracle_detect_special_vertex,
     oracle_detect_tricoloured,
+    oracle_disjoint_unbalanced_pair,
     oracle_explicit_core,
     oracle_extract_wheel,
     oracle_layout_tricoloured,
@@ -1416,7 +1416,7 @@ def test_pair_test_matches_the_pair_scan_on_explicit_input(monkeypatch):
     assert all(isinstance(core.bias, (ExplicitSet, Lifted)) for core in cores)
     assert sum(isinstance(core.bias, Lifted) for core in cores) > 40
     for o in members + cores:
-        assert disjoint_unbalanced_pair_exists(o) == (find_disjoint_unbalanced_pair(o) is not None)
+        assert disjoint_unbalanced_pair_exists(o) == (oracle_disjoint_unbalanced_pair(o) is not None)
         assert_balance_without_matches_the_cycle_list(o, 1)
 
 

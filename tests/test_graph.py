@@ -15,7 +15,6 @@ from tanglekit.graph import (
     _cut_vertices,
     bridges_of_cut,
     chordless_vertex_sets,
-    cycles_by_length,
     enumerate_cycles,
     enumerate_theta_subgraphs,
     find_vertex_cuts,
@@ -90,25 +89,15 @@ def test_cycle_key_matches_the_all_rotations_scan():
     assert walks > 5000
 
 
-def test_cycles_by_length_lists_every_cycle_in_order():
-    # the layers against the depth-first enumeration, and both against
-    # the oracle that extends plain paths
+def test_enumerate_cycles_matches_the_path_scan_in_order():
+    # the depth-first enumeration against the oracle that extends plain
+    # paths, and its order against Cycle.sort_key
     rng = random.Random(31)
     for _ in range(300):
         g = random_multigraph(rng, max_n=9, max_extra=7, allow_loops=True)
         listed = enumerate_cycles(g)
-        assert tuple(cycles_by_length(g)) == listed
+        assert list(listed) == sorted(listed, key=Cycle.sort_key)
         assert {c.edge_set for c in listed} == set(_scan_cycles(g, Caps()))
-
-
-def test_cycles_by_length_counts_only_the_layers_it_built():
-    g = MultiGraph.from_pairs([(0, 1), (0, 2), (0, 3), (0, 4), (1, 2), (1, 3), (1, 4), (2, 3), (2, 4), (3, 4)])
-    # K5: 10 triangles, 15 four-cycles, 12 five-cycles
-    layers = cycles_by_length(g, Caps(max_cycles=10))
-    assert [len(next(layers)) for _ in range(10)] == [3] * 10
-    with pytest.raises(ResourceLimitError) as err:
-        next(layers)
-    assert err.value.stage == "enumerate_cycles"
 
 
 def test_chordless_vertex_sets_are_the_induced_cycles_of_the_support():

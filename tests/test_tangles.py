@@ -9,7 +9,7 @@ from collections import Counter
 import pytest
 from hypothesis import assume, given, settings, strategies as st
 
-from tanglekit.graph import MultiGraph, enumerate_cycles
+from tanglekit.graph import Cycle, MultiGraph
 from tanglekit.bias import (
     AllUnbalanced,
     BiasedGraph,
@@ -39,7 +39,6 @@ from tanglekit.tangles import (
 from tanglekit.limits import DEFAULT_CAPS, Caps, ResourceLimitError
 
 import tanglekit.graph as graph_module
-import tanglekit.tangles as tangles_module
 from census import switching_classes
 from oracles import (
     ORACLE_VERTICES,
@@ -82,6 +81,42 @@ def wheel4() -> MultiGraph:
         range(5),
         [(0, 1, 2), (1, 2, 3), (2, 3, 4), (3, 4, 1), (4, 0, 1), (5, 0, 2), (6, 0, 3), (7, 0, 4)],
     )
+
+
+def two_odd_triangles() -> BiasedGraph:
+    # two odd triangles joined by an edge
+    g = MultiGraph.from_pairs([(0, 1), (1, 2), (2, 0), (3, 4), (4, 5), (5, 3), (2, 3)])
+    return make_signed(g, {0, 3})
+
+
+def dense_signed() -> BiasedGraph:
+    # K9 less the edges {i, i+2}: more unbalanced cycles than the square
+    # root of the pair cap
+    g = MultiGraph.from_pairs([p for p in itertools.combinations(range(9), 2) if p[1] - p[0] != 2])
+    return make_signed(g, [e for e in g.edge_ids if e % 3 == 0])
+
+
+def refuse_cycle_list(*args, **kwargs):
+    raise AssertionError("a cycle list was built")
+
+
+def assert_valid_pair(o: BiasedGraph, pair) -> None:
+    """Both cycles are cycles of o.graph, both are unbalanced, and they
+    share no vertex; no cycle is listed."""
+    for c in pair:
+        assert Cycle.from_edge_set(o.graph, c.edge_set) == c
+        assert not o.balance(c)
+    assert not pair[0].vertex_set & pair[1].vertex_set
+
+
+def assert_same_verdict(o: BiasedGraph, verdict, expected) -> None:
+    """The verdict is the expected one, but for the pair it names: only its
+    type is compared, and the pair is checked to be valid."""
+    assert type(verdict) is type(expected)
+    if isinstance(verdict, TwoDisjointUnbalanced):
+        assert_valid_pair(o, (verdict.first, verdict.second))
+    else:
+        assert verdict == expected
 
 
 # -- verdicts ----------------------------------------------------------------------
@@ -138,21 +173,18 @@ def test_single_unbalanced_loop():
 
 
 def test_dense_graph_gets_a_disjoint_pair_at_default_caps():
-    # K9 less the edges {i, i+2}: more unbalanced cycles than the square
-    # root of the pair cap, but a disjoint pair turns up early in the scan
-    pairs = [p for p in itertools.combinations(range(9), 2) if p[1] - p[0] != 2]
-    g = MultiGraph.from_pairs(pairs)
-    o = make_signed(g, [e for e in g.edge_ids if e % 3 == 0])
+    # a disjoint pair turns up early in the scan
+    o = dense_signed()
     assert len(o.unbalanced_cycles()) ** 2 > DEFAULT_CAPS.max_theta_pairs
     pair = find_disjoint_unbalanced_pair(o)
-    assert pair is not None and not pair[0].vertex_set & pair[1].vertex_set
+    assert pair is not None
+    assert_valid_pair(o, pair)
     assert isinstance(is_tangled(o), TwoDisjointUnbalanced)
 
 
 def test_pair_scan_cap_counts_scanned_pairs():
-    # K5 has no two disjoint cycles: each of the 10 triangles leaves a
-    # balanced edge, and every longer cycle contains a rejected triangle,
-    # so the search makes 10 balance tests
+    # K5 has no two disjoint cycles: each of its 10 chordless triangles
+    # leaves a balanced edge, so the scan makes 10 balance tests
     o = BiasedGraph(k5(), AllUnbalanced())
     assert find_disjoint_unbalanced_pair(o, Caps(max_theta_pairs=10)) is None
     with pytest.raises(ResourceLimitError) as err:
@@ -180,8 +212,7 @@ def test_verdicts_exclusive_and_exhaustive(seed):
         assert not has_pair
     elif has_pair:
         assert isinstance(verdict, TwoDisjointUnbalanced)
-        assert not o.balance(verdict.first) and not o.balance(verdict.second)
-        assert not (verdict.first.vertex_set & verdict.second.vertex_set)
+        assert_valid_pair(o, (verdict.first, verdict.second))
     else:
         assert verdict == Tangled()
 
@@ -374,8 +405,7 @@ def test_is_tangled_agrees_with_definitional_scan():
         if isinstance(fast, HasBlockingVertex):
             assert all(fast.vertex in c.vertex_set for c in unbalanced)
         if isinstance(fast, TwoDisjointUnbalanced):
-            assert not fast.first.vertex_set & fast.second.vertex_set
-            assert not o.balance(fast.first) and not o.balance(fast.second)
+            assert_valid_pair(o, (fast.first, fast.second))
     assert seen == {Balanced, HasBlockingVertex, TwoDisjointUnbalanced, Tangled}
 
 
@@ -401,16 +431,17 @@ def signed_inputs() -> list[BiasedGraph]:
 
 def test_signed_verdict_equals_the_explicit_copy():
     # the signed original takes switching tests and the explicit copy
-    # fundamental cycles; both agree with the cycle-list oracles, pair
-    # scan and blocking pairs included, and with the pair test that lists
-    # no cycle
+    # fundamental cycles; both give the same verdict, pair included, and
+    # agree with the cycle-list oracles on the verdict type and the
+    # blocking structure
     seen = set()
     pairs = 0
     for o in signed_inputs():
         assert isinstance(o.bias, Signed)
         copy = make_explicit(o.graph, o.balanced_cycles())
         verdict = is_tangled(o)
-        assert verdict == is_tangled(copy) == oracle_cycle_list_verdict(o)
+        assert verdict == is_tangled(copy)
+        assert_same_verdict(o, verdict, oracle_cycle_list_verdict(o))
         assert blocking_vertices(o) == blocking_vertices(copy) == oracle_blocking_vertices(o)
         assert blocking_pairs(o) == blocking_pairs(copy) == oracle_blocking_pairs(o)
         assert o.is_balanced() == copy.is_balanced()
@@ -436,32 +467,32 @@ def test_balance_without_vertices_matches_the_cycle_list_on_explicit_copies():
                 compared += 1
                 unbalanced += not definition
         # the pair test that lists no cycle, against the scan of all pairs
-        found = find_disjoint_unbalanced_pair(copy) is not None
+        found = oracle_disjoint_unbalanced_pair(copy) is not None
         assert disjoint_unbalanced_pair_exists(copy) == found
         pairs += found
     assert compared > 7000 and unbalanced > 3000 and pairs > 50
 
 
-def test_signed_verdicts_need_no_cycle_list():
+def test_signed_verdicts_need_no_cycle_list(monkeypatch):
+    monkeypatch.setattr(graph_module, "enumerate_cycles", refuse_cycle_list)
     none = Caps(max_cycles=0)
     assert is_tangled(make_signed(k5(), ()), none) == Balanced()
     assert is_tangled(make_signed(wheel4(), {4}), none) == HasBlockingVertex(0)
     # every triangle of K4 is odd, so every pair blocks and no vertex does
-    assert blocking_pairs(make_signed(k4(), k4().edge_ids), none) == tuple(itertools.combinations(range(4), 2))
-    assert blocking_pairs(make_signed(k5(), ()), none) == ()
+    assert blocking_pairs(make_signed(k4(), k4().edge_ids)) == tuple(itertools.combinations(range(4), 2))
+    assert blocking_pairs(make_signed(k5(), ())) == ()
 
 
 def test_signed_pair_search_counts_switching_tests():
     # two odd triangles joined by an edge: one test finds the pair
-    g = MultiGraph.from_pairs([(0, 1), (1, 2), (2, 0), (3, 4), (4, 5), (5, 3), (2, 3)])
-    o = make_signed(g, {0, 3})
+    o = two_odd_triangles()
     with pytest.raises(ResourceLimitError) as err:
         find_disjoint_unbalanced_pair(o, Caps(max_theta_pairs=0))
     assert err.value.stage == "disjoint-pair scan"
     first, second = find_disjoint_unbalanced_pair(o, Caps(max_theta_pairs=1, max_cycles=2))
     assert (first.key, second.key) == ((0, 1, 2), (3, 4, 5))
-    # K5 with every edge odd: each of the 10 odd triangles leaves one edge,
-    # and the 12 odd 5-cycles contain a rejected triangle, so 10 tests
+    # K5 with every edge odd: the scan tests its 10 chordless triangles,
+    # each of which leaves one edge
     o = make_signed(k5(), k5().edge_ids)
     assert find_disjoint_unbalanced_pair(o, Caps(max_theta_pairs=10)) is None
     with pytest.raises(ResourceLimitError) as err:
@@ -470,12 +501,12 @@ def test_signed_pair_search_counts_switching_tests():
 
 
 def test_signed_pair_search_counts_generated_cycles():
-    # K5 with every edge odd has no disjoint pair, so the search builds
-    # every layer: 10 triangles, 15 four-cycles and 12 five-cycles
+    # K5 with every edge odd has no disjoint pair, so the scan walks every
+    # chordless vertex set: the 10 triangles
     o = make_signed(k5(), k5().edge_ids)
-    assert find_disjoint_unbalanced_pair(o, Caps(max_cycles=37)) is None
+    assert find_disjoint_unbalanced_pair(o, Caps(max_cycles=10)) is None
     with pytest.raises(ResourceLimitError) as err:
-        find_disjoint_unbalanced_pair(o, Caps(max_cycles=36))
+        find_disjoint_unbalanced_pair(o, Caps(max_cycles=9))
     assert err.value.stage == "enumerate_cycles"
 
 
@@ -539,27 +570,48 @@ def test_verdicts_of_any_bias_match_the_cycle_list_oracles():
     for o in non_signed_inputs():
         assert not isinstance(o.bias, Signed)
         verdict = is_tangled(o)
-        assert verdict == oracle_cycle_list_verdict(o)
+        assert_same_verdict(o, verdict, oracle_cycle_list_verdict(o))
         assert blocking_vertices(o) == oracle_blocking_vertices(o)
         assert blocking_pairs(o) == oracle_blocking_pairs(o)
-        assert find_disjoint_unbalanced_pair(o) == oracle_disjoint_unbalanced_pair(o)
+        pair = find_disjoint_unbalanced_pair(o)
+        assert (pair is None) == (oracle_disjoint_unbalanced_pair(o) is None)
+        if pair is not None:
+            assert_valid_pair(o, pair)
         if o.graph.n <= ORACLE_VERTICES:
-            assert verdict == oracle_is_tangled(o)
+            assert_same_verdict(o, verdict, oracle_is_tangled(o))
         seen.add(type(verdict))
         pairs += len(blocking_pairs(o))
     assert seen == {Balanced, HasBlockingVertex, TwoDisjointUnbalanced, Tangled}
     assert pairs > 100
 
 
-@pytest.mark.parametrize("make", [c4_criss_cross, minimal_special_vertex], ids=["criss-cross-c4", "special-vertex"])
-def test_tangled_verdict_lists_no_cycle(make, monkeypatch):
-    o = build_family(make())
+@pytest.mark.parametrize(
+    "make",
+    [
+        lambda: make_signed(k5(), ()),
+        lambda: make_signed(wheel4(), {4}),
+        two_odd_triangles,
+        dense_signed,
+        lambda: build_family(c4_criss_cross()),
+        lambda: build_family(minimal_special_vertex()),
+    ],
+    ids=["balanced", "blocking-vertex", "two-odd-triangles", "dense", "criss-cross-c4", "special-vertex"],
+)
+def test_no_verdict_lists_a_cycle(make, monkeypatch):
+    # no cycle list is built, and no Cycle but the two a pair names
+    o = make()
+    expected = oracle_cycle_list_verdict(o)
     fresh = BiasedGraph(MultiGraph.build(o.graph.vertices, o.graph.edge_map), o.bias)
+    built = []
+    init = Cycle.__init__
 
-    def refuse(*args, **kwargs):
-        raise AssertionError("a cycle list was built")
+    def counted(self, *args):
+        built.append(args)
+        init(self, *args)
 
-    monkeypatch.setattr(graph_module, "enumerate_cycles", refuse)
-    monkeypatch.setattr(graph_module, "cycles_by_length", refuse)
-    monkeypatch.setattr(tangles_module, "cycles_by_length", refuse)
-    assert is_tangled(fresh) == Tangled()
+    monkeypatch.setattr(graph_module, "enumerate_cycles", refuse_cycle_list)
+    monkeypatch.setattr(Cycle, "__init__", counted)
+    verdict = is_tangled(fresh)
+    monkeypatch.undo()
+    assert len(built) == (2 if isinstance(verdict, TwoDisjointUnbalanced) else 0)
+    assert_same_verdict(fresh, verdict, expected)
