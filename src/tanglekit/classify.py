@@ -2,9 +2,10 @@
 
 This module turns the structural trichotomy into executable searches:
 ``decompose`` peels balanced summands at 1-, 2- and 3-vertex cuts until a
-4-connected core or a generalized-wheel shape remains, and ``classify``
-matches the input against every concrete family, attaching a
-re-verifiable certificate to each label it reports.
+4-connected core or a generalized-wheel shape remains, searching for the
+cuts once, on the input, and carrying them through each peel; and
+``classify`` matches the input against every concrete family, attaching
+a re-verifiable certificate to each label it reports.
 
 A signed input stays signed through ``decompose``: each virtual edge of a
 peeled core takes the sign of a path through the balanced side it stands
@@ -59,13 +60,17 @@ from .bias import (
 from .embedding import collapse_cyclic, ordered_planarity
 from .families import Certificate, FamilyDescriptor, FamilyError, t_sum, verify_family
 from .graph import (
+    Bridge,
     MultiGraph,
     VertexCut,
+    bridges_of_cut,
     cycles_with,
     find_vertex_cuts,
     fundamental_cycles,
     is_two_connected,
+    _cut_vertices,
     _rings,
+    _search_passes,
 )
 from .limits import DEFAULT_CAPS, Caps, ResourceLimitError
 from .tangles import (
@@ -598,30 +603,42 @@ def _detect_k5_parallel(o: BiasedGraph, caps: Caps, bases: _Bases) -> _Hit | Non
 def _detect_fat_triangle(o: BiasedGraph, caps: Caps, bases: _Bases) -> _Hit | None:
     """Three corners whose pairwise parallel classes carry the residual edges.
 
-    A fat set whose base E - fat lies inside no maximal balanced set
-    fails "base cycles balanced" and never reaches ``verify_family``.
-    The other fat sets are residuals E - m of maximal balanced sets m,
-    so this search lists them.
+    The fat sets tried are the whole of the three classes and each
+    residual E - m of a maximal balanced set m that lies inside them and
+    meets all three, smallest first.  A fat set whose base E - fat is
+    unbalanced fails "base cycles balanced" and never reaches
+    ``verify_family``.
+
+    The residuals are read off the classes: r is one exactly when E - r
+    is balanced and E - r plus any edge of r is not, and ``bases.holds``
+    answers both with no listing on non-signed input.  ``classify`` hands
+    only simple input here, where two edges of one class make an
+    unbalanced digon, so E - r keeps at most one edge of each class: r
+    takes all of a class, or all of it but one edge.
     """
     g = o.graph
     if g.n < 3 or any(g.is_loop(e) for e in g.edge_ids):
         return None
-    residuals = [g.edge_id_set - m for m in bases]
+
+    def balanced_base(fat: frozenset[int]) -> bool:
+        return bases.holds(g.edge_id_set - fat)
+
     for a, b, c in combinations(sorted(g.vertex_set), 3):
-        fab = frozenset(g.edges_between(a, b))
-        fbc = frozenset(g.edges_between(b, c))
-        fca = frozenset(g.edges_between(c, a))
-        if not (fab and fbc and fca):
+        classes = [frozenset(g.edges_between(u, v)) for u, v in ((a, b), (b, c), (c, a))]
+        if not all(classes):
             continue
-        full = fab | fbc | fca
-        fats = {full}
-        for r in residuals:
-            if r and r <= full and r & fab and r & fbc and r & fca:
-                fats.add(frozenset(r))
+        full = frozenset().union(*classes)
+        fats = {full} if balanced_base(full) else set()
+        for kept in product(*[(None, *sorted(f)) for f in classes]):
+            r = full - {e for e in kept if e is not None}
+            if (
+                all(r & f for f in classes)
+                and balanced_base(r)
+                and not any(balanced_base(r - {e}) for e in r)
+            ):
+                fats.add(r)
+        fab, fbc, fca = classes
         for fat in sorted(fats, key=lambda s: (len(s), sorted(s))):
-            base = g.edge_id_set - fat
-            if not bases.holds(base):
-                continue
             d = FamilyDescriptor(
                 "FatTriangle",
                 g,
@@ -1472,6 +1489,36 @@ def decompose(o: BiasedGraph, caps: Caps = DEFAULT_CAPS) -> SumDecomposition:
     balanced core, a blocking vertex of the core or two disjoint
     unbalanced core cycles would therefore give the input the same.
     The terminal core alone is checked again, as a runtime guard.
+
+    The minimal cuts of size at most three are searched for once, on the
+    input, and each core's are read off its parent's.  Say a peel at cut
+    S removes the interior I of one side of G and leaves the core H, G - I
+    with S joined up by virtual edges.  Every vertex of S has a neighbour
+    in I, or S less that vertex would cut G too.  Take X inside V(H).
+
+    If S is not inside X, some vertex of S is left in G - X and I joins
+    its component there; the virtual edges join in H - X what paths
+    through I join in G - X.  So H - X has the components of G - X, less
+    I, and X cuts H exactly when it cuts G.  So does each proper subset
+    of X, which misses part of S too, and X is a minimal cut of H exactly
+    when it is one of G: these are the parent's minimal cuts that avoid
+    I and do not contain S.
+
+    If S is inside X, I is a whole component of G - X and H - X is
+    G - X - I, so X cuts H exactly when G - X has three or more
+    components.  S itself is then a cut of H when it has three or more
+    sides, and a minimal one, as its proper subsets cut neither G nor H;
+    every larger X then holds it.  With two sides, X = S + Y cuts H
+    exactly when Y cuts H - S, which is connected, and X is minimal
+    when, besides, no smaller cut lies inside it.  Of size at most three
+    that leaves S + v for each cut vertex v of H - S, found by one
+    lowpoint pass, and, when S = {s}, {s, v} for each cut vertex v of
+    H - s and {s, v, w} for each cut vertex w of H - s - v, found by one
+    pass more per v: about n passes, where a fresh search makes about
+    n^2 / 2.  ``_carried_cuts`` keeps each such set only if no cut found
+    so far lies inside it, smallest first, and takes the bridges on H.
+    Its passes count against ``caps.max_subsets`` as the search's do,
+    together with them, under stage "find_vertex_cuts".
     """
     if not o.graph.is_connected():
         raise ClassifyError("decompose needs a connected input")
@@ -1484,12 +1531,41 @@ def decompose(o: BiasedGraph, caps: Caps = DEFAULT_CAPS) -> SumDecomposition:
 
 
 def _decompose(o: BiasedGraph, caps: Caps) -> SumDecomposition:
-    """The peel loop of :func:`decompose`, on an input known to be tangled."""
+    """The peel loop of :func:`decompose`, on an input known to be tangled.
+
+    One vertex-cut search, on the input; after each peel the core's cuts
+    are carried over from the parent's by :func:`_carried_cuts`, and the
+    lowpoint passes of the search and of every carry share one count.
+
+    The balance of a side is carried too, keyed by its cut and interior.
+    At a carried cut X, a side of G that misses I is a side of H with the
+    same edges.  The side B that holds I, and the whole peeled side with
+    it, becomes the side B' of H whose interior is B's less I, and B' has
+    B's balance.  Peeling the balanced side off B at S gives B' and, when
+    S = {a, b, c} meets X in a and b, one more virtual edge ab.  By the
+    argument in :func:`decompose`, that peeled B is balanced exactly when
+    B is.  So is B', which lacks only ab: c lies in B', and ab, bc and ca
+    make a balanced virtual triangle.  A cycle through ab that misses c
+    forms a theta with the path a-c-b and that triangle.  One that
+    passes c runs a-b, then b to c along Q1 and c to a along Q2.  The
+    cycle Q2 + ca of B' and the triangle make Q2 + ab + bc balanced, and
+    that cycle and the cycle Q1 + bc of B' make the first one balanced;
+    when Q1 is the edge bc, or Q2 the edge ca, one step does.
+    """
     cur = o
     tags: dict[int, _Tag] = {e: ("real", e) for e in o.graph.edge_id_set}
     nodes: list[SumNode] = []
+    cuts = find_vertex_cuts(o.graph, 3, caps)
+    spent = _search_passes(o.graph.n, cuts)
+    sides: dict[tuple[frozenset[int], frozenset[int]], bool] = {}
+
+    def balanced(vc: VertexCut, b: Bridge) -> bool:
+        key = (vc.cut, b.interior)
+        if key not in sides:
+            sides[key] = cur.restrict_edges(b.edges).is_balanced()
+        return sides[key]
+
     while True:
-        cuts = find_vertex_cuts(cur.graph, 3, caps)
         if not cuts:
             return _terminal(nodes, FourConnectedCore(cur, dict(tags)), caps)
         if cuts[0].size <= 2:
@@ -1497,7 +1573,7 @@ def _decompose(o: BiasedGraph, caps: Caps) -> SumDecomposition:
             balanced_sides = []
             unbalanced = 0
             for b in vc.bridges:
-                if cur.restrict_edges(b.edges).is_balanced():
+                if balanced(vc, b):
                     balanced_sides.append(b)
                 else:
                     unbalanced += 1
@@ -1510,16 +1586,15 @@ def _decompose(o: BiasedGraph, caps: Caps) -> SumDecomposition:
             pick = None
             for proper in (True, False):
                 for vc in cuts:
-                    sides = [
+                    found = [
                         b
                         for b in vc.bridges
-                        if len(b.interior) >= (2 if proper else 1)
-                        and cur.restrict_edges(b.edges).is_balanced()
+                        if len(b.interior) >= (2 if proper else 1) and balanced(vc, b)
                     ]
-                    if sides:
+                    if found:
                         pick = (
                             vc,
-                            min(sides, key=lambda b: (len(b.edges), sorted(b.edges))),
+                            min(found, key=lambda b: (len(b.edges), sorted(b.edges))),
                         )
                         break
                 if pick:
@@ -1544,6 +1619,69 @@ def _decompose(o: BiasedGraph, caps: Caps) -> SumDecomposition:
             vc, bridge = pick
         cur, tags, node = _peel(cur, tags, vc, bridge, len(nodes) + 1)
         nodes.append(node)
+        cuts, spent = _carried_cuts(cur.graph, cuts, vc, bridge, node.virtual_edges, caps, spent)
+        gone = bridge.interior
+        sides = {(x, inner - gone): v for (x, inner), v in sides.items() if not x & gone and not vc.cut <= x}
+
+
+def _carried_cuts(
+    h: MultiGraph,
+    cuts: tuple[VertexCut, ...],
+    vc: VertexCut,
+    side: Bridge,
+    virtual: tuple[int, ...],
+    caps: Caps,
+    spent: int,
+) -> tuple[tuple[VertexCut, ...], int]:
+    """The minimal cuts of size at most three of the core h left by
+    peeling ``side`` at ``vc``, which added the ``virtual`` edges, read
+    off the parent's ``cuts`` by the rule proved in :func:`decompose`, and
+    the lowpoint passes spent so far.
+
+    A carried cut keeps its sides, but for the one that held the peeled
+    interior I: it loses I and the peeled side's edges, and gains each
+    virtual edge with an end off the cut.  A core lists its vertices in
+    order, so the sides are put in order of their least vertex, as
+    ``bridges_of_cut`` gives them; a new cut's sides are read afresh.
+    """
+    s, gone = vc.cut, side.interior
+    carried = {x.cut: x.bridges for x in cuts if not x.cut & gone and not s <= x.cut}
+    found = set(carried)
+
+    def fresh(x: frozenset[int]) -> bool:
+        return not any(frozenset(sub) in found for r in range(1, len(x)) for sub in combinations(x, r))
+
+    def cut_vertices(removed: frozenset[int]) -> frozenset[int]:
+        nonlocal spent
+        spent += 1
+        if spent > caps.max_subsets:
+            raise ResourceLimitError("find_vertex_cuts", caps.max_subsets)
+        return _cut_vertices(h, removed)
+
+    def sides_of(x: frozenset[int]) -> tuple[Bridge, ...]:
+        if x not in carried:
+            return bridges_of_cut(h, x)
+        out = []
+        for b in carried[x]:
+            if b.interior & gone:
+                links = {e for e in virtual if not set(h.endpoints(e)) <= x}
+                b = Bridge(b.vertices - gone, (b.edges - side.edges) | links, b.interior - gone, b.attachments)
+            out.append(b)
+        return tuple(sorted(out, key=lambda b: min(b.interior)))
+
+    if len(vc.bridges) >= 3:
+        found.add(s)
+    elif len(s) <= 2:
+        # S + v first, so that each {s, v, w} is checked against the {s, v}
+        found.update([s | {v} for v in cut_vertices(s) if fresh(s | {v})])
+        if len(s) == 1:
+            for v in h.vertices:
+                sv = s | {v}
+                if v in s or frozenset((v,)) in found or sv in found:
+                    continue
+                found.update([sv | {w} for w in cut_vertices(sv) if w > v and fresh(sv | {w})])
+    ordered = sorted(found, key=lambda x: (len(x), sorted(x)))
+    return tuple(VertexCut(x, sides_of(x)) for x in ordered), spent
 
 
 def _terminal(

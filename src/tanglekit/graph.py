@@ -728,6 +728,19 @@ def find_vertex_cuts(g: MultiGraph, k: int, caps: Caps = DEFAULT_CAPS) -> tuple[
     return tuple(VertexCut(x, bridges_of_cut(g, x)) for x in cuts)
 
 
+def _search_passes(n: int, cuts: Sequence[VertexCut]) -> int:
+    """The lowpoint passes ``find_vertex_cuts(g, 3)`` made on a graph of
+    n vertices to find ``cuts``, read off its answer: one for the empty
+    set, one per vertex that is no cut, and one per pair that holds no
+    cut; a pair of vertices that are no 1-cut holds a cut only when it is
+    a 2-cut itself.  Size s is searched only while n - s >= 2.
+    """
+    ones = sum(x.size == 1 for x in cuts)
+    twos = sum(x.size == 2 for x in cuts)
+    free = n - ones
+    return (n >= 3) + (n >= 4) * free + (n >= 5) * (free * (free - 1) // 2 - twos)
+
+
 def _cut_vertices(g: MultiGraph, removed: Iterable[int] = ()) -> frozenset[int]:
     """The cut vertices of g - removed, the vertices whose deletion
     leaves a component of g - removed in two or more pieces, from one

@@ -14,7 +14,8 @@ first disjoint pair on the cycle list, two earlier Tricoloured searches, the
 FatTriangle, CrissCross, PPSigned and PP special vertex, pair and triple
 detectors, the standard partition on the cycle list, the wheel search
 and wheel-core extraction before they read splits off standard
-partitions, the canonical cycle key, the theta check, the linkage search,
+partitions, the peel loop with a fresh vertex-cut search on every core,
+the canonical cycle key, the theta check, the linkage search,
 the boundary pairing search, the bias completion by backtracking over
 every theta and, at the end, ordered planarity by
 networkx's planarity test.  Embeddings come from
@@ -45,11 +46,19 @@ from tanglekit.bias import (
 from tanglekit.classify import (
     _PLACEMENTS,
     ClassifyError,
+    FourConnectedCore,
+    SumDecomposition,
+    SumNode,
+    WheelCore,
     _Counter,
     _Hit,
+    _Tag,
+    _peel,
     _star_bias_holds,
+    _terminal,
     _weak_compositions,
 )
+from tanglekit.classify import _extract_wheel as _library_extract_wheel
 from tanglekit.embedding import (
     Dart,
     OrderedPlanarEmbedding,
@@ -73,6 +82,7 @@ from tanglekit.graph import (
     cycles_inside,
     cycles_with,
     enumerate_theta_subgraphs,
+    find_vertex_cuts,
     is_two_connected,
     _rings,
 )
@@ -2496,3 +2506,76 @@ def oracle_ordered_planarity(
             raise GraphError(f"internal: read-back misses the order {seq}")
         return OrderedPlanarEmbedding(rot, face, seq)
     return None
+
+
+# ---------------------------------------------------------------------------
+# The peel loop with a fresh vertex-cut search on every core
+#
+# decompose's loop as it stood before it carried each core's cuts over from
+# its parent's, copied unchanged: find_vertex_cuts runs on every peeled core.
+# It peels with the library's own _peel and reads wheel cores with its own
+# _extract_wheel, so the two loops differ only in where the cuts come from.
+# ---------------------------------------------------------------------------
+
+
+def oracle_decompose(o: BiasedGraph, caps: Caps = DEFAULT_CAPS) -> SumDecomposition:
+    """The peel loop of ``decompose``, on an input known to be tangled."""
+    cur = o
+    tags: dict[int, _Tag] = {e: ("real", e) for e in o.graph.edge_id_set}
+    nodes: list[SumNode] = []
+    while True:
+        cuts = find_vertex_cuts(cur.graph, 3, caps)
+        if not cuts:
+            return _terminal(nodes, FourConnectedCore(cur, dict(tags)), caps)
+        if cuts[0].size <= 2:
+            vc = cuts[0]
+            balanced_sides = []
+            unbalanced = 0
+            for b in vc.bridges:
+                if cur.restrict_edges(b.edges).is_balanced():
+                    balanced_sides.append(b)
+                else:
+                    unbalanced += 1
+            if unbalanced != 1:
+                raise ClassifyError(
+                    f"cut {sorted(vc.cut)} leaves {unbalanced} unbalanced sides, expected one"
+                )
+            bridge = min(balanced_sides, key=lambda b: (len(b.edges), sorted(b.edges)))
+        else:
+            pick = None
+            for proper in (True, False):
+                for vc in cuts:
+                    sides = [
+                        b
+                        for b in vc.bridges
+                        if len(b.interior) >= (2 if proper else 1)
+                        and cur.restrict_edges(b.edges).is_balanced()
+                    ]
+                    if sides:
+                        pick = (
+                            vc,
+                            min(sides, key=lambda b: (len(b.edges), sorted(b.edges))),
+                        )
+                        break
+                if pick:
+                    break
+            if pick is None:
+                first_err: ClassifyError | None = None
+                for vc in cuts:
+                    if len(vc.bridges) != 2:
+                        continue
+                    try:
+                        d, cert = _library_extract_wheel(cur, vc, caps)
+                    except ClassifyError as err:
+                        if first_err is None:
+                            first_err = err
+                        continue
+                    return _terminal(nodes, WheelCore(cur, d, cert, dict(tags)), caps)
+                if first_err is not None:
+                    raise first_err
+                raise ClassifyError(
+                    "all 3-cut sides are unbalanced but no cut has exactly two sides"
+                )
+            vc, bridge = pick
+        cur, tags, node = _peel(cur, tags, vc, bridge, len(nodes) + 1)
+        nodes.append(node)

@@ -74,6 +74,7 @@ from oracles import (
     OracleRingLayout,
     connected_graph_census,
     oracle_complete_bias,
+    oracle_decompose,
     oracle_detect_criss_cross,
     oracle_detect_fat_triangle,
     oracle_detect_generalized_wheel,
@@ -606,6 +607,16 @@ def classify_workload_documents() -> dict[str, str]:
     return {case.name: case.text for first in (True, False) for case in workloads.Classify(0, first).setup(meter)}
 
 
+def relabelled_workload_inputs() -> list[BiasedGraph]:
+    """Every input of both classify workloads under relabelling seeds 1 to 3."""
+    corpus = bench_module("corpus")
+    return [
+        io.load(corpus.relabel(text, random.Random(seed)).text)
+        for text in classify_workload_documents().values()
+        for seed in (1, 2, 3)
+    ]
+
+
 def test_pairing_search_matches_the_search_without_mirror_images():
     # every spanning 2-connected maximal balanced set of the classify
     # workloads' inputs, unrelabelled and under one relabelling
@@ -649,13 +660,98 @@ def test_pairing_search_stops_at_its_cap():
 
 
 def test_decompose_stops_at_the_vertex_cut_cap():
-    # the input has no cut of size two or less, so its first cut search
-    # builds 1 + 6 + 15 block trees
+    # the input has no cut of size two or less, so its cut search makes
+    # 1 + 6 + 15 lowpoint passes; its peels are at 3-cuts, which carry
+    # their cuts to the core with no pass
     o = build_family(pp_signed(6))
     with pytest.raises(ResourceLimitError) as err:
         decompose(o, Caps(max_subsets=21))
     assert err.value.stage == "find_vertex_cuts"
     assert decompose(o, Caps(max_subsets=22)).verify(o) == ()
+
+
+def test_carried_cut_passes_count_against_the_vertex_cut_cap():
+    # the fat triangle 1-summed with a triangle at vertex 0: the cut search
+    # makes 1 + 4 + 6 passes, and the peel at the cut vertex 0 leaves the
+    # fat triangle H, whose cuts take three more, one on H - 0 and one on
+    # H - 0 - v for each of its other two vertices v
+    o = corpus_t_sums()[0]
+    with pytest.raises(ResourceLimitError) as err:
+        decompose(o, Caps(max_subsets=13))
+    assert err.value.stage == "find_vertex_cuts"
+    dec = decompose(o, Caps(max_subsets=14))
+    assert [node.cut for node in dec.nodes] == [(0,)]
+    assert dec.verify(o) == ()
+
+
+def test_decompose_searches_for_vertex_cuts_once(monkeypatch):
+    searched = []
+    real = classify_module.find_vertex_cuts
+    monkeypatch.setattr(classify_module, "find_vertex_cuts", lambda g, *args: searched.append(g) or real(g, *args))
+    o = build_family(pp_signed(16))
+    dec = decompose(o)
+    assert len(dec.nodes) == 7
+    assert searched == [o.graph]
+
+
+def test_decompose_carries_side_balance_to_each_core(monkeypatch):
+    # the peel loop with a fresh cut search tests 70 sides of PPSigned C16;
+    # carried verdicts leave the sides of new cuts and never-tested sides
+    o = build_family(pp_signed(16))
+    tested = []
+    real = BiasedGraph.restrict_edges
+    monkeypatch.setattr(BiasedGraph, "restrict_edges", lambda b, *args: tested.append(b) or real(b, *args))
+    classify_module._decompose(o, DEFAULT_CAPS)
+    assert len(tested) == 23
+    tested.clear()
+    oracle_decompose(o)
+    assert len(tested) == 70
+
+
+def decomposition_record(dec) -> tuple:
+    """Every node's cut, order, virtual edges, leaf edges and leaf origins,
+    and the terminal core's kind, edges, tags and wheel roles."""
+    core = dec.core
+    return (
+        [(n.node_id, n.t, n.cut, n.virtual_edges, n.leaf.graph.edge_map, n.leaf_origins) for n in dec.nodes],
+        type(core).__name__,
+        core.bias.graph.edge_map,
+        core.origins,
+        core.descriptor.roles if isinstance(core, WheelCore) else None,
+    )
+
+
+def assert_decompose_matches_the_fresh_cut_search(inputs: list[BiasedGraph]) -> int:
+    peels = 0
+    for o in inputs:
+        dec = decompose(o)
+        assert decomposition_record(dec) == decomposition_record(oracle_decompose(o))
+        peels += len(dec.nodes)
+    return peels
+
+
+def tangled_census(sizes) -> list[BiasedGraph]:
+    return [o for o in switching_classes(sizes) if isinstance(is_tangled(o), Tangled)]
+
+
+def test_decompose_matches_the_peel_loop_with_a_fresh_cut_search():
+    # the census on three to five vertices, every classify workload input
+    # under relabelling seeds 1 to 3, signed W7 under the identity and
+    # relabelling seeds 0 to 7, and signed and explicit PPSigned C8 to C16
+    inputs = tangled_census(range(3, 6)) + relabelled_workload_inputs()
+    w7 = signed_w7()
+    inputs += [w7] + [relabelled(w7, random.Random(seed)) for seed in range(8)]
+    members = [build_family(pp_signed(k)) for k in range(8, 17, 2)]
+    inputs += members + [explicit_copy(o) for o in members]
+    assert len(inputs) == 61 + 3 * 28 + 9 + 10
+    assert assert_decompose_matches_the_fresh_cut_search(inputs) == 191
+
+
+@pytest.mark.wall
+def test_decompose_matches_the_peel_loop_with_a_fresh_cut_search_on_six_vertices():
+    inputs = tangled_census([6])
+    assert len(inputs) == 851 - 61
+    assert assert_decompose_matches_the_fresh_cut_search(inputs) == 1007
 
 
 # -- signed cores -----------------------------------------------------------------
@@ -929,6 +1025,25 @@ def test_fat_triangle_search_builds_no_doomed_candidate(d, monkeypatch):
     monkeypatch.setattr(classify_module, "verify_family", lambda *args: calls.append(args))
     assert _detect_fat_triangle(o, DEFAULT_CAPS, bases) is None
     assert calls == []
+
+
+def test_fat_triangle_search_reads_residuals_off_the_classes():
+    # the census on three to five vertices and every classify workload
+    # input under relabelling seeds 1 to 3: the first hit of the search
+    # over the residuals of every maximal balanced set, with no maximal
+    # balanced set of a non-signed input listed
+    inputs = list(switching_classes(range(3, 6))) + relabelled_workload_inputs()
+    hits = non_signed = 0
+    for o in inputs:
+        bases = _Bases(o, DEFAULT_CAPS)
+        hit = _detect_fat_triangle(o, DEFAULT_CAPS, bases)
+        if not isinstance(o.bias, Signed):
+            non_signed += 1
+            assert bases._sets is None
+        expected = oracle_detect_fat_triangle(o, DEFAULT_CAPS, _Bases(o, DEFAULT_CAPS))
+        assert (hit and hit[0].roles) == (expected and expected[0].roles)
+        hits += hit is not None
+    assert (len(inputs), non_signed, hits) == (214 + 3 * 28, 48, 93)
 
 
 @pytest.mark.parametrize("d", [minimal_special_vertex, k4_fat_triangle, minimal_special_pair])
