@@ -230,12 +230,6 @@ class ClassificationReport:
     def codes(self) -> tuple[str, ...]:
         return tuple(sorted({label.code for label in self.labels}))
 
-    def label(self, code: str) -> Label:
-        for label in self.labels:
-            if label.code == code:
-                return label
-        raise KeyError(code)
-
 
 # ---------------------------------------------------------------------------
 # Balanced-subgraph search
@@ -520,10 +514,16 @@ def _pairing_search(
     tail precedes an order with perm[0] > perm[-1], so those are skipped.
     Neither move changes which vertices the sequence repeats, so twins
     pass or fail the repeat check alike.
+
+    ``ordered_planarity`` embeds the base, and a simple planar graph on
+    n >= 3 vertices has at most 3n - 6 edges (Euler), so a base with more
+    neighbour pairs is a miss before any candidate is counted.
     """
     g = o.graph
     residual = sorted(g.edge_id_set - base_edges)
     if not residual or g.loops:
+        return None
+    if g.n >= 3 and len({frozenset(g.endpoints(e)) for e in base_edges}) > 3 * g.n - 6:
         return None
     base_sub = g.subgraph(base_edges, g.vertex_set)
     counter = _Counter(caps, "planar boundary pairing search")
@@ -716,6 +716,9 @@ def _detect_pp_signed(o: BiasedGraph, caps: Caps, bases: _Bases) -> _Hit | None:
     signature plus an edge cut.  So only other biases are tested,
     against the input's cycle list, and a bias that fails lists no
     maximal balanced set here.
+
+    Every base spans G: on connected input a vertex v has a non-loop
+    edge e, and if m missed v, m + e would be balanced.
     """
     g = o.graph
     if not isinstance(o.bias, Signed):
@@ -723,8 +726,7 @@ def _detect_pp_signed(o: BiasedGraph, caps: Caps, bases: _Bases) -> _Hit | None:
         if any(o.balance(c) != (len(c.edge_set & cross) % 2 == 0) for c in g.cycles(caps)):
             return None
     for m in bases:
-        sub = g.subgraph(m)
-        if sub.vertex_set != g.vertex_set or not is_two_connected(sub):
+        if not is_two_connected(g.subgraph(m)):
             continue
         pairing = _pairing_search(o, m, caps)
         if pairing is None:
@@ -855,24 +857,26 @@ def _split_sides(g: MultiGraph, halves: frozenset[int], w: int, legs: list[int])
     return (c0, c1, h0, halves - h0, spans), (c1, c0, halves - h0, h0, [(b, a) for a, b in spans])
 
 
-def _star_bias_holds(
-    o: BiasedGraph,
-    base: frozenset[int],
-    stars: tuple[frozenset[int], ...],
-    singles: tuple[int, ...],
-    caps: Caps,
-) -> bool:
-    """The bias clauses ``verify_family`` puts on the residual edges of
-    a PP special pair or triple, read off the input's own cycles: two
-    edges of one star close only balanced cycles through the base, and
-    each single edge (junction, leg or cross edge) only unbalanced ones."""
+def _star_bias_holds(o: BiasedGraph, base: frozenset[int], stars: tuple[frozenset[int], ...], caps: Caps) -> bool:
+    """The star clause ``verify_family`` puts on the residual edges of a
+    PP special pair or triple, read off the input's own cycles: two edges
+    of one star close only balanced cycles through the base.
+
+    Its other clause, that each single edge (junction, leg or cross edge)
+    closes only unbalanced cycles through the base, holds for every edge
+    e outside a maximal balanced base m, and the searches walk only
+    those.  Let C and D be cycles of m + e through e = xy; C - e and
+    D - e are x-y paths P and Q of m.  The prefix exchange in
+    :func:`~tanglekit.tangles.standard_partition`'s docstring, with m in
+    place of o - v and e in place of the path x-v-y, turns P into Q one
+    detour at a time.  Each step makes a theta whose third cycle lies in
+    m and is balanced, so C and D are balanced alike.  If e closed one
+    balanced cycle with m, every cycle of m + e through e would be
+    balanced, and so would m + e, against m's maximality."""
     for star in stars:
         for a, b in combinations(sorted(star), 2):
             if not all(o.balance(c) for c in cycles_with(o.graph, {a, b}, base, caps)):
                 return False
-    for e in singles:
-        if any(o.balance(c) for c in cycles_with(o.graph, {e}, base, caps)):
-            return False
     return True
 
 
@@ -886,9 +890,8 @@ def _detect_special_pair(o: BiasedGraph, caps: Caps, bases: _Bases) -> _Hit | No
     is the candidate set of a scan of E - m for each x and y, walked in
     the same order.  With a cover, the links are ``at[x] & at[y]`` and
     the stars the rest of ``at[x]`` and of ``at[y]``, so no candidate
-    scans the residual again.  The star bias clauses depend on the base
-    and the three edge sets alone, and every y that misses E - m asks the
-    same one, so each answer is kept for its base.
+    scans the residual again.  The base is maximal, so only the star
+    bias clause is asked (:func:`_star_bias_holds`).
     """
     g = o.graph
     if g.loops:
@@ -906,7 +909,6 @@ def _detect_special_pair(o: BiasedGraph, caps: Caps, bases: _Bases) -> _Hit | No
             for y in g.endpoints(min(missed)):
                 if not missed - at[y]:
                     candidates.add((x, y))
-        held: dict[tuple, bool] = {}
         for x, y in sorted(candidates):
             ax, ay = at[x], at.get(y, set())
             links = tuple(sorted(ax & ay))
@@ -920,10 +922,7 @@ def _detect_special_pair(o: BiasedGraph, caps: Caps, bases: _Bases) -> _Hit | No
                 continue
             # The residual edges are exactly fx, fy and links, so the
             # planner's base is m.
-            key = (fx, fy, links)
-            if key not in held:
-                held[key] = _star_bias_holds(o, m, (fx, fy), links, caps)
-            if not held[key]:
+            if not _star_bias_holds(o, m, (fx, fy), caps):
                 continue
             d = FamilyDescriptor(
                 "PPSpecialPair",
@@ -977,7 +976,7 @@ def _detect_special_triple(o: BiasedGraph, caps: Caps, bases: _Bases) -> _Hit | 
                     if xset & {x, y1, y2}:
                         continue
                     # F, e, g and f are the residual edges: the base is m.
-                    if not _star_bias_holds(o, m, (star,), (*es, *gs, f), caps):
+                    if not _star_bias_holds(o, m, (star,), caps):
                         continue
                     d = FamilyDescriptor(
                         "PPSpecialTriple",
@@ -1139,8 +1138,7 @@ def _detect_tricoloured(o: BiasedGraph, caps: Caps, bases: _Bases) -> _Hit | Non
     Each chord triple is met in every orientation, and all of them leave
     the same ring edges: ``cores`` keeps, for this call, the ring layouts
     of each 2-connected ring edge set, so every ring is cut into parts
-    once.  ``verdicts`` keeps the answer to each bias clause asked, by
-    clause, chord pair and part edges (``_tricoloured_bias_holds``).
+    once.
 
     Chord classes are fitted to a layout by position; its rings are not
     built to be searched.  A k-part layout is padded out to six parts by
@@ -1159,7 +1157,6 @@ def _detect_tricoloured(o: BiasedGraph, caps: Caps, bases: _Bases) -> _Hit | Non
         return None
     counter = _Counter(caps, "tricoloured search")
     cores: dict[frozenset[int], tuple[_RingLayout, ...]] = {}
-    verdicts: dict[tuple, bool] = {}
     degree = {v: len(g.incident_edges(v)) for v in g.vertex_set}
     for trip in combinations(sorted(g.vertex_set), 3):
         tset = set(trip)
@@ -1189,7 +1186,7 @@ def _detect_tricoloured(o: BiasedGraph, caps: Caps, bases: _Bases) -> _Hit | Non
             for layout in cores[ring_edges]:
                 counter.bump()
                 for ring, spots in layout.fit(pairs):
-                    hit = _tricoloured_arrangements(o, pairs, ring, spots, caps, counter, verdicts)
+                    hit = _tricoloured_arrangements(o, pairs, ring, spots, caps, counter)
                     if hit:
                         return hit
     return None
@@ -1373,7 +1370,6 @@ def _tricoloured_arrangements(
     spots: list[list[int]],
     caps: Caps,
     counter: _Counter,
-    verdicts: dict[tuple, bool],
 ) -> _Hit | None:
     """Lay the chord classes onto one ring: ``spots`` gives, per class,
     the ring indices where x is in the part and its targets in the
@@ -1393,7 +1389,7 @@ def _tricoloured_arrangements(
             ys6[i] = yset
             es6[i] = edges
         counter.bump()
-        if not _tricoloured_bias_holds(o, pe6, es6, positions, caps, verdicts):
+        if not _tricoloured_bias_holds(o, pe6, es6, positions, caps):
             continue
         d = FamilyDescriptor(
             "Tricoloured",
@@ -1420,30 +1416,21 @@ def _tricoloured_bias_holds(
     es6: list[tuple[int, ...] | None],
     positions: list[int],
     caps: Caps,
-    verdicts: dict[tuple, bool],
 ) -> bool:
     """The bias clauses ``verify_family`` checks on a Tricoloured
     candidate, read off the input's own cycles: a chord pair of one
     colour closes only balanced cycles through the antipodal part, a
-    pair of two colours only unbalanced ones through their four parts.
-    ``verdicts`` keeps each answer by (clause, chord pair, part edges)."""
+    pair of two colours only unbalanced ones through their four parts."""
     g = o.graph
     for i in positions:
-        part = pe6[(i + 3) % 6]
         for a, b in combinations(es6[i], 2):
-            key = (True, min(a, b), max(a, b), part)
-            if key not in verdicts:
-                verdicts[key] = all(o.balance(c) for c in cycles_with(g, {a, b}, part, caps))
-            if not verdicts[key]:
+            if not all(o.balance(c) for c in cycles_with(g, {a, b}, pe6[(i + 3) % 6], caps)):
                 return False
     for i, j in combinations(positions, 2):
         within = pe6[i] | pe6[j] | pe6[(i + 3) % 6] | pe6[(j + 3) % 6]
         for a in es6[i]:
             for b in es6[j]:
-                key = (False, min(a, b), max(a, b), within)
-                if key not in verdicts:
-                    verdicts[key] = not any(o.balance(c) for c in cycles_with(g, {a, b}, within, caps))
-                if not verdicts[key]:
+                if any(o.balance(c) for c in cycles_with(g, {a, b}, within, caps)):
                     return False
     return True
 

@@ -87,9 +87,6 @@ class Certificate:
     def passed(self) -> bool:
         return all(c.ok for c in self.checks)
 
-    def failures(self) -> tuple[CheckResult, ...]:
-        return tuple(c for c in self.checks if not c.ok)
-
 
 # One bias clause instance: this cycle must have this balance.
 Constraint = tuple[str, Cycle, bool]

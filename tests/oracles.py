@@ -54,7 +54,6 @@ from tanglekit.classify import (
     _Hit,
     _Tag,
     _peel,
-    _star_bias_holds,
     _terminal,
     _weak_compositions,
 )
@@ -1465,8 +1464,29 @@ oracle_detect_pp_signed = _detect_pp_signed
 #
 # The three detectors as they stood when each rescanned all of E - m (and,
 # for the special vertex, all of m) for every base and candidate vertex,
-# copied unchanged.
+# copied unchanged, with the library's star bias test as it stood then.
 # ---------------------------------------------------------------------------
+
+
+def _oracle_star_bias_holds(
+    o: BiasedGraph,
+    base: frozenset[int],
+    stars: tuple[frozenset[int], ...],
+    singles: tuple[int, ...],
+    caps: Caps,
+) -> bool:
+    """The bias clauses ``verify_family`` puts on the residual edges of
+    a PP special pair or triple, read off the input's own cycles: two
+    edges of one star close only balanced cycles through the base, and
+    each single edge (junction, leg or cross edge) only unbalanced ones."""
+    for star in stars:
+        for a, b in combinations(sorted(star), 2):
+            if not all(o.balance(c) for c in cycles_with(o.graph, {a, b}, base, caps)):
+                return False
+    for e in singles:
+        if any(o.balance(c) for c in cycles_with(o.graph, {e}, base, caps)):
+            return False
+    return True
 
 
 def _detect_special_vertex(o: BiasedGraph, caps: Caps, msets: tuple[frozenset[int], ...]) -> _Hit | None:
@@ -1596,7 +1616,7 @@ def _detect_special_pair(o: BiasedGraph, caps: Caps, msets: tuple[frozenset[int]
                 continue
             # The residual edges are exactly fx, fy and links, so the
             # planner's base is m.
-            if not _star_bias_holds(o, m, (fx, fy), links, caps):
+            if not _oracle_star_bias_holds(o, m, (fx, fy), links, caps):
                 continue
             d = FamilyDescriptor(
                 "PPSpecialPair",
@@ -1649,7 +1669,7 @@ def _detect_special_triple(o: BiasedGraph, caps: Caps, msets: tuple[frozenset[in
                     if xset & {x, y1, y2}:
                         continue
                     # F, e, g and f are the residual edges: the base is m.
-                    if not _star_bias_holds(o, m, (star,), (*es, *gs, f), caps):
+                    if not _oracle_star_bias_holds(o, m, (star,), (*es, *gs, f), caps):
                         continue
                     d = FamilyDescriptor(
                         "PPSpecialTriple",
@@ -1926,7 +1946,7 @@ def _extract_wheel(cur: BiasedGraph, vc: VertexCut, caps: Caps) -> tuple[FamilyD
     )
     cert = verify_family(cur, d, caps)
     if not cert.passed:
-        names = "; ".join(c.name for c in cert.failures())
+        names = "; ".join(c.name for c in cert.checks if not c.ok)
         raise ClassifyError(f"wheel shape at cut {cut} fails verification: {names}")
     return d, cert
 

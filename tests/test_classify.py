@@ -60,7 +60,7 @@ from tanglekit.families import (
     t_sum,
     verify_family,
 )
-from tanglekit.graph import MultiGraph, find_vertex_cuts, is_two_connected
+from tanglekit.graph import MultiGraph, cycles_with, find_vertex_cuts, is_two_connected
 from tanglekit.limits import DEFAULT_CAPS, Caps, ResourceLimitError
 from tanglekit.tangles import (
     Tangled,
@@ -379,20 +379,18 @@ def test_tricoloured_degree_gates_cut_the_steps_on_a_t_sum(monkeypatch):
     assert [c.count for c in counters] == [162]
 
 
-def test_bias_verdicts_are_remembered_per_part_edge_set():
+def test_bias_verdicts_depend_on_the_part_edge_set():
     # the triangles over edges 0, 1, 2 (balanced) and 0, 1, 3 (unbalanced)
     # share the chord pair 0, 1; only the part edges tell them apart
     o = make_signed(MultiGraph.from_pairs([(0, 1), (1, 2), (2, 0), (2, 0)]), [3])
-    verdicts: dict = {}
     none = frozenset()
     for part, same, cross in ((frozenset({2}), True, False), (frozenset({3}), False, True)) * 2:
         pe6 = (part, none, none, part, none, none)
         holds = (
-            _tricoloured_bias_holds(o, pe6, [(0, 1), None, None, None, None, None], [0], DEFAULT_CAPS, verdicts),
-            _tricoloured_bias_holds(o, pe6, [(0,), (1,), None, None, None, None], [0, 1], DEFAULT_CAPS, verdicts),
+            _tricoloured_bias_holds(o, pe6, [(0, 1), None, None, None, None, None], [0], DEFAULT_CAPS),
+            _tricoloured_bias_holds(o, pe6, [(0,), (1,), None, None, None, None], [0, 1], DEFAULT_CAPS),
         )
         assert holds == (same, cross)
-    assert len(verdicts) == 4
 
 
 def test_slot_masks_match_the_padded_rings():
@@ -644,6 +642,36 @@ def test_pairing_search_matches_the_search_without_mirror_images():
     with pytest.raises(ResourceLimitError):
         _pairing_search(o, m, Caps(max_assignments=tried - 1))
     assert _pairing_search(o, m, Caps(max_assignments=tried)) is None
+
+
+def test_pairing_search_refuses_a_base_too_dense_to_be_planar():
+    # a simple planar graph on n >= 3 vertices has at most 3n - 6 edges, so
+    # no face of this base holds a pairing; the search without the bound
+    # counts a candidate before it embeds the base
+    rng = random.Random(5)
+    pairs = random_connected_pairs(rng, 9, 33)
+    o = make_signed(MultiGraph.from_pairs(pairs), [e for e in range(len(pairs)) if rng.random() < 0.5])
+    m = _maximal_balanced_sets(o)[0]
+    assert len(m) > 3 * 9 - 6
+    assert _pairing_search(o, m, Caps(max_assignments=0)) is None
+    with pytest.raises(ResourceLimitError):
+        oracle_pairing_search(o, m, Caps(max_assignments=0))
+
+
+def test_maximal_balanced_sets_span_and_close_no_balanced_cycle_with_a_residual_edge():
+    # the PP searches test neither: every maximal balanced set m spans a
+    # connected input, and an edge outside m closes only unbalanced
+    # cycles with it (the proof is in _star_bias_holds)
+    inputs = [*switching_classes(range(3, 6)), *map(io.load, classify_workload_documents().values())]
+    residuals = 0
+    for o in inputs:
+        g = o.graph
+        for m in _maximal_balanced_sets(o):
+            assert g.subgraph(m).vertex_set == g.vertex_set
+            for e in g.edge_id_set - m:
+                assert not any(o.balance(c) for c in cycles_with(g, {e}, m))
+                residuals += 1
+    assert (len(inputs), residuals) == (242, 10866)
 
 
 def test_pairing_search_stops_at_its_cap():

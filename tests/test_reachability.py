@@ -5,9 +5,11 @@ helper that only its own tests reach is dead weight, and the first test
 fails as soon as one is left behind, whatever the tests import.  Every
 public function or class is named by another library module (the CLI
 among them), by the benchmark or by the package's ``__all__``, and every
-public method of a module-level class is named by library or benchmark
-code outside its own definition.  The last test keeps one cycle list per
-graph: only ``MultiGraph.cycles`` reaches ``enumerate_cycles``, and
+public method of a module-level class is read as an attribute
+(``.name``) by library or benchmark code outside its own definition; a
+bare name of the same spelling, such as a loop variable, is no use of
+the method.  The last test keeps one cycle list per graph: only
+``MultiGraph.cycles`` reaches ``enumerate_cycles``, and
 nothing writes through ``object.__setattr__``.  The blocking-structure
 module lists no cycle: its only cycle sources are the chordless vertex
 sets and the fundamental cycles of a spanning forest, among which a
@@ -95,20 +97,21 @@ def test_every_public_name_is_reached_from_outside_its_module():
     assert unreached == []
 
 
-def _references(node: ast.AST, scope: tuple[str, ...] = ()):
+def _references(node: ast.AST, scope: tuple[str, ...] = (), attributes_only: bool = False):
     """(enclosing def/class names, name) for each name read, attribute taken
-    or name imported under node."""
+    or name imported under node; with ``attributes_only``, for each
+    attribute taken alone."""
     for child in ast.iter_child_nodes(node):
         inner = scope
         if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
             inner = scope + (child.name,)
-        if isinstance(child, ast.Name) and not isinstance(child.ctx, ast.Store):
-            yield inner, child.id
-        elif isinstance(child, ast.Attribute):
+        if isinstance(child, ast.Attribute):
             yield inner, child.attr
-        elif isinstance(child, ast.alias):
+        elif isinstance(child, ast.Name) and not isinstance(child.ctx, ast.Store) and not attributes_only:
+            yield inner, child.id
+        elif isinstance(child, ast.alias) and not attributes_only:
             yield inner, child.name
-        yield from _references(child, inner)
+        yield from _references(child, inner, attributes_only)
 
 
 def test_every_public_method_is_reached_outside_its_definition():
@@ -116,11 +119,11 @@ def test_every_public_method_is_reached_outside_its_definition():
     reached: set[str] = set()
     for p in BENCH.glob("*.py"):
         if not p.name.startswith("test_"):
-            reached |= _uses(ast.parse(p.read_text(), filename=str(p)))
-    # each name the library reads -> (module, outermost two enclosing defs)
+            reached |= {attr for _, attr in _references(ast.parse(p.read_text(), filename=str(p)), attributes_only=True)}
+    # each attribute the library reads -> (module, outermost two enclosing defs)
     readers: dict[str, set[tuple[str, tuple[str, ...]]]] = {}
     for name, tree in trees.items():
-        for scope, ref in _references(tree):
+        for scope, ref in _references(tree, attributes_only=True):
             readers.setdefault(ref, set()).add((name, scope[:2]))
     unreached = [
         f"{name}:{cls.name}.{node.name}"
