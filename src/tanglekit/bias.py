@@ -34,7 +34,7 @@ from .graph import (
     fundamental_cycles,
     is_theta_pair,
 )
-from .limits import Caps, DEFAULT_CAPS, ResourceLimitError
+from .limits import Budget, Caps, DEFAULT_CAPS
 
 
 class BiasError(ValueError):
@@ -277,8 +277,7 @@ def _violating_thetas(
     exactly once.  More than ``caps.max_theta_pairs`` pairs are refused.
     """
     bal = sorted(set(balanced), key=Cycle.sort_key)
-    if len(bal) * (len(bal) - 1) // 2 > caps.max_theta_pairs:
-        raise ResourceLimitError("theta check", caps.max_theta_pairs)
+    Budget("theta check", caps.max_theta_pairs).spend(len(bal) * (len(bal) - 1) // 2)
     bal_sets = {c.edge_set for c in bal}
     out = []
     for i, c1 in enumerate(bal):
@@ -342,11 +341,9 @@ def complete_bias(g: MultiGraph, partial: Mapping[Cycle, bool], caps: Caps = DEF
         _check_cycle(g, c)
     closure = sorted((c for c, b in partial.items() if b), key=Cycle.sort_key)
     known = {c.edge_set for c in closure}
-    pairs = 0
+    budget = Budget("theta closure", caps.max_theta_pairs)
     for i, c in enumerate(closure):  # the list grows as thirds join it
-        pairs += i
-        if pairs > caps.max_theta_pairs:
-            raise ResourceLimitError("theta closure", caps.max_theta_pairs)
+        budget.spend(i)
         for _, third in _thirds(g, c, closure[:i], known):
             known.add(third)
             closure.append(Cycle.from_edge_set(g, third))

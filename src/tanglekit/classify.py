@@ -58,21 +58,20 @@ from .bias import (
     make_signed,
 )
 from .embedding import collapse_cyclic, ordered_planarity
-from .families import Certificate, FamilyDescriptor, FamilyError, t_sum, verify_family
+from .families import Certificate, FamilyDescriptor, FamilyError, describe_k5_family, t_sum, verify_family
 from .graph import (
     Bridge,
     MultiGraph,
     VertexCut,
     bridges_of_cut,
     cycles_with,
-    find_vertex_cuts,
     fundamental_cycles,
     is_two_connected,
     _cut_vertices,
     _rings,
-    _search_passes,
+    _vertex_cut_search,
 )
-from .limits import DEFAULT_CAPS, Caps, ResourceLimitError
+from .limits import DEFAULT_CAPS, Budget, Caps, ResourceLimitError
 from .tangles import (
     TangleError,
     Tangled,
@@ -396,7 +395,7 @@ def _positive_sets(g: MultiGraph, signature: frozenset[int], caps: Caps) -> list
         opened[i] = still
     positive = [0] * n  # positive neighbours among the placed vertices
     found: list[frozenset[int]] = []
-    visited = 0
+    budget = Budget("balanced subgraph search", caps.max_subsets)
 
     def toggle(i: int, joined: int) -> None:
         # adds, or takes back, the positive edges from i to earlier vertices
@@ -423,16 +422,13 @@ def _positive_sets(g: MultiGraph, signature: frozenset[int], caps: Caps) -> list
         return True
 
     def place(i: int, switched: int) -> None:
-        nonlocal visited
         if i == n:
             found.append(loops.union(
                 e for e, a, b, negative in edges if negative == bool((switched >> a ^ switched >> b) & 1)
             ))
             return
         for side in (0,) if roots >> i & 1 else (0, 1):
-            visited += 1
-            if visited > caps.max_subsets:
-                raise ResourceLimitError("balanced subgraph search", caps.max_subsets)
+            budget.spend()
             same = switched if side else ~switched
             joined = (even[i] & same) | (odd[i] & ~same)
             toggle(i, joined)
@@ -454,15 +450,12 @@ def _minimal_transversals(
         for e in cyc:
             through[e] |= 1 << i
     transversals: list[frozenset[int]] = []
-    visited = 0
+    budget = Budget("balanced subgraph search", caps.max_subsets)
 
     def walk(private: dict[int, int], free: frozenset[int], unhit: int) -> None:
         # private maps each removed edge to the cycles no other removed
         # edge meets; free holds the edges this branch may still remove.
-        nonlocal visited
-        visited += 1
-        if visited > caps.max_subsets:
-            raise ResourceLimitError("balanced subgraph search", caps.max_subsets)
+        budget.spend()
         if not unhit:
             transversals.append(frozenset(private))
             return
@@ -477,20 +470,6 @@ def _minimal_transversals(
 
     walk({}, all_edges, (1 << len(unb)) - 1)
     return transversals
-
-
-@dataclass
-class _Counter:
-    """Candidate counter shared across one search stage."""
-
-    caps: Caps
-    stage: str
-    count: int = 0
-
-    def bump(self) -> None:
-        self.count += 1
-        if self.count > self.caps.max_assignments:
-            raise ResourceLimitError(self.stage, self.caps.max_assignments)
 
 
 def _pairing_search(
@@ -526,7 +505,7 @@ def _pairing_search(
     if g.n >= 3 and len({frozenset(g.endpoints(e)) for e in base_edges}) > 3 * g.n - 6:
         return None
     base_sub = g.subgraph(base_edges, g.vertex_set)
-    counter = _Counter(caps, "planar boundary pairing search")
+    counter = Budget("planar boundary pairing search", caps.max_assignments)
     m = len(residual)
     first = residual[0]
     for perm in permutations(residual[1:]):
@@ -534,7 +513,7 @@ def _pairing_search(
             continue
         order = (first, *perm)
         for bits in range(1 << (m - 1)):
-            counter.bump()
+            counter.spend()
             xs: list[int] = []
             ys: list[int] = []
             for i, e in enumerate(order):
@@ -564,36 +543,28 @@ _Hit = tuple[FamilyDescriptor, Certificate, BiasedGraph | None]
 
 
 def _detect_k5_parallel(o: BiasedGraph, caps: Caps, bases: _Bases) -> _Hit | None:
-    """Complete graph on five vertices with parallel classes, relabelled canonically."""
+    """Complete graph on five vertices with parallel classes, relabelled
+    canonically: vertex i is the i-th least, and edges are numbered as
+    :func:`~tanglekit.families.describe_k5_family` numbers them."""
     g = o.graph
     if g.n != 5 or any(g.is_loop(e) for e in g.edge_ids):
         return None
     vs = sorted(g.vertex_set)
     mults: list[int] = []
     emap: dict[int, int] = {}
-    next_id = 0
-    pairs: list[tuple[int, int]] = []
     for i, j in combinations(range(5), 2):
         between = sorted(g.edges_between(vs[i], vs[j]))
         if not between:
             return None
         mults.append(len(between))
         for e in between:
-            emap[e] = next_id
-            next_id += 1
-            pairs.append((i, j))
+            emap[e] = len(emap)
     if len(emap) != g.m:
         return None
-    canon_g = MultiGraph.from_pairs(pairs, vertices=range(5))
-    balanced = [
-        frozenset(emap[e] for e in c.edge_set) for c in o.balanced_cycles(caps)
-    ]
-    witness = make_explicit(canon_g, balanced, check=True, caps=caps)
-    d = FamilyDescriptor(
-        "K5Parallel",
-        canon_g,
-        {"mults": tuple(mults), "vertex_order": tuple(vs)},
-    )
+    k5 = describe_k5_family(mults)
+    balanced = [frozenset(emap[e] for e in c.edge_set) for c in o.balanced_cycles(caps)]
+    witness = make_explicit(k5.graph, balanced, check=True, caps=caps)
+    d = FamilyDescriptor("K5Parallel", k5.graph, {**k5.roles, "vertex_order": tuple(vs)})
     cert = verify_family(witness, d, caps)
     if cert.passed:
         return d, cert, witness
@@ -772,12 +743,12 @@ def _detect_special_vertex(o: BiasedGraph, caps: Caps, bases: _Bases) -> _Hit | 
     every orientation fails.  The split of m - {uu, zz, wz1, wz2} depends
     only on the bridge edges (uu, zz), as the hub edges are the two base
     edges at w in either order, so it is made once for the four
-    orientations.  The counter still bumps once per leg permutation.
+    orientations.  The count still grows by one per leg permutation.
     """
     g = o.graph
     if g.loops:
         return None
-    counter = _Counter(caps, "special-vertex search")
+    counter = Budget("special-vertex search", caps.max_assignments)
     hubs = [(w, {e: g.other_end(e, w) for e in g.incident_edges(w)}) for w in sorted(g.vertex_set)]
     hubs = [(w, spoke) for w, spoke in hubs if len(spoke) == 4]
     for m in bases:
@@ -810,7 +781,7 @@ def _detect_special_vertex(o: BiasedGraph, caps: Caps, bases: _Bases) -> _Hit | 
                             if not {u1, z2} <= side1 or not {u2, z1} <= side2:
                                 continue
                             for perm in permutations(range(len(legs))):
-                                counter.bump()
+                                counter.spend()
                                 xs = tuple(spans[i][0] for i in perm)
                                 ys = tuple(spans[i][1] for i in perm)
                                 if len(set((*xs, u1, z2))) != len(xs) + 2:
@@ -1001,7 +972,7 @@ def _detect_generalized_wheel(o: BiasedGraph, caps: Caps, bases: _Bases) -> _Hit
     (:meth:`_Bases.holds`).
     """
     g = o.graph
-    counter = _Counter(caps, "generalized-wheel search")
+    counter = Budget("generalized-wheel search", caps.max_assignments)
     for hub in sorted(g.vertex_set):
         spokes = frozenset(g.incident_edges(hub))
         if not spokes or any(g.is_loop(e) for e in spokes):
@@ -1012,10 +983,10 @@ def _detect_generalized_wheel(o: BiasedGraph, caps: Caps, bases: _Bases) -> _Hit
             continue
         found = _rings(rim_sub)
         for bond in found.bonds:
-            counter.bump()
+            counter.spend()
             atoms = bond.classes
             for mask in range(1, 1 << (len(atoms) - 1)):
-                counter.bump()
+                counter.spend()
                 part_a = frozenset(
                     e for i, es in enumerate(atoms) if mask >> i & 1 == 0 for e in es
                 )
@@ -1025,7 +996,7 @@ def _detect_generalized_wheel(o: BiasedGraph, caps: Caps, bases: _Bases) -> _Hit
                     if hit:
                         return hit
         for poly in found.polygons:
-            counter.bump()
+            counter.spend()
             if len(poly.pieces) <= 6 and all(bases.holds(pe) for pe in poly.pieces):
                 hit = _wheel_candidate(o, hub, poly.hinges, poly.pieces, spokes, caps, counter)
                 if hit:
@@ -1040,7 +1011,7 @@ def _wheel_candidate(
     parts: tuple[frozenset[int], ...],
     spokes: frozenset[int],
     caps: Caps,
-    counter: _Counter,
+    counter: Budget,
 ) -> _Hit | None:
     """Read each part's attachment split off a standard partition.
 
@@ -1081,11 +1052,11 @@ def _wheel_candidate(
         xs, ys = (frozenset(g.other_end(e, hub) for e in sp.parts[j]) for j in (x, 1 - x))
         if xs & ys:
             return None
-        counter.bump()
+        counter.spend()
         if ordered_planarity(sub, (z_prev, xs, z_cur, ys)) is None:
             return None
         xy.append((xs, ys))
-    counter.bump()
+    counter.spend()
     d = FamilyDescriptor(
         "GeneralizedWheel",
         g,
@@ -1155,7 +1126,7 @@ def _detect_tricoloured(o: BiasedGraph, caps: Caps, bases: _Bases) -> _Hit | Non
     g = o.graph
     if g.n < 4 or any(g.is_loop(e) for e in g.edge_ids) or not is_two_connected(g):
         return None
-    counter = _Counter(caps, "tricoloured search")
+    counter = Budget("tricoloured search", caps.max_assignments)
     cores: dict[frozenset[int], tuple[_RingLayout, ...]] = {}
     degree = {v: len(g.incident_edges(v)) for v in g.vertex_set}
     for trip in combinations(sorted(g.vertex_set), 3):
@@ -1174,7 +1145,7 @@ def _detect_tricoloured(o: BiasedGraph, caps: Caps, bases: _Bases) -> _Hit | Non
         if not stars:
             continue
         for choice in product(*(_star_choices(s, degree[x] - 2) for x, s in zip(trip, stars))):
-            counter.bump()
+            counter.spend()
             if any(not a[0].isdisjoint(b[0]) for a, b in combinations(choice, 2)):
                 continue
             chords = {e for _, es in choice for e in es}
@@ -1184,7 +1155,7 @@ def _detect_tricoloured(o: BiasedGraph, caps: Caps, bases: _Bases) -> _Hit | Non
                 cores[ring_edges] = _ring_layouts(core) if is_two_connected(core) else ()
             pairs = [(x, targets, edges) for x, (targets, edges) in zip(trip, choice)]
             for layout in cores[ring_edges]:
-                counter.bump()
+                counter.spend()
                 for ring, spots in layout.fit(pairs):
                     hit = _tricoloured_arrangements(o, pairs, ring, spots, caps, counter)
                     if hit:
@@ -1369,7 +1340,7 @@ def _tricoloured_arrangements(
     ring: _Ring,
     spots: list[list[int]],
     caps: Caps,
-    counter: _Counter,
+    counter: Budget,
 ) -> _Hit | None:
     """Lay the chord classes onto one ring: ``spots`` gives, per class,
     the ring indices where x is in the part and its targets in the
@@ -1388,7 +1359,7 @@ def _tricoloured_arrangements(
             xs6[i] = x
             ys6[i] = yset
             es6[i] = edges
-        counter.bump()
+        counter.spend()
         if not _tricoloured_bias_holds(o, pe6, es6, positions, caps):
             continue
         d = FamilyDescriptor(
@@ -1542,8 +1513,8 @@ def _decompose(o: BiasedGraph, caps: Caps) -> SumDecomposition:
     cur = o
     tags: dict[int, _Tag] = {e: ("real", e) for e in o.graph.edge_id_set}
     nodes: list[SumNode] = []
-    cuts = find_vertex_cuts(o.graph, 3, caps)
-    spent = _search_passes(o.graph.n, cuts)
+    budget = Budget("find_vertex_cuts", caps.max_subsets)
+    cuts = _vertex_cut_search(o.graph, 3, budget)
     sides: dict[tuple[frozenset[int], frozenset[int]], bool] = {}
 
     def balanced(vc: VertexCut, b: Bridge) -> bool:
@@ -1606,7 +1577,7 @@ def _decompose(o: BiasedGraph, caps: Caps) -> SumDecomposition:
             vc, bridge = pick
         cur, tags, node = _peel(cur, tags, vc, bridge, len(nodes) + 1)
         nodes.append(node)
-        cuts, spent = _carried_cuts(cur.graph, cuts, vc, bridge, node.virtual_edges, caps, spent)
+        cuts = _carried_cuts(cur.graph, cuts, vc, bridge, node.virtual_edges, budget)
         gone = bridge.interior
         sides = {(x, inner - gone): v for (x, inner), v in sides.items() if not x & gone and not vc.cut <= x}
 
@@ -1617,13 +1588,12 @@ def _carried_cuts(
     vc: VertexCut,
     side: Bridge,
     virtual: tuple[int, ...],
-    caps: Caps,
-    spent: int,
-) -> tuple[tuple[VertexCut, ...], int]:
+    budget: Budget,
+) -> tuple[VertexCut, ...]:
     """The minimal cuts of size at most three of the core h left by
     peeling ``side`` at ``vc``, which added the ``virtual`` edges, read
-    off the parent's ``cuts`` by the rule proved in :func:`decompose`, and
-    the lowpoint passes spent so far.
+    off the parent's ``cuts`` by the rule proved in :func:`decompose`;
+    each lowpoint pass is spent from ``budget``.
 
     A carried cut keeps its sides, but for the one that held the peeled
     interior I: it loses I and the peeled side's edges, and gains each
@@ -1639,10 +1609,7 @@ def _carried_cuts(
         return not any(frozenset(sub) in found for r in range(1, len(x)) for sub in combinations(x, r))
 
     def cut_vertices(removed: frozenset[int]) -> frozenset[int]:
-        nonlocal spent
-        spent += 1
-        if spent > caps.max_subsets:
-            raise ResourceLimitError("find_vertex_cuts", caps.max_subsets)
+        budget.spend()
         return _cut_vertices(h, removed)
 
     def sides_of(x: frozenset[int]) -> tuple[Bridge, ...]:
@@ -1668,7 +1635,7 @@ def _carried_cuts(
                     continue
                 found.update([sv | {w} for w in cut_vertices(sv) if w > v and fresh(sv | {w})])
     ordered = sorted(found, key=lambda x: (len(x), sorted(x)))
-    return tuple(VertexCut(x, sides_of(x)) for x in ordered), spent
+    return tuple(VertexCut(x, sides_of(x)) for x in ordered)
 
 
 def _terminal(
@@ -1786,7 +1753,7 @@ def _extract_wheel(cur: BiasedGraph, vc: VertexCut, caps: Caps) -> tuple[FamilyD
         hinges, ring = (x2, x3), (side_a.union(*direct), side_b)
 
     spokes = frozenset(g.incident_edges(hub))
-    hit = _wheel_candidate(cur, hub, hinges, ring, spokes, caps, _Counter(caps, "wheel-core extraction"))
+    hit = _wheel_candidate(cur, hub, hinges, ring, spokes, caps, Budget("wheel-core extraction", caps.max_assignments))
     if hit is None:
         raise ClassifyError(f"wheel shape at cut {cut} has no verified attachment split")
     return hit[0], hit[1]

@@ -20,7 +20,7 @@ from __future__ import annotations
 import warnings
 from dataclasses import dataclass
 from itertools import combinations, permutations
-from typing import Iterable, Mapping, Sequence
+from typing import Iterable, Iterator, Mapping, Sequence
 
 from .bias import (
     AllBalanced,
@@ -95,7 +95,7 @@ Constraint = tuple[str, Cycle, bool]
 @dataclass(frozen=True)
 class _Plan:
     structure: tuple[CheckResult, ...]
-    constraints: tuple[Constraint, ...]
+    constraints: Iterable[Constraint]  # read once; PPSigned lists its cycles only then
 
 
 # ---------------------------------------------------------------------------
@@ -855,9 +855,16 @@ def _plan_pp_signed(d: FamilyDescriptor, caps: Caps) -> _Plan:
     planar_ok = len(set(seq)) == len(seq) and ordered_planarity(base, seq) is not None
     checks.append(_check("boundary pairing planar", planar_ok))
 
-    sig = frozenset(cross)
-    constraints = tuple(("cycle parity law", c, len(c.edge_set & sig) % 2 == 0) for c in g.cycles(caps))
-    return _Plan(tuple(checks), constraints)
+    return _Plan(tuple(checks), _parity_law(g, frozenset(cross), caps))
+
+
+def _parity_law(g: MultiGraph, sig: frozenset[int], caps: Caps) -> Iterator[Constraint]:
+    """A cycle is balanced exactly when it holds an even number of the
+    signed edges ``sig``.  ``build_family`` signs those edges and reads no
+    clause, so g's cycles are listed only when ``verify_family`` reads
+    them."""
+    for c in g.cycles(caps):
+        yield "cycle parity law", c, len(c.edge_set & sig) % 2 == 0
 
 
 # ---------------------------------------------------------------------------
@@ -933,13 +940,14 @@ def verify_family(o: BiasedGraph, d: FamilyDescriptor, caps: Caps = DEFAULT_CAPS
     checks.append(_check("underlying graph matches descriptor", same))
     plan = _plan(d, caps)
     checks.extend(plan.structure)
+    constraints = tuple(plan.constraints)
     if not same:
-        if plan.constraints:
+        if constraints:
             checks.append(_check("bias clauses", False, "not evaluated: underlying graph differs"))
         return Certificate(d, tuple(checks))
     order: list[str] = []
     stats: dict[str, tuple[int, Cycle | None, bool]] = {}
-    for name, cyc, want in plan.constraints:
+    for name, cyc, want in constraints:
         if name not in stats:
             order.append(name)
             stats[name] = (0, None, False)

@@ -31,7 +31,7 @@ from dataclasses import dataclass
 from functools import cached_property
 from typing import Iterable, Iterator, Mapping, Sequence
 
-from .limits import Caps, DEFAULT_CAPS, ResourceLimitError
+from .limits import Budget, Caps, DEFAULT_CAPS
 
 
 class GraphError(ValueError):
@@ -209,14 +209,14 @@ class MultiGraph:
     def cycles(self, caps: Caps = DEFAULT_CAPS) -> tuple["Cycle", ...]:
         """All cycles in ``Cycle.sort_key`` order, enumerated once per graph.
 
-        Raises ResourceLimitError("enumerate_cycles") beyond
-        ``caps.max_cycles`` cycles, on a cache hit too.
+        Past ``caps.max_cycles`` cycles it raises ResourceLimitError
+        (stage "enumerate_cycles"), on a cache hit too.
         """
         cached = self.__dict__.get("_cycles")
         if cached is None:
             cached = self.__dict__["_cycles"] = enumerate_cycles(self, caps)
-        elif len(cached) > caps.max_cycles:
-            raise ResourceLimitError("enumerate_cycles", caps.max_cycles)
+        else:
+            Budget("enumerate_cycles", caps.max_cycles).spend(len(cached))
         return cached
 
     # -- derived graphs ----------------------------------------------------
@@ -456,6 +456,8 @@ def enumerate_cycles(g: MultiGraph, caps: Caps = DEFAULT_CAPS) -> tuple[Cycle, .
     graph.  Raises ResourceLimitError beyond ``caps.max_cycles`` cycles.
     """
     out: list[Cycle] = [*_short_cycles(g, 1), *_short_cycles(g, 2)]
+    budget = Budget("enumerate_cycles", caps.max_cycles)
+    budget.spend(len(out))
     adj = g._adjacency
     for s in g.vertices:
         stack: list[tuple[tuple[int, ...], tuple[int, ...]]] = [((s,), ())]
@@ -464,13 +466,10 @@ def enumerate_cycles(g: MultiGraph, caps: Caps = DEFAULT_CAPS) -> tuple[Cycle, .
             for y, e in adj[vpath[-1]]:
                 if y == s:
                     if len(epath) >= 2 and vpath[1] < vpath[-1]:
+                        budget.spend()
                         out.append(Cycle.from_walk(epath + (e,), vpath))
-                        if len(out) > caps.max_cycles:
-                            raise ResourceLimitError("enumerate_cycles", caps.max_cycles)
                 elif y > s and y not in vpath:
                     stack.append((vpath + (y,), epath + (e,)))
-    if len(out) > caps.max_cycles:
-        raise ResourceLimitError("enumerate_cycles", caps.max_cycles)
     out.sort(key=Cycle.sort_key)
     return tuple(out)
 
@@ -549,11 +548,11 @@ def chordless_vertex_sets(g: MultiGraph, caps: Caps = DEFAULT_CAPS) -> Iterator[
     Only cycles on three or more vertices count; loops and parallel edges
     are ignored.  A rooted path from its least vertex s grows only by
     vertices adjacent to no inner path vertex, and closes as soon as it
-    reaches a neighbour of s.  Raises ResourceLimitError("enumerate_cycles")
-    beyond ``caps.max_cycles`` sets.
+    reaches a neighbour of s.  Past ``caps.max_cycles`` sets it raises
+    ResourceLimitError (stage "enumerate_cycles").
     """
     nbrs = {v: {w for w, _ in g.adjacent(v)} for v in g.vertices}
-    found = 0
+    budget = Budget("enumerate_cycles", caps.max_cycles)
     for s in g.vertices:
         stack = [(s, a) for a in nbrs[s] if a > s]
         while stack:
@@ -564,9 +563,7 @@ def chordless_vertex_sets(g: MultiGraph, caps: Caps = DEFAULT_CAPS) -> Iterator[
                 if s not in nbrs[y]:
                     stack.append(path + (y,))
                 elif path[1] < y:  # one orientation of each cycle
-                    found += 1
-                    if found > caps.max_cycles:
-                        raise ResourceLimitError("enumerate_cycles", caps.max_cycles)
+                    budget.spend()
                     yield frozenset(path + (y,))
 
 
@@ -608,9 +605,7 @@ def enumerate_theta_subgraphs(
 ) -> tuple[ThetaSubgraph, ...]:
     """All theta subgraphs, each reported once with its three cycles."""
     cyc = tuple(cycles) if cycles is not None else g.cycles(caps)
-    npairs = len(cyc) * (len(cyc) - 1) // 2
-    if npairs > caps.max_theta_pairs:
-        raise ResourceLimitError("enumerate_theta_subgraphs", caps.max_theta_pairs)
+    Budget("enumerate_theta_subgraphs", caps.max_theta_pairs).spend(len(cyc) * (len(cyc) - 1) // 2)
     by_edges: dict[frozenset[int], Cycle] = {c.edge_set: c for c in cyc}
     seen: dict[frozenset[int], ThetaSubgraph] = {}
     for i, c1 in enumerate(cyc):
@@ -700,12 +695,16 @@ def find_vertex_cuts(g: MultiGraph, k: int, caps: Caps = DEFAULT_CAPS) -> tuple[
     smaller cut either.  Size three costs O(n^2) passes.  Every pass
     counts against ``caps.max_subsets`` ("find_vertex_cuts").
     """
+    return _vertex_cut_search(g, k, Budget("find_vertex_cuts", caps.max_subsets))
+
+
+def _vertex_cut_search(g: MultiGraph, k: int, budget: Budget) -> tuple[VertexCut, ...]:
+    """:func:`find_vertex_cuts`, each lowpoint pass spent from ``budget``."""
     if not g.is_connected():
         raise GraphError("find_vertex_cuts requires a connected graph")
     if k < 0:
         raise GraphError("k must be non-negative")
     found: set[frozenset[int]] = set()
-    count = 0
 
     def holds_cut(xs: tuple[int, ...], sizes: range) -> bool:
         return any(frozenset(sub) in found for r in sizes for sub in itertools.combinations(xs, r))
@@ -717,28 +716,13 @@ def find_vertex_cuts(g: MultiGraph, k: int, caps: Caps = DEFAULT_CAPS) -> tuple[
         for ys in itertools.combinations(g.vertices, size - 1):
             if holds_cut(ys, range(1, size)):
                 continue
-            count += 1
-            if count > caps.max_subsets:
-                raise ResourceLimitError("find_vertex_cuts", caps.max_subsets)
+            budget.spend()
             top = ys[-1] if ys else -1
             for c in sorted(_cut_vertices(g, ys)):
                 if c > top and not holds_cut((*ys, c), range(1, size)):
                     found.add(frozenset((*ys, c)))
     cuts = sorted(found, key=lambda x: (len(x), sorted(x)))
     return tuple(VertexCut(x, bridges_of_cut(g, x)) for x in cuts)
-
-
-def _search_passes(n: int, cuts: Sequence[VertexCut]) -> int:
-    """The lowpoint passes ``find_vertex_cuts(g, 3)`` made on a graph of
-    n vertices to find ``cuts``, read off its answer: one for the empty
-    set, one per vertex that is no cut, and one per pair that holds no
-    cut; a pair of vertices that are no 1-cut holds a cut only when it is
-    a 2-cut itself.  Size s is searched only while n - s >= 2.
-    """
-    ones = sum(x.size == 1 for x in cuts)
-    twos = sum(x.size == 2 for x in cuts)
-    free = n - ones
-    return (n >= 3) + (n >= 4) * free + (n >= 5) * (free * (free - 1) // 2 - twos)
 
 
 def _cut_vertices(g: MultiGraph, removed: Iterable[int] = ()) -> frozenset[int]:

@@ -41,7 +41,7 @@ from typing import Iterator, Sequence
 
 from .embedding import OrderedPlanarEmbedding, OrderSpec, ordered_planarity, verify_ordered_embedding
 from .graph import GraphError, MultiGraph
-from .limits import DEFAULT_CAPS, Caps, ResourceLimitError
+from .limits import DEFAULT_CAPS, Budget, Caps
 
 
 class LinkageError(ValueError):
@@ -155,16 +155,14 @@ def _search_linkage(
     if not (_reaches(adj, s2, t2, on) and _reaches(adj, s1, t1, on | ends)):
         return None
     trials = [iter(adj[s1])]
-    built = 0
+    budget = Budget("linkage path search", caps.max_subsets)
     while path[-1] != t1:
         for nxt in trials[-1]:
             if nxt in on or nxt in ends:
                 continue
             on.add(nxt)
             if _reaches(adj, s2, t2, on) and _reaches(adj, nxt, t1, on | ends):
-                built += 1
-                if built > caps.max_subsets:
-                    raise ResourceLimitError("linkage path search", caps.max_subsets)
+                budget.spend()
                 path.append(nxt)
                 trials.append(iter(adj[nxt]))
                 break
@@ -288,12 +286,10 @@ def find_three_planar(
     if unknown:
         raise LinkageError(f"unknown vertices {sorted(unknown)}")
     free = sorted(g.vertex_set - required)
-    budget = 0
+    budget = Budget("witness search", caps.max_subsets)
     for size in range(len(free) + 1):
         for chosen in itertools.combinations(free, size):
-            budget += 1
-            if budget > caps.max_subsets:
-                raise ResourceLimitError("witness search", caps.max_subsets)
+            budget.spend()
             comps = [set(c) for c in g.induced(frozenset(chosen)).components()]
             if any(len(neighborhood(g, c)) > 3 for c in comps):
                 continue
@@ -464,8 +460,8 @@ def find_linkage(
     the pruned path search with backtracking.  The first three take
     polynomial time (each witness is one planarity test, facial triangles
     included), so an input without a linkage never reaches the fourth.  The path search counts every prefix it builds against
-    `caps.max_subsets` and raises ResourceLimitError("linkage path search")
-    past it.
+    `caps.max_subsets` and raises ResourceLimitError (stage "linkage path
+    search") past it.
     """
     terms = (s1, t1, s2, t2)
     unknown = set(terms) - g.vertex_set

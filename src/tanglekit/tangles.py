@@ -26,7 +26,7 @@ from itertools import chain, combinations
 
 from .bias import BiasedGraph, balanced_without
 from .graph import Cycle, chordless_vertex_sets, fundamental_cycles
-from .limits import DEFAULT_CAPS, Caps, ResourceLimitError
+from .limits import DEFAULT_CAPS, Budget, Caps
 
 
 class TangleError(ValueError):
@@ -111,11 +111,9 @@ def find_disjoint_unbalanced_pair(
     g = o.graph
     loops = [frozenset((v,)) for v in sorted({v for _, v in g.loops})]
     parallel = [frozenset(p) for p in g.simple_pairs() if len(g.edges_between(*p)) > 1]
-    tests = 0
+    budget = Budget("disjoint-pair scan", caps.max_theta_pairs)
     for part in chain(loops, parallel, chordless_vertex_sets(g, caps)):
-        tests += 1
-        if tests > caps.max_theta_pairs:
-            raise ResourceLimitError("disjoint-pair scan", caps.max_theta_pairs)
+        budget.spend()
         rest = g.vertex_set - part
         if not balanced_without(o, rest) and not balanced_without(o, part):
             return _unbalanced_fundamental_cycle(o, rest), _unbalanced_fundamental_cycle(o, part)

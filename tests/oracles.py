@@ -50,7 +50,6 @@ from tanglekit.classify import (
     SumDecomposition,
     SumNode,
     WheelCore,
-    _Counter,
     _Hit,
     _Tag,
     _peel,
@@ -85,7 +84,7 @@ from tanglekit.graph import (
     is_two_connected,
     _rings,
 )
-from tanglekit.limits import DEFAULT_CAPS, Caps, ResourceLimitError
+from tanglekit.limits import DEFAULT_CAPS, Budget, Caps, ResourceLimitError
 from tanglekit.linkage import (
     Linkage,
     LinkageError,
@@ -951,7 +950,7 @@ def _detect_tricoloured(o: BiasedGraph, caps: Caps, msets: tuple[frozenset[int],
     g = o.graph
     if g.n < 4 or any(g.is_loop(e) for e in g.edge_ids):
         return None
-    counter = _Counter(caps, "tricoloured search")
+    counter = Budget("tricoloured search", caps.max_assignments)
     for trip in combinations(sorted(g.vertex_set), 3):
         tset = set(trip)
         stars: list[dict[int, list[int]]] = []
@@ -968,7 +967,7 @@ def _detect_tricoloured(o: BiasedGraph, caps: Caps, msets: tuple[frozenset[int],
         if not stars:
             continue
         for choice in product(*(_star_choices(s) for s in stars)):
-            counter.bump()
+            counter.spend()
             # Target sets land in pairwise distinct ring parts, which
             # overlap in at most a hinge.
             if any(
@@ -1004,7 +1003,7 @@ def _fit_tricoloured(
     choice: tuple[tuple[tuple[int, ...], tuple[int, ...]], ...],
     ring_edges: frozenset[int],
     caps: Caps,
-    counter: _Counter,
+    counter: Budget,
 ) -> _Hit | None:
     g = o.graph
     sub = g.subgraph(ring_edges)
@@ -1015,7 +1014,7 @@ def _fit_tricoloured(
     ]
     for k in range(3, min(len(verts), 6) + 1):
         for hinge_set in combinations(verts, k):
-            counter.bump()
+            counter.spend()
             groups = _pair_components(sub, frozenset(hinge_set))
             if not groups:
                 continue
@@ -1056,7 +1055,7 @@ def _tricoloured_arrangements(
     pairs: list[tuple[int, frozenset[int], tuple[int, ...]]],
     ring: list[tuple[frozenset[int], frozenset[int]]],
     caps: Caps,
-    counter: _Counter,
+    counter: Budget,
 ) -> _Hit | None:
     g = o.graph
     seen: set[tuple[frozenset[int], ...]] = set()
@@ -1106,7 +1105,7 @@ def _tricoloured_arrangements(
                         xs6[i] = x
                         ys6[i] = yset
                         es6[i] = edges
-                    counter.bump()
+                    counter.spend()
                     d = FamilyDescriptor(
                         "Tricoloured",
                         g,
@@ -1162,7 +1161,7 @@ def _layout_detect_tricoloured(o: BiasedGraph, caps: Caps, msets: tuple[frozense
     g = o.graph
     if g.n < 4 or any(g.is_loop(e) for e in g.edge_ids):
         return None
-    counter = _Counter(caps, "tricoloured search")
+    counter = Budget("tricoloured search", caps.max_assignments)
     cores: dict[frozenset[int], tuple[OracleRingLayout, ...]] = {}
     for trip in combinations(sorted(g.vertex_set), 3):
         tset = set(trip)
@@ -1180,7 +1179,7 @@ def _layout_detect_tricoloured(o: BiasedGraph, caps: Caps, msets: tuple[frozense
         if not stars:
             continue
         for choice in product(*(_layout_star_choices(s) for s in stars)):
-            counter.bump()
+            counter.spend()
             if any(not a[0].isdisjoint(b[0]) for a, b in combinations(choice, 2)):
                 continue
             chords = {e for _, es in choice for e in es}
@@ -1190,7 +1189,7 @@ def _layout_detect_tricoloured(o: BiasedGraph, caps: Caps, msets: tuple[frozense
                 cores[ring_edges] = _layout_ring_layouts(core) if is_two_connected(core) else ()
             pairs = [(x, targets, edges) for x, (targets, edges) in zip(trip, choice)]
             for layout in cores[ring_edges]:
-                counter.bump()
+                counter.spend()
                 # Every target set must land inside one ring part.
                 if not all(layout.fits(yset) for _, yset, _ in pairs):
                     continue
@@ -1285,7 +1284,7 @@ def _layout_tricoloured_arrangements(
     pairs: list[tuple[int, frozenset[int], tuple[int, ...]]],
     ring: _OracleRing,
     caps: Caps,
-    counter: _Counter,
+    counter: Budget,
 ) -> _Hit | None:
     g = o.graph
     pvs, pes, hinges = ring
@@ -1308,7 +1307,7 @@ def _layout_tricoloured_arrangements(
             xs6[i] = x
             ys6[i] = yset
             es6[i] = edges
-        counter.bump()
+        counter.spend()
         if not _layout_tricoloured_bias_holds(o, pe6, es6, positions, caps):
             continue
         d = FamilyDescriptor(
@@ -1492,7 +1491,7 @@ def _oracle_star_bias_holds(
 def _detect_special_vertex(o: BiasedGraph, caps: Caps, msets: tuple[frozenset[int], ...]) -> _Hit | None:
     """Degree-4 special vertex joining two planar halves, residual legs across."""
     g = o.graph
-    counter = _Counter(caps, "special-vertex search")
+    counter = Budget("special-vertex search", caps.max_assignments)
     for m in msets:
         residual = sorted(g.edge_id_set - m)
         if len(residual) < 2 or any(g.is_loop(e) for e in residual):
@@ -1546,7 +1545,7 @@ def _detect_special_vertex(o: BiasedGraph, caps: Caps, msets: tuple[frozenset[in
                             if not ok:
                                 continue
                             for perm in permutations(range(len(legs))):
-                                counter.bump()
+                                counter.spend()
                                 xs = tuple(spans[i][0] for i in perm)
                                 ys = tuple(spans[i][1] for i in perm)
                                 if len(set((*xs, u1, z2))) != len(xs) + 2:
@@ -1766,7 +1765,7 @@ def _detect_generalized_wheel(o: BiasedGraph, caps: Caps, msets: tuple[frozenset
     shared hinge a cut vertex of the merged part).
     """
     g = o.graph
-    counter = _Counter(caps, "generalized-wheel search")
+    counter = Budget("generalized-wheel search", caps.max_assignments)
     for hub in sorted(g.vertex_set):
         spokes = frozenset(g.incident_edges(hub))
         if not spokes or any(g.is_loop(e) for e in spokes):
@@ -1777,10 +1776,10 @@ def _detect_generalized_wheel(o: BiasedGraph, caps: Caps, msets: tuple[frozenset
             continue
         found = _rings(rim_sub)
         for bond in found.bonds:
-            counter.bump()
+            counter.spend()
             atoms = bond.classes
             for mask in range(1, 1 << (len(atoms) - 1)):
-                counter.bump()
+                counter.spend()
                 part_a = frozenset(
                     e for i, es in enumerate(atoms) if mask >> i & 1 == 0 for e in es
                 )
@@ -1790,7 +1789,7 @@ def _detect_generalized_wheel(o: BiasedGraph, caps: Caps, msets: tuple[frozenset
                 if hit:
                     return hit
         for poly in found.polygons:
-            counter.bump()
+            counter.spend()
             if len(poly.pieces) <= 6:
                 hit = _wheel_candidate(o, hub, poly.hinges, poly.pieces, spokes, msets, caps, counter)
                 if hit:
@@ -1806,7 +1805,7 @@ def _wheel_candidate(
     spokes: frozenset[int],
     msets: tuple[frozenset[int], ...],
     caps: Caps,
-    counter: _Counter,
+    counter: Budget,
 ) -> _Hit | None:
     """Try every attachment split of the given ring against the planner.
 
@@ -1843,14 +1842,14 @@ def _wheel_candidate(
                 ys = frozenset(attach) - xs
                 if not ys:
                     continue
-                counter.bump()
+                counter.spend()
                 if ordered_planarity(sub, (z_prev, xs, z_cur, ys)):
                     opts.append((xs, ys))
         if not opts:
             return None
         options.append(opts)
     for combo in product(*options):
-        counter.bump()
+        counter.spend()
         d = FamilyDescriptor(
             "GeneralizedWheel",
             g,
@@ -2276,13 +2275,13 @@ def oracle_pairing_search(
     if not residual or any(g.is_loop(e) for e in residual):
         return None
     base_sub = g.subgraph(base_edges, g.vertex_set)
-    counter = _Counter(caps, "planar boundary pairing search")
+    counter = Budget("planar boundary pairing search", caps.max_assignments)
     m = len(residual)
     first = residual[0]
     for perm in permutations(residual[1:]):
         order = (first, *perm)
         for bits in range(1 << m):
-            counter.bump()
+            counter.spend()
             xs: list[int] = []
             ys: list[int] = []
             for i, e in enumerate(order):

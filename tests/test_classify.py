@@ -61,7 +61,7 @@ from tanglekit.families import (
     verify_family,
 )
 from tanglekit.graph import MultiGraph, cycles_with, find_vertex_cuts, is_two_connected
-from tanglekit.limits import DEFAULT_CAPS, Caps, ResourceLimitError
+from tanglekit.limits import DEFAULT_CAPS, Budget, Caps, ResourceLimitError
 from tanglekit.tangles import (
     Tangled,
     disjoint_unbalanced_pair_exists,
@@ -367,16 +367,16 @@ def test_tricoloured_search_builds_no_ring_core_of_an_input_that_is_not_two_conn
 def test_tricoloured_degree_gates_cut_the_steps_on_a_t_sum(monkeypatch):
     counters = []
 
-    class Recording(classify_module._Counter):
+    class Recording(Budget):
         def __init__(self, *args):
             super().__init__(*args)
             counters.append(self)
 
-    monkeypatch.setattr(classify_module, "_Counter", Recording)
+    monkeypatch.setattr(classify_module, "Budget", Recording)
     # tsum2-k5-k3; 1,197 steps before the degree gates
     o = corpus_t_sums()[4]
     assert _detect_tricoloured(o, DEFAULT_CAPS, _Bases(o, DEFAULT_CAPS)) is None
-    assert [c.count for c in counters] == [162]
+    assert [c.spent for c in counters] == [162]
 
 
 def test_bias_verdicts_depend_on_the_part_edge_set():
@@ -714,8 +714,8 @@ def test_carried_cut_passes_count_against_the_vertex_cut_cap():
 
 def test_decompose_searches_for_vertex_cuts_once(monkeypatch):
     searched = []
-    real = classify_module.find_vertex_cuts
-    monkeypatch.setattr(classify_module, "find_vertex_cuts", lambda g, *args: searched.append(g) or real(g, *args))
+    real = classify_module._vertex_cut_search
+    monkeypatch.setattr(classify_module, "_vertex_cut_search", lambda g, *args: searched.append(g) or real(g, *args))
     o = build_family(pp_signed(16))
     dec = decompose(o)
     assert len(dec.nodes) == 7
@@ -1000,18 +1000,18 @@ def test_special_vertex_search_stops_where_the_scan_does(monkeypatch):
     # still counts every leg permutation the scan tries, to a hit or a miss
     counters = []
 
-    class Recording(classify_module._Counter):
+    class Recording(Budget):
         def __init__(self, *args):
             super().__init__(*args)
             counters.append(self)
 
-    monkeypatch.setattr(oracles_module, "_Counter", Recording)
+    monkeypatch.setattr(oracles_module, "Budget", Recording)
     tried: dict[bool, list[int]] = {True: [], False: []}
     for o in filter_inputs():
         bases = _Bases(o, DEFAULT_CAPS)
         counters.clear()
         expected = oracle_detect_special_vertex(o, DEFAULT_CAPS, bases)
-        c = counters[0].count
+        c = counters[0].spent
         if not c:
             continue
         for detector in (_detect_special_vertex, oracle_detect_special_vertex):
@@ -1290,6 +1290,14 @@ def test_signed_w7_peels_to_a_wheel_core():
     assert dec.verify(o) == ()
 
 
+def test_wheel_core_extraction_stops_at_the_assignment_cap():
+    # the peel loop runs no other search counted against max_assignments,
+    # so the wheel reader's first candidate is the one that passes the cap
+    with pytest.raises(ResourceLimitError) as err:
+        decompose(signed_w7(), Caps(max_assignments=0))
+    assert (err.value.stage, err.value.limit) == ("wheel-core extraction", 0)
+
+
 # -- wheel splits read off standard partitions ------------------------------------
 
 
@@ -1351,7 +1359,7 @@ def diamond_ring_with_unbalanced_part() -> BiasedGraph:
 def test_wheel_reader_and_extraction_raise_no_tangle_error(monkeypatch):
     parts = tuple(frozenset(range(7 * i, 7 * i + 5)) for i in range(3))
     spokes = frozenset(diamond_ring_wheel().graph.incident_edges(0))
-    counter = classify_module._Counter(DEFAULT_CAPS, "generalized-wheel search")
+    counter = Budget("generalized-wheel search", DEFAULT_CAPS.max_assignments)
     read = classify_module._wheel_candidate
     assert read(diamond_ring_wheel(), 0, (1, 2, 3), parts, spokes, DEFAULT_CAPS, counter) is not None
     o = diamond_ring_with_unbalanced_part()

@@ -620,6 +620,16 @@ def test_pp_signed_parity_law():
     assert all(o.balance(c) == (len(c.edge_set & sig) % 2 == 0) for c in o.cycles())
 
 
+def test_pp_signed_builds_without_listing_cycles():
+    # C40 with its 20 diagonals has more cycles than the default cap allows;
+    # build_family signs the cross edges and reads none of the parity clauses
+    base = MultiGraph.from_pairs([(i, (i + 1) % 40) for i in range(40)])
+    d = describe_pp_signed(base, tuple(range(20)), tuple(range(20, 40)))
+    o = build_family(d)
+    assert o.graph is d.graph and "_cycles" not in o.graph.__dict__
+    assert o.bias == Signed(frozenset(range(40, 60)))
+
+
 def test_pp_signed_single_pair_warns_not_tangled():
     base = MultiGraph.from_pairs([(0, 1), (1, 2), (2, 3), (3, 0)])
     with pytest.warns(UserWarning, match="blocking pair") as caught:

@@ -13,7 +13,6 @@ from tanglekit.graph import (
     GraphError,
     MultiGraph,
     _cut_vertices,
-    _search_passes,
     bridges_of_cut,
     chordless_vertex_sets,
     enumerate_cycles,
@@ -23,7 +22,6 @@ from tanglekit.graph import (
     is_two_connected,
     rings,
 )
-import tanglekit.graph as graph_module
 from tanglekit.classify import _ring_layouts
 from tanglekit.limits import Caps, ResourceLimitError
 
@@ -248,19 +246,6 @@ def test_vertex_cut_cap_counts_block_trees():
     with pytest.raises(ResourceLimitError) as err:
         find_vertex_cuts(g, 3, Caps(max_subsets=12))
     assert err.value.stage == "find_vertex_cuts"
-
-
-def test_search_passes_count_the_passes_of_the_cut_search(monkeypatch):
-    passes = []
-    real = graph_module._cut_vertices
-    monkeypatch.setattr(graph_module, "_cut_vertices", lambda g, removed=(): passes.append(removed) or real(g, removed))
-    graphs = [g for n in range(1, 7) for g in connected_graph_census(n)]
-    rng = random.Random("search passes")
-    graphs += [random_multigraph(rng, max_n=8, max_extra=6, allow_loops=True) for _ in range(100)]
-    for g in graphs:
-        passes.clear()
-        cuts = find_vertex_cuts(g, 3)
-        assert _search_passes(g.n, cuts) == len(passes)
 
 
 def test_k4_no_small_cuts():

@@ -16,7 +16,8 @@ sets and the fundamental cycles of a spanning forest, among which a
 disjoint pair is named.  The bias module lists no theta: it tests pairs
 of balanced cycles instead.  Every field of a classification report is
 read off a ``report`` by library, CLI or benchmark code outside the
-classifier.
+classifier.  Only the limits module builds a ``ResourceLimitError``: every
+other module counts through its ``Budget``, and may re-raise a caught one.
 """
 
 from __future__ import annotations
@@ -190,3 +191,16 @@ def test_every_report_field_is_read_outside_the_classifier():
     readers += [p for p in BENCH.glob("*.py") if not p.name.startswith("test_")]
     read = set().union(*(_report_reads(ast.parse(p.read_text(), filename=str(p))) for p in readers))
     assert sorted(fields - read) == []
+
+
+def test_only_the_limits_module_builds_a_resource_limit_error():
+    builders = []
+    for path in sorted(SRC.glob("*.py")):
+        if path.name == "limits.py":
+            continue
+        for node in ast.walk(ast.parse(path.read_text(), filename=str(path))):
+            if isinstance(node, ast.Call):
+                f = node.func
+                if (f.id if isinstance(f, ast.Name) else getattr(f, "attr", None)) == "ResourceLimitError":
+                    builders.append(f"{path.name}:{node.lineno}")
+    assert builders == []
