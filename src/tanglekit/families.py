@@ -19,7 +19,7 @@ from __future__ import annotations
 
 import warnings
 from dataclasses import dataclass
-from itertools import combinations, permutations
+from itertools import combinations
 from typing import Iterable, Iterator, Mapping, Sequence
 
 from .bias import (
@@ -514,24 +514,6 @@ def _plan_pp_special_vertex(d: FamilyDescriptor, caps: Caps) -> _Plan:
 # ---------------------------------------------------------------------------
 
 
-def _planar_with_junction(
-    g: MultiGraph,
-    prefix: tuple[int, ...],
-    xs: frozenset[int],
-    ys: frozenset[int],
-) -> bool:
-    """Planarity of (g, (*prefix, X, Y)) allowing X and Y to share one vertex."""
-    shared = xs & ys
-    if not shared:
-        return ordered_planarity(g, (*prefix, xs, ys)) is not None
-    (v,) = shared
-    for px in permutations(sorted(xs - {v})):
-        for py in permutations(sorted(ys - {v})):
-            if ordered_planarity(g, (*prefix, *px, v, *py)) is not None:
-                return True
-    return False
-
-
 def _plan_pp_special_pair(d: FamilyDescriptor, caps: Caps) -> _Plan:
     """Planar base with two vertex stars and optional junction edges.
 
@@ -575,7 +557,8 @@ def _plan_pp_special_pair(d: FamilyDescriptor, caps: Caps) -> _Plan:
         return _Plan(tuple(checks), ())
 
     base = g.subgraph(h, g.vertex_set)
-    checks.append(_check("boundary order planar", _planar_with_junction(base, (x, y), xset, yset)))
+    boundary = (x, y, xset - yset, *(xset & yset), yset - xset)
+    checks.append(_check("boundary order planar", ordered_planarity(base, boundary) is not None))
 
     constraints: list[Constraint] = []
     for c in cycles_inside(g, h, caps):

@@ -5,9 +5,9 @@ paths (a linkage), or a three-planar witness certifies that they are not:
 after deleting vertex sets with at most three attachments each and joining
 each set's attachments into a clique, the rest embeds in the plane with
 s1, s2, t1, t2 around one face in that order.  By the 2-linkage theorem
-(Seymour 1980; Thomassen 1980) exactly one of the two exists, and the
-deleted sets can be taken to be the terminal-free parts that a
-(<= 3)-reduction removes.
+(Seymour 1980; Thomassen 1980) exactly one of the two exists, and on a
+loopless graph the deleted sets can be taken to be the terminal-free parts
+that a (<= 3)-reduction removes.
 
 `find_linkage` decides which in four stages:
 
@@ -17,19 +17,22 @@ deleted sets can be taken to be the terminal-free parts that a
 3. the reduction witness: every terminal-free part cut off by at most three
    vertices is replaced by a clique on them, found with at most four
    augmenting-path searches per vertex, then one more planarity test, in
-   which every three-vertex neighbourhood must bound a facial triangle;
+   which every three-vertex neighbourhood must bound a facial triangle
+   (where loops block that witness, an exhaustive search decides);
 4. the pruned path search with backtracking, which by the theorem finds a
    linkage.
 
-Stages 1-3 take polynomial time, facial triangles included, so every input
-without a linkage is decided in polynomial time; only stage 4, on a linked
-input that the first descent misses, can take exponential time.  Every
-prefix the path search builds counts against `Caps.max_subsets`.
+Stages 1-3 take polynomial time, facial triangles included, so every
+loopless input without a linkage is decided in polynomial time; only stage
+4, on a linked input that the first descent misses, can take exponential
+time.  Every prefix the path search builds counts against
+`Caps.max_subsets`.
 
-The module also verifies both outcomes and searches witnesses for
-arbitrary face orders (`find_three_planar`): each candidate costs one
-planarity test, but the candidates are sets of free vertices, so that
-search is exponential in their number and runs under `Caps.max_subsets`.
+The module also verifies both outcomes and finds witnesses for arbitrary
+face orders (`find_three_planar`) by stages 1 and 3: one reduction and at
+most two planarity tests.  Loops are the one exception: where the
+reduction's triangles fill every corner of a loop's vertex, an exhaustive
+search over deleted sets decides, under `Caps.max_subsets`.
 """
 
 from __future__ import annotations
@@ -243,6 +246,87 @@ def project(
     return base.with_edges(extra), tuple(added)
 
 
+def _order_vertices(order: OrderSpec) -> frozenset[int]:
+    return frozenset(v for item in order for v in ((item,) if isinstance(item, int) else item))
+
+
+def _attempt_witness(
+    g: MultiGraph, sets: tuple[frozenset[int], ...], order: OrderSpec
+) -> ThreePlanarWitness | None:
+    proj, added = project(g, sets)
+    triangles = tuple(sorted({neighborhood(g, a) for a in sets if len(neighborhood(g, a)) == 3}, key=sorted))
+    try:
+        emb = ordered_planarity(proj, order, facial_triangles=triangles)
+    except GraphError:
+        ends = {v for v in _order_vertices(order) if proj.incident_edges(v)}
+        if sum(1 for c in proj.components() if c & ends) > 1:
+            return None  # no face holds an order spread over several components
+        raise
+    return None if emb is None else ThreePlanarWitness(sets, proj, emb, added, triangles)
+
+
+def find_three_planar(
+    g: MultiGraph, order: OrderSpec, caps: Caps = DEFAULT_CAPS
+) -> ThreePlanarWitness | None:
+    """A witness placing `order` on one face of a projection, or None if none exists.
+
+    Stages 1 and 3 of `find_linkage` decide it: the witness with no deleted
+    set, then the witness of the full (<= 3)-reduction towards the order's
+    vertices.  On a loopless graph the second exists whenever any witness
+    does.  Take the resolution of the order's set entries that a witness
+    realises, and call two disjoint paths whose ends alternate around it a
+    cross.
+
+    1. A witness leaves g without a cross.  A path through a deleted set
+       can skip it along the set's clique, and two disjoint paths cannot
+       both pass one set of at most three attachments.  So a cross in g
+       gives one in the projection, where a vertex put in the order's face
+       and joined to the cross's ends closes a cycle that separates one
+       path's ends (Jordan curve theorem).
+    2. A reduction keeps g without a cross.  At most one path of a cross
+       in the reduced graph uses the new clique's edges, and it can detour
+       through the removed part, which is connected and meets each of its
+       attachments.  The reductions leave the projection of
+       `_reduction_sets`, so that projection has no cross either.
+    3. Every vertex of that projection off the order has four fan paths to
+       the order's vertices (`_reduction_sets`).  A graph without a cross
+       is three-planar towards its order (Jung 1970; Seymour 1980;
+       Robertson and Seymour, Graph Minors IX, 1990), and each set that
+       theorem deletes would hold vertices with at most three fan paths.
+       So it deletes none, and the projection embeds with the order on one
+       face.
+    4. Each reduction triangle then bounds a face.  A vertex on its side
+       away from the order would have at most three fan paths, so only
+       parallel copies of the triangle's edges lie there, and the
+       innermost copies bound a face.
+
+    Loops break only step 4: a loop needs a corner of its vertex that no
+    required triangle fills.  The reduction's triangles can fill them all,
+    as round the hub of a wheel whose spoke vertices are reduced, while a
+    witness that keeps a spoke vertex leaves a corner free.  Dropping loops
+    keeps a witness one, so where the reduction witness fails both on g
+    and on g without its loops, no witness exists.  Where it holds without
+    the loops only, the exhaustive `_witness_search` decides.
+    """
+    unknown = _order_vertices(order) - g.vertex_set
+    if unknown:
+        raise LinkageError(f"unknown vertices {sorted(unknown)}")
+    return _attempt_witness(g, (), order) or _reduction_witness(g, order, caps)
+
+
+def _reduction_witness(g: MultiGraph, order: OrderSpec, caps: Caps) -> ThreePlanarWitness | None:
+    """Stage 3: the witness of the full (<= 3)-reduction, unless loops block it.
+
+    Callers try the witness with no deleted set first, so a reduction that
+    deletes nothing costs no second planarity test.
+    """
+    sets = _reduction_sets(g, _order_vertices(order))
+    w = _attempt_witness(g, sets, order) if sets else None
+    if w is None and g.loops and _attempt_witness(g.delete_edges(e for e, _ in g.loops), sets, order):
+        return _witness_search(g, order, caps)
+    return w
+
+
 def _set_partitions(items: list) -> Iterator[list[list]]:
     if not items:
         yield []
@@ -254,38 +338,17 @@ def _set_partitions(items: list) -> Iterator[list[list]]:
         yield [[first]] + part
 
 
-def _attempt_witness(
-    g: MultiGraph, sets: tuple[frozenset[int], ...], order: OrderSpec
-) -> ThreePlanarWitness | None:
-    proj, added = project(g, sets)
-    triangles = tuple(sorted({neighborhood(g, a) for a in sets if len(neighborhood(g, a)) == 3}, key=sorted))
-    try:
-        emb = ordered_planarity(proj, order, facial_triangles=triangles)
-    except GraphError:
-        ends = {v for item in order for v in ((item,) if isinstance(item, int) else item) if proj.incident_edges(v)}
-        if sum(1 for c in proj.components() if c & ends) > 1:
-            return None  # no face holds an order spread over several components
-        raise
-    return None if emb is None else ThreePlanarWitness(sets, proj, emb, added, triangles)
-
-
-def find_three_planar(
-    g: MultiGraph, order: OrderSpec, caps: Caps = DEFAULT_CAPS
-) -> ThreePlanarWitness | None:
-    """Search for a witness placing `order` on one face of a projection.
+def _witness_search(g: MultiGraph, order: OrderSpec, caps: Caps) -> ThreePlanarWitness | None:
+    """The first witness in order of deleted-vertex count, or None.
 
     Candidate set collections are exactly the partitions of the
     components of the deleted vertex set, which is exhaustive: distinct
     witness sets are never adjacent, so each is a union of components of
     whatever gets deleted.  Each candidate costs one planarity test, but
     the candidates are exponential in the free vertices: every deleted set
-    counts against `caps.max_subsets`.
+    counts against `caps.max_subsets` (stage "witness search").
     """
-    required = {v for item in order for v in ((item,) if isinstance(item, int) else item)}
-    unknown = required - g.vertex_set
-    if unknown:
-        raise LinkageError(f"unknown vertices {sorted(unknown)}")
-    free = sorted(g.vertex_set - required)
+    free = sorted(g.vertex_set - _order_vertices(order))
     budget = Budget("witness search", caps.max_subsets)
     for size in range(len(free) + 1):
         for chosen in itertools.combinations(free, size):
@@ -456,12 +519,15 @@ def find_linkage(
     Exactly one of the two outcomes exists.  The graph must be connected
     (on a disconnected graph the face-order certificate loses meaning).
     The stages, in order: the witness with no deleted set; one descent of
-    the pruned path search; the witness of the full (<= 3)-reduction;
-    the pruned path search with backtracking.  The first three take
+    the pruned path search; the witness of the full (<= 3)-reduction; the
+    pruned path search with backtracking.  Stages 1 and 3 are
+    `find_three_planar`'s route.  On a loopless input the first three take
     polynomial time (each witness is one planarity test, facial triangles
-    included), so an input without a linkage never reaches the fourth.  The path search counts every prefix it builds against
+    included), and an input without a linkage never reaches the fourth.
+    The path search counts every prefix it builds against
     `caps.max_subsets` and raises ResourceLimitError (stage "linkage path
-    search") past it.
+    search") past it; the witness search that stage 3 runs where loops
+    block the reduction witness does the same (stage "witness search").
     """
     terms = (s1, t1, s2, t2)
     unknown = set(terms) - g.vertex_set
@@ -496,8 +562,7 @@ def _decide_linkage(
     link = _search_linkage(g, s1, t1, s2, t2, caps, backtrack=False)
     if link is not None:
         return link
-    sets = _reduction_sets(g, frozenset(order))
-    w = _attempt_witness(g, sets, order) if sets else None
+    w = _reduction_witness(g, order, caps)
     if w is not None:
         return w
     return _search_linkage(g, s1, t1, s2, t2, caps)

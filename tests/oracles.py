@@ -60,6 +60,7 @@ from tanglekit.classify import _extract_wheel as _library_extract_wheel
 from tanglekit.embedding import (
     Dart,
     OrderedPlanarEmbedding,
+    OrderSpec,
     RotationSystem,
     _effective_seq,
     _order_component_ok,
@@ -91,7 +92,7 @@ from tanglekit.linkage import (
     ThreePlanarWitness,
     VertexPath,
     _walk_vertices,
-    find_three_planar,
+    _witness_search,
     verify_linkage,
     verify_witness,
 )
@@ -2177,6 +2178,21 @@ def _search_linkage(
     return None
 
 
+def oracle_find_three_planar(
+    g: MultiGraph, order: OrderSpec, caps: Caps = DEFAULT_CAPS
+) -> ThreePlanarWitness | None:
+    """`find_three_planar` before the (<= 3)-reduction route: the first
+    witness over every deleted vertex set, smallest first.
+
+    The library keeps this search for loops that the reduction's triangles
+    leave no corner; it counts each deleted set as stage "witness search".
+    """
+    unknown = {v for item in order for v in ((item,) if isinstance(item, int) else item)} - g.vertex_set
+    if unknown:
+        raise LinkageError(f"unknown vertices {sorted(unknown)}")
+    return _witness_search(g, order, caps)
+
+
 def oracle_find_linkage(
     g: MultiGraph, s1: int, t1: int, s2: int, t2: int, caps: Caps = DEFAULT_CAPS
 ) -> Linkage | ThreePlanarWitness:
@@ -2199,7 +2215,7 @@ def oracle_find_linkage(
         if bad:
             raise LinkageError(f"internal: found linkage fails checks {bad}")
         return link
-    w = find_three_planar(g, (s1, s2, t1, t2), caps)
+    w = oracle_find_three_planar(g, (s1, s2, t1, t2), caps)
     if w is None:
         raise LinkageError("internal: neither linkage nor witness found")
     bad = verify_witness(g, w, (s1, s2, t1, t2))

@@ -26,10 +26,13 @@ from tanglekit.families import (
     build_family,
     describe_k5_family,
     describe_pp_signed,
+    _plan,
     t_sum,
     verify_family,
 )
+from tanglekit.embedding import ordered_planarity
 from tanglekit.graph import Cycle, MultiGraph
+from tanglekit.limits import DEFAULT_CAPS
 from tanglekit.tangles import Tangled, blocking_pairs, is_tangled
 
 from oracles import random_multigraph
@@ -444,6 +447,51 @@ def test_special_pair_star_mismatch_rejected():
     roles["fx"], roles["fy"] = frozenset({5}), frozenset({4})
     with pytest.raises(FamilyError):
         build_family(FamilyDescriptor(d.kind, d.graph, roles))
+
+
+def _planar_with_junction(g: MultiGraph, prefix: tuple[int, ...], xs: frozenset[int], ys: frozenset[int]) -> bool:
+    """The boundary clause as it was: one planarity test per order of X and of Y around a shared vertex."""
+    shared = xs & ys
+    if not shared:
+        return ordered_planarity(g, (*prefix, xs, ys)) is not None
+    (v,) = shared
+    for px in permutations(sorted(xs - {v})):
+        for py in permutations(sorted(ys - {v})):
+            if ordered_planarity(g, (*prefix, *px, v, *py)) is not None:
+                return True
+    return False
+
+
+def _special_pair_on(base: MultiGraph, xs: frozenset[int], ys: frozenset[int]) -> FamilyDescriptor:
+    """Stars at x = n and y = n + 1 on the attachment sets, no x-y edge."""
+    x, y = base.n, base.n + 1
+    rows = [(e, *base.endpoints(e)) for e in base.edge_ids]
+    fx = [(base.m + i, x, v) for i, v in enumerate(sorted(xs))]
+    fy = [(base.m + len(fx) + i, y, v) for i, v in enumerate(sorted(ys))]
+    g = MultiGraph.build([*base.vertices, x, y], rows + fx + fy)
+    roles = {"x": x, "y": y, "X": xs, "Y": ys, "fx": frozenset(e for e, _, _ in fx),
+             "fy": frozenset(e for e, _, _ in fy), "e": ()}
+    return FamilyDescriptor("PPSpecialPair", g, roles)
+
+
+def test_special_pair_boundary_clause_matches_the_junction_loop():
+    """Set entries around the shared vertex give the double loop's verdict, shared vertex or not."""
+    rng = random.Random("special-pair/boundary")
+    verdicts = {(shared, ok): 0 for shared in (False, True) for ok in (False, True)}
+    while sum(verdicts.values()) < 300:
+        base = random_multigraph(rng, max_n=8, max_extra=8, allow_loops=True)
+        if base.n < 4:
+            continue
+        picked = rng.sample(sorted(base.vertex_set), rng.randint(3, min(6, base.n)))
+        shared = rng.random() < 0.5
+        cut = rng.randint(1, len(picked) - 1 - shared)
+        xs, ys = frozenset(picked[: cut + shared]), frozenset(picked[cut:])
+        d = _special_pair_on(base, xs, ys)
+        (check,) = (c for c in _plan(d, DEFAULT_CAPS).structure if c.name == "boundary order planar")
+        stars_off = d.graph.subgraph(base.edge_ids, d.graph.vertex_set)
+        assert check.ok == _planar_with_junction(stars_off, (d.roles["x"], d.roles["y"]), xs, ys)
+        verdicts[shared, check.ok] += 1
+    assert all(verdicts.values())
 
 
 # -- tricoloured -----------------------------------------------------------------

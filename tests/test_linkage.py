@@ -11,7 +11,9 @@ import pytest
 from hypothesis import assume, given, settings, strategies as st
 
 import tanglekit.embedding as embedding_module
+import tanglekit.families as families_module
 import tanglekit.linkage
+from tanglekit.classify import classify
 from tanglekit.embedding import RotationSystem
 from tanglekit.graph import MultiGraph
 from tanglekit.limits import Caps, ResourceLimitError
@@ -22,6 +24,7 @@ from tanglekit.linkage import (
     VertexPath,
     _attempt_witness,
     _fan_cut_part,
+    _reduction_sets,
     find_linkage,
     find_three_planar,
     neighborhood,
@@ -30,7 +33,8 @@ from tanglekit.linkage import (
     verify_witness,
 )
 
-from oracles import disjoint_path_pair, oracle_find_linkage, random_multigraph
+from oracles import disjoint_path_pair, oracle_find_linkage, oracle_find_three_planar, random_multigraph
+from test_classify import classify_full_cases
 
 
 def k4() -> MultiGraph:
@@ -240,14 +244,52 @@ def test_linkage_path_search_is_capped():
     assert got.second.vertices == (1, 3, 2)
 
 
-def test_witness_search_is_capped():
-    """The empty set, three singletons, three pairs, then {4, 5, 6}."""
-    g = k33_part_on_c4()
-    with pytest.raises(ResourceLimitError) as err:
-        find_three_planar(g, (0, 1, 2, 3), Caps(max_subsets=7))
-    assert err.value.stage == "witness search"
-    w = find_three_planar(g, (0, 1, 2, 3), Caps(max_subsets=8))
+def loop_wheel(rim: int) -> MultiGraph:
+    """Rim 0..rim-1; hub 10 with a loop, joined to rim edge i through vertex 20 + i.
+
+    A K5 on 30..34 hangs off rim vertex 0.  The reduction deletes it and
+    every vertex 20 + i, whose triangles then fill every corner at the hub.
+    """
+    pairs = [(i, (i + 1) % rim) for i in range(rim)] + [(10, 10)]
+    pairs += [(20 + i, v) for i in range(rim) for v in (10, i, (i + 1) % rim)]
+    pairs += [(u, v) for u in range(30, 35) for v in range(u + 1, 35)] + [(30, 0)]
+    return MultiGraph.from_pairs(pairs)
+
+
+def test_reduction_witness_takes_no_cap():
+    w = find_three_planar(k33_part_on_c4(), (0, 1, 2, 3))
     assert w.sets == (frozenset({4, 5, 6}),)
+
+
+@pytest.mark.parametrize("rim", [4, 5])
+def test_a_loop_the_reduction_triangles_crowd_out_goes_to_the_witness_search(rim):
+    """Without its loop the reduction witness holds; with it only a witness keeping the spokes does."""
+    g = loop_wheel(rim)
+    order = tuple(range(rim))
+    sets = _reduction_sets(g, frozenset(order))
+    assert sets == (*(frozenset({20 + i}) for i in range(rim)), frozenset(range(30, 35)))
+    assert _attempt_witness(g, sets, order) is None
+    assert _attempt_witness(g.delete_edges([e for e, _ in g.loops]), sets, order) is not None
+    w = find_three_planar(g, order)
+    assert w.sets == (frozenset({31, 32}),)
+    assert verify_witness(g, w, order) == ()
+
+
+def test_witness_search_is_capped():
+    """The empty set, ten singletons, then the 40th pair {31, 32}."""
+    g = loop_wheel(4)
+    with pytest.raises(ResourceLimitError) as err:
+        find_three_planar(g, (0, 1, 2, 3), Caps(max_subsets=50))
+    assert err.value.stage == "witness search"
+    w = find_three_planar(g, (0, 1, 2, 3), Caps(max_subsets=51))
+    assert w.sets == (frozenset({31, 32}),)
+
+
+def test_find_linkage_certifies_a_loop_the_reduction_triangles_crowd_out():
+    g = loop_wheel(4)
+    got = find_linkage(g, 0, 2, 1, 3)
+    assert isinstance(got, ThreePlanarWitness)
+    assert verify_witness(g, got, (0, 1, 2, 3)) == ()
 
 
 @pytest.mark.parametrize("loop", [False, True])
@@ -259,7 +301,7 @@ def test_witness_needs_a_triangle_face_the_plain_embedding_misses(loop):
     order = (4, 0, 7, 2)
     w = find_three_planar(g, order)
     assert w is not None
-    assert w.sets == (frozenset({1, 5, 6}),)
+    assert w.sets == (frozenset({1}), frozenset({3}), frozenset({5, 6}))
     assert w.facial_triangles == (frozenset({0, 2, 4}),)
     assert verify_witness(g, w, order) == ()
 
@@ -287,10 +329,10 @@ def _random_cases(count: int):
     "cases, size", [(_atlas_cases, 834), (lambda: _random_cases(400), 400)], ids=["atlas", "random"]
 )
 def test_find_linkage_matches_the_path_enumeration_oracle(cases, size, monkeypatch):
-    """Linkages and empty-set witnesses equal the old route's; no old witness search."""
+    """Linkages and empty-set witnesses equal the old route's; no witness search."""
     planar_calls = []
     monkeypatch.setattr(
-        tanglekit.linkage, "find_three_planar", lambda *a, **k: planar_calls.append(a)
+        tanglekit.linkage, "_witness_search", lambda *a, **k: planar_calls.append(a)
     )
     reduced = seen = 0
     for g, (s1, t1, s2, t2) in cases():
@@ -403,6 +445,87 @@ def test_cycle_through_face_already_in_graph():
     assert w.added_edges == ()
     assert w.embedding.order == (0, 1, 2, 3)
     assert {e for e, _ in w.embedding.face} == g.edge_id_set
+
+
+# ---------------------------------------------------------------------------
+# find_three_planar against the exhaustive search
+# ---------------------------------------------------------------------------
+
+
+def _random_order(rng: random.Random, vertices: list[int]) -> tuple:
+    """2-7 entries on distinct vertices; about a quarter of them sets of 2 or 3."""
+    picked = rng.sample(vertices, rng.randint(2, min(7, len(vertices))))
+    order: list = []
+    while picked:
+        k = rng.choice((1, 1, 1, 1, 1, 2, 3))
+        head, picked = picked[:k], picked[k:]
+        order.append(head[0] if len(head) == 1 else frozenset(head))
+    return tuple(order)
+
+
+def _three_planar_atlas_cases(sizes):
+    for i, nxg in enumerate(nx.graph_atlas_g()):
+        if nxg.number_of_nodes() in sizes and nx.is_connected(nxg):
+            g = MultiGraph.from_pairs(sorted(nxg.edges()), vertices=nxg.nodes())
+            rng = random.Random(f"three-planar/atlas/{i}")
+            for _ in range(8):
+                yield g, _random_order(rng, sorted(g.vertex_set))
+
+
+def _three_planar_random_cases(count: int):
+    rng = random.Random("three-planar/random")
+    while count:
+        g = random_multigraph(rng, max_n=9, max_extra=rng.randint(8, 16), allow_loops=True)
+        if g.n >= 3:
+            count -= 1
+            yield g, _random_order(rng, sorted(g.vertex_set))
+
+
+def _assert_matches_the_search(cases) -> tuple[int, int]:
+    """Both find a witness or neither does; every witness verifies."""
+    seen = reduced = 0
+    for g, order in cases:
+        seen += 1
+        got = find_three_planar(g, order)
+        want = oracle_find_three_planar(g, order)
+        assert (got is None) == (want is None), (g.edge_map, order)
+        if got is not None:
+            assert verify_witness(g, got, order) == ()
+            reduced += bool(got.sets)
+    return seen, reduced
+
+
+def test_find_three_planar_matches_the_witness_search():
+    seen, reduced = _assert_matches_the_search(
+        itertools.chain(_three_planar_atlas_cases({4, 5, 6}), _three_planar_random_cases(1200))
+    )
+    assert seen == 8 * 139 + 1200
+    assert reduced >= 100
+
+
+def test_find_three_planar_matches_the_witness_search_on_tricoloured_cores(monkeypatch):
+    """Every (core, order) pair the Tricoloured clause checks on the classify-full inputs
+    has a witness with no deleted set."""
+    cases = []
+    real = families_module.find_three_planar
+
+    def record(core, order, **kw):
+        cases.append((core, order))
+        return real(core, order, **kw)
+
+    monkeypatch.setattr(families_module, "find_three_planar", record)
+    for o in classify_full_cases().values():
+        classify(o)
+    assert cases
+    assert all(oracle_find_three_planar(core, order).sets == () for core, order in cases)
+    assert _assert_matches_the_search(cases) == (len(cases), 0)
+
+
+@pytest.mark.wall
+def test_find_three_planar_matches_the_witness_search_on_seven_vertices():
+    seen, reduced = _assert_matches_the_search(_three_planar_atlas_cases({7}))
+    assert seen == 8 * 853
+    assert reduced > 0
 
 
 # ---------------------------------------------------------------------------
