@@ -16,16 +16,21 @@ and a T3 label needs only the recomposition's bookkeeping: the theta
 property proves the rest (``_recomposes``).  No core's cycles are
 listed; only the check of a wheel core's certificate lists any.
 
-Recognition is search-based: candidate role assignments are enumerated
-within the configured resource ceilings and ``verify_family`` is the
-sole authority on whether a candidate counts.  Before a candidate
-reaches it, the searches drop those that fail a necessary condition
-read off balance alone, such as a part that lies inside no maximal
-balanced set, which is a part that is not balanced.  The maximal
-balanced sets themselves are listed only when a search walks them
-(``_Bases``), and then once per call.  The PP special vertex, pair and
-triple searches read their roles off where the residual edges E - m of
-each maximal balanced set m sit: one pass over E - m indexes them by
+Recognition is search-based.  Each family's detector is a generator of
+candidates, (descriptor, witness) pairs in search order, enumerated
+within the configured resource ceilings; it verifies none of them.  One
+step, ``_first_hit``, runs ``verify_family`` on each in turn, against
+the witness when there is one and the input otherwise, and keeps the
+first that passes: ``verify_family`` is the sole authority on whether a
+candidate counts.  Before a candidate is yielded, the searches drop
+those that fail a necessary condition read off balance alone, such as
+a part that lies inside no maximal balanced set, which is a part that
+is not balanced; the PP special pair, triple and Tricoloured filters
+evaluate the bias clauses ``families`` writes for the checker.  The
+maximal balanced sets themselves are listed only when a search walks
+them (``_Bases``), and then once per call.  The PP special vertex, pair
+and triple searches read their roles off where the residual edges E - m
+of each maximal balanced set m sit: one pass over E - m indexes them by
 vertex.  Wheel attachment splits are read off, not searched for: each
 part's X and Y are the two classes of a standard partition at the hub.
 The brute-force oracles that check these searches live with the tests,
@@ -58,13 +63,21 @@ from .bias import (
     make_signed,
 )
 from .embedding import collapse_cyclic, ordered_planarity
-from .families import Certificate, FamilyDescriptor, FamilyError, describe_k5_family, t_sum, verify_family
+from .families import (
+    Certificate,
+    FamilyDescriptor,
+    FamilyError,
+    _star_pair_clauses,
+    _tricoloured_clauses,
+    describe_k5_family,
+    t_sum,
+    verify_family,
+)
 from .graph import (
     Bridge,
     MultiGraph,
     VertexCut,
     bridges_of_cut,
-    cycles_with,
     fundamental_cycles,
     is_two_connected,
     _cut_vertices,
@@ -532,46 +545,51 @@ def _pairing_search(
 
 # ---------------------------------------------------------------------------
 # Family detectors
-#
-# Each detector enumerates candidate role assignments for one family and
-# returns (descriptor, certificate, witness) on the first assignment
-# that verify_family accepts, else None.  The witness is the biased
-# graph the certificate binds to when that is not the input itself.
 # ---------------------------------------------------------------------------
 
-_Hit = tuple[FamilyDescriptor, Certificate, BiasedGraph | None]
+# A detector's candidates: (descriptor, witness) pairs in search order.
+_Candidates = Iterator[tuple[FamilyDescriptor, BiasedGraph | None]]
 
 
-def _detect_k5_parallel(o: BiasedGraph, caps: Caps, bases: _Bases) -> _Hit | None:
+def _first_hit(
+    detector, o: BiasedGraph, caps: Caps, bases: _Bases
+) -> tuple[FamilyDescriptor, Certificate, BiasedGraph | None] | None:
+    """The first candidate of ``detector`` that ``verify_family`` accepts,
+    as (descriptor, certificate, witness), or None.  The certificate is
+    checked against the witness, or against o when that is None."""
+    for d, witness in detector(o, caps, bases):
+        cert = verify_family(witness or o, d, caps)
+        if cert.passed:
+            return d, cert, witness
+    return None
+
+
+def _detect_k5_parallel(o: BiasedGraph, caps: Caps, bases: _Bases) -> _Candidates:
     """Complete graph on five vertices with parallel classes, relabelled
     canonically: vertex i is the i-th least, and edges are numbered as
     :func:`~tanglekit.families.describe_k5_family` numbers them."""
     g = o.graph
     if g.n != 5 or any(g.is_loop(e) for e in g.edge_ids):
-        return None
+        return
     vs = sorted(g.vertex_set)
     mults: list[int] = []
     emap: dict[int, int] = {}
     for i, j in combinations(range(5), 2):
         between = sorted(g.edges_between(vs[i], vs[j]))
         if not between:
-            return None
+            return
         mults.append(len(between))
         for e in between:
             emap[e] = len(emap)
     if len(emap) != g.m:
-        return None
+        return
     k5 = describe_k5_family(mults)
     balanced = [frozenset(emap[e] for e in c.edge_set) for c in o.balanced_cycles(caps)]
     witness = make_explicit(k5.graph, balanced, check=True, caps=caps)
-    d = FamilyDescriptor("K5Parallel", k5.graph, {**k5.roles, "vertex_order": tuple(vs)})
-    cert = verify_family(witness, d, caps)
-    if cert.passed:
-        return d, cert, witness
-    return None
+    yield FamilyDescriptor("K5Parallel", k5.graph, {**k5.roles, "vertex_order": tuple(vs)}), witness
 
 
-def _detect_fat_triangle(o: BiasedGraph, caps: Caps, bases: _Bases) -> _Hit | None:
+def _detect_fat_triangle(o: BiasedGraph, caps: Caps, bases: _Bases) -> _Candidates:
     """Three corners whose pairwise parallel classes carry the residual edges.
 
     The fat sets tried are the whole of the three classes and each
@@ -589,7 +607,7 @@ def _detect_fat_triangle(o: BiasedGraph, caps: Caps, bases: _Bases) -> _Hit | No
     """
     g = o.graph
     if g.n < 3 or any(g.is_loop(e) for e in g.edge_ids):
-        return None
+        return
 
     def balanced_base(fat: frozenset[int]) -> bool:
         return bases.holds(g.edge_id_set - fat)
@@ -610,18 +628,11 @@ def _detect_fat_triangle(o: BiasedGraph, caps: Caps, bases: _Bases) -> _Hit | No
                 fats.add(r)
         fab, fbc, fca = classes
         for fat in sorted(fats, key=lambda s: (len(s), sorted(s))):
-            d = FamilyDescriptor(
-                "FatTriangle",
-                g,
-                {"v": (a, b, c), "f12": fat & fab, "f23": fat & fbc, "f31": fat & fca},
-            )
-            cert = verify_family(o, d, caps)
-            if cert.passed:
-                return d, cert, None
-    return None
+            roles = {"v": (a, b, c), "f12": fat & fab, "f23": fat & fbc, "f31": fat & fca}
+            yield FamilyDescriptor("FatTriangle", g, roles), None
 
 
-def _detect_criss_cross(o: BiasedGraph, caps: Caps, bases: _Bases) -> _Hit | None:
+def _detect_criss_cross(o: BiasedGraph, caps: Caps, bases: _Bases) -> _Candidates:
     """Degree-4 apex with two crossing chords over a planar rest.
 
     Three clauses of ``verify_family`` do not depend on the spoke order,
@@ -650,25 +661,17 @@ def _detect_criss_cross(o: BiasedGraph, caps: Caps, bases: _Bases) -> _Hit | Non
                     if not bases.holds(h) or not is_two_connected(g.subgraph(h)):
                         continue
                     for idx in ((p, r, q, s), (p, s, q, r)):
-                        es = tuple(spokes[i] for i in idx)
-                        d = FamilyDescriptor(
-                            "CrissCross",
-                            g,
-                            {
-                                "h_edges": h,
-                                "u": tuple(ends[i] for i in idx),
-                                "w": w,
-                                "e": es,
-                                "f": (f0, f1),
-                            },
-                        )
-                        cert = verify_family(o, d, caps)
-                        if cert.passed:
-                            return d, cert, None
-    return None
+                        roles = {
+                            "h_edges": h,
+                            "u": tuple(ends[i] for i in idx),
+                            "w": w,
+                            "e": tuple(spokes[i] for i in idx),
+                            "f": (f0, f1),
+                        }
+                        yield FamilyDescriptor("CrissCross", g, roles), None
 
 
-def _detect_pp_signed(o: BiasedGraph, caps: Caps, bases: _Bases) -> _Hit | None:
+def _detect_pp_signed(o: BiasedGraph, caps: Caps, bases: _Bases) -> _Candidates:
     """Spanning 2-connected base with all residual edges on one face pairing.
 
     The residual edges E - m of a base m are its cross edges, and the
@@ -695,26 +698,19 @@ def _detect_pp_signed(o: BiasedGraph, caps: Caps, bases: _Bases) -> _Hit | None:
     if not isinstance(o.bias, Signed):
         cross = g.edge_id_set - _tree_closure(o)
         if any(o.balance(c) != (len(c.edge_set & cross) % 2 == 0) for c in g.cycles(caps)):
-            return None
+            return
     for m in bases:
         if not is_two_connected(g.subgraph(m)):
             continue
         pairing = _pairing_search(o, m, caps)
         if pairing is None:
             continue
-        d = FamilyDescriptor(
-            "PPSigned",
-            g,
-            {
-                "xs": tuple(x for _, x, _ in pairing),
-                "ys": tuple(y for _, _, y in pairing),
-                "cross": tuple(e for e, _, _ in pairing),
-            },
-        )
-        cert = verify_family(o, d, caps)
-        if cert.passed:
-            return d, cert, None
-    return None
+        roles = {
+            "xs": tuple(x for _, x, _ in pairing),
+            "ys": tuple(y for _, _, y in pairing),
+            "cross": tuple(e for e, _, _ in pairing),
+        }
+        yield FamilyDescriptor("PPSigned", g, roles), None
 
 
 def _residual_at(g: MultiGraph, m: frozenset[int]) -> tuple[frozenset[int], dict[int, set[int]]]:
@@ -730,7 +726,7 @@ def _residual_at(g: MultiGraph, m: frozenset[int]) -> tuple[frozenset[int], dict
     return residual, at
 
 
-def _detect_special_vertex(o: BiasedGraph, caps: Caps, bases: _Bases) -> _Hit | None:
+def _detect_special_vertex(o: BiasedGraph, caps: Caps, bases: _Bases) -> _Candidates:
     """Degree-4 special vertex joining two planar halves, residual legs across.
 
     Candidates come in the order of a scan of every base m, every vertex
@@ -747,7 +743,7 @@ def _detect_special_vertex(o: BiasedGraph, caps: Caps, bases: _Bases) -> _Hit | 
     """
     g = o.graph
     if g.loops:
-        return None
+        return
     counter = Budget("special-vertex search", caps.max_assignments)
     hubs = [(w, {e: g.other_end(e, w) for e in g.incident_edges(w)}) for w in sorted(g.vertex_set)]
     hubs = [(w, spoke) for w, spoke in hubs if len(spoke) == 4]
@@ -788,27 +784,20 @@ def _detect_special_vertex(o: BiasedGraph, caps: Caps, bases: _Bases) -> _Hit | 
                                     continue
                                 if len(set((*ys, z1, u2))) != len(ys) + 2:
                                     continue
-                                d = FamilyDescriptor(
-                                    "PPSpecialVertex",
-                                    g,
-                                    {
-                                        "h1_edges": h1,
-                                        "h2_edges": h2,
-                                        "xs": xs,
-                                        "ys": ys,
-                                        "u": (u1, u2),
-                                        "z": (z1, z2),
-                                        "w": w,
-                                        "bridge_edges": (zz, uu),
-                                        "hub_edges": (wz1, wz2),
-                                        "g": (g1, g2),
-                                        "f": tuple(legs[i] for i in perm),
-                                    },
-                                )
-                                cert = verify_family(o, d, caps)
-                                if cert.passed:
-                                    return d, cert, None
-    return None
+                                roles = {
+                                    "h1_edges": h1,
+                                    "h2_edges": h2,
+                                    "xs": xs,
+                                    "ys": ys,
+                                    "u": (u1, u2),
+                                    "z": (z1, z2),
+                                    "w": w,
+                                    "bridge_edges": (zz, uu),
+                                    "hub_edges": (wz1, wz2),
+                                    "g": (g1, g2),
+                                    "f": tuple(legs[i] for i in perm),
+                                }
+                                yield FamilyDescriptor("PPSpecialVertex", g, roles), None
 
 
 def _split_sides(g: MultiGraph, halves: frozenset[int], w: int, legs: list[int]) -> tuple:
@@ -829,9 +818,10 @@ def _split_sides(g: MultiGraph, halves: frozenset[int], w: int, legs: list[int])
 
 
 def _star_bias_holds(o: BiasedGraph, base: frozenset[int], stars: tuple[frozenset[int], ...], caps: Caps) -> bool:
-    """The star clause ``verify_family`` puts on the residual edges of a
-    PP special pair or triple, read off the input's own cycles: two edges
-    of one star close only balanced cycles through the base.
+    """Whether o meets the star clause of a PP special pair or triple
+    (:func:`~tanglekit.families._star_pair_clauses`), the one the
+    checker reads: two edges of one star close only balanced cycles
+    through the base.
 
     Its other clause, that each single edge (junction, leg or cross edge)
     closes only unbalanced cycles through the base, holds for every edge
@@ -844,14 +834,10 @@ def _star_bias_holds(o: BiasedGraph, base: frozenset[int], stars: tuple[frozense
     m and is balanced, so C and D are balanced alike.  If e closed one
     balanced cycle with m, every cycle of m + e through e would be
     balanced, and so would m + e, against m's maximality."""
-    for star in stars:
-        for a, b in combinations(sorted(star), 2):
-            if not all(o.balance(c) for c in cycles_with(o.graph, {a, b}, base, caps)):
-                return False
-    return True
+    return all(o.balance(c) == want for _, c, want in _star_pair_clauses(o.graph, stars, base, caps))
 
 
-def _detect_special_pair(o: BiasedGraph, caps: Caps, bases: _Bases) -> _Hit | None:
+def _detect_special_pair(o: BiasedGraph, caps: Caps, bases: _Bases) -> _Candidates:
     """Two junction vertices carrying every residual edge as stars or links.
 
     The junctions x, y must between them touch every residual edge, so x
@@ -866,7 +852,7 @@ def _detect_special_pair(o: BiasedGraph, caps: Caps, bases: _Bases) -> _Hit | No
     """
     g = o.graph
     if g.loops:
-        return None
+        return
     for m in bases:
         residual, at = _residual_at(g, m)
         if not residual:
@@ -895,18 +881,11 @@ def _detect_special_pair(o: BiasedGraph, caps: Caps, bases: _Bases) -> _Hit | No
             # planner's base is m.
             if not _star_bias_holds(o, m, (fx, fy), caps):
                 continue
-            d = FamilyDescriptor(
-                "PPSpecialPair",
-                g,
-                {"x": x, "y": y, "X": xset, "Y": yset, "fx": fx, "fy": fy, "e": links},
-            )
-            cert = verify_family(o, d, caps)
-            if cert.passed:
-                return d, cert, None
-    return None
+            roles = {"x": x, "y": y, "X": xset, "Y": yset, "fx": fx, "fy": fy, "e": links}
+            yield FamilyDescriptor("PPSpecialPair", g, roles), None
 
 
-def _detect_special_triple(o: BiasedGraph, caps: Caps, bases: _Bases) -> _Hit | None:
+def _detect_special_triple(o: BiasedGraph, caps: Caps, bases: _Bases) -> _Candidates:
     """One star source covering all residual edges but a single cross edge.
 
     A vertex x is the source for the cross edge f exactly when
@@ -920,7 +899,7 @@ def _detect_special_triple(o: BiasedGraph, caps: Caps, bases: _Bases) -> _Hit | 
     """
     g = o.graph
     if g.loops:
-        return None
+        return
     for m in bases:
         residual, at = _residual_at(g, m)
         if len(residual) < 2:
@@ -949,18 +928,11 @@ def _detect_special_triple(o: BiasedGraph, caps: Caps, bases: _Bases) -> _Hit | 
                     # F, e, g and f are the residual edges: the base is m.
                     if not _star_bias_holds(o, m, (star,), caps):
                         continue
-                    d = FamilyDescriptor(
-                        "PPSpecialTriple",
-                        g,
-                        {"x": x, "y1": y1, "y2": y2, "X": xset, "F": star, "e": es, "g": gs, "f": f},
-                    )
-                    cert = verify_family(o, d, caps)
-                    if cert.passed:
-                        return d, cert, None
-    return None
+                    roles = {"x": x, "y1": y1, "y2": y2, "X": xset, "F": star, "e": es, "g": gs, "f": f}
+                    yield FamilyDescriptor("PPSpecialTriple", g, roles), None
 
 
-def _detect_generalized_wheel(o: BiasedGraph, caps: Caps, bases: _Bases) -> _Hit | None:
+def _detect_generalized_wheel(o: BiasedGraph, caps: Caps, bases: _Bases) -> _Candidates:
     """Hub vertex whose removal leaves a ring of parts joined at hinges.
 
     Every part is 2-connected or a single edge, so the rim is 2-connected
@@ -992,16 +964,15 @@ def _detect_generalized_wheel(o: BiasedGraph, caps: Caps, bases: _Bases) -> _Hit
                 )
                 parts = (part_a, rim - part_a)
                 if all(bases.holds(pe) for pe in parts):
-                    hit = _wheel_candidate(o, hub, bond.pair, parts, spokes, caps, counter)
-                    if hit:
-                        return hit
+                    d = _wheel_candidate(o, hub, bond.pair, parts, spokes, counter)
+                    if d:
+                        yield d, None
         for poly in found.polygons:
             counter.spend()
             if len(poly.pieces) <= 6 and all(bases.holds(pe) for pe in poly.pieces):
-                hit = _wheel_candidate(o, hub, poly.hinges, poly.pieces, spokes, caps, counter)
-                if hit:
-                    return hit
-    return None
+                d = _wheel_candidate(o, hub, poly.hinges, poly.pieces, spokes, counter)
+                if d:
+                    yield d, None
 
 
 def _wheel_candidate(
@@ -1010,9 +981,8 @@ def _wheel_candidate(
     hinges: tuple[int, ...],
     parts: tuple[frozenset[int], ...],
     spokes: frozenset[int],
-    caps: Caps,
     counter: Budget,
-) -> _Hit | None:
+) -> FamilyDescriptor | None:
     """Read each part's attachment split off a standard partition.
 
     The legs of a part are its spokes to vertices other than its hinges.
@@ -1025,10 +995,13 @@ def _wheel_candidate(
     the one per pair that :func:`~tanglekit.tangles.standard_partition`
     tests, and its X and Y are the ends of the two classes.  So at most
     one split with the least attachment in X can pass, and it is read
-    off, not searched for: each part needs one planarity test and the
-    ring one ``verify_family`` call.  A part that is not balanced, or
-    whose legs fall into other than two classes, or into two classes
-    sharing an end, ends the ring with None.
+    off, not searched for: the ring yields one descriptor.  Each part's
+    split is tested by one ``ordered_planarity`` call, which resolves the
+    set entries of (z_prev, X, z_cur, Y) into every arrangement and runs
+    one planarity test per arrangement, up to |X|! |Y|! on a miss.  A part
+    that is not balanced, or whose legs fall into other than two classes,
+    or into two classes sharing an end, or whose split is not planar,
+    ends the ring with None.
     """
     g = o.graph
     xy: list[tuple[frozenset[int], frozenset[int]] | None] = []
@@ -1057,13 +1030,8 @@ def _wheel_candidate(
             return None
         xy.append((xs, ys))
     counter.spend()
-    d = FamilyDescriptor(
-        "GeneralizedWheel",
-        g,
-        {"hub": hub, "hinges": tuple(hinges), "parts": tuple(parts), "xy": tuple(xy)},
-    )
-    cert = verify_family(o, d, caps)
-    return (d, cert, None) if cert.passed else None
+    roles = {"hub": hub, "hinges": tuple(hinges), "parts": tuple(parts), "xy": tuple(xy)}
+    return FamilyDescriptor("GeneralizedWheel", g, roles)
 
 
 @cache
@@ -1081,7 +1049,7 @@ def _weak_compositions(total: int, slots: int) -> tuple[tuple[int, ...], ...]:
     return tuple(out)
 
 
-def _detect_tricoloured(o: BiasedGraph, caps: Caps, bases: _Bases) -> _Hit | None:
+def _detect_tricoloured(o: BiasedGraph, caps: Caps, bases: _Bases) -> _Candidates:
     """Six-part ring with three antipodal chord classes.
 
     Candidates are anchored on the three chord sources: the search
@@ -1125,7 +1093,7 @@ def _detect_tricoloured(o: BiasedGraph, caps: Caps, bases: _Bases) -> _Hit | Non
     """
     g = o.graph
     if g.n < 4 or any(g.is_loop(e) for e in g.edge_ids) or not is_two_connected(g):
-        return None
+        return
     counter = Budget("tricoloured search", caps.max_assignments)
     cores: dict[frozenset[int], tuple[_RingLayout, ...]] = {}
     degree = {v: len(g.incident_edges(v)) for v in g.vertex_set}
@@ -1157,10 +1125,8 @@ def _detect_tricoloured(o: BiasedGraph, caps: Caps, bases: _Bases) -> _Hit | Non
             for layout in cores[ring_edges]:
                 counter.spend()
                 for ring, spots in layout.fit(pairs):
-                    hit = _tricoloured_arrangements(o, pairs, ring, spots, caps, counter)
-                    if hit:
-                        return hit
-    return None
+                    for d in _tricoloured_arrangements(o, pairs, ring, spots, caps, counter):
+                        yield d, None
 
 
 def _star_choices(by_target: dict[int, list[int]], most: int) -> list[tuple[frozenset[int], tuple[int, ...]]]:
@@ -1341,7 +1307,7 @@ def _tricoloured_arrangements(
     spots: list[list[int]],
     caps: Caps,
     counter: Budget,
-) -> _Hit | None:
+) -> Iterator[FamilyDescriptor]:
     """Lay the chord classes onto one ring: ``spots`` gives, per class,
     the ring indices where x is in the part and its targets in the
     antipodal one."""
@@ -1362,23 +1328,16 @@ def _tricoloured_arrangements(
         counter.spend()
         if not _tricoloured_bias_holds(o, pe6, es6, positions, caps):
             continue
-        d = FamilyDescriptor(
-            "Tricoloured",
-            g,
-            {
-                "part_vertices": tuple(pvs[i] for i in part_at),
-                "part_edges": pe6,
-                "hinges": tuple(hinges[i] for i in hinge_at),
-                "I": colours,
-                "xs": tuple(xs6),
-                "ysets": tuple(ys6),
-                "esets": tuple(es6),
-            },
-        )
-        cert = verify_family(o, d, caps)
-        if cert.passed:
-            return d, cert, None
-    return None
+        roles = {
+            "part_vertices": tuple(pvs[i] for i in part_at),
+            "part_edges": pe6,
+            "hinges": tuple(hinges[i] for i in hinge_at),
+            "I": colours,
+            "xs": tuple(xs6),
+            "ysets": tuple(ys6),
+            "esets": tuple(es6),
+        }
+        yield FamilyDescriptor("Tricoloured", g, roles)
 
 
 def _tricoloured_bias_holds(
@@ -1388,22 +1347,11 @@ def _tricoloured_bias_holds(
     positions: list[int],
     caps: Caps,
 ) -> bool:
-    """The bias clauses ``verify_family`` checks on a Tricoloured
-    candidate, read off the input's own cycles: a chord pair of one
-    colour closes only balanced cycles through the antipodal part, a
-    pair of two colours only unbalanced ones through their four parts."""
-    g = o.graph
-    for i in positions:
-        for a, b in combinations(es6[i], 2):
-            if not all(o.balance(c) for c in cycles_with(g, {a, b}, pe6[(i + 3) % 6], caps)):
-                return False
-    for i, j in combinations(positions, 2):
-        within = pe6[i] | pe6[j] | pe6[(i + 3) % 6] | pe6[(j + 3) % 6]
-        for a in es6[i]:
-            for b in es6[j]:
-                if any(o.balance(c) for c in cycles_with(g, {a, b}, within, caps)):
-                    return False
-    return True
+    """Whether o meets the bias clauses the checker reads on a
+    Tricoloured candidate (:func:`~tanglekit.families._tricoloured_clauses`).
+    ``positions`` are the coloured ring positions in ascending order."""
+    clauses = _tricoloured_clauses(o.graph, pe6, es6, positions, caps)
+    return all(o.balance(c) == want for _, c, want in clauses)
 
 
 # Detector battery in case-label order.
@@ -1753,10 +1701,10 @@ def _extract_wheel(cur: BiasedGraph, vc: VertexCut, caps: Caps) -> tuple[FamilyD
         hinges, ring = (x2, x3), (side_a.union(*direct), side_b)
 
     spokes = frozenset(g.incident_edges(hub))
-    hit = _wheel_candidate(cur, hub, hinges, ring, spokes, caps, Budget("wheel-core extraction", caps.max_assignments))
-    if hit is None:
+    d = _wheel_candidate(cur, hub, hinges, ring, spokes, Budget("wheel-core extraction", caps.max_assignments))
+    if d is None or not (cert := verify_family(cur, d, caps)).passed:
         raise ClassifyError(f"wheel shape at cut {cut} has no verified attachment split")
-    return hit[0], hit[1]
+    return d, cert
 
 
 def _fold(
@@ -1886,7 +1834,7 @@ def _tangled_report(
             if any(label.code == code for label in labels):
                 continue
             try:
-                hit = detector(o, caps, bases)
+                hit = _first_hit(detector, o, caps, bases)
             except ResourceLimitError as err:
                 if err is bases.limit:
                     raise

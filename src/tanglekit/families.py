@@ -563,14 +563,22 @@ def _plan_pp_special_pair(d: FamilyDescriptor, caps: Caps) -> _Plan:
     constraints: list[Constraint] = []
     for c in cycles_inside(g, h, caps):
         constraints.append(("base cycles balanced", c, True))
-    for star in (fx, fy):
-        for a, b in combinations(sorted(star), 2):
-            for c in cycles_with(g, {a, b}, h, caps):
-                constraints.append(("star pairs balanced", c, True))
+    constraints.extend(_star_pair_clauses(g, (fx, fy), h, caps))
     for e in es:
         for c in cycles_with(g, {e}, h, caps):
             constraints.append(("junction edge cycles unbalanced", c, False))
     return _Plan(tuple(checks), tuple(constraints))
+
+
+def _star_pair_clauses(
+    g: MultiGraph, stars: Iterable[frozenset[int]], base: frozenset[int], caps: Caps
+) -> Iterator[Constraint]:
+    """The star clause of a PP special pair or triple: two edges of one
+    star close only balanced cycles through the base."""
+    for star in stars:
+        for a, b in combinations(sorted(star), 2):
+            for c in cycles_with(g, {a, b}, base, caps):
+                yield "star pairs balanced", c, True
 
 
 # ---------------------------------------------------------------------------
@@ -634,9 +642,7 @@ def _plan_pp_special_triple(d: FamilyDescriptor, caps: Caps) -> _Plan:
     constraints: list[Constraint] = []
     for c in cycles_inside(g, h, caps):
         constraints.append(("base cycles balanced", c, True))
-    for a, b in combinations(sorted(fset), 2):
-        for c in cycles_with(g, {a, b}, h, caps):
-            constraints.append(("star pairs balanced", c, True))
+    constraints.extend(_star_pair_clauses(g, (fset,), h, caps))
     for e in (*es, *gs):
         for c in cycles_with(g, {e}, h, caps):
             constraints.append(("leg cycles unbalanced", c, False))
@@ -762,18 +768,31 @@ def _plan_tricoloured(d: FamilyDescriptor, caps: Caps) -> _Plan:
     else:
         checks.append(_check("attachment order three-planar", find_three_planar(core, order, caps=caps) is not None))
 
-    constraints: list[Constraint] = []
-    for i in sorted(colours):
-        for a, b in combinations(es_raw[i], 2):
+    return _Plan(tuple(checks), tuple(_tricoloured_clauses(g, pe, es_raw, sorted(colours), caps)))
+
+
+def _tricoloured_clauses(
+    g: MultiGraph,
+    pe: Sequence[frozenset[int]],
+    es: Sequence[tuple[int, ...] | None],
+    colours: Sequence[int],
+    caps: Caps,
+) -> Iterator[Constraint]:
+    """The bias clauses of a Tricoloured ring with part edges ``pe`` and
+    chord edges ``es`` at the ring positions ``colours``, in ascending
+    order: a chord pair of one colour closes only balanced cycles through
+    the antipodal part, a pair of two colours only unbalanced ones through
+    their four parts."""
+    for i in colours:
+        for a, b in combinations(es[i], 2):
             for c in cycles_with(g, {a, b}, pe[(i + 3) % 6], caps):
-                constraints.append(("same colour pairs balanced", c, True))
-    for i, j in combinations(sorted(colours), 2):
+                yield "same colour pairs balanced", c, True
+    for i, j in combinations(colours, 2):
         within = pe[i] | pe[j] | pe[(i + 3) % 6] | pe[(j + 3) % 6]
-        for a in es_raw[i]:
-            for b in es_raw[j]:
+        for a in es[i]:
+            for b in es[j]:
                 for c in cycles_with(g, {a, b}, within, caps):
-                    constraints.append(("cross colour pairs unbalanced", c, False))
-    return _Plan(tuple(checks), tuple(constraints))
+                    yield "cross colour pairs unbalanced", c, False
 
 
 # ---------------------------------------------------------------------------

@@ -50,7 +50,6 @@ from tanglekit.classify import (
     SumDecomposition,
     SumNode,
     WheelCore,
-    _Hit,
     _Tag,
     _peel,
     _terminal,
@@ -105,6 +104,10 @@ from tanglekit.tangles import (
     TangleVerdict,
     TwoDisjointUnbalanced,
 )
+
+# What an oracle detector returns: its first verified candidate, as
+# (descriptor, certificate, witness).
+_Hit = tuple[FamilyDescriptor, Certificate, BiasedGraph | None]
 
 
 def subset_cycles(g: MultiGraph, max_len: int | None = None) -> list[frozenset[int]]:

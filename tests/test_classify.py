@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import dataclasses
+import functools
 import importlib
 import itertools
 import math
@@ -41,6 +42,7 @@ from tanglekit.classify import (
     _detect_special_triple,
     _detect_special_vertex,
     _detect_tricoloured,
+    _first_hit,
     _maximal_balanced_sets,
     _pairing_search,
     _recomposes,
@@ -230,7 +232,7 @@ def differential_inputs() -> list[BiasedGraph]:
 def test_tricoloured_search_agrees_with_oracle():
     hits = 0
     for o in differential_inputs():
-        hit = _detect_tricoloured(o, DEFAULT_CAPS, _Bases(o, DEFAULT_CAPS))
+        hit = _first_hit(_detect_tricoloured, o, DEFAULT_CAPS, _Bases(o, DEFAULT_CAPS))
         expected = oracle_detect_tricoloured(o, DEFAULT_CAPS, ())
         assert (hit is None) == (expected is None)
         if hit is not None:
@@ -249,7 +251,7 @@ def test_tricoloured_search_builds_no_doomed_candidate(d, monkeypatch):
     o = build_family(d())
     calls = []
     monkeypatch.setattr(classify_module, "verify_family", lambda *args: calls.append(args))
-    assert _detect_tricoloured(o, DEFAULT_CAPS, _Bases(o, DEFAULT_CAPS)) is None
+    assert _first_hit(_detect_tricoloured, o, DEFAULT_CAPS, _Bases(o, DEFAULT_CAPS)) is None
     assert calls == []
 
 
@@ -266,7 +268,7 @@ def test_ring_placements_name_the_hinge_between_neighbours():
 def test_tricoloured_search_stops_at_its_cap():
     o = build_family(pp_signed(6))
     with pytest.raises(ResourceLimitError) as err:
-        _detect_tricoloured(o, Caps(max_assignments=50), _Bases(o, DEFAULT_CAPS))
+        _first_hit(_detect_tricoloured, o, Caps(max_assignments=50), _Bases(o, DEFAULT_CAPS))
     assert err.value.stage == "tricoloured search"
 
 
@@ -338,7 +340,7 @@ def test_tricoloured_search_matches_the_layout_search():
         inputs += [o, relabelled(o, rng)]
     hits = []
     for o in inputs:
-        hit = _detect_tricoloured(o, DEFAULT_CAPS, _Bases(o, DEFAULT_CAPS))
+        hit = _first_hit(_detect_tricoloured, o, DEFAULT_CAPS, _Bases(o, DEFAULT_CAPS))
         expected = oracle_layout_tricoloured(o, DEFAULT_CAPS, ())
         assert (hit and hit[0].roles) == (expected and expected[0].roles)
         hits.append(hit is not None)
@@ -359,7 +361,7 @@ def test_tricoloured_search_builds_no_ring_core_of_an_input_that_is_not_two_conn
     real = classify_module.is_two_connected
     monkeypatch.setattr(classify_module, "_ring_layouts", lambda core: layouts.append(core) or ())
     monkeypatch.setattr(classify_module, "is_two_connected", lambda h: tested.append(h) or real(h))
-    assert _detect_tricoloured(o, DEFAULT_CAPS, _Bases(o, DEFAULT_CAPS)) is None
+    assert _first_hit(_detect_tricoloured, o, DEFAULT_CAPS, _Bases(o, DEFAULT_CAPS)) is None
     assert layouts == []
     assert len(tested) == 1 and tested[0] is o.graph
 
@@ -375,7 +377,7 @@ def test_tricoloured_degree_gates_cut_the_steps_on_a_t_sum(monkeypatch):
     monkeypatch.setattr(classify_module, "Budget", Recording)
     # tsum2-k5-k3; 1,197 steps before the degree gates
     o = corpus_t_sums()[4]
-    assert _detect_tricoloured(o, DEFAULT_CAPS, _Bases(o, DEFAULT_CAPS)) is None
+    assert _first_hit(_detect_tricoloured, o, DEFAULT_CAPS, _Bases(o, DEFAULT_CAPS)) is None
     assert [c.spent for c in counters] == [162]
 
 
@@ -413,7 +415,7 @@ def test_slot_masks_match_the_padded_rings():
 @pytest.mark.wall
 def test_tricoloured_search_at_its_wall():
     o = build_family(pp_signed(12))
-    assert _detect_tricoloured(o, DEFAULT_CAPS, _Bases(o, DEFAULT_CAPS)) is None
+    assert _first_hit(_detect_tricoloured, o, DEFAULT_CAPS, _Bases(o, DEFAULT_CAPS)) is None
     o = diamond_ring_wheel()
     report = classify(o)
     assert report.codes() == ("T1a", "T1b", "T1f")
@@ -421,6 +423,29 @@ def test_tricoloured_search_at_its_wall():
 
 
 # -- balance filters in front of verify_family ------------------------------------
+
+
+@pytest.mark.parametrize(
+    "d, sent",
+    [
+        (
+            lambda: pp_signed(6),
+            {"GeneralizedWheel": 1, "PPSigned": 1, "PPSpecialPair": 1, "PPSpecialTriple": 1, "Tricoloured": 1},
+        ),
+        (consecutive_tricoloured, {"Tricoloured": 1}),
+        (lemma_style_special_triple, {"GeneralizedWheel": 1, "PPSpecialTriple": 1}),
+    ],
+    ids=["pp-signed-c6", "tricoloured-consecutive", "special-triple"],
+)
+def test_full_classify_sends_each_family_the_filtered_candidates(d, sent, monkeypatch):
+    # the candidates verify_family sees per family kind; without the star
+    # and Tricoloured bias filters 257 Tricoloured candidates reach it on
+    # PPSigned C6, and 36 and 18 special-pair ones on the other two
+    calls = Counter()
+    real = classify_module.verify_family
+    monkeypatch.setattr(classify_module, "verify_family", lambda o, d, caps: calls.update([d.kind]) or real(o, d, caps))
+    classify(build_family(d()))
+    assert calls == sent
 
 
 def corpus_t_sum_args() -> list[tuple]:
@@ -566,7 +591,7 @@ def test_wheel_and_special_pair_searches_build_no_doomed_candidate(detector, d, 
     bases = _Bases(o, DEFAULT_CAPS)
     calls = []
     monkeypatch.setattr(classify_module, "verify_family", lambda *args: calls.append(args))
-    assert detector(o, DEFAULT_CAPS, bases) is None
+    assert _first_hit(detector, o, DEFAULT_CAPS, bases) is None
     assert calls == []
 
 
@@ -583,9 +608,9 @@ def test_wheel_search_stops_at_its_cap():
     o = build_family(consecutive_tricoloured())
     bases = _Bases(o, DEFAULT_CAPS)
     with pytest.raises(ResourceLimitError) as err:
-        _detect_generalized_wheel(o, Caps(max_assignments=50), bases)
+        _first_hit(_detect_generalized_wheel, o, Caps(max_assignments=50), bases)
     assert err.value.stage == "generalized-wheel search"
-    assert _detect_generalized_wheel(o, DEFAULT_CAPS, bases) is None
+    assert _first_hit(_detect_generalized_wheel, o, DEFAULT_CAPS, bases) is None
 
 
 def test_special_vertex_search_stops_at_its_cap():
@@ -593,9 +618,9 @@ def test_special_vertex_search_stops_at_its_cap():
     o = build_family(minimal_special_vertex())
     bases = _Bases(o, DEFAULT_CAPS)
     with pytest.raises(ResourceLimitError) as err:
-        _detect_special_vertex(o, Caps(max_assignments=0), bases)
+        _first_hit(_detect_special_vertex, o, Caps(max_assignments=0), bases)
     assert err.value.stage == "special-vertex search"
-    assert _detect_special_vertex(o, Caps(max_assignments=1), bases) is not None
+    assert _first_hit(_detect_special_vertex, o, Caps(max_assignments=1), bases) is not None
 
 
 def classify_workload_documents() -> dict[str, str]:
@@ -680,9 +705,9 @@ def test_pairing_search_stops_at_its_cap():
     o = build_family(d)
     bases = _Bases(o, DEFAULT_CAPS)
     with pytest.raises(ResourceLimitError) as err:
-        _detect_pp_signed(o, Caps(max_assignments=0), bases)
+        _first_hit(_detect_pp_signed, o, Caps(max_assignments=0), bases)
     assert err.value.stage == "planar boundary pairing search"
-    hit = _detect_pp_signed(o, Caps(max_assignments=1), bases)
+    hit = _first_hit(_detect_pp_signed, o, Caps(max_assignments=1), bases)
     assert hit is not None and hit[0].kind == "PPSigned"
     assert verify_family(o, hit[0]).passed
 
@@ -946,7 +971,7 @@ def test_balance_filtered_searches_agree_with_unfiltered_oracles():
     for o in filter_inputs():
         bases = _Bases(o, DEFAULT_CAPS)
         for detector, oracle in FILTERED:
-            hit = detector(o, DEFAULT_CAPS, bases)
+            hit = _first_hit(detector, o, DEFAULT_CAPS, bases)
             expected = oracle(o, DEFAULT_CAPS, bases)
             assert (hit is None) == (expected is None)
             if hit is not None:
@@ -983,7 +1008,7 @@ def test_pp_special_searches_send_the_scans_candidates_on_the_classify_workloads
             for detector, oracle in PP_SPECIAL:
                 for calls in sent.values():
                     calls.clear()
-                hit = detector(o, DEFAULT_CAPS, bases)
+                hit = _first_hit(detector, o, DEFAULT_CAPS, bases)
                 expected = oracle(o, DEFAULT_CAPS, bases)
                 assert sent[classify_module] == sent[oracles_module]
                 assert (hit is None) == (expected is None)
@@ -1014,7 +1039,7 @@ def test_special_vertex_search_stops_where_the_scan_does(monkeypatch):
         c = counters[0].spent
         if not c:
             continue
-        for detector in (_detect_special_vertex, oracle_detect_special_vertex):
+        for detector in (functools.partial(_first_hit, _detect_special_vertex), oracle_detect_special_vertex):
             with pytest.raises(ResourceLimitError) as err:
                 detector(o, Caps(max_assignments=c - 1), bases)
             assert err.value.stage == "special-vertex search"
@@ -1038,7 +1063,7 @@ def test_criss_cross_search_builds_no_doomed_candidate(d, calls, monkeypatch):
     made = []
     real = classify_module.verify_family
     monkeypatch.setattr(classify_module, "verify_family", lambda *args: made.append(args) or real(*args))
-    hit = _detect_criss_cross(o, DEFAULT_CAPS, bases)
+    hit = _first_hit(_detect_criss_cross, o, DEFAULT_CAPS, bases)
     assert len(made) == calls
     assert (hit is not None) == bool(calls)
 
@@ -1051,7 +1076,7 @@ def test_fat_triangle_search_builds_no_doomed_candidate(d, monkeypatch):
     bases = _Bases(o, DEFAULT_CAPS)
     calls = []
     monkeypatch.setattr(classify_module, "verify_family", lambda *args: calls.append(args))
-    assert _detect_fat_triangle(o, DEFAULT_CAPS, bases) is None
+    assert _first_hit(_detect_fat_triangle, o, DEFAULT_CAPS, bases) is None
     assert calls == []
 
 
@@ -1064,7 +1089,7 @@ def test_fat_triangle_search_reads_residuals_off_the_classes():
     hits = non_signed = 0
     for o in inputs:
         bases = _Bases(o, DEFAULT_CAPS)
-        hit = _detect_fat_triangle(o, DEFAULT_CAPS, bases)
+        hit = _first_hit(_detect_fat_triangle, o, DEFAULT_CAPS, bases)
         if not isinstance(o.bias, Signed):
             non_signed += 1
             assert bases._sets is None
@@ -1086,7 +1111,7 @@ def test_pp_signed_search_skips_a_bias_that_is_no_signature(d, monkeypatch):
         monkeypatch.setattr(
             classify_module, name, lambda *args, real=real, **kwargs: calls.append(args) or real(*args, **kwargs)
         )
-    assert _detect_pp_signed(o, DEFAULT_CAPS, bases) is None
+    assert _first_hit(_detect_pp_signed, o, DEFAULT_CAPS, bases) is None
     assert calls == []
 
 
@@ -1314,7 +1339,7 @@ def test_wheel_search_returns_the_split_search_hit():
     for source, graphs in (("workloads", inputs), ("census", switching_classes(range(3, 6)))):
         for o in graphs:
             bases = _Bases(o, DEFAULT_CAPS)
-            hit = _detect_generalized_wheel(o, DEFAULT_CAPS, bases)
+            hit = _first_hit(_detect_generalized_wheel, o, DEFAULT_CAPS, bases)
             expected = oracle_detect_generalized_wheel(o, DEFAULT_CAPS, bases)
             assert (hit is None) == (expected is None)
             if hit is not None:
@@ -1361,9 +1386,10 @@ def test_wheel_reader_and_extraction_raise_no_tangle_error(monkeypatch):
     spokes = frozenset(diamond_ring_wheel().graph.incident_edges(0))
     counter = Budget("generalized-wheel search", DEFAULT_CAPS.max_assignments)
     read = classify_module._wheel_candidate
-    assert read(diamond_ring_wheel(), 0, (1, 2, 3), parts, spokes, DEFAULT_CAPS, counter) is not None
+    d = read(diamond_ring_wheel(), 0, (1, 2, 3), parts, spokes, counter)
+    assert verify_family(diamond_ring_wheel(), d).passed
     o = diamond_ring_with_unbalanced_part()
-    assert read(o, 0, (1, 2, 3), parts, spokes, DEFAULT_CAPS, counter) is None
+    assert read(o, 0, (1, 2, 3), parts, spokes, counter) is None
     # the cut around part 1 finds hub 0 and the ring, and reaches the reader
     vc = next(vc for vc in find_vertex_cuts(o.graph, 3) if vc.cut == {0, 1, 2})
     answers = []
@@ -1390,7 +1416,7 @@ def test_wheel_search_tests_each_part_and_ring_once(name, monkeypatch):
     monkeypatch.setattr(classify_module, "_wheel_candidate", reader)
     monkeypatch.setattr(classify_module, "verify_family", counted("verify", verify_family))
     monkeypatch.setattr(classify_module, "ordered_planarity", counted("planar", classify_module.ordered_planarity))
-    hit = _detect_generalized_wheel(o, DEFAULT_CAPS, bases)
+    hit = _first_hit(_detect_generalized_wheel, o, DEFAULT_CAPS, bases)
     assert (hit is not None) == name.startswith("wheel")
     assert calls["verify"] <= calls["rings"]
     assert calls["planar"] <= calls["parts"]

@@ -18,6 +18,8 @@ of balanced cycles instead.  Every field of a classification report is
 read off a ``report`` by library, CLI or benchmark code outside the
 classifier.  Only the limits module builds a ``ResourceLimitError``: every
 other module counts through its ``Budget``, and may re-raise a caught one.
+The classifier calls ``verify_family`` in one battery step and in the
+wheel-core extraction only, and reaches no ``cycles_with``.
 """
 
 from __future__ import annotations
@@ -204,3 +206,20 @@ def test_only_the_limits_module_builds_a_resource_limit_error():
                 if (f.id if isinstance(f, ast.Name) else getattr(f, "attr", None)) == "ResourceLimitError":
                     builders.append(f"{path.name}:{node.lineno}")
     assert builders == []
+
+
+def test_classify_verifies_candidates_in_one_step():
+    # the detectors only yield candidates: the battery step verifies them,
+    # and the wheel-core extraction its one descriptor; the bias filters
+    # read the clauses the families module writes, so list no cycle here
+    path = SRC / "classify.py"
+    tree = ast.parse(path.read_text(), filename=str(path))
+    callers = []
+    for stmt in tree.body:
+        for node in ast.walk(stmt):
+            if isinstance(node, ast.Call):
+                f = node.func
+                if (f.id if isinstance(f, ast.Name) else getattr(f, "attr", None)) == "verify_family":
+                    callers.append(getattr(stmt, "name", "<module>"))
+    assert sorted(callers) == ["_extract_wheel", "_first_hit"]
+    assert "cycles_with" not in {name for _, name in _references(tree)}
