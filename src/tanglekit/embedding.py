@@ -16,8 +16,8 @@ claims are checked before it is returned.
 
 The planarity test is the left-right test (Brandes 2009, after de
 Fraysseix and Rosenstiehl), ported from NetworkX 3.6's `LRPlanarity` to
-plain dicts.  It returns the rotation NetworkX returns, so NetworkX is now
-needed only by the tests, as their oracle.
+lists indexed by edge number.  It returns the rotation NetworkX returns,
+so NetworkX is now needed only by the tests, as their oracle.
 """
 
 from __future__ import annotations
@@ -255,29 +255,33 @@ def _left_right(adjs: list[list[int]]) -> list[list[int]] | None:
     This is the left-right planarity test (U. Brandes, "The Left-Right
     Planarity Test", 2009, after de Fraysseix and Rosenstiehl), ported
     from NetworkX 3.6's `LRPlanarity` with every pass iterative, since
-    grids go deep.  An edge is a pair (tail, head) of node numbers.  A
-    conflict pair is the list [left low, left high, right low, right high]
-    of return edges, an interval being empty when its low and high are
-    both None; each pair starts with fresh empty intervals.  The rotation
-    of a node is a ring of clockwise and counterclockwise links plus its
-    "leftmost" neighbour, where reading the ring starts: the first
-    half-edge, and afterwards any half-edge inserted counterclockwise of
-    the leftmost one.
+    grids go deep.  The oriented edges are numbered 0..m-1 in the order
+    the orientation pass meets them, with their ends in `tail` and `head`,
+    and every per-edge table (lowpoints, nesting depth, reference, side,
+    lowpoint edge, stack bottom) is a list indexed by that number.  -1
+    stands for no edge: a conflict pair is the list [left low, left high,
+    right low, right high] of return-edge numbers, an interval being empty
+    when its low and high are both -1, and a reference of -1 is none.  Each
+    pair starts with fresh empty intervals.  The rotation of a node is a
+    ring of clockwise and counterclockwise links plus its "leftmost"
+    neighbour, where reading the ring starts: the first half-edge, and
+    afterwards any half-edge inserted counterclockwise of the leftmost one.
     """
     n = len(adjs)
 
     # Orientation: DFS heights, lowpoints and nesting depths.
-    height: list[int | None] = [None] * n
-    parent_edge: list[tuple[int, int] | None] = [None] * n
-    lowpt: dict = {}
-    lowpt2: dict = {}
-    nesting: dict = {}
-    out: list[dict[int, None]] = [{} for _ in adjs]  # oriented edges at their tail, in orientation order
+    height = [-1] * n
+    parent_edge = [-1] * n
+    tail: list[int] = []
+    head: list[int] = []
+    lowpt: list[int] = []
+    lowpt2: list[int] = []
+    nesting: list[int] = []
+    out: list[dict[int, int]] = [{} for _ in adjs]  # head -> edge number at each tail, in orientation order
     roots: list[int] = []
     ind = [0] * n
-    resumed: set[tuple[int, int]] = set()  # tree edges already descended: skip their set-up on return
     for r in range(n):
-        if height[r] is not None:
+        if height[r] != -1:
             continue
         height[r] = 0
         roots.append(r)
@@ -285,23 +289,27 @@ def _left_right(adjs: list[list[int]]) -> list[list[int]] | None:
         while stack:
             v = stack.pop()
             e = parent_edge[v]
+            hv = height[v]
             for w in adjs[v][ind[v] :]:
-                vw = (v, w)
-                if vw not in resumed:
-                    if w in out[v] or v in out[w]:
+                vw = out[v].get(w)  # set here only on the tree edge just descended: skip its set-up
+                if vw is None:
+                    if v in out[w]:
                         ind[v] += 1
                         continue
-                    out[v][w] = None
-                    lowpt[vw] = lowpt2[vw] = height[v]
-                    if height[w] is None:  # tree edge
+                    vw = out[v][w] = len(tail)
+                    tail.append(v)
+                    head.append(w)
+                    lowpt2.append(hv)
+                    nesting.append(0)
+                    if height[w] == -1:  # tree edge
+                        lowpt.append(hv)
                         parent_edge[w] = vw
-                        height[w] = height[v] + 1
+                        height[w] = hv + 1
                         stack += (v, w)
-                        resumed.add(vw)
                         break
-                    lowpt[vw] = height[w]  # back edge
-                nesting[vw] = 2 * lowpt[vw] + (lowpt2[vw] < height[v])
-                if e is not None:
+                    lowpt.append(height[w])  # back edge
+                nesting[vw] = 2 * lowpt[vw] + (lowpt2[vw] < hv)
+                if e != -1:
                     if lowpt[vw] < lowpt[e]:
                         lowpt2[e] = min(lowpt[e], lowpt2[vw])
                         lowpt[e] = lowpt[vw]
@@ -312,32 +320,33 @@ def _left_right(adjs: list[list[int]]) -> list[list[int]] | None:
                 ind[v] += 1
 
     # Testing: conflict pairs of return edges.
-    S: list[list] = []
-    stack_bottom: dict = {}
-    lowpt_edge: dict = {}
-    ref: dict = {}
-    side: dict = {}
+    m = len(tail)
+    S: list[list[int]] = []
+    stack_bottom: list[list[int] | None] = [None] * m
+    lowpt_edge = [-1] * m
+    ref = [-1] * m
+    side = [1] * m
 
-    def conflicting(low, high, b) -> bool:
-        return (low is not None or high is not None) and lowpt[high] > lowpt[b]
+    def conflicting(low: int, high: int, b: int) -> bool:
+        return (low != -1 or high != -1) and lowpt[high] > lowpt[b]
 
-    def lowest(p: list) -> int:
-        if p[0] is None and p[1] is None:
+    def lowest(p: list[int]) -> int:
+        if p[0] == -1 and p[1] == -1:
             return lowpt[p[2]]
-        if p[2] is None and p[3] is None:
+        if p[2] == -1 and p[3] == -1:
             return lowpt[p[0]]
         return min(lowpt[p[0]], lowpt[p[2]])
 
-    def add_constraints(ei, e) -> bool:
-        p = [None, None, None, None]
+    def add_constraints(ei: int, e: int) -> bool:
+        p = [-1, -1, -1, -1]
         while True:  # merge the return edges of ei into p's right interval
             q = S.pop()
-            if q[0] is not None or q[1] is not None:
+            if q[0] != -1 or q[1] != -1:
                 q[:] = q[2], q[3], q[0], q[1]
-            if q[0] is not None or q[1] is not None:
+            if q[0] != -1 or q[1] != -1:
                 return False
             if lowpt[q[2]] > lowpt[e]:
-                if p[2] is None and p[3] is None:
+                if p[2] == -1 and p[3] == -1:
                     p[3] = q[3]
                 else:
                     ref[p[2]] = q[3]
@@ -353,89 +362,87 @@ def _left_right(adjs: list[list[int]]) -> list[list[int]] | None:
                 q[:] = q[2], q[3], q[0], q[1]
             if conflicting(q[2], q[3], ei):
                 return False
-            ref[p[2]] = q[3]
-            if q[2] is not None:
+            if p[2] != -1:  # an empty right interval has no low edge to refer
+                ref[p[2]] = q[3]
+            if q[2] != -1:
                 p[2] = q[2]
-            if p[0] is None and p[1] is None:
+            if p[0] == -1 and p[1] == -1:
                 p[1] = q[1]
             else:
                 ref[p[0]] = q[1]
             p[0] = q[0]
-        if any(x is not None for x in p):
+        if p != [-1, -1, -1, -1]:
             S.append(p)
         return True
 
-    def remove_back_edges(e) -> None:
-        u = e[0]
+    def remove_back_edges(e: int) -> None:
+        u = tail[e]
         while S and lowest(S[-1]) == height[u]:
             p = S.pop()
-            if p[0] is not None:
+            if p[0] != -1:
                 side[p[0]] = -1
         if S:  # trim the top pair in place
             p = S[-1]
-            while p[1] is not None and p[1][1] == u:
-                p[1] = ref.get(p[1])
-            if p[1] is None and p[0] is not None:
+            while p[1] != -1 and head[p[1]] == u:
+                p[1] = ref[p[1]]
+            if p[1] == -1 and p[0] != -1:
                 ref[p[0]] = p[2]
                 side[p[0]] = -1
-                p[0] = None
-            while p[3] is not None and p[3][1] == u:
-                p[3] = ref.get(p[3])
-            if p[3] is None and p[2] is not None:
+                p[0] = -1
+            while p[3] != -1 and head[p[3]] == u:
+                p[3] = ref[p[3]]
+            if p[3] == -1 and p[2] != -1:
                 ref[p[2]] = p[0]
                 side[p[2]] = -1
-                p[2] = None
+                p[2] = -1
         if lowpt[e] < height[u]:  # the side of e is the side of a highest return edge
             hl, hr = S[-1][1], S[-1][3]
-            ref[e] = hl if hl is not None and (hr is None or lowpt[hl] > lowpt[hr]) else hr
+            ref[e] = hl if hl != -1 and (hr == -1 or lowpt[hl] > lowpt[hr]) else hr
 
-    ordered = [sorted(out[v], key=lambda w: nesting[v, w]) for v in range(n)]
+    ordered = [sorted(out[v].values(), key=nesting.__getitem__) for v in range(n)]
     ind = [0] * n
-    resumed = set()
+    descended = [False] * m
     for r in roots:
         stack = [r]
         while stack:
             v = stack.pop()
             e = parent_edge[v]
-            descended = False
-            for w in ordered[v][ind[v] :]:
-                ei = (v, w)
-                if ei not in resumed:
+            down = False
+            for ei in ordered[v][ind[v] :]:
+                if not descended[ei]:
                     stack_bottom[ei] = S[-1] if S else None
-                    if ei == parent_edge[w]:
-                        stack += (v, w)
-                        resumed.add(ei)
-                        descended = True
+                    if ei == parent_edge[head[ei]]:
+                        stack += (v, head[ei])
+                        descended[ei] = down = True
                         break
                     lowpt_edge[ei] = ei
-                    S.append([None, None, ei, ei])
+                    S.append([-1, -1, ei, ei])
                 if lowpt[ei] < height[v]:
-                    if w == ordered[v][0]:
+                    if ei == ordered[v][0]:
                         lowpt_edge[e] = lowpt_edge[ei]
                     elif not add_constraints(ei, e):
                         return None
                 ind[v] += 1
-            if not descended and e is not None:
+            if not down and e != -1:
                 remove_back_edges(e)
 
     # Embedding: resolve sides against their references, then place back edges.
-    def sign(e) -> int:
+    def sign(e: int) -> int:
         stack = [e]
-        old_ref: dict = {}
+        old_ref: dict[int, int] = {}
         while stack:
             e = stack.pop()
-            r = ref.get(e)
-            if r is not None:
+            r = ref[e]
+            if r != -1:
                 stack += (e, r)
                 old_ref[e] = r
-                ref[e] = None
-            else:
-                side[e] = side.get(e, 1) * side.get(old_ref.get(e), 1)
+                ref[e] = -1
+            elif e in old_ref:
+                side[e] *= side[old_ref[e]]
         return side[e]
 
-    for v in range(n):
-        for w in out[v]:
-            nesting[v, w] *= sign((v, w))
+    for ei in range(m):
+        nesting[ei] *= sign(ei) if ref[ei] != -1 else side[ei]
     cw: list[dict[int, int]] = [{} for _ in adjs]
     ccw: list[dict[int, int]] = [{} for _ in adjs]
     leftmost: list[int | None] = [None] * n
@@ -459,11 +466,11 @@ def _left_right(adjs: list[list[int]]) -> list[list[int]] | None:
             leftmost[v] = w
 
     for v in range(n):
-        ordered[v] = sorted(out[v], key=lambda w: nesting[v, w])
+        ordered[v] = sorted(out[v].values(), key=nesting.__getitem__)
         prev = None
-        for w in ordered[v]:
-            put_after(v, w, prev)
-            prev = w
+        for ei in ordered[v]:
+            put_after(v, head[ei], prev)
+            prev = head[ei]
     left_ref: list[int | None] = [None] * n
     right_ref: list[int | None] = [None] * n
     ind = [0] * n
@@ -471,14 +478,15 @@ def _left_right(adjs: list[list[int]]) -> list[list[int]] | None:
         stack = [r]
         while stack:
             v = stack.pop()
-            for w in ordered[v][ind[v] :]:
+            for ei in ordered[v][ind[v] :]:
                 ind[v] += 1
-                if parent_edge[w] == (v, w):
+                w = head[ei]
+                if parent_edge[w] == ei:
                     put_before(w, v, leftmost[w])
                     left_ref[v] = right_ref[v] = w
                     stack += (v, w)
                     break
-                if side.get((v, w), 1) == 1:
+                if side[ei] == 1:
                     put_after(w, v, right_ref[w])
                 else:
                     put_before(w, v, left_ref[w])
@@ -715,11 +723,20 @@ def _order_component_ok(g: MultiGraph, seq: Sequence[int]) -> None:
         raise GraphError("ordered vertices span several components")
 
 
-def _effective_seq(g: MultiGraph, seq: Sequence[int]) -> tuple[int, ...]:
+def _live_order_vertices(g: MultiGraph, order: OrderSpec) -> frozenset[int]:
+    """The order's vertices with a dart, checked to lie in one component.
+
+    Every resolved arrangement of the order holds the same vertices, so
+    one check serves them all.
+    """
+    live = [v for e in order for v in ((e,) if isinstance(e, int) else sorted(e)) if g.incident_edges(v)]
+    _order_component_ok(g, live)
+    return frozenset(live)
+
+
+def _effective_seq(raw: Sequence[int], live: frozenset[int]) -> tuple[int, ...]:
     """Drop dartless vertices: an isolated point sits in any face anywhere."""
-    kept = collapse_cyclic([v for v in seq if g.incident_edges(v)])
-    _order_component_ok(g, kept)
-    return kept
+    return collapse_cyclic([v for v in raw if v in live])
 
 
 def ordered_planarity(
@@ -747,7 +764,11 @@ def ordered_planarity(
     vertices inside a required triangle is realised by that triangle's
     face and gets no wheel, which could make H nonplanar (K4 with its
     triangle {0, 1, 2} would become K3,3).  The faces the read-back claims
-    are checked: a miss is an internal GraphError, never a fallback.
+    are checked: a miss is an internal GraphError, never a fallback.  Only
+    the faces a check reads are walked into vertex sequences: the faces of
+    three darts where triangles are required, and the faces in sorted
+    order up to the first that realises the order, which is the face
+    returned.
     """
     triangles = sorted({tuple(sorted(t)) for t in facial_triangles})
     if any(len(t) != 3 for t in triangles):
@@ -757,8 +778,9 @@ def ordered_planarity(
         _order_component_ok(g, flat)
         rot0 = RotationSystem.from_map({v: [] for v in g.vertices})
         return OrderedPlanarEmbedding(rot0, (), ()) if not triangles else None
+    live = _live_order_vertices(g, order)
     for raw in _resolve_orders(order):
-        seq = _effective_seq(g, raw)
+        seq = _effective_seq(raw, live)
         inside = len(set(seq)) <= 3 and any(set(seq) <= set(t) for t in triangles)
         built = _gadget_graph(g, () if inside else seq, triangles)
         if built is None:
@@ -768,11 +790,13 @@ def ordered_planarity(
         rot = _read_back(g, h, ring, triangles, token, copies) if ring is not None else None
         if rot is None:
             continue
-        faces = [(f, rot.face_walk(g, f)) for f in rot.faces()]
-        for t in triangles:
-            if not any(len(f) == 3 and set(walk) == set(t) for f, walk in faces):
-                raise GraphError(f"internal: read-back misses facial triangle {t}")
-        face = next((f for f, walk in faces if walk_contains_order(walk, seq)), None)
+        faces = rot.faces()
+        if triangles:
+            bounded = {frozenset(rot.face_walk(g, f)) for f in faces if len(f) == 3}
+            for t in triangles:
+                if frozenset(t) not in bounded:
+                    raise GraphError(f"internal: read-back misses facial triangle {t}")
+        face = next((f for f in faces if walk_contains_order(rot.face_walk(g, f), seq)), None)
         if face is None:
             raise GraphError(f"internal: read-back misses the order {seq}")
         return OrderedPlanarEmbedding(rot, face, seq)
@@ -798,7 +822,8 @@ def verify_ordered_embedding(
     if order is None:
         want = [emb.order]
     else:
-        want = [_effective_seq(g, raw) for raw in _resolve_orders(order)]
+        live = _live_order_vertices(g, order)
+        want = [_effective_seq(raw, live) for raw in _resolve_orders(order)]
     want = [w for w in want if w]
     if want and g.m > 0:
         walk = emb.rotation.face_walk(g, emb.face)

@@ -12,7 +12,8 @@ that a (<= 3)-reduction removes.
 `find_linkage` decides which in four stages:
 
 1. the witness with no deleted set: one planarity test of the graph with
-   a wheel pinned to the terminals;
+   a wheel pinned to the terminals, on the input itself, since projecting
+   onto no set copies nothing;
 2. one descent of the pruned path search, without backtracking;
 3. the reduction witness: every terminal-free part cut off by at most three
    vertices is replaced by a clique on them, found with at most four
@@ -225,14 +226,26 @@ def neighborhood(g: MultiGraph, vs: frozenset[int] | set[int]) -> frozenset[int]
 def project(
     g: MultiGraph, sets: Sequence[frozenset[int]]
 ) -> tuple[MultiGraph, tuple[tuple[int, tuple[int, ...]], ...]]:
-    """Delete the sets; join each neighborhood pair not already joined."""
+    """Delete the sets; join each neighborhood pair not already joined.
+
+    With no sets the projection is g itself, not a copy.
+    """
+    return _project(g, sets, [neighborhood(g, a) for a in sets])
+
+
+def _project(
+    g: MultiGraph, sets: Sequence[frozenset[int]], nbs: Sequence[frozenset[int]]
+) -> tuple[MultiGraph, tuple[tuple[int, tuple[int, ...]], ...]]:
+    """`project`, given the neighborhood of each set."""
+    if not sets:
+        return g, ()
     drop: set[int] = set()
     for a in sets:
         drop |= a
     base = g.delete_vertices(drop)
     wanted: dict[tuple[int, int], list[int]] = {}
-    for i, a in enumerate(sets):
-        for u, v in itertools.combinations(sorted(neighborhood(g, a)), 2):
+    for i, nb in enumerate(nbs):
+        for u, v in itertools.combinations(sorted(nb), 2):
             wanted.setdefault((u, v), []).append(i)
     next_id = max(g.edge_ids, default=-1) + 1
     extra: dict[int, tuple[int, int]] = {}
@@ -250,11 +263,17 @@ def _order_vertices(order: OrderSpec) -> frozenset[int]:
     return frozenset(v for item in order for v in ((item,) if isinstance(item, int) else item))
 
 
+def _triangles(nbs: Sequence[frozenset[int]]) -> tuple[frozenset[int], ...]:
+    """The neighborhoods of three vertices, sorted: a witness's facial triangles."""
+    return tuple(sorted({nb for nb in nbs if len(nb) == 3}, key=sorted))
+
+
 def _attempt_witness(
     g: MultiGraph, sets: tuple[frozenset[int], ...], order: OrderSpec
 ) -> ThreePlanarWitness | None:
-    proj, added = project(g, sets)
-    triangles = tuple(sorted({neighborhood(g, a) for a in sets if len(neighborhood(g, a)) == 3}, key=sorted))
+    nbs = [neighborhood(g, a) for a in sets]
+    proj, added = _project(g, sets, nbs)
+    triangles = _triangles(nbs)
     try:
         emb = ordered_planarity(proj, order, facial_triangles=triangles)
     except GraphError:
@@ -381,40 +400,37 @@ def verify_witness(
             required.add(item)
         else:
             required.update(item)
-    for i, a in enumerate(w.sets):
+    nbs = [neighborhood(g, a) for a in w.sets]
+    for i, (a, nb) in enumerate(zip(w.sets, nbs)):
         if not a:
             out.append(f"set {i} is empty")
         if a - g.vertex_set:
             out.append(f"set {i} uses unknown vertices")
         if a & required:
             out.append(f"set {i} contains required vertices {sorted(a & required)}")
-        if len(neighborhood(g, a)) > 3:
-            out.append(f"set {i} has {len(neighborhood(g, a))} attachments")
+        if len(nb) > 3:
+            out.append(f"set {i} has {len(nb)} attachments")
         for j, b in enumerate(w.sets):
             if i < j and a & b:
                 out.append(f"sets {i} and {j} overlap")
-            if i != j and neighborhood(g, a) & b:
+            if i != j and nb & b:
                 out.append(f"sets {i} and {j} are adjacent")
     if out:
         return tuple(out)
-    proj, added = project(g, w.sets)
+    proj, added = _project(g, w.sets, nbs)
     if proj != w.projection or added != w.added_edges:
         out.append("stored projection does not match a fresh one")
         return tuple(out)
     out.extend(verify_ordered_embedding(proj, w.embedding, order))
-    derived = tuple(
-        sorted(
-            {neighborhood(g, a) for a in w.sets if len(neighborhood(g, a)) == 3},
-            key=sorted,
-        )
-    )
+    derived = _triangles(nbs)
     if derived != w.facial_triangles:
         out.append("stored facial triangles do not match the sets")
-    faces = w.embedding.rotation.faces()
-    walks = [w.embedding.rotation.face_walk(proj, f) for f in faces]
-    for tri in derived:
-        if not any(len(f) == 3 and set(wk) == set(tri) for f, wk in zip(faces, walks)):
-            out.append(f"neighborhood {sorted(tri)} bounds no triangular face")
+    if derived:
+        rot = w.embedding.rotation
+        bounded = {frozenset(rot.face_walk(proj, f)) for f in rot.faces() if len(f) == 3}
+        for tri in derived:
+            if tri not in bounded:
+                out.append(f"neighborhood {sorted(tri)} bounds no triangular face")
     return tuple(out)
 
 

@@ -61,7 +61,6 @@ from tanglekit.embedding import (
     OrderedPlanarEmbedding,
     OrderSpec,
     RotationSystem,
-    _effective_seq,
     _order_component_ok,
     _resolve_orders,
     collapse_cyclic,
@@ -2492,6 +2491,13 @@ def _oracle_close_corners(v: int, items: list, succ: dict, h: "nx.Graph", loops:
     raise GraphError(f"internal: corners at vertex {v} do not close")
 
 
+def _oracle_effective_seq(g: MultiGraph, seq: Sequence[int]) -> tuple[int, ...]:
+    """Drop dartless vertices and check the rest, once per arrangement."""
+    kept = collapse_cyclic([v for v in seq if g.incident_edges(v)])
+    _order_component_ok(g, kept)
+    return kept
+
+
 def oracle_ordered_planarity(
     g: MultiGraph,
     order: OrderSpec = (),
@@ -2525,7 +2531,7 @@ def oracle_ordered_planarity(
         rot0 = RotationSystem.from_map({v: [] for v in g.vertices})
         return OrderedPlanarEmbedding(rot0, (), ()) if not triangles else None
     for raw in _resolve_orders(order):
-        seq = _effective_seq(g, raw)
+        seq = _oracle_effective_seq(g, raw)
         inside = len(set(seq)) <= 3 and any(set(seq) <= set(t) for t in triangles)
         built = _oracle_gadget_graph(g, () if inside else seq, triangles)
         if built is None:

@@ -96,6 +96,17 @@ def test_project_adds_only_missing_clique_edges():
     assert frozenset(proj.endpoints(new_id)) == frozenset({0, 2})
 
 
+def test_projecting_onto_no_set_copies_nothing():
+    g = c4_plus_b()
+    assert project(g, ()) == (g, ()) and project(g, ())[0] is g
+    # stage 1 of find_linkage embeds the input itself
+    k = 5
+    crossing = grid(k)
+    got = find_linkage(crossing, 0, k * k - 1, k - 1, k * (k - 1))
+    assert isinstance(got, ThreePlanarWitness) and got.sets == ()
+    assert got.projection is crossing
+
+
 def test_neighborhood_ignores_internal_edges():
     g = handle_c5()
     assert neighborhood(g, {4, 5}) == {0, 1}
@@ -389,6 +400,27 @@ def test_verify_witness_flags_nonplanar_projection():
     forged = ThreePlanarWitness((), k5, base.embedding, (), ())
     bad = verify_witness(k5, forged, (0, 1, 2, 3))
     assert bad
+
+
+def test_verify_witness_flags_forged_facial_triangles():
+    g = k33_part_on_c4()
+    got = find_linkage(g, 0, 2, 1, 3)
+    forged = dataclasses.replace(got, facial_triangles=())
+    assert verify_witness(g, forged, (0, 1, 2, 3)) == ("stored facial triangles do not match the sets",)
+
+
+def test_verify_witness_flags_a_triangle_that_bounds_no_face():
+    # K5 minus the edge 34: the triangle {0, 1, 2} separates 3 from 4 in
+    # its one embedding, so deleting vertex 5, which sees just that
+    # triangle, leaves a projection where the triangle is no face
+    pairs = [p for p in itertools.combinations(range(5), 2) if p != (3, 4)]
+    g = MultiGraph.from_pairs(pairs + [(5, 0), (5, 1), (5, 2)])
+    sets, order = (frozenset({5}),), (0, 1, 3)
+    assert _attempt_witness(g, sets, order) is None
+    proj, added = project(g, sets)
+    emb = embedding_module.ordered_planarity(proj, order)
+    forged = ThreePlanarWitness(sets, proj, emb, added, (frozenset({0, 1, 2}),))
+    assert verify_witness(g, forged, order) == ("neighborhood [0, 1, 2] bounds no triangular face",)
 
 
 def test_verify_witness_flags_required_vertex_inside_set():

@@ -21,6 +21,7 @@ import pytest
 import tanglekit.embedding as embedding_module
 import tanglekit.linkage as linkage_module
 from tanglekit.embedding import _planar_rotation, ordered_planarity
+from tanglekit.graph import MultiGraph
 from tanglekit.linkage import find_linkage
 from oracles import oracle_ordered_planarity
 from test_embedding import sweep_cases
@@ -129,9 +130,44 @@ def embedding_queries() -> list[tuple]:
     ]
 
 
+def relabelled(g: MultiGraph, terminals: tuple, rng: random.Random) -> tuple[MultiGraph, tuple]:
+    """A copy of g with vertex ids permuted and edge ids spread over 0..3m, and its terminals."""
+    vmap = dict(zip(g.vertices, rng.sample(g.vertices, g.n)))
+    ids = rng.sample(range(3 * g.m + 1), g.m)
+    edges = {e: (vmap[u], vmap[v]) for e, (u, v) in zip(ids, g.edge_map.values())}
+    return MultiGraph.build(vmap.values(), edges), tuple(vmap[t] for t in terminals)
+
+
+def benchmark_shapes() -> list[tuple]:
+    """(graph, terminals) in the shapes the linkage benchmark times, each as
+    built and under one relabelling: k x k grids (k = 3..8) and triangulated
+    grids with crossing corner terminals, wheels W5..W10, prisms, K5, K6,
+    K3,3 and the Petersen graph."""
+
+    def grid(r: int, c: int, diagonals: bool = False) -> nx.Graph:
+        nxg = nx.grid_2d_graph(r, c)
+        if diagonals:
+            nxg.add_edges_from(((i, j), (i + 1, j + 1)) for i in range(r - 1) for j in range(c - 1))
+        return nx.convert_node_labels_to_integers(nxg, ordering="sorted")
+
+    def corners(r: int, c: int) -> tuple:  # top left, bottom right, top right, bottom left
+        return 0, r * c - 1, c - 1, (r - 1) * c
+
+    shapes = [(grid(k, k), corners(k, k)) for k in range(3, 9)]
+    shapes += [(grid(r, c, True), corners(r, c)) for r, c in ((3, 3), (3, 4), (4, 4))]
+    shapes += [(nx.wheel_graph(k + 1), (1, 1 + k // 2, 2, 2 + k // 2)) for k in range(5, 11)]
+    shapes += [(nx.circular_ladder_graph(k), (0, 2, 1, 3)) for k in (4, 5, 6)]
+    shapes += [(nx.complete_graph(5), (0, 2, 1, 3)), (nx.complete_graph(6), (0, 3, 1, 4))]
+    shapes += [(nx.complete_bipartite_graph(3, 3), (0, 3, 1, 4)), (nx.petersen_graph(), (0, 2, 1, 3))]
+    built = [(MultiGraph.from_pairs(sorted(nxg.edges())), terminals) for nxg, terminals in shapes]
+    rng = random.Random("planarity/relabel")
+    return built + [relabelled(g, terminals, rng) for g, terminals in built]
+
+
 def linkage_queries() -> list[tuple]:
     """(graph, order, facial triangles) of every ordered_planarity call that
-    find_linkage makes on every sixth atlas input and on random inputs."""
+    find_linkage makes on every sixth atlas input, on random inputs and on
+    the benchmark's shapes."""
     calls = []
     real = linkage_module.ordered_planarity
 
@@ -141,7 +177,7 @@ def linkage_queries() -> list[tuple]:
 
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(linkage_module, "ordered_planarity", record)
-        for g, terminals in [*list(_atlas_cases())[::6], *_random_cases(60)]:
+        for g, terminals in [*list(_atlas_cases())[::6], *_random_cases(60), *benchmark_shapes()]:
             find_linkage(g, *terminals)
     return calls
 
