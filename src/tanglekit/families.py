@@ -766,7 +766,7 @@ def _plan_tricoloured(d: FamilyDescriptor, caps: Caps) -> _Plan:
     if len(set(flat)) != len(flat):
         checks.append(_check("attachment order three-planar", False, "order vertices overlap"))
     else:
-        checks.append(_check("attachment order three-planar", find_three_planar(core, order, caps=caps) is not None))
+        checks.append(_check("attachment order three-planar", find_three_planar(core, order) is not None))
 
     return _Plan(tuple(checks), tuple(_tricoloured_clauses(g, pe, es_raw, sorted(colours), caps)))
 

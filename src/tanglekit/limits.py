@@ -18,8 +18,6 @@ disjoint-pair scan                 ``max_theta_pairs``  ``find_disjoint_unbalanc
 find_vertex_cuts                   ``max_subsets``      ``find_vertex_cuts``, ``decompose``
 balanced subgraph search           ``max_subsets``      the maximal balanced sets of ``classify``
 linkage path search                ``max_subsets``      ``find_linkage``
-witness search                     ``max_subsets``      ``find_three_planar``, ``find_linkage``, where
-                                                        loops crowd out the reduction witness
 planar boundary pairing search     ``max_assignments``  the PPSigned detector
 special-vertex search              ``max_assignments``  the special-vertex detector
 generalized-wheel search           ``max_assignments``  the generalized-wheel detector

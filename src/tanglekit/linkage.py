@@ -2,38 +2,34 @@
 
 Either two terminal pairs s1-t1 and s2-t2 are joined by vertex-disjoint
 paths (a linkage), or a three-planar witness certifies that they are not:
-after deleting vertex sets with at most three attachments each and joining
-each set's attachments into a clique, the rest embeds in the plane with
-s1, s2, t1, t2 around one face in that order.  By the 2-linkage theorem
-(Seymour 1980; Thomassen 1980) exactly one of the two exists, and on a
-loopless graph the deleted sets can be taken to be the terminal-free parts
+after deleting every loop and vertex sets with at most three attachments
+each, and joining each set's attachments into a clique, the rest embeds in
+the plane with s1, s2, t1, t2 around one face in that order.  By the
+2-linkage theorem (Seymour 1980; Thomassen 1980) exactly one of the two
+exists, and the deleted sets can be taken to be the terminal-free parts
 that a (<= 3)-reduction removes.
 
 `find_linkage` decides which in four stages:
 
 1. the witness with no deleted set: one planarity test of the graph with
-   a wheel pinned to the terminals, on the input itself, since projecting
-   onto no set copies nothing;
+   a wheel pinned to the terminals, on the input itself when it has no
+   loops, since projecting a loopless graph onto no set copies nothing;
 2. one descent of the pruned path search, without backtracking;
 3. the reduction witness: every terminal-free part cut off by at most three
    vertices is replaced by a clique on them, found with at most four
    augmenting-path searches per vertex, then one more planarity test, in
-   which every three-vertex neighbourhood must bound a facial triangle
-   (where loops block that witness, an exhaustive search decides);
+   which every three-vertex neighbourhood must bound a facial triangle;
 4. the pruned path search with backtracking, which by the theorem finds a
    linkage.
 
 Stages 1-3 take polynomial time, facial triangles included, so every
-loopless input without a linkage is decided in polynomial time; only stage
-4, on a linked input that the first descent misses, can take exponential
-time.  Every prefix the path search builds counts against
-`Caps.max_subsets`.
+input without a linkage is decided in polynomial time; only stage 4, on a
+linked input that the first descent misses, can take exponential time.
+Every prefix the path search builds counts against `Caps.max_subsets`.
 
 The module also verifies both outcomes and finds witnesses for arbitrary
 face orders (`find_three_planar`) by stages 1 and 3: one reduction and at
-most two planarity tests.  Loops are the one exception: where the
-reduction's triangles fill every corner of a loop's vertex, an exhaustive
-search over deleted sets decides, under `Caps.max_subsets`.
+most two planarity tests.
 """
 
 from __future__ import annotations
@@ -41,7 +37,7 @@ from __future__ import annotations
 import itertools
 from collections import deque
 from dataclasses import dataclass
-from typing import Iterator, Sequence
+from typing import Sequence
 
 from .embedding import OrderedPlanarEmbedding, OrderSpec, ordered_planarity, verify_ordered_embedding
 from .graph import GraphError, MultiGraph
@@ -201,9 +197,10 @@ class ThreePlanarWitness:
 
     Each set has at most three attachments; the projection replaces every
     set by a clique on its neighborhood (reusing an original edge when
-    one exists).  `added_edges` maps each new edge id to the indices of
-    the sets that contribute it; `facial_triangles` lists the
-    3-attachment neighborhoods, which must bound faces of the embedding.
+    one exists) and drops every loop, which lies on no path.
+    `added_edges` maps each new edge id to the indices of the sets that
+    contribute it; `facial_triangles` lists the 3-attachment
+    neighborhoods, which must bound faces of the embedding.
     """
 
     sets: tuple[frozenset[int], ...]
@@ -226,9 +223,9 @@ def neighborhood(g: MultiGraph, vs: frozenset[int] | set[int]) -> frozenset[int]
 def project(
     g: MultiGraph, sets: Sequence[frozenset[int]]
 ) -> tuple[MultiGraph, tuple[tuple[int, tuple[int, ...]], ...]]:
-    """Delete the sets; join each neighborhood pair not already joined.
+    """Delete every loop and the sets; join each neighborhood pair not yet joined.
 
-    With no sets the projection is g itself, not a copy.
+    With no sets, a loopless g is its own projection, not a copy.
     """
     return _project(g, sets, [neighborhood(g, a) for a in sets])
 
@@ -237,12 +234,13 @@ def _project(
     g: MultiGraph, sets: Sequence[frozenset[int]], nbs: Sequence[frozenset[int]]
 ) -> tuple[MultiGraph, tuple[tuple[int, tuple[int, ...]], ...]]:
     """`project`, given the neighborhood of each set."""
+    base = g.delete_edges(e for e, _ in g.loops) if g.loops else g
     if not sets:
-        return g, ()
+        return base, ()
     drop: set[int] = set()
     for a in sets:
         drop |= a
-    base = g.delete_vertices(drop)
+    base = base.delete_vertices(drop)
     wanted: dict[tuple[int, int], list[int]] = {}
     for i, nb in enumerate(nbs):
         for u, v in itertools.combinations(sorted(nb), 2):
@@ -284,17 +282,14 @@ def _attempt_witness(
     return None if emb is None else ThreePlanarWitness(sets, proj, emb, added, triangles)
 
 
-def find_three_planar(
-    g: MultiGraph, order: OrderSpec, caps: Caps = DEFAULT_CAPS
-) -> ThreePlanarWitness | None:
+def find_three_planar(g: MultiGraph, order: OrderSpec) -> ThreePlanarWitness | None:
     """A witness placing `order` on one face of a projection, or None if none exists.
 
     Stages 1 and 3 of `find_linkage` decide it: the witness with no deleted
     set, then the witness of the full (<= 3)-reduction towards the order's
-    vertices.  On a loopless graph the second exists whenever any witness
-    does.  Take the resolution of the order's set entries that a witness
-    realises, and call two disjoint paths whose ends alternate around it a
-    cross.
+    vertices.  The second exists whenever any witness does.  Take the
+    resolution of the order's set entries that a witness realises, and
+    call two disjoint paths whose ends alternate around it a cross.
 
     1. A witness leaves g without a cross.  A path through a deleted set
        can skip it along the set's clique, and two disjoint paths cannot
@@ -319,72 +314,29 @@ def find_three_planar(
        parallel copies of the triangle's edges lie there, and the
        innermost copies bound a face.
 
-    Loops break only step 4: a loop needs a corner of its vertex that no
-    required triangle fills.  The reduction's triangles can fill them all,
-    as round the hub of a wheel whose spoke vertices are reduced, while a
-    witness that keeps a spoke vertex leaves a corner free.  Dropping loops
-    keeps a witness one, so where the reduction witness fails both on g
-    and on g without its loops, no witness exists.  Where it holds without
-    the loops only, the exhaustive `_witness_search` decides.
+    A loop lies on no path, so the projection drops loops, and the
+    witnesses of g are exactly those of g without its loops: the steps
+    hold for every input.  A kept loop would need a corner of its vertex
+    that no required triangle fills.  Put two vertices on each rim edge
+    of a wheel, each joined to the hub and the edge's ends, and a loop at
+    the hub.  Every witness with four rim vertices in rim order deletes
+    the added vertices, whose triangles fill every corner at the hub; so
+    with the loop kept neither a witness nor a linkage would exist.
     """
     unknown = _order_vertices(order) - g.vertex_set
     if unknown:
         raise LinkageError(f"unknown vertices {sorted(unknown)}")
-    return _attempt_witness(g, (), order) or _reduction_witness(g, order, caps)
+    return _attempt_witness(g, (), order) or _reduction_witness(g, order)
 
 
-def _reduction_witness(g: MultiGraph, order: OrderSpec, caps: Caps) -> ThreePlanarWitness | None:
-    """Stage 3: the witness of the full (<= 3)-reduction, unless loops block it.
+def _reduction_witness(g: MultiGraph, order: OrderSpec) -> ThreePlanarWitness | None:
+    """Stage 3: the witness of the full (<= 3)-reduction.
 
     Callers try the witness with no deleted set first, so a reduction that
     deletes nothing costs no second planarity test.
     """
     sets = _reduction_sets(g, _order_vertices(order))
-    w = _attempt_witness(g, sets, order) if sets else None
-    if w is None and g.loops and _attempt_witness(g.delete_edges(e for e, _ in g.loops), sets, order):
-        return _witness_search(g, order, caps)
-    return w
-
-
-def _set_partitions(items: list) -> Iterator[list[list]]:
-    if not items:
-        yield []
-        return
-    first, rest = items[0], items[1:]
-    for part in _set_partitions(rest):
-        for i in range(len(part)):
-            yield part[:i] + [[first] + part[i]] + part[i + 1 :]
-        yield [[first]] + part
-
-
-def _witness_search(g: MultiGraph, order: OrderSpec, caps: Caps) -> ThreePlanarWitness | None:
-    """The first witness in order of deleted-vertex count, or None.
-
-    Candidate set collections are exactly the partitions of the
-    components of the deleted vertex set, which is exhaustive: distinct
-    witness sets are never adjacent, so each is a union of components of
-    whatever gets deleted.  Each candidate costs one planarity test, but
-    the candidates are exponential in the free vertices: every deleted set
-    counts against `caps.max_subsets` (stage "witness search").
-    """
-    free = sorted(g.vertex_set - _order_vertices(order))
-    budget = Budget("witness search", caps.max_subsets)
-    for size in range(len(free) + 1):
-        for chosen in itertools.combinations(free, size):
-            budget.spend()
-            comps = [set(c) for c in g.induced(frozenset(chosen)).components()]
-            if any(len(neighborhood(g, c)) > 3 for c in comps):
-                continue
-            for groups in _set_partitions(comps):
-                sets = tuple(
-                    sorted((frozenset().union(*grp) for grp in groups), key=min)
-                )
-                if any(len(neighborhood(g, a)) > 3 for a in sets):
-                    continue
-                found = _attempt_witness(g, sets, order)
-                if found is not None:
-                    return found
-    return None
+    return _attempt_witness(g, sets, order) if sets else None
 
 
 def verify_witness(
@@ -537,13 +489,12 @@ def find_linkage(
     The stages, in order: the witness with no deleted set; one descent of
     the pruned path search; the witness of the full (<= 3)-reduction; the
     pruned path search with backtracking.  Stages 1 and 3 are
-    `find_three_planar`'s route.  On a loopless input the first three take
-    polynomial time (each witness is one planarity test, facial triangles
-    included), and an input without a linkage never reaches the fourth.
-    The path search counts every prefix it builds against
+    `find_three_planar`'s route.  The first three take polynomial time
+    (each witness is one planarity test, facial triangles included), and
+    every input without a linkage is decided by them, never reaching the
+    fourth.  The path search counts every prefix it builds against
     `caps.max_subsets` and raises ResourceLimitError (stage "linkage path
-    search") past it; the witness search that stage 3 runs where loops
-    block the reduction witness does the same (stage "witness search").
+    search") past it.
     """
     terms = (s1, t1, s2, t2)
     unknown = set(terms) - g.vertex_set
@@ -578,7 +529,7 @@ def _decide_linkage(
     link = _search_linkage(g, s1, t1, s2, t2, caps, backtrack=False)
     if link is not None:
         return link
-    w = _reduction_witness(g, order, caps)
+    w = _reduction_witness(g, order)
     if w is not None:
         return w
     return _search_linkage(g, s1, t1, s2, t2, caps)

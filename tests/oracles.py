@@ -15,10 +15,10 @@ FatTriangle, CrissCross, PPSigned and PP special vertex, pair and triple
 detectors, the standard partition on the cycle list, the wheel search
 and wheel-core extraction before they read splits off standard
 partitions, the peel loop with a fresh vertex-cut search on every core,
-the canonical cycle key, the theta check, the linkage search,
-the boundary pairing search, the bias completion by backtracking over
-every theta and, at the end, ordered planarity by
-networkx's planarity test.  Embeddings come from
+the canonical cycle key, the theta check, the linkage search, the
+witness search over every deleted vertex set, the boundary pairing
+search, the bias completion by backtracking over every theta and, at the
+end, ordered planarity by networkx's planarity test.  Embeddings come from
 every rotation system that passes the Euler check, a signed graph's maximal
 balanced sets from every switching, and spanning forests from breadth-first
 search.
@@ -89,8 +89,10 @@ from tanglekit.linkage import (
     LinkageError,
     ThreePlanarWitness,
     VertexPath,
+    _attempt_witness,
+    _order_vertices,
     _walk_vertices,
-    _witness_search,
+    neighborhood,
     verify_linkage,
     verify_witness,
 )
@@ -2180,14 +2182,56 @@ def _search_linkage(
     return None
 
 
+def _set_partitions(items: list) -> Iterator[list[list]]:
+    if not items:
+        yield []
+        return
+    first, rest = items[0], items[1:]
+    for part in _set_partitions(rest):
+        for i in range(len(part)):
+            yield part[:i] + [[first] + part[i]] + part[i + 1 :]
+        yield [[first]] + part
+
+
+def _witness_search(g: MultiGraph, order: OrderSpec, caps: Caps) -> ThreePlanarWitness | None:
+    """The first witness in order of deleted-vertex count, or None.
+
+    Candidate set collections are exactly the partitions of the
+    components of the deleted vertex set, which is exhaustive: distinct
+    witness sets are never adjacent, so each is a union of components of
+    whatever gets deleted.  Each candidate costs one planarity test, but
+    the candidates are exponential in the free vertices: every deleted set
+    counts against `caps.max_subsets` (stage "witness search").
+    """
+    free = sorted(g.vertex_set - _order_vertices(order))
+    budget = Budget("witness search", caps.max_subsets)
+    for size in range(len(free) + 1):
+        for chosen in itertools.combinations(free, size):
+            budget.spend()
+            comps = [set(c) for c in g.induced(frozenset(chosen)).components()]
+            if any(len(neighborhood(g, c)) > 3 for c in comps):
+                continue
+            for groups in _set_partitions(comps):
+                sets = tuple(
+                    sorted((frozenset().union(*grp) for grp in groups), key=min)
+                )
+                if any(len(neighborhood(g, a)) > 3 for a in sets):
+                    continue
+                found = _attempt_witness(g, sets, order)
+                if found is not None:
+                    return found
+    return None
+
+
 def oracle_find_three_planar(
     g: MultiGraph, order: OrderSpec, caps: Caps = DEFAULT_CAPS
 ) -> ThreePlanarWitness | None:
-    """`find_three_planar` before the (<= 3)-reduction route: the first
-    witness over every deleted vertex set, smallest first.
+    """`find_three_planar` by exhaustive search: the first witness over
+    every deleted vertex set, smallest first.
 
-    The library keeps this search for loops that the reduction's triangles
-    leave no corner; it counts each deleted set as stage "witness search".
+    It makes no use of the (<= 3)-reduction; each candidate is one
+    projection and planarity test of the library's, loops dropped.  Each
+    deleted set counts against `caps.max_subsets` (stage "witness search").
     """
     unknown = {v for item in order for v in ((item,) if isinstance(item, int) else item)} - g.vertex_set
     if unknown:

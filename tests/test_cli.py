@@ -7,6 +7,8 @@ import pytest
 from tanglekit.cli import main
 from tanglekit.limits import ENV_CAP
 
+from test_linkage import crowded_hub_wheel
+
 FAT_TRIANGLE = (
     "biasedgraph 1\nv 3\n"
     "e 0 0 1\ne 1 1 2\ne 2 2 0\ne 3 0 1\ne 4 1 2\ne 5 2 0\n"
@@ -126,6 +128,15 @@ def test_linkage_prints_the_witness_sets(tmp_path, capsys):
     path.write_text("biasedgraph 1\nv 4\ne 0 0 1\ne 1 1 2\ne 2 2 3\ne 3 3 0\nbias all-balanced\n")
     assert main(["linkage", str(path), "0", "2", "1", "3"]) == 0
     assert capsys.readouterr() == ("witness\n", "")
+
+
+def test_linkage_prints_the_witness_of_a_hub_loop_crowded_by_triangles(tmp_path, capsys):
+    g = crowded_hub_wheel(4)
+    edges = "".join(f"e {e} {u} {v}\n" for e, (u, v) in sorted(g.edge_map.items()))
+    path = tmp_path / "input.bg"
+    path.write_text(f"biasedgraph 1\nv {g.n}\n{edges}bias all-balanced\n")
+    assert main(["linkage", str(path), "0", "2", "1", "3"]) == 0
+    assert capsys.readouterr() == ("witness\n" + "".join(f"set {v}\n" for v in range(5, 13)), "")
 
 
 def test_linkage_errors_are_one_line(tmp_path, capsys, monkeypatch):

@@ -12,7 +12,6 @@ from hypothesis import assume, given, settings, strategies as st
 
 import tanglekit.embedding as embedding_module
 import tanglekit.families as families_module
-import tanglekit.linkage
 from tanglekit.classify import classify
 from tanglekit.embedding import RotationSystem
 from tanglekit.graph import MultiGraph
@@ -267,40 +266,50 @@ def loop_wheel(rim: int) -> MultiGraph:
     return MultiGraph.from_pairs(pairs)
 
 
+def crowded_hub_wheel(rim: int) -> MultiGraph:
+    """The wheel with hub `rim` and a loop there; rim edge i gets two more
+    vertices, each joined to the hub and to the edge's ends.
+
+    Every witness for the rim in order deletes the added vertices, whose
+    triangles fill every corner at the hub, and no linkage joins 0-2 and
+    1-3 either.
+    """
+    hub = rim
+    pairs = [(i, (i + 1) % rim) for i in range(rim)] + [(i, hub) for i in range(rim)] + [(hub, hub)]
+    for i in range(rim):
+        for v in (rim + 1 + 2 * i, rim + 2 + 2 * i):
+            pairs += [(v, hub), (v, i), (v, (i + 1) % rim)]
+    return MultiGraph.from_pairs(pairs)
+
+
 def test_reduction_witness_takes_no_cap():
     w = find_three_planar(k33_part_on_c4(), (0, 1, 2, 3))
     assert w.sets == (frozenset({4, 5, 6}),)
 
 
 @pytest.mark.parametrize("rim", [4, 5])
-def test_a_loop_the_reduction_triangles_crowd_out_goes_to_the_witness_search(rim):
-    """Without its loop the reduction witness holds; with it only a witness keeping the spokes does."""
+def test_the_reduction_certifies_a_loop_its_triangles_crowd_in(rim):
+    """The projection drops the hub's loop, so the reduction witness holds and verifies with it."""
     g = loop_wheel(rim)
     order = tuple(range(rim))
     sets = _reduction_sets(g, frozenset(order))
     assert sets == (*(frozenset({20 + i}) for i in range(rim)), frozenset(range(30, 35)))
-    assert _attempt_witness(g, sets, order) is None
-    assert _attempt_witness(g.delete_edges([e for e, _ in g.loops]), sets, order) is not None
     w = find_three_planar(g, order)
-    assert w.sets == (frozenset({31, 32}),)
+    assert w.sets == sets
+    assert not w.projection.loops
     assert verify_witness(g, w, order) == ()
 
 
-def test_witness_search_is_capped():
-    """The empty set, ten singletons, then the 40th pair {31, 32}."""
-    g = loop_wheel(4)
-    with pytest.raises(ResourceLimitError) as err:
-        find_three_planar(g, (0, 1, 2, 3), Caps(max_subsets=50))
-    assert err.value.stage == "witness search"
-    w = find_three_planar(g, (0, 1, 2, 3), Caps(max_subsets=51))
-    assert w.sets == (frozenset({31, 32}),)
-
-
-def test_find_linkage_certifies_a_loop_the_reduction_triangles_crowd_out():
-    g = loop_wheel(4)
+@pytest.mark.parametrize(
+    "g", [loop_wheel(4), crowded_hub_wheel(4), crowded_hub_wheel(5)], ids=["loop-wheel-4", "crowded-hub-4", "crowded-hub-5"]
+)
+def test_find_linkage_certifies_a_loop_the_reduction_triangles_crowd_out(g):
+    order = (0, 1, 2, 3)
     got = find_linkage(g, 0, 2, 1, 3)
     assert isinstance(got, ThreePlanarWitness)
-    assert verify_witness(g, got, (0, 1, 2, 3)) == ()
+    assert verify_witness(g, got, order) == ()
+    w = find_three_planar(g, order)
+    assert w is not None and verify_witness(g, w, order) == ()
 
 
 @pytest.mark.parametrize("loop", [False, True])
@@ -339,12 +348,8 @@ def _random_cases(count: int):
 @pytest.mark.parametrize(
     "cases, size", [(_atlas_cases, 834), (lambda: _random_cases(400), 400)], ids=["atlas", "random"]
 )
-def test_find_linkage_matches_the_path_enumeration_oracle(cases, size, monkeypatch):
-    """Linkages and empty-set witnesses equal the old route's; no witness search."""
-    planar_calls = []
-    monkeypatch.setattr(
-        tanglekit.linkage, "_witness_search", lambda *a, **k: planar_calls.append(a)
-    )
+def test_find_linkage_matches_the_path_enumeration_oracle(cases, size):
+    """Linkages and empty-set witnesses equal the old route's."""
     reduced = seen = 0
     for g, (s1, t1, s2, t2) in cases():
         seen += 1
@@ -359,7 +364,6 @@ def test_find_linkage_matches_the_path_enumeration_oracle(cases, size, monkeypat
             reduced += 1
     assert seen == size
     assert reduced > 0
-    assert planar_calls == []
 
 
 # ---------------------------------------------------------------------------

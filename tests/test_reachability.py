@@ -18,6 +18,8 @@ of balanced cycles instead.  Every field of a classification report is
 read off a ``report`` by library, CLI or benchmark code outside the
 classifier.  Only the limits module builds a ``ResourceLimitError``: every
 other module counts through its ``Budget``, and may re-raise a caught one.
+The stage table in the limits module's docstring lists exactly the (stage,
+cap field) pairs of the library's ``Budget`` calls.
 The classifier calls ``verify_family`` in one battery step and in the
 wheel-core extraction only, and reaches no ``cycles_with``.
 """
@@ -25,6 +27,7 @@ wheel-core extraction only, and reaches no ``cycles_with``.
 from __future__ import annotations
 
 import ast
+import re
 from pathlib import Path
 
 SRC = Path(__file__).resolve().parent.parent / "src" / "tanglekit"
@@ -206,6 +209,32 @@ def test_only_the_limits_module_builds_a_resource_limit_error():
                 if (f.id if isinstance(f, ast.Name) else getattr(f, "attr", None)) == "ResourceLimitError":
                     builders.append(f"{path.name}:{node.lineno}")
     assert builders == []
+
+
+def _budget_stages() -> set[tuple[str, str]]:
+    """(stage, cap field) of every ``Budget("stage", caps.field)`` call in the library."""
+    stages = set()
+    for path in sorted(SRC.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(), filename=str(path))):
+            if isinstance(node, ast.Call) and isinstance(node.func, ast.Name) and node.func.id == "Budget":
+                stage, cap = node.args
+                assert isinstance(stage, ast.Constant) and isinstance(cap, ast.Attribute), f"{path.name}:{node.lineno}"
+                assert isinstance(cap.value, ast.Name) and cap.value.id == "caps", f"{path.name}:{node.lineno}"
+                stages.add((stage.value, cap.attr))
+    return stages
+
+
+def _stage_table(doc: str) -> list[tuple[str, str]]:
+    """The (stage, cap field) rows of the stage table in a docstring."""
+    rules = [i for i, line in enumerate(doc.splitlines()) if line.startswith("====")]
+    body = doc.splitlines()[rules[1] + 1 : rules[2]]
+    return [(m[1], m[2]) for line in body if (m := re.match(r"(\S.*?)\s{2,}``(\w+)``", line))]
+
+
+def test_the_limits_stage_table_lists_every_budget():
+    table = _stage_table(ast.get_docstring(ast.parse((SRC / "limits.py").read_text())))
+    assert len(table) == len(set(table))
+    assert sorted(table) == sorted(_budget_stages())
 
 
 def test_classify_verifies_candidates_in_one_step():
